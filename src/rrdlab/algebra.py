@@ -686,6 +686,43 @@ def poly_xgcd(
     return a.scale(lead_inv), ua.scale(lead_inv), va.scale(lead_inv)
 
 
+def series_quotient(
+    num: LaurentPolynomial, den: LaurentPolynomial, upto: int
+) -> LaurentPolynomial:
+    """X-adic expansion of num/den truncated to exponents < upto.
+
+    ``den`` must be a polynomial with den(0) != 0, so 1/den is a power series;
+    its expansion is computed by the standard recurrence to just enough
+    terms.  No gcd is taken: the expansion depends only on the quotient, so
+    every representation of it yields the same prefix.
+    """
+    field = num.field
+    if den.is_zero() or den.low != 0:
+        raise ValueError("series_quotient needs a denominator with den(0) != 0")
+    if num.is_zero():
+        return LaurentPolynomial.zero(field)
+    need = upto - num.low
+    if need <= 0:
+        return LaurentPolynomial.zero(field)
+    den = den.raw_coefficients
+    d0_inv = field.inv(den[0])
+    inv_series = [0] * need
+    inv_series[0] = d0_inv
+    mul, add = field.mul, field.add
+    for k in range(1, need):
+        acc = 0
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc = add(acc, mul(den[i], inv_series[k - i]))
+        inv_series[k] = mul(field.neg(acc), d0_inv)
+    out = [0] * need
+    numc = num.raw_coefficients
+    for i, x in enumerate(numc):
+        if x:
+            for k in range(need - i):
+                out[i + k] = add(out[i + k], mul(x, inv_series[k]))
+    return LaurentPolynomial(field, num.low, out)
+
+
 class RationalFunction:
     """Element of F_q(X) as a reduced fraction with canonical normalization.
 
@@ -797,33 +834,9 @@ class RationalFunction:
     def series_prefix(self, upto: int) -> LaurentPolynomial:
         """Exact X-adic expansion truncated to exponents < upto.
 
-        Valid because den(0) != 0 in canonical form; the expansion of 1/den is
-        computed by the standard recurrence to just enough terms.
+        Valid because den(0) != 0 in canonical form.
         """
-        if self.is_zero():
-            return LaurentPolynomial.zero(self.field)
-        field = self.field
-        num = self.num
-        need = upto - num.low
-        if need <= 0:
-            return LaurentPolynomial.zero(field)
-        den = self.den.raw_coefficients
-        d0_inv = field.inv(den[0])
-        inv_series = [0] * need
-        inv_series[0] = d0_inv
-        mul, add = field.mul, field.add
-        for k in range(1, need):
-            acc = 0
-            for i in range(1, min(k, len(den) - 1) + 1):
-                acc = add(acc, mul(den[i], inv_series[k - i]))
-            inv_series[k] = mul(field.neg(acc), d0_inv)
-        out = [0] * need
-        numc = num.raw_coefficients
-        for i, x in enumerate(numc):
-            if x:
-                for k in range(need - i):
-                    out[i + k] = add(out[i + k], mul(x, inv_series[k]))
-        return LaurentPolynomial(field, num.low, out)
+        return series_quotient(self.num, self.den, upto)
 
     def as_laurent(self) -> LaurentPolynomial:
         if not self.den.is_one():

@@ -26,10 +26,12 @@ from .lamplighter import exponential_certificate, h_ball_growth
 from .sl2 import SL2Element, TreeRegistry, build_registry, locate, translate_vertex
 from .spheres import SphereTable, condition_one_certificate, enumerate_ball
 from .trees import (
-    BoundaryCylinder,
     ProductCylinder,
+    TreeVertex,
+    _common_prefix_len,
     boundary_cylinders,
     product_cylinders,
+    sphere_size,
 )
 
 POWER_ITERATION_SEED = 0x5EED
@@ -62,6 +64,31 @@ def shared_registry(q: int, place: Place, radius: int) -> TreeRegistry:
         reg = build_registry(q, place, radius)
         _REGISTRIES[key] = reg
     return reg
+
+
+# Actions of SL2(F_q) on depth-K cylinders, pooled beside the registries.
+# Breadth-first numbering does not depend on the radius, so an entry stays
+# valid when its registry is rebuilt larger.
+_CYLINDER_ACTIONS: dict[tuple[int, Place, SL2Element, int], list[int]] = {}
+
+
+def _cylinder_action(k: SL2Element, registry: TreeRegistry, depth: int) -> list[int]:
+    """perm[j] = index of the depth-``depth`` cylinder that the constant
+    element k moves the j-th one to.  k fixes the root, so depths match."""
+    key = (registry.q, registry.place, k, depth)
+    perm = _CYLINDER_ACTIONS.get(key)
+    if perm is None:
+        cyls = boundary_cylinders(registry.q + 1, depth)
+        if k.is_identity():
+            perm = list(range(len(cyls)))
+        else:
+            index = {c.base.path: j for j, c in enumerate(cyls)}
+            perm = [
+                index[registry.locate_form(translate_vertex(k, registry.form_at(c.base))).path]
+                for c in cyls
+            ]
+        _CYLINDER_ACTIONS[key] = perm
+    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -193,57 +220,50 @@ def _element_field(gamma: SL2Element) -> Fq:
     return gamma.entries()[0].field
 
 
-def _prefix_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def _factor_supports(
+def _transport_supports(
     gamma: SL2Element,
-    place: Place,
+    w: TreeVertex,
     in_depth: int,
     out_depth: int,
     registry: TreeRegistry,
-) -> tuple[list[BoundaryCylinder], list[BoundaryCylinder], list[AlgebraicValue], list[list[int]]]:
-    """Transport data for one boundary factor: for each input cylinder, the
-    indices of the depth-``out_depth`` cylinders its image covers, plus the
-    cocycle weight attached to every output cylinder.
+) -> tuple[list[int], list[list[int]]]:
+    """Transport data for one boundary factor, shared by the exact and the
+    floating assembly: the Busemann value beta at w = gamma . o of every
+    depth-``out_depth`` cylinder (its cocycle weight is q^(beta/2)), and for
+    each depth-``in_depth`` cylinder the indices of the output cylinders its
+    image covers.
 
     The images of the input cylinders must partition the boundary; that is
-    asserted, it is the structural check on the whole assembly.
+    checked, it is the structural check on the whole assembly.
     """
     degree = registry.q + 1
-    w = locate(gamma, place, registry)
-    in_cyls = boundary_cylinders(degree, in_depth)
     out_cyls = boundary_cylinders(degree, out_depth)
-    weights = [cocycle_sqrt(w, oc) for oc in out_cyls]
+    out_paths = np.array([oc.base.path for oc in out_cyls], dtype=np.int64).reshape(
+        len(out_cyls), out_depth
+    )
+
+    def prefix_lens(path: tuple[int, ...]) -> np.ndarray:
+        """Common-prefix length of ``path`` with every output path."""
+        path = path[:out_depth]
+        return np.cumprod(out_paths[:, : len(path)] == path, axis=1).sum(axis=1)
+
     wp = w.path
-    out_paths = [oc.base.path for oc in out_cyls]
-    pre_wz = [_prefix_len(wp, zp) for zp in out_paths]
+    pre_wz = prefix_lens(wp)
+    betas = (2 * pre_wz - len(wp)).tolist()
     supports: list[list[int]] = []
-    hits = [0] * len(out_cyls)
-    for ic in in_cyls:
-        y = registry.locate_form(translate_vertex(gamma, registry.form_at(ic.base)))
-        yp = y.path
-        pre_wy = _prefix_len(wp, yp)
-        ylen = len(yp)
-        rows = []
-        for i, zp in enumerate(out_paths):
-            # y on the geodesic [w, z], in shared-prefix arithmetic
-            if pre_wy + _prefix_len(yp, zp) == ylen + pre_wz[i]:
-                rows.append(i)
-                hits[i] += 1
-        supports.append(rows)
-    if any(h != 1 for h in hits):
+    hits = np.zeros(len(out_paths), dtype=np.int64)
+    for ic in boundary_cylinders(degree, in_depth):
+        yp = registry.locate_form(translate_vertex(gamma, registry.form_at(ic.base))).path
+        # y on the geodesic [w, z], in shared-prefix arithmetic
+        covered = prefix_lens(yp) + _common_prefix_len(wp, yp) == len(yp) + pre_wz
+        supports.append(np.flatnonzero(covered).tolist())
+        hits += covered
+    if np.any(hits != 1):
         raise RuntimeError(
             "transported cylinder images fail to partition the boundary "
-            f"(place {place.value}, element {gamma.to_text()})"
+            f"(place {registry.place.value}, element {gamma.to_text()})"
         )
-    return in_cyls, out_cyls, weights, supports
+    return betas, supports
 
 
 @dataclass(frozen=True)
@@ -299,10 +319,20 @@ def koopman_matrix(
                 f"registry radii ({reg0.radius}, {reginf.radius}) below the "
                 f"output depths {out_pair}"
             )
-    in0, out0, w0, sup0 = _factor_supports(gamma, Place.ZERO, pair[0], out_pair[0], reg0)
-    in1, out1, w1, sup1 = _factor_supports(
-        gamma, Place.INFINITY, pair[1], out_pair[1], reginf
-    )
+    factors = []
+    for place, in_depth, out_depth, reg in (
+        (Place.ZERO, pair[0], out_pair[0], reg0),
+        (Place.INFINITY, pair[1], out_pair[1], reginf),
+    ):
+        w = locate(gamma, place, reg)
+        betas, supports = _transport_supports(gamma, w, in_depth, out_depth, reg)
+        factors.append((
+            boundary_cylinders(field.q + 1, in_depth),
+            boundary_cylinders(field.q + 1, out_depth),
+            [AlgebraicValue.sqrt_q_power(field.q, beta) for beta in betas],
+            supports,
+        ))
+    (in0, out0, w0, sup0), (in1, out1, w1, sup1) = factors
     columns = {}
     for j0, ic0 in enumerate(in0):
         for j1, ic1 in enumerate(in1):
@@ -518,8 +548,44 @@ def _power_iteration_symmetric(
     return previous, max_iters, False
 
 
-def _factor_transport_float(
+# One right coset rK: the located pair (r . o_0, r . o_inf) and its members
+# as (sphere index, k) with member = r k, the representative r first.
+Coset = tuple[TreeVertex, TreeVertex, list[tuple[int, SL2Element]]]
+
+
+def _right_cosets(
+    gammas: Sequence[SL2Element], reg0: TreeRegistry, reginf: TreeRegistry
+) -> list[Coset]:
+    """Split a sphere into right cosets rK of K = SL2(F_q).
+
+    The stabilizer of the base-vertex pair is K, so g and h share a coset
+    exactly when they move the pair to the same vertices.  Cosets come in
+    order of first appearance, r is the first member, and every quotient k
+    is checked to be constant.
+    """
+    grouped: dict[tuple, tuple[TreeVertex, TreeVertex, list[int]]] = {}
+    for gi, g in enumerate(gammas):
+        w0 = locate(g, Place.ZERO, reg0)
+        w1 = locate(g, Place.INFINITY, reginf)
+        grouped.setdefault((w0.path, w1.path), (w0, w1, []))[2].append(gi)
+    cosets = []
+    for w0, w1, indices in grouped.values():
+        r_inv = gammas[indices[0]].inverse()
+        members = []
+        for gi in indices:
+            k = r_inv * gammas[gi]
+            if not k.is_constant():
+                raise RuntimeError(
+                    f"coset quotient is not constant: {gammas[gi].to_text()}"
+                )
+            members.append((gi, k))
+        cosets.append((w0, w1, members))
+    return cosets
+
+
+def _transport_stack(
     gammas: Sequence[SL2Element],
+    cosets: list[Coset],
     place: Place,
     in_depth: int,
     out_depth: int,
@@ -527,33 +593,29 @@ def _factor_transport_float(
     q: int,
 ) -> np.ndarray:
     """Stacked per-element transport matrices (one boundary factor) with
-    floating cocycle weights: shape (len(gammas), #out cells, #in cells)."""
-    degree = q + 1
-    in_cyls = boundary_cylinders(degree, in_depth)
-    out_cyls = boundary_cylinders(degree, out_depth)
-    out_paths = [oc.base.path for oc in out_cyls]
-    stack = np.zeros((len(gammas), len(out_cyls), len(in_cyls)))
-    for gi, g in enumerate(gammas):
-        w = locate(g, place, registry)
-        wp = w.path
-        wlen = len(wp)
-        pre_wz = [_prefix_len(wp, zp) for zp in out_paths]
-        # cocycle value on each output cylinder: q^(beta/2)
-        weights = [
-            float(q) ** ((2 * pre_wz[i] - wlen) / 2.0) for i in range(len(out_cyls))
-        ]
-        hits = [0] * len(out_cyls)
-        for j, ic in enumerate(in_cyls):
-            y = registry.locate_form(translate_vertex(g, registry.form_at(ic.base)))
-            yp = y.path
-            pre_wy = _prefix_len(wp, yp)
-            ylen = len(yp)
-            for i, zp in enumerate(out_paths):
-                if pre_wy + _prefix_len(yp, zp) == ylen + pre_wz[i]:
-                    stack[gi, i, j] = weights[i]
-                    hits[i] += 1
-        if any(h != 1 for h in hits):
-            raise RuntimeError("transported supports fail to partition the boundary")
+    floating cocycle weights: shape (len(gammas), #out cells, #in cells).
+
+    Only coset representatives are transported.  A member g = r k has
+    g . x = r . (k . x) and g . o = r . o, so its matrix is r's with the
+    input columns permuted by k's action on the input cylinders.
+    """
+    n_out = sphere_size(q + 1, out_depth)
+    n_in = sphere_size(q + 1, in_depth)
+    stack = np.zeros((len(gammas), n_out, n_in))
+    for w0, w1, members in cosets:
+        w = w0 if place is Place.ZERO else w1
+        betas, supports = _transport_supports(
+            gammas[members[0][0]], w, in_depth, out_depth, registry
+        )
+        weights = [float(q) ** (beta / 2.0) for beta in betas]
+        rep = np.zeros((n_out, n_in))
+        for j, rows in enumerate(supports):
+            for i in rows:
+                rep[i, j] = weights[i]
+        for gi, k in members:
+            stack[gi] = rep[:, _cylinder_action(k, registry, in_depth)]
+    if np.any(np.count_nonzero(stack, axis=2) != 1):
+        raise RuntimeError("transported supports fail to partition the boundary")
     return stack
 
 
@@ -582,10 +644,9 @@ def mean_matrix_2norm(
     out_pair = (pair[0] + n, pair[1] + n)
     reg0 = shared_registry(q, Place.ZERO, out_pair[0])
     reginf = shared_registry(q, Place.INFINITY, out_pair[1])
-    P0 = _factor_transport_float(gammas, Place.ZERO, pair[0], out_pair[0], reg0, q)
-    P1 = _factor_transport_float(
-        gammas, Place.INFINITY, pair[1], out_pair[1], reginf, q
-    )
+    cosets = _right_cosets(gammas, reg0, reginf)
+    P0 = _transport_stack(gammas, cosets, Place.ZERO, pair[0], out_pair[0], reg0, q)
+    P1 = _transport_stack(gammas, cosets, Place.INFINITY, pair[1], out_pair[1], reginf, q)
     # fold the per-element scalars 1/(|C_n| Xi(gamma)) into the first factor
     count = len(gammas)
     for gi, g in enumerate(gammas):
@@ -820,6 +881,11 @@ def rrd_report(
         config.update(thresholds)
     if table is None:
         table = enumerate_ball(q, max_length)
+    elif (table.q, table.max_length) != (q, max_length):
+        raise ValueError(
+            f"sphere table is for q={table.q}, max_length={table.max_length}, "
+            f"not q={q}, max_length={max_length}"
+        )
     tol = float(config["tolerance"])
     max_iters = int(config["max_iters"])
     chain_slack = float(config["chain_slack"])

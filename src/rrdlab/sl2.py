@@ -6,9 +6,14 @@ base point to is the homothety class of the lattice spanned by its columns.
 Lattice classes are put in a canonical triangular form (diagonal powers of the
 uniformizer, off-diagonal entry reduced modulo the larger diagonal power,
 homothety-normalized so the smaller diagonal valuation is 0), which is
-injective on classes and idempotent.  A breadth-first registry maps canonical
-forms to rooted label paths, giving the bridge from matrix algebra to the tree
-coordinates used by the boundary analysis.
+injective on classes and idempotent.  Canonical forms are gcd-free: column
+reduction stays in the Laurent ring, reading the second diagonal exponent off
+the determinant's valuation and the off-diagonal entry off a truncated X-adic
+series quotient, so no rational function is ever reduced.  (Rational
+functions remain only in ``smith_valuations``, the independent length
+oracle.)  A breadth-first registry maps canonical forms to rooted label paths,
+giving the bridge from matrix algebra to the tree coordinates used by the
+boundary analysis.
 
 Place infinity reuses all place-zero code through the exact substitution
 X -> X^-1, under which the uniformizer becomes X again.
@@ -19,14 +24,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .algebra import (
     Fq,
-    INFINITE_VALUATION,
     LaurentPolynomial,
     Place,
     RationalFunction,
+    series_quotient,
 )
 from .trees import TreeVertex
 
@@ -114,6 +119,10 @@ class SL2Element:
     def is_identity(self) -> bool:
         return self.a.is_one() and self.d.is_one() and self.b.is_zero() and self.c.is_zero()
 
+    def is_constant(self) -> bool:
+        """True when every entry lies in F_q, i.e. the element is in SL2(F_q)."""
+        return all(e.is_zero() or (e.low == 0 and e.is_monomial()) for e in self.entries())
+
     # lengths ------------------------------------------------------------------
 
     def _min_entry_valuation(self, place: Place) -> int:
@@ -173,14 +182,6 @@ class SL2Element:
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
 
 
-def sl2_mul(g: SL2Element, h: SL2Element) -> SL2Element:
-    return g * h
-
-
-def sl2_inv(g: SL2Element) -> SL2Element:
-    return g.inverse()
-
-
 def _to_uniformizer(entry: LaurentPolynomial, place: Place) -> LaurentPolynomial:
     """Rewrite an entry in the local uniformizer variable of the place.
 
@@ -235,14 +236,6 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     return (v1, v2) if v1 <= v2 else (v2, v1)
 
 
-def length_at_place(g: SL2Element, place: Place) -> int:
-    return g.length_at_place(place)
-
-
-def total_length(g: SL2Element) -> int:
-    return g.total_length
-
-
 @dataclass(frozen=True, slots=True)
 class LatticeVertex:
     """Canonical form of a lattice class: basis [[X^a, 0], [c, X^b]] in the
@@ -273,16 +266,6 @@ class LatticeVertex:
         b = int(m[1][2:])
         c = LaurentPolynomial.from_text(field, m[2])
         return cls(place, a, b, c)
-
-    def basis_columns(
-        self,
-    ) -> tuple[tuple[LaurentPolynomial, LaurentPolynomial], tuple[LaurentPolynomial, LaurentPolynomial]]:
-        """Generating columns (X^a, c) and (0, X^b) in the uniformizer variable."""
-        field = self.field
-        return (
-            (LaurentPolynomial.x_power(field, self.diag_low), self.off_diag),
-            (LaurentPolynomial.zero(field), LaurentPolynomial.x_power(field, self.diag_high)),
-        )
 
     def base_distance(self) -> int:
         """Tree distance to the standard-lattice vertex."""
@@ -324,52 +307,36 @@ def _canonical_from_triangular(
 
 def _canonical_from_matrix(
     place: Place,
-    entries: tuple[
-        tuple[RationalFunction, RationalFunction], tuple[RationalFunction, RationalFunction]
-    ],
+    A: LaurentPolynomial,
+    B: LaurentPolynomial,
+    C: LaurentPolynomial,
+    D: LaurentPolynomial,
 ) -> LatticeVertex:
-    """Column-reduce a nonsingular matrix (uniformizer variable) to canonical form."""
-    (A, B), (C, D) = entries
-    vA = A.valuation(Place.ZERO)
-    vB = B.valuation(Place.ZERO)
-    swap = not isinstance(vA, int) or (isinstance(vB, int) and vB < vA)
-    if swap:
-        A, B = B, A
-        C, D = D, C
-        vA = vB
-    if not isinstance(vA, int):
+    """Column-reduce a nonsingular matrix [[A, B], [C, D]] (uniformizer
+    variable) to canonical form without leaving the Laurent ring.
+
+    The pivot column has the smaller top-row valuation a = v(A).  Clearing B
+    leaves the corner D - (B/A)C = det/A, so b = v(AD - BC) - a.  After the
+    homothety by X^-m, m = min(a, b), the off-diagonal entry is the X-adic
+    expansion of C X^-m / (A X^-a), kept below X^(b - m).
+    """
+    if A.is_zero() or (not B.is_zero() and B.low < A.low):
+        A, B, C, D = B, A, D, C
+    if A.is_zero():
         raise ValueError("degenerate input: zero top row")
-    a = vA
-    t = B / A
-    D = D - t * C
-    field = A.field
-    x_a = RationalFunction.from_laurent(LaurentPolynomial.x_power(field, a))
-    C = C * (x_a / A)
-    vD = D.valuation(Place.ZERO)
-    if not isinstance(vD, int):
+    a = A.low
+    det = A * D - B * C
+    if det.is_zero():
         raise ValueError("degenerate input: matrix not invertible over the field")
-    b = vD
+    b = det.low - a
     m = min(a, b)
-    a -= m
-    b -= m
-    c_rat = C * RationalFunction.from_laurent(LaurentPolynomial.x_power(field, -m))
-    c = c_rat.series_prefix(b)
-    return LatticeVertex(place, a, b, c)
+    c = series_quotient(C.shift(-m), A.shift(-a), b - m)
+    return LatticeVertex(place, a - m, b - m, c)
 
 
 def canonical_vertex(g: SL2Element, place: Place) -> LatticeVertex:
     """Canonical form of the lattice spanned by the columns of g at the place."""
-    rows = (
-        (
-            RationalFunction.from_laurent(_to_uniformizer(g.a, place)),
-            RationalFunction.from_laurent(_to_uniformizer(g.b, place)),
-        ),
-        (
-            RationalFunction.from_laurent(_to_uniformizer(g.c, place)),
-            RationalFunction.from_laurent(_to_uniformizer(g.d, place)),
-        ),
-    )
-    return _canonical_from_matrix(place, rows)
+    return _canonical_from_matrix(place, *(_to_uniformizer(e, place) for e in g.entries()))
 
 
 def base_vertex(field: Fq, place: Place) -> LatticeVertex:
@@ -395,27 +362,12 @@ def vertex_neighbors(v: LatticeVertex) -> list[LatticeVertex]:
 
 def translate_vertex(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
     """Canonical form of g . v (matrix times basis, then reduction)."""
-    if v.place is Place.ZERO:
-        ga, gb, gc, gd = g.a, g.b, g.c, g.d
-    else:
-        ga, gb, gc, gd = (
-            g.a.substitute_inverse(),
-            g.b.substitute_inverse(),
-            g.c.substitute_inverse(),
-            g.d.substitute_inverse(),
-        )
-    (b1x, b1y), (b2x, b2y) = v.basis_columns()
-    rows = (
-        (
-            RationalFunction.from_laurent(ga * b1x + gb * b1y),
-            RationalFunction.from_laurent(ga * b2x + gb * b2y),
-        ),
-        (
-            RationalFunction.from_laurent(gc * b1x + gd * b1y),
-            RationalFunction.from_laurent(gc * b2x + gd * b2y),
-        ),
+    ga, gb, gc, gd = (_to_uniformizer(e, v.place) for e in g.entries())
+    # g times the basis columns (X^a, c) and (0, X^b)
+    a, b, c = v.diag_low, v.diag_high, v.off_diag
+    return _canonical_from_matrix(
+        v.place, ga.shift(a) + gb * c, gb.shift(b), gc.shift(a) + gd * c, gd.shift(b)
     )
-    return _canonical_from_matrix(v.place, rows)
 
 
 class TreeRegistry:

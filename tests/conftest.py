@@ -18,3 +18,8 @@ def table6() -> SphereTable:
 @pytest.fixture(scope="session")
 def table8() -> SphereTable:
     return enumerate_ball(2, 8)
+
+
+@pytest.fixture(scope="session")
+def table_q3n2() -> SphereTable:
+    return enumerate_ball(3, 2)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rrdlab.algebra import AlgebraicValue, Place
@@ -10,6 +11,8 @@ from rrdlab.criterion import (
     MeanOperator,
     StepFunction,
     _mean_transfer_bruteforce,
+    _right_cosets,
+    _transport_stack,
     convolution_opnorm_lower,
     koopman_matrix,
     mean_matrix_2norm,
@@ -19,8 +22,9 @@ from rrdlab.criterion import (
     shared_registry,
     uniform_bound_value,
 )
+from rrdlab.sl2 import build_registry, locate, translate_vertex
 from rrdlab.spheres import bfs_crosscheck, sup_xi_on_sphere
-from rrdlab.trees import product_cylinders
+from rrdlab.trees import boundary_cylinders, gromov_product, product_cylinders
 
 rng = random.Random(0xC817)
 
@@ -227,3 +231,80 @@ def test_report_structure_and_determinism(table4):
     assert first["config"]["tool_version"]
     u_rows = {row["n"]: row["value"] for row in first["condition2"]["rows"]}
     assert u_rows[0] == ("1", "0", 2)
+
+
+def test_report_rejects_mismatched_table(table4):
+    with pytest.raises(ValueError, match="sphere table"):
+        rrd_report(3, 4, depth=1, table=table4)
+    with pytest.raises(ValueError, match="sphere table"):
+        rrd_report(2, 2, depth=1, table=table4)
+
+
+# ---------------------------------------------------------------------------
+# coset-factored transports
+
+
+def per_element_stack(gammas, place, in_depth, out_depth, registry, q):
+    """Transport every element on its own: locate it, move each input
+    cylinder's base vertex and mark the output cylinders whose geodesic from
+    the located vertex passes through the image, with weight q^(beta/2)."""
+    in_cyls = boundary_cylinders(q + 1, in_depth)
+    out_cyls = boundary_cylinders(q + 1, out_depth)
+    stack = np.zeros((len(gammas), len(out_cyls), len(in_cyls)))
+    for gi, g in enumerate(gammas):
+        w = locate(g, place, registry)
+        for j, ic in enumerate(in_cyls):
+            y = registry.locate_form(translate_vertex(g, registry.form_at(ic.base)))
+            for i, oc in enumerate(out_cyls):
+                z = oc.base
+                if gromov_product(w, y) + gromov_product(y, z) == y.depth + gromov_product(w, z):
+                    beta = 2 * gromov_product(w, z) - w.depth
+                    stack[gi, i, j] = float(q) ** (beta / 2.0)
+    return stack
+
+
+@pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
+def test_spheres_split_into_constant_cosets(request, table_name):
+    table = request.getfixturevalue(table_name)
+    q = table.q
+    finite = set(table.sphere(0))
+    assert len(finite) == q**3 - q
+    for n in table.lengths():
+        gammas = table.sphere(n)
+        cosets = _right_cosets(
+            gammas, build_registry(q, Place.ZERO, n), build_registry(q, Place.INFINITY, n)
+        )
+        indices = sorted(gi for _, _, members in cosets for gi, _ in members)
+        assert indices == list(range(len(gammas)))
+        for _, _, members in cosets:
+            assert len(members) == q**3 - q
+            r = gammas[members[0][0]]
+            for gi, k in members:
+                assert all(e.is_zero() or (e.low == 0 and e.top == 0) for e in k.entries())
+                assert r * k == gammas[gi]
+            assert {gammas[gi] for gi, _ in members} == {r * k for k in finite}
+
+
+@pytest.mark.parametrize(
+    "table_name, n, depth",
+    [
+        ("table4", 0, 2),
+        ("table4", 2, 1),
+        ("table4", 2, 2),
+        ("table4", 4, 1),
+        ("table4", 4, 2),
+        ("table_q3n2", 0, 2),
+        ("table_q3n2", 2, 1),
+        ("table_q3n2", 2, 2),
+    ],
+)
+def test_coset_stack_matches_per_element_stack(request, table_name, n, depth):
+    table = request.getfixturevalue(table_name)
+    q = table.q
+    gammas = table.sphere(n)
+    registries = {place: build_registry(q, place, n + depth) for place in Place}
+    cosets = _right_cosets(gammas, registries[Place.ZERO], registries[Place.INFINITY])
+    for place, registry in registries.items():
+        stack = _transport_stack(gammas, cosets, place, depth, n + depth, registry, q)
+        oracle = per_element_stack(gammas, place, depth, n + depth, registry, q)
+        assert np.array_equal(stack, oracle)

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from rrdlab.algebra import Fq, LaurentPolynomial, Place
+from rrdlab.algebra import Fq, LaurentPolynomial, Place, RationalFunction
 from rrdlab.sl2 import (
+    LatticeVertex,
     SL2Element,
     TreeRegistry,
+    _canonical_from_matrix,
     base_vertex,
     build_registry,
     canonical_vertex,
@@ -16,7 +18,7 @@ from rrdlab.sl2 import (
     translate_vertex,
     vertex_neighbors,
 )
-from rrdlab.trees import tree_distance
+from rrdlab.trees import sphere_vertices, tree_distance
 
 rng = random.Random(0x512)
 
@@ -148,3 +150,82 @@ def test_registry_roundtrips_and_bounds():
         deep = deep.child(0)
     with pytest.raises(ValueError):
         registry.form_at(deep)
+
+
+# ---------------------------------------------------------------------------
+# gcd-free canonical forms against column reduction over rational functions
+
+
+def oracle_canonical(place: Place, A, B, C, D) -> LatticeVertex:
+    """Column-reduce [[A, B], [C, D]] (uniformizer variable) over F_q(X):
+    clear B with the field quotient B/A, read b off the reduced corner and
+    expand the rescaled first column as a series."""
+    A, B, C, D = (RationalFunction.from_laurent(e) for e in (A, B, C, D))
+    vA = A.valuation(Place.ZERO)
+    vB = B.valuation(Place.ZERO)
+    if not isinstance(vA, int) or (isinstance(vB, int) and vB < vA):
+        A, B, C, D = B, A, D, C
+        vA = vB
+    if not isinstance(vA, int):
+        raise ValueError("degenerate input: zero top row")
+    field = A.field
+    a = vA
+    D = D - (B / A) * C
+    C = C * (RationalFunction.from_laurent(LaurentPolynomial.x_power(field, a)) / A)
+    b = D.valuation(Place.ZERO)
+    if not isinstance(b, int):
+        raise ValueError("degenerate input: matrix not invertible over the field")
+    m = min(a, b)
+    c = C * RationalFunction.from_laurent(LaurentPolynomial.x_power(field, -m))
+    return LatticeVertex(place, a - m, b - m, c.series_prefix(b - m))
+
+
+def uniformizer_entries(g: SL2Element, place: Place) -> tuple:
+    return tuple(e if place is Place.ZERO else e.substitute_inverse() for e in g.entries())
+
+
+def oracle_translate(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
+    ga, gb, gc, gd = uniformizer_entries(g, v.place)
+    field = v.field
+    x_a = LaurentPolynomial.x_power(field, v.diag_low)
+    x_b = LaurentPolynomial.x_power(field, v.diag_high)
+    c = v.off_diag
+    return oracle_canonical(v.place, ga * x_a + gb * c, gb * x_b, gc * x_a + gd * c, gd * x_b)
+
+
+def sphere_elements(table):
+    return [g for n in table.lengths() for g in table.sphere(n)]
+
+
+@pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
+def test_canonical_vertex_matches_rational_oracle(request, table_name):
+    table = request.getfixturevalue(table_name)
+    for g in sphere_elements(table):
+        for place in Place:
+            expected = oracle_canonical(place, *uniformizer_entries(g, place))
+            assert canonical_vertex(g, place).key() == expected.key()
+
+
+@pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
+def test_translate_vertex_matches_rational_oracle(request, table_name):
+    table = request.getfixturevalue(table_name)
+    q, gammas = table.q, sphere_elements(table)
+    for place in Place:
+        registry = build_registry(q, place, 3)
+        forms = [registry.form_at(v) for d in range(4) for v in sphere_vertices(q + 1, d)]
+        for g in gammas:
+            for form in forms:
+                assert translate_vertex(g, form).key() == oracle_translate(g, form).key()
+
+
+def test_canonical_form_rejects_degenerate_input():
+    zero = LaurentPolynomial.zero(FIELD)
+    one = LaurentPolynomial.one(FIELD)
+    x = LaurentPolynomial.x_power(FIELD, 1)
+    for place in Place:
+        with pytest.raises(ValueError, match="zero top row"):
+            _canonical_from_matrix(place, zero, zero, one, x)
+        with pytest.raises(ValueError, match="not invertible"):
+            _canonical_from_matrix(place, one, x, one, x)
+        with pytest.raises(ValueError, match="zero top row"):
+            oracle_canonical(place, zero, zero, one, x)
