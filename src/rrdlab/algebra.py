@@ -780,9 +780,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
     def __add__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
         other = self._coerce(other)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -838,11 +835,6 @@ class RationalFunction:
         """
         return series_quotient(self.num, self.den, upto)
 
-    def as_laurent(self) -> LaurentPolynomial:
-        if not self.den.is_one():
-            raise ValueError(f"{self!r} is not a Laurent polynomial")
-        return self.num
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (RationalFunction, LaurentPolynomial, FqElement, int)):
             other = self._coerce(other)
@@ -856,11 +848,6 @@ class RationalFunction:
         if self.den.is_one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
-
-
-def valuation(f: Union[LaurentPolynomial, RationalFunction], place: Place) -> Valuation:
-    """Valuation of f at the given place; INFINITE_VALUATION for f = 0."""
-    return f.valuation(place)
 
 
 class AlgebraicValue:

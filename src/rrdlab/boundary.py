@@ -26,7 +26,6 @@ from .trees import (
     BoundaryCylinder,
     TreeVertex,
     busemann,
-    cylinder_measure,
     gromov_product,
     sphere_size,
     sphere_vertices,
@@ -88,8 +87,8 @@ def hc_tree_bruteforce(degree: int, n: int) -> HarishChandraValue:
     total_measure = Fraction(0)
     # ends through w itself
     over_w = BoundaryCylinder(w)
-    total = total + AlgebraicValue.rational(cylinder_measure(over_w), q) * cocycle_sqrt(w, over_w)
-    total_measure += cylinder_measure(over_w)
+    total = total + AlgebraicValue.rational(over_w.measure(), q) * cocycle_sqrt(w, over_w)
+    total_measure += over_w.measure()
     for i in range(1, n + 1):
         prefix = w.path[: i - 1]
         labels = range(degree) if i == 1 else range(degree - 1)
@@ -100,8 +99,8 @@ def hc_tree_bruteforce(degree: int, n: int) -> HarishChandraValue:
             y = TreeVertex(degree, prefix + (label,))
             beta = 2 * gromov_product(w, y) - n
             piece = BoundaryCylinder(y)
-            total = total + AlgebraicValue.rational(cylinder_measure(piece), q) * AlgebraicValue.sqrt_q_power(q, beta)
-            total_measure += cylinder_measure(piece)
+            total = total + AlgebraicValue.rational(piece.measure(), q) * AlgebraicValue.sqrt_q_power(q, beta)
+            total_measure += piece.measure()
             branch_count += 1
         expected = degree - 1 if i == 1 else degree - 2
         if branch_count != expected:

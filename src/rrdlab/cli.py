@@ -205,7 +205,7 @@ def _cmd_mean_identity(args: argparse.Namespace) -> int:
 def _cmd_condition1(args: argparse.Namespace) -> int:
     table, cache = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
     report = condition_one_certificate(table)
-    passed = all(r.observed <= r.rigorous + 1e-12 for r in report.rows)
+    passed = report.passed
     payload = _envelope(
         "condition1",
         {"q": args.q, "max_length": args.max_length, "cache": cache},
@@ -251,7 +251,7 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
         )
     table, cache = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
     result = convolution_opnorm_lower(table, args.n, args.radius)
-    passed = result.value <= result.sphere_size + 1e-9
+    passed = result.l1_ok
     payload = _envelope(
         "opnorm",
         {
@@ -273,9 +273,7 @@ def _cmd_lamplighter(args: argparse.Namespace) -> int:
         raise UsageError("radius must be at least 1")
     sizes = h_ball_growth(args.q, args.radius)
     certificate = exponential_certificate(args.q, sizes)
-    passed = certificate.rd_failure_flag and all(
-        check.ok for check in certificate.family_checks
-    )
+    passed = certificate.passed
     if args.csv:
         buffer = io.StringIO()
         buffer.write("radius,ball_size,log_growth_rate\n")

@@ -12,7 +12,6 @@ group balls, and the sphere-to-radial combination bound.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -40,6 +39,7 @@ DEFAULT_MAX_ITERS = 10_000
 DEFAULT_U_THRESHOLD = 8.0
 
 DepthSpec = Union[int, tuple[int, int]]
+Registries = tuple[TreeRegistry, TreeRegistry]
 
 
 def _depth_pair(depths: DepthSpec) -> tuple[int, int]:
@@ -52,43 +52,22 @@ def _depth_pair(depths: DepthSpec) -> tuple[int, int]:
     return pair
 
 
-# Registry pool: grown on demand, never shrunk, so repeated operators reuse
-# the breadth-first numbering.
-_REGISTRIES: dict[tuple[int, Place], TreeRegistry] = {}
-
-
-def shared_registry(q: int, place: Place, radius: int) -> TreeRegistry:
-    key = (q, place)
-    reg = _REGISTRIES.get(key)
-    if reg is None or reg.radius < radius:
-        reg = build_registry(q, place, radius)
-        _REGISTRIES[key] = reg
-    return reg
-
-
-# Actions of SL2(F_q) on depth-K cylinders, pooled beside the registries.
-# Breadth-first numbering does not depend on the radius, so an entry stays
-# valid when its registry is rebuilt larger.
-_CYLINDER_ACTIONS: dict[tuple[int, Place, SL2Element, int], list[int]] = {}
+def _registries(q: int, radii: tuple[int, int]) -> Registries:
+    """The place-zero and place-infinity registries of the given radii."""
+    return build_registry(q, Place.ZERO, radii[0]), build_registry(q, Place.INFINITY, radii[1])
 
 
 def _cylinder_action(k: SL2Element, registry: TreeRegistry, depth: int) -> list[int]:
     """perm[j] = index of the depth-``depth`` cylinder that the constant
     element k moves the j-th one to.  k fixes the root, so depths match."""
-    key = (registry.q, registry.place, k, depth)
-    perm = _CYLINDER_ACTIONS.get(key)
-    if perm is None:
-        cyls = boundary_cylinders(registry.q + 1, depth)
-        if k.is_identity():
-            perm = list(range(len(cyls)))
-        else:
-            index = {c.base.path: j for j, c in enumerate(cyls)}
-            perm = [
-                index[registry.locate_form(translate_vertex(k, registry.form_at(c.base))).path]
-                for c in cyls
-            ]
-        _CYLINDER_ACTIONS[key] = perm
-    return perm
+    cyls = boundary_cylinders(registry.q + 1, depth)
+    if k.is_identity():
+        return list(range(len(cyls)))
+    index = {c.base.path: j for j, c in enumerate(cyls)}
+    return [
+        index[registry.locate_form(translate_vertex(k, registry.form_at(c.base))).path]
+        for c in cyls
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +280,20 @@ class KoopmanMatrix:
 def koopman_matrix(
     gamma: SL2Element,
     depths: DepthSpec,
-    registries: Optional[tuple[TreeRegistry, TreeRegistry]] = None,
+    registries: Optional[Registries] = None,
 ) -> KoopmanMatrix:
     """Assemble the exact action of ``gamma`` on depth-``depths`` step
     functions.  Needs registries of radius at least depth + length at each
-    place; omitted registries are built (and pooled) automatically."""
+    place; omitted registries are built."""
     pair = _depth_pair(depths)
     field = _element_field(gamma)
     out_pair = (pair[0] + gamma.length_zero, pair[1] + gamma.length_infinity)
-    if registries is None:
-        reg0 = shared_registry(field.q, Place.ZERO, out_pair[0])
-        reginf = shared_registry(field.q, Place.INFINITY, out_pair[1])
-    else:
-        reg0, reginf = registries
-        if reg0.radius < out_pair[0] or reginf.radius < out_pair[1]:
-            raise ValueError(
-                f"registry radii ({reg0.radius}, {reginf.radius}) below the "
-                f"output depths {out_pair}"
-            )
+    reg0, reginf = registries or _registries(field.q, out_pair)
+    if reg0.radius < out_pair[0] or reginf.radius < out_pair[1]:
+        raise ValueError(
+            f"registry radii ({reg0.radius}, {reginf.radius}) below the "
+            f"output depths {out_pair}"
+        )
     factors = []
     for place, in_depth, out_depth, reg in (
         (Place.ZERO, pair[0], out_pair[0], reg0),
@@ -358,65 +333,34 @@ def mean_transfer_function(table: SphereTable, n: int) -> StepFunction:
 
     Each sphere element contributes the product of its two per-place cocycle
     square roots divided by its spherical-function value; the result is
-    averaged.  Its integral is exactly 1 (the sphere-average identity, one
-    factor per place), which the tests pin down.
+    averaged.  Cocycles and spherical value read only the located pair
+    (g . o_0, g . o_inf), so the members of a right coset gK contribute equal
+    terms and each coset is evaluated once, weighted by its share of the
+    sphere.  Its integral is
+    exactly 1 (the sphere-average identity, one factor per place), which the
+    tests pin down.
     """
     gammas = table.sphere(n)
     if not gammas:
         raise ValueError(f"sphere {n} is empty")
     q = table.q
-    degree = q + 1
-    reg0 = shared_registry(q, Place.ZERO, n)
-    reginf = shared_registry(q, Place.INFINITY, n)
-    cells0 = boundary_cylinders(degree, n)
-    cells1 = boundary_cylinders(degree, n)
-    acc = [
-        [AlgebraicValue.rational(0, q) for _ in range(len(cells1))]
-        for _ in range(len(cells0))
-    ]
-    inv_size = Fraction(1, len(gammas))
-    for g in gammas:
-        w0 = locate(g, Place.ZERO, reg0)
-        w1 = locate(g, Place.INFINITY, reginf)
-        xi = hc_product(g.length_zero, g.length_infinity, q).value
-        scale = AlgebraicValue.rational(inv_size, q) / xi
-        vec0 = [scale * cocycle_sqrt(w0, c) for c in cells0]
-        vec1 = [cocycle_sqrt(w1, c) for c in cells1]
-        for i0, left in enumerate(vec0):
-            row = acc[i0]
+    reg0, reginf = _registries(q, (n, n))
+    cells = boundary_cylinders(q + 1, n)
+    acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
+    for w0, w1, members in _right_cosets(gammas, reg0, reginf):
+        xi = hc_product(w0.depth, w1.depth, q).value
+        scale = AlgebraicValue.rational(Fraction(len(members), len(gammas)), q) / xi
+        vec0 = [scale * cocycle_sqrt(w0, c) for c in cells]
+        vec1 = [cocycle_sqrt(w1, c) for c in cells]
+        for row, left in zip(acc, vec0):
             for i1, right in enumerate(vec1):
                 row[i1] = row[i1] + left * right
     values = {
         ProductCylinder(c0, c1): acc[i0][i1]
-        for i0, c0 in enumerate(cells0)
-        for i1, c1 in enumerate(cells1)
+        for i0, c0 in enumerate(cells)
+        for i1, c1 in enumerate(cells)
     }
-    return StepFunction(degree, (n, n), values)
-
-
-def _mean_transfer_bruteforce(table: SphereTable, n: int) -> StepFunction:
-    """Independent evaluation path: per product cell, sum the cocycle products
-    directly, without the per-factor vector reuse of the main path."""
-    gammas = table.sphere(n)
-    if not gammas:
-        raise ValueError(f"sphere {n} is empty")
-    q = table.q
-    degree = q + 1
-    reg0 = shared_registry(q, Place.ZERO, n)
-    reginf = shared_registry(q, Place.INFINITY, n)
-    located = [
-        (locate(g, Place.ZERO, reg0), locate(g, Place.INFINITY, reginf), g)
-        for g in gammas
-    ]
-    inv_size = AlgebraicValue.rational(Fraction(1, len(gammas)), q)
-    values = {}
-    for cell in product_cylinders(degree, (n, n)):
-        total = AlgebraicValue.rational(0, q)
-        for w0, w1, g in located:
-            xi = hc_product(g.length_zero, g.length_infinity, q).value
-            total = total + cocycle_sqrt(w0, cell.zero) * cocycle_sqrt(w1, cell.infinity) / xi
-        values[cell] = total * inv_size
-    return StepFunction(degree, (n, n), values)
+    return StepFunction(q + 1, (n, n), values)
 
 
 @dataclass(frozen=True)
@@ -429,7 +373,6 @@ class MeanReport:
     value_float: float
     depths: tuple[int, int]
     sphere_size: int
-    elapsed_seconds: float
 
     def to_dict(self) -> dict:
         # timings stay out of artifacts: reports must be byte-identical
@@ -443,7 +386,6 @@ class MeanReport:
 
 
 def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
-    started = time.perf_counter()
     transfer = mean_transfer_function(table, n)
     value = transfer.sup_norm()
     if value.sign() <= 0:
@@ -454,7 +396,6 @@ def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
         value_float=float(value),
         depths=transfer.depths,
         sphere_size=table.sphere_size(n),
-        elapsed_seconds=time.perf_counter() - started,
     )
 
 
@@ -482,13 +423,15 @@ class MeanOperator:
         self.q = table.q
         self.input_depths = _depth_pair(input_depths)
         self.output_depths = (self.input_depths[0] + n, self.input_depths[1] + n)
+        # one registry pair serves every element: lengths are at most n
+        registries = _registries(self.q, self.output_depths)
         inv_size = Fraction(1, len(gammas))
         self._terms = []
         for g in gammas:
             scale = AlgebraicValue.rational(inv_size, self.q)
             if xi_weighted:
                 scale = scale / hc_product(g.length_zero, g.length_infinity, self.q).value
-            self._terms.append((koopman_matrix(g, self.input_depths), scale))
+            self._terms.append((koopman_matrix(g, self.input_depths, registries), scale))
 
     def apply(self, h: StepFunction) -> StepFunction:
         total: Optional[StepFunction] = None
@@ -602,6 +545,7 @@ def _transport_stack(
     n_out = sphere_size(q + 1, out_depth)
     n_in = sphere_size(q + 1, in_depth)
     stack = np.zeros((len(gammas), n_out, n_in))
+    actions: dict[SL2Element, list[int]] = {}
     for w0, w1, members in cosets:
         w = w0 if place is Place.ZERO else w1
         betas, supports = _transport_supports(
@@ -613,7 +557,9 @@ def _transport_stack(
             for i in rows:
                 rep[i, j] = weights[i]
         for gi, k in members:
-            stack[gi] = rep[:, _cylinder_action(k, registry, in_depth)]
+            if k not in actions:
+                actions[k] = _cylinder_action(k, registry, in_depth)
+            stack[gi] = rep[:, actions[k]]
     if np.any(np.count_nonzero(stack, axis=2) != 1):
         raise RuntimeError("transported supports fail to partition the boundary")
     return stack
@@ -642,16 +588,16 @@ def mean_matrix_2norm(
     q = table.q
     degree = q + 1
     out_pair = (pair[0] + n, pair[1] + n)
-    reg0 = shared_registry(q, Place.ZERO, out_pair[0])
-    reginf = shared_registry(q, Place.INFINITY, out_pair[1])
+    reg0, reginf = _registries(q, out_pair)
     cosets = _right_cosets(gammas, reg0, reginf)
     P0 = _transport_stack(gammas, cosets, Place.ZERO, pair[0], out_pair[0], reg0, q)
     P1 = _transport_stack(gammas, cosets, Place.INFINITY, pair[1], out_pair[1], reginf, q)
     # fold the per-element scalars 1/(|C_n| Xi(gamma)) into the first factor
     count = len(gammas)
-    for gi, g in enumerate(gammas):
-        xi = float(hc_product(g.length_zero, g.length_infinity, q).value)
-        P0[gi] /= count * xi
+    for w0, w1, members in cosets:
+        xi = float(hc_product(w0.depth, w1.depth, q).value)
+        for gi, _ in members:
+            P0[gi] /= count * xi
     mu_in0 = np.array([float(c.measure()) for c in boundary_cylinders(degree, pair[0])])
     mu_in1 = np.array([float(c.measure()) for c in boundary_cylinders(degree, pair[1])])
     mu_out0 = np.array(
@@ -708,6 +654,11 @@ class ConvolutionResult:
     ball_size: int
     sphere_size: int
 
+    @property
+    def l1_ok(self) -> bool:
+        """The bound stays below |C_n|, the l1 norm of the indicator."""
+        return self.value <= self.sphere_size + 1e-9
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -718,6 +669,43 @@ class ConvolutionResult:
             "ball_size": self.ball_size,
             "sphere_size": self.sphere_size,
         }
+
+
+def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarray:
+    """The sphere indicator's convolution compressed to the length ball: the
+    0/1 matrix [L(g h^-1) == n] over ball elements g, h in table order.
+
+    The group acts by isometries, so L(g h^-1) is the sum over both places of
+    the tree distance d(g^-1 . o, h^-1 . o).  Each inverse is located once
+    per place, and the distances |p| + |p'| - 2 prefix(p, p') of the label
+    paths come from one pass over the label positions.
+    """
+    inverses = [
+        g.inverse()
+        for length in table.lengths()
+        if length <= ball_radius
+        for g in table.sphere(length)
+    ]
+    size = len(inverses)
+    lengths = np.zeros((size, size), dtype=np.int64)
+    for place, registry in zip(
+        (Place.ZERO, Place.INFINITY),
+        _registries(table.q, (ball_radius, ball_radius)),
+    ):
+        paths = [locate(h, place, registry).path for h in inverses]
+        depths = np.array([len(p) for p in paths], dtype=np.int64)
+        labels = np.full((size, ball_radius), -1, dtype=np.int64)
+        for i, p in enumerate(paths):
+            labels[i, : len(p)] = p
+        # a position extends a common prefix while every earlier one matched;
+        # the -1 padding never counts, so a prefix stops where a path ends
+        matching = np.ones((size, size), dtype=bool)
+        prefix = np.zeros((size, size), dtype=np.int64)
+        for column in labels.T:
+            matching &= (column[:, None] == column[None, :]) & (column >= 0)[:, None]
+            prefix += matching
+        lengths += depths[:, None] + depths[None, :] - 2 * prefix
+    return (lengths == n).astype(float)
 
 
 def convolution_opnorm_lower(
@@ -741,21 +729,7 @@ def convolution_opnorm_lower(
             f"ball radius {ball_radius} plus sphere length {n} exceeds the "
             f"table radius {table.max_length}"
         )
-    ball: list[SL2Element] = []
-    for length in table.lengths():
-        if length <= ball_radius:
-            ball.extend(table.sphere(length))
-    size = len(ball)
-    inverses = [g.inverse() for g in ball]
-    matrix = np.zeros((size, size))
-    for i, g in enumerate(ball):
-        entries_g = g.entries()
-        for j in range(i, size):
-            h_inv = inverses[j]
-            product = _raw_product_length(entries_g, h_inv.entries())
-            if product == n:
-                matrix[i, j] = 1.0
-                matrix[j, i] = 1.0
+    matrix = convolution_matrix(table, n, ball_radius)
     squared = matrix @ matrix
     eigenvalue, iterations, converged = _power_iteration_symmetric(
         squared, tol, max_iters
@@ -766,23 +740,9 @@ def convolution_opnorm_lower(
         value=math.sqrt(max(eigenvalue, 0.0)),
         iterations=iterations,
         converged=converged,
-        ball_size=size,
+        ball_size=len(matrix),
         sphere_size=table.sphere_size(n),
     )
-
-
-def _raw_product_length(
-    left: tuple, right: tuple
-) -> int:
-    """Total length of the product of two matrices given as entry tuples,
-    without constructing the element."""
-    a = left[0] * right[0] + left[1] * right[2]
-    b = left[0] * right[1] + left[1] * right[3]
-    c = left[2] * right[0] + left[3] * right[2]
-    d = left[2] * right[1] + left[3] * right[3]
-    low = min(e.low for e in (a, b, c, d) if not e.is_zero())
-    top = max(e.top for e in (a, b, c, d) if not e.is_zero())
-    return -2 * min(low, 0) + 2 * max(top, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +851,6 @@ def rrd_report(
     chain_slack = float(config["chain_slack"])
 
     cond1 = condition_one_certificate(table)
-    cond1_pass = all(r.observed <= r.rigorous + 1e-12 for r in cond1.rows)
 
     mean_lengths = [
         n
@@ -924,8 +883,8 @@ def rrd_report(
             continue
         result = convolution_opnorm_lower(table, n, radius, tol=tol, max_iters=max_iters)
         row = result.to_dict()
-        row["l1_ok"] = result.value <= result.sphere_size + 1e-9
-        l1_ok = l1_ok and row["l1_ok"]
+        row["l1_ok"] = result.l1_ok
+        l1_ok = l1_ok and result.l1_ok
         convolution_rows.append(row)
         if n == 0:
             expected = float(q**3 - q)
@@ -939,7 +898,6 @@ def rrd_report(
 
     growth = h_ball_growth(q, 10)
     lamp = exponential_certificate(q, growth)
-    lamp_pass = lamp.rd_failure_flag and all(f.ok for f in lamp.family_checks)
 
     verdict = {
         "config": {
@@ -951,7 +909,7 @@ def rrd_report(
             "cache_major": CACHE_MAJOR_VERSION,
             "sphere_provenance": table.provenance,
         },
-        "condition1": {**cond1.to_dict(), "pass": cond1_pass},
+        "condition1": {**cond1.to_dict(), "pass": cond1.passed},
         "condition2": {
             "threshold": float(config["u_bound"]),
             "rows": [r.to_dict() for r in mean_reports],
@@ -967,7 +925,7 @@ def rrd_report(
             "base_identity": base_identity,
             "pass": convolution_pass,
         },
-        "lamplighter-ref": {**lamp.to_dict(), "pass": lamp_pass},
+        "lamplighter-ref": {**lamp.to_dict(), "pass": lamp.passed},
     }
     verdict["pass"] = all(
         verdict[section]["pass"]

@@ -203,6 +203,11 @@ class GrowthCertificate:
     def rd_failure_flag(self) -> bool:
         return self.certified_rate > 1.0
 
+    @property
+    def passed(self) -> bool:
+        """The failure flag is raised and every word-family check held."""
+        return self.rd_failure_flag and all(f.ok for f in self.family_checks)
+
     def to_dict(self) -> dict:
         return {
             "q": self.q,

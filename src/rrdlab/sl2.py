@@ -36,6 +36,27 @@ from .algebra import (
 from .trees import TreeVertex
 
 
+def entry_lengths(
+    a: LaurentPolynomial, b: LaurentPolynomial, c: LaurentPolynomial, d: LaurentPolynomial
+) -> tuple[int, int]:
+    """Tree lengths (l0, linf) of the determinant-1 matrix [[a, b], [c, d]].
+
+    At each place the length is -2 times the minimum entry valuation, which
+    agrees with the elementary-divisor gap for determinant-1 matrices (the
+    Smith computation ``smith_valuations`` is the independent oracle).  The
+    minimum is at most 0 at both places because the determinant is 1, so
+    starting the scan from 0 changes nothing on the group.
+    """
+    low = top = 0
+    for e in (a, b, c, d):
+        if not e.is_zero():
+            if e.low < low:
+                low = e.low
+            if e.top > top:
+                top = e.top
+    return -2 * low, 2 * top
+
+
 class SL2Element:
     """A determinant-1 matrix [[a, b], [c, d]] of Laurent polynomials.
 
@@ -125,25 +146,16 @@ class SL2Element:
 
     # lengths ------------------------------------------------------------------
 
-    def _min_entry_valuation(self, place: Place) -> int:
-        vals = [e.valuation(place) for e in self.entries() if not e.is_zero()]
-        return min(v for v in vals if isinstance(v, int))
-
     @cached_property
     def length_zero(self) -> int:
-        return -2 * self._min_entry_valuation(Place.ZERO)
+        return entry_lengths(self.a, self.b, self.c, self.d)[0]
 
     @cached_property
     def length_infinity(self) -> int:
-        return -2 * self._min_entry_valuation(Place.INFINITY)
+        return entry_lengths(self.a, self.b, self.c, self.d)[1]
 
     def length_at_place(self, place: Place) -> int:
-        """Tree displacement length of the base vertex at the given place.
-
-        Production fast path: -2 * (minimum entry valuation), which agrees
-        with the elementary-divisor gap for determinant-1 matrices; the Smith
-        computation below is the independent oracle.
-        """
+        """Tree displacement length of the base vertex at the given place."""
         return self.length_zero if place is Place.ZERO else self.length_infinity
 
     @cached_property
@@ -198,7 +210,7 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     minimum-valuation entry is swapped to the corner, its row and column are
     cleared with quotients (which lie in the valuation ring), and the
     remaining entry supplies the second divisor.  Independent of the
-    min-valuation shortcut used by ``length_at_place``.
+    min-valuation rule of ``entry_lengths``.
     """
     entries = [
         [RationalFunction.from_laurent(_to_uniformizer(e, place)) for e in row]
@@ -266,17 +278,6 @@ class LatticeVertex:
         b = int(m[1][2:])
         c = LaurentPolynomial.from_text(field, m[2])
         return cls(place, a, b, c)
-
-    def base_distance(self) -> int:
-        """Tree distance to the standard-lattice vertex."""
-        # elementary divisors of the canonical basis: min entry valuation m and
-        # (a + b) - m, a gap of |a - b| when c does not dip below, else wider
-        col1_val = min(
-            self.diag_low,
-            self.off_diag.valuation(Place.ZERO) if not self.off_diag.is_zero() else self.diag_low,
-        )
-        m = min(col1_val, self.diag_high)
-        return (self.diag_low + self.diag_high) - 2 * m
 
 
 def _canonical_from_triangular(

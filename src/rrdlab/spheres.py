@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import Fq, LaurentPolynomial, Place, poly_xgcd
 from .boundary import HarishChandraValue, hc_product
-from .sl2 import SL2Element
+from .sl2 import SL2Element, entry_lengths
 from .trees import ball_count_formula
 
 PROVENANCE_WINDOW = "window-certified"
@@ -133,12 +133,6 @@ def _completions_for_row(
         yield (m, o) if pivot_is_first else (o, m)
 
 
-def _lengths_of_entries(entries: Sequence[LaurentPolynomial]) -> tuple[int, int]:
-    low = min(e.low for e in entries if not e.is_zero())
-    top = max(e.top for e in entries if not e.is_zero())
-    return (-2 * min(low, 0), 2 * max(top, 0))
-
-
 def _enumerate_rows(
     q: int, max_length: int, a_indices: Sequence[int]
 ) -> list[tuple[int, str]]:
@@ -153,7 +147,7 @@ def _enumerate_rows(
             if a.is_zero() and b.is_zero():
                 continue
             for c, d in _completions_for_row(a, b, half):
-                l0, linf = _lengths_of_entries((a, b, c, d))
+                l0, linf = entry_lengths(a, b, c, d)
                 if l0 + linf <= max_length:
                     g = SL2Element(a, b, c, d)
                     out.append((l0 + linf, g.to_text()))
@@ -414,6 +408,11 @@ class Condition1Report:
     rows: tuple[Condition1Row, ...]
     fitted_constant: float
     rigorous_constant: float
+
+    @property
+    def passed(self) -> bool:
+        """Every observed witness sits below its rigorous counterpart."""
+        return all(r.observed <= r.rigorous + 1e-12 for r in self.rows)
 
     def to_dict(self) -> dict:
         return {

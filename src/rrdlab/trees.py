@@ -129,9 +129,6 @@ class BoundaryCylinder:
     def depth(self) -> int:
         return self.base.depth
 
-    def is_whole_boundary(self) -> bool:
-        return self.base.is_root()
-
     def measure(self) -> Fraction:
         d = self.degree
         k = self.depth
@@ -156,10 +153,6 @@ class BoundaryCylinder:
 
     def __repr__(self) -> str:
         return f"Cyl({self.base.to_text()!r})"
-
-
-def cylinder_measure(cylinder: BoundaryCylinder) -> Fraction:
-    return cylinder.measure()
 
 
 def boundary_cylinders(degree: int, depth: int) -> list[BoundaryCylinder]:

@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 
 from rrdlab.algebra import AlgebraicValue, Place
+from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     MeanOperator,
     StepFunction,
-    _mean_transfer_bruteforce,
     _right_cosets,
     _transport_stack,
+    convolution_matrix,
     convolution_opnorm_lower,
     koopman_matrix,
     mean_matrix_2norm,
     mean_transfer_function,
     radial_bound_combiner,
     rrd_report,
-    shared_registry,
     uniform_bound_value,
 )
 from rrdlab.sl2 import build_registry, locate, translate_vertex
@@ -84,11 +84,35 @@ def test_uniform_bound_known_values(table4):
     assert r2.sphere_size == 36
 
 
-def test_transfer_matches_bruteforce(table4):
-    for n in (0, 2):
-        fast = mean_transfer_function(table4, n)
-        slow = _mean_transfer_bruteforce(table4, n)
-        assert fast.pointwise_equal(slow)
+def mean_transfer_bruteforce(table, n):
+    """Independent evaluation path: per product cell, sum the cocycle
+    products of every sphere element directly, without the per-coset and
+    per-factor reuse of the main path."""
+    gammas = table.sphere(n)
+    q = table.q
+    reg0 = build_registry(q, Place.ZERO, n)
+    reginf = build_registry(q, Place.INFINITY, n)
+    located = [
+        (locate(g, Place.ZERO, reg0), locate(g, Place.INFINITY, reginf), g)
+        for g in gammas
+    ]
+    inv_size = AlgebraicValue.rational(Fraction(1, len(gammas)), q)
+    values = {}
+    for cell in product_cylinders(q + 1, (n, n)):
+        total = AlgebraicValue.rational(0, q)
+        for w0, w1, g in located:
+            xi = hc_product(g.length_zero, g.length_infinity, q).value
+            total = total + cocycle_sqrt(w0, cell.zero) * cocycle_sqrt(w1, cell.infinity) / xi
+        values[cell] = total * inv_size
+    return StepFunction(q + 1, (n, n), values)
+
+
+def test_transfer_matches_bruteforce(table4, table_q3n2):
+    for table, lengths in ((table4, (0, 2, 4)), (table_q3n2, (0, 2))):
+        for n in lengths:
+            fast = mean_transfer_function(table, n)
+            slow = mean_transfer_bruteforce(table, n)
+            assert fast.pointwise_equal(slow)
 
 
 def test_transfer_independent_of_enumeration_order(table4):
@@ -127,24 +151,10 @@ def test_koopman_identity_is_refinement(table4):
 
 def test_koopman_rejects_shallow_registry(table4):
     g = next(iter(table4.sphere(2)))
-    reg0 = shared_registry(2, Place.ZERO, 1)
-    reginf = shared_registry(2, Place.INFINITY, 1)
-    if reg0.radius < 3:
-        with pytest.raises(ValueError):
-            koopman_matrix(g, (1, 1), registries=(reg0, reginf))
-    else:
-        # the pool already grew past the needed radius; force a small one
-        from rrdlab.sl2 import build_registry
-
-        with pytest.raises(ValueError):
-            koopman_matrix(
-                g,
-                (1, 1),
-                registries=(
-                    build_registry(2, Place.ZERO, 1),
-                    build_registry(2, Place.INFINITY, 1),
-                ),
-            )
+    reg0 = build_registry(2, Place.ZERO, 1)
+    reginf = build_registry(2, Place.INFINITY, 1)
+    with pytest.raises(ValueError):
+        koopman_matrix(g, (1, 1), registries=(reg0, reginf))
 
 
 def test_mean_operator_matches_transfer(table4):
@@ -193,6 +203,52 @@ def test_convolution_identity_and_monotonicity(table4):
         assert result.value >= previous - 1e-9
         assert result.value <= result.sphere_size + 1e-9
         previous = result.value
+
+
+def product_lengths(ball, rows):
+    """L(g h^-1) from the Laurent product, for g in the given rows of the
+    ball and every h; L(h g^-1) = L(g h^-1), so each pair is multiplied once."""
+    inverses = [h.inverse() for h in ball]
+    known = {}
+    out = np.zeros((len(rows), len(ball)), dtype=np.int64)
+    for r, i in enumerate(rows):
+        for j, h_inv in enumerate(inverses):
+            length = known.get((j, i))
+            if length is None:
+                length = known[i, j] = (ball[i] * h_inv).total_length
+            out[r, j] = length
+    return out
+
+
+@pytest.mark.parametrize(
+    "table_name, full_radius", [("table4", 4), ("table6", 4), ("table_q3n2", 2)]
+)
+def test_convolution_matrix_matches_products(request, table_name, full_radius):
+    # every (n, R) the table allows: the whole matrix while the ball has at
+    # most a few hundred elements, seeded sample rows beyond that
+    table = request.getfixturevalue(table_name)
+    top = table.max_length
+
+    def ball(radius):
+        return [g for m in table.lengths() if m <= radius for g in table.sphere(m)]
+
+    full = product_lengths(ball(full_radius), range(len(ball(full_radius))))
+    sampled = {}
+    for radius in range(full_radius + 1, top + 1):
+        elements = ball(radius)
+        rows = sorted(random.Random(radius).sample(range(len(elements)), 24))
+        sampled[radius] = (rows, product_lengths(elements, rows))
+    for radius in range(top + 1):
+        for n in table.lengths():
+            if n + radius > top:
+                continue
+            matrix = convolution_matrix(table, n, radius)
+            if radius <= full_radius:
+                size = len(matrix)
+                assert np.array_equal(matrix, full[:size, :size] == n)
+            else:
+                rows, lengths = sampled[radius]
+                assert np.array_equal(matrix[rows], lengths == n)
 
 
 def test_convolution_requires_room(table4):
