@@ -1,5 +1,5 @@
-"""Exact arithmetic kernels: finite fields, Laurent polynomials, rational
-functions, valuations at the two places, and numbers of the form a + b*sqrt(q).
+"""Exact arithmetic kernels: finite fields, Laurent polynomials, valuations
+at the two places, and numbers of the form a + b*sqrt(q).
 
 Everything in this module is exact and immutable.  Conventions:
 
@@ -12,9 +12,6 @@ Everything in this module is exact and immutable.  Conventions:
   The two valuations of a nonzero Laurent polynomial f are
   ``v_zero(f) = low`` and ``v_infinity(f) = -top``, the orders of vanishing at
   X = 0 and X = infinity (uniformizers X and X^-1).
-* ``RationalFunction`` is a reduced fraction num/den with den a monic
-  polynomial in X, nonzero at 0, and gcd(num, den) = 1, so the representation
-  is unique and hashable.
 * ``AlgebraicValue`` is a + b*sqrt(q) with exact rational a, b.  Comparisons
   are decided by exact sign computations on a^2 - q*b^2; no floating point is
   involved.  When q is a perfect square the irrational part is folded into the
@@ -38,9 +35,6 @@ class Place(Enum):
 
     ZERO = "zero"
     INFINITY = "infinity"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Place.{self.name}"
 
 
 class InfiniteValuation:
@@ -537,7 +531,7 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
-            raise ValueError("negative powers need RationalFunction (or a unit)")
+            raise ValueError("negative powers of a Laurent polynomial")
         out = LaurentPolynomial.one(self.field)
         base = self
         while n:
@@ -721,133 +715,6 @@ def series_quotient(
             for k in range(need - i):
                 out[i + k] = add(out[i + k], mul(x, inv_series[k]))
     return LaurentPolynomial(field, num.low, out)
-
-
-class RationalFunction:
-    """Element of F_q(X) as a reduced fraction with canonical normalization.
-
-    Invariants: den is a polynomial in X with den(0) != 0 and monic leading
-    coefficient; gcd of den with the polynomial part of num is 1.  num carries
-    the whole X-power content, so v_zero(self) = v_zero(num) - 0 and two equal
-    fractions have identical components.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        field = num.field
-        if field is not den.field:
-            raise ValueError("numerator and denominator over different fields")
-        if num.is_zero():
-            self.num = num
-            self.den = LaurentPolynomial.one(field)
-            return
-        # move all X-power content of the denominator into the numerator
-        num = num.shift(-den.low)
-        den = den.shift(-den.low)
-        num_low = num.low
-        num_poly = num.shift(-num_low)
-        g = poly_gcd(num_poly, den)
-        if not g.is_one():
-            num_poly, _ = poly_divmod(num_poly, g)
-            den, _ = poly_divmod(den, g)
-        lead = den.leading_coefficient()
-        if lead.index != 1:
-            inv = lead.inverse()
-            num_poly = num_poly.scale(inv)
-            den = den.scale(inv)
-        self.num = num_poly.shift(num_low)
-        self.den = den
-
-    @classmethod
-    def from_laurent(cls, f: LaurentPolynomial) -> "RationalFunction":
-        return cls(f, LaurentPolynomial.one(f.field))
-
-    @classmethod
-    def zero(cls, field: Fq) -> "RationalFunction":
-        return cls(LaurentPolynomial.zero(field), LaurentPolynomial.one(field))
-
-    @classmethod
-    def one(cls, field: Fq) -> "RationalFunction":
-        return cls(LaurentPolynomial.one(field), LaurentPolynomial.one(field))
-
-    @property
-    def field(self) -> Fq:
-        return self.num.field
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
-        return (-self) + other
-
-    def __mul__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def _coerce(self, other: Union["RationalFunction", LaurentPolynomial, FqElement, int]) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            if other.field is not self.field:
-                raise ValueError("rational functions over different fields")
-            return other
-        if isinstance(other, LaurentPolynomial):
-            return RationalFunction.from_laurent(other)
-        if isinstance(other, (FqElement, int)):
-            return RationalFunction.from_laurent(
-                LaurentPolynomial(self.field, 0, (other,))
-            )
-        return NotImplemented  # type: ignore[return-value]
-
-    def valuation(self, place: Place) -> Valuation:
-        if self.is_zero():
-            return INFINITE_VALUATION
-        nv = self.num.valuation(place)
-        dv = self.den.valuation(place)
-        assert isinstance(nv, int) and isinstance(dv, int)
-        return nv - dv
-
-    def series_prefix(self, upto: int) -> LaurentPolynomial:
-        """Exact X-adic expansion truncated to exponents < upto.
-
-        Valid because den(0) != 0 in canonical form.
-        """
-        return series_quotient(self.num, self.den, upto)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (RationalFunction, LaurentPolynomial, FqElement, int)):
-            other = self._coerce(other)
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        if self.den.is_one():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
 
 
 class AlgebraicValue:

@@ -1,6 +1,5 @@
 """Boundary integrals on the tree: the measure-derivative cocycle and the
-spherical (Harish-Chandra type) function, in closed form and by brute-force
-partition sums.
+spherical (Harish-Chandra type) function in closed form.
 
 On a d-regular tree with q = d - 1, the visibility measure transforms under
 the vertex moved to w by the factor q^beta, beta the Busemann value.  The
@@ -8,11 +7,10 @@ spherical function is the sphere average of q^(beta/2); its closed form is
 
     (1 + n*(q-1)/(q+1)) * q^(-n/2)
 
-for displacement n.  The brute-force evaluation integrates q^(beta/2) over the
-standard partition of the boundary by branch depth along a fixed geodesic and
-never touches the closed form, so the two paths check each other.  The product
-function for the two places multiplies factor values and is cached per length
-pair.
+for displacement n.  The tests check it against a brute-force integral of
+q^(beta/2) over the partition of the boundary by branch depth along a fixed
+geodesic (``tests/oracles.py``).  The product function for the two places
+multiplies factor values and is cached per length pair.
 """
 
 from __future__ import annotations
@@ -22,14 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import AlgebraicValue
-from .trees import (
-    BoundaryCylinder,
-    TreeVertex,
-    busemann,
-    gromov_product,
-    sphere_size,
-    sphere_vertices,
-)
+from .trees import BoundaryCylinder, TreeVertex, busemann, sphere_size, sphere_vertices
 
 
 def cocycle_sqrt(w: TreeVertex, cylinder: BoundaryCylinder) -> AlgebraicValue:
@@ -64,50 +55,6 @@ def hc_tree_closed(degree: int, n: int) -> HarishChandraValue:
     coeff = 1 + Fraction(q - 1, q + 1) * n
     value = AlgebraicValue.rational(coeff, q) * AlgebraicValue.sqrt_q_power(q, -n)
     return HarishChandraValue(value, (n,))
-
-
-def hc_tree_bruteforce(degree: int, n: int) -> HarishChandraValue:
-    """Spherical function via the boundary partition along a fixed geodesic.
-
-    Fix the leftmost vertex w at distance n.  The boundary splits into the
-    cylinder over w plus, for each 1 <= i <= n, the cylinders over the
-    vertices branching off the geodesic [root, w] at depth i.  Busemann
-    values on the pieces come from Gromov products and measures from the
-    cylinder formula; the closed form is never consulted.
-    """
-    if degree < 3:
-        raise ValueError("degree must be at least 3")
-    if n < 0:
-        raise ValueError("negative displacement")
-    q = degree - 1
-    if n == 0:
-        return HarishChandraValue(AlgebraicValue.rational(1, q), (0,))
-    w = TreeVertex(degree, (0,) * n)
-    total = AlgebraicValue.rational(0, q)
-    total_measure = Fraction(0)
-    # ends through w itself
-    over_w = BoundaryCylinder(w)
-    total = total + AlgebraicValue.rational(over_w.measure(), q) * cocycle_sqrt(w, over_w)
-    total_measure += over_w.measure()
-    for i in range(1, n + 1):
-        prefix = w.path[: i - 1]
-        labels = range(degree) if i == 1 else range(degree - 1)
-        branch_count = 0
-        for label in labels:
-            if label == w.path[i - 1]:
-                continue
-            y = TreeVertex(degree, prefix + (label,))
-            beta = 2 * gromov_product(w, y) - n
-            piece = BoundaryCylinder(y)
-            total = total + AlgebraicValue.rational(piece.measure(), q) * AlgebraicValue.sqrt_q_power(q, beta)
-            total_measure += piece.measure()
-            branch_count += 1
-        expected = degree - 1 if i == 1 else degree - 2
-        if branch_count != expected:
-            raise RuntimeError(f"partition piece count {branch_count} != {expected} at depth {i}")
-    if total_measure != 1:
-        raise RuntimeError(f"partition measures sum to {total_measure}, not 1")
-    return HarishChandraValue(total, (n,))
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,8 @@ fails, 2 on usage errors.
 Sphere tables are the one expensive artifact, so they are cached: with
 --cache-dir or RRDLAB_CACHE_DIR set, tables live in files keyed by (q, max
 length, cache major version).  A cache file whose header does not match the
-request or the current major version is recomputed and rewritten, never
-silently reused.
+request or the current major version, or whose contents fail validation, is
+recomputed and rewritten, never silently reused.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ from .criterion import (
     uniform_bound_value,
 )
 from .lamplighter import exponential_certificate, growth_csv_rows, h_ball_growth
-from .spheres import SphereTable, condition_one_certificate, enumerate_ball
+from .spheres import (
+    SphereTable,
+    WindowOverflowError,
+    condition_one_certificate,
+    enumerate_ball,
+)
 from .trees import ball_count_bfs, ball_count_formula, boundary_cylinders
 
 ENV_CACHE_DIR = "RRDLAB_CACHE_DIR"
@@ -104,8 +109,8 @@ def _load_table(
                 if table.q != q or table.max_length != max_length:
                     raise ValueError("cache file does not match the request")
                 return table, provenance
-            except (ValueError, KeyError, json.JSONDecodeError):
-                pass  # stale or foreign cache: fall through and rebuild
+            except ValueError:
+                pass  # stale, foreign or corrupt cache: fall through and rebuild
     table = enumerate_ball(q, max_length, threads=threads)
     if path:
         _atomic_write(path, table.to_json())
@@ -292,9 +297,8 @@ def _cmd_lamplighter(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     table, cache = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
-    thresholds = {"u_bound": args.u_threshold}
     verdict = rrd_report(
-        args.q, args.max_length, depth=args.depth, thresholds=thresholds, table=table
+        args.q, args.max_length, depth=args.depth, u_bound=args.u_threshold, table=table
     )
     verdict["config"]["cache"] = cache
     _emit(_canonical_json(verdict), args.out)
@@ -399,10 +403,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"rrdlab: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, WindowOverflowError) as exc:
         print(f"rrdlab: {exc}", file=sys.stderr)
         return 2
 

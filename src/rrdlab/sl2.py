@@ -9,9 +9,9 @@ homothety-normalized so the smaller diagonal valuation is 0), which is
 injective on classes and idempotent.  Canonical forms are gcd-free: column
 reduction stays in the Laurent ring, reading the second diagonal exponent off
 the determinant's valuation and the off-diagonal entry off a truncated X-adic
-series quotient, so no rational function is ever reduced.  (Rational
-functions remain only in ``smith_valuations``, the independent length
-oracle.)  A breadth-first registry maps canonical forms to rooted label paths,
+series quotient, so no rational function is ever reduced.  (The independent
+length oracle, Smith pivoting over rational functions, is in
+``tests/oracles.py``.)  A breadth-first registry maps canonical forms to rooted label paths,
 giving the bridge from matrix algebra to the tree coordinates used by the
 boundary analysis.
 
@@ -21,18 +21,10 @@ X -> X^-1, under which the uniformizer becomes X again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
-from .algebra import (
-    Fq,
-    LaurentPolynomial,
-    Place,
-    RationalFunction,
-    series_quotient,
-)
+from .algebra import Fq, LaurentPolynomial, Place, series_quotient
 from .trees import TreeVertex
 
 
@@ -43,7 +35,7 @@ def entry_lengths(
 
     At each place the length is -2 times the minimum entry valuation, which
     agrees with the elementary-divisor gap for determinant-1 matrices (the
-    Smith computation ``smith_valuations`` is the independent oracle).  The
+    Smith computation in ``tests/oracles.py`` is the independent oracle).  The
     minimum is at most 0 at both places because the determinant is 1, so
     starting the scan from 0 changes nothing on the group.
     """
@@ -203,51 +195,6 @@ def _to_uniformizer(entry: LaurentPolynomial, place: Place) -> LaurentPolynomial
     return entry if place is Place.ZERO else entry.substitute_inverse()
 
 
-def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
-    """Sorted elementary-divisor valuations of g over the local ring at place.
-
-    Genuine valuation-guided pivoting over the rational function field: the
-    minimum-valuation entry is swapped to the corner, its row and column are
-    cleared with quotients (which lie in the valuation ring), and the
-    remaining entry supplies the second divisor.  Independent of the
-    min-valuation rule of ``entry_lengths``.
-    """
-    entries = [
-        [RationalFunction.from_laurent(_to_uniformizer(e, place)) for e in row]
-        for row in ((g.a, g.b), (g.c, g.d))
-    ]
-    best: Optional[tuple[int, int]] = None
-    best_val: Optional[int] = None
-    for i in range(2):
-        for j in range(2):
-            v = entries[i][j].valuation(Place.ZERO)
-            if isinstance(v, int) and (best_val is None or v < best_val):
-                best_val = v
-                best = (i, j)
-    if best is None:
-        raise ValueError("degenerate input: zero matrix")
-    i, j = best
-    if i == 1:
-        entries[0], entries[1] = entries[1], entries[0]
-    if j == 1:
-        for row in entries:
-            row[0], row[1] = row[1], row[0]
-    pivot = entries[0][0]
-    # clear the rest of the first row and column
-    col_factor = entries[1][0] / pivot
-    entries[1][0] = entries[1][0] - col_factor * pivot
-    entries[1][1] = entries[1][1] - col_factor * entries[0][1]
-    row_factor = entries[0][1] / pivot
-    entries[0][1] = entries[0][1] - row_factor * pivot
-    corner = entries[1][1]
-    if corner.is_zero():
-        raise ValueError("degenerate input: matrix not invertible over the field")
-    v1 = pivot.valuation(Place.ZERO)
-    v2 = corner.valuation(Place.ZERO)
-    assert isinstance(v1, int) and isinstance(v2, int)
-    return (v1, v2) if v1 <= v2 else (v2, v1)
-
-
 @dataclass(frozen=True, slots=True)
 class LatticeVertex:
     """Canonical form of a lattice class: basis [[X^a, 0], [c, X^b]] in the
@@ -268,16 +215,6 @@ class LatticeVertex:
 
     def to_text(self) -> str:
         return f"a={self.diag_low};b={self.diag_high};{self.off_diag.to_text()}"
-
-    @classmethod
-    def from_text(cls, field: Fq, place: Place, text: str) -> "LatticeVertex":
-        m = text.split(";", 2)
-        if len(m) != 3 or not m[0].startswith("a=") or not m[1].startswith("b="):
-            raise ValueError(f"malformed lattice vertex text: {text!r}")
-        a = int(m[0][2:])
-        b = int(m[1][2:])
-        c = LaurentPolynomial.from_text(field, m[2])
-        return cls(place, a, b, c)
 
 
 def _canonical_from_triangular(
@@ -434,44 +371,6 @@ class TreeRegistry:
             raise ValueError(
                 f"path {vertex.to_text()!r} outside registry radius {self.radius}"
             ) from None
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    # serialization ------------------------------------------------------------
-
-    def to_json(self) -> str:
-        body = {
-            "q": self.q,
-            "place": self.place.value,
-            "radius": self.radius,
-            "vertices": {
-                form.to_text(): vertex.to_text()
-                for form, vertex in (
-                    (self._by_path[path], TreeVertex(self.degree, path))
-                    for path in sorted(self._by_path)
-                )
-            },
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TreeRegistry":
-        body = json.loads(text)
-        registry = cls.__new__(cls)
-        registry.q = body["q"]
-        registry.place = Place(body["place"])
-        registry.radius = body["radius"]
-        registry.degree = registry.q + 1
-        registry.field = Fq(registry.q)
-        registry._by_key = {}
-        registry._by_path = {}
-        for form_text, path_text in body["vertices"].items():
-            form = LatticeVertex.from_text(registry.field, registry.place, form_text)
-            vertex = TreeVertex.from_text(registry.degree, path_text)
-            registry._by_key[form.key()] = vertex
-            registry._by_path[vertex.path] = form
-        return registry
 
 
 def build_registry(q: int, place: Place, radius: int) -> TreeRegistry:

@@ -7,8 +7,8 @@ scans coprime first rows inside the window, solves the Bezout identity for one
 completion, translates the completion into the window, and sweeps the
 one-parameter family of all completions whose pivot-side entry stays inside
 the window, filtering the other entry.  Each matrix in the ball is produced
-exactly once; a breadth-first word search over an elementary generating set
-provides an independent (heuristic) cross-check.
+exactly once; the tests cross-check it against a breadth-first word search
+over an elementary generating set (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .sl2 import SL2Element, entry_lengths
 from .trees import ball_count_formula
 
 PROVENANCE_WINDOW = "window-certified"
-PROVENANCE_BFS = "bfs-heuristic"
+POLYNOMIAL_EXPONENT = Fraction(5, 2)
 
 
 class WindowOverflowError(RuntimeError):
@@ -206,24 +206,60 @@ class SphereTable:
 
     @classmethod
     def from_json(cls, text: str) -> "SphereTable":
+        """Read a table written by ``to_json``, validating what it claims.
+
+        Raises ValueError for a wrong shape, a bucket key outside
+        [0, max_length], an element whose total length is not its key, a
+        length-0 sphere other than the q^3 - q elements of SL2(F_q), and a
+        sphere whose size is not a multiple of q^3 - q (every sphere is a
+        union of right SL2(F_q)-cosets).
+        """
         body = json.loads(text)
+        if not isinstance(body, dict):
+            raise ValueError("sphere table is not a JSON object")
         if body.get("cache_major") != CACHE_MAJOR_VERSION:
             raise ValueError(
                 f"cache written by major version {body.get('cache_major')}, "
                 f"expected {CACHE_MAJOR_VERSION}"
             )
-        q = body["q"]
+        q, max_length, provenance, saturated, raw = (
+            body.get(key) for key in ("q", "max_length", "provenance", "saturated", "buckets")
+        )
+        if not (
+            type(q) is int
+            and type(max_length) is int
+            and max_length >= 0
+            and isinstance(provenance, str)
+            and (saturated is None or isinstance(saturated, bool))
+            and isinstance(raw, dict)
+        ):
+            raise ValueError("malformed sphere table header")
         field = Fq(q)
-        buckets = {
-            int(n): tuple(SL2Element.from_text(field, t) for t in texts)
-            for n, texts in body["buckets"].items()
-        }
+        unit_order = q**3 - q
+        buckets = {}
+        for key, texts in raw.items():
+            if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+                raise ValueError(f"bucket {key!r} is not a list of element texts")
+            n = int(key)
+            if str(n) != key or not 0 <= n <= max_length:
+                raise ValueError(f"bucket key {key!r} outside [0, {max_length}]")
+            elements = tuple(SL2Element.from_text(field, t) for t in texts)
+            if any(g.total_length != n for g in elements):
+                raise ValueError(f"bucket {n} holds an element of another length")
+            if len(elements) % unit_order:
+                raise ValueError(
+                    f"sphere {n} has {len(elements)} elements, not a union of "
+                    f"right SL2(F_{q})-cosets of size {unit_order}"
+                )
+            buckets[n] = elements
+        if len(buckets.get(0, ())) != unit_order:
+            raise ValueError(f"length-0 sphere does not have q^3 - q = {unit_order} elements")
         return cls(
             q=q,
-            max_length=body["max_length"],
-            provenance=body["provenance"],
+            max_length=max_length,
+            provenance=provenance,
             buckets=buckets,
-            saturated=body.get("saturated"),
+            saturated=saturated,
         )
 
 
@@ -278,86 +314,6 @@ def enumerate_ball(
     if base != q**3 - q:
         raise RuntimeError(f"length-0 sphere has {base} elements, expected q^3 - q = {q**3 - q}")
     return table
-
-
-def elementary_generators(q: int) -> list[SL2Element]:
-    """The word-metric generating set for the cross-check: elementary matrices
-    with monomial offsets of exponent -1, 0, 1 plus the two diagonal shifts."""
-    field = Fq(q)
-    gens: list[SL2Element] = []
-    seen = set()
-    for e in (-1, 0, 1):
-        for a in range(1, q):
-            for maker in (SL2Element.elementary_upper, SL2Element.elementary_lower):
-                for sign in (1, -1):
-                    coeff = a if sign == 1 else field.neg(a)
-                    g = maker(LaurentPolynomial.x_power(field, e, coeff))
-                    if g.to_text() not in seen:
-                        seen.add(g.to_text())
-                        gens.append(g)
-    for k in (1, -1):
-        g = SL2Element.diagonal_shift(field, k)
-        if g.to_text() not in seen:
-            seen.add(g.to_text())
-            gens.append(g)
-    return gens
-
-
-def bfs_crosscheck(
-    q: int,
-    max_length: int,
-    word_radius: int,
-    prune_margin: int = 4,
-) -> SphereTable:
-    """Breadth-first word search for ball elements; flagged heuristic.
-
-    The search keeps words whose total length stays within max_length +
-    prune_margin (geodesic words for short elements do not stray far).  The
-    table's ``saturated`` flag records whether the per-bucket counts were
-    stable across the last two radii; only then is the cross-check meaningful.
-    """
-    gens = elementary_generators(q)
-    field = Fq(q)
-    identity = SL2Element.identity(field)
-    visited: dict[str, SL2Element] = {identity.to_text(): identity}
-    frontier = [identity]
-    limit = max_length + prune_margin
-    previous_counts: Optional[Counter] = None
-    saturated = False
-    for _ in range(word_radius):
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = g * s
-                text = h.to_text()
-                if text in visited:
-                    continue
-                if h.total_length > limit:
-                    continue
-                visited[text] = h
-                nxt.append(h)
-        frontier = nxt
-        counts: Counter = Counter(
-            g.total_length for g in visited.values() if g.total_length <= max_length
-        )
-        saturated = previous_counts is not None and counts == previous_counts
-        previous_counts = counts
-        if not frontier:
-            break
-    raw_buckets: dict[int, list[SL2Element]] = {}
-    for g in visited.values():
-        if g.total_length <= max_length:
-            raw_buckets.setdefault(g.total_length, []).append(g)
-    buckets = {
-        n: tuple(sorted(elems, key=lambda g: g.to_text())) for n, elems in raw_buckets.items()
-    }
-    return SphereTable(
-        q=q,
-        max_length=max_length,
-        provenance=PROVENANCE_BFS,
-        buckets=buckets,
-        saturated=saturated,
-    )
 
 
 def sup_xi_on_sphere(table: SphereTable, n: int) -> HarishChandraValue:
@@ -439,9 +395,7 @@ class Condition1Report:
         }
 
 
-def condition_one_certificate(
-    table: SphereTable, exponent: Fraction = Fraction(5, 2)
-) -> Condition1Report:
+def condition_one_certificate(table: SphereTable) -> Condition1Report:
     """Per-sphere witnesses for the polynomial bound sup_xi * sqrt(|C_n|) <= c * n^(5/2).
 
     The observed column uses the realized length pairs and exact sphere sizes;
@@ -462,7 +416,7 @@ def condition_one_certificate(
         fiber_bound = pair_shell * unit_order
         split_sup = sup_xi_over_splittings(table.q, n)
         rigorous = float(split_sup.value) * sqrt(fiber_bound)
-        scale = float(n) ** float(exponent)
+        scale = float(n) ** float(POLYNOMIAL_EXPONENT)
         rows.append(
             Condition1Row(
                 n=n,
@@ -481,55 +435,8 @@ def condition_one_certificate(
     return Condition1Report(
         q=table.q,
         max_length=table.max_length,
-        exponent=exponent,
+        exponent=POLYNOMIAL_EXPONENT,
         rows=tuple(rows),
         fitted_constant=max(r.observed_ratio for r in rows),
         rigorous_constant=max(r.rigorous_ratio for r in rows),
     )
-
-
-@dataclass(frozen=True)
-class GrowthRow:
-    n: int
-    pair_count: int
-    sphere_size: int
-    ratio: Fraction
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    q: int
-    rows: tuple[GrowthRow, ...]
-    max_ratio: Fraction
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "max_ratio": [self.max_ratio.numerator, self.max_ratio.denominator],
-            "rows": [
-                {
-                    "n": r.n,
-                    "pair_count": r.pair_count,
-                    "sphere_size": r.sphere_size,
-                    "ratio": [r.ratio.numerator, r.ratio.denominator],
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def growth_comparison(table: SphereTable) -> GrowthReport:
-    """Vertex-pair shell counts against group sphere sizes, as exact ratios.
-
-    A bounded ratio witnesses that the group spheres keep pace with the
-    geometric shells, the counting half of the certificate.
-    """
-    d = table.q + 1
-    rows = []
-    for n in range(0, table.max_length + 1, 2):
-        size = table.sphere_size(n)
-        if size == 0:
-            continue
-        shell = ball_count_formula(d, n) - (ball_count_formula(d, n - 1) if n else 0)
-        rows.append(GrowthRow(n=n, pair_count=shell, sphere_size=size, ratio=Fraction(shell, size)))
-    return GrowthReport(q=table.q, rows=tuple(rows), max_ratio=max(r.ratio for r in rows))

@@ -15,7 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,11 +80,27 @@ def _common_prefix_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return n
 
 
-def tree_distance(u: TreeVertex, v: TreeVertex) -> int:
-    if u.degree != v.degree:
-        raise ValueError("vertices of trees of different degree")
-    m = _common_prefix_len(u.path, v.path)
-    return (len(u.path) - m) + (len(v.path) - m)
+def label_array(paths: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    """Label paths as the rows of an int64 array, padded with -1 to ``width``."""
+    out = np.full((len(paths), width), -1, dtype=np.int64)
+    for i, path in enumerate(paths):
+        out[i, : len(path)] = path
+    return out
+
+
+def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Common-prefix length of every row of ``a`` with every row of ``b``,
+    both label arrays of one width; shape (len(a), len(b)).
+
+    A position extends a common prefix while every earlier one matched; the
+    -1 padding never counts, so a prefix stops where a path ends.
+    """
+    matching = np.ones((len(a), len(b)), dtype=bool)
+    prefix = np.zeros((len(a), len(b)), dtype=np.int64)
+    for x, y in zip(a.T, b.T):
+        matching &= (x[:, None] == y[None, :]) & (x >= 0)[:, None]
+        prefix += matching
+    return prefix
 
 
 def gromov_product(u: TreeVertex, v: TreeVertex) -> int:
@@ -181,14 +199,6 @@ class ProductCylinder:
         return f"ProductCyl({self.zero.base.to_text()!r}, {self.infinity.base.to_text()!r})"
 
 
-def product_cylinders(degree: int, depths: tuple[int, int]) -> list[ProductCylinder]:
-    return [
-        ProductCylinder(c0, c1)
-        for c0 in boundary_cylinders(degree, depths[0])
-        for c1 in boundary_cylinders(degree, depths[1])
-    ]
-
-
 def busemann(cylinder: BoundaryCylinder, w: TreeVertex) -> int:
     """Horocycle index beta_xi(root, w), constant for xi in the cylinder.
 
@@ -251,33 +261,3 @@ def ball_count_bfs(degree: int, n: int) -> int:
         for j in range(n + 1 - i):
             total += counts[i] * counts[j]
     return total
-
-
-def end_image_set(u: TreeVertex, v: TreeVertex, depth: int) -> list[BoundaryCylinder]:
-    """Depth-``depth`` cylinders covering the shadow of v seen from u.
-
-    The shadow is the set of ends xi whose geodesic from u passes through v.
-    Requires u != v and depth >= max(depth(u), depth(v)) + 1; the returned
-    cylinders are pairwise disjoint and their union is exactly the shadow.
-    """
-    if u == v:
-        raise ValueError("shadow needs two distinct vertices")
-    if depth < max(u.depth, v.depth) + 1:
-        raise ValueError(
-            f"depth {depth} too small for shadow of v (depth {v.depth}) from u (depth {u.depth})"
-        )
-    return _shadow_cylinders(u, v, depth)
-
-
-def _shadow_cylinders(u: TreeVertex, v: TreeVertex, depth: int) -> list[BoundaryCylinder]:
-    """Shadow cover without the public precondition; valid for depth >= depth(v)
-    because an end through a depth-``depth`` vertex y passes v from u exactly
-    when v lies on [u, y]."""
-    du_v = tree_distance(u, v)
-    out = []
-    for y in sphere_vertices(u.degree, depth):
-        if du_v + tree_distance(v, y) == tree_distance(u, y):
-            out.append(BoundaryCylinder(y))
-    return out
-
-

@@ -11,11 +11,12 @@ from rrdlab.algebra import (
     Fq,
     LaurentPolynomial,
     Place,
-    RationalFunction,
     poly_divmod,
     poly_gcd,
     poly_xgcd,
 )
+
+from oracles import RationalFunction
 
 rng = random.Random(0x00A1)
 

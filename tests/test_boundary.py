@@ -10,7 +10,6 @@ from rrdlab.boundary import (
     cocycle_sqrt,
     hc_product,
     hc_product_expanded,
-    hc_tree_bruteforce,
     hc_tree_closed,
     sphere_average_check,
 )
@@ -20,6 +19,8 @@ from rrdlab.trees import (
     boundary_cylinders,
     busemann,
 )
+
+from oracles import hc_tree_bruteforce
 
 rng = random.Random(0xB0DA)
 

@@ -186,3 +186,45 @@ def test_report_reference_configuration(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_bytes() == first
+
+
+IDENTITY_TEXT = "low=0;coeffs=1|low=0;coeffs=|low=0;coeffs=|low=0;coeffs=1"
+
+# Each corruption of a valid q = 2, N = 2 cache body that the loader must
+# reject: a wrong shape, or contents a window enumeration cannot produce.
+CORRUPTIONS = {
+    "not-an-object": lambda body: [1, 2],
+    "q-not-an-integer": lambda body: {**body, "q": "2"},
+    "bucket-not-a-list": lambda body: {**body, "buckets": {"0": 5}},
+    "identity-only": lambda body: {**body, "buckets": {"0": [IDENTITY_TEXT]}},
+    "no-length-0-sphere": lambda body: {**body, "buckets": {"2": body["buckets"]["2"]}},
+    "key-above-max-length": lambda body: {
+        **body, "buckets": {**body["buckets"], "4": body["buckets"]["2"]}
+    },
+    "length-differs-from-key": lambda body: {
+        **body, "buckets": {**body["buckets"], "2": body["buckets"]["0"]}
+    },
+    "partial-coset": lambda body: {
+        **body, "buckets": {**body["buckets"], "2": body["buckets"]["2"][:-1]}
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupt_cache_is_rebuilt(tmp_path, capsys, kind):
+    code, cold = run(capsys, "spheres", "--max-length", "2")
+    assert code == 0
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / f"spheres-q2-n2-v{CACHE_MAJOR_VERSION}.json"
+    path.write_text(json.dumps(CORRUPTIONS[kind](json.loads(cold))))
+    code, out = run(capsys, "spheres", "--max-length", "2", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    assert path.read_text() == cold
+
+
+def test_impossible_radius_is_a_usage_error(capsys):
+    code, out = run(capsys, "spheres", "--q", "2", "--max-length", "30")
+    assert code == 2
+    assert out == ""

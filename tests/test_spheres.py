@@ -10,14 +10,14 @@ from rrdlab.boundary import hc_product
 from rrdlab.spheres import (
     SphereTable,
     WindowOverflowError,
-    bfs_crosscheck,
     condition_one_certificate,
     enumerate_ball,
-    growth_comparison,
     sup_xi_on_sphere,
     sup_xi_over_splittings,
     window_polynomials,
 )
+
+from oracles import bfs_crosscheck
 
 
 def test_window_polynomial_count():
@@ -116,12 +116,3 @@ def test_condition_one_certificate(table6):
     payload = report.to_dict()
     assert payload["max_length"] == 6
     assert len(payload["rows"]) == 3
-
-
-def test_growth_comparison(table4):
-    report = growth_comparison(table4)
-    first = report.rows[0]
-    assert first.n == 0
-    assert first.ratio == Fraction(1, 6)
-    for row in report.rows:
-        assert row.ratio <= Fraction(7, 12)

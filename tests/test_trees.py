@@ -13,13 +13,12 @@ from rrdlab.trees import (
     ball_count_formula,
     boundary_cylinders,
     busemann,
-    end_image_set,
     gromov_product,
-    product_cylinders,
     sphere_size,
     sphere_vertices,
-    tree_distance,
 )
+
+from oracles import end_image_set, product_cylinders, tree_distance
 
 rng = random.Random(0x7EE5)
 
