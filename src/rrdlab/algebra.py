@@ -1,24 +1,25 @@
-"""Exact arithmetic kernels: finite fields, Laurent polynomials, valuations
-at the two places, and numbers of the form a + b*sqrt(q).
+"""Exact arithmetic kernels: finite fields, Laurent polynomials, and numbers
+of the form a + b*sqrt(q).
 
 Everything in this module is exact and immutable.  Conventions:
 
-* ``Fq`` describes F_q for q = p^e.  Elements are integer indices in
-  ``range(q)``; the base-p digits of an index are the coefficients of the
-  element written in the power basis of a fixed irreducible modulus.  For
-  prime q the index is the residue itself.
-* ``LaurentPolynomial`` stores a low exponent plus a coefficient run whose
-  first and last entries are nonzero; the zero polynomial stores an empty run.
-  The two valuations of a nonzero Laurent polynomial f are
-  ``v_zero(f) = low`` and ``v_infinity(f) = -top``, the orders of vanishing at
-  X = 0 and X = infinity (uniformizers X and X^-1).
+* ``Fq`` describes F_q for q = p^e.  An element of F_q is an integer index in
+  ``range(q)`` and nothing else: there is no element object, and field
+  arithmetic is ``Fq.add``/``sub``/``neg``/``mul``/``inv`` on indices.  The
+  base-p digits of an index are the coefficients of the element written in
+  the power basis of a fixed irreducible modulus; for prime q the index is
+  the residue itself.
+* ``LaurentPolynomial`` stores a low exponent plus a coefficient run of
+  indices whose first and last entries are nonzero; the zero polynomial
+  stores an empty run.  Its ``+ - * ==`` take polynomials only; a scalar
+  enters through the constructor, ``x_power`` or ``scale``.  The two
+  valuations of a nonzero Laurent polynomial f are ``v_zero(f) = low`` and
+  ``v_infinity(f) = -top``, the orders of vanishing at X = 0 and
+  X = infinity (uniformizers X and X^-1).
 * ``AlgebraicValue`` is a + b*sqrt(q) with exact rational a, b.  Comparisons
   are decided by exact sign computations on a^2 - q*b^2; no floating point is
   involved.  When q is a perfect square the irrational part is folded into the
   rational part, keeping representations canonical.
-
-Valuations of zero return the distinguished ``INFINITE_VALUATION`` sentinel,
-never a large stand-in integer.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Union
+from typing import Iterable
 
 
 class Place(Enum):
@@ -36,65 +37,6 @@ class Place(Enum):
     ZERO = "zero"
     INFINITY = "infinity"
 
-
-class InfiniteValuation:
-    """Singleton sentinel for the valuation of zero.
-
-    Compares strictly greater than every integer, equal only to itself, and
-    absorbs addition.  Using a dedicated object (instead of a big integer)
-    means accidental arithmetic with it fails loudly rather than silently.
-    """
-
-    _instance = None
-
-    def __new__(cls) -> "InfiniteValuation":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITE_VALUATION"
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("rrdlab.INFINITE_VALUATION")
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (int, InfiniteValuation)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return True
-        if other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (int, InfiniteValuation)):
-            return True
-        return NotImplemented
-
-    def __add__(self, other: object) -> "InfiniteValuation":
-        if isinstance(other, (int, InfiniteValuation)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "InfiniteValuation":
-        raise ArithmeticError("the infinite valuation has no negative")
-
-
-INFINITE_VALUATION = InfiniteValuation()
-
-Valuation = Union[int, InfiniteValuation]
 
 # Frozen irreducible moduli for extension fields, little-endian with leading 1.
 # The exact polynomials are a fixed deterministic choice (Conway-style); a test
@@ -271,101 +213,11 @@ class Fq:
             return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def element(self, index: int) -> "FqElement":
-        return FqElement(self, index % self.q if self.e == 1 else index)
-
-    def elements(self) -> Iterable["FqElement"]:
-        return (FqElement(self, i) for i in range(self.q))
-
     def __repr__(self) -> str:
         return f"Fq({self.q})"
 
     def __reduce__(self):
         return (Fq, (self.q,))
-
-
-class FqElement:
-    """An element of F_q, stored as its integer index in the field descriptor."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: Fq, index: int):
-        if not 0 <= index < field.q:
-            raise ValueError(f"index {index} out of range for F_{field.q}")
-        self.field = field
-        self.index = index
-
-    def _coerce(self, other: Union["FqElement", int]) -> "FqElement":
-        if isinstance(other, FqElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, int):
-            if self.field.e == 1:
-                return FqElement(self.field, other % self.field.p)
-            # integers embed through the prime subfield
-            return FqElement(self.field, other % self.field.p)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: Union["FqElement", int]) -> "FqElement":
-        other = self._coerce(other)
-        return FqElement(self.field, self.field.add(self.index, other.index))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FqElement":
-        return FqElement(self.field, self.field.neg(self.index))
-
-    def __sub__(self, other: Union["FqElement", int]) -> "FqElement":
-        other = self._coerce(other)
-        return FqElement(self.field, self.field.sub(self.index, other.index))
-
-    def __rsub__(self, other: Union["FqElement", int]) -> "FqElement":
-        return -(self - other)
-
-    def __mul__(self, other: Union["FqElement", int]) -> "FqElement":
-        other = self._coerce(other)
-        return FqElement(self.field, self.field.mul(self.index, other.index))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["FqElement", int]) -> "FqElement":
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def inverse(self) -> "FqElement":
-        return FqElement(self.field, self.field.inv(self.index))
-
-    def __pow__(self, n: int) -> "FqElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = FqElement(self.field, 1 % self.field.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return self.index == 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FqElement):
-            return self.field is other.field and self.index == other.index
-        if isinstance(other, int):
-            return self == self._coerce(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.index))
-
-    def __repr__(self) -> str:
-        return f"F{self.field.q}({self.index})"
-
-
-_CoeffLike = Union[FqElement, int]
 
 
 class LaurentPolynomial:
@@ -377,16 +229,11 @@ class LaurentPolynomial:
 
     __slots__ = ("field", "low", "_coeffs")
 
-    def __init__(self, field: Fq, low: int, coeffs: Iterable[_CoeffLike]):
+    def __init__(self, field: Fq, low: int, coeffs: Iterable[int]):
         raw = []
         for c in coeffs:
-            if isinstance(c, FqElement):
-                if c.field is not field:
-                    raise ValueError("coefficient from a different field")
-                raw.append(c.index)
-            else:
-                # plain ints are element indices (equal to residues when q is prime)
-                raw.append(int(c) % field.q)
+            # coefficients are element indices (equal to residues when q is prime)
+            raw.append(int(c) % field.q)
         # strip leading/trailing zeros, adjusting the low exponent
         start = 0
         end = len(raw)
@@ -417,18 +264,10 @@ class LaurentPolynomial:
     def x_power(cls, field: Fq, k: int, coeff: int = 1) -> "LaurentPolynomial":
         return cls(field, k, (coeff,))
 
-    @classmethod
-    def constant(cls, field: Fq, c: _CoeffLike) -> "LaurentPolynomial":
-        return cls(field, 0, (c,))
-
     # structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def coefficients(self) -> tuple[FqElement, ...]:
-        return tuple(FqElement(self.field, c) for c in self._coeffs)
 
     @property
     def raw_coefficients(self) -> tuple[int, ...]:
@@ -448,21 +287,21 @@ class LaurentPolynomial:
             raise ValueError("the zero polynomial has no span")
         return len(self._coeffs) - 1
 
-    def coefficient(self, exponent: int) -> FqElement:
+    def coefficient(self, exponent: int) -> int:
         i = exponent - self.low
         if 0 <= i < len(self._coeffs):
-            return FqElement(self.field, self._coeffs[i])
-        return FqElement(self.field, 0)
+            return self._coeffs[i]
+        return 0
 
-    def leading_coefficient(self) -> FqElement:
+    def leading_coefficient(self) -> int:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return FqElement(self.field, self._coeffs[-1])
+        return self._coeffs[-1]
 
-    def trailing_coefficient(self) -> FqElement:
+    def trailing_coefficient(self) -> int:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no trailing coefficient")
-        return FqElement(self.field, self._coeffs[0])
+        return self._coeffs[0]
 
     def is_monomial(self) -> bool:
         return len(self._coeffs) == 1
@@ -472,17 +311,17 @@ class LaurentPolynomial:
 
     # arithmetic -----------------------------------------------------------
 
-    def _coerce(self, other: Union["LaurentPolynomial", FqElement, int]) -> "LaurentPolynomial":
+    def _coerce(self, other: object) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
             if other.field is not self.field:
                 raise ValueError("polynomials over different fields")
             return other
-        if isinstance(other, (FqElement, int)):
-            return LaurentPolynomial(self.field, 0, (other,))
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: Union["LaurentPolynomial", FqElement, int]) -> "LaurentPolynomial":
+    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.is_zero():
             return other
         if other.is_zero():
@@ -499,20 +338,20 @@ class LaurentPolynomial:
             out[j] = add(out[j], c)
         return LaurentPolynomial(field, low, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPolynomial":
         neg = self.field.neg
         return LaurentPolynomial(self.field, self.low, [neg(c) for c in self._coeffs])
 
-    def __sub__(self, other: Union["LaurentPolynomial", FqElement, int]) -> "LaurentPolynomial":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Union["LaurentPolynomial", FqElement, int]) -> "LaurentPolynomial":
-        return (-self) + other
-
-    def __mul__(self, other: Union["LaurentPolynomial", FqElement, int]) -> "LaurentPolynomial":
+    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPolynomial.zero(self.field)
         field = self.field
@@ -526,8 +365,6 @@ class LaurentPolynomial:
                     if y:
                         out[i + j] = add(out[i + j], mul(x, y))
         return LaurentPolynomial(field, self.low + other.low, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
@@ -547,10 +384,10 @@ class LaurentPolynomial:
             return self
         return LaurentPolynomial(self.field, self.low + k, self._coeffs)
 
-    def scale(self, c: _CoeffLike) -> "LaurentPolynomial":
-        idx = c.index if isinstance(c, FqElement) else (c % self.field.p)
+    def scale(self, c: int) -> "LaurentPolynomial":
+        """Multiply by the field element with index ``c``."""
         mul = self.field.mul
-        return LaurentPolynomial(self.field, self.low, [mul(idx, a) for a in self._coeffs])
+        return LaurentPolynomial(self.field, self.low, [mul(c, a) for a in self._coeffs])
 
     def substitute_inverse(self) -> "LaurentPolynomial":
         """The image under X -> X^-1 (exponent negation).
@@ -561,15 +398,6 @@ class LaurentPolynomial:
         if self.is_zero():
             return self
         return LaurentPolynomial(self.field, -self.top, tuple(reversed(self._coeffs)))
-
-    # valuations -----------------------------------------------------------
-
-    def valuation(self, place: Place) -> Valuation:
-        if self.is_zero():
-            return INFINITE_VALUATION
-        if place is Place.ZERO:
-            return self.low
-        return -self.top
 
     # serialization --------------------------------------------------------
 
@@ -601,8 +429,6 @@ class LaurentPolynomial:
                 and self.low == other.low
                 and self._coeffs == other._coeffs
             )
-        if isinstance(other, (FqElement, int)):
-            return self == self._coerce(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -658,7 +484,7 @@ def poly_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
         a, b = b, r
     if a.is_zero():
         return a
-    return a.scale(a.leading_coefficient().inverse())
+    return a.scale(a.field.inv(a.leading_coefficient()))
 
 
 def poly_xgcd(
@@ -676,7 +502,7 @@ def poly_xgcd(
         va, vb = vb, va - q * vb
     if a.is_zero():
         return a, ua, va
-    lead_inv = a.leading_coefficient().inverse()
+    lead_inv = field.inv(a.leading_coefficient())
     return a.scale(lead_inv), ua.scale(lead_inv), va.scale(lead_inv)
 
 

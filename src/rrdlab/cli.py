@@ -228,7 +228,7 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
         raise UsageError("sphere length exceeds the table radius")
     table, cache = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
     report = uniform_bound_value(table, args.n)
-    passed = report.value_float <= args.threshold
+    passed = report.at_most(args.threshold)
     payload = _envelope(
         "uniform-bound",
         {

@@ -216,6 +216,13 @@ class MeanReport:
     depths: tuple[int, int]
     sphere_size: int
 
+    def at_most(self, threshold: float) -> bool:
+        """U_n <= threshold, decided exactly: Fraction(threshold) is the
+        float's exact value, and ``value_float`` is for display only."""
+        if not math.isfinite(threshold):
+            return threshold == math.inf
+        return self.value <= Fraction(threshold)
+
     def to_dict(self) -> dict:
         # timings stay out of artifacts: reports must be byte-identical
         return {
@@ -548,7 +555,7 @@ def rrd_report(
     ]
     mean_reports = [uniform_bound_value(table, n) for n in mean_lengths]
     u_by_n = {r.n: r for r in mean_reports}
-    cond2_pass = all(r.value_float <= u_bound for r in mean_reports)
+    cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
 
     compression_rows = []
     chain_ok = True

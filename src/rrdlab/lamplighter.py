@@ -5,7 +5,7 @@ Elements [[X^n, P], [0, X^-n]] are carried as (n, P) pairs.  The group is
 amenable but grows exponentially in the word metric of its four-letter
 generating set, which a breadth-first search certifies at desk scale; the
 certified asymptotic rate 2^(1/3) comes from an explicit family of 2^(n+1)
-products of length at most 3n+1.
+products of length at most 3n+1, which the certificate checks word by word.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ def h_membership(g: SL2Element) -> Optional[HElement]:
     a, b, c, d = g.entries()
     if not c.is_zero():
         return None
-    if not (a.is_monomial() and a.leading_coefficient().index == 1):
+    if not (a.is_monomial() and a.leading_coefficient() == 1):
         return None
     n = a.low
-    if not (d.is_monomial() and d.low == -n and d.leading_coefficient().index == 1):
+    if not (d.is_monomial() and d.low == -n and d.leading_coefficient() == 1):
         return None
     return HElement(n, b)
 
@@ -120,7 +120,7 @@ def lamplighter_word(offset: LaurentPolynomial, n: int) -> list[SL2Element]:
         if offset.low < 0 or offset.top > 2 * n:
             raise ValueError(f"offset exponents outside [0, {2 * n}]")
         for e in range(offset.low, offset.top + 1):
-            c = offset.coefficient(e).index
+            c = offset.coefficient(e)
             if c == 0:
                 continue
             if e % 2 != 0:
@@ -178,20 +178,40 @@ def h_ball_growth(q: int, radius: int, element_budget: int = 2_000_000) -> list[
     return sizes
 
 
+def word_family_holds(q: int, n: int) -> bool:
+    """Check the 2^(n+1) words behind |B(3n+1)| >= 2^(n+1): every
+    ``lamplighter_word(offset, n)`` over ``admissible_offsets`` has at most
+    3n+1 letters, all from ``generating_set(q)``, and multiplies to
+    E12(offset), and the 2^(n+1) products are distinct."""
+    field = Fq(q)
+    letters = {g.to_text() for g in generating_set(q)}
+    products = set()
+    for offset in admissible_offsets(field, n):
+        word = lamplighter_word(offset, n)
+        if len(word) > 3 * n + 1 or any(g.to_text() not in letters for g in word):
+            return False
+        product = word_product(word, field)
+        if product != SL2Element.elementary_upper(offset):
+            return False
+        products.add(product)
+    return len(products) == 2 ** (n + 1)
+
+
 @dataclass(frozen=True)
 class FamilyCheck:
     n: int
     word_length: int      # 3n + 1
     ball_size: int
     family_size: int      # 2^(n+1)
-    ok: bool
+    ok: bool              # the words check out and |B(3n+1)| >= 2^(n+1)
 
 
 @dataclass(frozen=True)
 class GrowthCertificate:
     """Exponential-growth witness: the certified asymptotic rate from the
     2^(n+1) family of length-(3n+1) products, plus the observed per-radius
-    log-rates.  A rate above 1 is the RD-failure trigger."""
+    log-rates.  The RD-failure flag is raised when the family checks ran and
+    all held."""
 
     q: int
     ball_sizes: tuple[int, ...]
@@ -201,12 +221,12 @@ class GrowthCertificate:
 
     @property
     def rd_failure_flag(self) -> bool:
-        return self.certified_rate > 1.0
+        return bool(self.family_checks) and all(f.ok for f in self.family_checks)
 
     @property
     def passed(self) -> bool:
-        """The failure flag is raised and every word-family check held."""
-        return self.rd_failure_flag and all(f.ok for f in self.family_checks)
+        """The failure flag is raised, so every word-family check held."""
+        return self.rd_failure_flag
 
     def to_dict(self) -> dict:
         return {
@@ -229,12 +249,14 @@ class GrowthCertificate:
 
 
 def exponential_certificate(q: int, ball_sizes: Sequence[int]) -> GrowthCertificate:
-    """Check |B(3n+1)| >= 2^(n+1) for every n the computed radii reach and
+    """For every n the computed radii reach, check the 2^(n+1) words of
+    length at most 3n+1 (``word_family_holds``) and |B(3n+1)| >= 2^(n+1), and
     report the certified rate 2^(1/3) together with the empirical rates.
 
     The family bound holds for every n because the explicit words exist at
-    every scale; the desk-scale checks confirm the counting where we can see
-    it, and the empirical column always dominates the certified one.
+    every scale; the desk-scale checks confirm the words and the counting
+    where we can see them, and the empirical column always dominates the
+    certified one.
     """
     if not ball_sizes or ball_sizes[0] != 1:
         raise ValueError("ball sizes must start with |B(0)| = 1")
@@ -249,7 +271,7 @@ def exponential_certificate(q: int, ball_sizes: Sequence[int]) -> GrowthCertific
                 word_length=3 * n + 1,
                 ball_size=size,
                 family_size=family,
-                ok=size >= family,
+                ok=size >= family and word_family_holds(q, n),
             )
         )
         n += 1

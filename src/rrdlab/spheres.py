@@ -63,16 +63,16 @@ def _reduce_into_window(
     field = offset.field
     s = LaurentPolynomial.zero(field)
     o = offset
-    p_lead_inv = pivot.leading_coefficient().inverse()
-    p_trail_inv = pivot.trailing_coefficient().inverse()
+    neg_lead_inv = field.neg(field.inv(pivot.leading_coefficient()))
+    neg_trail_inv = field.neg(field.inv(pivot.trailing_coefficient()))
     while not o.is_zero() and o.top > half_width:
-        c = o.leading_coefficient() * p_lead_inv
-        mono = LaurentPolynomial.x_power(field, o.top - pivot.top, (-c).index)
+        c = field.mul(o.leading_coefficient(), neg_lead_inv)
+        mono = LaurentPolynomial.x_power(field, o.top - pivot.top, c)
         o = o + mono * pivot
         s = s + mono
     while not o.is_zero() and o.low < -half_width:
-        c = o.trailing_coefficient() * p_trail_inv
-        mono = LaurentPolynomial.x_power(field, o.low - pivot.low, (-c).index)
+        c = field.mul(o.trailing_coefficient(), neg_trail_inv)
+        mono = LaurentPolynomial.x_power(field, o.low - pivot.low, c)
         o = o + mono * pivot
         s = s + mono
     return o, s
@@ -272,8 +272,10 @@ def enumerate_ball(
     """Window-certified enumeration of the length ball of radius ``max_length``.
 
     Raises WindowOverflowError when the first-row candidate count exceeds the
-    budget.  The result is independent of ``threads`` byte for byte: workers
-    partition the first-row scan and the merge sorts canonically.
+    budget, and RuntimeError when the scan yields an element twice (it yields
+    each element of the ball exactly once).  The result is independent of
+    ``threads`` byte for byte: workers partition the first-row scan and the
+    merge sorts canonically.
     """
     if max_length < 0:
         raise ValueError("negative ball radius")
@@ -296,7 +298,7 @@ def enumerate_ball(
     for part in results:
         for length, text in part:
             if text in seen:
-                continue
+                raise RuntimeError(f"the window scan produced {text} twice")
             seen.add(text)
             raw_buckets.setdefault(length, []).append(text)
     field = Fq(q)
@@ -367,8 +369,14 @@ class Condition1Report:
 
     @property
     def passed(self) -> bool:
-        """Every observed witness sits below its rigorous counterpart."""
-        return all(r.observed <= r.rigorous + 1e-12 for r in self.rows)
+        """Every observed witness sits below its rigorous counterpart, decided
+        exactly on squares: sup_xi^2 * |C_n| <= splitting_sup^2 * fiber bound
+        (both sups are positive; the float columns are for display only)."""
+        return all(
+            r.sup_xi.value * r.sup_xi.value * r.sphere_size
+            <= r.splitting_sup.value * r.splitting_sup.value * r.fiber_bound_size
+            for r in self.rows
+        )
 
     def to_dict(self) -> dict:
         return {

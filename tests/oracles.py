@@ -16,13 +16,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from rrdlab.algebra import (
-    INFINITE_VALUATION,
     AlgebraicValue,
     Fq,
-    FqElement,
     LaurentPolynomial,
     Place,
-    Valuation,
     poly_divmod,
     poly_gcd,
     series_quotient,
@@ -131,8 +128,8 @@ class RationalFunction:
             num_poly, _ = poly_divmod(num_poly, g)
             den, _ = poly_divmod(den, g)
         lead = den.leading_coefficient()
-        if lead.index != 1:
-            inv = lead.inverse()
+        if lead != 1:
+            inv = field.inv(lead)
             num_poly = num_poly.scale(inv)
             den = den.scale(inv)
         self.num = num_poly.shift(num_low)
@@ -157,7 +154,7 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
+    def __add__(self, other: Union["RationalFunction", LaurentPolynomial]) -> "RationalFunction":
         other = self._coerce(other)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -166,44 +163,38 @@ class RationalFunction:
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
 
-    def __sub__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
+    def __sub__(self, other: Union["RationalFunction", LaurentPolynomial]) -> "RationalFunction":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
+    def __rsub__(self, other: Union["RationalFunction", LaurentPolynomial]) -> "RationalFunction":
         return (-self) + other
 
-    def __mul__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
+    def __mul__(self, other: Union["RationalFunction", LaurentPolynomial]) -> "RationalFunction":
         other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["RationalFunction", LaurentPolynomial, int]) -> "RationalFunction":
+    def __truediv__(self, other: Union["RationalFunction", LaurentPolynomial]) -> "RationalFunction":
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def _coerce(self, other: Union["RationalFunction", LaurentPolynomial, FqElement, int]) -> "RationalFunction":
+    def _coerce(self, other: Union["RationalFunction", LaurentPolynomial]) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             if other.field is not self.field:
                 raise ValueError("rational functions over different fields")
             return other
         if isinstance(other, LaurentPolynomial):
             return RationalFunction.from_laurent(other)
-        if isinstance(other, (FqElement, int)):
-            return RationalFunction.from_laurent(
-                LaurentPolynomial(self.field, 0, (other,))
-            )
         return NotImplemented  # type: ignore[return-value]
 
-    def valuation(self, place: Place) -> Valuation:
+    def valuation(self) -> int:
+        """Order of vanishing at X = 0; den(0) != 0, so it is v_zero(num)."""
         if self.is_zero():
-            return INFINITE_VALUATION
-        nv = self.num.valuation(place)
-        dv = self.den.valuation(place)
-        assert isinstance(nv, int) and isinstance(dv, int)
-        return nv - dv
+            raise ValueError("the zero rational function has no valuation")
+        return self.num.low
 
     def series_prefix(self, upto: int) -> LaurentPolynomial:
         """Exact X-adic expansion truncated to exponents < upto.
@@ -213,7 +204,7 @@ class RationalFunction:
         return series_quotient(self.num, self.den, upto)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (RationalFunction, LaurentPolynomial, FqElement, int)):
+        if isinstance(other, (RationalFunction, LaurentPolynomial)):
             other = self._coerce(other)
             return self.num == other.num and self.den == other.den
         return NotImplemented
@@ -240,17 +231,15 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
         [RationalFunction.from_laurent(_to_uniformizer(e, place)) for e in row]
         for row in ((g.a, g.b), (g.c, g.d))
     ]
-    best: Optional[tuple[int, int]] = None
-    best_val: Optional[int] = None
-    for i in range(2):
-        for j in range(2):
-            v = entries[i][j].valuation(Place.ZERO)
-            if isinstance(v, int) and (best_val is None or v < best_val):
-                best_val = v
-                best = (i, j)
-    if best is None:
+    nonzero = [
+        (entries[i][j].valuation(), i, j)
+        for i in range(2)
+        for j in range(2)
+        if not entries[i][j].is_zero()
+    ]
+    if not nonzero:
         raise ValueError("degenerate input: zero matrix")
-    i, j = best
+    _, i, j = min(nonzero)
     if i == 1:
         entries[0], entries[1] = entries[1], entries[0]
     if j == 1:
@@ -266,9 +255,8 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     corner = entries[1][1]
     if corner.is_zero():
         raise ValueError("degenerate input: matrix not invertible over the field")
-    v1 = pivot.valuation(Place.ZERO)
-    v2 = corner.valuation(Place.ZERO)
-    assert isinstance(v1, int) and isinstance(v2, int)
+    v1 = pivot.valuation()
+    v2 = corner.valuation()
     return (v1, v2) if v1 <= v2 else (v2, v1)
 
 

@@ -118,6 +118,15 @@ def test_uniform_bound_threshold_failure(capsys):
     assert code == 1
 
 
+def test_uniform_bound_threshold_is_exact(capsys):
+    # U_2 = 6/5, and the double nearest 1.2 lies just below it
+    for threshold, expected in (("1.2", 1), ("1.2000000000000002", 0), ("inf", 0)):
+        code, _ = run(
+            capsys, "uniform-bound", "--max-length", "2", "--n", "2", "--threshold", threshold
+        )
+        assert code == expected
+
+
 def test_opnorm_preconditions(capsys):
     code, _ = run(capsys, "opnorm", "--max-length", "2", "--n", "2", "--radius", "2")
     assert code == 2

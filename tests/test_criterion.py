@@ -20,7 +20,7 @@ from rrdlab.criterion import (
     uniform_bound_value,
 )
 from rrdlab.sl2 import build_registry, locate, translate_vertex
-from rrdlab.spheres import sup_xi_on_sphere
+from rrdlab.spheres import enumerate_ball, sup_xi_on_sphere
 from rrdlab.trees import boundary_cylinders, gromov_product
 
 from oracles import (
@@ -295,6 +295,21 @@ def test_report_rejects_mismatched_table(table4):
         rrd_report(3, 4, depth=1, table=table4)
     with pytest.raises(ValueError, match="sphere table"):
         rrd_report(2, 2, depth=1, table=table4)
+
+
+def test_condition_two_compares_exact_values():
+    # U_2 = 6/5 at q = 2, and the double nearest 1.2 lies just below 6/5
+    table = enumerate_ball(2, 2)
+    report = uniform_bound_value(table, 2)
+    assert report.value == AlgebraicValue.rational(Fraction(6, 5), 2)
+    assert report.value_float == 1.2
+    assert not report.at_most(1.2)
+    assert report.at_most(1.2000000000000002)
+    assert report.at_most(float("inf"))
+    assert not report.at_most(float("nan"))
+    for threshold, expected in ((1.2, False), (1.2000000000000002, True)):
+        verdict = rrd_report(2, 2, depth=1, u_bound=threshold, table=table)
+        assert verdict["condition2"]["pass"] is expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rrdlab import lamplighter
 from rrdlab.algebra import Fq, LaurentPolynomial
 from rrdlab.lamplighter import (
     HElement,
@@ -67,7 +68,7 @@ def test_admissible_offsets_shape():
         for f in offsets:
             for e in range(f.low, f.top + 1) if not f.is_zero() else ():
                 c = f.coefficient(e)
-                if c.index:
+                if c:
                     assert e % 2 == 0 and 0 <= e <= 2 * n
 
 
@@ -113,6 +114,21 @@ def test_exponential_certificate():
         assert check.word_length == 3 * check.n + 1
     payload = certificate.to_dict()
     assert payload["ball_sizes"][0] == 1
+
+
+def test_failure_flag_rests_on_the_word_check(monkeypatch):
+    sizes = h_ball_growth(2, 4)
+    assert exponential_certificate(2, sizes).rd_failure_flag
+    build = lamplighter.lamplighter_word
+
+    def dropping(offset, n):
+        return build(offset, n)[:-1]
+
+    monkeypatch.setattr(lamplighter, "lamplighter_word", dropping)
+    certificate = exponential_certificate(2, sizes)
+    assert not certificate.rd_failure_flag
+    assert not certificate.passed
+    assert not any(check.ok for check in certificate.family_checks)
 
 
 def test_growth_csv_rows():

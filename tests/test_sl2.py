@@ -158,20 +158,17 @@ def oracle_canonical(place: Place, A, B, C, D) -> LatticeVertex:
     clear B with the field quotient B/A, read b off the reduced corner and
     expand the rescaled first column as a series."""
     A, B, C, D = (RationalFunction.from_laurent(e) for e in (A, B, C, D))
-    vA = A.valuation(Place.ZERO)
-    vB = B.valuation(Place.ZERO)
-    if not isinstance(vA, int) or (isinstance(vB, int) and vB < vA):
+    if A.is_zero() or (not B.is_zero() and B.valuation() < A.valuation()):
         A, B, C, D = B, A, D, C
-        vA = vB
-    if not isinstance(vA, int):
+    if A.is_zero():
         raise ValueError("degenerate input: zero top row")
     field = A.field
-    a = vA
+    a = A.valuation()
     D = D - (B / A) * C
     C = C * (RationalFunction.from_laurent(LaurentPolynomial.x_power(field, a)) / A)
-    b = D.valuation(Place.ZERO)
-    if not isinstance(b, int):
+    if D.is_zero():
         raise ValueError("degenerate input: matrix not invertible over the field")
+    b = D.valuation()
     m = min(a, b)
     c = C * RationalFunction.from_laurent(LaurentPolynomial.x_power(field, -m))
     return LatticeVertex(place, a - m, b - m, c.series_prefix(b - m))

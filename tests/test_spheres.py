@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from rrdlab import CACHE_MAJOR_VERSION
+from rrdlab import CACHE_MAJOR_VERSION, spheres
 from rrdlab.boundary import hc_product
 from rrdlab.spheres import (
+    Condition1Report,
+    Condition1Row,
     SphereTable,
     WindowOverflowError,
     condition_one_certificate,
@@ -116,3 +118,41 @@ def test_condition_one_certificate(table6):
     payload = report.to_dict()
     assert payload["max_length"] == 6
     assert len(payload["rows"]) == 3
+
+
+def test_condition_one_pass_is_exact():
+    # one element more than the fiber bound: the floats tie, the exact
+    # comparison of squares does not
+    sup = hc_product(2, 2, 2)
+    fiber = 10**24
+
+    def report(size: int) -> Condition1Report:
+        observed = float(sup.value) * fiber**0.5
+        row = Condition1Row(
+            n=4,
+            sphere_size=size,
+            sup_xi=sup,
+            observed=observed,
+            fiber_bound_size=fiber,
+            splitting_sup=sup,
+            rigorous=observed,
+            observed_ratio=observed,
+            rigorous_ratio=observed,
+        )
+        return Condition1Report(2, 4, Fraction(5, 2), (row,), observed, observed)
+
+    assert float(sup.value) * float(fiber + 1) ** 0.5 == float(sup.value) * fiber**0.5
+    assert report(fiber).passed
+    assert not report(fiber + 1).passed
+
+
+def test_duplicate_element_is_an_error(monkeypatch):
+    scan = spheres._enumerate_rows
+
+    def repeating(q, max_length, a_indices):
+        rows = scan(q, max_length, a_indices)
+        return rows + rows[:1]
+
+    monkeypatch.setattr(spheres, "_enumerate_rows", repeating)
+    with pytest.raises(RuntimeError, match="twice"):
+        enumerate_ball(2, 2)
