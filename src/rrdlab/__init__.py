@@ -5,4 +5,4 @@ decay."""
 
 __version__ = "0.1.0"
 
-CACHE_MAJOR_VERSION = 0
+CACHE_MAJOR_VERSION = 1

@@ -12,7 +12,8 @@ Everything in this module is exact and immutable.  Conventions:
 * ``LaurentPolynomial`` stores a low exponent plus a coefficient run of
   indices whose first and last entries are nonzero; the zero polynomial
   stores an empty run.  Its ``+ - * ==`` take polynomials only; a scalar
-  enters through the constructor, ``x_power`` or ``scale``.  The two
+  enters through the constructor, ``x_power`` or ``scale``, which raise
+  ValueError for an index outside ``range(q)``.  The two
   valuations of a nonzero Laurent polynomial f are ``v_zero(f) = low`` and
   ``v_infinity(f) = -top``, the orders of vanishing at X = 0 and
   X = infinity (uniformizers X and X^-1).
@@ -230,10 +231,12 @@ class LaurentPolynomial:
     __slots__ = ("field", "low", "_coeffs")
 
     def __init__(self, field: Fq, low: int, coeffs: Iterable[int]):
-        raw = []
-        for c in coeffs:
-            # coefficients are element indices (equal to residues when q is prime)
-            raw.append(int(c) % field.q)
+        # coefficients are element indices (equal to residues when q is prime)
+        raw = list(coeffs)
+        q = field.q
+        for c in raw:
+            if not 0 <= c < q:
+                raise ValueError(f"coefficient index {c!r} outside range({q})")
         # strip leading/trailing zeros, adjusting the low exponent
         start = 0
         end = len(raw)
@@ -386,6 +389,8 @@ class LaurentPolynomial:
 
     def scale(self, c: int) -> "LaurentPolynomial":
         """Multiply by the field element with index ``c``."""
+        if not 0 <= c < self.field.q:
+            raise ValueError(f"scalar index {c!r} outside range({self.field.q})")
         mul = self.field.mul
         return LaurentPolynomial(self.field, self.low, [mul(c, a) for a in self._coeffs])
 

@@ -4,7 +4,8 @@ Every subcommand emits one canonical JSON document (sorted keys, two-space
 indent, trailing newline) to stdout or, with --out, to a file written
 atomically via a same-directory temp file and rename.  Exit status: 0 when
 all checks the command performs pass, 1 when a numeric check or threshold
-fails, 2 on usage errors.
+fails, 2 on usage errors (bad arguments, or a table radius beyond the
+enumeration budget), 3 on an internal fault (any other exception).
 
 Sphere tables are the one expensive artifact, so they are cached: with
 --cache-dir or RRDLAB_CACHE_DIR set, tables live in files keyed by (q, max
@@ -21,10 +22,11 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from typing import Optional
 
 from . import CACHE_MAJOR_VERSION, __version__
-from .algebra import AlgebraicValue
+from .algebra import AlgebraicValue, Fq
 from .boundary import (
     hc_product,
     hc_product_expanded,
@@ -38,8 +40,8 @@ from .criterion import (
 )
 from .lamplighter import exponential_certificate, growth_csv_rows, h_ball_growth
 from .spheres import (
+    RadiusBudgetError,
     SphereTable,
-    WindowOverflowError,
     condition_one_certificate,
     enumerate_ball,
 )
@@ -88,9 +90,7 @@ def _sphere_cache_path(cache_dir: str, q: int, max_length: int) -> str:
     return os.path.join(cache_dir, name)
 
 
-def _load_table(
-    q: int, max_length: int, threads: int, cache_dir: Optional[str]
-) -> tuple[SphereTable, dict]:
+def _load_table(q: int, max_length: int, cache_dir: Optional[str]) -> tuple[SphereTable, dict]:
     """Fetch the sphere table, through the cache when one is configured.
 
     Returns the table plus a provenance record naming the cache file in play.
@@ -111,7 +111,7 @@ def _load_table(
                 return table, provenance
             except ValueError:
                 pass  # stale, foreign or corrupt cache: fall through and rebuild
-    table = enumerate_ball(q, max_length, threads=threads)
+    table = enumerate_ball(q, max_length)
     if path:
         _atomic_write(path, table.to_json())
     return table, provenance
@@ -132,8 +132,20 @@ def _envelope(command: str, config: dict, result: dict, passed: bool) -> dict:
 # subcommands
 
 
+def _check_arguments(args: argparse.Namespace) -> None:
+    """The preconditions shared by several subcommands, as usage errors."""
+    if getattr(args, "q", None) is not None:
+        try:
+            Fq(args.q)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    for name in ("max_length", "radius", "length"):
+        if getattr(args, name, 0) < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
+
+
 def _cmd_spheres(args: argparse.Namespace) -> int:
-    table, _ = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
+    table, _ = _load_table(args.q, args.max_length, _cache_dir(args))
     _emit(table.to_json(), args.out)
     return 0
 
@@ -208,7 +220,9 @@ def _cmd_mean_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_condition1(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
+    if args.max_length < 2:
+        raise UsageError("condition 1 needs a table radius of at least 2")
+    table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
     report = condition_one_certificate(table)
     passed = report.passed
     payload = _envelope(
@@ -226,7 +240,7 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
         raise UsageError("the sphere length must be even and nonnegative")
     if args.n > args.max_length:
         raise UsageError("sphere length exceeds the table radius")
-    table, cache = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
+    table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
     report = uniform_bound_value(table, args.n)
     passed = report.at_most(args.threshold)
     payload = _envelope(
@@ -248,13 +262,11 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
 def _cmd_opnorm(args: argparse.Namespace) -> int:
     if args.n < 0 or args.n % 2:
         raise UsageError("the sphere length must be even and nonnegative")
-    if args.radius < 0:
-        raise UsageError("ball radius must be nonnegative")
     if args.radius + args.n > args.max_length:
         raise UsageError(
             "ball radius plus sphere length must stay within the table radius"
         )
-    table, cache = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
+    table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
     result = convolution_opnorm_lower(table, args.n, args.radius)
     passed = result.l1_ok
     payload = _envelope(
@@ -296,7 +308,11 @@ def _cmd_lamplighter(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args.q, args.max_length, args.threads, _cache_dir(args))
+    if args.max_length < 2:
+        raise UsageError("the report needs a table radius of at least 2")
+    if args.depth < 1:
+        raise UsageError("the compression depth must be at least 1")
+    table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
     verdict = rrd_report(
         args.q, args.max_length, depth=args.depth, u_bound=args.u_threshold, table=table
     )
@@ -325,9 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cached.add_argument("--q", type=int, default=2, help="field size (default 2)")
     cached.add_argument(
         "--max-length", type=int, required=True, help="table radius (even lengths)"
-    )
-    cached.add_argument(
-        "--threads", type=int, default=1, help="worker processes for enumeration"
     )
     cached.add_argument(
         "--cache-dir", help=f"sphere table cache (or ${ENV_CACHE_DIR})"
@@ -402,10 +415,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_arguments(args)
         return args.handler(args)
-    except (UsageError, ValueError, WindowOverflowError) as exc:
+    except (UsageError, RadiusBudgetError) as exc:
         print(f"rrdlab: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print(f"rrdlab: internal error\n{traceback.format_exc()}", file=sys.stderr, end="")
+        return 3
 
 
 if __name__ == "__main__":

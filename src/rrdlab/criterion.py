@@ -13,6 +13,7 @@ live with the tests (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -30,8 +31,6 @@ from .trees import (
     ProductCylinder,
     TreeVertex,
     boundary_cylinders,
-    common_prefix_lengths,
-    label_array,
     sphere_size,
 )
 
@@ -60,6 +59,30 @@ def _depth_pair(depths: DepthSpec) -> tuple[int, int]:
 def _registries(q: int, radii: tuple[int, int]) -> Registries:
     """The place-zero and place-infinity registries of the given radii."""
     return build_registry(q, Place.ZERO, radii[0]), build_registry(q, Place.INFINITY, radii[1])
+
+
+# Label paths in bulk: the floating side compares thousands of paths at once.
+def label_array(paths: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    """Label paths as the rows of an int64 array, padded with -1 to ``width``."""
+    out = np.full((len(paths), width), -1, dtype=np.int64)
+    for i, path in enumerate(paths):
+        out[i, : len(path)] = path
+    return out
+
+
+def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Common-prefix length of every row of ``a`` with every row of ``b``,
+    both label arrays of one width; shape (len(a), len(b)).
+
+    A position extends a common prefix while every earlier one matched; the
+    -1 padding never counts, so a prefix stops where a path ends.
+    """
+    matching = np.ones((len(a), len(b)), dtype=bool)
+    prefix = np.zeros((len(a), len(b)), dtype=np.int64)
+    for x, y in zip(a.T, b.T):
+        matching &= (x[:, None] == y[None, :]) & (x >= 0)[:, None]
+        prefix += matching
+    return prefix
 
 
 def _cylinder_action(
@@ -186,10 +209,10 @@ def mean_transfer_function(table: SphereTable, n: int) -> StepFunction:
     if not gammas:
         raise ValueError(f"sphere {n} is empty")
     q = table.q
-    reg0, reginf = _registries(q, (n, n))
+    _, cosets = _sphere_split(table, n, (n, n))
     cells = boundary_cylinders(q + 1, n)
     acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
-    for w0, w1, members in _right_cosets(gammas, reg0, reginf):
+    for w0, w1, members in cosets:
         xi = hc_product(w0.depth, w1.depth, q).value
         scale = AlgebraicValue.rational(Fraction(len(members), len(gammas)), q) / xi
         vec0 = [scale * cocycle_sqrt(w0, c) for c in cells]
@@ -329,6 +352,30 @@ def _right_cosets(
     return cosets
 
 
+# The right cosets of one sphere with the registries that located them.
+Split = tuple[Registries, list[Coset]]
+
+# While ``rrd_report`` runs, the split of each sphere it reads, keyed by n
+# and located once with registries deep enough for every compression depth.
+_SHARED_SPLITS: ContextVar[Optional[dict[int, tuple[SphereTable, Split]]]] = ContextVar(
+    "_SHARED_SPLITS", default=None
+)
+
+
+def _sphere_split(table: SphereTable, n: int, radii: tuple[int, int]) -> Split:
+    """Sphere n split into right cosets, with registries of at least
+    ``radii``: the split ``rrd_report`` shares when it is deep enough, else a
+    fresh one.  Located paths and coset order do not depend on the registry
+    radius, so both give the same numbers."""
+    shared = (_SHARED_SPLITS.get() or {}).get(n)
+    if shared is not None and shared[0] is table:
+        registries = shared[1][0]
+        if all(r.radius >= need for r, need in zip(registries, radii)):
+            return shared[1]
+    registries = _registries(table.q, radii)
+    return registries, _right_cosets(table.sphere(n), *registries)
+
+
 def _transport_stack(
     gammas: Sequence[SL2Element],
     cosets: list[Coset],
@@ -384,8 +431,7 @@ def mean_matrix_2norm(table: SphereTable, n: int, depths: DepthSpec) -> Compress
     q = table.q
     degree = q + 1
     out_pair = (pair[0] + n, pair[1] + n)
-    reg0, reginf = _registries(q, out_pair)
-    cosets = _right_cosets(gammas, reg0, reginf)
+    (reg0, reginf), cosets = _sphere_split(table, n, out_pair)
     P0 = _transport_stack(gammas, cosets, Place.ZERO, pair[0], out_pair[0], reg0, q)
     P1 = _transport_stack(gammas, cosets, Place.INFINITY, pair[1], out_pair[1], reginf, q)
     # fold the per-element scalars 1/(|C_n| Xi(gamma)) into the first factor
@@ -553,22 +599,28 @@ def rrd_report(
         for n in range(0, min(max_length, MAX_MEAN_LENGTH) + 1, 2)
         if table.sphere_size(n) > 0
     ]
-    mean_reports = [uniform_bound_value(table, n) for n in mean_lengths]
-    u_by_n = {r.n: r for r in mean_reports}
-    cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
+    # locate each sphere once, deep enough for every compression depth
+    splits = {n: (table, _sphere_split(table, n, (n + depth, n + depth))) for n in mean_lengths}
+    token = _SHARED_SPLITS.set(splits)
+    try:
+        mean_reports = [uniform_bound_value(table, n) for n in mean_lengths]
+        u_by_n = {r.n: r for r in mean_reports}
+        cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
 
-    compression_rows = []
-    chain_ok = True
-    for n in mean_lengths:
-        for k in range(1, depth + 1):
-            result = mean_matrix_2norm(table, n, k)
-            bound = u_by_n[n].value_float
-            ok = result.value <= bound + CHAIN_SLACK
-            chain_ok = chain_ok and ok
-            row = result.to_dict()
-            row["u_bound_float"] = bound
-            row["chain_ok"] = ok
-            compression_rows.append(row)
+        compression_rows = []
+        chain_ok = True
+        for n in mean_lengths:
+            for k in range(1, depth + 1):
+                result = mean_matrix_2norm(table, n, k)
+                bound = u_by_n[n].value_float
+                ok = result.value <= bound + CHAIN_SLACK
+                chain_ok = chain_ok and ok
+                row = result.to_dict()
+                row["u_bound_float"] = bound
+                row["chain_ok"] = ok
+                compression_rows.append(row)
+    finally:
+        _SHARED_SPLITS.reset(token)
 
     convolution_rows = []
     base_identity = None

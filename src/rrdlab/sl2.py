@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .algebra import Fq, LaurentPolynomial, Place, series_quotient
 from .trees import TreeVertex
@@ -363,6 +364,15 @@ class TreeRegistry:
             raise ValueError(
                 f"lattice vertex outside registry radius {self.radius}: {form.to_text()}"
             ) from None
+
+    def forms_at_depths(self, depths: Iterable[int]) -> dict[int, list[LatticeVertex]]:
+        """The canonical forms of the vertices at each of ``depths``, in
+        label order."""
+        out: dict[int, list[LatticeVertex]] = {d: [] for d in depths}
+        for path, form in self._by_path.items():
+            if len(path) in out:
+                out[len(path)].append(form)
+        return out
 
     def form_at(self, vertex: TreeVertex) -> LatticeVertex:
         try:

@@ -1,14 +1,27 @@
 """Exhaustive enumeration of group spheres: all determinant-1 Laurent matrices
 of total displacement length at most N, bucketed by length.
 
-Completeness comes from a window argument: if both tree lengths are at most N,
-every entry has its exponents inside [-N/2, N/2].  The enumeration therefore
-scans coprime first rows inside the window, solves the Bezout identity for one
-completion, translates the completion into the window, and sweeps the
-one-parameter family of all completions whose pivot-side entry stays inside
-the window, filtering the other entry.  Each matrix in the ball is produced
-exactly once; the tests cross-check it against a breadth-first word search
-over an elementary generating set (``tests/oracles.py``).
+Every sphere is a disjoint union of right cosets gK of K = SL2(F_q), and a
+coset is determined by its located pair (g.o_0, g.o_inf) of even-depth tree
+vertices, whose depths are the two tree lengths.  A pair (v0, v1) is the
+located pair of some coset exactly when the rank-2 bundle E that the two
+lattices glue with F_q[X, X^-1]^2 on the projective line is trivial, that is
+when h^0(E(-1)) = 0 (Grothendieck splitting; Serre, *Trees*, ch. II; in
+twin-tree terms v0 and v1 are opposite).  The enumeration therefore takes
+every pair of even-depth vertices with d0 + d1 <= N from the two tree
+registries, decides triviality by one F_q linear system whose solutions are
+the global sections of E, reads a representative off the two sections when
+the pair is trivial, and expands it by the q^3 - q elements of K.  Each
+representative is checked to have determinant 1 and to locate back to its
+pair at both places, and the expansion raises on a repeated element.
+
+The tests cross-check the tables against two independent enumerations in
+``tests/oracles.py``: a breadth-first word search over an elementary
+generating set, and a scan of coprime first rows inside the coefficient
+window [-N/2, N/2], which completes each row with the Bezout kernel
+``_completions_for_row`` below (with ``_reduce_into_window`` and
+``algebra.poly_xgcd``).  The kernel stays here, where the benchmark tracer
+counts its calls; no production path calls it.
 """
 
 from __future__ import annotations
@@ -16,34 +29,27 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import sqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import Fq, LaurentPolynomial, Place, poly_xgcd
 from .boundary import HarishChandraValue, hc_product
-from .sl2 import SL2Element, entry_lengths
-from .trees import ball_count_formula
+from .sl2 import LatticeVertex, SL2Element, TreeRegistry, canonical_vertex
+from .trees import ball_count_formula, sphere_size
 
-PROVENANCE_WINDOW = "window-certified"
+PROVENANCE_PAIRS = "pair-certified"
 POLYNOMIAL_EXPONENT = Fraction(5, 2)
+# Largest number of candidate vertex pairs an enumeration may examine:
+# q = 2 up to N = 12, q = 3 up to N = 8, q = 4 up to N = 6.
+PAIR_BUDGET = 100_000
 
 
-class WindowOverflowError(RuntimeError):
-    """The requested radius needs more first-row candidates than the budget."""
-
-
-def window_polynomials(q: int, half_width: int) -> list[LaurentPolynomial]:
-    """All Laurent polynomials with exponents inside [-half_width, half_width],
-    zero included, in a fixed deterministic order."""
-    field = Fq(q)
-    out = []
-    for coeffs in itertools.product(range(q), repeat=2 * half_width + 1):
-        out.append(LaurentPolynomial(field, -half_width, coeffs))
-    return out
+class RadiusBudgetError(RuntimeError):
+    """The requested radius needs more candidate vertex pairs than the budget."""
 
 
 def _window_contains(f: LaurentPolynomial, half_width: int) -> bool:
@@ -133,25 +139,115 @@ def _completions_for_row(
         yield (m, o) if pivot_is_first else (o, m)
 
 
-def _enumerate_rows(
-    q: int, max_length: int, a_indices: Sequence[int]
-) -> list[tuple[int, str]]:
-    """Worker: scan the given first-entry indices against the whole window;
-    returns (total_length, canonical_text) pairs."""
-    half = max_length // 2
-    window = window_polynomials(q, half)
-    out = []
-    for ai in a_indices:
-        a = window[ai]
-        for b in window:
-            if a.is_zero() and b.is_zero():
-                continue
-            for c, d in _completions_for_row(a, b, half):
-                l0, linf = entry_lengths(a, b, c, d)
-                if l0 + linf <= max_length:
-                    g = SL2Element(a, b, c, d)
-                    out.append((l0 + linf, g.to_text()))
-    return out
+def _nullspace(field: Fq, rows: list[list[int]], width: int) -> list[list[int]]:
+    """A basis of {x in F_q^width : row . x = 0 for every row}, by reduction
+    to row echelon form with every pivot column cleared in the other rows."""
+    add, mul, neg = field.add, field.mul, field.neg
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        for col, prow in pivots:
+            c = row[col]
+            if c:
+                c = neg(c)
+                row = [add(x, mul(c, y)) for x, y in zip(row, prow)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = field.inv(row[lead])
+        row = [mul(inv, x) for x in row]
+        for i, (col, prow) in enumerate(pivots):
+            c = prow[lead]
+            if c:
+                c = neg(c)
+                pivots[i] = (col, [add(x, mul(c, y)) for x, y in zip(prow, row)])
+        pivots.append((lead, row))
+    pivot_columns = {col for col, _ in pivots}
+    basis = []
+    for free in range(width):
+        if free not in pivot_columns:
+            x = [0] * width
+            x[free] = 1
+            for col, prow in pivots:
+                x[col] = neg(prow[free])
+            basis.append(x)
+    return basis
+
+
+def _pair_representative(zero: LatticeVertex, inf: LatticeVertex) -> Optional[SL2Element]:
+    """An element g with g.o_0 = ``zero`` and g.o_inf = ``inf``, or None when
+    the pair bounds a nontrivial bundle (it is no group element's pair).
+
+    With canonical forms (a_i, b_i, c_i), s_i = (a_i + b_i)/2 and Y = X^-1,
+    the lattices g O^2 must be X^-s0 L_0 and Y^-s1 L_1 (determinant 1), so
+    with c_1 written back in X a global section (v1, v2) of E satisfies
+    v_X(v1) >= a0 - s0,
+    v_X(X^a0 v2 - c0 v1) >= s0, top(v1) <= s1 - a1 and
+    top(X^-a1 v2 - c1 v1) <= -s1.  The first coordinate lies in the window
+    [a0 - s0, s1 - a1], and the two conditions on v2 bound its window.  The
+    sections of E(-1) are those whose two coordinates in the fiber at X = 0,
+    the coefficients of X^(a0 - s0) in v1 and of X^s0 in X^a0 v2 - c0 v1,
+    vanish.  E is trivial exactly when E(-1) has no section, i.e. when E has
+    two sections and they span the fiber at 0; they are then the columns of
+    a representative whose determinant is a nonzero constant.
+    """
+    field = zero.field
+    neg = field.neg
+    a0, b0, c0 = zero.diag_low, zero.diag_high, zero.off_diag
+    a1, b1 = inf.diag_low, inf.diag_high
+    c1 = inf.off_diag.substitute_inverse()
+    s0, s1 = (a0 + b0) // 2, (a1 + b1) // 2
+    lo1, hi1 = a0 - s0, s1 - a1
+    n1 = max(hi1 - lo1 + 1, 0)
+    lo2, hi2 = s0 - a0, a1 - s1
+    low_eq, top_eq = s0 - 1, -s1 + 1
+    if n1:
+        if not c0.is_zero():
+            lo2 = min(lo2, c0.low + lo1 - a0)
+            low_eq = min(low_eq, c0.low + lo1)
+        if not c1.is_zero():
+            hi2 = max(hi2, c1.top + hi1 + a1)
+            top_eq = max(top_eq, c1.top + hi1)
+    n2 = max(hi2 - lo2 + 1, 0)
+    low_eq = min(low_eq, a0 + lo2)
+    top_eq = max(top_eq, hi2 - a1)
+    width = n1 + n2
+
+    def row(e: int, shift: int, c: LaurentPolynomial) -> list[int]:
+        """Coefficients of X^e in X^shift v2 - c v1 over the unknowns."""
+        out = [neg(c.coefficient(e - lo1 - i)) for i in range(n1)] + [0] * n2
+        j = e - shift - lo2
+        if 0 <= j < n2:
+            out[n1 + j] = 1
+        return out
+
+    rows = [row(e, a0, c0) for e in range(low_eq, s0)]
+    rows += [row(e, -a1, c1) for e in range(-s1 + 1, top_eq + 1)]
+    sections = _nullspace(field, rows, width)
+    if len(sections) != 2 or n1 == 0:
+        return None
+    # the two sections span the fiber at 0 when their coordinates there,
+    # (x[0], fiber . x), form an invertible 2 x 2 matrix
+    fiber = row(s0, a0, c0)
+    (p0, p1), (r0, r1) = (
+        (x[0], reduce(field.add, map(field.mul, fiber, x), 0)) for x in sections
+    )
+    if field.mul(p0, r1) == field.mul(r0, p1):
+        return None
+    first, second = (
+        (
+            LaurentPolynomial(field, lo1, x[:n1]),
+            LaurentPolynomial(field, lo2, x[n1:]),
+        )
+        for x in sections
+    )
+    det = first[0] * second[1] - second[0] * first[1]
+    if det.is_zero() or not det.is_monomial() or det.low != 0:
+        raise RuntimeError(f"sections of a trivial pair have determinant {det!r}")
+    unit = field.inv(det.leading_coefficient())
+    g = SL2Element(first[0].scale(unit), second[0], first[1].scale(unit), second[1])
+    if canonical_vertex(g, Place.ZERO) != zero or canonical_vertex(g, Place.INFINITY) != inf:
+        raise RuntimeError(f"{g.to_text()} does not locate back to its vertex pair")
+    return g
 
 
 @dataclass(frozen=True)
@@ -263,53 +359,95 @@ class SphereTable:
         )
 
 
-def enumerate_ball(
-    q: int,
-    max_length: int,
-    threads: int = 1,
-    candidate_budget: int = 50_000_000,
-) -> SphereTable:
-    """Window-certified enumeration of the length ball of radius ``max_length``.
+def _check_pair_budget(q: int, max_length: int) -> None:
+    """Raise RadiusBudgetError when the even-depth vertex pairs with
+    d0 + d1 <= max_length, counted from the tree sphere sizes (q+1) q^(d-1),
+    exceed PAIR_BUDGET."""
+    count = 0
+    for total in range(0, max_length + 1, 2):
+        count += sum(
+            sphere_size(q + 1, d0) * sphere_size(q + 1, total - d0)
+            for d0 in range(0, total + 1, 2)
+        )
+        if count > PAIR_BUDGET:
+            raise RadiusBudgetError(
+                f"radius {max_length} at q = {q} needs more than {PAIR_BUDGET} "
+                f"candidate vertex pairs"
+            )
 
-    Raises WindowOverflowError when the first-row candidate count exceeds the
-    budget, and RuntimeError when the scan yields an element twice (it yields
-    each element of the ball exactly once).  The result is independent of
-    ``threads`` byte for byte: workers partition the first-row scan and the
-    merge sorts canonically.
+
+# A constant matrix [[k11, k12], [k21, k22]] as its columns ((k11, k21), (k12, k22)).
+Columns = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _constant_group(field: Fq) -> list[Columns]:
+    """K = SL2(F_q): the columns of its q^3 - q matrices."""
+    vectors = list(itertools.product(range(field.q), repeat=2))[1:]
+    return [
+        (u, v)
+        for u in vectors
+        for v in vectors
+        if field.sub(field.mul(u[0], v[1]), field.mul(v[0], u[1])) == 1
+    ]
+
+
+def _coset(r: SL2Element, units: list[Columns]) -> Iterator[tuple[str, SL2Element]]:
+    """The members r k of the right coset rK with their texts.  A column of
+    r k is r u for a nonzero u in F_q^2, so each of the q^2 - 1 columns is
+    computed and written out once."""
+    columns = {}
+    for u in {u for pair in units for u in pair}:
+        top = r.a.scale(u[0]) + r.b.scale(u[1])
+        bottom = r.c.scale(u[0]) + r.d.scale(u[1])
+        columns[u] = (top, bottom, top.to_text(), bottom.to_text())
+    for u, v in units:
+        a, c, text_a, text_c = columns[u]
+        b, d, text_b, text_d = columns[v]
+        yield f"{text_a}|{text_b}|{text_c}|{text_d}", SL2Element(a, b, c, d, check=False)
+
+
+def enumerate_ball(q: int, max_length: int) -> SphereTable:
+    """Pair-certified enumeration of the length ball of radius ``max_length``.
+
+    Raises RadiusBudgetError when the candidate vertex pairs exceed
+    PAIR_BUDGET (before any registry is built), and RuntimeError when a
+    representative fails its checks or the expansion by K yields an element
+    twice.
     """
     if max_length < 0:
         raise ValueError("negative ball radius")
-    half = max_length // 2
-    window_size = Fq(q).q ** (2 * half + 1)
-    if window_size * window_size > candidate_budget:
-        raise WindowOverflowError(
-            f"window scan needs {window_size}^2 first-row candidates, "
-            f"budget is {candidate_budget}"
-        )
-    indices = list(range(window_size))
-    if threads <= 1:
-        results = [_enumerate_rows(q, max_length, indices)]
-    else:
-        chunks = [indices[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_enumerate_rows, *zip(*((q, max_length, ch) for ch in chunks))))
-    seen: set[str] = set()
-    raw_buckets: dict[int, list[str]] = {}
-    for part in results:
-        for length, text in part:
-            if text in seen:
-                raise RuntimeError(f"the window scan produced {text} twice")
-            seen.add(text)
-            raw_buckets.setdefault(length, []).append(text)
     field = Fq(q)
+    _check_pair_budget(q, max_length)
+    depths = range(0, max_length + 1, 2)
+    forms = [
+        TreeRegistry(q, place, max_length).forms_at_depths(depths)
+        for place in (Place.ZERO, Place.INFINITY)
+    ]
+    units = _constant_group(field)
+    seen: set[str] = set()
+    raw_buckets: dict[int, list[tuple[str, SL2Element]]] = {}
+    for d0 in depths:
+        for d1 in range(0, max_length - d0 + 1, 2):
+            bucket = raw_buckets.setdefault(d0 + d1, [])
+            for zero in forms[0][d0]:
+                for inf in forms[1][d1]:
+                    r = _pair_representative(zero, inf)
+                    if r is None:
+                        continue
+                    for text, g in _coset(r, units):
+                        if text in seen:
+                            raise RuntimeError(f"the pair scan produced {text} twice")
+                        seen.add(text)
+                        bucket.append((text, g))
     buckets = {
-        n: tuple(SL2Element.from_text(field, t) for t in sorted(texts))
-        for n, texts in raw_buckets.items()
+        n: tuple(g for _, g in sorted(members))
+        for n, members in sorted(raw_buckets.items())
+        if members
     }
     table = SphereTable(
         q=q,
         max_length=max_length,
-        provenance=PROVENANCE_WINDOW,
+        provenance=PROVENANCE_PAIRS,
         buckets=buckets,
     )
     base = table.sphere_size(0)

@@ -15,9 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,29 +76,6 @@ def _common_prefix_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
             break
         n += 1
     return n
-
-
-def label_array(paths: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
-    """Label paths as the rows of an int64 array, padded with -1 to ``width``."""
-    out = np.full((len(paths), width), -1, dtype=np.int64)
-    for i, path in enumerate(paths):
-        out[i, : len(path)] = path
-    return out
-
-
-def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Common-prefix length of every row of ``a`` with every row of ``b``,
-    both label arrays of one width; shape (len(a), len(b)).
-
-    A position extends a common prefix while every earlier one matched; the
-    -1 padding never counts, so a prefix stops where a path ends.
-    """
-    matching = np.ones((len(a), len(b)), dtype=bool)
-    prefix = np.zeros((len(a), len(b)), dtype=np.int64)
-    for x, y in zip(a.T, b.T):
-        matching &= (x[:, None] == y[None, :]) & (x >= 0)[:, None]
-        prefix += matching
-    return prefix
 
 
 def gromov_product(u: TreeVertex, v: TreeVertex) -> int:

@@ -4,12 +4,14 @@ None of this is on the certificate's path.  Each piece recomputes something
 the program computes, by a route that shares as little as possible with it:
 tree distances and shadows by plain prefix arithmetic, lengths by Smith
 pivoting over rational functions, the spherical function by a boundary
-partition, spheres by breadth-first word search, and the mean by exact
-Koopman matrices applied cell by cell.
+partition, spheres by breadth-first word search and by a scan of first rows
+inside the coefficient window, and the mean by exact Koopman matrices
+applied cell by cell.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,9 +34,10 @@ from rrdlab.criterion import (
     _depth_pair,
     _registries,
     _transport_supports,
+    label_array,
 )
-from rrdlab.sl2 import SL2Element, _to_uniformizer, locate
-from rrdlab.spheres import SphereTable
+from rrdlab.sl2 import SL2Element, _to_uniformizer, entry_lengths, locate
+from rrdlab.spheres import SphereTable, _completions_for_row
 from rrdlab.trees import (
     BoundaryCylinder,
     ProductCylinder,
@@ -42,7 +45,6 @@ from rrdlab.trees import (
     _common_prefix_len,
     boundary_cylinders,
     gromov_product,
-    label_array,
     sphere_vertices,
 )
 
@@ -392,6 +394,44 @@ def bfs_crosscheck(
         buckets=buckets,
         saturated=saturated,
     )
+
+
+# ---------------------------------------------------------------------------
+# spheres by a scan of first rows inside the coefficient window
+
+
+def window_polynomials(q: int, half_width: int) -> list[LaurentPolynomial]:
+    """All Laurent polynomials with exponents inside [-half_width, half_width],
+    zero included, in a fixed deterministic order."""
+    field = Fq(q)
+    return [
+        LaurentPolynomial(field, -half_width, coeffs)
+        for coeffs in itertools.product(range(q), repeat=2 * half_width + 1)
+    ]
+
+
+def window_scan(q: int, max_length: int) -> dict[int, list[str]]:
+    """Sorted element texts of the ball of radius N, bucketed by length.
+
+    If both tree lengths are at most N, every entry has its exponents inside
+    [-N/2, N/2].  The scan takes every nonzero first row (a, b) inside that
+    window, completes it with every (c, d) inside the window with
+    ad - bc = 1 (``spheres._completions_for_row``: one Bezout solution,
+    translated into the window, then the sweep along (c + ta, d + tb)), and
+    keeps the elements of total length at most N.
+    """
+    half = max_length // 2
+    window = window_polynomials(q, half)
+    buckets: dict[int, list[str]] = {}
+    for a in window:
+        for b in window:
+            if a.is_zero() and b.is_zero():
+                continue
+            for c, d in _completions_for_row(a, b, half):
+                l0, linf = entry_lengths(a, b, c, d)
+                if l0 + linf <= max_length:
+                    buckets.setdefault(l0 + linf, []).append(SL2Element(a, b, c, d).to_text())
+    return {n: sorted(texts) for n, texts in sorted(buckets.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_criterion_05_sphere_enumeration(table6):
         }
     elapsed = time.perf_counter() - started
     assert elapsed < 300
-    _report(5, "window enumeration equals BFS bucket-by-bucket at N = 6", elapsed, 300)
+    _report(5, "pair enumeration equals BFS bucket-by-bucket at N = 6", elapsed, 300)
 
 
 def test_criterion_06_condition_one_certificate(table6, table8):

@@ -147,6 +147,18 @@ def test_scale_multiplies_by_the_indexed_element():
                 assert f.scale(c) == f * LaurentPolynomial.x_power(field, 0, c)
 
 
+def test_index_outside_the_field_is_rejected():
+    # an index names an element only inside range(q); nothing is reduced
+    with pytest.raises(ValueError):
+        LaurentPolynomial.x_power(Fq(4), 0, -1)
+    with pytest.raises(ValueError):
+        LaurentPolynomial(Fq(3), -1, (1, 0, 3))
+    with pytest.raises(ValueError):
+        LaurentPolynomial.x_power(Fq(4), 2, 3).scale(4)
+    with pytest.raises(ValueError):
+        LaurentPolynomial.one(Fq(3)).scale(3)
+
+
 def test_poly_xgcd_bezout_extension_fields():
     for q in (4, 9):
         field = Fq(q)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from rrdlab import CACHE_MAJOR_VERSION
+from rrdlab import CACHE_MAJOR_VERSION, cli
 from rrdlab.cli import main
 
 
@@ -200,7 +200,7 @@ def test_report_reference_configuration(tmp_path, capsys):
 IDENTITY_TEXT = "low=0;coeffs=1|low=0;coeffs=|low=0;coeffs=|low=0;coeffs=1"
 
 # Each corruption of a valid q = 2, N = 2 cache body that the loader must
-# reject: a wrong shape, or contents a window enumeration cannot produce.
+# reject: a wrong shape, or contents no enumeration can produce.
 CORRUPTIONS = {
     "not-an-object": lambda body: [1, 2],
     "q-not-an-integer": lambda body: {**body, "q": "2"},
@@ -231,6 +231,36 @@ def test_corrupt_cache_is_rebuilt(tmp_path, capsys, kind):
     assert code == 0
     assert out == cold
     assert path.read_text() == cold
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spheres", "--q", "6", "--max-length", "2"],
+        ["lamplighter", "--q", "6", "--radius", "2"],
+        ["spheres", "--max-length", "-2"],
+        ["opnorm", "--max-length", "2", "--n", "0", "--radius", "-1"],
+        ["ball-count", "--radius", "-1"],
+        ["mean-identity", "--length", "-2"],
+        ["report", "--max-length", "2", "--depth", "0"],
+        ["condition1", "--max-length", "0"],
+    ],
+)
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    def broken(table):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(cli, "condition_one_certificate", broken)
+    assert main(["condition1", "--max-length", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "injected fault" in captured.err
 
 
 def test_impossible_radius_is_a_usage_error(capsys):

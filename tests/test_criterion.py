@@ -131,7 +131,7 @@ def test_transfer_matches_bruteforce(table4, table_q3n2):
 
 
 def test_transfer_independent_of_enumeration_order(table4):
-    # the same sphere reached by word BFS instead of window completion
+    # the same sphere reached by word BFS instead of the pair enumeration
     other = bfs_crosscheck(2, 2, word_radius=4)
     assert pointwise_equal(
         mean_transfer_function(table4, 2), mean_transfer_function(other, 2)

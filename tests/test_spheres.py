@@ -6,20 +6,21 @@ from fractions import Fraction
 import pytest
 
 from rrdlab import CACHE_MAJOR_VERSION, spheres
+from rrdlab.algebra import Fq
 from rrdlab.boundary import hc_product
+from rrdlab.sl2 import SL2Element
 from rrdlab.spheres import (
     Condition1Report,
     Condition1Row,
+    RadiusBudgetError,
     SphereTable,
-    WindowOverflowError,
     condition_one_certificate,
     enumerate_ball,
     sup_xi_on_sphere,
     sup_xi_over_splittings,
-    window_polynomials,
 )
 
-from oracles import bfs_crosscheck
+from oracles import bfs_crosscheck, window_polynomials, window_scan
 
 
 def test_window_polynomial_count():
@@ -69,10 +70,19 @@ def test_enumeration_matches_bfs(table4):
         )
 
 
-def test_thread_determinism():
-    single = enumerate_ball(2, 2, threads=1)
-    double = enumerate_ball(2, 2, threads=2)
-    assert single.to_json() == double.to_json()
+@pytest.mark.parametrize("q, max_length", [(2, 4), (2, 6), (3, 2), (4, 2)])
+def test_pair_scan_matches_window_oracle(q, max_length):
+    table = json.loads(enumerate_ball(q, max_length).to_json())
+    scanned = window_scan(q, max_length)
+    assert table["buckets"] == {str(n): texts for n, texts in scanned.items()}
+
+
+def test_q2_coset_counts(table8):
+    # every sphere is a union of right cosets of SL2(F_2), of 6 elements each
+    assert [table8.sphere_size(n) for n in range(0, 9, 2)] == [
+        6 * cosets for cosets in (1, 6, 45, 240, 1260)
+    ]
+    assert table8.sphere_size(8) == 7560
 
 
 def test_json_roundtrip_and_version_gate(table4):
@@ -85,9 +95,15 @@ def test_json_roundtrip_and_version_gate(table4):
         SphereTable.from_json(json.dumps(body))
 
 
-def test_candidate_budget_overflow():
-    with pytest.raises(WindowOverflowError):
-        enumerate_ball(2, 8, candidate_budget=10)
+def test_candidate_budget_overflow(monkeypatch):
+    # q = 2 fits the pair budget up to N = 12 (73,729 pairs), not at N = 14
+    spheres._check_pair_budget(2, 12)
+    with pytest.raises(RadiusBudgetError):
+        spheres._check_pair_budget(2, 14)
+    # the budget is checked before any registry is built
+    monkeypatch.setattr(spheres, "TreeRegistry", None)
+    with pytest.raises(RadiusBudgetError):
+        enumerate_ball(2, 30)
 
 
 def test_realized_length_pairs(table4):
@@ -147,12 +163,13 @@ def test_condition_one_pass_is_exact():
 
 
 def test_duplicate_element_is_an_error(monkeypatch):
-    scan = spheres._enumerate_rows
+    step = spheres._pair_representative
+    identity = SL2Element.identity(Fq(2))
 
-    def repeating(q, max_length, a_indices):
-        rows = scan(q, max_length, a_indices)
-        return rows + rows[:1]
+    def repeating(zero, inf):
+        # every trivial pair answers with the representative of the base pair
+        return None if step(zero, inf) is None else identity
 
-    monkeypatch.setattr(spheres, "_enumerate_rows", repeating)
+    monkeypatch.setattr(spheres, "_pair_representative", repeating)
     with pytest.raises(RuntimeError, match="twice"):
         enumerate_ball(2, 2)
