@@ -4,12 +4,12 @@ Every subcommand emits one canonical JSON document (sorted keys, two-space
 indent, trailing newline) to stdout or, with --out, to a file written
 atomically via a same-directory temp file and rename.  Exit status: 0 when
 all checks the command performs pass, 1 when a numeric check or threshold
-fails, 2 on usage errors (bad arguments, or a table radius beyond the
-enumeration budget), 3 on an internal fault (any other exception).
+fails, 2 on usage errors (bad arguments, or a radius beyond the budget of
+the sphere enumeration or the subgroup ball search), 3 on an internal fault
+(any other exception).
 
-Sphere tables are the one expensive artifact, so they are cached: with
---cache-dir or RRDLAB_CACHE_DIR set, tables live in files keyed by (q, max
-length, cache major version).  A cache file whose header does not match the
+Sphere tables can be cached: with --cache-dir or RRDLAB_CACHE_DIR set,
+tables live in files keyed by (q, max length, cache major version).  A cache file whose header does not match the
 request or the current major version, or whose contents fail validation, is
 recomputed and rewritten, never silently reused.
 """
@@ -313,9 +313,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise UsageError("the compression depth must be at least 1")
     table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
-    verdict = rrd_report(
-        args.q, args.max_length, depth=args.depth, u_bound=args.u_threshold, table=table
-    )
+    verdict = rrd_report(table, depth=args.depth, u_bound=args.u_threshold)
     verdict["config"]["cache"] = cache
     _emit(_canonical_json(verdict), args.out)
     return 0 if verdict["pass"] else 1

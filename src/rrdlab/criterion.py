@@ -8,15 +8,20 @@ compressions (always a lower bound, so the exact sup norms must dominate
 them) and convolution-operator lower bounds on group balls.  The exact
 Koopman matrices and the operator form of the mean, which check both sides,
 live with the tests (``tests/oracles.py``).
+
+Both sides read a sphere as a union of right cosets rK of K = SL2(F_q).
+Each reader splits its sphere with the enumeration's own K-expansion
+(``spheres.right_coset``), which checks that the sphere is a union of whole
+cosets, and locates only the representatives: every member of rK moves the
+base-vertex pair to r's pair.
 """
 
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +29,8 @@ from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Place
 from .boundary import cocycle_sqrt, hc_product
 from .lamplighter import exponential_certificate, h_ball_growth
-from .sl2 import SL2Element, TreeRegistry, build_registry, locate, translate_vertex
-from .spheres import SphereTable, condition_one_certificate, enumerate_ball
+from .sl2 import SL2Element, TreeRegistry, locate, translate_vertex
+from .spheres import SphereTable, condition_one_certificate, constant_group, right_coset
 from .trees import (
     BoundaryCylinder,
     ProductCylinder,
@@ -42,23 +47,12 @@ BASE_IDENTITY_TOL = 1e-6
 MAX_MEAN_LENGTH = 4
 DEFAULT_U_THRESHOLD = 8.0
 
-DepthSpec = Union[int, tuple[int, int]]
 Registries = tuple[TreeRegistry, TreeRegistry]
-
-
-def _depth_pair(depths: DepthSpec) -> tuple[int, int]:
-    if isinstance(depths, int):
-        pair = (depths, depths)
-    else:
-        pair = (int(depths[0]), int(depths[1]))
-    if pair[0] < 0 or pair[1] < 0:
-        raise ValueError(f"negative depth in {pair}")
-    return pair
 
 
 def _registries(q: int, radii: tuple[int, int]) -> Registries:
     """The place-zero and place-infinity registries of the given radii."""
-    return build_registry(q, Place.ZERO, radii[0]), build_registry(q, Place.INFINITY, radii[1])
+    return TreeRegistry(q, Place.ZERO, radii[0]), TreeRegistry(q, Place.INFINITY, radii[1])
 
 
 # Label paths in bulk: the floating side compares thousands of paths at once.
@@ -209,7 +203,7 @@ def mean_transfer_function(table: SphereTable, n: int) -> StepFunction:
     if not gammas:
         raise ValueError(f"sphere {n} is empty")
     q = table.q
-    _, cosets = _sphere_split(table, n, (n, n))
+    cosets = _right_cosets(gammas, *_registries(q, (n, n)))
     cells = boundary_cylinders(q + 1, n)
     acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
     for w0, w1, members in cosets:
@@ -327,53 +321,34 @@ def _right_cosets(
 ) -> list[Coset]:
     """Split a sphere into right cosets rK of K = SL2(F_q).
 
-    The stabilizer of the base-vertex pair is K, so g and h share a coset
-    exactly when they move the pair to the same vertices.  Cosets come in
-    order of first appearance, r is the first member, and every quotient k
-    is checked to be constant.
+    In table order, the first element no coset has claimed yet opens the
+    coset rK, whose members r k come from ``right_coset`` and are looked up
+    by text.  Each must be on the sphere and unclaimed, and no element may
+    repeat, so the sphere is checked to be a union of whole cosets.  The
+    stabilizer of the base-vertex pair is K, so only r is located.
     """
-    grouped: dict[tuple, tuple[TreeVertex, TreeVertex, list[int]]] = {}
-    for gi, g in enumerate(gammas):
-        w0 = locate(g, Place.ZERO, reg0)
-        w1 = locate(g, Place.INFINITY, reginf)
-        grouped.setdefault((w0.path, w1.path), (w0, w1, []))[2].append(gi)
+    index = {g.to_text(): gi for gi, g in enumerate(gammas)}
+    if len(index) != len(gammas):
+        raise RuntimeError("the sphere repeats an element")
+    group = constant_group(reg0.field)
+    claimed = [False] * len(gammas)
     cosets = []
-    for w0, w1, indices in grouped.values():
-        r_inv = gammas[indices[0]].inverse()
+    for ri, r in enumerate(gammas):
+        if claimed[ri]:
+            continue
         members = []
-        for gi in indices:
-            k = r_inv * gammas[gi]
-            if not k.is_constant():
+        for k, text, _ in right_coset(r, group):
+            gi = index.get(text)
+            if gi is None or claimed[gi]:
                 raise RuntimeError(
-                    f"coset quotient is not constant: {gammas[gi].to_text()}"
+                    f"the sphere is not a union of right cosets: {text} of the "
+                    f"coset of {r.to_text()} is missing or already claimed"
                 )
+            claimed[gi] = True
             members.append((gi, k))
-        cosets.append((w0, w1, members))
+        members.sort()  # by sphere index, which is unique: r comes first
+        cosets.append((locate(r, Place.ZERO, reg0), locate(r, Place.INFINITY, reginf), members))
     return cosets
-
-
-# The right cosets of one sphere with the registries that located them.
-Split = tuple[Registries, list[Coset]]
-
-# While ``rrd_report`` runs, the split of each sphere it reads, keyed by n
-# and located once with registries deep enough for every compression depth.
-_SHARED_SPLITS: ContextVar[Optional[dict[int, tuple[SphereTable, Split]]]] = ContextVar(
-    "_SHARED_SPLITS", default=None
-)
-
-
-def _sphere_split(table: SphereTable, n: int, radii: tuple[int, int]) -> Split:
-    """Sphere n split into right cosets, with registries of at least
-    ``radii``: the split ``rrd_report`` shares when it is deep enough, else a
-    fresh one.  Located paths and coset order do not depend on the registry
-    radius, so both give the same numbers."""
-    shared = (_SHARED_SPLITS.get() or {}).get(n)
-    if shared is not None and shared[0] is table:
-        registries = shared[1][0]
-        if all(r.radius >= need for r, need in zip(registries, radii)):
-            return shared[1]
-    registries = _registries(table.q, radii)
-    return registries, _right_cosets(table.sphere(n), *registries)
 
 
 def _transport_stack(
@@ -414,7 +389,7 @@ def _transport_stack(
     return stack
 
 
-def mean_matrix_2norm(table: SphereTable, n: int, depths: DepthSpec) -> CompressionResult:
+def mean_matrix_2norm(table: SphereTable, n: int, depth: int) -> CompressionResult:
     """Largest singular value of the weighted mean compressed to the depth-K
     step functions, with measure-weighted 2-norms on both sides.
 
@@ -427,11 +402,14 @@ def mean_matrix_2norm(table: SphereTable, n: int, depths: DepthSpec) -> Compress
     gammas = table.sphere(n)
     if not gammas:
         raise ValueError(f"sphere {n} is empty")
-    pair = _depth_pair(depths)
+    if depth < 0:
+        raise ValueError(f"negative depth {depth}")
+    pair = (depth, depth)
     q = table.q
     degree = q + 1
-    out_pair = (pair[0] + n, pair[1] + n)
-    (reg0, reginf), cosets = _sphere_split(table, n, out_pair)
+    out_pair = (depth + n, depth + n)
+    reg0, reginf = _registries(q, out_pair)
+    cosets = _right_cosets(gammas, reg0, reginf)
     P0 = _transport_stack(gammas, cosets, Place.ZERO, pair[0], out_pair[0], reg0, q)
     P1 = _transport_stack(gammas, cosets, Place.INFINITY, pair[1], out_pair[1], reginf, q)
     # fold the per-element scalars 1/(|C_n| Xi(gamma)) into the first factor
@@ -570,13 +548,9 @@ def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> Co
 
 
 def rrd_report(
-    q: int,
-    max_length: int,
-    depth: int = 4,
-    u_bound: float = DEFAULT_U_THRESHOLD,
-    table: Optional[SphereTable] = None,
+    table: SphereTable, depth: int = 4, u_bound: float = DEFAULT_U_THRESHOLD
 ) -> dict:
-    """Run the whole certificate at one configuration and emit the verdict.
+    """Run the whole certificate on one sphere table and emit the verdict.
 
     Sections: the condition-(1) polynomial bound per sphere, the exact
     condition-(2) sup norms U_n, the compression 2-norms with their chain
@@ -585,13 +559,7 @@ def rrd_report(
     side.  All exact values appear as (a, b, q) triples.  ``u_bound`` is
     the condition-(2) threshold on every U_n.
     """
-    if table is None:
-        table = enumerate_ball(q, max_length)
-    elif (table.q, table.max_length) != (q, max_length):
-        raise ValueError(
-            f"sphere table is for q={table.q}, max_length={table.max_length}, "
-            f"not q={q}, max_length={max_length}"
-        )
+    q, max_length = table.q, table.max_length
     cond1 = condition_one_certificate(table)
 
     mean_lengths = [
@@ -599,28 +567,22 @@ def rrd_report(
         for n in range(0, min(max_length, MAX_MEAN_LENGTH) + 1, 2)
         if table.sphere_size(n) > 0
     ]
-    # locate each sphere once, deep enough for every compression depth
-    splits = {n: (table, _sphere_split(table, n, (n + depth, n + depth))) for n in mean_lengths}
-    token = _SHARED_SPLITS.set(splits)
-    try:
-        mean_reports = [uniform_bound_value(table, n) for n in mean_lengths]
-        u_by_n = {r.n: r for r in mean_reports}
-        cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
+    mean_reports = [uniform_bound_value(table, n) for n in mean_lengths]
+    u_by_n = {r.n: r for r in mean_reports}
+    cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
 
-        compression_rows = []
-        chain_ok = True
-        for n in mean_lengths:
-            for k in range(1, depth + 1):
-                result = mean_matrix_2norm(table, n, k)
-                bound = u_by_n[n].value_float
-                ok = result.value <= bound + CHAIN_SLACK
-                chain_ok = chain_ok and ok
-                row = result.to_dict()
-                row["u_bound_float"] = bound
-                row["chain_ok"] = ok
-                compression_rows.append(row)
-    finally:
-        _SHARED_SPLITS.reset(token)
+    compression_rows = []
+    chain_ok = True
+    for n in mean_lengths:
+        for k in range(1, depth + 1):
+            result = mean_matrix_2norm(table, n, k)
+            bound = u_by_n[n].value_float
+            ok = result.value <= bound + CHAIN_SLACK
+            chain_ok = chain_ok and ok
+            row = result.to_dict()
+            row["u_bound_float"] = bound
+            row["chain_ok"] = ok
+            compression_rows.append(row)
 
     convolution_rows = []
     base_identity = None

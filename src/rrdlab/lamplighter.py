@@ -16,6 +16,11 @@ from typing import Optional, Sequence
 
 from .algebra import Fq, LaurentPolynomial
 from .sl2 import SL2Element
+from .spheres import RadiusBudgetError
+
+# Largest ball the breadth-first search may hold; the report's radius 10
+# needs 19,110 elements at q = 2 and 316,381 at q = 3.
+ELEMENT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -149,9 +154,11 @@ def word_product(word: Sequence[SL2Element], field: Fq) -> SL2Element:
     return out
 
 
-def h_ball_growth(q: int, radius: int, element_budget: int = 2_000_000) -> list[int]:
+def h_ball_growth(q: int, radius: int) -> list[int]:
     """Exact BFS ball sizes |B(r)| for r = 0..radius in the word metric of the
-    generating set, deduplicated through canonical (n, P) forms."""
+    generating set, deduplicated through canonical (n, P) forms.
+
+    Raises RadiusBudgetError when the ball outgrows ELEMENT_BUDGET."""
     field = Fq(q)
     letters = [h_membership(g) for g in generating_set(q)]
     if any(h is None for h in letters):
@@ -169,9 +176,10 @@ def h_ball_growth(q: int, radius: int, element_budget: int = 2_000_000) -> list[
                 if k not in visited:
                     visited.add(k)
                     nxt.append(g)
-                    if len(visited) > element_budget:
-                        raise MemoryError(
-                            f"ball exceeded the element budget {element_budget}"
+                    if len(visited) > ELEMENT_BUDGET:
+                        raise RadiusBudgetError(
+                            f"radius {radius} at q = {q} needs more than "
+                            f"{ELEMENT_BUDGET} ball elements"
                         )
         frontier = nxt
         sizes.append(len(visited))

@@ -133,10 +133,6 @@ class SL2Element:
     def is_identity(self) -> bool:
         return self.a.is_one() and self.d.is_one() and self.b.is_zero() and self.c.is_zero()
 
-    def is_constant(self) -> bool:
-        """True when every entry lies in F_q, i.e. the element is in SL2(F_q)."""
-        return all(e.is_zero() or (e.low == 0 and e.is_monomial()) for e in self.entries())
-
     # lengths ------------------------------------------------------------------
 
     @cached_property
@@ -381,10 +377,6 @@ class TreeRegistry:
             raise ValueError(
                 f"path {vertex.to_text()!r} outside registry radius {self.radius}"
             ) from None
-
-
-def build_registry(q: int, place: Place, radius: int) -> TreeRegistry:
-    return TreeRegistry(q, place, radius)
 
 
 def locate(g: SL2Element, place: Place, registry: TreeRegistry) -> TreeVertex:

@@ -13,7 +13,9 @@ registries, decides triviality by one F_q linear system whose solutions are
 the global sections of E, reads a representative off the two sections when
 the pair is trivial, and expands it by the q^3 - q elements of K.  Each
 representative is checked to have determinant 1 and to locate back to its
-pair at both places, and the expansion raises on a repeated element.
+pair at both places, and the expansion raises on a repeated element.  The
+expansion, ``constant_group`` and ``right_coset``, is the one coset
+primitive: the criterion splits a sphere into right cosets with it too.
 
 The tests cross-check the tables against two independent enumerations in
 ``tests/oracles.py``: a breadth-first word search over an elementary
@@ -49,7 +51,8 @@ PAIR_BUDGET = 100_000
 
 
 class RadiusBudgetError(RuntimeError):
-    """The requested radius needs more candidate vertex pairs than the budget."""
+    """The requested radius needs more work than its budget: candidate vertex
+    pairs here, ball elements in the subgroup search (``lamplighter``)."""
 
 
 def _window_contains(f: LaurentPolynomial, half_width: int) -> bool:
@@ -306,9 +309,10 @@ class SphereTable:
 
         Raises ValueError for a wrong shape, a bucket key outside
         [0, max_length], an element whose total length is not its key, a
-        length-0 sphere other than the q^3 - q elements of SL2(F_q), and a
-        sphere whose size is not a multiple of q^3 - q (every sphere is a
-        union of right SL2(F_q)-cosets).
+        bucket that repeats an element, a length-0 sphere other than the
+        q^3 - q elements of SL2(F_q), and a sphere whose size is not a
+        multiple of q^3 - q (every sphere is a union of right
+        SL2(F_q)-cosets).
         """
         body = json.loads(text)
         if not isinstance(body, dict):
@@ -342,6 +346,8 @@ class SphereTable:
             elements = tuple(SL2Element.from_text(field, t) for t in texts)
             if any(g.total_length != n for g in elements):
                 raise ValueError(f"bucket {n} holds an element of another length")
+            if len(set(elements)) != len(elements):
+                raise ValueError(f"bucket {n} repeats an element")
             if len(elements) % unit_order:
                 raise ValueError(
                     f"sphere {n} has {len(elements)} elements, not a union of "
@@ -376,34 +382,35 @@ def _check_pair_budget(q: int, max_length: int) -> None:
             )
 
 
-# A constant matrix [[k11, k12], [k21, k22]] as its columns ((k11, k21), (k12, k22)).
-Columns = tuple[tuple[int, int], tuple[int, int]]
+# An element k of K = SL2(F_q) with its columns (k11, k21) and (k12, k22).
+Unit = tuple[SL2Element, tuple[int, int], tuple[int, int]]
 
 
-def _constant_group(field: Fq) -> list[Columns]:
-    """K = SL2(F_q): the columns of its q^3 - q matrices."""
+def constant_group(field: Fq) -> list[Unit]:
+    """K = SL2(F_q): its q^3 - q matrices, each with its two columns."""
     vectors = list(itertools.product(range(field.q), repeat=2))[1:]
+    entry = {x: LaurentPolynomial(field, 0, (x,)) for x in range(field.q)}
     return [
-        (u, v)
+        (SL2Element(entry[u[0]], entry[v[0]], entry[u[1]], entry[v[1]], check=False), u, v)
         for u in vectors
         for v in vectors
         if field.sub(field.mul(u[0], v[1]), field.mul(v[0], u[1])) == 1
     ]
 
 
-def _coset(r: SL2Element, units: list[Columns]) -> Iterator[tuple[str, SL2Element]]:
-    """The members r k of the right coset rK with their texts.  A column of
-    r k is r u for a nonzero u in F_q^2, so each of the q^2 - 1 columns is
-    computed and written out once."""
+def right_coset(r: SL2Element, group: list[Unit]) -> Iterator[tuple[SL2Element, str, SL2Element]]:
+    """The members r k of the right coset rK as (k, text of r k, r k).  A
+    column of r k is r u for a nonzero u in F_q^2, so each of the q^2 - 1
+    columns is computed and written out once."""
     columns = {}
-    for u in {u for pair in units for u in pair}:
+    for u in {w for _, u, v in group for w in (u, v)}:
         top = r.a.scale(u[0]) + r.b.scale(u[1])
         bottom = r.c.scale(u[0]) + r.d.scale(u[1])
         columns[u] = (top, bottom, top.to_text(), bottom.to_text())
-    for u, v in units:
+    for k, u, v in group:
         a, c, text_a, text_c = columns[u]
         b, d, text_b, text_d = columns[v]
-        yield f"{text_a}|{text_b}|{text_c}|{text_d}", SL2Element(a, b, c, d, check=False)
+        yield k, f"{text_a}|{text_b}|{text_c}|{text_d}", SL2Element(a, b, c, d, check=False)
 
 
 def enumerate_ball(q: int, max_length: int) -> SphereTable:
@@ -423,7 +430,7 @@ def enumerate_ball(q: int, max_length: int) -> SphereTable:
         TreeRegistry(q, place, max_length).forms_at_depths(depths)
         for place in (Place.ZERO, Place.INFINITY)
     ]
-    units = _constant_group(field)
+    group = constant_group(field)
     seen: set[str] = set()
     raw_buckets: dict[int, list[tuple[str, SL2Element]]] = {}
     for d0 in depths:
@@ -434,7 +441,7 @@ def enumerate_ball(q: int, max_length: int) -> SphereTable:
                     r = _pair_representative(zero, inf)
                     if r is None:
                         continue
-                    for text, g in _coset(r, units):
+                    for _, text, g in right_coset(r, group):
                         if text in seen:
                             raise RuntimeError(f"the pair scan produced {text} twice")
                         seen.add(text)

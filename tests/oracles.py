@@ -28,10 +28,8 @@ from rrdlab.algebra import (
 )
 from rrdlab.boundary import HarishChandraValue, cocycle_sqrt, hc_product
 from rrdlab.criterion import (
-    DepthSpec,
     Registries,
     StepFunction,
-    _depth_pair,
     _registries,
     _transport_supports,
     label_array,
@@ -436,6 +434,20 @@ def window_scan(q: int, max_length: int) -> dict[int, list[str]]:
 
 # ---------------------------------------------------------------------------
 # step functions: exact norms, integrals and pointwise comparisons
+
+# Depths of a product-cylinder partition: one depth for both places, or a
+# (zero, infinity) pair.
+DepthSpec = Union[int, tuple[int, int]]
+
+
+def _depth_pair(depths: DepthSpec) -> tuple[int, int]:
+    if isinstance(depths, int):
+        pair = (depths, depths)
+    else:
+        pair = (int(depths[0]), int(depths[1]))
+    if pair[0] < 0 or pair[1] < 0:
+        raise ValueError(f"negative depth in {pair}")
+    return pair
 
 
 def constant(degree: int, value: AlgebraicValue, depths: DepthSpec = 0) -> StepFunction:

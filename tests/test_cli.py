@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from rrdlab import CACHE_MAJOR_VERSION, cli
+from rrdlab import CACHE_MAJOR_VERSION, cli, lamplighter
 from rrdlab.cli import main
 
 
@@ -216,6 +216,13 @@ CORRUPTIONS = {
     "partial-coset": lambda body: {
         **body, "buckets": {**body["buckets"], "2": body["buckets"]["2"][:-1]}
     },
+    "repeated-element": lambda body: {
+        **body,
+        "buckets": {
+            **body["buckets"],
+            "2": body["buckets"]["2"][:1] * 2 + body["buckets"]["2"][2:],
+        },
+    },
 }
 
 
@@ -265,5 +272,12 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
 
 def test_impossible_radius_is_a_usage_error(capsys):
     code, out = run(capsys, "spheres", "--q", "2", "--max-length", "30")
+    assert code == 2
+    assert out == ""
+
+
+def test_lamplighter_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(lamplighter, "ELEMENT_BUDGET", 50)
+    code, out = run(capsys, "lamplighter", "--radius", "10")
     assert code == 2
     assert out == ""

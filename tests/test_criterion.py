@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rrdlab import criterion
 from rrdlab.algebra import AlgebraicValue, Place
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
@@ -19,7 +21,7 @@ from rrdlab.criterion import (
     rrd_report,
     uniform_bound_value,
 )
-from rrdlab.sl2 import build_registry, locate, translate_vertex
+from rrdlab.sl2 import TreeRegistry, locate, translate_vertex
 from rrdlab.spheres import enumerate_ball, sup_xi_on_sphere
 from rrdlab.trees import boundary_cylinders, gromov_product
 
@@ -105,8 +107,8 @@ def mean_transfer_bruteforce(table, n):
     per-factor reuse of the main path."""
     gammas = table.sphere(n)
     q = table.q
-    reg0 = build_registry(q, Place.ZERO, n)
-    reginf = build_registry(q, Place.INFINITY, n)
+    reg0 = TreeRegistry(q, Place.ZERO, n)
+    reginf = TreeRegistry(q, Place.INFINITY, n)
     located = [
         (locate(g, Place.ZERO, reg0), locate(g, Place.INFINITY, reginf), g)
         for g in gammas
@@ -166,8 +168,8 @@ def test_koopman_identity_is_refinement(table4):
 
 def test_koopman_rejects_shallow_registry(table4):
     g = next(iter(table4.sphere(2)))
-    reg0 = build_registry(2, Place.ZERO, 1)
-    reginf = build_registry(2, Place.INFINITY, 1)
+    reg0 = TreeRegistry(2, Place.ZERO, 1)
+    reginf = TreeRegistry(2, Place.INFINITY, 1)
     with pytest.raises(ValueError):
         koopman_matrix(g, (1, 1), registries=(reg0, reginf))
 
@@ -272,8 +274,8 @@ def test_convolution_requires_room(table4):
 
 
 def test_report_structure_and_determinism(table4):
-    first = rrd_report(2, 4, depth=1, table=table4)
-    second = rrd_report(2, 4, depth=1, table=table4)
+    first = rrd_report(table4, depth=1)
+    second = rrd_report(table4, depth=1)
     assert first == second
     assert first["pass"] is True
     for section in (
@@ -290,13 +292,6 @@ def test_report_structure_and_determinism(table4):
     assert u_rows[0] == ("1", "0", 2)
 
 
-def test_report_rejects_mismatched_table(table4):
-    with pytest.raises(ValueError, match="sphere table"):
-        rrd_report(3, 4, depth=1, table=table4)
-    with pytest.raises(ValueError, match="sphere table"):
-        rrd_report(2, 2, depth=1, table=table4)
-
-
 def test_condition_two_compares_exact_values():
     # U_2 = 6/5 at q = 2, and the double nearest 1.2 lies just below 6/5
     table = enumerate_ball(2, 2)
@@ -308,7 +303,7 @@ def test_condition_two_compares_exact_values():
     assert report.at_most(float("inf"))
     assert not report.at_most(float("nan"))
     for threshold, expected in ((1.2, False), (1.2000000000000002, True)):
-        verdict = rrd_report(2, 2, depth=1, u_bound=threshold, table=table)
+        verdict = rrd_report(table, depth=1, u_bound=threshold)
         assert verdict["condition2"]["pass"] is expected
 
 
@@ -336,25 +331,53 @@ def per_element_stack(gammas, place, in_depth, out_depth, registry, q):
 
 
 @pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
-def test_spheres_split_into_constant_cosets(request, table_name):
+def test_spheres_split_into_constant_cosets(request, monkeypatch, table_name):
     table = request.getfixturevalue(table_name)
     q = table.q
     finite = set(table.sphere(0))
     assert len(finite) == q**3 - q
+    located = []
+
+    def counting_locate(g, place, registry):
+        located.append(g)
+        return locate(g, place, registry)
+
+    monkeypatch.setattr(criterion, "locate", counting_locate)
     for n in table.lengths():
         gammas = table.sphere(n)
-        cosets = _right_cosets(
-            gammas, build_registry(q, Place.ZERO, n), build_registry(q, Place.INFINITY, n)
-        )
+        reg0, reginf = TreeRegistry(q, Place.ZERO, n), TreeRegistry(q, Place.INFINITY, n)
+        located.clear()
+        cosets = _right_cosets(gammas, reg0, reginf)
+        # only the representatives are located, once at each place
+        assert located == [gammas[members[0][0]] for _, _, members in cosets for _ in Place]
         indices = sorted(gi for _, _, members in cosets for gi, _ in members)
         assert indices == list(range(len(gammas)))
-        for _, _, members in cosets:
+        for w0, w1, members in cosets:
             assert len(members) == q**3 - q
             r = gammas[members[0][0]]
             for gi, k in members:
                 assert all(e.is_zero() or (e.low == 0 and e.top == 0) for e in k.entries())
                 assert r * k == gammas[gi]
+                assert locate(gammas[gi], Place.ZERO, reg0) == w0
+                assert locate(gammas[gi], Place.INFINITY, reginf) == w1
             assert {gammas[gi] for gi, _ in members} == {r * k for k in finite}
+
+
+def test_split_rejects_a_sphere_that_is_no_union_of_cosets(table4):
+    # sphere 4 with its second element replaced by its first (the size stays
+    # divisible by q^3 - q), with its first element dropped, and with its
+    # first element repeated at the end (every coset is still whole)
+    sphere = table4.sphere(4)
+    for broken in (
+        (sphere[0], sphere[0], *sphere[2:]),
+        sphere[1:],
+        (*sphere, sphere[0]),
+    ):
+        table = dataclasses.replace(table4, buckets={**table4.buckets, 4: broken})
+        with pytest.raises(RuntimeError):
+            uniform_bound_value(table, 4)
+        with pytest.raises(RuntimeError):
+            mean_matrix_2norm(table, 4, 1)
 
 
 @pytest.mark.parametrize(
@@ -374,7 +397,7 @@ def test_coset_stack_matches_per_element_stack(request, table_name, n, depth):
     table = request.getfixturevalue(table_name)
     q = table.q
     gammas = table.sphere(n)
-    registries = {place: build_registry(q, place, n + depth) for place in Place}
+    registries = {place: TreeRegistry(q, place, n + depth) for place in Place}
     cosets = _right_cosets(gammas, registries[Place.ZERO], registries[Place.INFINITY])
     for place, registry in registries.items():
         stack = _transport_stack(gammas, cosets, place, depth, n + depth, registry, q)

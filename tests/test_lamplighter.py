@@ -19,6 +19,7 @@ from rrdlab.lamplighter import (
     word_product,
 )
 from rrdlab.sl2 import SL2Element
+from rrdlab.spheres import RadiusBudgetError
 
 rng = random.Random(0x1A3B)
 
@@ -96,9 +97,11 @@ def test_ball_growth_prefix():
     assert sizes == [1, 5, 16, 46, 120, 296, 710]
 
 
-def test_ball_growth_budget():
-    with pytest.raises(MemoryError):
-        h_ball_growth(2, 10, element_budget=50)
+def test_ball_growth_budget(monkeypatch):
+    monkeypatch.setattr(lamplighter, "ELEMENT_BUDGET", 50)
+    with pytest.raises(RadiusBudgetError):
+        h_ball_growth(2, 10)
+    assert h_ball_growth(2, 2) == [1, 5, 16]
 
 
 def test_exponential_certificate():

@@ -8,9 +8,9 @@ from rrdlab.algebra import Fq, LaurentPolynomial, Place
 from rrdlab.sl2 import (
     LatticeVertex,
     SL2Element,
+    TreeRegistry,
     _canonical_from_matrix,
     base_vertex,
-    build_registry,
     canonical_vertex,
     locate,
     translate_vertex,
@@ -116,7 +116,7 @@ def test_translate_preserves_adjacency():
 
 def test_locate_distance_equals_length():
     registries = {
-        place: build_registry(2, place, 8) for place in (Place.ZERO, Place.INFINITY)
+        place: TreeRegistry(2, place, 8) for place in (Place.ZERO, Place.INFINITY)
     }
     for _ in range(100):
         g = random_word(FIELD, 4)
@@ -136,7 +136,7 @@ def test_canonical_vertex_of_identity_is_base():
 def test_registry_roundtrips_and_bounds():
     from rrdlab.trees import TreeVertex, sphere_vertices
 
-    registry = build_registry(2, Place.ZERO, 4)
+    registry = TreeRegistry(2, Place.ZERO, 4)
     # locate_form and form_at invert each other on every registered vertex
     for n in range(5):
         for vertex in sphere_vertices(3, n):
@@ -205,7 +205,7 @@ def test_translate_vertex_matches_rational_oracle(request, table_name):
     table = request.getfixturevalue(table_name)
     q, gammas = table.q, sphere_elements(table)
     for place in Place:
-        registry = build_registry(q, place, 3)
+        registry = TreeRegistry(q, place, 3)
         forms = [registry.form_at(v) for d in range(4) for v in sphere_vertices(q + 1, d)]
         for g in gammas:
             for form in forms:
