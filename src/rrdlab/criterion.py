@@ -13,7 +13,10 @@ Both sides read a sphere as a union of right cosets rK of K = SL2(F_q).
 Each reader splits its sphere with the enumeration's own K-expansion
 (``spheres.right_coset``), which checks that the sphere is a union of whole
 cosets, and locates only the representatives: every member of rK moves the
-base-vertex pair to r's pair.
+base-vertex pair to r's pair.  A compression transports only the
+representatives too: a member r k acts as r after k permutes the input
+cylinders, so its Gram matrix is a sum over pairs of representatives,
+conjugated by the action of K.
 """
 
 from __future__ import annotations
@@ -293,18 +296,21 @@ class CompressionResult:
 
 def _power_iteration_symmetric(matrix: np.ndarray) -> tuple[float, int, bool]:
     """Largest eigenvalue of a symmetric positive-semidefinite matrix by
-    seeded power iteration; returns (eigenvalue, iterations, converged)."""
+    seeded power iteration; returns (eigenvalue, iterations, converged).
+    One product per iteration: the image that gives the Rayleigh estimate
+    is the next iteration's image."""
     rng = np.random.default_rng(POWER_ITERATION_SEED)
     v = rng.standard_normal(matrix.shape[0])
     v /= np.linalg.norm(v)
     previous = 0.0
+    w = matrix @ v
     for iteration in range(1, MAX_ITERS + 1):
-        w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0, iteration, True
         v = w / norm
-        estimate = float(v @ (matrix @ v))
+        w = matrix @ v
+        estimate = float(v @ w)
         if abs(estimate - previous) <= TOLERANCE * max(1.0, abs(estimate)):
             return estimate, iteration, True
         previous = estimate
@@ -351,104 +357,125 @@ def _right_cosets(
     return cosets
 
 
-def _transport_stack(
+def _coset_transports(
     gammas: Sequence[SL2Element],
     cosets: list[Coset],
     place: Place,
-    in_depth: int,
-    out_depth: int,
+    in_cyls: list[BoundaryCylinder],
+    out_paths: np.ndarray,
     registry: TreeRegistry,
-    q: int,
-) -> np.ndarray:
-    """Stacked per-element transport matrices (one boundary factor) with
-    floating cocycle weights: shape (len(gammas), #out cells, #in cells).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each representative's transport at one place, one row per coset: the
+    input column and the cocycle weight q^(beta/2) of every output cylinder.
 
-    Only coset representatives are transported.  A member g = r k has
-    g . x = r . (k . x) and g . o = r . o, so its matrix is r's with the
-    input columns permuted by k's action on the input cylinders.
+    A transport matrix has exactly one nonzero entry per output row, because
+    the images of the input cylinders partition the boundary (checked in
+    ``_transport_supports``), so these two (R, #out cells) arrays hold it.
     """
-    in_cyls = boundary_cylinders(q + 1, in_depth)
-    out_paths = label_array(
-        [c.base.path for c in boundary_cylinders(q + 1, out_depth)], out_depth
-    )
-    stack = np.zeros((len(gammas), len(out_paths), len(in_cyls)))
-    actions: dict[SL2Element, list[int]] = {}
+    q = registry.field.q
+    columns, weights = [], []
     for w0, w1, members in cosets:
         w = w0 if place is Place.ZERO else w1
         betas, covered = _transport_supports(
             gammas[members[0][0]], w, in_cyls, out_paths, registry
         )
-        weights = np.array([float(q) ** (beta / 2.0) for beta in betas.tolist()])
-        rep = np.where(covered.T, weights[:, None], 0.0)
-        for gi, k in members:
-            if k not in actions:
-                actions[k] = _cylinder_action(k, registry, in_cyls)
-            stack[gi] = rep[:, actions[k]]
-    if np.any(np.count_nonzero(stack, axis=2) != 1):
-        raise RuntimeError("transported supports fail to partition the boundary")
-    return stack
+        columns.append(covered.argmax(axis=0))
+        weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
+    return np.array(columns), np.array(weights)
+
+
+def _pair_blocks(columns: np.ndarray, weights: np.ndarray, r: int, size: int) -> np.ndarray:
+    """Row s holds the block A_r^T A_s (size x size, flattened) of the
+    representatives' transports at one place, as one bincount."""
+    count = len(columns)
+    index = (np.arange(count)[:, None] * size + columns[r]) * size + columns
+    return np.bincount(
+        index.ravel(), (weights[r] * weights).ravel(), minlength=count * size * size
+    ).reshape(count, size * size)
+
+
+def _compression_gram(table: SphereTable, n: int, depth: int) -> np.ndarray:
+    """The whitened Gram matrix of the depth-``depth`` compression of the
+    weighted mean over sphere n, built from the coset representatives.
+
+    A member g = r k of the coset rK has g . x = r . (k . x) and g . o = r . o,
+    so its transport at each place is r's with the input columns permuted by
+    k, and the mean factors as M = (sum_r c_r A_r (x) B_r) K_op with
+    c_r = 1/(|C_n| Xi(r)) and K_op = sum_k Pi_k (x) Pi'_k.  Its Gram matrix
+    is K_op^T C K_op with C = sum_{r,s} c_r c_s (A_r^T D0 A_s) (x) (B_r^T D1 B_s),
+    where D0 and D1 hold the output cylinder measures.
+    """
+    gammas = table.sphere(n)
+    q = table.q
+    degree = q + 1
+    out_depth = depth + n
+    reg0, reginf = _registries(q, (out_depth, out_depth))
+    cosets = _right_cosets(gammas, reg0, reginf)
+    in_cyls = boundary_cylinders(degree, depth)
+    out_paths = label_array(
+        [c.base.path for c in boundary_cylinders(degree, out_depth)], out_depth
+    )
+    size = len(in_cyls)
+    cols0, wts0 = _coset_transports(gammas, cosets, Place.ZERO, in_cyls, out_paths, reg0)
+    cols1, wts1 = _coset_transports(gammas, cosets, Place.INFINITY, in_cyls, out_paths, reginf)
+    # every depth-k cylinder has the same measure, one over the sphere size
+    mu_in = 1.0 / sphere_size(degree, depth)
+    mu_out = 1.0 / sphere_size(degree, out_depth)
+    coeffs = np.array([
+        1.0 / (len(gammas) * float(hc_product(w0.depth, w1.depth, q).value))
+        for w0, w1, _ in cosets
+    ])
+    cells = size * size
+    # C[(i,k),(j,l)] = sum_{r,s} c_r c_s (A_r^T D0 A_s)[i,k] (B_r^T D1 B_s)[j,l],
+    # one representative r at a time to keep memory flat
+    core = np.zeros((cells, cells))
+    for r in range(len(cosets)):
+        left = _pair_blocks(cols0, wts0, r, size)
+        right = _pair_blocks(cols1, wts1, r, size)
+        core += left.T @ ((mu_out * mu_out * coeffs[r]) * coeffs[:, None] * right)
+    core = core.reshape(size, size, size, size).transpose(0, 2, 1, 3).reshape(cells, cells)
+    # K_op[(perm0_k[j], perm1_k[l]), (j, l)] = 1 for each k in K; a k-action
+    # that is no permutation would silently drop and double input cylinders
+    k_op = np.zeros((cells, cells))
+    for k, _, _ in constant_group(reg0.field):
+        perms = []
+        for registry in (reg0, reginf):
+            perm = _cylinder_action(k, registry, in_cyls)
+            if sorted(perm) != list(range(size)):
+                raise RuntimeError(
+                    f"{k.to_text()} does not permute the input cylinders "
+                    f"(place {registry.place.value})"
+                )
+            perms.append(np.array(perm))
+        k_op[(perms[0][:, None] * size + perms[1]).ravel(), np.arange(cells)] += 1.0
+    gram = k_op.T @ core @ k_op
+    # whiten by the input measure so plain power iteration sees the weighted norm
+    scale = math.sqrt(mu_in * mu_in)
+    sym = gram / (scale * scale)
+    return (sym + sym.T) / 2.0
 
 
 def mean_matrix_2norm(table: SphereTable, n: int, depth: int) -> CompressionResult:
     """Largest singular value of the weighted mean compressed to the depth-K
     step functions, with measure-weighted 2-norms on both sides.
 
-    The Gram matrix of the compression is accumulated exactly once (in
-    floating point) from the per-element, per-factor transport matrices, and
-    the top eigenvalue is found by seeded power iteration on that symmetric
-    matrix; the square root is the reported bound.  Any iterate is a valid
-    lower bound for the true compression norm, converged or not.
+    The Gram matrix of the compression is built once (in floating point)
+    from the coset representatives' transports and the action of K on the
+    input cylinders (``_compression_gram``), and the top eigenvalue is found
+    by seeded power iteration on that symmetric matrix; the square root is
+    the reported bound.  Any iterate is a valid lower bound for the true
+    compression norm, converged or not.
     """
-    gammas = table.sphere(n)
-    if not gammas:
+    if not table.sphere(n):
         raise ValueError(f"sphere {n} is empty")
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
-    pair = (depth, depth)
-    q = table.q
-    degree = q + 1
-    out_pair = (depth + n, depth + n)
-    reg0, reginf = _registries(q, out_pair)
-    cosets = _right_cosets(gammas, reg0, reginf)
-    P0 = _transport_stack(gammas, cosets, Place.ZERO, pair[0], out_pair[0], reg0, q)
-    P1 = _transport_stack(gammas, cosets, Place.INFINITY, pair[1], out_pair[1], reginf, q)
-    # fold the per-element scalars 1/(|C_n| Xi(gamma)) into the first factor
-    count = len(gammas)
-    for w0, w1, members in cosets:
-        xi = float(hc_product(w0.depth, w1.depth, q).value)
-        for gi, _ in members:
-            P0[gi] /= count * xi
-    # every depth-k cylinder has the same measure, one over the sphere size
-    mu_in0, mu_in1, mu_out0, mu_out1 = (
-        1.0 / sphere_size(degree, k) for k in (*pair, *out_pair)
+    eigenvalue, iterations, converged = _power_iteration_symmetric(
+        _compression_gram(table, n, depth)
     )
-    G, O0, I0 = P0.shape
-    _, O1, I1 = P1.shape
-    # Gram matrix of the mean: A[(i,j),(k,l)] = sum_{g,h} Q0^g[i,(h,k)] Q1^g[j,(h,l)]
-    # with Q0^g = P0[g]^T D0 P0[h] stacked over h; accumulated per g to keep
-    # memory flat
-    W0 = mu_out0 * P0.transpose(1, 0, 2).reshape(O0, G * I0)
-    W1 = mu_out1 * P1.transpose(1, 0, 2).reshape(O1, G * I1)
-    gram_ik_jl = np.zeros((I0 * I0, I1 * I1))
-    for gi in range(G):
-        Q0 = P0[gi].T @ W0  # (I0, G*I0)
-        Q1 = P1[gi].T @ W1  # (I1, G*I1)
-        S0 = Q0.reshape(I0, G, I0).transpose(1, 0, 2).reshape(G, I0 * I0)
-        S1 = Q1.reshape(I1, G, I1).transpose(1, 0, 2).reshape(G, I1 * I1)
-        gram_ik_jl += S0.T @ S1
-    gram = (
-        gram_ik_jl.reshape(I0, I0, I1, I1)
-        .transpose(0, 2, 1, 3)
-        .reshape(I0 * I1, I0 * I1)
-    )
-    # whiten by the input measure so plain power iteration sees the weighted norm
-    scale = math.sqrt(mu_in0 * mu_in1)
-    sym = gram / (scale * scale)
-    sym = (sym + sym.T) / 2.0
-    eigenvalue, iterations, converged = _power_iteration_symmetric(sym)
     return CompressionResult(
         n=n,
-        depths=pair,
+        depths=(depth, depth),
         value=math.sqrt(max(eigenvalue, 0.0)),
         iterations=iterations,
         converged=converged,

@@ -5,17 +5,21 @@ the program computes, by a route that shares as little as possible with it:
 tree distances and shadows by plain prefix arithmetic, lengths by Smith
 pivoting over rational functions, the spherical function by a boundary
 partition, spheres by breadth-first word search and by a scan of first rows
-inside the coefficient window, and the mean by exact Koopman matrices
-applied cell by cell.
+inside the coefficient window, the mean by exact Koopman matrices applied
+cell by cell, and the compression's Gram matrix from every element's own
+transport.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
+
+import numpy as np
 
 from rrdlab.algebra import (
     AlgebraicValue,
@@ -34,7 +38,7 @@ from rrdlab.criterion import (
     _transport_supports,
     label_array,
 )
-from rrdlab.sl2 import SL2Element, _to_uniformizer, entry_lengths, locate
+from rrdlab.sl2 import SL2Element, _to_uniformizer, entry_lengths, locate, translate_vertex
 from rrdlab.spheres import SphereTable, _completions_for_row
 from rrdlab.trees import (
     BoundaryCylinder,
@@ -43,6 +47,7 @@ from rrdlab.trees import (
     _common_prefix_len,
     boundary_cylinders,
     gromov_product,
+    sphere_size,
     sphere_vertices,
 )
 
@@ -658,3 +663,60 @@ class MeanOperator:
             total = term if total is None else add(total, term)
         assert total is not None
         return total
+
+
+# ---------------------------------------------------------------------------
+# the compression's Gram matrix, element by element
+
+
+def per_element_stack(gammas, place, in_depth, out_depth, registry, q) -> np.ndarray:
+    """Transport every element on its own: locate it, move each input
+    cylinder's base vertex and mark the output cylinders whose geodesic from
+    the located vertex passes through the image, with weight q^(beta/2).
+    Shape (len(gammas), #out cells, #in cells)."""
+    in_cyls = boundary_cylinders(q + 1, in_depth)
+    out_cyls = boundary_cylinders(q + 1, out_depth)
+    stack = np.zeros((len(gammas), len(out_cyls), len(in_cyls)))
+    for gi, g in enumerate(gammas):
+        w = locate(g, place, registry)
+        for j, ic in enumerate(in_cyls):
+            y = registry.locate_form(translate_vertex(g, registry.form_at(ic.base)))
+            for i, oc in enumerate(out_cyls):
+                z = oc.base
+                if gromov_product(w, y) + gromov_product(y, z) == y.depth + gromov_product(w, z):
+                    beta = 2 * gromov_product(w, z) - w.depth
+                    stack[gi, i, j] = float(q) ** (beta / 2.0)
+    return stack
+
+
+def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
+    """The whitened Gram matrix of the depth-``depth`` compression of the
+    weighted mean over sphere n, summed over every pair of sphere elements
+    (g, h): sum (P0_g^T D0 P0_h) (x) (P1_g^T D1 P1_h) with P_g = the
+    element's own transport divided by |C_n| Xi(g) at place zero."""
+    gammas = table.sphere(n)
+    q = table.q
+    out_depth = depth + n
+    registries = _registries(q, (out_depth, out_depth))
+    P0, P1 = (
+        per_element_stack(gammas, place, depth, out_depth, registry, q)
+        for place, registry in zip((Place.ZERO, Place.INFINITY), registries)
+    )
+    for gi, g in enumerate(gammas):
+        P0[gi] /= len(gammas) * float(hc_product(g.length_zero, g.length_infinity, q).value)
+    mu_in, mu_out = (1.0 / sphere_size(q + 1, k) for k in (depth, out_depth))
+    G, O0, I0 = P0.shape
+    _, O1, I1 = P1.shape
+    # gram[(i,j),(k,l)] = sum_{g,h} (P0_g^T D0 P0_h)[i,k] (P1_g^T D1 P1_h)[j,l],
+    # accumulated one g at a time
+    W0 = mu_out * P0.transpose(1, 0, 2).reshape(O0, G * I0)
+    W1 = mu_out * P1.transpose(1, 0, 2).reshape(O1, G * I1)
+    gram_ik_jl = np.zeros((I0 * I0, I1 * I1))
+    for gi in range(G):
+        S0 = (P0[gi].T @ W0).reshape(I0, G, I0).transpose(1, 0, 2).reshape(G, I0 * I0)
+        S1 = (P1[gi].T @ W1).reshape(I1, G, I1).transpose(1, 0, 2).reshape(G, I1 * I1)
+        gram_ik_jl += S0.T @ S1
+    gram = gram_ik_jl.reshape(I0, I0, I1, I1).transpose(0, 2, 1, 3).reshape(I0 * I1, I0 * I1)
+    scale = math.sqrt(mu_in * mu_in)
+    sym = gram / (scale * scale)
+    return (sym + sym.T) / 2.0

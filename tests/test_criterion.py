@@ -12,8 +12,8 @@ from rrdlab.algebra import AlgebraicValue, Place
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     StepFunction,
+    _compression_gram,
     _right_cosets,
-    _transport_stack,
     convolution_matrix,
     convolution_opnorm_lower,
     mean_matrix_2norm,
@@ -21,15 +21,15 @@ from rrdlab.criterion import (
     rrd_report,
     uniform_bound_value,
 )
-from rrdlab.sl2 import TreeRegistry, locate, translate_vertex
+from rrdlab.sl2 import TreeRegistry, locate
 from rrdlab.spheres import enumerate_ball, sup_xi_on_sphere
-from rrdlab.trees import boundary_cylinders, gromov_product
 
 from oracles import (
     MeanOperator,
     add,
     bfs_crosscheck,
     constant,
+    gram_per_element,
     integral,
     koopman_matrix,
     l1_norm,
@@ -308,26 +308,7 @@ def test_condition_two_compares_exact_values():
 
 
 # ---------------------------------------------------------------------------
-# coset-factored transports
-
-
-def per_element_stack(gammas, place, in_depth, out_depth, registry, q):
-    """Transport every element on its own: locate it, move each input
-    cylinder's base vertex and mark the output cylinders whose geodesic from
-    the located vertex passes through the image, with weight q^(beta/2)."""
-    in_cyls = boundary_cylinders(q + 1, in_depth)
-    out_cyls = boundary_cylinders(q + 1, out_depth)
-    stack = np.zeros((len(gammas), len(out_cyls), len(in_cyls)))
-    for gi, g in enumerate(gammas):
-        w = locate(g, place, registry)
-        for j, ic in enumerate(in_cyls):
-            y = registry.locate_form(translate_vertex(g, registry.form_at(ic.base)))
-            for i, oc in enumerate(out_cyls):
-                z = oc.base
-                if gromov_product(w, y) + gromov_product(y, z) == y.depth + gromov_product(w, z):
-                    beta = 2 * gromov_product(w, z) - w.depth
-                    stack[gi, i, j] = float(q) ** (beta / 2.0)
-    return stack
+# coset-factored compressions
 
 
 @pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
@@ -393,13 +374,49 @@ def test_split_rejects_a_sphere_that_is_no_union_of_cosets(table4):
         ("table_q3n2", 2, 2),
     ],
 )
-def test_coset_stack_matches_per_element_stack(request, table_name, n, depth):
+def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
     table = request.getfixturevalue(table_name)
-    q = table.q
-    gammas = table.sphere(n)
-    registries = {place: TreeRegistry(q, place, n + depth) for place in Place}
-    cosets = _right_cosets(gammas, registries[Place.ZERO], registries[Place.INFINITY])
-    for place, registry in registries.items():
-        stack = _transport_stack(gammas, cosets, place, depth, n + depth, registry, q)
-        oracle = per_element_stack(gammas, place, depth, n + depth, registry, q)
-        assert np.array_equal(stack, oracle)
+    gram = _compression_gram(table, n, depth)
+    oracle = gram_per_element(table, n, depth)
+    assert gram.shape == oracle.shape
+    assert np.allclose(gram, oracle, rtol=1e-12, atol=1e-15)
+
+
+def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
+    real = criterion._cylinder_action
+
+    def repeating(k, registry, cyls):
+        perm = real(k, registry, cyls)
+        return [perm[0], *perm[:-1]]
+
+    monkeypatch.setattr(criterion, "_cylinder_action", repeating)
+    with pytest.raises(RuntimeError, match="does not permute"):
+        mean_matrix_2norm(table4, 2, 1)
+
+
+# (iterations, value) of the 12 compression rows of the reference report
+REFERENCE_COMPRESSIONS = [
+    (2, 1.0),
+    (2, 1.0),
+    (2, 1.0),
+    (2, 1.0),
+    (10, 1.0099504938353545),
+    (13, 1.0203952057688563),
+    (17, 1.02045500111281),
+    (24, 1.021755790080048),
+    (6, 1.005223899587966),
+    (8, 1.0057172818553999),
+    (7, 1.009501445413372),
+    (11, 1.0105132422225855),
+]
+
+
+def test_reference_compressions_are_pinned(table4):
+    rows = rrd_report(table4)["compressions"]["rows"]
+    assert [(row["n"], *row["depths"]) for row in rows] == [
+        (n, k, k) for n in (0, 2, 4) for k in (1, 2, 3, 4)
+    ]
+    assert [row["iterations"] for row in rows] == [it for it, _ in REFERENCE_COMPRESSIONS]
+    assert all(row["converged"] is True for row in rows)
+    for row, (_, value) in zip(rows, REFERENCE_COMPRESSIONS):
+        assert row["value"] == pytest.approx(value, rel=1e-12, abs=0)
