@@ -5,9 +5,10 @@ function, as a cylinder step function, and its sup norm U_n (the working
 certificate: the mean's 2-norm is dominated by the sup norm of its value on
 the constant function).  Floating side: power iteration on measure-weighted
 compressions (always a lower bound, so the exact sup norms must dominate
-them) and convolution-operator lower bounds on group balls.  The exact
-Koopman matrices and the operator form of the mean, which check both sides,
-live with the tests (``tests/oracles.py``).
+them) and convolution-operator lower bounds on group balls; numpy is
+imported by the floating-side functions themselves, so the exact side never
+loads it.  The exact Koopman matrices and the operator form of the mean,
+which check both sides, live with the tests (``tests/oracles.py``).
 
 Both sides read a sphere as a union of right cosets rK of K = SL2(F_q).
 Each reader splits its sphere with the enumeration's own K-expansion
@@ -24,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Place
@@ -41,6 +40,9 @@ from .trees import (
     boundary_cylinders,
     sphere_size,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POWER_ITERATION_SEED = 0x5EED
 TOLERANCE = 1e-10
@@ -61,6 +63,8 @@ def _registries(q: int, radii: tuple[int, int]) -> Registries:
 # Label paths in bulk: the floating side compares thousands of paths at once.
 def label_array(paths: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
     """Label paths as the rows of an int64 array, padded with -1 to ``width``."""
+    import numpy as np
+
     out = np.full((len(paths), width), -1, dtype=np.int64)
     for i, path in enumerate(paths):
         out[i, : len(path)] = path
@@ -74,6 +78,8 @@ def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A position extends a common prefix while every earlier one matched; the
     -1 padding never counts, so a prefix stops where a path ends.
     """
+    import numpy as np
+
     matching = np.ones((len(a), len(b)), dtype=bool)
     prefix = np.zeros((len(a), len(b)), dtype=np.int64)
     for x, y in zip(a.T, b.T):
@@ -162,6 +168,8 @@ def _transport_supports(
     the boundary; that is checked, it is the structural check on the whole
     assembly.
     """
+    import numpy as np
+
     width = out_paths.shape[1]
     ys = label_array(
         [
@@ -299,6 +307,8 @@ def _power_iteration_symmetric(matrix: np.ndarray) -> tuple[float, int, bool]:
     seeded power iteration; returns (eigenvalue, iterations, converged).
     One product per iteration: the image that gives the Rayleigh estimate
     is the next iteration's image."""
+    import numpy as np
+
     rng = np.random.default_rng(POWER_ITERATION_SEED)
     v = rng.standard_normal(matrix.shape[0])
     v /= np.linalg.norm(v)
@@ -372,6 +382,8 @@ def _coset_transports(
     the images of the input cylinders partition the boundary (checked in
     ``_transport_supports``), so these two (R, #out cells) arrays hold it.
     """
+    import numpy as np
+
     q = registry.field.q
     columns, weights = [], []
     for w0, w1, members in cosets:
@@ -387,6 +399,8 @@ def _coset_transports(
 def _pair_blocks(columns: np.ndarray, weights: np.ndarray, r: int, size: int) -> np.ndarray:
     """Row s holds the block A_r^T A_s (size x size, flattened) of the
     representatives' transports at one place, as one bincount."""
+    import numpy as np
+
     count = len(columns)
     index = (np.arange(count)[:, None] * size + columns[r]) * size + columns
     return np.bincount(
@@ -405,6 +419,8 @@ def _compression_gram(table: SphereTable, n: int, depth: int) -> np.ndarray:
     is K_op^T C K_op with C = sum_{r,s} c_r c_s (A_r^T D0 A_s) (x) (B_r^T D1 B_s),
     where D0 and D1 hold the output cylinder measures.
     """
+    import numpy as np
+
     gammas = table.sphere(n)
     q = table.q
     degree = q + 1
@@ -522,6 +538,8 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
     per place, and the distances |p| + |p'| - 2 prefix(p, p') of the label
     paths come from ``common_prefix_lengths``.
     """
+    import numpy as np
+
     inverses = [
         g.inverse()
         for length in table.lengths()

@@ -1,11 +1,19 @@
 """The upper-triangular subgroup with monomial diagonal, its small generating
 set, and the exponential word-growth certificate.
 
-Elements [[X^n, P], [0, X^-n]] are carried as (n, P) pairs.  The group is
-amenable but grows exponentially in the word metric of its four-letter
-generating set, which a breadth-first search certifies at desk scale; the
-certified asymptotic rate 2^(1/3) comes from an explicit family of 2^(n+1)
-products of length at most 3n+1, which the certificate checks word by word.
+Elements [[X^n, P], [0, X^-n]] are written (n, P).  The group is amenable
+but grows exponentially in the word metric of its four-letter generating
+set, which a breadth-first search certifies at desk scale; the certified
+asymptotic rate 2^(1/3) comes from an explicit family of 2^(n+1) products of
+length at most 3n+1, which the certificate checks word by word.
+
+The search runs in the coordinates (n, R) with R = X^n P.  There H is a
+lamplighter: right multiplication by diag(X^m, X^-m) moves the lamplighter,
+(n, R) -> (n + m, R), and right multiplication by E12(c X^e) changes one
+lamp, (n, R) -> (n, R + c X^(2n+e)), so each ball element is a pair of
+integers, packed into one, and no Laurent arithmetic runs.  The group law
+on (n, P) and the breadth-first search over it are the test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -30,20 +38,6 @@ class HElement:
     n: int
     offset: LaurentPolynomial
 
-    def __mul__(self, other: "HElement") -> "HElement":
-        if not isinstance(other, HElement):
-            return NotImplemented
-        # [[X^a, P], [0, X^-a]] * [[X^b, Q], [0, X^-b]]
-        #   = [[X^(a+b), X^a Q + P X^-b], [0, X^-(a+b)]]
-        return HElement(
-            self.n + other.n,
-            other.offset.shift(self.n) + self.offset.shift(-other.n),
-        )
-
-    def inverse(self) -> "HElement":
-        # [[X^n, P], [0, X^-n]]^-1 = [[X^-n, -P], [0, X^n]], already in shape
-        return HElement(-self.n, -self.offset)
-
     def to_matrix(self) -> SL2Element:
         field = self.offset.field
         return SL2Element(
@@ -52,17 +46,6 @@ class HElement:
             LaurentPolynomial.zero(field),
             LaurentPolynomial.x_power(field, -self.n),
         )
-
-    def is_identity(self) -> bool:
-        return self.n == 0 and self.offset.is_zero()
-
-    def key(self) -> tuple:
-        return (self.n, self.offset.low if not self.offset.is_zero() else 0,
-                self.offset.raw_coefficients)
-
-
-def h_identity(field: Fq) -> HElement:
-    return HElement(0, LaurentPolynomial.zero(field))
 
 
 def h_membership(g: SL2Element) -> Optional[HElement]:
@@ -154,27 +137,69 @@ def word_product(word: Sequence[SL2Element], field: Fq) -> SL2Element:
     return out
 
 
+def _letter_actions(q: int) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """Split ``generating_set(q)`` into shifts diag(X^m, X^-m), given by m,
+    and monomials E12(c X^e), grouped by exponent as (e, [c, ...]).
+
+    Raises RuntimeError for a letter that is neither."""
+    shifts: list[int] = []
+    monomials: dict[int, list[int]] = {}
+    for g in generating_set(q):
+        h = h_membership(g)
+        if h is not None and h.offset.is_zero():
+            shifts.append(h.n)
+        elif h is not None and h.n == 0 and h.offset.is_monomial():
+            monomials.setdefault(h.offset.low, []).append(h.offset.leading_coefficient())
+        else:
+            raise RuntimeError(f"letter {g.to_text()} is neither a shift nor a monomial E12")
+    return shifts, sorted(monomials.items())
+
+
 def h_ball_growth(q: int, radius: int) -> list[int]:
     """Exact BFS ball sizes |B(r)| for r = 0..radius in the word metric of the
-    generating set, deduplicated through canonical (n, P) forms.
+    generating set.
+
+    The search runs on the coordinates (n, R), R = X^n P, which determine
+    (n, P).  Right multiplication by diag(X^m, X^-m) gives
+    [[X^(n+m), P X^-m], [0, X^-(n+m)]], so (n, R) -> (n + m, R); by
+    E12(c X^e) it gives [[X^n, P + c X^(n+e)], [0, X^-n]], so
+    (n, R) -> (n, R + c X^(2n+e)).  A shift moves n only, and a monomial
+    letter changes the one coefficient of R at X^(2n+e).
+
+    Within the radius |n| <= reach = radius * max |m|, so each element is one
+    integer: R in base q, its coefficient of X^(2n+e) as the digit at position
+    2(n + reach) + e - e_min (never negative), times the width 2 reach + 1,
+    plus n + reach.  A monomial letter rewrites one digit through the table
+    of ``Fq.add`` on indices, which keeps q = 4, 8 and 9 exact.
 
     Raises RadiusBudgetError when the ball outgrows ELEMENT_BUDGET."""
     field = Fq(q)
-    letters = [h_membership(g) for g in generating_set(q)]
-    if any(h is None for h in letters):
-        raise RuntimeError("a generating letter fell outside the subgroup")
-    start = h_identity(field)
-    visited = {start.key()}
-    frontier = [start]
+    shifts, monomials = _letter_actions(q)
+    reach = radius * max(map(abs, shifts), default=0)
+    width = 2 * reach + 1
+    exponents = [e for e, _ in monomials] or [0]
+    e_min = min(exponents)
+    units = [width * q**p for p in range(4 * reach + max(exponents) - e_min + 1)]
+    # per exponent: its digit position past the slot 2(n + reach), and for
+    # each current digit d the steps field.add(d, c) - d of its coefficients c
+    lamps = [
+        (e - e_min, [[field.add(d, c) - d for c in coeffs] for d in range(q)])
+        for e, coeffs in monomials
+    ]
+    visited = {reach}
+    frontier = [reach]
     sizes = [1]
     for _ in range(radius):
         nxt = []
-        for h in frontier:
-            for s in letters:
-                g = h * s  # type: ignore[operator]
-                k = g.key()
-                if k not in visited:
-                    visited.add(k)
+        for key in frontier:
+            slot = 2 * (key % width)
+            neighbours = [key + m for m in shifts]
+            for offset, steps in lamps:
+                unit = units[slot + offset]
+                neighbours += [key + step * unit for step in steps[key // unit % q]]
+            for g in neighbours:
+                if g not in visited:
+                    visited.add(g)
                     nxt.append(g)
                     if len(visited) > ELEMENT_BUDGET:
                         raise RadiusBudgetError(

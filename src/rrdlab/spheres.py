@@ -15,7 +15,9 @@ the pair is trivial, and expands it by the q^3 - q elements of K.  Each
 representative is checked to have determinant 1 and to locate back to its
 pair at both places, and the expansion raises on a repeated element.  The
 expansion, ``constant_group`` and ``right_coset``, is the one coset
-primitive: the criterion splits a sphere into right cosets with it too.
+primitive: the criterion splits a sphere into right cosets with it too.  The
+pair scan without the expansion, ``trivial_pairs``, also counts the cosets
+of each sphere for the cache loader.
 
 The tests cross-check the tables against two independent enumerations in
 ``tests/oracles.py``: a breadth-first word search over an elementary
@@ -309,10 +311,11 @@ class SphereTable:
 
         Raises ValueError for a wrong shape, a bucket key outside
         [0, max_length], an element whose total length is not its key, a
-        bucket that repeats an element, a length-0 sphere other than the
-        q^3 - q elements of SL2(F_q), and a sphere whose size is not a
-        multiple of q^3 - q (every sphere is a union of right
-        SL2(F_q)-cosets).
+        bucket that repeats an element, a radius beyond the pair budget, and
+        a sphere whose size is not q^3 - q times its count of right cosets
+        from the pair scan (``trivial_pairs``).  A bucket that passes holds
+        distinct elements of its sphere, as many as the sphere has, so it is
+        the whole sphere.
         """
         body = json.loads(text)
         if not isinstance(body, dict):
@@ -348,14 +351,18 @@ class SphereTable:
                 raise ValueError(f"bucket {n} holds an element of another length")
             if len(set(elements)) != len(elements):
                 raise ValueError(f"bucket {n} repeats an element")
-            if len(elements) % unit_order:
-                raise ValueError(
-                    f"sphere {n} has {len(elements)} elements, not a union of "
-                    f"right SL2(F_{q})-cosets of size {unit_order}"
-                )
             buckets[n] = elements
-        if len(buckets.get(0, ())) != unit_order:
-            raise ValueError(f"length-0 sphere does not have q^3 - q = {unit_order} elements")
+        try:
+            cosets = Counter(n for n, _ in trivial_pairs(q, max_length))
+        except RadiusBudgetError as exc:
+            raise ValueError(f"sphere table radius {max_length} is beyond the pair budget") from exc
+        for n in range(max_length + 1):
+            size = len(buckets.get(n, ()))
+            if size != cosets[n] * unit_order:
+                raise ValueError(
+                    f"sphere {n} has {size} elements, not the {cosets[n]} right "
+                    f"SL2(F_{q})-cosets of size {unit_order} that the pair scan finds"
+                )
         return cls(
             q=q,
             max_length=max_length,
@@ -413,8 +420,33 @@ def right_coset(r: SL2Element, group: list[Unit]) -> Iterator[tuple[SL2Element, 
         yield k, f"{text_a}|{text_b}|{text_c}|{text_d}", SL2Element(a, b, c, d, check=False)
 
 
+def trivial_pairs(q: int, max_length: int) -> Iterator[tuple[int, SL2Element]]:
+    """The pair scan: every even-depth vertex pair (v0, v1) with
+    d0 + d1 <= ``max_length`` that is the located pair of a right coset, as
+    its length d0 + d1 and the representative ``_pair_representative``
+    reads off it.
+
+    Raises RadiusBudgetError when the candidate pairs exceed PAIR_BUDGET,
+    before any registry is built.
+    """
+    _check_pair_budget(q, max_length)
+    depths = range(0, max_length + 1, 2)
+    forms = [
+        TreeRegistry(q, place, max_length).forms_at_depths(depths)
+        for place in (Place.ZERO, Place.INFINITY)
+    ]
+    for d0 in depths:
+        for d1 in range(0, max_length - d0 + 1, 2):
+            for zero in forms[0][d0]:
+                for inf in forms[1][d1]:
+                    r = _pair_representative(zero, inf)
+                    if r is not None:
+                        yield d0 + d1, r
+
+
 def enumerate_ball(q: int, max_length: int) -> SphereTable:
-    """Pair-certified enumeration of the length ball of radius ``max_length``.
+    """Pair-certified enumeration of the length ball of radius ``max_length``:
+    the right cosets of the pair scan (``trivial_pairs``), expanded by K.
 
     Raises RadiusBudgetError when the candidate vertex pairs exceed
     PAIR_BUDGET (before any registry is built), and RuntimeError when a
@@ -423,33 +455,18 @@ def enumerate_ball(q: int, max_length: int) -> SphereTable:
     """
     if max_length < 0:
         raise ValueError("negative ball radius")
-    field = Fq(q)
-    _check_pair_budget(q, max_length)
-    depths = range(0, max_length + 1, 2)
-    forms = [
-        TreeRegistry(q, place, max_length).forms_at_depths(depths)
-        for place in (Place.ZERO, Place.INFINITY)
-    ]
-    group = constant_group(field)
+    group = constant_group(Fq(q))
     seen: set[str] = set()
     raw_buckets: dict[int, list[tuple[str, SL2Element]]] = {}
-    for d0 in depths:
-        for d1 in range(0, max_length - d0 + 1, 2):
-            bucket = raw_buckets.setdefault(d0 + d1, [])
-            for zero in forms[0][d0]:
-                for inf in forms[1][d1]:
-                    r = _pair_representative(zero, inf)
-                    if r is None:
-                        continue
-                    for _, text, g in right_coset(r, group):
-                        if text in seen:
-                            raise RuntimeError(f"the pair scan produced {text} twice")
-                        seen.add(text)
-                        bucket.append((text, g))
+    for n, r in trivial_pairs(q, max_length):
+        bucket = raw_buckets.setdefault(n, [])
+        for _, text, g in right_coset(r, group):
+            if text in seen:
+                raise RuntimeError(f"the pair scan produced {text} twice")
+            seen.add(text)
+            bucket.append((text, g))
     buckets = {
-        n: tuple(g for _, g in sorted(members))
-        for n, members in sorted(raw_buckets.items())
-        if members
+        n: tuple(g for _, g in sorted(members)) for n, members in sorted(raw_buckets.items())
     }
     table = SphereTable(
         q=q,

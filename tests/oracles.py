@@ -5,7 +5,8 @@ the program computes, by a route that shares as little as possible with it:
 tree distances and shadows by plain prefix arithmetic, lengths by Smith
 pivoting over rational functions, the spherical function by a boundary
 partition, spheres by breadth-first word search and by a scan of first rows
-inside the coefficient window, the mean by exact Koopman matrices applied
+inside the coefficient window, the subgroup's balls by breadth-first search
+over its group law on (n, P), the mean by exact Koopman matrices applied
 cell by cell, and the compression's Gram matrix from every element's own
 transport.
 """
@@ -31,6 +32,7 @@ from rrdlab.algebra import (
     series_quotient,
 )
 from rrdlab.boundary import HarishChandraValue, cocycle_sqrt, hc_product
+from rrdlab.lamplighter import HElement, generating_set, h_membership
 from rrdlab.criterion import (
     Registries,
     StepFunction,
@@ -435,6 +437,58 @@ def window_scan(q: int, max_length: int) -> dict[int, list[str]]:
                 if l0 + linf <= max_length:
                     buckets.setdefault(l0 + linf, []).append(SL2Element(a, b, c, d).to_text())
     return {n: sorted(texts) for n, texts in sorted(buckets.items())}
+
+
+# ---------------------------------------------------------------------------
+# the upper-triangular subgroup H by its group law on (n, P)
+
+
+def h_multiply(x: HElement, y: HElement) -> HElement:
+    # [[X^a, P], [0, X^-a]] * [[X^b, Q], [0, X^-b]]
+    #   = [[X^(a+b), X^a Q + P X^-b], [0, X^-(a+b)]]
+    return HElement(x.n + y.n, y.offset.shift(x.n) + x.offset.shift(-y.n))
+
+
+def h_inverse(x: HElement) -> HElement:
+    # [[X^n, P], [0, X^-n]]^-1 = [[X^-n, -P], [0, X^n]], already in shape
+    return HElement(-x.n, -x.offset)
+
+
+def h_identity(field: Fq) -> HElement:
+    return HElement(0, LaurentPolynomial.zero(field))
+
+
+def h_is_identity(x: HElement) -> bool:
+    return x.n == 0 and x.offset.is_zero()
+
+
+def h_key(x: HElement) -> tuple:
+    return (x.n, x.offset.low if not x.offset.is_zero() else 0, x.offset.raw_coefficients)
+
+
+def h_ball_growth_bfs(q: int, radius: int) -> list[int]:
+    """Ball sizes |B(r)|, r = 0..radius, by breadth-first search over the
+    group law on (n, P), deduplicated through canonical keys."""
+    field = Fq(q)
+    letters = [h_membership(g) for g in generating_set(q)]
+    if any(h is None for h in letters):
+        raise RuntimeError("a generating letter fell outside the subgroup")
+    start = h_identity(field)
+    visited = {h_key(start)}
+    frontier = [start]
+    sizes = [1]
+    for _ in range(radius):
+        nxt = []
+        for h in frontier:
+            for s in letters:
+                g = h_multiply(h, s)  # type: ignore[arg-type]
+                k = h_key(g)
+                if k not in visited:
+                    visited.add(k)
+                    nxt.append(g)
+        frontier = nxt
+        sizes.append(len(visited))
+    return sizes
 
 
 # ---------------------------------------------------------------------------

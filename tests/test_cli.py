@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rrdlab
 from rrdlab import CACHE_MAJOR_VERSION, cli, lamplighter
+from rrdlab.algebra import Fq
 from rrdlab.cli import main
+from rrdlab.sl2 import SL2Element
+from rrdlab.spheres import constant_group, right_coset
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -216,6 +222,7 @@ CORRUPTIONS = {
     "partial-coset": lambda body: {
         **body, "buckets": {**body["buckets"], "2": body["buckets"]["2"][:-1]}
     },
+    "radius-beyond-budget": lambda body: {**body, "max_length": 30},
     "repeated-element": lambda body: {
         **body,
         "buckets": {
@@ -238,6 +245,33 @@ def test_corrupt_cache_is_rebuilt(tmp_path, capsys, kind):
     assert code == 0
     assert out == cold
     assert path.read_text() == cold
+
+
+def test_cache_missing_a_whole_coset_is_rebuilt(tmp_path, capsys):
+    # each bucket is a union of whole cosets of the right size only when it
+    # holds one coset per trivial vertex pair of its length
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, _ = run(capsys, "spheres", "--max-length", "4", "--cache-dir", str(cache))
+    assert code == 0
+    path = cache / f"spheres-q2-n4-v{CACHE_MAJOR_VERSION}.json"
+    written = path.read_text()
+    body = json.loads(written)
+    field = Fq(2)
+    first = SL2Element.from_text(field, body["buckets"]["4"][0])
+    coset = {text for _, text, _ in right_coset(first, constant_group(field))}
+    body["buckets"]["4"] = [t for t in body["buckets"]["4"] if t not in coset]
+    assert len(body["buckets"]["4"]) == 264
+    path.write_text(json.dumps(body))
+    code, out = run(
+        capsys, "uniform-bound", "--q", "2", "--max-length", "4", "--n", "4",
+        "--cache-dir", str(cache),
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["value"] == ["1062/875", "0", 2]
+    assert result["sphere_size"] == 270
+    assert path.read_text() == written
 
 
 @pytest.mark.parametrize(
@@ -281,3 +315,30 @@ def test_lamplighter_budget_is_a_usage_error(capsys, monkeypatch):
     code, out = run(capsys, "lamplighter", "--radius", "10")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lamplighter", "--radius", "4"],
+        ["uniform-bound", "--max-length", "2", "--n", "2"],
+        ["condition1", "--max-length", "2"],
+        ["spheres", "--max-length", "2"],
+    ],
+)
+def test_exact_commands_do_not_import_numpy(argv):
+    # numpy serves only the floating side; a fresh interpreter shows what a
+    # command loads
+    env = {key: value for key, value in os.environ.items() if key != cli.ENV_CACHE_DIR}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rrdlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from rrdlab import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stderr.split() == ["0", "False"]

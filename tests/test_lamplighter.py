@@ -13,13 +13,14 @@ from rrdlab.lamplighter import (
     generating_set,
     growth_csv_rows,
     h_ball_growth,
-    h_identity,
     h_membership,
     lamplighter_word,
     word_product,
 )
 from rrdlab.sl2 import SL2Element
 from rrdlab.spheres import RadiusBudgetError
+
+from oracles import h_ball_growth_bfs, h_identity, h_inverse, h_is_identity, h_key, h_multiply
 
 rng = random.Random(0x1A3B)
 
@@ -37,9 +38,9 @@ def random_h(field: Fq) -> HElement:
 def test_group_law_matches_matrices():
     for _ in range(300):
         x, y = random_h(FIELD), random_h(FIELD)
-        assert (x * y).to_matrix() == x.to_matrix() * y.to_matrix()
-        assert (x * x.inverse()).is_identity()
-        assert x.inverse().to_matrix() == x.to_matrix().inverse()
+        assert h_multiply(x, y).to_matrix() == x.to_matrix() * y.to_matrix()
+        assert h_is_identity(h_multiply(x, h_inverse(x)))
+        assert h_inverse(x).to_matrix() == x.to_matrix().inverse()
 
 
 def test_membership_roundtrip_and_rejection():
@@ -47,7 +48,7 @@ def test_membership_roundtrip_and_rejection():
         x = random_h(FIELD)
         back = h_membership(x.to_matrix())
         assert back is not None
-        assert back.key() == x.key()
+        assert h_key(back) == h_key(x)
     lower = SL2Element.elementary_lower(LaurentPolynomial.one(FIELD))
     assert h_membership(lower) is None
     assert h_membership(SL2Element.identity(FIELD)) is not None
@@ -97,11 +98,43 @@ def test_ball_growth_prefix():
     assert sizes == [1, 5, 16, 46, 120, 296, 710]
 
 
+# Radii at which the breadth-first search over the group law takes under
+# about a second; q = 4 and 8 reach the radii of q = 2, whose balls they share.
+ORACLE_RADII = {2: 11, 3: 8, 4: 10, 5: 7, 7: 7, 8: 10, 9: 7}
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_RADII))
+def test_ball_growth_matches_the_group_law_oracle(q):
+    radius = ORACLE_RADII[q]
+    assert h_ball_growth(q, radius) == h_ball_growth_bfs(q, radius)
+
+
+def test_ball_growth_pinned_sizes():
+    assert h_ball_growth(2, 13)[-1] == 203_857
+    # the report's radius 10 at q = 3, named in the ELEMENT_BUDGET comment
+    assert h_ball_growth(3, 10)[-1] == 316_381
+
+
 def test_ball_growth_budget(monkeypatch):
     monkeypatch.setattr(lamplighter, "ELEMENT_BUDGET", 50)
     with pytest.raises(RadiusBudgetError):
         h_ball_growth(2, 10)
-    assert h_ball_growth(2, 2) == [1, 5, 16]
+    # |B(3)| = 46 fits the budget and |B(4)| = 120 does not
+    assert h_ball_growth(2, 3) == [1, 5, 16, 46]
+    with pytest.raises(RadiusBudgetError):
+        h_ball_growth(2, 4)
+
+
+def test_ball_growth_rejects_other_letters(monkeypatch):
+    letters = generating_set(2)
+    mixed = SL2Element.diagonal_shift(FIELD, 1) * SL2Element.elementary_upper(
+        LaurentPolynomial.one(FIELD)
+    )
+    binomial = SL2Element.elementary_upper(LaurentPolynomial(FIELD, 0, (1, 1)))
+    for extra in (mixed, binomial):
+        monkeypatch.setattr(lamplighter, "generating_set", lambda q, extra=extra: letters + [extra])
+        with pytest.raises(RuntimeError, match="neither a shift nor a monomial"):
+            h_ball_growth(2, 2)
 
 
 def test_exponential_certificate():
@@ -144,7 +177,7 @@ def test_growth_csv_rows():
 
 def test_identity_element():
     e = h_identity(FIELD)
-    assert e.is_identity()
+    assert h_is_identity(e)
     x = random_h(FIELD)
-    assert (x * e).key() == x.key()
-    assert (e * x).key() == x.key()
+    assert h_key(h_multiply(x, e)) == h_key(x)
+    assert h_key(h_multiply(e, x)) == h_key(x)
