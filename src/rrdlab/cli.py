@@ -93,15 +93,16 @@ def _sphere_cache_path(cache_dir: str, q: int, max_length: int) -> str:
 def _load_table(q: int, max_length: int, cache_dir: Optional[str]) -> tuple[SphereTable, dict]:
     """Fetch the sphere table, through the cache when one is configured.
 
-    Returns the table plus a provenance record naming the cache file in play.
-    The record carries only run-stable facts (no hit flag, no timings), so
-    reports stay byte-identical between cold and warm runs.
+    Returns the table plus a provenance record naming the cache file in play
+    by its file name, not its directory.  The record carries only run-stable
+    facts (no location, no hit flag, no timings), so reports stay
+    byte-identical between cold and warm runs and between cache directories.
     """
     provenance: dict = {"path": None}
     path = None
     if cache_dir:
         path = _sphere_cache_path(cache_dir, q, max_length)
-        provenance["path"] = path
+        provenance["path"] = os.path.basename(path)
         if os.path.exists(path):
             try:
                 with open(path, "r") as handle:

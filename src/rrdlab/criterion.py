@@ -1,14 +1,17 @@
 """Criterion engine for the rapid-decay certificate.
 
-Exact side: the normalized mean over a sphere applied to the constant
-function, as a cylinder step function, and its sup norm U_n (the working
-certificate: the mean's 2-norm is dominated by the sup norm of its value on
-the constant function).  Floating side: power iteration on measure-weighted
+Exact side: the sup norm U_n of the normalized mean over a sphere applied
+to the constant function (the working certificate: the mean's 2-norm is
+dominated by the sup norm of its value on the constant function).  Every
+coset's term at a depth-(n, n) cell is the positive rational
+q^(gp0+gp1) / (c(l0) c(l1)), so U_n is computed from Python integers over
+one common denominator.  Floating side: power iteration on measure-weighted
 compressions (always a lower bound, so the exact sup norms must dominate
 them) and convolution-operator lower bounds on group balls; numpy is
 imported by the floating-side functions themselves, so the exact side never
-loads it.  The exact Koopman matrices and the operator form of the mean,
-which check both sides, live with the tests (``tests/oracles.py``).
+loads it.  The mean as an exact step function of ``AlgebraicValue``s, the
+exact Koopman matrices and the operator form of the mean, which check both
+sides, live with the tests (``tests/oracles.py``).
 
 Both sides read a sphere as a union of right cosets rK of K = SL2(F_q).
 Each reader splits its sphere with the enumeration's own K-expansion
@@ -29,15 +32,15 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Place
-from .boundary import cocycle_sqrt, hc_product
+from .boundary import hc_product
 from .lamplighter import exponential_certificate, h_ball_growth
 from .sl2 import SL2Element, TreeRegistry, locate, translate_vertex
 from .spheres import SphereTable, condition_one_certificate, constant_group, right_coset
 from .trees import (
     BoundaryCylinder,
-    ProductCylinder,
     TreeVertex,
     boundary_cylinders,
+    gromov_product,
     sphere_size,
 )
 
@@ -104,49 +107,6 @@ def _cylinder_action(
 
 
 # ---------------------------------------------------------------------------
-# step functions on the product boundary
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """A function on the product of the two boundaries, constant on each cell
-    of the depth-(K0, Kinf) product-cylinder partition.
-
-    Cells absent from ``values`` are zero.  The sup norm is exact.
-    """
-
-    degree: int
-    depths: tuple[int, int]
-    values: dict[ProductCylinder, AlgebraicValue]
-
-    def __post_init__(self) -> None:
-        for cell in self.values:
-            if cell.depths != self.depths:
-                raise ValueError(
-                    f"cell at depths {cell.depths} in a function of depths {self.depths}"
-                )
-            if cell.zero.degree != self.degree:
-                raise ValueError("cell degree differs from the function degree")
-
-    def cell_total(self) -> int:
-        counts = []
-        for k in self.depths:
-            counts.append(1 if k == 0 else self.degree * (self.degree - 1) ** (k - 1))
-        return counts[0] * counts[1]
-
-    def sup_norm(self) -> AlgebraicValue:
-        zero = AlgebraicValue.rational(0, self.degree - 1)
-        best = zero if len(self.values) < self.cell_total() else None
-        for v in self.values.values():
-            a = abs(v)
-            if best is None or a > best:
-                best = a
-        if best is None:
-            raise ValueError("empty step function with no cells")
-        return best
-
-
-# ---------------------------------------------------------------------------
 # cylinder transports
 
 
@@ -196,43 +156,6 @@ def _transport_supports(
 # normalized means, exact side
 
 
-def mean_transfer_function(table: SphereTable, n: int) -> StepFunction:
-    """The exact value of the normalized, spherical-function-weighted mean
-    over the length-n sphere applied to the constant function 1, as a
-    depth-(n, n) step function.
-
-    Each sphere element contributes the product of its two per-place cocycle
-    square roots divided by its spherical-function value; the result is
-    averaged.  Cocycles and spherical value read only the located pair
-    (g . o_0, g . o_inf), so the members of a right coset gK contribute equal
-    terms and each coset is evaluated once, weighted by its share of the
-    sphere.  Its integral is
-    exactly 1 (the sphere-average identity, one factor per place), which the
-    tests pin down.
-    """
-    gammas = table.sphere(n)
-    if not gammas:
-        raise ValueError(f"sphere {n} is empty")
-    q = table.q
-    cosets = _right_cosets(gammas, *_registries(q, (n, n)))
-    cells = boundary_cylinders(q + 1, n)
-    acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
-    for w0, w1, members in cosets:
-        xi = hc_product(w0.depth, w1.depth, q).value
-        scale = AlgebraicValue.rational(Fraction(len(members), len(gammas)), q) / xi
-        vec0 = [scale * cocycle_sqrt(w0, c) for c in cells]
-        vec1 = [cocycle_sqrt(w1, c) for c in cells]
-        for row, left in zip(acc, vec0):
-            for i1, right in enumerate(vec1):
-                row[i1] = row[i1] + left * right
-    values = {
-        ProductCylinder(c0, c1): acc[i0][i1]
-        for i0, c0 in enumerate(cells)
-        for i1, c1 in enumerate(cells)
-    }
-    return StepFunction(q + 1, (n, n), values)
-
-
 @dataclass(frozen=True)
 class MeanReport:
     """The sup norm U_n of the transfer function: an exact upper bound for
@@ -262,16 +185,58 @@ class MeanReport:
         }
 
 
+def _spherical_coefficient(l0: int, l1: int, q: int) -> Fraction:
+    """c(l0) c(l1) = Xi(l0, l1) q^((l0+l1)/2), read from ``hc_product``:
+    the rational factor of the spherical function, c(l) = 1 + l(q-1)/(q+1)."""
+    scaled = hc_product(l0, l1, q).value * AlgebraicValue.sqrt_q_power(q, l0 + l1)
+    if not scaled.is_rational():
+        raise RuntimeError(f"Xi({l0}, {l1}) q^(({l0}+{l1})/2) is not rational at q = {q}")
+    return scaled.a
+
+
 def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
-    transfer = mean_transfer_function(table, n)
-    value = transfer.sup_norm()
-    if value.sign() <= 0:
+    """U_n, the sup over the depth-(n, n) product cells of the normalized,
+    spherical-function-weighted mean over sphere n applied to 1.
+
+    A member of the right coset rK contributes q^(beta0/2) q^(beta1/2) / Xi
+    at a cell (x, y), read from r's located pair (w0, w1) of tree lengths
+    (l0, l1): beta = 2 gp - l with gp the Gromov product of w and the cell,
+    and Xi = c(l0) c(l1) q^(-(l0+l1)/2), so the term is the positive
+    rational q^(gp0+gp1) / (c(l0) c(l1)).  Each coset's weight
+    |members| / (|C_n| c(l0) c(l1)) is written as an integer over one common
+    denominator, so every cell value is an integer sum over the cosets and
+    U_n is the largest of them over that denominator.  The integral of the
+    mean over the boundary is exactly 1 (the sphere-average identity); the
+    tests check that on the step-function form of the mean.
+    """
+    gammas = table.sphere(n)
+    if not gammas:
+        raise ValueError(f"sphere {n} is empty")
+    q = table.q
+    cosets = _right_cosets(gammas, *_registries(q, (n, n)))
+    weights = [
+        Fraction(len(members), len(gammas)) / _spherical_coefficient(w0.depth, w1.depth, q)
+        for w0, w1, members in cosets
+    ]
+    denominator = math.lcm(*(w.denominator for w in weights))
+    cells = [c.base for c in boundary_cylinders(q + 1, n)]
+    powers = [q**k for k in range(n + 1)]
+    acc = [[0] * len(cells) for _ in cells]
+    for (w0, w1, _), weight in zip(cosets, weights):
+        scale = weight.numerator * (denominator // weight.denominator)
+        right = [powers[gromov_product(w1, y)] for y in cells]
+        for i, x in enumerate(cells):
+            left = scale * powers[gromov_product(w0, x)]
+            acc[i] = [total + left * b for total, b in zip(acc[i], right)]
+    best = max(max(row) for row in acc)
+    if best <= 0:
         raise RuntimeError(f"U_{n} is not positive")
+    value = AlgebraicValue.rational(Fraction(best, denominator), q)
     return MeanReport(
         n=n,
         value=value,
         value_float=float(value),
-        depths=transfer.depths,
+        depths=(n, n),
         sphere_size=table.sphere_size(n),
     )
 

@@ -7,8 +7,9 @@ pivoting over rational functions, the spherical function by a boundary
 partition, spheres by breadth-first word search and by a scan of first rows
 inside the coefficient window, the subgroup's balls by breadth-first search
 over its group law on (n, P), the mean by exact Koopman matrices applied
-cell by cell, and the compression's Gram matrix from every element's own
-transport.
+cell by cell, the mean's value on 1 as a step function of a + b sqrt(q)
+values (cocycle square roots over the spherical function), and the
+compression's Gram matrix from every element's own transport.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from rrdlab.boundary import HarishChandraValue, cocycle_sqrt, hc_product
 from rrdlab.lamplighter import HElement, generating_set, h_membership
 from rrdlab.criterion import (
     Registries,
-    StepFunction,
     _registries,
+    _right_cosets,
     _transport_supports,
     label_array,
 )
@@ -494,6 +495,45 @@ def h_ball_growth_bfs(q: int, radius: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # step functions: exact norms, integrals and pointwise comparisons
 
+
+@dataclass(frozen=True)
+class StepFunction:
+    """A function on the product of the two boundaries, constant on each cell
+    of the depth-(K0, Kinf) product-cylinder partition.
+
+    Cells absent from ``values`` are zero.  The sup norm is exact.
+    """
+
+    degree: int
+    depths: tuple[int, int]
+    values: dict[ProductCylinder, AlgebraicValue]
+
+    def __post_init__(self) -> None:
+        for cell in self.values:
+            if cell.depths != self.depths:
+                raise ValueError(
+                    f"cell at depths {cell.depths} in a function of depths {self.depths}"
+                )
+            if cell.zero.degree != self.degree:
+                raise ValueError("cell degree differs from the function degree")
+
+    def cell_total(self) -> int:
+        counts = []
+        for k in self.depths:
+            counts.append(1 if k == 0 else self.degree * (self.degree - 1) ** (k - 1))
+        return counts[0] * counts[1]
+
+    def sup_norm(self) -> AlgebraicValue:
+        zero = AlgebraicValue.rational(0, self.degree - 1)
+        best = zero if len(self.values) < self.cell_total() else None
+        for v in self.values.values():
+            a = abs(v)
+            if best is None or a > best:
+                best = a
+        if best is None:
+            raise ValueError("empty step function with no cells")
+        return best
+
 # Depths of a product-cylinder partition: one depth for both places, or a
 # (zero, infinity) pair.
 DepthSpec = Union[int, tuple[int, int]]
@@ -717,6 +757,41 @@ class MeanOperator:
             total = term if total is None else add(total, term)
         assert total is not None
         return total
+
+
+def mean_transfer_function(table: SphereTable, n: int) -> StepFunction:
+    """The exact value of the normalized, spherical-function-weighted mean
+    over the length-n sphere applied to the constant function 1, as a
+    depth-(n, n) step function of ``AlgebraicValue``s.
+
+    Each sphere element contributes the product of its two per-place cocycle
+    square roots divided by its spherical-function value; the result is
+    averaged.  Cocycles and spherical value read only the located pair
+    (g . o_0, g . o_inf), so the members of a right coset gK contribute equal
+    terms and each coset is evaluated once, weighted by its share of the
+    sphere.  Its sup norm is U_n, which the program computes from integers.
+    """
+    gammas = table.sphere(n)
+    if not gammas:
+        raise ValueError(f"sphere {n} is empty")
+    q = table.q
+    cosets = _right_cosets(gammas, *_registries(q, (n, n)))
+    cells = boundary_cylinders(q + 1, n)
+    acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
+    for w0, w1, members in cosets:
+        xi = hc_product(w0.depth, w1.depth, q).value
+        factor = AlgebraicValue.rational(Fraction(len(members), len(gammas)), q) / xi
+        vec0 = [factor * cocycle_sqrt(w0, c) for c in cells]
+        vec1 = [cocycle_sqrt(w1, c) for c in cells]
+        for row, left in zip(acc, vec0):
+            for i1, right in enumerate(vec1):
+                row[i1] = row[i1] + left * right
+    values = {
+        ProductCylinder(c0, c1): acc[i0][i1]
+        for i0, c0 in enumerate(cells)
+        for i1, c1 in enumerate(cells)
+    }
+    return StepFunction(q + 1, (n, n), values)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from rrdlab.boundary import (
     sphere_average_check,
 )
 from rrdlab.criterion import (
-    StepFunction,
     convolution_opnorm_lower,
     mean_matrix_2norm,
     uniform_bound_value,
@@ -39,6 +38,7 @@ from rrdlab.spheres import condition_one_certificate
 from rrdlab.trees import ball_count_bfs, ball_count_formula, boundary_cylinders
 
 from oracles import (
+    StepFunction,
     bfs_crosscheck,
     hc_tree_bruteforce,
     koopman_matrix,

@@ -133,6 +133,30 @@ def test_uniform_bound_threshold_is_exact(capsys):
         assert code == expected
 
 
+def test_uniform_bound_at_table_radius_six(capsys):
+    code, out = run(capsys, "uniform-bound", "--q", "2", "--max-length", "6", "--n", "6")
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == ["3727/3150", "0", 2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uniform-bound", "--q", "2", "--max-length", "2", "--n", "2"],
+        ["report", "--q", "2", "--max-length", "2", "--depth", "1"],
+    ],
+)
+def test_output_does_not_depend_on_the_cache_directory(tmp_path, capsys, argv):
+    outputs = []
+    for directory in ("first", "second/nested"):
+        code, out = run(capsys, *argv, "--cache-dir", str(tmp_path / directory))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    config = json.loads(outputs[0])["config"]
+    assert config["cache"]["path"] == f"spheres-q2-n2-v{CACHE_MAJOR_VERSION}.json"
+
+
 def test_opnorm_preconditions(capsys):
     code, _ = run(capsys, "opnorm", "--max-length", "2", "--n", "2", "--radius", "2")
     assert code == 2

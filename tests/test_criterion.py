@@ -11,13 +11,11 @@ from rrdlab import criterion
 from rrdlab.algebra import AlgebraicValue, Place
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
-    StepFunction,
     _compression_gram,
     _right_cosets,
     convolution_matrix,
     convolution_opnorm_lower,
     mean_matrix_2norm,
-    mean_transfer_function,
     rrd_report,
     uniform_bound_value,
 )
@@ -26,6 +24,7 @@ from rrdlab.spheres import enumerate_ball, sup_xi_on_sphere
 
 from oracles import (
     MeanOperator,
+    StepFunction,
     add,
     bfs_crosscheck,
     constant,
@@ -33,6 +32,7 @@ from oracles import (
     integral,
     koopman_matrix,
     l1_norm,
+    mean_transfer_function,
     l2_norm_squared,
     pointwise_equal,
     pointwise_leq,
@@ -99,6 +99,59 @@ def test_uniform_bound_known_values(table4):
     r2 = uniform_bound_value(table4, 2)
     assert r2.value == AlgebraicValue.rational(Fraction(6, 5), 2)
     assert r2.sphere_size == 36
+
+
+@pytest.fixture(scope="module")
+def table_q4n2():
+    return enumerate_ball(4, 2)
+
+
+@pytest.mark.parametrize(
+    "table_name, n",
+    [
+        ("table4", 0),
+        ("table4", 2),
+        ("table4", 4),
+        ("table_q3n2", 0),
+        ("table_q3n2", 2),
+        ("table_q4n2", 0),
+        ("table_q4n2", 2),
+    ],
+)
+def test_uniform_bound_matches_step_function_oracle(request, table_name, n):
+    # q = 4 is a perfect square: the oracle's a + b sqrt(q) values fold to
+    # rationals, and the integer path must give the same triple
+    table = request.getfixturevalue(table_name)
+    report = uniform_bound_value(table, n)
+    oracle = mean_transfer_function(table, n).sup_norm()
+    assert report.value.as_triple() == oracle.as_triple()
+    assert report.value_float == float(oracle)
+    assert report.depths == (n, n)
+
+
+# U_6 at q = 2 and U_4 at q = 3, each once recomputed on the step-function
+# path (about 30 s each there); a weight shared by every (l0, l1) group
+# moves both
+def test_uniform_bound_pin_q2_n6(table6):
+    assert uniform_bound_value(table6, 6).value.as_triple() == ("3727/3150", "0", 2)
+
+
+def test_uniform_bound_pin_q3_n4():
+    table = enumerate_ball(3, 4)
+    assert uniform_bound_value(table, 4).value.as_triple() == ("279/244", "0", 3)
+
+
+def test_uniform_bound_needs_a_rational_spherical_coefficient(table4, monkeypatch):
+    # Xi(l0, l1) q^((l0+l1)/2) is c(l0) c(l1); an irrational one would break
+    # the integer sum, so it is refused rather than truncated
+    def irrational(l0, l1, q):
+        return dataclasses.replace(
+            hc_product(l0, l1, q), value=AlgebraicValue.sqrt_q_power(q, 1 - l0 - l1)
+        )
+
+    monkeypatch.setattr(criterion, "hc_product", irrational)
+    with pytest.raises(RuntimeError, match="not rational"):
+        uniform_bound_value(table4, 2)
 
 
 def mean_transfer_bruteforce(table, n):
