@@ -5,8 +5,8 @@ indent, trailing newline) to stdout or, with --out, to a file written
 atomically via a same-directory temp file and rename.  Exit status: 0 when
 all checks the command performs pass, 1 when a numeric check or threshold
 fails, 2 on usage errors (bad arguments, or a radius beyond the budget of
-the sphere enumeration or the subgroup ball search), 3 on an internal fault
-(any other exception).
+the sphere enumeration, the subgroup ball search or the ball-count BFS), 3
+on an internal fault (any other exception).
 
 Sphere tables can be cached: with --cache-dir or RRDLAB_CACHE_DIR set,
 tables live in files keyed by (q, max length, cache major version).  A cache file whose header does not match the
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -45,7 +46,7 @@ from .spheres import (
     condition_one_certificate,
     enumerate_ball,
 )
-from .trees import ball_count_bfs, ball_count_formula, boundary_cylinders
+from .trees import ball_count_bfs, ball_count_formula, boundary_cylinders, check_bfs_budget
 
 ENV_CACHE_DIR = "RRDLAB_CACHE_DIR"
 
@@ -143,6 +144,10 @@ def _check_arguments(args: argparse.Namespace) -> None:
     for name in ("max_length", "radius", "length"):
         if getattr(args, name, 0) < 0:
             raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
+    # a nan threshold decides nothing, and JSON has no token for it
+    for name in ("threshold", "u_threshold"):
+        if math.isnan(getattr(args, name, 0.0)):
+            raise UsageError(f"--{name.replace('_', '-')} must be a number, not nan")
 
 
 def _cmd_spheres(args: argparse.Namespace) -> int:
@@ -154,6 +159,7 @@ def _cmd_spheres(args: argparse.Namespace) -> int:
 def _cmd_ball_count(args: argparse.Namespace) -> int:
     if args.degree < 3:
         raise UsageError("degree must be at least 3")
+    check_bfs_budget(args.degree, args.radius)
     rows = []
     passed = True
     for n in range(args.radius + 1):

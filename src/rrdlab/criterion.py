@@ -14,13 +14,22 @@ exact Koopman matrices and the operator form of the mean, which check both
 sides, live with the tests (``tests/oracles.py``).
 
 Both sides read a sphere as a union of right cosets rK of K = SL2(F_q).
-Each reader splits its sphere with the enumeration's own K-expansion
-(``spheres.right_coset``), which checks that the sphere is a union of whole
-cosets, and locates only the representatives: every member of rK moves the
-base-vertex pair to r's pair.  A compression transports only the
-representatives too: a member r k acts as r after k permutes the input
-cylinders, so its Gram matrix is a sum over pairs of representatives,
-conjugated by the action of K.
+A sphere is split once (``split_sphere``) with the enumeration's own
+K-expansion (``spheres.right_coset``), which checks that the sphere is a
+union of whole cosets, and only the representatives are located: every
+member of rK moves the base-vertex pair to r's pair.  A compression
+transports only the representatives too: a member r k acts as r after k
+permutes the input cylinders, so its Gram matrix is a sum over pairs of
+representatives, conjugated by the action of K.  One pass
+(``transport_sphere``) serves every compression depth of a sphere: each
+representative moves only the deepest input cylinders, and the shallower
+images and K's action at each depth follow by label-path arithmetic.
+
+The report builds one registry pair, at the largest radius any section
+needs, and shares it, each sphere's split and its transports among U_n,
+the compressions and the convolution rows.  Registry labels do not depend
+on the radius, so every vertex is located to the same path as in a
+standalone call, which builds the same objects for itself.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Place
@@ -91,6 +100,74 @@ def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prefix
 
 
+# ---------------------------------------------------------------------------
+# spheres as unions of right cosets
+
+
+# One right coset rK: the located pair (r . o_0, r . o_inf) and its members
+# as (sphere index, k) with member = r k, the representative r first.
+Coset = tuple[TreeVertex, TreeVertex, list[tuple[int, SL2Element]]]
+
+
+def _right_cosets(
+    gammas: Sequence[SL2Element], reg0: TreeRegistry, reginf: TreeRegistry
+) -> list[Coset]:
+    """Split a sphere into right cosets rK of K = SL2(F_q).
+
+    In table order, the first element no coset has claimed yet opens the
+    coset rK, whose members r k come from ``right_coset`` and are looked up
+    by text.  Each must be on the sphere and unclaimed, and no element may
+    repeat, so the sphere is checked to be a union of whole cosets.  The
+    stabilizer of the base-vertex pair is K, so only r is located.
+    """
+    index = {g.to_text(): gi for gi, g in enumerate(gammas)}
+    if len(index) != len(gammas):
+        raise RuntimeError("the sphere repeats an element")
+    group = constant_group(reg0.field)
+    claimed = [False] * len(gammas)
+    cosets = []
+    for ri, r in enumerate(gammas):
+        if claimed[ri]:
+            continue
+        members = []
+        for k, text, _ in right_coset(r, group):
+            gi = index.get(text)
+            if gi is None or claimed[gi]:
+                raise RuntimeError(
+                    f"the sphere is not a union of right cosets: {text} of the "
+                    f"coset of {r.to_text()} is missing or already claimed"
+                )
+            claimed[gi] = True
+            members.append((gi, k))
+        members.sort()  # by sphere index, which is unique: r comes first
+        cosets.append((locate(r, Place.ZERO, reg0), locate(r, Place.INFINITY, reginf), members))
+    return cosets
+
+
+class SphereCosets(NamedTuple):
+    """One sphere split into right cosets rK (``_right_cosets``), with the
+    registry pair that located the representatives.  Exact U_n and every
+    compression of the sphere read the same split."""
+
+    n: int
+    gammas: Sequence[SL2Element]
+    cosets: list[Coset]
+    registries: Registries
+
+
+def split_sphere(table: SphereTable, n: int, registries: Registries) -> SphereCosets:
+    """Split sphere n with the given registries, which must reach every
+    representative's vertices (radius at least n at both places)."""
+    gammas = table.sphere(n)
+    if not gammas:
+        raise ValueError(f"sphere {n} is empty")
+    return SphereCosets(n, gammas, _right_cosets(gammas, *registries), registries)
+
+
+# ---------------------------------------------------------------------------
+# cylinder transports
+
+
 def _cylinder_action(
     k: SL2Element, registry: TreeRegistry, cyls: list[BoundaryCylinder]
 ) -> list[int]:
@@ -106,38 +183,28 @@ def _cylinder_action(
     ]
 
 
-# ---------------------------------------------------------------------------
-# cylinder transports
-
-
 def _transport_supports(
     gamma: SL2Element,
     w: TreeVertex,
-    in_cyls: list[BoundaryCylinder],
+    ys: np.ndarray,
     out_paths: np.ndarray,
-    registry: TreeRegistry,
+    place: Place,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transport data for one boundary factor, shared by the floating
     assembly and the exact Koopman matrices of the tests: the Busemann value
-    beta at w = gamma . o of every
-    output cylinder (its cocycle weight is q^(beta/2)), and covered[j, i],
-    true when the image of input cylinder j covers output cylinder i.
+    beta at w = gamma . o of every output cylinder (its cocycle weight is
+    q^(beta/2)), and covered[j, i], true when the image of input cylinder j
+    covers output cylinder i.
 
-    ``out_paths`` holds the label paths of every output cylinder (one depth,
-    see ``label_array``).  The images of the input cylinders must partition
-    the boundary; that is checked, it is the structural check on the whole
-    assembly.
+    ``ys`` holds the label paths of the images gamma . v of the input
+    cylinder bases and ``out_paths`` those of every output cylinder (one
+    depth), both label arrays of one width (see ``label_array``).  The images
+    must partition the boundary; that is checked, it is the structural check
+    on the whole assembly.
     """
     import numpy as np
 
     width = out_paths.shape[1]
-    ys = label_array(
-        [
-            registry.locate_form(translate_vertex(gamma, registry.form_at(ic.base))).path
-            for ic in in_cyls
-        ],
-        width,
-    )
     w_row = label_array([w.path], width)
     wz = common_prefix_lengths(w_row, out_paths)[0]
     wy = common_prefix_lengths(w_row, ys)[0]
@@ -147,9 +214,157 @@ def _transport_supports(
     if np.any(covered.sum(axis=0) != 1):
         raise RuntimeError(
             "transported cylinder images fail to partition the boundary "
-            f"(place {registry.place.value}, element {gamma.to_text()})"
+            f"(place {place.value}, element {gamma.to_text()})"
         )
     return 2 * wz - w.depth, covered
+
+
+# Each k of K = SL2(F_q) as a permutation of the depth-d input cylinders, at
+# each place: perms[place][index of k in ``constant_group``][leaf].
+KActions = tuple[list[list[int]], list[list[int]]]
+
+
+def _k_actions(registries: Registries, depth: int) -> KActions:
+    """The action of K on the depth-``depth`` input cylinders at both places.
+    It depends only on the depth and the place, not on the sphere; it is
+    checked to be a permutation where it is used (``_k_operator``)."""
+    field = registries[0].field
+    leaves = boundary_cylinders(field.q + 1, depth)
+    group = constant_group(field)
+    return tuple(
+        [_cylinder_action(k, registry, leaves) for k, _, _ in group] for registry in registries
+    )
+
+
+class SphereTransports(NamedTuple):
+    """The representatives' transports of one sphere for every input depth
+    up to ``depth``, at both places.
+
+    Each representative r moves the base of every depth-``depth`` input
+    cylinder (a leaf) once: images[place][coset][leaf] = r . leaf.  r is an
+    isometry, so the image of a shallower base v is the point at distance
+    d(o, v) from w = r . o on the geodesic [w, r . leaf], for any leaf below
+    v (``_image_on_geodesic``); likewise k fixes the root, so K's action at
+    a shallower depth is its action on the leaves truncated.
+    """
+
+    sphere: SphereCosets
+    depth: int
+    leaves: list[BoundaryCylinder]
+    images: tuple[list[list[TreeVertex]], list[list[TreeVertex]]]
+    actions: KActions
+
+
+def transport_sphere(
+    sphere: SphereCosets, depth: int, actions: KActions | None = None
+) -> SphereTransports:
+    """Move every representative's leaves at both places; the registries
+    must reach radius n + ``depth``.  ``actions`` (from ``_k_actions`` at
+    this depth) are shared by the spheres of one report; without them they
+    are computed here."""
+    leaves = boundary_cylinders(sphere.registries[0].q + 1, depth)
+    images = tuple(
+        [
+            [
+                registry.locate_form(
+                    translate_vertex(sphere.gammas[members[0][0]], registry.form_at(leaf.base))
+                )
+                for leaf in leaves
+            ]
+            for _, _, members in sphere.cosets
+        ]
+        for registry in sphere.registries
+    )
+    if actions is None:
+        actions = _k_actions(sphere.registries, depth)
+    return SphereTransports(sphere, depth, leaves, images, actions)
+
+
+def _image_on_geodesic(w: TreeVertex, y: TreeVertex, distance: int) -> tuple[int, ...]:
+    """The label path of the point at ``distance`` from w on the geodesic
+    [w, y]: the geodesic climbs from w to their common prefix, then
+    descends to y."""
+    common = gromov_product(w, y)
+    climb = w.depth - common
+    if distance <= climb:
+        return w.path[: w.depth - distance]
+    return y.path[: common + distance - climb]
+
+
+def _cylinder_ancestors(
+    leaves: list[BoundaryCylinder], depth: int
+) -> tuple[list[int], list[int]]:
+    """For the cylinders of one depth at or above the leaves: the index of
+    each leaf's ancestor among them, and one leaf below each of them."""
+    index = {c.base.path: i for i, c in enumerate(boundary_cylinders(leaves[0].degree, depth))}
+    ancestor = [index[leaf.base.path[:depth]] for leaf in leaves]
+    below: dict[int, int] = {}
+    for j, i in enumerate(ancestor):
+        below.setdefault(i, j)
+    return ancestor, [below[i] for i in range(len(index))]
+
+
+def _transports_at(
+    transports: SphereTransports, place_index: int, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each representative's transport at one place for the depth-``depth``
+    input cylinders, one row per coset: the input column and the cocycle
+    weight q^(beta/2) of every output cylinder (depth n + ``depth``).
+
+    The images come from the leaf images (``_image_on_geodesic``), and the
+    partition check of ``_transport_supports`` runs on them for every coset,
+    place and depth.  A transport matrix has exactly one nonzero entry per
+    output row, because the images partition the boundary, so these two
+    (R, #out cells) arrays hold it.
+    """
+    import numpy as np
+
+    sphere = transports.sphere
+    registry = sphere.registries[place_index]
+    q = registry.q
+    out_depth = sphere.n + depth
+    out_paths = label_array(
+        [c.base.path for c in boundary_cylinders(q + 1, out_depth)], out_depth
+    )
+    _, below = _cylinder_ancestors(transports.leaves, depth)
+    columns, weights = [], []
+    for (w0, w1, members), leaf_images in zip(sphere.cosets, transports.images[place_index]):
+        w = (w0, w1)[place_index]
+        ys = label_array(
+            [_image_on_geodesic(w, leaf_images[j], depth) for j in below], out_depth
+        )
+        betas, covered = _transport_supports(
+            sphere.gammas[members[0][0]], w, ys, out_paths, registry.place
+        )
+        columns.append(covered.argmax(axis=0))
+        weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
+    return np.array(columns), np.array(weights)
+
+
+def _k_operator(transports: SphereTransports, depth: int) -> np.ndarray:
+    """K_op[(perm0_k[j], perm1_k[l]), (j, l)] = 1 summed over k in K, on the
+    depth-``depth`` input cells.  Each perm is the leaf action truncated; one
+    that is no permutation would silently drop and double input cylinders,
+    so that is checked at every depth."""
+    import numpy as np
+
+    ancestor, below = _cylinder_ancestors(transports.leaves, depth)
+    size = len(below)
+    cells = size * size
+    registries = transports.sphere.registries
+    k_op = np.zeros((cells, cells))
+    for index, (k, _, _) in enumerate(constant_group(registries[0].field)):
+        perms = []
+        for registry, leaf_perms in zip(registries, transports.actions):
+            perm = [ancestor[leaf_perms[index][j]] for j in below]
+            if sorted(perm) != list(range(size)):
+                raise RuntimeError(
+                    f"{k.to_text()} does not permute the input cylinders "
+                    f"(place {registry.place.value})"
+                )
+            perms.append(np.array(perm))
+        k_op[(perms[0][:, None] * size + perms[1]).ravel(), np.arange(cells)] += 1.0
+    return k_op
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +409,9 @@ def _spherical_coefficient(l0: int, l1: int, q: int) -> Fraction:
     return scaled.a
 
 
-def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
+def uniform_bound_value(
+    table: SphereTable, n: int, sphere: SphereCosets | None = None
+) -> MeanReport:
     """U_n, the sup over the depth-(n, n) product cells of the normalized,
     spherical-function-weighted mean over sphere n applied to 1.
 
@@ -207,13 +424,15 @@ def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
     denominator, so every cell value is an integer sum over the cosets and
     U_n is the largest of them over that denominator.  The integral of the
     mean over the boundary is exactly 1 (the sphere-average identity); the
-    tests check that on the step-function form of the mean.
+    tests check that on the step-function form of the mean.  ``sphere`` is
+    the sphere's split (``split_sphere``); without it it is made here.
     """
-    gammas = table.sphere(n)
-    if not gammas:
-        raise ValueError(f"sphere {n} is empty")
     q = table.q
-    cosets = _right_cosets(gammas, *_registries(q, (n, n)))
+    if sphere is None:
+        sphere = split_sphere(table, n, _registries(q, (n, n)))
+    elif sphere.n != n:
+        raise ValueError(f"the split is of sphere {sphere.n}, not {n}")
+    gammas, cosets = sphere.gammas, sphere.cosets
     weights = [
         Fraction(len(members), len(gammas)) / _spherical_coefficient(w0.depth, w1.depth, q)
         for w0, w1, members in cosets
@@ -292,75 +511,6 @@ def _power_iteration_symmetric(matrix: np.ndarray) -> tuple[float, int, bool]:
     return previous, MAX_ITERS, False
 
 
-# One right coset rK: the located pair (r . o_0, r . o_inf) and its members
-# as (sphere index, k) with member = r k, the representative r first.
-Coset = tuple[TreeVertex, TreeVertex, list[tuple[int, SL2Element]]]
-
-
-def _right_cosets(
-    gammas: Sequence[SL2Element], reg0: TreeRegistry, reginf: TreeRegistry
-) -> list[Coset]:
-    """Split a sphere into right cosets rK of K = SL2(F_q).
-
-    In table order, the first element no coset has claimed yet opens the
-    coset rK, whose members r k come from ``right_coset`` and are looked up
-    by text.  Each must be on the sphere and unclaimed, and no element may
-    repeat, so the sphere is checked to be a union of whole cosets.  The
-    stabilizer of the base-vertex pair is K, so only r is located.
-    """
-    index = {g.to_text(): gi for gi, g in enumerate(gammas)}
-    if len(index) != len(gammas):
-        raise RuntimeError("the sphere repeats an element")
-    group = constant_group(reg0.field)
-    claimed = [False] * len(gammas)
-    cosets = []
-    for ri, r in enumerate(gammas):
-        if claimed[ri]:
-            continue
-        members = []
-        for k, text, _ in right_coset(r, group):
-            gi = index.get(text)
-            if gi is None or claimed[gi]:
-                raise RuntimeError(
-                    f"the sphere is not a union of right cosets: {text} of the "
-                    f"coset of {r.to_text()} is missing or already claimed"
-                )
-            claimed[gi] = True
-            members.append((gi, k))
-        members.sort()  # by sphere index, which is unique: r comes first
-        cosets.append((locate(r, Place.ZERO, reg0), locate(r, Place.INFINITY, reginf), members))
-    return cosets
-
-
-def _coset_transports(
-    gammas: Sequence[SL2Element],
-    cosets: list[Coset],
-    place: Place,
-    in_cyls: list[BoundaryCylinder],
-    out_paths: np.ndarray,
-    registry: TreeRegistry,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each representative's transport at one place, one row per coset: the
-    input column and the cocycle weight q^(beta/2) of every output cylinder.
-
-    A transport matrix has exactly one nonzero entry per output row, because
-    the images of the input cylinders partition the boundary (checked in
-    ``_transport_supports``), so these two (R, #out cells) arrays hold it.
-    """
-    import numpy as np
-
-    q = registry.field.q
-    columns, weights = [], []
-    for w0, w1, members in cosets:
-        w = w0 if place is Place.ZERO else w1
-        betas, covered = _transport_supports(
-            gammas[members[0][0]], w, in_cyls, out_paths, registry
-        )
-        columns.append(covered.argmax(axis=0))
-        weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
-    return np.array(columns), np.array(weights)
-
-
 def _pair_blocks(columns: np.ndarray, weights: np.ndarray, r: int, size: int) -> np.ndarray:
     """Row s holds the block A_r^T A_s (size x size, flattened) of the
     representatives' transports at one place, as one bincount."""
@@ -373,9 +523,10 @@ def _pair_blocks(columns: np.ndarray, weights: np.ndarray, r: int, size: int) ->
     ).reshape(count, size * size)
 
 
-def _compression_gram(table: SphereTable, n: int, depth: int) -> np.ndarray:
+def _compression_gram(transports: SphereTransports, depth: int) -> np.ndarray:
     """The whitened Gram matrix of the depth-``depth`` compression of the
-    weighted mean over sphere n, built from the coset representatives.
+    weighted mean over the transported sphere, built from the coset
+    representatives.
 
     A member g = r k of the coset rK has g . x = r . (k . x) and g . o = r . o,
     so its transport at each place is r's with the input columns permuted by
@@ -386,49 +537,30 @@ def _compression_gram(table: SphereTable, n: int, depth: int) -> np.ndarray:
     """
     import numpy as np
 
-    gammas = table.sphere(n)
-    q = table.q
+    sphere = transports.sphere
+    q = sphere.registries[0].q
     degree = q + 1
-    out_depth = depth + n
-    reg0, reginf = _registries(q, (out_depth, out_depth))
-    cosets = _right_cosets(gammas, reg0, reginf)
-    in_cyls = boundary_cylinders(degree, depth)
-    out_paths = label_array(
-        [c.base.path for c in boundary_cylinders(degree, out_depth)], out_depth
-    )
-    size = len(in_cyls)
-    cols0, wts0 = _coset_transports(gammas, cosets, Place.ZERO, in_cyls, out_paths, reg0)
-    cols1, wts1 = _coset_transports(gammas, cosets, Place.INFINITY, in_cyls, out_paths, reginf)
+    out_depth = depth + sphere.n
+    size = sphere_size(degree, depth)
+    cols0, wts0 = _transports_at(transports, 0, depth)
+    cols1, wts1 = _transports_at(transports, 1, depth)
     # every depth-k cylinder has the same measure, one over the sphere size
-    mu_in = 1.0 / sphere_size(degree, depth)
+    mu_in = 1.0 / size
     mu_out = 1.0 / sphere_size(degree, out_depth)
     coeffs = np.array([
-        1.0 / (len(gammas) * float(hc_product(w0.depth, w1.depth, q).value))
-        for w0, w1, _ in cosets
+        1.0 / (len(sphere.gammas) * float(hc_product(w0.depth, w1.depth, q).value))
+        for w0, w1, _ in sphere.cosets
     ])
     cells = size * size
     # C[(i,k),(j,l)] = sum_{r,s} c_r c_s (A_r^T D0 A_s)[i,k] (B_r^T D1 B_s)[j,l],
     # one representative r at a time to keep memory flat
     core = np.zeros((cells, cells))
-    for r in range(len(cosets)):
+    for r in range(len(sphere.cosets)):
         left = _pair_blocks(cols0, wts0, r, size)
         right = _pair_blocks(cols1, wts1, r, size)
         core += left.T @ ((mu_out * mu_out * coeffs[r]) * coeffs[:, None] * right)
     core = core.reshape(size, size, size, size).transpose(0, 2, 1, 3).reshape(cells, cells)
-    # K_op[(perm0_k[j], perm1_k[l]), (j, l)] = 1 for each k in K; a k-action
-    # that is no permutation would silently drop and double input cylinders
-    k_op = np.zeros((cells, cells))
-    for k, _, _ in constant_group(reg0.field):
-        perms = []
-        for registry in (reg0, reginf):
-            perm = _cylinder_action(k, registry, in_cyls)
-            if sorted(perm) != list(range(size)):
-                raise RuntimeError(
-                    f"{k.to_text()} does not permute the input cylinders "
-                    f"(place {registry.place.value})"
-                )
-            perms.append(np.array(perm))
-        k_op[(perms[0][:, None] * size + perms[1]).ravel(), np.arange(cells)] += 1.0
+    k_op = _k_operator(transports, depth)
     gram = k_op.T @ core @ k_op
     # whiten by the input measure so plain power iteration sees the weighted norm
     scale = math.sqrt(mu_in * mu_in)
@@ -436,7 +568,9 @@ def _compression_gram(table: SphereTable, n: int, depth: int) -> np.ndarray:
     return (sym + sym.T) / 2.0
 
 
-def mean_matrix_2norm(table: SphereTable, n: int, depth: int) -> CompressionResult:
+def mean_matrix_2norm(
+    table: SphereTable, n: int, depth: int, transports: SphereTransports | None = None
+) -> CompressionResult:
     """Largest singular value of the weighted mean compressed to the depth-K
     step functions, with measure-weighted 2-norms on both sides.
 
@@ -445,14 +579,26 @@ def mean_matrix_2norm(table: SphereTable, n: int, depth: int) -> CompressionResu
     input cylinders (``_compression_gram``), and the top eigenvalue is found
     by seeded power iteration on that symmetric matrix; the square root is
     the reported bound.  Any iterate is a valid lower bound for the true
-    compression norm, converged or not.
+    compression norm, converged or not.  ``transports`` are sphere n's
+    (``transport_sphere``) at this depth or deeper; without them they are
+    made here.
     """
     if not table.sphere(n):
         raise ValueError(f"sphere {n} is empty")
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
+    if transports is None:
+        radius = n + depth
+        transports = transport_sphere(
+            split_sphere(table, n, _registries(table.q, (radius, radius))), depth
+        )
+    elif transports.sphere.n != n or transports.depth < depth:
+        raise ValueError(
+            f"transports of sphere {transports.sphere.n} to depth "
+            f"{transports.depth} do not serve sphere {n} at depth {depth}"
+        )
     eigenvalue, iterations, converged = _power_iteration_symmetric(
-        _compression_gram(table, n, depth)
+        _compression_gram(transports, depth)
     )
     return CompressionResult(
         n=n,
@@ -494,14 +640,17 @@ class ConvolutionResult:
         }
 
 
-def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarray:
+def convolution_matrix(
+    table: SphereTable, n: int, ball_radius: int, registries: Registries | None = None
+) -> np.ndarray:
     """The sphere indicator's convolution compressed to the length ball: the
     0/1 matrix [L(g h^-1) == n] over ball elements g, h in table order.
 
     The group acts by isometries, so L(g h^-1) is the sum over both places of
     the tree distance d(g^-1 . o, h^-1 . o).  Each inverse is located once
     per place, and the distances |p| + |p'| - 2 prefix(p, p') of the label
-    paths come from ``common_prefix_lengths``.
+    paths come from ``common_prefix_lengths``.  The registries must reach
+    radius ``ball_radius``; without them they are built at that radius.
     """
     import numpy as np
 
@@ -513,10 +662,9 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
     ]
     size = len(inverses)
     lengths = np.zeros((size, size), dtype=np.int64)
-    for place, registry in zip(
-        (Place.ZERO, Place.INFINITY),
-        _registries(table.q, (ball_radius, ball_radius)),
-    ):
+    if registries is None:
+        registries = _registries(table.q, (ball_radius, ball_radius))
+    for place, registry in zip((Place.ZERO, Place.INFINITY), registries):
         paths = [locate(h, place, registry).path for h in inverses]
         depths = np.array([len(p) for p in paths], dtype=np.int64)
         labels = label_array(paths, ball_radius)
@@ -524,13 +672,16 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
     return (lengths == n).astype(float)
 
 
-def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> ConvolutionResult:
+def convolution_opnorm_lower(
+    table: SphereTable, n: int, ball_radius: int, registries: Registries | None = None
+) -> ConvolutionResult:
     """Power-iteration lower bound for the convolution operator norm of the
     sphere indicator, compressed to functions on the length ball of the given
     radius.  Nondecreasing in the radius; never above the sphere size.
 
     The sphere is inversion closed, so the compressed matrix is symmetric and
-    the iteration runs on its square.
+    the iteration runs on its square.  ``registries`` as for
+    ``convolution_matrix``.
     """
     if table.sphere_size(n) == 0:
         raise ValueError(f"sphere {n} is empty")
@@ -539,7 +690,7 @@ def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> Co
             f"ball radius {ball_radius} plus sphere length {n} exceeds the "
             f"table radius {table.max_length}"
         )
-    matrix = convolution_matrix(table, n, ball_radius)
+    matrix = convolution_matrix(table, n, ball_radius, registries)
     squared = matrix @ matrix
     eigenvalue, iterations, converged = _power_iteration_symmetric(squared)
     return ConvolutionResult(
@@ -577,31 +728,40 @@ def rrd_report(
         for n in range(0, min(max_length, MAX_MEAN_LENGTH) + 1, 2)
         if table.sphere_size(n) > 0
     ]
-    mean_reports = [uniform_bound_value(table, n) for n in mean_lengths]
-    u_by_n = {r.n: r for r in mean_reports}
-    cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
+    convolution_radii = {
+        n: min(4, max_length - n)
+        for n in (0, 2)
+        if max_length >= n and table.sphere_size(n) > 0
+    }
+    # one registry pair serves every section: BFS labels do not depend on the
+    # radius, so a larger registry locates every vertex to the same path
+    radius = max(max(mean_lengths) + depth, *convolution_radii.values())
+    registries = _registries(q, (radius, radius))
+    actions = _k_actions(registries, depth)
 
+    mean_reports = []
     compression_rows = []
     chain_ok = True
     for n in mean_lengths:
+        sphere = split_sphere(table, n, registries)
+        u_n = uniform_bound_value(table, n, sphere)
+        mean_reports.append(u_n)
+        transports = transport_sphere(sphere, depth, actions)
         for k in range(1, depth + 1):
-            result = mean_matrix_2norm(table, n, k)
-            bound = u_by_n[n].value_float
-            ok = result.value <= bound + CHAIN_SLACK
+            result = mean_matrix_2norm(table, n, k, transports)
+            ok = result.value <= u_n.value_float + CHAIN_SLACK
             chain_ok = chain_ok and ok
             row = result.to_dict()
-            row["u_bound_float"] = bound
+            row["u_bound_float"] = u_n.value_float
             row["chain_ok"] = ok
             compression_rows.append(row)
+    cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
 
     convolution_rows = []
     base_identity = None
     l1_ok = True
-    for n in (0, 2):
-        radius = min(4, max_length - n)
-        if radius < 0 or table.sphere_size(n) == 0:
-            continue
-        result = convolution_opnorm_lower(table, n, radius)
+    for n, ball_radius in convolution_radii.items():
+        result = convolution_opnorm_lower(table, n, ball_radius, registries)
         row = result.to_dict()
         row["l1_ok"] = result.l1_ok
         l1_ok = l1_ok and result.l1_ok

@@ -43,18 +43,13 @@ from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import Fq, LaurentPolynomial, Place, poly_xgcd
 from .boundary import HarishChandraValue, hc_product
 from .sl2 import LatticeVertex, SL2Element, TreeRegistry, canonical_vertex
-from .trees import ball_count_formula, sphere_size
+from .trees import RadiusBudgetError, ball_count_formula, sphere_size
 
 PROVENANCE_PAIRS = "pair-certified"
 POLYNOMIAL_EXPONENT = Fraction(5, 2)
 # Largest number of candidate vertex pairs an enumeration may examine:
 # q = 2 up to N = 12, q = 3 up to N = 8, q = 4 up to N = 6.
 PAIR_BUDGET = 100_000
-
-
-class RadiusBudgetError(RuntimeError):
-    """The requested radius needs more work than its budget: candidate vertex
-    pairs here, ball elements in the subgroup search (``lamplighter``)."""
 
 
 def _window_contains(f: LaurentPolynomial, half_width: int) -> bool:

@@ -17,6 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+# Largest number of tree vertices the ball-count BFS may build: degree 3 up
+# to radius 17, degree 4 up to radius 11, degree 5 up to radius 9.
+BFS_VERTEX_BUDGET = 500_000
+
+
+class RadiusBudgetError(RuntimeError):
+    """The requested radius needs more work than its budget: tree vertices in
+    the ball-count BFS, candidate vertex pairs in the sphere enumeration
+    (``spheres``), ball elements in the subgroup search (``lamplighter``)."""
+
 
 @dataclass(frozen=True, slots=True)
 class TreeVertex:
@@ -211,15 +221,30 @@ def ball_count_formula(degree: int, n: int) -> int:
     return int(value)
 
 
+def check_bfs_budget(degree: int, n: int) -> None:
+    """Raise RadiusBudgetError when the tree ball of radius n, summed from
+    ``sphere_size``, has more than BFS_VERTEX_BUDGET vertices."""
+    total = 0
+    for k in range(n + 1):
+        total += sphere_size(degree, k)
+        if total > BFS_VERTEX_BUDGET:
+            raise RadiusBudgetError(
+                f"radius {n} at degree {degree} needs more than {BFS_VERTEX_BUDGET} "
+                "tree vertices in the ball-count BFS"
+            )
+
+
 def ball_count_bfs(degree: int, n: int) -> int:
     """Pair-ball count by exhaustive breadth-first enumeration of one tree.
 
     Counts actual vertices per sphere by expanding label paths, then sums
     s_i * s_j over i + j <= n.  Independent of the closed form; used as its
-    oracle.
+    oracle.  Raises RadiusBudgetError before building any vertex when the
+    ball is over budget (``check_bfs_budget``).
     """
     if n < 0:
         raise ValueError("negative radius")
+    check_bfs_budget(degree, n)
     counts = []
     frontier = [TreeVertex.root(degree)]
     counts.append(len(frontier))

@@ -8,8 +8,9 @@ partition, spheres by breadth-first word search and by a scan of first rows
 inside the coefficient window, the subgroup's balls by breadth-first search
 over its group law on (n, P), the mean by exact Koopman matrices applied
 cell by cell, the mean's value on 1 as a step function of a + b sqrt(q)
-values (cocycle square roots over the spherical function), and the
-compression's Gram matrix from every element's own transport.
+values (cocycle square roots over the spherical function), the
+compression's Gram matrix from every element's own transport, and each
+representative's transport at every depth from its own translations.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from rrdlab.boundary import HarishChandraValue, cocycle_sqrt, hc_product
 from rrdlab.lamplighter import HElement, generating_set, h_membership
 from rrdlab.criterion import (
     Registries,
+    SphereCosets,
     _registries,
     _right_cosets,
     _transport_supports,
@@ -668,6 +670,17 @@ class KoopmanMatrix:
         return StepFunction(h.degree, self.output_depths, out)
 
 
+def direct_images(
+    gamma: SL2Element, cyls: list[BoundaryCylinder], registry
+) -> list[tuple[int, ...]]:
+    """The label path of gamma . v for the base v of every cylinder, each
+    moved by ``translate_vertex`` on its own."""
+    return [
+        registry.locate_form(translate_vertex(gamma, registry.form_at(c.base))).path
+        for c in cyls
+    ]
+
+
 def koopman_matrix(
     gamma: SL2Element,
     depths: DepthSpec,
@@ -694,7 +707,8 @@ def koopman_matrix(
         in_cyls = boundary_cylinders(field.q + 1, in_depth)
         out_cyls = boundary_cylinders(field.q + 1, out_depth)
         out_paths = label_array([c.base.path for c in out_cyls], out_depth)
-        betas, covered = _transport_supports(gamma, w, in_cyls, out_paths, reg)
+        ys = label_array(direct_images(gamma, in_cyls, reg), out_depth)
+        betas, covered = _transport_supports(gamma, w, ys, out_paths, place)
         factors.append((
             in_cyls,
             out_cyls,
@@ -849,3 +863,27 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
     scale = math.sqrt(mu_in * mu_in)
     sym = gram / (scale * scale)
     return (sym + sym.T) / 2.0
+
+
+def coset_transports_direct(
+    sphere: SphereCosets, place_index: int, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each representative's transport at one place for the depth-``depth``
+    input cylinders, as (columns, weights) like the program's, but with every
+    input cylinder base of that depth translated on its own instead of read
+    off the deepest images."""
+    registry = sphere.registries[place_index]
+    q = registry.q
+    in_cyls = boundary_cylinders(q + 1, depth)
+    out_depth = sphere.n + depth
+    out_paths = label_array(
+        [c.base.path for c in boundary_cylinders(q + 1, out_depth)], out_depth
+    )
+    columns, weights = [], []
+    for w0, w1, members in sphere.cosets:
+        r = sphere.gammas[members[0][0]]
+        ys = label_array(direct_images(r, in_cyls, registry), out_depth)
+        betas, covered = _transport_supports(r, (w0, w1)[place_index], ys, out_paths, registry.place)
+        columns.append(covered.argmax(axis=0))
+        weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
+    return np.array(columns), np.array(weights)

@@ -133,6 +133,21 @@ def test_uniform_bound_threshold_is_exact(capsys):
         assert code == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uniform-bound", "--max-length", "2", "--n", "2", "--threshold", "nan"],
+        ["report", "--max-length", "2", "--depth", "1", "--u-threshold", "NaN"],
+    ],
+)
+def test_nan_threshold_is_a_usage_error(capsys, argv):
+    # a nan threshold would print a bare NaN, which is not JSON, and decide
+    # nothing
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_uniform_bound_at_table_radius_six(capsys):
     code, out = run(capsys, "uniform-bound", "--q", "2", "--max-length", "6", "--n", "6")
     assert code == 0
@@ -332,6 +347,15 @@ def test_impossible_radius_is_a_usage_error(capsys):
     code, out = run(capsys, "spheres", "--q", "2", "--max-length", "30")
     assert code == 2
     assert out == ""
+
+
+def test_ball_count_budget_is_a_usage_error_before_any_bfs(capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(cli, "ball_count_bfs", lambda degree, n: started.append(n))
+    code, out = run(capsys, "ball-count", "--degree", "3", "--radius", "18")
+    assert code == 2
+    assert out == ""
+    assert started == []
 
 
 def test_lamplighter_budget_is_a_usage_error(capsys, monkeypatch):

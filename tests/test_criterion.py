@@ -12,11 +12,15 @@ from rrdlab.algebra import AlgebraicValue, Place
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     _compression_gram,
+    _registries,
     _right_cosets,
+    _transports_at,
     convolution_matrix,
     convolution_opnorm_lower,
     mean_matrix_2norm,
     rrd_report,
+    split_sphere,
+    transport_sphere,
     uniform_bound_value,
 )
 from rrdlab.sl2 import TreeRegistry, locate
@@ -28,6 +32,7 @@ from oracles import (
     add,
     bfs_crosscheck,
     constant,
+    coset_transports_direct,
     gram_per_element,
     integral,
     koopman_matrix,
@@ -429,7 +434,8 @@ def test_split_rejects_a_sphere_that_is_no_union_of_cosets(table4):
 )
 def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
     table = request.getfixturevalue(table_name)
-    gram = _compression_gram(table, n, depth)
+    registries = _registries(table.q, (n + depth, n + depth))
+    gram = _compression_gram(transport_sphere(split_sphere(table, n, registries), depth), depth)
     oracle = gram_per_element(table, n, depth)
     assert gram.shape == oracle.shape
     assert np.allclose(gram, oracle, rtol=1e-12, atol=1e-15)
@@ -445,6 +451,9 @@ def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
     monkeypatch.setattr(criterion, "_cylinder_action", repeating)
     with pytest.raises(RuntimeError, match="does not permute"):
         mean_matrix_2norm(table4, 2, 1)
+    # the report computes the action once, on the deepest cylinders
+    with pytest.raises(RuntimeError, match="does not permute"):
+        rrd_report(table4, 4)
 
 
 # (iterations, value) of the 12 compression rows of the reference report
@@ -473,3 +482,69 @@ def test_reference_compressions_are_pinned(table4):
     assert all(row["converged"] is True for row in rows)
     for row, (_, value) in zip(rows, REFERENCE_COMPRESSIONS):
         assert row["value"] == pytest.approx(value, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# one transport pass per sphere
+
+
+@pytest.mark.parametrize("table_name, depth", [("table4", 4), ("table_q3n2", 2)])
+def test_derived_transports_match_direct_translation(request, table_name, depth):
+    # every shallower image is read off the deepest one on the geodesic;
+    # translating each depth's cylinder bases on its own gives the same arrays
+    table = request.getfixturevalue(table_name)
+    registries = _registries(table.q, (table.max_length + depth,) * 2)
+    for n in table.lengths():
+        sphere = split_sphere(table, n, registries)
+        transports = transport_sphere(sphere, depth)
+        for k in range(depth + 1):
+            for place_index in (0, 1):
+                columns, weights = _transports_at(transports, place_index, k)
+                direct_columns, direct_weights = coset_transports_direct(sphere, place_index, k)
+                assert np.array_equal(columns, direct_columns)
+                assert np.array_equal(weights, direct_weights)
+
+
+@pytest.mark.parametrize("table_name, depth", [("table4", 4), ("table_q3n2", 2)])
+def test_report_matches_the_standalone_functions_exactly(request, table_name, depth):
+    # the report shares one registry pair, one split per sphere and one
+    # transport pass; each standalone call builds its own, and they agree
+    # to the last bit
+    table = request.getfixturevalue(table_name)
+    verdict = rrd_report(table, depth=depth)
+    u_rows = verdict["condition2"]["rows"]
+    assert [row["n"] for row in u_rows] == table.lengths()
+    for row in u_rows:
+        assert row == uniform_bound_value(table, row["n"]).to_dict()
+    rows = verdict["compressions"]["rows"]
+    assert len(rows) == len(u_rows) * depth
+    for row in rows:
+        standalone = mean_matrix_2norm(table, row["n"], row["depths"][0]).to_dict()
+        assert {key: row[key] for key in standalone} == standalone
+    for row in verdict["convolution"]["rows"]:
+        standalone = convolution_opnorm_lower(table, row["n"], row["ball_radius"]).to_dict()
+        assert {key: row[key] for key in standalone} == standalone
+
+
+def test_reference_report_work_is_pinned(table4, monkeypatch):
+    # 52 representatives x 2 places x 24 depth-4 cylinders, plus the 5
+    # non-identity elements of K on those 24 cylinders at both places; one
+    # registry pair for the whole report
+    translations = []
+    builds = []
+    real_translate = criterion.translate_vertex
+    real_init = TreeRegistry.__init__
+
+    def counting_translate(g, v):
+        translations.append(g)
+        return real_translate(g, v)
+
+    def counting_init(self, *args):
+        builds.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(criterion, "translate_vertex", counting_translate)
+    monkeypatch.setattr(TreeRegistry, "__init__", counting_init)
+    rrd_report(table4, 4)
+    assert len(translations) == 52 * 2 * 24 + 5 * 24 * 2 == 2736
+    assert len(builds) == 2

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from rrdlab.trees import (
+    BFS_VERTEX_BUDGET,
     BoundaryCylinder,
+    RadiusBudgetError,
     ProductCylinder,
     TreeVertex,
     ball_count_bfs,
@@ -122,6 +124,15 @@ def test_ball_count_formula_matches_bfs():
     for degree in (3, 4, 5):
         for n in range(7):
             assert ball_count_formula(degree, n) == ball_count_bfs(degree, n)
+
+
+def test_ball_count_bfs_checks_its_budget_first():
+    # degree 3 has 3 * 2^n - 2 vertices up to radius n: 393,214 at n = 17
+    # fit, 786,430 at n = 18 do not; a huge radius fails at once
+    assert sum(sphere_size(3, k) for k in range(18)) <= BFS_VERTEX_BUDGET
+    for radius in (18, 10**9):
+        with pytest.raises(RadiusBudgetError, match="ball-count BFS"):
+            ball_count_bfs(3, radius)
 
 
 def test_ball_count_known_values_degree_three():
