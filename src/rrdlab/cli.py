@@ -36,6 +36,7 @@ from .boundary import (
 from .criterion import (
     DEFAULT_U_THRESHOLD,
     convolution_opnorm_lower,
+    json_threshold,
     rrd_report,
     uniform_bound_value,
 )
@@ -56,7 +57,7 @@ class UsageError(Exception):
 
 
 def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -162,9 +163,8 @@ def _cmd_ball_count(args: argparse.Namespace) -> int:
     check_bfs_budget(args.degree, args.radius)
     rows = []
     passed = True
-    for n in range(args.radius + 1):
+    for n, bfs in enumerate(ball_count_bfs(args.degree, args.radius)):
         formula = ball_count_formula(args.degree, n)
-        bfs = ball_count_bfs(args.degree, n)
         ok = formula == bfs
         passed = passed and ok
         rows.append({"n": n, "formula": formula, "bfs": bfs, "match": ok})
@@ -256,7 +256,7 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
             "q": args.q,
             "max_length": args.max_length,
             "n": args.n,
-            "threshold": args.threshold,
+            "threshold": json_threshold(args.threshold),
             "cache": cache,
         },
         report.to_dict(),

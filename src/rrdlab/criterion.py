@@ -23,7 +23,13 @@ permutes the input cylinders, so its Gram matrix is a sum over pairs of
 representatives, conjugated by the action of K.  One pass
 (``transport_sphere``) serves every compression depth of a sphere: each
 representative moves only the deepest input cylinders, and the shallower
-images and K's action at each depth follow by label-path arithmetic.
+images and K's action at each depth follow by label-path arithmetic.  The
+transports of all representatives at one depth and place are one numpy
+pass over vertex ids: an output cylinder's column is the input cylinder
+whose image is the point at that depth's distance on the geodesic from
+r . o to it.  The convolution reads the ball's cosets too: L(g h^-1)
+depends only on the located pairs of g^-1 and h^-1, so its matrix over the
+ball is E M' E^T with M' indexed by the cosets and E^T E = |K| I.
 
 The report builds one registry pair, at the largest radius any section
 needs, and shares it, each sphere's split and its transports among U_n,
@@ -37,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Place
@@ -65,6 +71,12 @@ MAX_MEAN_LENGTH = 4
 DEFAULT_U_THRESHOLD = 8.0
 
 Registries = tuple[TreeRegistry, TreeRegistry]
+
+
+def json_threshold(value: float) -> float | None:
+    """A threshold as it is written to JSON, which has no infinity: an
+    infinite one (no bound at all, or one nothing meets) becomes null."""
+    return float(value) if math.isfinite(value) else None
 
 
 def _registries(q: int, radii: tuple[int, int]) -> Registries:
@@ -183,42 +195,6 @@ def _cylinder_action(
     ]
 
 
-def _transport_supports(
-    gamma: SL2Element,
-    w: TreeVertex,
-    ys: np.ndarray,
-    out_paths: np.ndarray,
-    place: Place,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transport data for one boundary factor, shared by the floating
-    assembly and the exact Koopman matrices of the tests: the Busemann value
-    beta at w = gamma . o of every output cylinder (its cocycle weight is
-    q^(beta/2)), and covered[j, i], true when the image of input cylinder j
-    covers output cylinder i.
-
-    ``ys`` holds the label paths of the images gamma . v of the input
-    cylinder bases and ``out_paths`` those of every output cylinder (one
-    depth), both label arrays of one width (see ``label_array``).  The images
-    must partition the boundary; that is checked, it is the structural check
-    on the whole assembly.
-    """
-    import numpy as np
-
-    width = out_paths.shape[1]
-    w_row = label_array([w.path], width)
-    wz = common_prefix_lengths(w_row, out_paths)[0]
-    wy = common_prefix_lengths(w_row, ys)[0]
-    y_depths = np.count_nonzero(ys >= 0, axis=1)
-    # y on the geodesic [w, z], in shared-prefix arithmetic
-    covered = common_prefix_lengths(ys, out_paths) + wy[:, None] == y_depths[:, None] + wz
-    if np.any(covered.sum(axis=0) != 1):
-        raise RuntimeError(
-            "transported cylinder images fail to partition the boundary "
-            f"(place {place.value}, element {gamma.to_text()})"
-        )
-    return 2 * wz - w.depth, covered
-
-
 # Each k of K = SL2(F_q) as a permutation of the depth-d input cylinders, at
 # each place: perms[place][index of k in ``constant_group``][leaf].
 KActions = tuple[list[list[int]], list[list[int]]]
@@ -244,7 +220,7 @@ class SphereTransports(NamedTuple):
     cylinder (a leaf) once: images[place][coset][leaf] = r . leaf.  r is an
     isometry, so the image of a shallower base v is the point at distance
     d(o, v) from w = r . o on the geodesic [w, r . leaf], for any leaf below
-    v (``_image_on_geodesic``); likewise k fixes the root, so K's action at
+    v (``_points_at``); likewise k fixes the root, so K's action at
     a shallower depth is its action on the leaves truncated.
     """
 
@@ -280,17 +256,6 @@ def transport_sphere(
     return SphereTransports(sphere, depth, leaves, images, actions)
 
 
-def _image_on_geodesic(w: TreeVertex, y: TreeVertex, distance: int) -> tuple[int, ...]:
-    """The label path of the point at ``distance`` from w on the geodesic
-    [w, y]: the geodesic climbs from w to their common prefix, then
-    descends to y."""
-    common = gromov_product(w, y)
-    climb = w.depth - common
-    if distance <= climb:
-        return w.path[: w.depth - distance]
-    return y.path[: common + distance - climb]
-
-
 def _cylinder_ancestors(
     leaves: list[BoundaryCylinder], depth: int
 ) -> tuple[list[int], list[int]]:
@@ -304,51 +269,125 @@ def _cylinder_ancestors(
     return ancestor, [below[i] for i in range(len(index))]
 
 
+def _sphere_labels(degree: int, depth: int) -> np.ndarray:
+    """The label paths of every vertex at ``depth``, in the lexicographic
+    order of ``boundary_cylinders``, as a label array: the first label is
+    the sphere index's leading digit, every later one a base-(degree - 1)
+    digit."""
+    import numpy as np
+
+    strides = (degree - 1) ** np.arange(depth - 1, -1, -1)
+    labels = np.arange(sphere_size(degree, depth))[:, None] // strides
+    labels[:, 1:] %= degree - 1
+    return labels
+
+
+def _prefix_ids(labels: np.ndarray, degree: int) -> np.ndarray:
+    """Vertex ids of every prefix of label paths (a label array, possibly
+    stacked): column m holds the id of the length-m prefix, or -1 past the
+    path's end.  A path a_1 .. a_m has id sum (a_i + 1) degree^(m - i), its
+    bijective base-``degree`` numeral, so distinct vertices have distinct
+    ids and the root has 0."""
+    import numpy as np
+
+    ids = np.zeros(labels.shape[:-1] + (labels.shape[-1] + 1,), dtype=np.int64)
+    for m in range(labels.shape[-1]):
+        label = labels[..., m]
+        ids[..., m + 1] = np.where(label >= 0, ids[..., m] * degree + label + 1, -1)
+    return ids
+
+
+def _points_at(
+    w_ids: np.ndarray, lengths: np.ndarray, targets: np.ndarray, distance: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each vertex w (a row of prefix ids, of depth ``lengths``) and each
+    target t in its row of ``targets`` (prefix ids with one more axis; a
+    single row broadcasts): the id of the point at ``distance`` from w on
+    the geodesic [w, t], and the common-prefix length c of w and t.
+
+    The geodesic climbs from w to depth c, then descends to t, so the point
+    is w's prefix at depth |w| - distance when distance <= |w| - c, and t's
+    prefix at depth distance + 2c - |w| otherwise (d(w, t) >= distance).
+    """
+    import numpy as np
+
+    w = w_ids[:, None, 1:]
+    common = ((w == targets[..., 1 : w_ids.shape[1]]) & (w >= 0)).sum(axis=2)
+    lengths = lengths[:, None]
+    on_w = np.take_along_axis(w_ids, np.maximum(lengths - distance, 0), axis=1)
+    descent = np.maximum(distance + 2 * common - lengths, 0)
+    on_t = np.take_along_axis(targets, descent[..., None], axis=2)[..., 0]
+    return np.where(distance <= lengths - common, on_w, on_t), common
+
+
 def _transports_at(
-    transports: SphereTransports, place_index: int, depth: int
+    transports: SphereTransports, place_index: int, depth: int, below: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each representative's transport at one place for the depth-``depth``
     input cylinders, one row per coset: the input column and the cocycle
-    weight q^(beta/2) of every output cylinder (depth n + ``depth``).
+    weight q^(beta/2) of every output cylinder z (depth n + ``depth``).
+    ``below`` names one leaf under each input cylinder
+    (``_cylinder_ancestors``).
 
-    The images come from the leaf images (``_image_on_geodesic``), and the
-    partition check of ``_transport_supports`` runs on them for every coset,
-    place and depth.  A transport matrix has exactly one nonzero entry per
-    output row, because the images partition the boundary, so these two
-    (R, #out cells) arrays hold it.
+    Every coset is done in one pass.  With w = r . o, the image y_j of input
+    cylinder j is the point at distance ``depth`` from w on [w, r . leaf]
+    for the leaf below it, and z's column is the j with y_j = p(z), the
+    point at that distance on [w, z]; z's weight is q^(c - |w|/2), c the
+    common prefix of w and z.  The images must partition the boundary:
+    every y_j lies at distance ``depth`` from w, so that holds when the y_j
+    are distinct and every p(z) is one of them, which is checked for every
+    coset, place and depth.  A transport matrix has exactly one nonzero
+    entry per output row, so these two (R, #out cells) arrays hold it.
     """
     import numpy as np
 
     sphere = transports.sphere
     registry = sphere.registries[place_index]
-    q = registry.q
-    out_depth = sphere.n + depth
-    out_paths = label_array(
-        [c.base.path for c in boundary_cylinders(q + 1, out_depth)], out_depth
+    degree = registry.q + 1
+    located = [pair[place_index] for pair in sphere.cosets]
+    lengths = np.array([w.depth for w in located])
+    w_ids = _prefix_ids(label_array([w.path for w in located], sphere.n), degree)
+    leaf_paths = [row[j].path for row in transports.images[place_index] for j in below]
+    leaf_ids = _prefix_ids(label_array(leaf_paths, sphere.n + transports.depth), degree)
+    image_ids, _ = _points_at(
+        w_ids, lengths, leaf_ids.reshape(len(located), len(below), -1), depth
     )
-    _, below = _cylinder_ancestors(transports.leaves, depth)
-    columns, weights = [], []
-    for (w0, w1, members), leaf_images in zip(sphere.cosets, transports.images[place_index]):
-        w = (w0, w1)[place_index]
-        ys = label_array(
-            [_image_on_geodesic(w, leaf_images[j], depth) for j in below], out_depth
+    out_ids = _prefix_ids(_sphere_labels(degree, sphere.n + depth), degree)
+    point_ids, common = _points_at(w_ids, lengths, out_ids[None], depth)
+    # look every p(z) up among its own row's images: sorted rows, offset so
+    # that the rows follow one another in one sorted key array
+    order = np.argsort(image_ids, axis=1)
+    ranked = np.take_along_axis(image_ids, order, axis=1)
+    offsets = (max(ranked.max(), point_ids.max()) + 1) * np.arange(len(located))[:, None]
+    keys = (ranked + offsets).ravel()
+    queries = point_ids + offsets
+    found = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    partitions = np.all(ranked[:, 1:] != ranked[:, :-1], axis=1) & np.all(
+        keys[found] == queries, axis=1
+    )
+    if not partitions.all():
+        members = sphere.cosets[int(np.argmin(partitions))][2]
+        raise RuntimeError(
+            "transported cylinder images fail to partition the boundary "
+            f"(place {registry.place.value}, element "
+            f"{sphere.gammas[members[0][0]].to_text()})"
         )
-        betas, covered = _transport_supports(
-            sphere.gammas[members[0][0]], w, ys, out_paths, registry.place
-        )
-        columns.append(covered.argmax(axis=0))
-        weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
-    return np.array(columns), np.array(weights)
+    top = int(lengths.max())
+    cocycle = np.array([float(registry.q) ** (beta / 2.0) for beta in range(-top, top + 1)])
+    return order.ravel()[found], cocycle[2 * common - lengths[:, None] + top]
 
 
-def _k_operator(transports: SphereTransports, depth: int) -> np.ndarray:
+def _k_operator(
+    transports: SphereTransports, ancestors: tuple[list[int], list[int]]
+) -> np.ndarray:
     """K_op[(perm0_k[j], perm1_k[l]), (j, l)] = 1 summed over k in K, on the
-    depth-``depth`` input cells.  Each perm is the leaf action truncated; one
-    that is no permutation would silently drop and double input cylinders,
-    so that is checked at every depth."""
+    input cells of the depth whose ``_cylinder_ancestors`` are given.  Each
+    perm is the leaf action truncated; one that is no permutation would
+    silently drop and double input cylinders, so that is checked at every
+    depth."""
     import numpy as np
 
-    ancestor, below = _cylinder_ancestors(transports.leaves, depth)
+    ancestor, below = ancestors
     size = len(below)
     cells = size * size
     registries = transports.sphere.registries
@@ -542,8 +581,10 @@ def _compression_gram(transports: SphereTransports, depth: int) -> np.ndarray:
     degree = q + 1
     out_depth = depth + sphere.n
     size = sphere_size(degree, depth)
-    cols0, wts0 = _transports_at(transports, 0, depth)
-    cols1, wts1 = _transports_at(transports, 1, depth)
+    # the cylinders of this depth are listed once, for both places and K_op
+    ancestors = _cylinder_ancestors(transports.leaves, depth)
+    cols0, wts0 = _transports_at(transports, 0, depth, ancestors[1])
+    cols1, wts1 = _transports_at(transports, 1, depth, ancestors[1])
     # every depth-k cylinder has the same measure, one over the sphere size
     mu_in = 1.0 / size
     mu_out = 1.0 / sphere_size(degree, out_depth)
@@ -560,7 +601,7 @@ def _compression_gram(transports: SphereTransports, depth: int) -> np.ndarray:
         right = _pair_blocks(cols1, wts1, r, size)
         core += left.T @ ((mu_out * mu_out * coeffs[r]) * coeffs[:, None] * right)
     core = core.reshape(size, size, size, size).transpose(0, 2, 1, 3).reshape(cells, cells)
-    k_op = _k_operator(transports, depth)
+    k_op = _k_operator(transports, ancestors)
     gram = k_op.T @ core @ k_op
     # whiten by the input measure so plain power iteration sees the weighted norm
     scale = math.sqrt(mu_in * mu_in)
@@ -640,48 +681,45 @@ class ConvolutionResult:
         }
 
 
-def convolution_matrix(
-    table: SphereTable, n: int, ball_radius: int, registries: Registries | None = None
-) -> np.ndarray:
-    """The sphere indicator's convolution compressed to the length ball: the
-    0/1 matrix [L(g h^-1) == n] over ball elements g, h in table order.
+def coset_convolution_matrix(spheres: Sequence[SphereCosets], n: int) -> np.ndarray:
+    """The sphere indicator's convolution on the ball's right cosets: the
+    0/1 matrix M'[a, b] = [d0(w0_a, w0_b) + dinf(w1_a, w1_b) == n] over the
+    cosets of the given spheres, in order, with (w0, w1) their located
+    pairs.
 
-    The group acts by isometries, so L(g h^-1) is the sum over both places of
-    the tree distance d(g^-1 . o, h^-1 . o).  Each inverse is located once
-    per place, and the distances |p| + |p'| - 2 prefix(p, p') of the label
-    paths come from ``common_prefix_lengths``.  The registries must reach
-    radius ``ball_radius``; without them they are built at that radius.
+    The group acts by isometries, so L(g h^-1) is the sum over both places
+    of d(g^-1 . o, h^-1 . o), which is read off the cosets of g^-1 and h^-1.
+    With E[g, a] = 1 when g^-1 lies in coset a, the element matrix is
+    E M' E^T, and E^T E = |K| I.  The distances |p| + |p'| - 2 prefix(p, p')
+    of the label paths come from ``common_prefix_lengths``.
     """
     import numpy as np
 
-    inverses = [
-        g.inverse()
-        for length in table.lengths()
-        if length <= ball_radius
-        for g in table.sphere(length)
-    ]
-    size = len(inverses)
-    lengths = np.zeros((size, size), dtype=np.int64)
-    if registries is None:
-        registries = _registries(table.q, (ball_radius, ball_radius))
-    for place, registry in zip((Place.ZERO, Place.INFINITY), registries):
-        paths = [locate(h, place, registry).path for h in inverses]
+    distances = 0
+    for place_index in (0, 1):
+        paths = [pair[place_index].path for sphere in spheres for pair in sphere.cosets]
         depths = np.array([len(p) for p in paths], dtype=np.int64)
-        labels = label_array(paths, ball_radius)
-        lengths += depths[:, None] + depths[None, :] - 2 * common_prefix_lengths(labels, labels)
-    return (lengths == n).astype(float)
+        labels = label_array(paths, max(depths))
+        distances = distances + depths[:, None] + depths - 2 * common_prefix_lengths(labels, labels)
+    return (distances == n).astype(float)
 
 
 def convolution_opnorm_lower(
-    table: SphereTable, n: int, ball_radius: int, registries: Registries | None = None
+    table: SphereTable,
+    n: int,
+    ball_radius: int,
+    spheres: Mapping[int, SphereCosets] | None = None,
 ) -> ConvolutionResult:
     """Power-iteration lower bound for the convolution operator norm of the
     sphere indicator, compressed to functions on the length ball of the given
     radius.  Nondecreasing in the radius; never above the sphere size.
 
-    The sphere is inversion closed, so the compressed matrix is symmetric and
-    the iteration runs on its square.  ``registries`` as for
-    ``convolution_matrix``.
+    The ball is a union of right cosets and the element matrix is
+    E M' E^T (``coset_convolution_matrix``), with E / sqrt(|K|) an isometry,
+    so its norm is |K| times the norm of M'.  The sphere is inversion
+    closed, so M' is symmetric and the iteration runs on its square.
+    ``spheres`` maps each length of the ball to its split
+    (``split_sphere``); without it the ball's spheres are split here.
     """
     if table.sphere_size(n) == 0:
         raise ValueError(f"sphere {n} is empty")
@@ -690,16 +728,20 @@ def convolution_opnorm_lower(
             f"ball radius {ball_radius} plus sphere length {n} exceeds the "
             f"table radius {table.max_length}"
         )
-    matrix = convolution_matrix(table, n, ball_radius, registries)
-    squared = matrix @ matrix
-    eigenvalue, iterations, converged = _power_iteration_symmetric(squared)
+    lengths = [m for m in table.lengths() if m <= ball_radius and table.sphere_size(m) > 0]
+    if spheres is None:
+        registries = _registries(table.q, (ball_radius, ball_radius))
+        spheres = {m: split_sphere(table, m, registries) for m in lengths}
+    ball = [spheres[m] for m in lengths]
+    matrix = coset_convolution_matrix(ball, n)
+    eigenvalue, iterations, converged = _power_iteration_symmetric(matrix @ matrix)
     return ConvolutionResult(
         n=n,
         ball_radius=ball_radius,
-        value=math.sqrt(max(eigenvalue, 0.0)),
+        value=(table.q**3 - table.q) * math.sqrt(max(eigenvalue, 0.0)),
         iterations=iterations,
         converged=converged,
-        ball_size=len(matrix),
+        ball_size=sum(len(sphere.gammas) for sphere in ball),
         sphere_size=table.sphere_size(n),
     )
 
@@ -742,8 +784,8 @@ def rrd_report(
     mean_reports = []
     compression_rows = []
     chain_ok = True
-    for n in mean_lengths:
-        sphere = split_sphere(table, n, registries)
+    spheres = {n: split_sphere(table, n, registries) for n in mean_lengths}
+    for n, sphere in spheres.items():
         u_n = uniform_bound_value(table, n, sphere)
         mean_reports.append(u_n)
         transports = transport_sphere(sphere, depth, actions)
@@ -761,7 +803,7 @@ def rrd_report(
     base_identity = None
     l1_ok = True
     for n, ball_radius in convolution_radii.items():
-        result = convolution_opnorm_lower(table, n, ball_radius, registries)
+        result = convolution_opnorm_lower(table, n, ball_radius, spheres)
         row = result.to_dict()
         row["l1_ok"] = result.l1_ok
         l1_ok = l1_ok and result.l1_ok
@@ -789,7 +831,7 @@ def rrd_report(
                 "max_iters": MAX_ITERS,
                 "max_mean_length": MAX_MEAN_LENGTH,
                 "tolerance": TOLERANCE,
-                "u_bound": u_bound,
+                "u_bound": json_threshold(u_bound),
             },
             "tool_version": __version__,
             "cache_major": CACHE_MAJOR_VERSION,
@@ -797,7 +839,7 @@ def rrd_report(
         },
         "condition1": {**cond1.to_dict(), "pass": cond1.passed},
         "condition2": {
-            "threshold": float(u_bound),
+            "threshold": json_threshold(u_bound),
             "rows": [r.to_dict() for r in mean_reports],
             "pass": cond2_pass,
         },

@@ -234,13 +234,15 @@ def check_bfs_budget(degree: int, n: int) -> None:
             )
 
 
-def ball_count_bfs(degree: int, n: int) -> int:
-    """Pair-ball count by exhaustive breadth-first enumeration of one tree.
+def ball_count_bfs(degree: int, n: int) -> list[int]:
+    """Pair-ball counts for every radius 0..n by one exhaustive breadth-first
+    enumeration of one tree.
 
-    Counts actual vertices per sphere by expanding label paths, then sums
-    s_i * s_j over i + j <= n.  Independent of the closed form; used as its
-    oracle.  Raises RadiusBudgetError before building any vertex when the
-    ball is over budget (``check_bfs_budget``).
+    Counts actual vertices s_0, ..., s_n per sphere by expanding label paths
+    once, then the count at radius m sums s_i * s_j over i + j <= m.
+    Independent of the closed form; used as its oracle.  Raises
+    RadiusBudgetError before building any vertex when the ball is over
+    budget (``check_bfs_budget``).
     """
     if n < 0:
         raise ValueError("negative radius")
@@ -256,8 +258,7 @@ def ball_count_bfs(degree: int, n: int) -> int:
                 nxt.append(v.child(lab))
         counts.append(len(nxt))
         frontier = nxt
-    total = 0
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            total += counts[i] * counts[j]
-    return total
+    return [
+        sum(counts[i] * counts[j] for i in range(m + 1) for j in range(m + 1 - i))
+        for m in range(n + 1)
+    ]

@@ -9,8 +9,10 @@ inside the coefficient window, the subgroup's balls by breadth-first search
 over its group law on (n, P), the mean by exact Koopman matrices applied
 cell by cell, the mean's value on 1 as a step function of a + b sqrt(q)
 values (cocycle square roots over the spherical function), the
-compression's Gram matrix from every element's own transport, and each
-representative's transport at every depth from its own translations.
+compression's Gram matrix from every element's own transport, each
+representative's transport at every depth from its own translations and a
+geodesic test per pair of cylinders, and the convolution matrix over every
+pair of ball elements from their located inverses.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from rrdlab.criterion import (
     SphereCosets,
     _registries,
     _right_cosets,
-    _transport_supports,
+    common_prefix_lengths,
     label_array,
 )
 from rrdlab.sl2 import SL2Element, _to_uniformizer, entry_lengths, locate, translate_vertex
@@ -670,6 +672,39 @@ class KoopmanMatrix:
         return StepFunction(h.degree, self.output_depths, out)
 
 
+def _transport_supports(
+    gamma: SL2Element,
+    w: TreeVertex,
+    ys: np.ndarray,
+    out_paths: np.ndarray,
+    place: Place,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transport data for one boundary factor by a geodesic test per pair:
+    the Busemann value beta at w = gamma . o of every output cylinder (its
+    cocycle weight is q^(beta/2)), and covered[j, i], true when the image of
+    input cylinder j lies on the geodesic from w to output cylinder i.
+
+    ``ys`` holds the label paths of the images gamma . v of the input
+    cylinder bases and ``out_paths`` those of every output cylinder (one
+    depth), both label arrays of one width.  The images must cover every
+    output cylinder exactly once; that is checked with the program's
+    message.
+    """
+    width = out_paths.shape[1]
+    w_row = label_array([w.path], width)
+    wz = common_prefix_lengths(w_row, out_paths)[0]
+    wy = common_prefix_lengths(w_row, ys)[0]
+    y_depths = np.count_nonzero(ys >= 0, axis=1)
+    # y on the geodesic [w, z], in shared-prefix arithmetic
+    covered = common_prefix_lengths(ys, out_paths) + wy[:, None] == y_depths[:, None] + wz
+    if np.any(covered.sum(axis=0) != 1):
+        raise RuntimeError(
+            "transported cylinder images fail to partition the boundary "
+            f"(place {place.value}, element {gamma.to_text()})"
+        )
+    return 2 * wz - w.depth, covered
+
+
 def direct_images(
     gamma: SL2Element, cyls: list[BoundaryCylinder], registry
 ) -> list[tuple[int, ...]]:
@@ -887,3 +922,33 @@ def coset_transports_direct(
         columns.append(covered.argmax(axis=0))
         weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
     return np.array(columns), np.array(weights)
+
+
+# ---------------------------------------------------------------------------
+# the convolution matrix, element by element
+
+
+def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarray:
+    """The sphere indicator's convolution compressed to the length ball: the
+    0/1 matrix [L(g h^-1) == n] over ball elements g, h in table order.
+
+    The group acts by isometries, so L(g h^-1) is the sum over both places of
+    the tree distance d(g^-1 . o, h^-1 . o).  Each inverse is located once
+    per place, and the distances |p| + |p'| - 2 prefix(p, p') of the label
+    paths come from ``common_prefix_lengths``.
+    """
+    inverses = [
+        g.inverse()
+        for length in table.lengths()
+        if length <= ball_radius
+        for g in table.sphere(length)
+    ]
+    size = len(inverses)
+    lengths = np.zeros((size, size), dtype=np.int64)
+    registries = _registries(table.q, (ball_radius, ball_radius))
+    for place, registry in zip((Place.ZERO, Place.INFINITY), registries):
+        paths = [locate(h, place, registry).path for h in inverses]
+        depths = np.array([len(p) for p in paths], dtype=np.int64)
+        labels = label_array(paths, ball_radius)
+        lengths += depths[:, None] + depths[None, :] - 2 * common_prefix_lengths(labels, labels)
+    return (lengths == n).astype(float)

@@ -75,8 +75,7 @@ def _random_word(rng: random.Random, letters: int = 6) -> SL2Element:
 def test_criterion_01_ball_count_formula():
     started = time.perf_counter()
     for degree in (3, 4, 5):
-        for n in range(0, 9):
-            assert ball_count_formula(degree, n) == ball_count_bfs(degree, n)
+        assert [ball_count_formula(degree, n) for n in range(0, 9)] == ball_count_bfs(degree, 8)
     assert [ball_count_formula(3, n) for n in (1, 2, 3)] == [7, 28, 88]
     elapsed = time.perf_counter() - started
     assert elapsed < 10

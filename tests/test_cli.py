@@ -14,6 +14,8 @@ from rrdlab.cli import main
 from rrdlab.sl2 import SL2Element
 from rrdlab.spheres import constant_group, right_coset
 
+from test_schemas import load_validator
+
 
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
@@ -124,13 +126,42 @@ def test_uniform_bound_threshold_failure(capsys):
     assert code == 1
 
 
+def strict_json(text: str):
+    """json.loads that refuses the bare NaN, Infinity and -Infinity tokens
+    json.dumps writes by default, none of which is JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_uniform_bound_threshold_is_exact(capsys):
-    # U_2 = 6/5, and the double nearest 1.2 lies just below it
-    for threshold, expected in (("1.2", 1), ("1.2000000000000002", 0), ("inf", 0)):
-        code, _ = run(
-            capsys, "uniform-bound", "--max-length", "2", "--n", "2", "--threshold", threshold
+    # U_2 = 6/5, and the double nearest 1.2 lies just below it; an infinite
+    # threshold has no JSON number and is written as null
+    for threshold, expected, written in (
+        ("1.2", 1, 1.2),
+        ("1.2000000000000002", 0, 1.2000000000000002),
+        ("inf", 0, None),
+        ("-inf", 1, None),
+    ):
+        code, out = run(
+            capsys, "uniform-bound", "--max-length", "2", "--n", "2", f"--threshold={threshold}"
         )
         assert code == expected
+        envelope = strict_json(out)
+        assert envelope["config"]["threshold"] == written
+        load_validator("envelope.schema.json").validate(envelope)
+
+
+def test_report_writes_an_infinite_threshold_as_null(capsys):
+    code, out = run(capsys, "report", "--max-length", "2", "--depth", "1", "--u-threshold", "inf")
+    assert code == 0
+    verdict = strict_json(out)
+    assert verdict["condition2"]["threshold"] is None
+    assert verdict["config"]["thresholds"]["u_bound"] is None
+    assert verdict["condition2"]["pass"] is True
+    load_validator("verdict.schema.json").validate(verdict)
 
 
 @pytest.mark.parametrize(
@@ -356,6 +387,24 @@ def test_ball_count_budget_is_a_usage_error_before_any_bfs(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert started == []
+
+
+def test_ball_count_makes_one_bfs(capsys, monkeypatch):
+    # every row reads the sphere counts of one walk up to the radius
+    radii = []
+    real = cli.ball_count_bfs
+
+    def counting(degree, n):
+        radii.append(n)
+        return real(degree, n)
+
+    monkeypatch.setattr(cli, "ball_count_bfs", counting)
+    code, out = run(capsys, "ball-count", "--degree", "3", "--radius", "15")
+    assert code == 0
+    assert radii == [15]
+    rows = json.loads(out)["result"]["rows"]
+    assert [row["n"] for row in rows] == list(range(16))
+    assert all(row["match"] and row["bfs"] == row["formula"] for row in rows)
 
 
 def test_lamplighter_budget_is_a_usage_error(capsys, monkeypatch):

@@ -12,10 +12,11 @@ from rrdlab.algebra import AlgebraicValue, Place
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     _compression_gram,
+    _cylinder_ancestors,
     _registries,
     _right_cosets,
     _transports_at,
-    convolution_matrix,
+    coset_convolution_matrix,
     convolution_opnorm_lower,
     mean_matrix_2norm,
     rrd_report,
@@ -32,6 +33,7 @@ from oracles import (
     add,
     bfs_crosscheck,
     constant,
+    convolution_matrix,
     coset_transports_direct,
     gram_per_element,
     integral,
@@ -326,6 +328,35 @@ def test_convolution_matrix_matches_products(request, table_name, full_radius):
                 assert np.array_equal(matrix[rows], lengths == n)
 
 
+@pytest.mark.parametrize(
+    "table_name, n, radius",
+    [("table4", 0, 4), ("table4", 2, 2), ("table6", 2, 4), ("table_q3n2", 0, 2)],
+)
+def test_coset_convolution_matches_the_element_matrix(request, table_name, n, radius):
+    # E[g, a] = 1 when g^-1 lies in coset a: the element matrix is E M' E^T
+    # and E^T E = |K| I, so its norm is |K| times that of M'
+    table = request.getfixturevalue(table_name)
+    lengths = [m for m in table.lengths() if m <= radius]
+    registries = _registries(table.q, (radius, radius))
+    ball = [split_sphere(table, m, registries) for m in lengths]
+    index = {g.to_text(): i for i, g in enumerate(g for m in lengths for g in table.sphere(m))}
+    cosets = [(sphere, members) for sphere in ball for _, _, members in sphere.cosets]
+    expansion = np.zeros((len(index), len(cosets)))
+    for a, (sphere, members) in enumerate(cosets):
+        for gi, _ in members:
+            expansion[index[sphere.gammas[gi].inverse().to_text()], a] = 1.0
+    order = table.q**3 - table.q
+    assert np.array_equal(expansion.T @ expansion, order * np.eye(len(cosets)))
+    cosetwise = coset_convolution_matrix(ball, n)
+    element = convolution_matrix(table, n, radius)
+    assert np.array_equal(expansion @ cosetwise @ expansion.T, element)
+    norm = np.linalg.norm(element, 2)
+    assert order * np.linalg.norm(cosetwise, 2) == pytest.approx(norm, rel=1e-10, abs=0)
+    result = convolution_opnorm_lower(table, n, radius)
+    assert result.value == pytest.approx(norm, rel=1e-10, abs=0)
+    assert result.ball_size == len(index)
+
+
 def test_convolution_requires_room(table4):
     with pytest.raises(ValueError):
         convolution_opnorm_lower(table4, 2, 4)
@@ -456,6 +487,24 @@ def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
         rrd_report(table4, 4)
 
 
+def test_transported_images_must_partition_the_boundary(table4, monkeypatch):
+    # one representative's first leaf sent where its second goes: two input
+    # cylinders then share an image and another one's output cells are lost
+    real = criterion.transport_sphere
+
+    def colliding(sphere, depth, actions=None):
+        transports = real(sphere, depth, actions)
+        row = transports.images[1][-1]
+        row[0] = row[1]
+        return transports
+
+    monkeypatch.setattr(criterion, "transport_sphere", colliding)
+    with pytest.raises(RuntimeError, match="fail to partition"):
+        mean_matrix_2norm(table4, 2, 1)
+    with pytest.raises(RuntimeError, match="fail to partition"):
+        rrd_report(table4, 4)
+
+
 # (iterations, value) of the 12 compression rows of the reference report
 REFERENCE_COMPRESSIONS = [
     (2, 1.0),
@@ -498,8 +547,9 @@ def test_derived_transports_match_direct_translation(request, table_name, depth)
         sphere = split_sphere(table, n, registries)
         transports = transport_sphere(sphere, depth)
         for k in range(depth + 1):
+            _, below = _cylinder_ancestors(transports.leaves, k)
             for place_index in (0, 1):
-                columns, weights = _transports_at(transports, place_index, k)
+                columns, weights = _transports_at(transports, place_index, k, below)
                 direct_columns, direct_weights = coset_transports_direct(sphere, place_index, k)
                 assert np.array_equal(columns, direct_columns)
                 assert np.array_equal(weights, direct_weights)
