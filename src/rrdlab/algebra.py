@@ -25,7 +25,6 @@ Everything in this module is exact and immutable.  Conventions:
 
 from __future__ import annotations
 
-import re
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
@@ -409,21 +408,6 @@ class LaurentPolynomial:
     def to_text(self) -> str:
         """Canonical text form ``low=<int>;coeffs=<c0,c1,...>`` used in caches."""
         return f"low={self.low};coeffs={','.join(str(c) for c in self._coeffs)}"
-
-    _TEXT_RE = re.compile(r"^low=(-?\d+);coeffs=((?:\d+(?:,\d+)*)?)$")
-
-    @classmethod
-    def from_text(cls, field: Fq, text: str) -> "LaurentPolynomial":
-        m = cls._TEXT_RE.match(text)
-        if not m:
-            raise ValueError(f"malformed Laurent polynomial text: {text!r}")
-        low = int(m.group(1))
-        coeffs = [int(c) for c in m.group(2).split(",")] if m.group(2) else []
-        if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
-            raise ValueError(f"non-canonical coefficient run in {text!r}")
-        if any(not 0 <= c < field.q for c in coeffs):
-            raise ValueError(f"coefficient out of range for F_{field.q} in {text!r}")
-        return cls(field, low, coeffs)
 
     # dunder plumbing --------------------------------------------------------
 

@@ -9,8 +9,10 @@ the sphere enumeration, the subgroup ball search or the ball-count BFS), 3
 on an internal fault (any other exception).
 
 Sphere tables can be cached: with --cache-dir or RRDLAB_CACHE_DIR set,
-tables live in files keyed by (q, max length, cache major version).  A cache file whose header does not match the
-request or the current major version, or whose contents fail validation, is
+tables live in files keyed by (q, max length, cache major version).  A cache
+file whose header does not match the request, the current major version or
+the pair-certified provenance, or whose buckets are not the pair scan's
+cosets expanded by SL2(F_q) text for text (``SphereTable.from_json``), is
 recomputed and rewritten, never silently reused.
 """
 
@@ -145,10 +147,12 @@ def _check_arguments(args: argparse.Namespace) -> None:
     for name in ("max_length", "radius", "length"):
         if getattr(args, name, 0) < 0:
             raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
-    # a nan threshold decides nothing, and JSON has no token for it
+    # a nan threshold decides nothing and a -inf one fails every value; JSON
+    # writes +inf as null, which then means no bound
     for name in ("threshold", "u_threshold"):
-        if math.isnan(getattr(args, name, 0.0)):
-            raise UsageError(f"--{name.replace('_', '-')} must be a number, not nan")
+        value = getattr(args, name, 0.0)
+        if math.isnan(value) or value == -math.inf:
+            raise UsageError(f"--{name.replace('_', '-')} must be a number or inf, not {value}")
 
 
 def _cmd_spheres(args: argparse.Namespace) -> int:

@@ -13,14 +13,13 @@ loads it.  The mean as an exact step function of ``AlgebraicValue``s, the
 exact Koopman matrices and the operator form of the mean, which check both
 sides, live with the tests (``tests/oracles.py``).
 
-Both sides read a sphere as a union of right cosets rK of K = SL2(F_q).
-A sphere is split once (``split_sphere``) with the enumeration's own
-K-expansion (``spheres.right_coset``), which checks that the sphere is a
-union of whole cosets, and only the representatives are located: every
-member of rK moves the base-vertex pair to r's pair.  A compression
-transports only the representatives too: a member r k acts as r after k
-permutes the input cylinders, so its Gram matrix is a sum over pairs of
-representatives, conjugated by the action of K.  One pass
+Both sides read a sphere as the table's list of right cosets rK of
+K = SL2(F_q) (``SphereTable.cosets``): the pair scan's representatives with
+their located pairs (r . o_0, r . o_inf), which every member of rK shares,
+so nothing is located here.  Exact U_n weighs each coset by
+1 / #cosets.  A compression transports only the representatives: a member
+r k acts as r after k permutes the input cylinders, so its Gram matrix is a
+sum over pairs of representatives, conjugated by the action of K.  One pass
 (``transport_sphere``) serves every compression depth of a sphere: each
 representative moves only the deepest input cylinders, and the shallower
 images and K's action at each depth follow by label-path arithmetic.  The
@@ -31,11 +30,11 @@ r . o to it.  The convolution reads the ball's cosets too: L(g h^-1)
 depends only on the located pairs of g^-1 and h^-1, so its matrix over the
 ball is E M' E^T with M' indexed by the cosets and E^T E = |K| I.
 
-The report builds one registry pair, at the largest radius any section
-needs, and shares it, each sphere's split and its transports among U_n,
-the compressions and the convolution rows.  Registry labels do not depend
-on the radius, so every vertex is located to the same path as in a
-standalone call, which builds the same objects for itself.
+Only the transports need tree registries.  The report builds one pair, at
+the largest radius a compression needs, and shares it and K's action among
+its spheres.  Registry labels do not depend on the radius, so every vertex
+has the same path as in a standalone call, which builds the same objects
+for itself.
 """
 
 from __future__ import annotations
@@ -43,14 +42,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Place
 from .boundary import hc_product
 from .lamplighter import exponential_certificate, h_ball_growth
-from .sl2 import SL2Element, TreeRegistry, locate, translate_vertex
-from .spheres import SphereTable, condition_one_certificate, constant_group, right_coset
+from .sl2 import SL2Element, TreeRegistry, translate_vertex
+from .spheres import (
+    PROVENANCE_PAIRS,
+    Coset,
+    SphereTable,
+    condition_one_certificate,
+    constant_group,
+)
 from .trees import (
     BoundaryCylinder,
     TreeVertex,
@@ -74,8 +79,8 @@ Registries = tuple[TreeRegistry, TreeRegistry]
 
 
 def json_threshold(value: float) -> float | None:
-    """A threshold as it is written to JSON, which has no infinity: an
-    infinite one (no bound at all, or one nothing meets) becomes null."""
+    """A threshold as it is written to JSON, which has no infinity: +inf
+    (no bound at all) becomes null.  The command line refuses nan and -inf."""
     return float(value) if math.isfinite(value) else None
 
 
@@ -110,70 +115,6 @@ def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         matching &= (x[:, None] == y[None, :]) & (x >= 0)[:, None]
         prefix += matching
     return prefix
-
-
-# ---------------------------------------------------------------------------
-# spheres as unions of right cosets
-
-
-# One right coset rK: the located pair (r . o_0, r . o_inf) and its members
-# as (sphere index, k) with member = r k, the representative r first.
-Coset = tuple[TreeVertex, TreeVertex, list[tuple[int, SL2Element]]]
-
-
-def _right_cosets(
-    gammas: Sequence[SL2Element], reg0: TreeRegistry, reginf: TreeRegistry
-) -> list[Coset]:
-    """Split a sphere into right cosets rK of K = SL2(F_q).
-
-    In table order, the first element no coset has claimed yet opens the
-    coset rK, whose members r k come from ``right_coset`` and are looked up
-    by text.  Each must be on the sphere and unclaimed, and no element may
-    repeat, so the sphere is checked to be a union of whole cosets.  The
-    stabilizer of the base-vertex pair is K, so only r is located.
-    """
-    index = {g.to_text(): gi for gi, g in enumerate(gammas)}
-    if len(index) != len(gammas):
-        raise RuntimeError("the sphere repeats an element")
-    group = constant_group(reg0.field)
-    claimed = [False] * len(gammas)
-    cosets = []
-    for ri, r in enumerate(gammas):
-        if claimed[ri]:
-            continue
-        members = []
-        for k, text, _ in right_coset(r, group):
-            gi = index.get(text)
-            if gi is None or claimed[gi]:
-                raise RuntimeError(
-                    f"the sphere is not a union of right cosets: {text} of the "
-                    f"coset of {r.to_text()} is missing or already claimed"
-                )
-            claimed[gi] = True
-            members.append((gi, k))
-        members.sort()  # by sphere index, which is unique: r comes first
-        cosets.append((locate(r, Place.ZERO, reg0), locate(r, Place.INFINITY, reginf), members))
-    return cosets
-
-
-class SphereCosets(NamedTuple):
-    """One sphere split into right cosets rK (``_right_cosets``), with the
-    registry pair that located the representatives.  Exact U_n and every
-    compression of the sphere read the same split."""
-
-    n: int
-    gammas: Sequence[SL2Element]
-    cosets: list[Coset]
-    registries: Registries
-
-
-def split_sphere(table: SphereTable, n: int, registries: Registries) -> SphereCosets:
-    """Split sphere n with the given registries, which must reach every
-    representative's vertices (radius at least n at both places)."""
-    gammas = table.sphere(n)
-    if not gammas:
-        raise ValueError(f"sphere {n} is empty")
-    return SphereCosets(n, gammas, _right_cosets(gammas, *registries), registries)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +154,8 @@ def _k_actions(registries: Registries, depth: int) -> KActions:
 
 
 class SphereTransports(NamedTuple):
-    """The representatives' transports of one sphere for every input depth
-    up to ``depth``, at both places.
+    """The representatives' transports of sphere n for every input depth up
+    to ``depth``, at both places.
 
     Each representative r moves the base of every depth-``depth`` input
     cylinder (a leaf) once: images[place][coset][leaf] = r . leaf.  r is an
@@ -224,36 +165,46 @@ class SphereTransports(NamedTuple):
     a shallower depth is its action on the leaves truncated.
     """
 
-    sphere: SphereCosets
+    table: SphereTable
+    n: int
+    registries: Registries
     depth: int
     leaves: list[BoundaryCylinder]
     images: tuple[list[list[TreeVertex]], list[list[TreeVertex]]]
     actions: KActions
 
+    @property
+    def cosets(self) -> tuple[Coset, ...]:
+        return self.table.cosets(self.n)
+
 
 def transport_sphere(
-    sphere: SphereCosets, depth: int, actions: KActions | None = None
+    table: SphereTable,
+    n: int,
+    depth: int,
+    registries: Registries,
+    actions: KActions | None = None,
 ) -> SphereTransports:
-    """Move every representative's leaves at both places; the registries
-    must reach radius n + ``depth``.  ``actions`` (from ``_k_actions`` at
-    this depth) are shared by the spheres of one report; without them they
-    are computed here."""
-    leaves = boundary_cylinders(sphere.registries[0].q + 1, depth)
+    """Move every representative's leaves of sphere n at both places; the
+    registries must reach radius n + ``depth``.  ``actions`` (from
+    ``_k_actions`` at this depth) are shared by the spheres of one report;
+    without them they are computed here."""
+    leaves = boundary_cylinders(table.q + 1, depth)
     images = tuple(
         [
             [
                 registry.locate_form(
-                    translate_vertex(sphere.gammas[members[0][0]], registry.form_at(leaf.base))
+                    translate_vertex(coset.representative, registry.form_at(leaf.base))
                 )
                 for leaf in leaves
             ]
-            for _, _, members in sphere.cosets
+            for coset in table.cosets(n)
         ]
-        for registry in sphere.registries
+        for registry in registries
     )
     if actions is None:
-        actions = _k_actions(sphere.registries, depth)
-    return SphereTransports(sphere, depth, leaves, images, actions)
+        actions = _k_actions(registries, depth)
+    return SphereTransports(table, n, registries, depth, leaves, images, actions)
 
 
 def _cylinder_ancestors(
@@ -341,18 +292,19 @@ def _transports_at(
     """
     import numpy as np
 
-    sphere = transports.sphere
-    registry = sphere.registries[place_index]
+    cosets = transports.cosets
+    n = transports.n
+    registry = transports.registries[place_index]
     degree = registry.q + 1
-    located = [pair[place_index] for pair in sphere.cosets]
+    located = [coset.vertex(place_index) for coset in cosets]
     lengths = np.array([w.depth for w in located])
-    w_ids = _prefix_ids(label_array([w.path for w in located], sphere.n), degree)
+    w_ids = _prefix_ids(label_array([w.path for w in located], n), degree)
     leaf_paths = [row[j].path for row in transports.images[place_index] for j in below]
-    leaf_ids = _prefix_ids(label_array(leaf_paths, sphere.n + transports.depth), degree)
+    leaf_ids = _prefix_ids(label_array(leaf_paths, n + transports.depth), degree)
     image_ids, _ = _points_at(
         w_ids, lengths, leaf_ids.reshape(len(located), len(below), -1), depth
     )
-    out_ids = _prefix_ids(_sphere_labels(degree, sphere.n + depth), degree)
+    out_ids = _prefix_ids(_sphere_labels(degree, n + depth), degree)
     point_ids, common = _points_at(w_ids, lengths, out_ids[None], depth)
     # look every p(z) up among its own row's images: sorted rows, offset so
     # that the rows follow one another in one sorted key array
@@ -366,11 +318,10 @@ def _transports_at(
         keys[found] == queries, axis=1
     )
     if not partitions.all():
-        members = sphere.cosets[int(np.argmin(partitions))][2]
         raise RuntimeError(
             "transported cylinder images fail to partition the boundary "
             f"(place {registry.place.value}, element "
-            f"{sphere.gammas[members[0][0]].to_text()})"
+            f"{cosets[int(np.argmin(partitions))].representative.to_text()})"
         )
     top = int(lengths.max())
     cocycle = np.array([float(registry.q) ** (beta / 2.0) for beta in range(-top, top + 1)])
@@ -390,7 +341,7 @@ def _k_operator(
     ancestor, below = ancestors
     size = len(below)
     cells = size * size
-    registries = transports.sphere.registries
+    registries = transports.registries
     k_op = np.zeros((cells, cells))
     for index, (k, _, _) in enumerate(constant_group(registries[0].field)):
         perms = []
@@ -448,9 +399,7 @@ def _spherical_coefficient(l0: int, l1: int, q: int) -> Fraction:
     return scaled.a
 
 
-def uniform_bound_value(
-    table: SphereTable, n: int, sphere: SphereCosets | None = None
-) -> MeanReport:
+def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
     """U_n, the sup over the depth-(n, n) product cells of the normalized,
     spherical-function-weighted mean over sphere n applied to 1.
 
@@ -459,32 +408,29 @@ def uniform_bound_value(
     (l0, l1): beta = 2 gp - l with gp the Gromov product of w and the cell,
     and Xi = c(l0) c(l1) q^(-(l0+l1)/2), so the term is the positive
     rational q^(gp0+gp1) / (c(l0) c(l1)).  Each coset's weight
-    |members| / (|C_n| c(l0) c(l1)) is written as an integer over one common
+    1 / (#cosets c(l0) c(l1)) is written as an integer over one common
     denominator, so every cell value is an integer sum over the cosets and
     U_n is the largest of them over that denominator.  The integral of the
     mean over the boundary is exactly 1 (the sphere-average identity); the
-    tests check that on the step-function form of the mean.  ``sphere`` is
-    the sphere's split (``split_sphere``); without it it is made here.
+    tests check that on the step-function form of the mean.
     """
     q = table.q
-    if sphere is None:
-        sphere = split_sphere(table, n, _registries(q, (n, n)))
-    elif sphere.n != n:
-        raise ValueError(f"the split is of sphere {sphere.n}, not {n}")
-    gammas, cosets = sphere.gammas, sphere.cosets
+    cosets = table.cosets(n)
+    if not cosets:
+        raise ValueError(f"sphere {n} is empty")
     weights = [
-        Fraction(len(members), len(gammas)) / _spherical_coefficient(w0.depth, w1.depth, q)
-        for w0, w1, members in cosets
+        Fraction(1, len(cosets)) / _spherical_coefficient(c.zero.depth, c.infinity.depth, q)
+        for c in cosets
     ]
     denominator = math.lcm(*(w.denominator for w in weights))
     cells = [c.base for c in boundary_cylinders(q + 1, n)]
     powers = [q**k for k in range(n + 1)]
     acc = [[0] * len(cells) for _ in cells]
-    for (w0, w1, _), weight in zip(cosets, weights):
+    for coset, weight in zip(cosets, weights):
         scale = weight.numerator * (denominator // weight.denominator)
-        right = [powers[gromov_product(w1, y)] for y in cells]
+        right = [powers[gromov_product(coset.infinity, y)] for y in cells]
         for i, x in enumerate(cells):
-            left = scale * powers[gromov_product(w0, x)]
+            left = scale * powers[gromov_product(coset.zero, x)]
             acc[i] = [total + left * b for total, b in zip(acc[i], right)]
     best = max(max(row) for row in acc)
     if best <= 0:
@@ -576,10 +522,10 @@ def _compression_gram(transports: SphereTransports, depth: int) -> np.ndarray:
     """
     import numpy as np
 
-    sphere = transports.sphere
-    q = sphere.registries[0].q
+    table, n, cosets = transports.table, transports.n, transports.cosets
+    q = table.q
     degree = q + 1
-    out_depth = depth + sphere.n
+    out_depth = depth + n
     size = sphere_size(degree, depth)
     # the cylinders of this depth are listed once, for both places and K_op
     ancestors = _cylinder_ancestors(transports.leaves, depth)
@@ -589,14 +535,14 @@ def _compression_gram(transports: SphereTransports, depth: int) -> np.ndarray:
     mu_in = 1.0 / size
     mu_out = 1.0 / sphere_size(degree, out_depth)
     coeffs = np.array([
-        1.0 / (len(sphere.gammas) * float(hc_product(w0.depth, w1.depth, q).value))
-        for w0, w1, _ in sphere.cosets
+        1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q).value))
+        for c in cosets
     ])
     cells = size * size
     # C[(i,k),(j,l)] = sum_{r,s} c_r c_s (A_r^T D0 A_s)[i,k] (B_r^T D1 B_s)[j,l],
     # one representative r at a time to keep memory flat
     core = np.zeros((cells, cells))
-    for r in range(len(sphere.cosets)):
+    for r in range(len(cosets)):
         left = _pair_blocks(cols0, wts0, r, size)
         right = _pair_blocks(cols1, wts1, r, size)
         core += left.T @ ((mu_out * mu_out * coeffs[r]) * coeffs[:, None] * right)
@@ -624,18 +570,16 @@ def mean_matrix_2norm(
     (``transport_sphere``) at this depth or deeper; without them they are
     made here.
     """
-    if not table.sphere(n):
+    if not table.cosets(n):
         raise ValueError(f"sphere {n} is empty")
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
     if transports is None:
         radius = n + depth
-        transports = transport_sphere(
-            split_sphere(table, n, _registries(table.q, (radius, radius))), depth
-        )
-    elif transports.sphere.n != n or transports.depth < depth:
+        transports = transport_sphere(table, n, depth, _registries(table.q, (radius, radius)))
+    elif transports.table is not table or transports.n != n or transports.depth < depth:
         raise ValueError(
-            f"transports of sphere {transports.sphere.n} to depth "
+            f"transports of sphere {transports.n} to depth "
             f"{transports.depth} do not serve sphere {n} at depth {depth}"
         )
     eigenvalue, iterations, converged = _power_iteration_symmetric(
@@ -681,11 +625,10 @@ class ConvolutionResult:
         }
 
 
-def coset_convolution_matrix(spheres: Sequence[SphereCosets], n: int) -> np.ndarray:
+def coset_convolution_matrix(cosets: Sequence[Coset], n: int) -> np.ndarray:
     """The sphere indicator's convolution on the ball's right cosets: the
     0/1 matrix M'[a, b] = [d0(w0_a, w0_b) + dinf(w1_a, w1_b) == n] over the
-    cosets of the given spheres, in order, with (w0, w1) their located
-    pairs.
+    given cosets, in order, with (w0, w1) their located pairs.
 
     The group acts by isometries, so L(g h^-1) is the sum over both places
     of d(g^-1 . o, h^-1 . o), which is read off the cosets of g^-1 and h^-1.
@@ -697,19 +640,14 @@ def coset_convolution_matrix(spheres: Sequence[SphereCosets], n: int) -> np.ndar
 
     distances = 0
     for place_index in (0, 1):
-        paths = [pair[place_index].path for sphere in spheres for pair in sphere.cosets]
+        paths = [coset.vertex(place_index).path for coset in cosets]
         depths = np.array([len(p) for p in paths], dtype=np.int64)
         labels = label_array(paths, max(depths))
         distances = distances + depths[:, None] + depths - 2 * common_prefix_lengths(labels, labels)
     return (distances == n).astype(float)
 
 
-def convolution_opnorm_lower(
-    table: SphereTable,
-    n: int,
-    ball_radius: int,
-    spheres: Mapping[int, SphereCosets] | None = None,
-) -> ConvolutionResult:
+def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> ConvolutionResult:
     """Power-iteration lower bound for the convolution operator norm of the
     sphere indicator, compressed to functions on the length ball of the given
     radius.  Nondecreasing in the radius; never above the sphere size.
@@ -718,8 +656,6 @@ def convolution_opnorm_lower(
     E M' E^T (``coset_convolution_matrix``), with E / sqrt(|K|) an isometry,
     so its norm is |K| times the norm of M'.  The sphere is inversion
     closed, so M' is symmetric and the iteration runs on its square.
-    ``spheres`` maps each length of the ball to its split
-    (``split_sphere``); without it the ball's spheres are split here.
     """
     if table.sphere_size(n) == 0:
         raise ValueError(f"sphere {n} is empty")
@@ -728,11 +664,7 @@ def convolution_opnorm_lower(
             f"ball radius {ball_radius} plus sphere length {n} exceeds the "
             f"table radius {table.max_length}"
         )
-    lengths = [m for m in table.lengths() if m <= ball_radius and table.sphere_size(m) > 0]
-    if spheres is None:
-        registries = _registries(table.q, (ball_radius, ball_radius))
-        spheres = {m: split_sphere(table, m, registries) for m in lengths}
-    ball = [spheres[m] for m in lengths]
+    ball = [coset for m in table.lengths() if m <= ball_radius for coset in table.cosets(m)]
     matrix = coset_convolution_matrix(ball, n)
     eigenvalue, iterations, converged = _power_iteration_symmetric(matrix @ matrix)
     return ConvolutionResult(
@@ -741,7 +673,7 @@ def convolution_opnorm_lower(
         value=(table.q**3 - table.q) * math.sqrt(max(eigenvalue, 0.0)),
         iterations=iterations,
         converged=converged,
-        ball_size=sum(len(sphere.gammas) for sphere in ball),
+        ball_size=table.ball_size(ball_radius),
         sphere_size=table.sphere_size(n),
     )
 
@@ -775,20 +707,19 @@ def rrd_report(
         for n in (0, 2)
         if max_length >= n and table.sphere_size(n) > 0
     }
-    # one registry pair serves every section: BFS labels do not depend on the
-    # radius, so a larger registry locates every vertex to the same path
-    radius = max(max(mean_lengths) + depth, *convolution_radii.values())
+    # one registry pair serves every compression: BFS labels do not depend on
+    # the radius, so a larger registry gives every vertex the same path
+    radius = max(mean_lengths) + depth
     registries = _registries(q, (radius, radius))
     actions = _k_actions(registries, depth)
 
     mean_reports = []
     compression_rows = []
     chain_ok = True
-    spheres = {n: split_sphere(table, n, registries) for n in mean_lengths}
-    for n, sphere in spheres.items():
-        u_n = uniform_bound_value(table, n, sphere)
+    for n in mean_lengths:
+        u_n = uniform_bound_value(table, n)
         mean_reports.append(u_n)
-        transports = transport_sphere(sphere, depth, actions)
+        transports = transport_sphere(table, n, depth, registries, actions)
         for k in range(1, depth + 1):
             result = mean_matrix_2norm(table, n, k, transports)
             ok = result.value <= u_n.value_float + CHAIN_SLACK
@@ -803,7 +734,7 @@ def rrd_report(
     base_identity = None
     l1_ok = True
     for n, ball_radius in convolution_radii.items():
-        result = convolution_opnorm_lower(table, n, ball_radius, spheres)
+        result = convolution_opnorm_lower(table, n, ball_radius)
         row = result.to_dict()
         row["l1_ok"] = result.l1_ok
         l1_ok = l1_ok and result.l1_ok
@@ -835,7 +766,7 @@ def rrd_report(
             },
             "tool_version": __version__,
             "cache_major": CACHE_MAJOR_VERSION,
-            "sphere_provenance": table.provenance,
+            "sphere_provenance": PROVENANCE_PAIRS,
         },
         "condition1": {**cond1.to_dict(), "pass": cond1.passed},
         "condition2": {

@@ -38,15 +38,6 @@ class HElement:
     n: int
     offset: LaurentPolynomial
 
-    def to_matrix(self) -> SL2Element:
-        field = self.offset.field
-        return SL2Element(
-            LaurentPolynomial.x_power(field, self.n),
-            self.offset,
-            LaurentPolynomial.zero(field),
-            LaurentPolynomial.x_power(field, -self.n),
-        )
-
 
 def h_membership(g: SL2Element) -> Optional[HElement]:
     """Decompose g as (n, P) when it is upper triangular with diagonal

@@ -92,14 +92,6 @@ class SL2Element:
         return cls(one, s, zero, one, check=False)
 
     @classmethod
-    def elementary_lower(cls, s: LaurentPolynomial) -> "SL2Element":
-        """E21(s) = [[1, 0], [s, 1]]."""
-        field = s.field
-        one = LaurentPolynomial.one(field)
-        zero = LaurentPolynomial.zero(field)
-        return cls(one, zero, s, one, check=False)
-
-    @classmethod
     def diagonal_shift(cls, field: Fq, k: int) -> "SL2Element":
         """diag(X^k, X^-k)."""
         zero = LaurentPolynomial.zero(field)
@@ -143,10 +135,6 @@ class SL2Element:
     def length_infinity(self) -> int:
         return entry_lengths(self.a, self.b, self.c, self.d)[1]
 
-    def length_at_place(self, place: Place) -> int:
-        """Tree displacement length of the base vertex at the given place."""
-        return self.length_zero if place is Place.ZERO else self.length_infinity
-
     @cached_property
     def total_length(self) -> int:
         """L = L_zero + L_infinity, the radial variable of the group."""
@@ -156,14 +144,6 @@ class SL2Element:
 
     def to_text(self) -> str:
         return "|".join(e.to_text() for e in self.entries())
-
-    @classmethod
-    def from_text(cls, field: Fq, text: str) -> "SL2Element":
-        parts = text.split("|")
-        if len(parts) != 4:
-            raise ValueError(f"malformed SL2 text: {text!r}")
-        a, b, c, d = (LaurentPolynomial.from_text(field, p) for p in parts)
-        return cls(a, b, c, d)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SL2Element):
@@ -361,13 +341,15 @@ class TreeRegistry:
                 f"lattice vertex outside registry radius {self.radius}: {form.to_text()}"
             ) from None
 
-    def forms_at_depths(self, depths: Iterable[int]) -> dict[int, list[LatticeVertex]]:
-        """The canonical forms of the vertices at each of ``depths``, in
+    def vertices_at_depths(
+        self, depths: Iterable[int]
+    ) -> dict[int, list[tuple[TreeVertex, LatticeVertex]]]:
+        """The vertices at each of ``depths`` with their canonical forms, in
         label order."""
-        out: dict[int, list[LatticeVertex]] = {d: [] for d in depths}
+        out: dict[int, list[tuple[TreeVertex, LatticeVertex]]] = {d: [] for d in depths}
         for path, form in self._by_path.items():
             if len(path) in out:
-                out[len(path)].append(form)
+                out[len(path)].append((TreeVertex(self.degree, path), form))
         return out
 
     def form_at(self, vertex: TreeVertex) -> LatticeVertex:

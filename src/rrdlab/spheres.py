@@ -10,14 +10,17 @@ when h^0(E(-1)) = 0 (Grothendieck splitting; Serre, *Trees*, ch. II; in
 twin-tree terms v0 and v1 are opposite).  The enumeration therefore takes
 every pair of even-depth vertices with d0 + d1 <= N from the two tree
 registries, decides triviality by one F_q linear system whose solutions are
-the global sections of E, reads a representative off the two sections when
-the pair is trivial, and expands it by the q^3 - q elements of K.  Each
-representative is checked to have determinant 1 and to locate back to its
-pair at both places, and the expansion raises on a repeated element.  The
-expansion, ``constant_group`` and ``right_coset``, is the one coset
-primitive: the criterion splits a sphere into right cosets with it too.  The
-pair scan without the expansion, ``trivial_pairs``, also counts the cosets
-of each sphere for the cache loader.
+the global sections of E, and reads a representative off the two sections
+when the pair is trivial.  Each representative is checked to have
+determinant 1 and to locate back to its pair at both places.
+
+A table is this coset list: for each length, the cosets with their located
+pairs, as the scan walked them, and as representative the member whose text
+comes first.  The criterion reads nothing else.  The elements are the
+expansion by the q^3 - q elements of K (``constant_group`` and
+``right_coset``), made on demand for ``sphere`` and ``to_json``; the scan
+raises when two cosets share an element.  The cache loader runs the scan
+once and requires the file to be its expansion, text for text.
 
 The tests cross-check the tables against two independent enumerations in
 ``tests/oracles.py``: a breadth-first word search over an elementary
@@ -37,13 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import sqrt
-from typing import Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import Fq, LaurentPolynomial, Place, poly_xgcd
 from .boundary import HarishChandraValue, hc_product
 from .sl2 import LatticeVertex, SL2Element, TreeRegistry, canonical_vertex
-from .trees import RadiusBudgetError, ball_count_formula, sphere_size
+from .trees import RadiusBudgetError, TreeVertex, ball_count_formula, sphere_size
 
 PROVENANCE_PAIRS = "pair-certified"
 POLYNOMIAL_EXPONENT = Fraction(5, 2)
@@ -250,37 +254,65 @@ def _pair_representative(zero: LatticeVertex, inf: LatticeVertex) -> Optional[SL
     return g
 
 
+class Coset(NamedTuple):
+    """A right coset rK of K = SL2(F_q): its representative r, the member
+    whose text comes first, and the located pair (r.o_0, r.o_inf) that every
+    member shares; the two depths are the members' tree lengths."""
+
+    representative: SL2Element
+    zero: TreeVertex
+    infinity: TreeVertex
+
+    def vertex(self, place_index: int) -> TreeVertex:
+        """The located vertex at place zero (index 0) or infinity (index 1)."""
+        return self.infinity if place_index else self.zero
+
+
 @dataclass(frozen=True)
 class SphereTable:
-    """Ball elements bucketed by total length, plus provenance metadata.
-
-    Buckets are canonically sorted tuples; the table is immutable after
-    construction and safe for concurrent readers.
+    """The length ball as the pair scan's right cosets, bucketed by total
+    length: each bucket lists its sphere's cosets sorted by representative.
+    The elements are the cosets' expansions by K, made on demand
+    (``sphere``).  Immutable after construction and safe for concurrent
+    readers.
     """
 
     q: int
     max_length: int
-    provenance: str
-    buckets: dict[int, tuple[SL2Element, ...]]
-    saturated: Optional[bool] = None
+    buckets: dict[int, tuple[Coset, ...]]
 
-    def sphere(self, n: int) -> tuple[SL2Element, ...]:
+    def cosets(self, n: int) -> tuple[Coset, ...]:
         if n < 0 or n > self.max_length:
             raise ValueError(f"sphere index {n} outside [0, {self.max_length}]")
         return self.buckets.get(n, ())
 
+    def _members(self, n: int) -> list[tuple[str, SL2Element]]:
+        """The elements of sphere n with their texts, in text order."""
+        group = constant_group(Fq(self.q))
+        return sorted(
+            (
+                (text, g)
+                for coset in self.cosets(n)
+                for _, text, g in right_coset(coset.representative, group)
+            ),
+            key=itemgetter(0),
+        )
+
+    def sphere(self, n: int) -> tuple[SL2Element, ...]:
+        return tuple(g for _, g in self._members(n))
+
     def sphere_size(self, n: int) -> int:
-        return len(self.sphere(n))
+        return len(self.cosets(n)) * (self.q**3 - self.q)
 
     def ball_size(self, n: Optional[int] = None) -> int:
         n = self.max_length if n is None else n
-        return sum(len(v) for k, v in self.buckets.items() if k <= n)
+        return sum(self.sphere_size(k) for k in self.buckets if k <= n)
 
     def realized_length_pairs(self, n: int) -> Counter:
         """Multiset of (length_zero, length_infinity) pairs on the sphere."""
         out: Counter = Counter()
-        for g in self.sphere(n):
-            out[(g.length_zero, g.length_infinity)] += 1
+        for coset in self.cosets(n):
+            out[(coset.zero.depth, coset.infinity.depth)] += self.q**3 - self.q
         return out
 
     def lengths(self) -> list[int]:
@@ -290,27 +322,26 @@ class SphereTable:
         body = {
             "q": self.q,
             "max_length": self.max_length,
-            "provenance": self.provenance,
+            "provenance": PROVENANCE_PAIRS,
             "tool_version": __version__,
             "cache_major": CACHE_MAJOR_VERSION,
-            "saturated": self.saturated,
+            "saturated": None,
             "buckets": {
-                str(n): [g.to_text() for g in self.buckets[n]] for n in sorted(self.buckets)
+                str(n): [text for text, _ in self._members(n)] for n in self.lengths()
             },
         }
         return json.dumps(body, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SphereTable":
-        """Read a table written by ``to_json``, validating what it claims.
+        """Read a table written by ``to_json``.
 
-        Raises ValueError for a wrong shape, a bucket key outside
-        [0, max_length], an element whose total length is not its key, a
-        bucket that repeats an element, a radius beyond the pair budget, and
-        a sphere whose size is not q^3 - q times its count of right cosets
-        from the pair scan (``trivial_pairs``).  A bucket that passes holds
-        distinct elements of its sphere, as many as the sphere has, so it is
-        the whole sphere.
+        The header must name this cache major version, the pair-certified
+        provenance and a radius within the pair budget.  The pair scan then
+        runs once (``_scan``), and the file's buckets must equal the scan's
+        cosets expanded by K, text for text and in order, so a table that
+        loads is the one ``enumerate_ball`` builds.  Raises ValueError
+        otherwise.
         """
         body = json.loads(text)
         if not isinstance(body, dict):
@@ -320,51 +351,21 @@ class SphereTable:
                 f"cache written by major version {body.get('cache_major')}, "
                 f"expected {CACHE_MAJOR_VERSION}"
             )
-        q, max_length, provenance, saturated, raw = (
-            body.get(key) for key in ("q", "max_length", "provenance", "saturated", "buckets")
-        )
-        if not (
-            type(q) is int
-            and type(max_length) is int
-            and max_length >= 0
-            and isinstance(provenance, str)
-            and (saturated is None or isinstance(saturated, bool))
-            and isinstance(raw, dict)
-        ):
+        q, max_length = body.get("q"), body.get("max_length")
+        if not (type(q) is int and type(max_length) is int and max_length >= 0):
             raise ValueError("malformed sphere table header")
-        field = Fq(q)
-        unit_order = q**3 - q
-        buckets = {}
-        for key, texts in raw.items():
-            if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
-                raise ValueError(f"bucket {key!r} is not a list of element texts")
-            n = int(key)
-            if str(n) != key or not 0 <= n <= max_length:
-                raise ValueError(f"bucket key {key!r} outside [0, {max_length}]")
-            elements = tuple(SL2Element.from_text(field, t) for t in texts)
-            if any(g.total_length != n for g in elements):
-                raise ValueError(f"bucket {n} holds an element of another length")
-            if len(set(elements)) != len(elements):
-                raise ValueError(f"bucket {n} repeats an element")
-            buckets[n] = elements
+        if body.get("provenance") != PROVENANCE_PAIRS or body.get("saturated") is not None:
+            raise ValueError("sphere table is not pair-certified")
         try:
-            cosets = Counter(n for n, _ in trivial_pairs(q, max_length))
+            cosets, texts = _scan(q, max_length)
         except RadiusBudgetError as exc:
             raise ValueError(f"sphere table radius {max_length} is beyond the pair budget") from exc
-        for n in range(max_length + 1):
-            size = len(buckets.get(n, ()))
-            if size != cosets[n] * unit_order:
-                raise ValueError(
-                    f"sphere {n} has {size} elements, not the {cosets[n]} right "
-                    f"SL2(F_{q})-cosets of size {unit_order} that the pair scan finds"
-                )
-        return cls(
-            q=q,
-            max_length=max_length,
-            provenance=provenance,
-            buckets=buckets,
-            saturated=saturated,
-        )
+        if body.get("buckets") != texts:
+            raise ValueError(
+                "sphere table buckets are not the pair scan's cosets expanded by "
+                f"SL2(F_{q}), in text order"
+            )
+        return cls(q, max_length, cosets)
 
 
 def _check_pair_budget(q: int, max_length: int) -> None:
@@ -403,11 +404,13 @@ def constant_group(field: Fq) -> list[Unit]:
 def right_coset(r: SL2Element, group: list[Unit]) -> Iterator[tuple[SL2Element, str, SL2Element]]:
     """The members r k of the right coset rK as (k, text of r k, r k).  A
     column of r k is r u for a nonzero u in F_q^2, so each of the q^2 - 1
-    columns is computed and written out once."""
+    columns is computed and written out once, from the q multiples of each
+    entry of r."""
+    multiples = [[e.scale(x) for x in range(r.field.q)] for e in r.entries()]
     columns = {}
     for u in {w for _, u, v in group for w in (u, v)}:
-        top = r.a.scale(u[0]) + r.b.scale(u[1])
-        bottom = r.c.scale(u[0]) + r.d.scale(u[1])
+        top = multiples[0][u[0]] + multiples[1][u[1]]
+        bottom = multiples[2][u[0]] + multiples[3][u[1]]
         columns[u] = (top, bottom, top.to_text(), bottom.to_text())
     for k, u, v in group:
         a, c, text_a, text_c = columns[u]
@@ -415,33 +418,61 @@ def right_coset(r: SL2Element, group: list[Unit]) -> Iterator[tuple[SL2Element, 
         yield k, f"{text_a}|{text_b}|{text_c}|{text_d}", SL2Element(a, b, c, d, check=False)
 
 
-def trivial_pairs(q: int, max_length: int) -> Iterator[tuple[int, SL2Element]]:
+def trivial_pairs(
+    q: int, max_length: int
+) -> Iterator[tuple[int, SL2Element, TreeVertex, TreeVertex]]:
     """The pair scan: every even-depth vertex pair (v0, v1) with
     d0 + d1 <= ``max_length`` that is the located pair of a right coset, as
-    its length d0 + d1 and the representative ``_pair_representative``
-    reads off it.
+    its length d0 + d1, the representative ``_pair_representative`` reads
+    off it, and the two vertices.  Their label paths come from the
+    registries the scan walks, so nothing is located.
 
     Raises RadiusBudgetError when the candidate pairs exceed PAIR_BUDGET,
     before any registry is built.
     """
     _check_pair_budget(q, max_length)
     depths = range(0, max_length + 1, 2)
-    forms = [
-        TreeRegistry(q, place, max_length).forms_at_depths(depths)
+    vertices = [
+        TreeRegistry(q, place, max_length).vertices_at_depths(depths)
         for place in (Place.ZERO, Place.INFINITY)
     ]
     for d0 in depths:
         for d1 in range(0, max_length - d0 + 1, 2):
-            for zero in forms[0][d0]:
-                for inf in forms[1][d1]:
-                    r = _pair_representative(zero, inf)
+            for zero, zero_form in vertices[0][d0]:
+                for infinity, infinity_form in vertices[1][d1]:
+                    r = _pair_representative(zero_form, infinity_form)
                     if r is not None:
-                        yield d0 + d1, r
+                        yield d0 + d1, r, zero, infinity
+
+
+def _scan(q: int, max_length: int) -> tuple[dict[int, tuple[Coset, ...]], dict[str, list[str]]]:
+    """The pair scan's right cosets by length, and the sorted texts of their
+    members, keyed as in ``to_json``.  Each coset's representative is its
+    first member in text order, and a length's cosets are sorted by it.
+    Raises RuntimeError when two cosets share an element."""
+    group = constant_group(Fq(q))
+    found: dict[int, list[tuple[str, Coset]]] = {}
+    texts: dict[str, list[str]] = {}
+    for n, r, zero, infinity in trivial_pairs(q, max_length):
+        members = [(text, g) for _, text, g in right_coset(r, group)]
+        text, first = min(members, key=itemgetter(0))
+        found.setdefault(n, []).append((text, Coset(first, zero, infinity)))
+        texts.setdefault(str(n), []).extend(text for text, _ in members)
+    for bucket in texts.values():
+        bucket.sort()
+        for text, following in zip(bucket, bucket[1:]):
+            if text == following:
+                raise RuntimeError(f"the pair scan produced {text} twice")
+    cosets = {
+        n: tuple(coset for _, coset in sorted(bucket, key=itemgetter(0)))
+        for n, bucket in sorted(found.items())
+    }
+    return cosets, texts
 
 
 def enumerate_ball(q: int, max_length: int) -> SphereTable:
     """Pair-certified enumeration of the length ball of radius ``max_length``:
-    the right cosets of the pair scan (``trivial_pairs``), expanded by K.
+    the right cosets of the pair scan (``trivial_pairs``).
 
     Raises RadiusBudgetError when the candidate vertex pairs exceed
     PAIR_BUDGET (before any registry is built), and RuntimeError when a
@@ -450,25 +481,7 @@ def enumerate_ball(q: int, max_length: int) -> SphereTable:
     """
     if max_length < 0:
         raise ValueError("negative ball radius")
-    group = constant_group(Fq(q))
-    seen: set[str] = set()
-    raw_buckets: dict[int, list[tuple[str, SL2Element]]] = {}
-    for n, r in trivial_pairs(q, max_length):
-        bucket = raw_buckets.setdefault(n, [])
-        for _, text, g in right_coset(r, group):
-            if text in seen:
-                raise RuntimeError(f"the pair scan produced {text} twice")
-            seen.add(text)
-            bucket.append((text, g))
-    buckets = {
-        n: tuple(g for _, g in sorted(members)) for n, members in sorted(raw_buckets.items())
-    }
-    table = SphereTable(
-        q=q,
-        max_length=max_length,
-        provenance=PROVENANCE_PAIRS,
-        buckets=buckets,
-    )
+    table = SphereTable(q, max_length, _scan(q, max_length)[0])
     base = table.sphere_size(0)
     if base != q**3 - q:
         raise RuntimeError(f"length-0 sphere has {base} elements, expected q^3 - q = {q**3 - q}")

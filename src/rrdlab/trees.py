@@ -63,9 +63,6 @@ class TreeVertex:
             raise ValueError("the root has no parent")
         return TreeVertex(self.degree, self.path[:-1])
 
-    def is_prefix_of(self, other: "TreeVertex") -> bool:
-        return self.path == other.path[: len(self.path)]
-
     def to_text(self) -> str:
         return "/".join(str(p) for p in self.path)
 
@@ -139,21 +136,6 @@ class BoundaryCylinder:
             return Fraction(1)
         return Fraction(1, d * (d - 1) ** (k - 1))
 
-    def contains(self, other: "BoundaryCylinder") -> bool:
-        return self.base.is_prefix_of(other.base)
-
-    def refinements(self, depth: int) -> Iterator["BoundaryCylinder"]:
-        """The depth-``depth`` cylinders partitioning this one."""
-        if depth < self.depth:
-            raise ValueError("refinement depth below the cylinder depth")
-        extra = depth - self.depth
-        if self.depth == 0:
-            yield from (BoundaryCylinder(v) for v in sphere_vertices(self.degree, depth))
-            return
-        d = self.degree
-        for rest in itertools.product(range(d - 1), repeat=extra):
-            yield BoundaryCylinder(TreeVertex(d, self.base.path + rest))
-
     def __repr__(self) -> str:
         return f"Cyl({self.base.to_text()!r})"
 
@@ -164,24 +146,6 @@ def boundary_cylinders(degree: int, depth: int) -> list[BoundaryCylinder]:
     if depth == 0:
         return [BoundaryCylinder(TreeVertex.root(degree))]
     return [BoundaryCylinder(v) for v in sphere_vertices(degree, depth)]
-
-
-@dataclass(frozen=True, slots=True)
-class ProductCylinder:
-    """A rectangle of ends in the product of the two tree boundaries."""
-
-    zero: BoundaryCylinder
-    infinity: BoundaryCylinder
-
-    @property
-    def depths(self) -> tuple[int, int]:
-        return (self.zero.depth, self.infinity.depth)
-
-    def measure(self) -> Fraction:
-        return self.zero.measure() * self.infinity.measure()
-
-    def __repr__(self) -> str:
-        return f"ProductCyl({self.zero.base.to_text()!r}, {self.infinity.base.to_text()!r})"
 
 
 def busemann(cylinder: BoundaryCylinder, w: TreeVertex) -> int:

@@ -12,17 +12,25 @@ values (cocycle square roots over the spherical function), the
 compression's Gram matrix from every element's own transport, each
 representative's transport at every depth from its own translations and a
 geodesic test per pair of cylinders, and the convolution matrix over every
-pair of ball elements from their located inverses.
+pair of ball elements from their located inverses.  A sphere given as its
+elements is split into right cosets by text lookup and ``locate``
+(``right_cosets``), independently of the pair scan's coset list.
+
+It also holds what only the tests use of elements, texts and cylinders: the
+lower elementary matrices, the length at one place, the text parsers (the
+cache loader compares texts and parses nothing), the matrix of a subgroup
+element, and products and refinements of boundary cylinders.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,17 +47,21 @@ from rrdlab.boundary import HarishChandraValue, cocycle_sqrt, hc_product
 from rrdlab.lamplighter import HElement, generating_set, h_membership
 from rrdlab.criterion import (
     Registries,
-    SphereCosets,
     _registries,
-    _right_cosets,
     common_prefix_lengths,
     label_array,
 )
-from rrdlab.sl2 import SL2Element, _to_uniformizer, entry_lengths, locate, translate_vertex
-from rrdlab.spheres import SphereTable, _completions_for_row
+from rrdlab.sl2 import (
+    SL2Element,
+    TreeRegistry,
+    _to_uniformizer,
+    entry_lengths,
+    locate,
+    translate_vertex,
+)
+from rrdlab.spheres import Coset, SphereTable, _completions_for_row, constant_group, right_coset
 from rrdlab.trees import (
     BoundaryCylinder,
-    ProductCylinder,
     TreeVertex,
     _common_prefix_len,
     boundary_cylinders,
@@ -57,6 +69,88 @@ from rrdlab.trees import (
     sphere_size,
     sphere_vertices,
 )
+
+# ---------------------------------------------------------------------------
+# elements, texts and cylinders the program itself does not need
+
+
+def elementary_lower(s: LaurentPolynomial) -> SL2Element:
+    """E21(s) = [[1, 0], [s, 1]]."""
+    one = LaurentPolynomial.one(s.field)
+    return SL2Element(one, LaurentPolynomial.zero(s.field), s, one, check=False)
+
+
+def length_at_place(g: SL2Element, place: Place) -> int:
+    """Tree displacement length of the base vertex at the given place."""
+    return g.length_zero if place is Place.ZERO else g.length_infinity
+
+
+LAURENT_TEXT = re.compile(r"^low=(-?\d+);coeffs=((?:\d+(?:,\d+)*)?)$")
+
+
+def laurent_from_text(field: Fq, text: str) -> LaurentPolynomial:
+    """Parse ``LaurentPolynomial.to_text``, refusing non-canonical runs and
+    coefficients outside range(q)."""
+    m = LAURENT_TEXT.match(text)
+    if not m:
+        raise ValueError(f"malformed Laurent polynomial text: {text!r}")
+    coeffs = [int(c) for c in m.group(2).split(",")] if m.group(2) else []
+    if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
+        raise ValueError(f"non-canonical coefficient run in {text!r}")
+    if any(not 0 <= c < field.q for c in coeffs):
+        raise ValueError(f"coefficient out of range for F_{field.q} in {text!r}")
+    return LaurentPolynomial(field, int(m.group(1)), coeffs)
+
+
+def sl2_from_text(field: Fq, text: str) -> SL2Element:
+    """Parse ``SL2Element.to_text``; the determinant is checked."""
+    parts = text.split("|")
+    if len(parts) != 4:
+        raise ValueError(f"malformed SL2 text: {text!r}")
+    return SL2Element(*(laurent_from_text(field, p) for p in parts))
+
+
+def h_to_matrix(x: HElement) -> SL2Element:
+    """The matrix [[X^n, P], [0, X^-n]] of (n, P)."""
+    field = x.offset.field
+    return SL2Element(
+        LaurentPolynomial.x_power(field, x.n),
+        x.offset,
+        LaurentPolynomial.zero(field),
+        LaurentPolynomial.x_power(field, -x.n),
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class ProductCylinder:
+    """A rectangle of ends in the product of the two tree boundaries."""
+
+    zero: BoundaryCylinder
+    infinity: BoundaryCylinder
+
+    @property
+    def depths(self) -> tuple[int, int]:
+        return (self.zero.depth, self.infinity.depth)
+
+    def measure(self) -> Fraction:
+        return self.zero.measure() * self.infinity.measure()
+
+
+def contains(cylinder: BoundaryCylinder, other: BoundaryCylinder) -> bool:
+    return other.base.path[: cylinder.depth] == cylinder.base.path
+
+
+def refinements(cylinder: BoundaryCylinder, depth: int) -> Iterator[BoundaryCylinder]:
+    """The depth-``depth`` cylinders partitioning ``cylinder``."""
+    if depth < cylinder.depth:
+        raise ValueError("refinement depth below the cylinder depth")
+    if cylinder.depth == 0:
+        yield from boundary_cylinders(cylinder.degree, depth)
+        return
+    d = cylinder.degree
+    for rest in itertools.product(range(d - 1), repeat=depth - cylinder.depth):
+        yield BoundaryCylinder(TreeVertex(d, cylinder.base.path + rest))
+
 
 # ---------------------------------------------------------------------------
 # tree geometry
@@ -323,9 +417,6 @@ def hc_tree_bruteforce(degree: int, n: int) -> HarishChandraValue:
 # ---------------------------------------------------------------------------
 # spheres by breadth-first word search
 
-PROVENANCE_BFS = "bfs-heuristic"
-
-
 def elementary_generators(q: int) -> list[SL2Element]:
     """The word-metric generating set for the cross-check: elementary matrices
     with monomial offsets of exponent -1, 0, 1 plus the two diagonal shifts."""
@@ -334,7 +425,7 @@ def elementary_generators(q: int) -> list[SL2Element]:
     seen = set()
     for e in (-1, 0, 1):
         for a in range(1, q):
-            for maker in (SL2Element.elementary_upper, SL2Element.elementary_lower):
+            for maker in (SL2Element.elementary_upper, elementary_lower):
                 for sign in (1, -1):
                     coeff = a if sign == 1 else field.neg(a)
                     g = maker(LaurentPolynomial.x_power(field, e, coeff))
@@ -354,13 +445,14 @@ def bfs_crosscheck(
     max_length: int,
     word_radius: int,
     prune_margin: int = 4,
-) -> SphereTable:
-    """Breadth-first word search for ball elements; flagged heuristic.
+) -> tuple[dict[int, tuple[SL2Element, ...]], bool]:
+    """Breadth-first word search for ball elements, bucketed by length and
+    sorted by text; flagged heuristic.
 
     The search keeps words whose total length stays within max_length +
     prune_margin (geodesic words for short elements do not stray far).  The
-    table's ``saturated`` flag records whether the per-bucket counts were
-    stable across the last two radii; only then is the cross-check meaningful.
+    returned flag records whether the per-bucket counts were stable across
+    the last two radii; only then is the cross-check meaningful.
     """
     gens = elementary_generators(q)
     field = Fq(q)
@@ -395,15 +487,10 @@ def bfs_crosscheck(
         if g.total_length <= max_length:
             raw_buckets.setdefault(g.total_length, []).append(g)
     buckets = {
-        n: tuple(sorted(elems, key=lambda g: g.to_text())) for n, elems in raw_buckets.items()
+        n: tuple(sorted(elems, key=lambda g: g.to_text()))
+        for n, elems in sorted(raw_buckets.items())
     }
-    return SphereTable(
-        q=q,
-        max_length=max_length,
-        provenance=PROVENANCE_BFS,
-        buckets=buckets,
-        saturated=saturated,
-    )
+    return buckets, saturated
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +682,8 @@ def refine(f: StepFunction, depths: DepthSpec) -> StepFunction:
         return f
     out: dict[ProductCylinder, AlgebraicValue] = {}
     for cell, v in f.values.items():
-        for c0 in cell.zero.refinements(pair[0]):
-            for c1 in cell.infinity.refinements(pair[1]):
+        for c0 in refinements(cell.zero, pair[0]):
+            for c1 in refinements(cell.infinity, pair[1]):
                 out[ProductCylinder(c0, c1)] = v
     return StepFunction(f.degree, pair, out)
 
@@ -808,23 +895,65 @@ class MeanOperator:
         return total
 
 
-def mean_transfer_function(table: SphereTable, n: int) -> StepFunction:
+# One right coset rK of a sphere split by ``right_cosets``: the located pair
+# (r . o_0, r . o_inf) and its members as (sphere index, k) with member = r k,
+# the representative r first.
+SplitCoset = tuple[TreeVertex, TreeVertex, list[tuple[int, SL2Element]]]
+
+
+def right_cosets(
+    gammas: Sequence[SL2Element], reg0: TreeRegistry, reginf: TreeRegistry
+) -> list[SplitCoset]:
+    """Split a sphere, given as its elements, into right cosets rK of
+    K = SL2(F_q), independently of the pair scan.
+
+    In the given order, the first element no coset has claimed yet opens the
+    coset rK, whose members r k come from ``right_coset`` and are looked up
+    by text.  Each must be on the sphere and unclaimed, and no element may
+    repeat, so the sphere is checked to be a union of whole cosets.  The
+    stabilizer of the base-vertex pair is K, so only r is located.
+    """
+    index = {g.to_text(): gi for gi, g in enumerate(gammas)}
+    if len(index) != len(gammas):
+        raise RuntimeError("the sphere repeats an element")
+    group = constant_group(reg0.field)
+    claimed = [False] * len(gammas)
+    cosets = []
+    for ri, r in enumerate(gammas):
+        if claimed[ri]:
+            continue
+        members = []
+        for k, text, _ in right_coset(r, group):
+            gi = index.get(text)
+            if gi is None or claimed[gi]:
+                raise RuntimeError(
+                    f"the sphere is not a union of right cosets: {text} of the "
+                    f"coset of {r.to_text()} is missing or already claimed"
+                )
+            claimed[gi] = True
+            members.append((gi, k))
+        members.sort()  # by sphere index, which is unique: r comes first
+        cosets.append((locate(r, Place.ZERO, reg0), locate(r, Place.INFINITY, reginf), members))
+    return cosets
+
+
+def mean_transfer_function(gammas: Sequence[SL2Element], n: int) -> StepFunction:
     """The exact value of the normalized, spherical-function-weighted mean
-    over the length-n sphere applied to the constant function 1, as a
-    depth-(n, n) step function of ``AlgebraicValue``s.
+    over the length-n sphere, given as its elements, applied to the constant
+    function 1, as a depth-(n, n) step function of ``AlgebraicValue``s.
 
     Each sphere element contributes the product of its two per-place cocycle
     square roots divided by its spherical-function value; the result is
     averaged.  Cocycles and spherical value read only the located pair
     (g . o_0, g . o_inf), so the members of a right coset gK contribute equal
-    terms and each coset is evaluated once, weighted by its share of the
-    sphere.  Its sup norm is U_n, which the program computes from integers.
+    terms and each coset of ``right_cosets`` is evaluated once, weighted by
+    its share of the sphere.  Its sup norm is U_n, which the program computes
+    from integers.
     """
-    gammas = table.sphere(n)
     if not gammas:
         raise ValueError(f"sphere {n} is empty")
-    q = table.q
-    cosets = _right_cosets(gammas, *_registries(q, (n, n)))
+    q = gammas[0].field.q
+    cosets = right_cosets(gammas, *_registries(q, (n, n)))
     cells = boundary_cylinders(q + 1, n)
     acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
     for w0, w1, members in cosets:
@@ -901,24 +1030,25 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
 
 
 def coset_transports_direct(
-    sphere: SphereCosets, place_index: int, depth: int
+    cosets: Sequence[Coset], n: int, registry: TreeRegistry, place_index: int, depth: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each representative's transport at one place for the depth-``depth``
-    input cylinders, as (columns, weights) like the program's, but with every
-    input cylinder base of that depth translated on its own instead of read
-    off the deepest images."""
-    registry = sphere.registries[place_index]
+    """Each representative's transport of sphere n at one place for the
+    depth-``depth`` input cylinders, as (columns, weights) like the
+    program's, but with every input cylinder base of that depth translated
+    on its own instead of read off the deepest images."""
     q = registry.q
     in_cyls = boundary_cylinders(q + 1, depth)
-    out_depth = sphere.n + depth
+    out_depth = n + depth
     out_paths = label_array(
         [c.base.path for c in boundary_cylinders(q + 1, out_depth)], out_depth
     )
     columns, weights = [], []
-    for w0, w1, members in sphere.cosets:
-        r = sphere.gammas[members[0][0]]
+    for coset in cosets:
+        r = coset.representative
         ys = label_array(direct_images(r, in_cyls, registry), out_depth)
-        betas, covered = _transport_supports(r, (w0, w1)[place_index], ys, out_paths, registry.place)
+        betas, covered = _transport_supports(
+            r, coset.vertex(place_index), ys, out_paths, registry.place
+        )
         columns.append(covered.argmax(axis=0))
         weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
     return np.array(columns), np.array(weights)

@@ -40,9 +40,11 @@ from rrdlab.trees import ball_count_bfs, ball_count_formula, boundary_cylinders
 from oracles import (
     StepFunction,
     bfs_crosscheck,
+    elementary_lower,
     hc_tree_bruteforce,
     koopman_matrix,
     l2_norm_squared,
+    length_at_place,
     product_cylinders,
     smith_valuations,
 )
@@ -68,7 +70,7 @@ def _random_word(rng: random.Random, letters: int = 6) -> SL2Element:
             if kind == 0:
                 g = g * SL2Element.elementary_upper(s)
             else:
-                g = g * SL2Element.elementary_lower(s)
+                g = g * elementary_lower(s)
     return g
 
 
@@ -121,12 +123,11 @@ def test_criterion_05_sphere_enumeration(table6):
     assert table6.sphere_size(0) == 2**3 - 2 == 6
     for n in (1, 3, 5):
         assert table6.sphere_size(n) == 0
-    bfs = bfs_crosscheck(2, 6, word_radius=8)
-    assert bfs.saturated
+    bfs, saturated = bfs_crosscheck(2, 6, word_radius=8)
+    assert saturated
+    assert sorted(bfs) == table6.lengths()
     for n in table6.lengths():
-        assert {g.to_text() for g in table6.sphere(n)} == {
-            g.to_text() for g in bfs.sphere(n)
-        }
+        assert {g.to_text() for g in table6.sphere(n)} == {g.to_text() for g in bfs[n]}
     elapsed = time.perf_counter() - started
     assert elapsed < 300
     _report(5, "pair enumeration equals BFS bucket-by-bucket at N = 6", elapsed, 300)
@@ -246,17 +247,17 @@ def test_criterion_11_length_oracle():
     for g in words:
         for place in (Place.ZERO, Place.INFINITY):
             v1, v2 = smith_valuations(g, place)
-            assert g.length_at_place(place) == v2 - v1
+            assert length_at_place(g, place) == v2 - v1
     identity = SL2Element.identity(FIELD)
     assert identity.total_length == 0
     for _ in range(10_000):
         g, h = rng.choice(words), rng.choice(words)
         product = g * h
         for place in (Place.ZERO, Place.INFINITY):
-            lg = g.length_at_place(place)
+            lg = length_at_place(g, place)
             assert lg >= 0 and lg % 2 == 0
-            assert lg == g.inverse().length_at_place(place)
-            assert product.length_at_place(place) <= lg + h.length_at_place(place)
+            assert lg == length_at_place(g.inverse(), place)
+            assert length_at_place(product, place) <= lg + length_at_place(h, place)
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     _report(11, "Smith oracle and length axioms on 10^4 random words", elapsed, 60)

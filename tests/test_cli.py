@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,9 +12,9 @@ import rrdlab
 from rrdlab import CACHE_MAJOR_VERSION, cli, lamplighter
 from rrdlab.algebra import Fq
 from rrdlab.cli import main
-from rrdlab.sl2 import SL2Element
-from rrdlab.spheres import constant_group, right_coset
+from rrdlab.spheres import SphereTable, constant_group, right_coset
 
+from oracles import sl2_from_text
 from test_schemas import load_validator
 
 
@@ -137,18 +138,21 @@ def strict_json(text: str):
 
 
 def test_uniform_bound_threshold_is_exact(capsys):
-    # U_2 = 6/5, and the double nearest 1.2 lies just below it; an infinite
-    # threshold has no JSON number and is written as null
+    # U_2 = 6/5, and the double nearest 1.2 lies just below it; +inf has no
+    # JSON number and is written as null, and -inf is refused
     for threshold, expected, written in (
         ("1.2", 1, 1.2),
         ("1.2000000000000002", 0, 1.2000000000000002),
         ("inf", 0, None),
-        ("-inf", 1, None),
+        ("-inf", 2, None),
     ):
         code, out = run(
             capsys, "uniform-bound", "--max-length", "2", "--n", "2", f"--threshold={threshold}"
         )
         assert code == expected
+        if code == 2:
+            assert out == ""
+            continue
         envelope = strict_json(out)
         assert envelope["config"]["threshold"] == written
         load_validator("envelope.schema.json").validate(envelope)
@@ -169,11 +173,13 @@ def test_report_writes_an_infinite_threshold_as_null(capsys):
     [
         ["uniform-bound", "--max-length", "2", "--n", "2", "--threshold", "nan"],
         ["report", "--max-length", "2", "--depth", "1", "--u-threshold", "NaN"],
+        ["uniform-bound", "--max-length", "2", "--n", "2", "--threshold=-inf"],
+        ["report", "--max-length", "2", "--depth", "1", "--u-threshold=-inf"],
     ],
 )
 def test_nan_threshold_is_a_usage_error(capsys, argv):
     # a nan threshold would print a bare NaN, which is not JSON, and decide
-    # nothing
+    # nothing; a -inf one fails every value, and null already means +inf
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -328,7 +334,7 @@ def test_cache_missing_a_whole_coset_is_rebuilt(tmp_path, capsys):
     written = path.read_text()
     body = json.loads(written)
     field = Fq(2)
-    first = SL2Element.from_text(field, body["buckets"]["4"][0])
+    first = sl2_from_text(field, body["buckets"]["4"][0])
     coset = {text for _, text, _ in right_coset(first, constant_group(field))}
     body["buckets"]["4"] = [t for t in body["buckets"]["4"] if t not in coset]
     assert len(body["buckets"]["4"]) == 264
@@ -342,6 +348,57 @@ def test_cache_missing_a_whole_coset_is_rebuilt(tmp_path, capsys):
     assert result["value"] == ["1062/875", "0", 2]
     assert result["sphere_size"] == 270
     assert path.read_text() == written
+
+
+def bucket_four(change):
+    """A corruption of the q = 2, N = 4 cache body that rewrites bucket 4."""
+    return lambda body: {**body, "buckets": {**body["buckets"], "4": change(body["buckets"]["4"])}}
+
+
+# Each corruption of a valid q = 2, N = 4 cache body whose buckets are no
+# longer the pair scan's cosets expanded by K in text order, or whose header
+# names another enumeration.
+EXPANSION_CORRUPTIONS = {
+    "first-element-twice": bucket_four(lambda texts: [texts[0], texts[0], *texts[2:]]),
+    "first-element-dropped": bucket_four(lambda texts: texts[1:]),
+    "first-element-appended": bucket_four(lambda texts: [*texts, texts[0]]),
+    "bucket-reversed": bucket_four(lambda texts: texts[::-1]),
+    "bfs-provenance": lambda body: {**body, "provenance": "bfs-heuristic"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPANSION_CORRUPTIONS))
+def test_cache_that_is_no_coset_expansion_is_rebuilt(tmp_path, capsys, kind):
+    cache = tmp_path / "cache"
+    argv = ["uniform-bound", "--q", "2", "--max-length", "4", "--n", "4", "--cache-dir", str(cache)]
+    code, cold = run(capsys, *argv)
+    assert code == 0
+    path = cache / f"spheres-q2-n4-v{CACHE_MAJOR_VERSION}.json"
+    written = path.read_text()
+    corrupt = json.dumps(EXPANSION_CORRUPTIONS[kind](json.loads(written)))
+    with pytest.raises(ValueError):
+        SphereTable.from_json(corrupt)
+    path.write_text(corrupt)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == cold
+    assert path.read_text() == written
+
+
+# Full sha256 of two `spheres` outputs.  They hold no floats, so they do not
+# depend on the platform; any change to the tables or their expansion by K
+# shows here.
+SPHERES_SHA256 = {
+    (2, 4): "e97476258fa06fffc0aa7ef0d0bc6374f61b9cf806baf6e405f713f18277606d",
+    (3, 2): "0afdda9f9cb26027dbfc308845dfa76f08378e7f7fb234d5966c1c4c8b871709",
+}
+
+
+@pytest.mark.parametrize("q, max_length", sorted(SPHERES_SHA256))
+def test_spheres_output_is_pinned(capsys, q, max_length):
+    code, out = run(capsys, "spheres", "--q", str(q), "--max-length", str(max_length))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SPHERES_SHA256[q, max_length]
 
 
 @pytest.mark.parametrize(

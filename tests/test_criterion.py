@@ -2,30 +2,35 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rrdlab import criterion
-from rrdlab.algebra import AlgebraicValue, Place
+from rrdlab.algebra import AlgebraicValue, Fq, Place
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     _compression_gram,
     _cylinder_ancestors,
     _registries,
-    _right_cosets,
     _transports_at,
     coset_convolution_matrix,
     convolution_opnorm_lower,
     mean_matrix_2norm,
     rrd_report,
-    split_sphere,
     transport_sphere,
     uniform_bound_value,
 )
 from rrdlab.sl2 import TreeRegistry, locate
-from rrdlab.spheres import enumerate_ball, sup_xi_on_sphere
+from rrdlab.spheres import (
+    SphereTable,
+    constant_group,
+    enumerate_ball,
+    right_coset,
+    sup_xi_on_sphere,
+)
 
 from oracles import (
     MeanOperator,
@@ -95,7 +100,7 @@ def test_step_function_add_scale_and_validation():
 
 def test_transfer_integral_is_one(table4):
     for n in (0, 2):
-        transfer = mean_transfer_function(table4, n)
+        transfer = mean_transfer_function(table4.sphere(n), n)
         assert integral(transfer) == ONE
         assert transfer.depths == (n, n)
 
@@ -130,7 +135,7 @@ def test_uniform_bound_matches_step_function_oracle(request, table_name, n):
     # rationals, and the integer path must give the same triple
     table = request.getfixturevalue(table_name)
     report = uniform_bound_value(table, n)
-    oracle = mean_transfer_function(table, n).sup_norm()
+    oracle = mean_transfer_function(table.sphere(n), n).sup_norm()
     assert report.value.as_triple() == oracle.as_triple()
     assert report.value_float == float(oracle)
     assert report.depths == (n, n)
@@ -187,16 +192,16 @@ def mean_transfer_bruteforce(table, n):
 def test_transfer_matches_bruteforce(table4, table_q3n2):
     for table, lengths in ((table4, (0, 2, 4)), (table_q3n2, (0, 2))):
         for n in lengths:
-            fast = mean_transfer_function(table, n)
+            fast = mean_transfer_function(table.sphere(n), n)
             slow = mean_transfer_bruteforce(table, n)
             assert pointwise_equal(fast, slow)
 
 
 def test_transfer_independent_of_enumeration_order(table4):
     # the same sphere reached by word BFS instead of the pair enumeration
-    other = bfs_crosscheck(2, 2, word_radius=4)
+    other, _ = bfs_crosscheck(2, 2, word_radius=4)
     assert pointwise_equal(
-        mean_transfer_function(table4, 2), mean_transfer_function(other, 2)
+        mean_transfer_function(table4.sphere(2), 2), mean_transfer_function(other[2], 2)
     )
 
 
@@ -237,7 +242,7 @@ def test_koopman_rejects_shallow_registry(table4):
 def test_mean_operator_matches_transfer(table4):
     operator = MeanOperator(table4, 2, 0)
     image = operator.apply(constant(3, ONE, 0))
-    assert pointwise_equal(image, mean_transfer_function(table4, 2))
+    assert pointwise_equal(image, mean_transfer_function(table4.sphere(2), 2))
 
 
 def test_positivity_transport(table4):
@@ -337,16 +342,15 @@ def test_coset_convolution_matches_the_element_matrix(request, table_name, n, ra
     # and E^T E = |K| I, so its norm is |K| times that of M'
     table = request.getfixturevalue(table_name)
     lengths = [m for m in table.lengths() if m <= radius]
-    registries = _registries(table.q, (radius, radius))
-    ball = [split_sphere(table, m, registries) for m in lengths]
     index = {g.to_text(): i for i, g in enumerate(g for m in lengths for g in table.sphere(m))}
-    cosets = [(sphere, members) for sphere in ball for _, _, members in sphere.cosets]
-    expansion = np.zeros((len(index), len(cosets)))
-    for a, (sphere, members) in enumerate(cosets):
-        for gi, _ in members:
-            expansion[index[sphere.gammas[gi].inverse().to_text()], a] = 1.0
+    ball = [coset for m in lengths for coset in table.cosets(m)]
+    group = constant_group(Fq(table.q))
+    expansion = np.zeros((len(index), len(ball)))
+    for a, coset in enumerate(ball):
+        for _, _, g in right_coset(coset.representative, group):
+            expansion[index[g.inverse().to_text()], a] = 1.0
     order = table.q**3 - table.q
-    assert np.array_equal(expansion.T @ expansion, order * np.eye(len(cosets)))
+    assert np.array_equal(expansion.T @ expansion, order * np.eye(len(ball)))
     cosetwise = coset_convolution_matrix(ball, n)
     element = convolution_matrix(table, n, radius)
     assert np.array_equal(expansion @ cosetwise @ expansion.T, element)
@@ -401,53 +405,48 @@ def test_condition_two_compares_exact_values():
 
 
 @pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
-def test_spheres_split_into_constant_cosets(request, monkeypatch, table_name):
+def test_spheres_split_into_constant_cosets(request, table_name):
     table = request.getfixturevalue(table_name)
     q = table.q
     finite = set(table.sphere(0))
     assert len(finite) == q**3 - q
-    located = []
-
-    def counting_locate(g, place, registry):
-        located.append(g)
-        return locate(g, place, registry)
-
-    monkeypatch.setattr(criterion, "locate", counting_locate)
+    group = constant_group(Fq(q))
     for n in table.lengths():
-        gammas = table.sphere(n)
         reg0, reginf = TreeRegistry(q, Place.ZERO, n), TreeRegistry(q, Place.INFINITY, n)
-        located.clear()
-        cosets = _right_cosets(gammas, reg0, reginf)
-        # only the representatives are located, once at each place
-        assert located == [gammas[members[0][0]] for _, _, members in cosets for _ in Place]
-        indices = sorted(gi for _, _, members in cosets for gi, _ in members)
-        assert indices == list(range(len(gammas)))
-        for w0, w1, members in cosets:
-            assert len(members) == q**3 - q
-            r = gammas[members[0][0]]
-            for gi, k in members:
+        cosets = table.cosets(n)
+        texts = [coset.representative.to_text() for coset in cosets]
+        assert texts == sorted(texts)
+        members = []
+        for r, w0, w1 in cosets:
+            expansion = list(right_coset(r, group))
+            # the representative is the member whose text comes first
+            assert r.to_text() == min(text for _, text, _ in expansion)
+            for k, text, g in expansion:
                 assert all(e.is_zero() or (e.low == 0 and e.top == 0) for e in k.entries())
-                assert r * k == gammas[gi]
-                assert locate(gammas[gi], Place.ZERO, reg0) == w0
-                assert locate(gammas[gi], Place.INFINITY, reginf) == w1
-            assert {gammas[gi] for gi, _ in members} == {r * k for k in finite}
+                assert r * k == g and g.to_text() == text
+                assert g.total_length == n
+                assert locate(g, Place.ZERO, reg0) == w0
+                assert locate(g, Place.INFINITY, reginf) == w1
+            assert {g for _, _, g in expansion} == {r * k for k in finite}
+            members += [text for _, text, _ in expansion]
+        assert sorted(members) == [g.to_text() for g in table.sphere(n)]
+        assert len(set(members)) == len(members) == table.sphere_size(n)
 
 
-def test_split_rejects_a_sphere_that_is_no_union_of_cosets(table4):
-    # sphere 4 with its second element replaced by its first (the size stays
-    # divisible by q^3 - q), with its first element dropped, and with its
-    # first element repeated at the end (every coset is still whole)
-    sphere = table4.sphere(4)
-    for broken in (
-        (sphere[0], sphere[0], *sphere[2:]),
-        sphere[1:],
-        (*sphere, sphere[0]),
-    ):
-        table = dataclasses.replace(table4, buckets={**table4.buckets, 4: broken})
-        with pytest.raises(RuntimeError):
-            uniform_bound_value(table, 4)
-        with pytest.raises(RuntimeError):
-            mean_matrix_2norm(table, 4, 1)
+def test_certificate_locates_no_sphere_element(table4, monkeypatch):
+    # every located pair comes from the pair scan's registry walk; the
+    # report, the standalone sections and the cache loader call no locate
+    def refuse(*args):
+        raise AssertionError("locate was called")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("rrdlab") and hasattr(module, "locate"):
+            monkeypatch.setattr(module, "locate", refuse)
+    assert rrd_report(table4, 2)["pass"] is True
+    uniform_bound_value(table4, 4)
+    mean_matrix_2norm(table4, 4, 1)
+    convolution_opnorm_lower(table4, 2, 2)
+    assert SphereTable.from_json(table4.to_json()) == table4
 
 
 @pytest.mark.parametrize(
@@ -466,7 +465,7 @@ def test_split_rejects_a_sphere_that_is_no_union_of_cosets(table4):
 def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
     table = request.getfixturevalue(table_name)
     registries = _registries(table.q, (n + depth, n + depth))
-    gram = _compression_gram(transport_sphere(split_sphere(table, n, registries), depth), depth)
+    gram = _compression_gram(transport_sphere(table, n, depth, registries), depth)
     oracle = gram_per_element(table, n, depth)
     assert gram.shape == oracle.shape
     assert np.allclose(gram, oracle, rtol=1e-12, atol=1e-15)
@@ -492,8 +491,8 @@ def test_transported_images_must_partition_the_boundary(table4, monkeypatch):
     # cylinders then share an image and another one's output cells are lost
     real = criterion.transport_sphere
 
-    def colliding(sphere, depth, actions=None):
-        transports = real(sphere, depth, actions)
+    def colliding(*args):
+        transports = real(*args)
         row = transports.images[1][-1]
         row[0] = row[1]
         return transports
@@ -544,22 +543,22 @@ def test_derived_transports_match_direct_translation(request, table_name, depth)
     table = request.getfixturevalue(table_name)
     registries = _registries(table.q, (table.max_length + depth,) * 2)
     for n in table.lengths():
-        sphere = split_sphere(table, n, registries)
-        transports = transport_sphere(sphere, depth)
+        transports = transport_sphere(table, n, depth, registries)
         for k in range(depth + 1):
             _, below = _cylinder_ancestors(transports.leaves, k)
             for place_index in (0, 1):
                 columns, weights = _transports_at(transports, place_index, k, below)
-                direct_columns, direct_weights = coset_transports_direct(sphere, place_index, k)
+                direct_columns, direct_weights = coset_transports_direct(
+                    table.cosets(n), n, registries[place_index], place_index, k
+                )
                 assert np.array_equal(columns, direct_columns)
                 assert np.array_equal(weights, direct_weights)
 
 
 @pytest.mark.parametrize("table_name, depth", [("table4", 4), ("table_q3n2", 2)])
 def test_report_matches_the_standalone_functions_exactly(request, table_name, depth):
-    # the report shares one registry pair, one split per sphere and one
-    # transport pass; each standalone call builds its own, and they agree
-    # to the last bit
+    # the report shares one registry pair and one transport pass per sphere;
+    # each standalone call builds its own, and they agree to the last bit
     table = request.getfixturevalue(table_name)
     verdict = rrd_report(table, depth=depth)
     u_rows = verdict["condition2"]["rows"]

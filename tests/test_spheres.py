@@ -8,10 +8,12 @@ import pytest
 from rrdlab import CACHE_MAJOR_VERSION, spheres
 from rrdlab.algebra import Fq
 from rrdlab.boundary import hc_product
+from rrdlab.criterion import _registries
 from rrdlab.sl2 import SL2Element
 from rrdlab.spheres import (
     Condition1Report,
     Condition1Row,
+    Coset,
     RadiusBudgetError,
     SphereTable,
     condition_one_certificate,
@@ -20,7 +22,13 @@ from rrdlab.spheres import (
     sup_xi_over_splittings,
 )
 
-from oracles import bfs_crosscheck, window_polynomials, window_scan
+from oracles import (
+    bfs_crosscheck,
+    right_cosets,
+    sl2_from_text,
+    window_polynomials,
+    window_scan,
+)
 
 
 def test_window_polynomial_count():
@@ -63,10 +71,32 @@ def test_known_bucket_sizes(table4, table6):
 
 
 def test_enumeration_matches_bfs(table4):
-    by_bfs = bfs_crosscheck(2, 4, word_radius=6)
+    by_bfs, _ = bfs_crosscheck(2, 4, word_radius=6)
+    assert sorted(by_bfs) == table4.lengths()
     for n in table4.lengths():
         assert set(g.to_text() for g in table4.sphere(n)) == set(
-            g.to_text() for g in by_bfs.sphere(n)
+            g.to_text() for g in by_bfs[n]
+        )
+
+
+@pytest.mark.parametrize("q, max_length", [(2, 4), (3, 2)])
+def test_oracle_spheres_split_into_the_tables_cosets(q, max_length):
+    # the BFS buckets (q = 2) and the window-scan buckets (q = 3), split by
+    # text lookup and located on their own, give the pair scan's cosets:
+    # the same representatives, located pairs and order
+    table = enumerate_ball(q, max_length)
+    if q == 2:
+        buckets, _ = bfs_crosscheck(q, max_length, word_radius=6)
+    else:
+        buckets = {
+            n: [sl2_from_text(Fq(q), text) for text in texts]
+            for n, texts in window_scan(q, max_length).items()
+        }
+    assert sorted(buckets) == table.lengths()
+    for n, gammas in buckets.items():
+        split = right_cosets(gammas, *_registries(q, (n, n)))
+        assert [Coset(gammas[members[0][0]], w0, w1) for w0, w1, members in split] == list(
+            table.cosets(n)
         )
 
 
