@@ -37,6 +37,7 @@ from .boundary import (
 )
 from .criterion import (
     DEFAULT_U_THRESHOLD,
+    check_compression_budget,
     convolution_opnorm_lower,
     json_threshold,
     rrd_report,
@@ -323,6 +324,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise UsageError("the report needs a table radius of at least 2")
     if args.depth < 1:
         raise UsageError("the compression depth must be at least 1")
+    check_compression_budget(args.q, args.depth)
     table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
     verdict = rrd_report(table, depth=args.depth, u_bound=args.u_threshold)
     verdict["config"]["cache"] = cache

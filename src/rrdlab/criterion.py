@@ -18,8 +18,13 @@ K = SL2(F_q) (``SphereTable.cosets``): the pair scan's representatives with
 their located pairs (r . o_0, r . o_inf), which every member of rK shares,
 so nothing is located here.  Exact U_n weighs each coset by
 1 / #cosets.  A compression transports only the representatives: a member
-r k acts as r after k permutes the input cylinders, so its Gram matrix is a
-sum over pairs of representatives, conjugated by the action of K.  One pass
+r k acts as r after k permutes the input cylinders, so its Gram matrix is
+|K|^2 P_K C P_K, with C a sum over pairs of representatives and P_K the
+projection onto the functions constant on the K-orbits of the input cells.
+The power iteration runs on |K|^2 Q^T C Q, with Q the normalised orbit
+indicators (one row per orbit), so no cells x cells operator for K and no
+cells x cells Gram matrix is formed; only C itself, whose size
+``check_compression_budget`` bounds before anything is built.  One pass
 (``transport_sphere``) serves every compression depth of a sphere: each
 representative moves only the deepest input cylinders, and the shallower
 images and K's action at each depth follow by label-path arithmetic.  The
@@ -58,6 +63,7 @@ from .spheres import (
 )
 from .trees import (
     BoundaryCylinder,
+    RadiusBudgetError,
     TreeVertex,
     boundary_cylinders,
     gromov_product,
@@ -74,6 +80,9 @@ CHAIN_SLACK = 1e-8
 BASE_IDENTITY_TOL = 1e-6
 MAX_MEAN_LENGTH = 4
 DEFAULT_U_THRESHOLD = 8.0
+# Largest compression core, in float64 entries (80 MB): q = 2 up to depth 5
+# (5.3 million), q = 3 up to depth 3 (1.7 million)
+CORE_BUDGET = 10_000_000
 
 Registries = tuple[TreeRegistry, TreeRegistry]
 
@@ -144,7 +153,7 @@ KActions = tuple[list[list[int]], list[list[int]]]
 def _k_actions(registries: Registries, depth: int) -> KActions:
     """The action of K on the depth-``depth`` input cylinders at both places.
     It depends only on the depth and the place, not on the sphere; it is
-    checked to be a permutation where it is used (``_k_operator``)."""
+    checked to be a permutation where it is used (``_cell_orbits``)."""
     field = registries[0].field
     leaves = boundary_cylinders(field.q + 1, depth)
     group = constant_group(field)
@@ -328,33 +337,45 @@ def _transports_at(
     return order.ravel()[found], cocycle[2 * common - lengths[:, None] + top]
 
 
-def _k_operator(
+def _cell_orbits(
     transports: SphereTransports, ancestors: tuple[list[int], list[int]]
 ) -> np.ndarray:
-    """K_op[(perm0_k[j], perm1_k[l]), (j, l)] = 1 summed over k in K, on the
-    input cells of the depth whose ``_cylinder_ancestors`` are given.  Each
-    perm is the leaf action truncated; one that is no permutation would
-    silently drop and double input cylinders, so that is checked at every
-    depth."""
+    """The K-orbit label of every input cell (j, l), flattened as
+    j * size + l, of the depth whose ``_cylinder_ancestors`` are given.
+    Orbits are numbered in the order of their first cells.
+
+    k moves cell (j, l) to (perm0_k[j], perm1_k[l]), each perm the leaf
+    action truncated.  One that is no permutation would silently drop and
+    double input cylinders; a labelling that some k does not preserve means
+    the perms are not the group action, whose orbits the label reads.  Both
+    are checked at every depth, in the order of K and then of the places.
+    """
     import numpy as np
 
-    ancestor, below = ancestors
+    ancestor, below = np.array(ancestors[0]), np.array(ancestors[1])
     size = len(below)
-    cells = size * size
-    registries = transports.registries
-    k_op = np.zeros((cells, cells))
-    for index, (k, _, _) in enumerate(constant_group(registries[0].field)):
-        perms = []
-        for registry, leaf_perms in zip(registries, transports.actions):
-            perm = [ancestor[leaf_perms[index][j]] for j in below]
-            if sorted(perm) != list(range(size)):
-                raise RuntimeError(
-                    f"{k.to_text()} does not permute the input cylinders "
-                    f"(place {registry.place.value})"
-                )
-            perms.append(np.array(perm))
-        k_op[(perms[0][:, None] * size + perms[1]).ravel(), np.arange(cells)] += 1.0
-    return k_op
+    group = constant_group(transports.registries[0].field)
+    # perms[place][k] = k's action on the cylinders of this depth
+    perms = [ancestor[np.array(leaf_perms)[:, below]] for leaf_perms in transports.actions]
+    broken = np.stack(
+        [np.any(np.sort(perm, axis=1) != np.arange(size), axis=1) for perm in perms], axis=1
+    )
+    if broken.any():
+        index, place_index = divmod(int(np.argmax(broken)), 2)
+        raise RuntimeError(
+            f"{group[index][0].to_text()} does not permute the input cylinders "
+            f"(place {transports.registries[place_index].place.value})"
+        )
+    images = (perms[0][:, :, None] * size + perms[1][:, None, :]).reshape(len(group), -1)
+    # the identity is in K, so each cell's smallest image is its orbit's first cell
+    _, labels = np.unique(images.min(axis=0), return_inverse=True)
+    moved = np.any(labels[images] != labels, axis=1)
+    if moved.any():
+        raise RuntimeError(
+            f"{group[int(np.argmax(moved))][0].to_text()} does not preserve the "
+            "K-orbits of the input cells"
+        )
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +492,25 @@ class CompressionResult:
         }
 
 
-def _power_iteration_symmetric(matrix: np.ndarray) -> tuple[float, int, bool]:
-    """Largest eigenvalue of a symmetric positive-semidefinite matrix by
-    seeded power iteration; returns (eigenvalue, iterations, converged).
-    One product per iteration: the image that gives the Rayleigh estimate
-    is the next iteration's image."""
+def _seeded_start(length: int) -> np.ndarray:
+    """The power iteration's start: a seeded standard normal unit vector."""
     import numpy as np
 
-    rng = np.random.default_rng(POWER_ITERATION_SEED)
-    v = rng.standard_normal(matrix.shape[0])
+    v = np.random.default_rng(POWER_ITERATION_SEED).standard_normal(length)
     v /= np.linalg.norm(v)
+    return v
+
+
+def _power_iteration_symmetric(
+    matrix: np.ndarray, start: np.ndarray
+) -> tuple[float, int, bool]:
+    """Largest eigenvalue of a symmetric positive-semidefinite matrix by
+    power iteration from ``start``, a nonzero vector of any norm; returns
+    (eigenvalue, iterations, converged).  One product per iteration: the
+    image that gives the Rayleigh estimate is the next iteration's image."""
+    import numpy as np
+
+    v = start
     previous = 0.0
     w = matrix @ v
     for iteration in range(1, MAX_ITERS + 1):
@@ -497,62 +527,86 @@ def _power_iteration_symmetric(matrix: np.ndarray) -> tuple[float, int, bool]:
 
 
 def _pair_blocks(columns: np.ndarray, weights: np.ndarray, r: int, size: int) -> np.ndarray:
-    """Row s holds the block A_r^T A_s (size x size, flattened) of the
-    representatives' transports at one place, as one bincount."""
+    """Row s - r holds the block A_r^T A_s (size x size, flattened) of the
+    representatives' transports at one place, for every s >= r, as one
+    bincount."""
     import numpy as np
 
-    count = len(columns)
-    index = (np.arange(count)[:, None] * size + columns[r]) * size + columns
+    count = len(columns) - r
+    index = (np.arange(count)[:, None] * size + columns[r]) * size + columns[r:]
     return np.bincount(
-        index.ravel(), (weights[r] * weights).ravel(), minlength=count * size * size
+        index.ravel(), (weights[r] * weights[r:]).ravel(), minlength=count * size * size
     ).reshape(count, size * size)
 
 
-def _compression_gram(transports: SphereTransports, depth: int) -> np.ndarray:
+def check_compression_budget(q: int, depth: int) -> None:
+    """Raise RadiusBudgetError when a depth-``depth`` compression's core,
+    one float per pair of input cells, would exceed CORE_BUDGET entries."""
+    entries = sphere_size(q + 1, depth) ** 4
+    if entries > CORE_BUDGET:
+        raise RadiusBudgetError(
+            f"compression depth {depth} at q = {q} needs a core of {entries} "
+            f"entries, more than {CORE_BUDGET}"
+        )
+
+
+def _compression_gram(
+    transports: SphereTransports, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The whitened Gram matrix of the depth-``depth`` compression of the
-    weighted mean over the transported sphere, built from the coset
-    representatives.
+    weighted mean over the transported sphere, on the K-orbits of the input
+    cells, built from the coset representatives; and the orbit label of
+    every input cell (``_cell_orbits``).
 
     A member g = r k of the coset rK has g . x = r . (k . x) and g . o = r . o,
     so its transport at each place is r's with the input columns permuted by
-    k, and the mean factors as M = (sum_r c_r A_r (x) B_r) K_op with
-    c_r = 1/(|C_n| Xi(r)) and K_op = sum_k Pi_k (x) Pi'_k.  Its Gram matrix
-    is K_op^T C K_op with C = sum_{r,s} c_r c_s (A_r^T D0 A_s) (x) (B_r^T D1 B_s),
-    where D0 and D1 hold the output cylinder measures.
+    k, and the mean factors as M = (sum_r c_r A_r (x) B_r) |K| P_K with
+    c_r = 1/(|C_n| Xi(r)) and P_K the average of the permutations
+    Pi_k (x) Pi'_k: the orthogonal projection Q Q^T onto the K-invariant
+    functions, Q's columns the normalised orbit indicators.  The Gram matrix
+    |K|^2 P_K C P_K, with C = sum_{r,s} c_r c_s (A_r^T D0 A_s) (x) (B_r^T D1 B_s)
+    and D0, D1 the output cylinder measures, has the nonzero spectrum of
+    |K|^2 Q^T C Q, which is returned.  The pair (s, r) gives the transpose of
+    the pair (r, s), so C = H + H^T with H summed over s >= r (the s = r term
+    halved), one representative r at a time to keep memory flat, and H is
+    added into its orbit pairs by one bincount.
     """
     import numpy as np
 
     table, n, cosets = transports.table, transports.n, transports.cosets
     q = table.q
     degree = q + 1
-    out_depth = depth + n
     size = sphere_size(degree, depth)
-    # the cylinders of this depth are listed once, for both places and K_op
+    # the cylinders of this depth are listed once, for both places and K's action
     ancestors = _cylinder_ancestors(transports.leaves, depth)
+    labels = _cell_orbits(transports, ancestors)
     cols0, wts0 = _transports_at(transports, 0, depth, ancestors[1])
     cols1, wts1 = _transports_at(transports, 1, depth, ancestors[1])
     # every depth-k cylinder has the same measure, one over the sphere size
-    mu_in = 1.0 / size
-    mu_out = 1.0 / sphere_size(degree, out_depth)
+    mu_out = 1.0 / sphere_size(degree, depth + n)
     coeffs = np.array([
         1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q).value))
         for c in cosets
     ])
     cells = size * size
-    # C[(i,k),(j,l)] = sum_{r,s} c_r c_s (A_r^T D0 A_s)[i,k] (B_r^T D1 B_s)[j,l],
-    # one representative r at a time to keep memory flat
+    # core[(i, j), (k, l)] = H[(i, k), (j, l)], the pair blocks' layout
     core = np.zeros((cells, cells))
     for r in range(len(cosets)):
         left = _pair_blocks(cols0, wts0, r, size)
         right = _pair_blocks(cols1, wts1, r, size)
-        core += left.T @ ((mu_out * mu_out * coeffs[r]) * coeffs[:, None] * right)
-    core = core.reshape(size, size, size, size).transpose(0, 2, 1, 3).reshape(cells, cells)
-    k_op = _k_operator(transports, ancestors)
-    gram = k_op.T @ core @ k_op
-    # whiten by the input measure so plain power iteration sees the weighted norm
-    scale = math.sqrt(mu_in * mu_in)
-    sym = gram / (scale * scale)
-    return (sym + sym.T) / 2.0
+        scales = (mu_out * mu_out * coeffs[r]) * coeffs[r:]
+        scales[0] /= 2.0
+        core += left.T @ (scales[:, None] * right)
+    orbits = int(labels.max()) + 1
+    pairs = labels.reshape(size, size)
+    index = pairs[:, None, :, None] * orbits + pairs[None, :, None, :]
+    half = np.bincount(index.ravel(), core.ravel(), minlength=orbits * orbits)
+    half = half.reshape(orbits, orbits)
+    # whiten by the input measure 1 / size so plain power iteration sees the
+    # weighted norm, and take |K|^2 from the average
+    root = np.sqrt(np.bincount(labels))
+    scale = float(((q**3 - q) * size) ** 2)
+    return scale * (half + half.T) / (root[:, None] * root), labels
 
 
 def mean_matrix_2norm(
@@ -561,19 +615,27 @@ def mean_matrix_2norm(
     """Largest singular value of the weighted mean compressed to the depth-K
     step functions, with measure-weighted 2-norms on both sides.
 
-    The Gram matrix of the compression is built once (in floating point)
-    from the coset representatives' transports and the action of K on the
-    input cylinders (``_compression_gram``), and the top eigenvalue is found
-    by seeded power iteration on that symmetric matrix; the square root is
-    the reported bound.  Any iterate is a valid lower bound for the true
-    compression norm, converged or not.  ``transports`` are sphere n's
-    (``transport_sphere``) at this depth or deeper; without them they are
-    made here.
+    The Gram matrix of the compression is built once (in floating point),
+    on the K-orbits of the input cells, from the coset representatives'
+    transports and the action of K on the input cylinders
+    (``_compression_gram``), and the top eigenvalue is found by power
+    iteration on that symmetric matrix; the square root is the reported
+    bound.  The iteration starts from the orbit projection Q^T v of the
+    seeded vector v over the input cells, so every iterate is the one on the
+    cells' Gram matrix Q G Q^T from v, written in orbit coordinates.  Any
+    iterate is a valid lower bound for the true compression norm, converged
+    or not.  ``transports`` are sphere n's (``transport_sphere``) at this
+    depth or deeper; without them they are made here.  Raises
+    RadiusBudgetError before any transport is made when the compression's
+    core exceeds CORE_BUDGET (``check_compression_budget``).
     """
+    import numpy as np
+
     if not table.cosets(n):
         raise ValueError(f"sphere {n} is empty")
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
+    check_compression_budget(table.q, depth)
     if transports is None:
         radius = n + depth
         transports = transport_sphere(table, n, depth, _registries(table.q, (radius, radius)))
@@ -582,9 +644,9 @@ def mean_matrix_2norm(
             f"transports of sphere {transports.n} to depth "
             f"{transports.depth} do not serve sphere {n} at depth {depth}"
         )
-    eigenvalue, iterations, converged = _power_iteration_symmetric(
-        _compression_gram(transports, depth)
-    )
+    gram, labels = _compression_gram(transports, depth)
+    start = np.bincount(labels, _seeded_start(len(labels))) / np.sqrt(np.bincount(labels))
+    eigenvalue, iterations, converged = _power_iteration_symmetric(gram, start)
     return CompressionResult(
         n=n,
         depths=(depth, depth),
@@ -666,7 +728,9 @@ def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> Co
         )
     ball = [coset for m in table.lengths() if m <= ball_radius for coset in table.cosets(m)]
     matrix = coset_convolution_matrix(ball, n)
-    eigenvalue, iterations, converged = _power_iteration_symmetric(matrix @ matrix)
+    eigenvalue, iterations, converged = _power_iteration_symmetric(
+        matrix @ matrix, _seeded_start(len(matrix))
+    )
     return ConvolutionResult(
         n=n,
         ball_radius=ball_radius,
@@ -692,9 +756,12 @@ def rrd_report(
     check against U_n, the convolution lower bounds with the finite-subgroup
     identity at n = 0, and the subgroup growth certificate for the failure
     side.  All exact values appear as (a, b, q) triples.  ``u_bound`` is
-    the condition-(2) threshold on every U_n.
+    the condition-(2) threshold on every U_n.  A depth whose compression
+    core exceeds CORE_BUDGET raises RadiusBudgetError before any registry
+    is built.
     """
     q, max_length = table.q, table.max_length
+    check_compression_budget(q, depth)
     cond1 = condition_one_certificate(table)
 
     mean_lengths = [

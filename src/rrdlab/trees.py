@@ -58,19 +58,8 @@ class TreeVertex:
     def child(self, label: int) -> "TreeVertex":
         return TreeVertex(self.degree, self.path + (label,))
 
-    def parent(self) -> "TreeVertex":
-        if not self.path:
-            raise ValueError("the root has no parent")
-        return TreeVertex(self.degree, self.path[:-1])
-
     def to_text(self) -> str:
         return "/".join(str(p) for p in self.path)
-
-    @classmethod
-    def from_text(cls, degree: int, text: str) -> "TreeVertex":
-        if text == "":
-            return cls.root(degree)
-        return cls(degree, tuple(int(p) for p in text.split("/")))
 
     def __repr__(self) -> str:
         return f"TreeVertex({self.degree}, {self.to_text()!r})"

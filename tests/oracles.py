@@ -156,6 +156,19 @@ def refinements(cylinder: BoundaryCylinder, depth: int) -> Iterator[BoundaryCyli
 # tree geometry
 
 
+def vertex_parent(v: TreeVertex) -> TreeVertex:
+    if not v.path:
+        raise ValueError("the root has no parent")
+    return TreeVertex(v.degree, v.path[:-1])
+
+
+def vertex_from_text(degree: int, text: str) -> TreeVertex:
+    """The inverse of ``TreeVertex.to_text``."""
+    if text == "":
+        return TreeVertex.root(degree)
+    return TreeVertex(degree, tuple(int(p) for p in text.split("/")))
+
+
 def tree_distance(u: TreeVertex, v: TreeVertex) -> int:
     if u.degree != v.degree:
         raise ValueError("vertices of trees of different degree")

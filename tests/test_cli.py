@@ -12,6 +12,7 @@ import rrdlab
 from rrdlab import CACHE_MAJOR_VERSION, cli, lamplighter
 from rrdlab.algebra import Fq
 from rrdlab.cli import main
+from rrdlab.sl2 import TreeRegistry
 from rrdlab.spheres import SphereTable, constant_group, right_coset
 
 from oracles import sl2_from_text
@@ -462,6 +463,18 @@ def test_ball_count_makes_one_bfs(capsys, monkeypatch):
     rows = json.loads(out)["result"]["rows"]
     assert [row["n"] for row in rows] == list(range(16))
     assert all(row["match"] and row["bfs"] == row["formula"] for row in rows)
+
+
+def test_compression_budget_is_a_usage_error_before_any_table(capsys, monkeypatch):
+    # depth 6 at q = 2 would need a 9,216^2 float core (680 MB)
+    def refuse(*args):
+        raise AssertionError("a table or a registry was built")
+
+    monkeypatch.setattr(cli, "_load_table", refuse)
+    monkeypatch.setattr(TreeRegistry, "__init__", refuse)
+    code, out = run(capsys, "report", "--q", "2", "--max-length", "2", "--depth", "6")
+    assert code == 2
+    assert out == ""
 
 
 def test_lamplighter_budget_is_a_usage_error(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from rrdlab.criterion import (
     _cylinder_ancestors,
     _registries,
     _transports_at,
+    check_compression_budget,
     coset_convolution_matrix,
     convolution_opnorm_lower,
     mean_matrix_2norm,
@@ -25,6 +26,7 @@ from rrdlab.criterion import (
 )
 from rrdlab.sl2 import TreeRegistry, locate
 from rrdlab.spheres import (
+    RadiusBudgetError,
     SphereTable,
     constant_group,
     enumerate_ball,
@@ -463,12 +465,18 @@ def test_certificate_locates_no_sphere_element(table4, monkeypatch):
     ],
 )
 def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
+    # the orbit Gram G' is the element Gram O in orbit coordinates, and O has
+    # no component outside the K-invariant cells: G' = Q^T O Q, O = Q G' Q^T
     table = request.getfixturevalue(table_name)
     registries = _registries(table.q, (n + depth, n + depth))
-    gram = _compression_gram(transport_sphere(table, n, depth, registries), depth)
+    gram, labels = _compression_gram(transport_sphere(table, n, depth, registries), depth)
     oracle = gram_per_element(table, n, depth)
-    assert gram.shape == oracle.shape
-    assert np.allclose(gram, oracle, rtol=1e-12, atol=1e-15)
+    sizes = np.bincount(labels)
+    basis = np.zeros((len(labels), len(sizes)))
+    basis[np.arange(len(labels)), labels] = 1.0 / np.sqrt(sizes[labels])
+    assert gram.shape == (len(sizes), len(sizes)) and len(sizes) < len(labels)
+    np.testing.assert_allclose(gram, basis.T @ oracle @ basis, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(oracle, basis @ gram @ basis.T, rtol=1e-12, atol=1e-15)
 
 
 def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
@@ -484,6 +492,42 @@ def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
     # the report computes the action once, on the deepest cylinders
     with pytest.raises(RuntimeError, match="does not permute"):
         rrd_report(table4, 4)
+
+
+def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
+    # still a permutation, but one non-identity k has two entries swapped at
+    # place zero, so its perms no longer preserve the orbits K's action has
+    real = criterion._cylinder_action
+    target = constant_group(Fq(2))[1][0]
+
+    def swapped(k, registry, cyls):
+        perm = real(k, registry, cyls)
+        if k == target and registry.place is Place.ZERO:
+            perm[0], perm[1] = perm[1], perm[0]
+        return perm
+
+    monkeypatch.setattr(criterion, "_cylinder_action", swapped)
+    with pytest.raises(RuntimeError, match="does not preserve the K-orbits"):
+        mean_matrix_2norm(table4, 2, 1)
+    with pytest.raises(RuntimeError, match="does not preserve the K-orbits"):
+        rrd_report(table4, 4)
+
+
+def test_compression_budget_is_checked_before_any_transport(table4, monkeypatch):
+    # q = 2 at depth 6 has 9,216 input cells: a core of 9,216^2 floats (680 MB)
+    def refuse(*args):
+        raise AssertionError("a registry or a transport was built")
+
+    monkeypatch.setattr(criterion, "transport_sphere", refuse)
+    monkeypatch.setattr(criterion, "_registries", refuse)
+    with pytest.raises(RadiusBudgetError, match="compression depth 6 at q = 2"):
+        mean_matrix_2norm(table4, 0, 6)
+    with pytest.raises(RadiusBudgetError, match="compression depth 6 at q = 2"):
+        rrd_report(table4, 6)
+    check_compression_budget(2, 5)
+    check_compression_budget(3, 3)
+    with pytest.raises(RadiusBudgetError):
+        check_compression_budget(3, 4)
 
 
 def test_transported_images_must_partition_the_boundary(table4, monkeypatch):

@@ -19,7 +19,15 @@ from rrdlab.trees import (
     sphere_vertices,
 )
 
-from oracles import contains, end_image_set, product_cylinders, refinements, tree_distance
+from oracles import (
+    contains,
+    end_image_set,
+    product_cylinders,
+    refinements,
+    tree_distance,
+    vertex_from_text,
+    vertex_parent,
+)
 
 rng = random.Random(0x7EE5)
 
@@ -37,8 +45,11 @@ def test_vertex_paths_and_text_roundtrip():
     assert root.is_root() and root.depth == 0
     v = root.child(2).child(0).child(1)
     assert v.depth == 3
-    assert v.parent().parent().parent() == root
-    assert TreeVertex.from_text(3, v.to_text()) == v
+    assert vertex_parent(vertex_parent(vertex_parent(v))) == root
+    assert vertex_from_text(3, v.to_text()) == v
+    assert vertex_from_text(3, root.to_text()) == root
+    with pytest.raises(ValueError):
+        vertex_parent(root)
 
 
 def test_tree_distance_is_a_metric():
