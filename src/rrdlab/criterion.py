@@ -24,22 +24,26 @@ projection onto the functions constant on the K-orbits of the input cells.
 The power iteration runs on |K|^2 Q^T C Q, with Q the normalised orbit
 indicators (one row per orbit), so no cells x cells operator for K and no
 cells x cells Gram matrix is formed; only C itself, whose size
-``check_compression_budget`` bounds before anything is built.  One pass
-(``transport_sphere``) serves every compression depth of a sphere: each
-representative moves only the deepest input cylinders, and the shallower
-images and K's action at each depth follow by label-path arithmetic.  The
-transports of all representatives at one depth and place are one numpy
-pass over vertex ids: an output cylinder's column is the input cylinder
-whose image is the point at that depth's distance on the geodesic from
-r . o to it.  The convolution reads the ball's cosets too: L(g h^-1)
-depends only on the located pairs of g^-1 and h^-1, so its matrix over the
-ball is E M' E^T with M' indexed by the cosets and E^T E = |K| I.
+``check_compression_budget`` bounds before anything is built, and whose
+products and orbit-pair index are made by blocks of rows.  One pass
+(``transport_sphere``) serves every compression depth of a sphere: one
+``sl2.translate_vertex`` call per place moves the deepest input cylinders
+by every representative, as vertex ids, and the shallower images and K's
+action at each depth follow by id arithmetic.  The transports of all
+representatives at one depth and place are one numpy pass over vertex ids:
+an output cylinder's column is the input cylinder whose image is the point
+at that depth's distance on the geodesic from r . o to it.  The
+convolution reads the ball's cosets too: L(g h^-1) depends only on the
+located pairs of g^-1 and h^-1, so its matrix over the ball is E M' E^T
+with M' indexed by the cosets and E^T E = |K| I.
 
-Only the transports need tree registries.  The report builds one pair, at
-the largest radius a compression needs, and shares it and K's action among
-its spheres.  Registry labels do not depend on the radius, so every vertex
-has the same path as in a standalone call, which builds the same objects
-for itself.
+Only the transports need tree registries, for the lattice forms of the
+input cylinders and the codes ``translate_vertex`` looks images up among.
+The report builds one pair, at the largest radius a compression needs, and
+shares it and K's action (one ``translate_vertex`` call per place) among
+its spheres.  Vertex ids do not depend on the registry radius, so every
+vertex has the same id as in a standalone call, which builds the same
+objects for itself.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from .spheres import (
 from .trees import (
     BoundaryCylinder,
     RadiusBudgetError,
-    TreeVertex,
     boundary_cylinders,
     gromov_product,
     sphere_size,
@@ -83,6 +86,8 @@ DEFAULT_U_THRESHOLD = 8.0
 # Largest compression core, in float64 entries (80 MB): q = 2 up to depth 5
 # (5.3 million), q = 3 up to depth 3 (1.7 million)
 CORE_BUDGET = 10_000_000
+# Entries of a compression's row blocks (512 kB of float64 or int64)
+ROW_BLOCK = 1 << 16
 
 Registries = tuple[TreeRegistry, TreeRegistry]
 
@@ -131,23 +136,24 @@ def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cylinder_action(
-    k: SL2Element, registry: TreeRegistry, cyls: list[BoundaryCylinder]
-) -> list[int]:
-    """perm[j] = index of the cylinder that the constant element k moves the
-    j-th one of ``cyls`` (all cylinders of one depth) to.  k fixes the root,
-    so depths match."""
-    if k.is_identity():
-        return list(range(len(cyls)))
-    index = {c.base.path: j for j, c in enumerate(cyls)}
-    return [
-        index[registry.locate_form(translate_vertex(k, registry.form_at(c.base))).path]
-        for c in cyls
-    ]
+    elements: Sequence[SL2Element], registry: TreeRegistry, cyls: list[BoundaryCylinder]
+) -> np.ndarray:
+    """perms[e, j] = index of the cylinder that the constant element e moves
+    the j-th one of ``cyls`` (all cylinders of one depth, in order) to, or -1
+    where the image is none of them; one ``translate_vertex`` call.  A
+    constant element fixes the root, so depths match."""
+    import numpy as np
+
+    ids = np.array([c.base.id for c in cyls])
+    images = translate_vertex(elements, [registry.form_at(c.base) for c in cyls], registry)
+    # the ids of one depth are in the order of the cylinders
+    perms = np.minimum(np.searchsorted(ids, images), len(ids) - 1)
+    return np.where(ids[perms] == images, perms, -1)
 
 
 # Each k of K = SL2(F_q) as a permutation of the depth-d input cylinders, at
-# each place: perms[place][index of k in ``constant_group``][leaf].
-KActions = tuple[list[list[int]], list[list[int]]]
+# each place: perms[place][index of k in ``constant_group``, leaf].
+KActions = tuple["np.ndarray", "np.ndarray"]
 
 
 def _k_actions(registries: Registries, depth: int) -> KActions:
@@ -156,22 +162,22 @@ def _k_actions(registries: Registries, depth: int) -> KActions:
     checked to be a permutation where it is used (``_cell_orbits``)."""
     field = registries[0].field
     leaves = boundary_cylinders(field.q + 1, depth)
-    group = constant_group(field)
-    return tuple(
-        [_cylinder_action(k, registry, leaves) for k, _, _ in group] for registry in registries
-    )
+    group = [k for k, _, _ in constant_group(field)]
+    return tuple(_cylinder_action(group, registry, leaves) for registry in registries)
 
 
 class SphereTransports(NamedTuple):
     """The representatives' transports of sphere n for every input depth up
-    to ``depth``, at both places.
+    to ``depth``, at both places, as vertex ids (``TreeVertex.id``).
 
-    Each representative r moves the base of every depth-``depth`` input
-    cylinder (a leaf) once: images[place][coset][leaf] = r . leaf.  r is an
-    isometry, so the image of a shallower base v is the point at distance
-    d(o, v) from w = r . o on the geodesic [w, r . leaf], for any leaf below
-    v (``_points_at``); likewise k fixes the root, so K's action at
-    a shallower depth is its action on the leaves truncated.
+    One ``translate_vertex`` call per place moves the base of every
+    depth-``depth`` input cylinder (a leaf) by every representative r:
+    images[place][coset, leaf] is the id of r . leaf, and
+    centers[place][coset] that of w = r . o, read off the coset's located
+    pair.  r is an isometry, so the image of a shallower base v is the point
+    at distance d(o, v) from w on the geodesic [w, r . leaf], for any leaf
+    below v (``_points_at``); likewise k fixes the root, so K's action at a
+    shallower depth is its action on the leaves truncated.
     """
 
     table: SphereTable
@@ -179,7 +185,8 @@ class SphereTransports(NamedTuple):
     registries: Registries
     depth: int
     leaves: list[BoundaryCylinder]
-    images: tuple[list[list[TreeVertex]], list[list[TreeVertex]]]
+    centers: tuple[np.ndarray, np.ndarray]
+    images: tuple[np.ndarray, np.ndarray]
     actions: KActions
 
     @property
@@ -194,26 +201,29 @@ def transport_sphere(
     registries: Registries,
     actions: KActions | None = None,
 ) -> SphereTransports:
-    """Move every representative's leaves of sphere n at both places; the
-    registries must reach radius n + ``depth``.  ``actions`` (from
-    ``_k_actions`` at this depth) are shared by the spheres of one report;
-    without them they are computed here."""
+    """Move every representative's leaves of sphere n at both places, one
+    ``translate_vertex`` call per place; the registries must reach radius
+    n + ``depth``.  ``actions`` (from ``_k_actions`` at this depth) are
+    shared by the spheres of one report; without them they are computed
+    here."""
+    import numpy as np
+
     leaves = boundary_cylinders(table.q + 1, depth)
+    cosets = table.cosets(n)
+    representatives = [coset.representative for coset in cosets]
     images = tuple(
-        [
-            [
-                registry.locate_form(
-                    translate_vertex(coset.representative, registry.form_at(leaf.base))
-                )
-                for leaf in leaves
-            ]
-            for coset in table.cosets(n)
-        ]
+        translate_vertex(
+            representatives, [registry.form_at(leaf.base) for leaf in leaves], registry
+        )
         for registry in registries
+    )
+    centers = tuple(
+        np.array([coset.vertex(place_index).id for coset in cosets], dtype=np.int64)
+        for place_index in (0, 1)
     )
     if actions is None:
         actions = _k_actions(registries, depth)
-    return SphereTransports(table, n, registries, depth, leaves, images, actions)
+    return SphereTransports(table, n, registries, depth, leaves, centers, images, actions)
 
 
 def _cylinder_ancestors(
@@ -229,32 +239,36 @@ def _cylinder_ancestors(
     return ancestor, [below[i] for i in range(len(index))]
 
 
-def _sphere_labels(degree: int, depth: int) -> np.ndarray:
-    """The label paths of every vertex at ``depth``, in the lexicographic
-    order of ``boundary_cylinders``, as a label array: the first label is
-    the sphere index's leading digit, every later one a base-(degree - 1)
+def _sphere_ids(degree: int, depth: int) -> np.ndarray:
+    """The ids (``TreeVertex.id``) of every vertex at ``depth``, in the
+    lexicographic order of ``boundary_cylinders``: the first label is the
+    sphere index's leading digit, every later one a base-(degree - 1)
     digit."""
     import numpy as np
 
     strides = (degree - 1) ** np.arange(depth - 1, -1, -1)
     labels = np.arange(sphere_size(degree, depth))[:, None] // strides
     labels[:, 1:] %= degree - 1
-    return labels
+    return (labels + 1) @ degree ** np.arange(depth - 1, -1, -1)
 
 
-def _prefix_ids(labels: np.ndarray, degree: int) -> np.ndarray:
-    """Vertex ids of every prefix of label paths (a label array, possibly
-    stacked): column m holds the id of the length-m prefix, or -1 past the
-    path's end.  A path a_1 .. a_m has id sum (a_i + 1) degree^(m - i), its
-    bijective base-``degree`` numeral, so distinct vertices have distinct
-    ids and the root has 0."""
+def _prefix_ids(ids: np.ndarray, degree: int, width: int) -> np.ndarray:
+    """The ids of every prefix of the vertices with the given ids (any
+    shape, depths at most ``width``): a new last axis whose column m holds
+    the id of the depth-m ancestor, or -1 past the vertex's depth.  The ids
+    of depth m are the integers from (degree^m - 1) / (degree - 1) up to the
+    next such bound, and a parent's id is (id - 1) // degree."""
     import numpy as np
 
-    ids = np.zeros(labels.shape[:-1] + (labels.shape[-1] + 1,), dtype=np.int64)
-    for m in range(labels.shape[-1]):
-        label = labels[..., m]
-        ids[..., m + 1] = np.where(label >= 0, ids[..., m] * degree + label + 1, -1)
-    return ids
+    starts = (degree ** np.arange(width + 2) - 1) // (degree - 1)
+    depths = np.searchsorted(starts, ids, side="right") - 1
+    out = np.full(ids.shape + (width + 1,), -1, dtype=np.int64)
+    current = ids
+    for m in range(width, -1, -1):
+        deep = depths >= m
+        out[..., m] = np.where(deep, current, -1)
+        current = np.where(deep, (current - 1) // degree, current)
+    return out
 
 
 def _points_at(
@@ -305,21 +319,17 @@ def _transports_at(
     n = transports.n
     registry = transports.registries[place_index]
     degree = registry.q + 1
-    located = [coset.vertex(place_index) for coset in cosets]
-    lengths = np.array([w.depth for w in located])
-    w_ids = _prefix_ids(label_array([w.path for w in located], n), degree)
-    leaf_paths = [row[j].path for row in transports.images[place_index] for j in below]
-    leaf_ids = _prefix_ids(label_array(leaf_paths, n + transports.depth), degree)
-    image_ids, _ = _points_at(
-        w_ids, lengths, leaf_ids.reshape(len(located), len(below), -1), depth
-    )
-    out_ids = _prefix_ids(_sphere_labels(degree, n + depth), degree)
+    w_ids = _prefix_ids(transports.centers[place_index], degree, n)
+    lengths = (w_ids >= 0).sum(axis=1) - 1
+    leaf_ids = _prefix_ids(transports.images[place_index][:, below], degree, n + transports.depth)
+    image_ids, _ = _points_at(w_ids, lengths, leaf_ids, depth)
+    out_ids = _prefix_ids(_sphere_ids(degree, n + depth), degree, n + depth)
     point_ids, common = _points_at(w_ids, lengths, out_ids[None], depth)
     # look every p(z) up among its own row's images: sorted rows, offset so
     # that the rows follow one another in one sorted key array
     order = np.argsort(image_ids, axis=1)
     ranked = np.take_along_axis(image_ids, order, axis=1)
-    offsets = (max(ranked.max(), point_ids.max()) + 1) * np.arange(len(located))[:, None]
+    offsets = (max(ranked.max(), point_ids.max()) + 1) * np.arange(len(cosets))[:, None]
     keys = (ranked + offsets).ravel()
     queries = point_ids + offsets
     found = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
@@ -356,7 +366,10 @@ def _cell_orbits(
     size = len(below)
     group = constant_group(transports.registries[0].field)
     # perms[place][k] = k's action on the cylinders of this depth
-    perms = [ancestor[np.array(leaf_perms)[:, below]] for leaf_perms in transports.actions]
+    perms = [
+        np.where(leaf_perms[:, below] < 0, -1, ancestor[leaf_perms[:, below]])
+        for leaf_perms in transports.actions
+    ]
     broken = np.stack(
         [np.any(np.sort(perm, axis=1) != np.arange(size), axis=1) for perm in perms], axis=1
     )
@@ -569,7 +582,9 @@ def _compression_gram(
     |K|^2 Q^T C Q, which is returned.  The pair (s, r) gives the transpose of
     the pair (r, s), so C = H + H^T with H summed over s >= r (the s = r term
     halved), one representative r at a time to keep memory flat, and H is
-    added into its orbit pairs by one bincount.
+    added into its orbit pairs.  The core is the only cells x cells array:
+    the products added into it and its orbit-pair index are made one block
+    of ROW_BLOCK entries at a time.
     """
     import numpy as np
 
@@ -589,6 +604,8 @@ def _compression_gram(
         for c in cosets
     ])
     cells = size * size
+    rows = max(1, ROW_BLOCK // cells)
+    blocks = [slice(start, start + rows) for start in range(0, cells, rows)]
     # core[(i, j), (k, l)] = H[(i, k), (j, l)], the pair blocks' layout
     core = np.zeros((cells, cells))
     for r in range(len(cosets)):
@@ -596,11 +613,19 @@ def _compression_gram(
         right = _pair_blocks(cols1, wts1, r, size)
         scales = (mu_out * mu_out * coeffs[r]) * coeffs[r:]
         scales[0] /= 2.0
-        core += left.T @ (scales[:, None] * right)
+        weighted = scales[:, None] * right
+        for block in blocks:
+            core[block] += left[:, block].T @ weighted
     orbits = int(labels.max()) + 1
     pairs = labels.reshape(size, size)
-    index = pairs[:, None, :, None] * orbits + pairs[None, :, None, :]
-    half = np.bincount(index.ravel(), core.ravel(), minlength=orbits * orbits)
+    half = np.zeros(orbits * orbits)
+    # core row (i, j), column (k, l) adds into the orbit pair
+    # (pairs[i, k], pairs[j, l]); np.add.at adds in element order, as one
+    # bincount over the whole core would
+    for block in blocks:
+        i, j = np.divmod(np.arange(cells)[block], size)
+        index = pairs[i][:, :, None] * orbits + pairs[j][:, None, :]
+        np.add.at(half, index.reshape(len(i), cells), core[block])
     half = half.reshape(orbits, orbits)
     # whiten by the input measure 1 / size so plain power iteration sees the
     # weighted norm, and take |K|^2 from the average

@@ -11,9 +11,16 @@ reduction stays in the Laurent ring, reading the second diagonal exponent off
 the determinant's valuation and the off-diagonal entry off a truncated X-adic
 series quotient, so no rational function is ever reduced.  (The independent
 length oracle, Smith pivoting over rational functions, is in
-``tests/oracles.py``.)  A breadth-first registry maps canonical forms to rooted label paths,
-giving the bridge from matrix algebra to the tree coordinates used by the
-boundary analysis.
+``tests/oracles.py``.)  A breadth-first registry maps canonical forms to
+rooted label paths, giving the bridge from matrix algebra to the tree
+coordinates used by the boundary analysis.
+
+The transports move many vertices by many elements, so ``translate_vertex``
+reduces every (element, form) pair of one place in one numpy pass: dense
+coefficient rows, F_q arithmetic by table, and an integer code per canonical
+form, looked up among the codes the registry builds once.  It returns vertex
+ids (``TreeVertex.id``), not forms; the one-vertex reduction it must equal
+is the test oracle.
 
 Place infinity reuses all place-zero code through the exact substitution
 X -> X^-1, under which the uniformizer becomes X again.
@@ -23,10 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import Fq, LaurentPolynomial, Place, series_quotient
 from .trees import TreeVertex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def entry_lengths(
@@ -121,9 +131,6 @@ class SL2Element:
 
     def entries(self) -> tuple[LaurentPolynomial, LaurentPolynomial, LaurentPolynomial, LaurentPolynomial]:
         return (self.a, self.b, self.c, self.d)
-
-    def is_identity(self) -> bool:
-        return self.a.is_one() and self.d.is_one() and self.b.is_zero() and self.c.is_zero()
 
     # lengths ------------------------------------------------------------------
 
@@ -275,16 +282,6 @@ def vertex_neighbors(v: LatticeVertex) -> list[LatticeVertex]:
     return out
 
 
-def translate_vertex(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
-    """Canonical form of g . v (matrix times basis, then reduction)."""
-    ga, gb, gc, gd = (_to_uniformizer(e, v.place) for e in g.entries())
-    # g times the basis columns (X^a, c) and (0, X^b)
-    a, b, c = v.diag_low, v.diag_high, v.off_diag
-    return _canonical_from_matrix(
-        v.place, ga.shift(a) + gb * c, gb.shift(b), gc.shift(a) + gd * c, gd.shift(b)
-    )
-
-
 class TreeRegistry:
     """Breadth-first bijection between canonical lattice forms and label paths.
 
@@ -333,6 +330,21 @@ class TreeRegistry:
                     nxt.append((child, nb))
             frontier = nxt
 
+    @cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The code of every registered form (``_form_code``), sorted, and the
+        id of its vertex (``TreeVertex.id``), as int64 arrays; built on first
+        use, so only the transports load numpy.  Raises ValueError before any
+        code is built when a code could overflow int64 (``code_window``)."""
+        import numpy as np
+
+        low, width = code_window(self.q, self.radius)
+        pairs = sorted(
+            (_form_code(form, self.radius, low, width), TreeVertex(self.degree, path).id)
+            for path, form in self._by_path.items()
+        )
+        return np.array([c for c, _ in pairs]), np.array([i for _, i in pairs])
+
     def locate_form(self, form: LatticeVertex) -> TreeVertex:
         try:
             return self._by_key[form.key()]
@@ -366,3 +378,197 @@ def locate(g: SL2Element, place: Place, registry: TreeRegistry) -> TreeVertex:
     if registry.place is not place:
         raise ValueError(f"registry is for place {registry.place}, not {place}")
     return registry.locate_form(canonical_vertex(g, place))
+
+
+# ---------------------------------------------------------------------------
+# lattice canonicalization in bulk
+
+
+def code_window(q: int, radius: int) -> tuple[int, int]:
+    """The exponents [low, low + width) that the off-diagonal entry of a
+    canonical form within ``radius`` of the base vertex can have.
+
+    The form (a, b, c) lies at distance a + b - 2 min(0, v(c)), so within
+    the radius a, b <= radius and c's exponents are at least -(radius // 2)
+    and below b.  A code (``_form_code``) is below (radius + 1)^2 q^width;
+    raises ValueError when that does not fit in int64.
+    """
+    low = -(radius // 2)
+    width = radius - low
+    if (radius + 1) ** 2 * q**width > 2**63:
+        raise ValueError(
+            f"canonical form codes at q = {q} and registry radius {radius} overflow int64"
+        )
+    return low, width
+
+
+def _form_code(form: LatticeVertex, radius: int, low: int, width: int) -> int:
+    """The integer code of a canonical form within ``radius``: (a, b) in base
+    radius + 1, above the coefficients of c over the exponents
+    [low, low + width) in base q (``code_window``)."""
+    q, c = form.field.q, form.off_diag
+    digits = sum(coeff * q ** (e - low) for e, coeff in enumerate(c.raw_coefficients, c.low))
+    return (form.diag_low * (radius + 1) + form.diag_high) * q**width + digits
+
+
+def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """F_q's addition and multiplication tables and its negation and
+    inversion maps (0 to 0), on element indices, as uint8 arrays.  Built on
+    each call: q^2 entries take tens of microseconds at q <= 4."""
+    import numpy as np
+
+    if q > 256:
+        raise ValueError(f"the bulk translation holds F_q elements in uint8, so q <= 256, not {q}")
+    field = Fq(q)
+    add = np.array([[field.add(x, y) for y in range(q)] for x in range(q)], dtype=np.uint8)
+    mul = np.array([[field.mul(x, y) for y in range(q)] for x in range(q)], dtype=np.uint8)
+    neg = np.array([field.neg(x) for x in range(q)], dtype=np.uint8)
+    inv = np.array([0] + [field.inv(x) for x in range(1, q)], dtype=np.uint8)
+    return add, mul, neg, inv
+
+
+def _dense(polys: Sequence[LaurentPolynomial]) -> tuple[int, np.ndarray]:
+    """The polynomials' coefficients as uint8 rows over one run of exponents,
+    with its lowest exponent."""
+    import numpy as np
+
+    nonzero = [p for p in polys if not p.is_zero()]
+    low = min((p.low for p in nonzero), default=0)
+    top = max((p.top for p in nonzero), default=low)
+    rows = np.zeros((len(polys), top - low + 1), dtype=np.uint8)
+    for row, p in zip(rows, polys):
+        if not p.is_zero():
+            row[p.low - low : p.top - low + 1] = p.raw_coefficients
+    return low, rows
+
+
+def _shifted(rows: np.ndarray, shifts: np.ndarray, start: int, span: int) -> np.ndarray:
+    """Row e of ``rows`` times X^shifts[l], for every e and l: shape
+    (len(rows), len(shifts), span), row e's first coefficient at column
+    start + shifts[l]."""
+    import numpy as np
+
+    out = np.zeros((len(rows), len(shifts), span), dtype=rows.dtype)
+    columns = start + shifts[:, None] + np.arange(rows.shape[1])
+    out[:, np.arange(len(shifts))[:, None], columns] = rows[:, None, :]
+    return out
+
+
+def _lowest(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column of the first nonzero coefficient along the last axis, and
+    whether there is one."""
+    nonzero = rows != 0
+    return nonzero.argmax(axis=-1), nonzero.any(axis=-1)
+
+
+def _window(rows: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """Columns starts .. starts + width - 1 of each row (zero outside it)."""
+    import numpy as np
+
+    index = starts[..., None] + np.arange(width)
+    inside = (index >= 0) & (index < rows.shape[-1])
+    taken = np.take_along_axis(rows, np.clip(index, 0, rows.shape[-1] - 1), axis=-1)
+    return np.where(inside, taken, 0).astype(rows.dtype)
+
+
+def translate_vertex(
+    elements: Sequence[SL2Element], forms: Sequence[LatticeVertex], registry: TreeRegistry
+) -> np.ndarray:
+    """The id (``TreeVertex.id``) of the vertex g . v in ``registry`` for every
+    element g and canonical form v of the registry's place: an int64 array
+    of shape (len(elements), len(forms)), made in one numpy pass.
+
+    This is ``_canonical_from_matrix`` on every image basis at once, with
+    polynomials as dense uint8 coefficient rows and F_q arithmetic by table.
+    g times the basis [[X^a, 0], [c, X^b]] has the columns
+    (A, C) = (g_a X^a + g_b c, g_c X^a + g_d c) and (B, D) = (g_b X^b, g_d X^b).
+    The pivot column is the one of smaller top valuation a'; g has
+    determinant 1, so the image has determinant X^(a + b) and
+    b' = a + b - a'.  With m = min(a', b'), the off-diagonal entry is the
+    series C X^-m / (A X^-a') below X^(b' - m), solved term by term over the
+    code window (``code_window``), and the image's code (``_form_code``) is
+    looked up among the registry's (``TreeRegistry.codes``).  Raises
+    ValueError for a zero top row, and for an image outside the registry
+    radius: one whose form leaves the code window, or whose code is not
+    registered.
+    """
+    import numpy as np
+
+    place, q, radius = registry.place, registry.q, registry.radius
+    if any(form.place is not place for form in forms):
+        raise ValueError(f"forms must be at the registry's place {place.value}")
+    if not elements or not forms:
+        return np.zeros((len(elements), len(forms)), dtype=np.int64)
+    low, width = code_window(q, radius)
+    codes, ids = registry.codes
+    add, mul, neg, inv = _field_tables(q)
+
+    g_low, g = _dense([_to_uniformizer(e, place) for x in elements for e in x.entries()])
+    g = g.reshape(len(elements), 4, -1)
+    c_low, c = _dense([form.off_diag for form in forms])
+    a = np.array([form.diag_low for form in forms])
+    b = np.array([form.diag_high for form in forms])
+    # one run of exponents [lo, lo + span) holds all four entries of every image
+    lo = g_low + min(0, c_low)
+    span = g_low + g.shape[2] + max(int(a.max()), int(b.max()), c_low + c.shape[1] - 1) - lo
+
+    def column(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x X^a + y c, for the rows x, y of the elements' entries."""
+        out = _shifted(x, a, g_low - lo, span)
+        start = g_low + c_low - lo
+        for i in range(c.shape[1]):
+            part = out[..., start + i : start + i + g.shape[2]]
+            part[...] = add[part, mul[y[:, None, :], c[None, :, i, None]]]
+        return out
+
+    top_a, bottom_a = column(g[:, 0], g[:, 1]), column(g[:, 2], g[:, 3])
+    top_b, bottom_b = (_shifted(g[:, k], b, g_low - lo, span) for k in (1, 3))
+    v_a, has_a = _lowest(top_a)
+    v_b, has_b = _lowest(top_b)
+    if not (has_a | has_b).all():
+        raise ValueError("degenerate input: zero top row")
+    swap = ~has_a | (has_b & (v_b < v_a))
+    pivot = np.where(swap[..., None], top_b, top_a)
+    lower = np.where(swap[..., None], bottom_b, bottom_a)
+    a1 = np.where(swap, v_b, v_a) + lo
+    b1 = a + b - a1
+    m = np.minimum(a1, b1)
+    diag_low, diag_high = a1 - m, b1 - m
+    v_c, has_c = _lowest(lower)
+    outside = (diag_low > radius) | (diag_high > radius) | (has_c & (v_c + lo - m < low))
+    if outside.any():
+        raise _outside(outside, elements, forms, radius)
+
+    # C X^-m = (A X^-a') quotient over the window, term by term
+    unit = _window(pivot, a1 - lo, width)
+    numerator = _window(lower, low + m - lo, width)
+    quotient = np.zeros_like(numerator)
+    inverse = inv[unit[..., 0]]
+    reach = int(np.flatnonzero(unit.any(axis=(0, 1)))[-1])
+    for t in range(width):
+        known = np.zeros_like(inverse)
+        for i in range(1, min(t, reach) + 1):
+            known = add[known, mul[unit[..., i], quotient[..., t - i]]]
+        quotient[..., t] = mul[add[numerator[..., t], neg[known]], inverse]
+    digits = np.where(low + np.arange(width) < diag_high[..., None], quotient, 0)
+    packed = (diag_low * (radius + 1) + diag_high) * q**width + digits.astype(np.int64) @ (
+        q ** np.arange(width)
+    )
+    found = np.minimum(np.searchsorted(codes, packed), len(codes) - 1)
+    missing = codes[found] != packed
+    if missing.any():
+        raise _outside(missing, elements, forms, radius)
+    return ids[found]
+
+
+def _outside(
+    bad: np.ndarray, elements: Sequence[SL2Element], forms: Sequence[LatticeVertex], radius: int
+) -> ValueError:
+    """The error for the first (element, form) pair flagged in ``bad``."""
+    import numpy as np
+
+    e, f = (int(i) for i in np.argwhere(bad)[0])
+    return ValueError(
+        f"lattice vertex outside registry radius {radius}: the image of "
+        f"{forms[f].to_text()} under {elements[e].to_text()}"
+    )

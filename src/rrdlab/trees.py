@@ -55,6 +55,17 @@ class TreeVertex:
     def is_root(self) -> bool:
         return not self.path
 
+    @property
+    def id(self) -> int:
+        """The path a_1 .. a_m as the bijective base-degree numeral
+        sum (a_i + 1) degree^(m - i): distinct vertices have distinct ids,
+        the root has 0, a parent's id is (id - 1) // degree, and the ids of
+        one depth are in the order of their paths."""
+        out = 0
+        for label in self.path:
+            out = out * self.degree + label + 1
+        return out
+
     def child(self, label: int) -> "TreeVertex":
         return TreeVertex(self.degree, self.path + (label,))
 

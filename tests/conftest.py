@@ -23,3 +23,8 @@ def table8() -> SphereTable:
 @pytest.fixture(scope="session")
 def table_q3n2() -> SphereTable:
     return enumerate_ball(3, 2)
+
+
+@pytest.fixture(scope="session")
+def table_q4n2() -> SphereTable:
+    return enumerate_ball(4, 2)

@@ -3,18 +3,19 @@
 None of this is on the certificate's path.  Each piece recomputes something
 the program computes, by a route that shares as little as possible with it:
 tree distances and shadows by plain prefix arithmetic, lengths by Smith
-pivoting over rational functions, the spherical function by a boundary
-partition, spheres by breadth-first word search and by a scan of first rows
-inside the coefficient window, the subgroup's balls by breadth-first search
-over its group law on (n, P), the mean by exact Koopman matrices applied
-cell by cell, the mean's value on 1 as a step function of a + b sqrt(q)
-values (cocycle square roots over the spherical function), the
-compression's Gram matrix from every element's own transport, each
-representative's transport at every depth from its own translations and a
-geodesic test per pair of cylinders, and the convolution matrix over every
-pair of ball elements from their located inverses.  A sphere given as its
-elements is split into right cosets by text lookup and ``locate``
-(``right_cosets``), independently of the pair scan's coset list.
+pivoting over rational functions, the action on lattice classes one vertex
+at a time in Laurent arithmetic (``translate_form``), the spherical
+function by a boundary partition, spheres by breadth-first word search and
+by a scan of first rows inside the coefficient window, the subgroup's balls
+by breadth-first search over its group law on (n, P), the mean by exact
+Koopman matrices applied cell by cell, the mean's value on 1 as a step
+function of a + b sqrt(q) values (cocycle square roots over the spherical
+function), the compression's Gram matrix from every element's own
+transport, each representative's transport at every depth from its own
+translations and a geodesic test per pair of cylinders, and the convolution
+matrix over every pair of ball elements from their located inverses.  A
+sphere given as its elements is split into right cosets by text lookup and
+``locate`` (``right_cosets``), independently of the pair scan's coset list.
 
 It also holds what only the tests use of elements, texts and cylinders: the
 lower elementary matrices, the length at one place, the text parsers (the
@@ -52,12 +53,13 @@ from rrdlab.criterion import (
     label_array,
 )
 from rrdlab.sl2 import (
+    LatticeVertex,
     SL2Element,
     TreeRegistry,
+    _canonical_from_matrix,
     _to_uniformizer,
     entry_lengths,
     locate,
-    translate_vertex,
 )
 from rrdlab.spheres import Coset, SphereTable, _completions_for_row, constant_group, right_coset
 from rrdlab.trees import (
@@ -377,6 +379,19 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     v1 = pivot.valuation()
     v2 = corner.valuation()
     return (v1, v2) if v1 <= v2 else (v2, v1)
+
+
+def translate_form(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
+    """Canonical form of g . v, one vertex at a time: g times the basis
+    [[X^a, 0], [c, X^b]] in Laurent arithmetic, then
+    ``_canonical_from_matrix`` with the determinant computed.  The oracle of
+    the program's ``translate_vertex``, which reduces every (element, form)
+    pair at once."""
+    ga, gb, gc, gd = (_to_uniformizer(e, v.place) for e in g.entries())
+    a, b, c = v.diag_low, v.diag_high, v.off_diag
+    return _canonical_from_matrix(
+        v.place, ga.shift(a) + gb * c, gb.shift(b), gc.shift(a) + gd * c, gd.shift(b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +824,9 @@ def direct_images(
     gamma: SL2Element, cyls: list[BoundaryCylinder], registry
 ) -> list[tuple[int, ...]]:
     """The label path of gamma . v for the base v of every cylinder, each
-    moved by ``translate_vertex`` on its own."""
+    moved by ``translate_form`` on its own."""
     return [
-        registry.locate_form(translate_vertex(gamma, registry.form_at(c.base))).path
+        registry.locate_form(translate_form(gamma, registry.form_at(c.base))).path
         for c in cyls
     ]
 
@@ -1000,7 +1015,7 @@ def per_element_stack(gammas, place, in_depth, out_depth, registry, q) -> np.nda
     for gi, g in enumerate(gammas):
         w = locate(g, place, registry)
         for j, ic in enumerate(in_cyls):
-            y = registry.locate_form(translate_vertex(g, registry.form_at(ic.base)))
+            y = registry.locate_form(translate_form(g, registry.form_at(ic.base)))
             for i, oc in enumerate(out_cyls):
                 z = oc.base
                 if gromov_product(w, y) + gromov_product(y, z) == y.depth + gromov_product(w, z):

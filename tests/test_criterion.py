@@ -24,7 +24,7 @@ from rrdlab.criterion import (
     transport_sphere,
     uniform_bound_value,
 )
-from rrdlab.sl2 import TreeRegistry, locate
+from rrdlab.sl2 import SL2Element, TreeRegistry, locate
 from rrdlab.spheres import (
     RadiusBudgetError,
     SphereTable,
@@ -226,7 +226,7 @@ def test_koopman_inverse_composition(table4):
 
 
 def test_koopman_identity_is_refinement(table4):
-    identity = [g for g in table4.sphere(0) if g.is_identity()]
+    identity = [g for g in table4.sphere(0) if g == SL2Element.identity(Fq(2))]
     assert len(identity) == 1
     matrix = koopman_matrix(identity[0], (1, 2))
     h = random_step((1, 2))
@@ -482,9 +482,9 @@ def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
 def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
     real = criterion._cylinder_action
 
-    def repeating(k, registry, cyls):
-        perm = real(k, registry, cyls)
-        return [perm[0], *perm[:-1]]
+    def repeating(elements, registry, cyls):
+        perms = real(elements, registry, cyls)
+        return np.concatenate([perms[:, :1], perms[:, :-1]], axis=1)
 
     monkeypatch.setattr(criterion, "_cylinder_action", repeating)
     with pytest.raises(RuntimeError, match="does not permute"):
@@ -500,11 +500,12 @@ def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
     real = criterion._cylinder_action
     target = constant_group(Fq(2))[1][0]
 
-    def swapped(k, registry, cyls):
-        perm = real(k, registry, cyls)
-        if k == target and registry.place is Place.ZERO:
-            perm[0], perm[1] = perm[1], perm[0]
-        return perm
+    def swapped(elements, registry, cyls):
+        perms = real(elements, registry, cyls)
+        if registry.place is Place.ZERO:
+            index = elements.index(target)
+            perms[index, [0, 1]] = perms[index, [1, 0]]
+        return perms
 
     monkeypatch.setattr(criterion, "_cylinder_action", swapped)
     with pytest.raises(RuntimeError, match="does not preserve the K-orbits"):
@@ -620,17 +621,17 @@ def test_report_matches_the_standalone_functions_exactly(request, table_name, de
 
 
 def test_reference_report_work_is_pinned(table4, monkeypatch):
-    # 52 representatives x 2 places x 24 depth-4 cylinders, plus the 5
-    # non-identity elements of K on those 24 cylinders at both places; one
-    # registry pair for the whole report
+    # one bulk translation per place for the 6 elements of K on the 24
+    # depth-4 cylinders, then one per place for each of the 3 spheres (1, 6
+    # and 45 representatives); one registry pair for the whole report
     translations = []
     builds = []
     real_translate = criterion.translate_vertex
     real_init = TreeRegistry.__init__
 
-    def counting_translate(g, v):
-        translations.append(g)
-        return real_translate(g, v)
+    def counting_translate(elements, forms, registry):
+        translations.append((len(elements), len(forms), registry.place))
+        return real_translate(elements, forms, registry)
 
     def counting_init(self, *args):
         builds.append(args)
@@ -639,5 +640,6 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     monkeypatch.setattr(criterion, "translate_vertex", counting_translate)
     monkeypatch.setattr(TreeRegistry, "__init__", counting_init)
     rrd_report(table4, 4)
-    assert len(translations) == 52 * 2 * 24 + 5 * 24 * 2 == 2736
+    assert translations == [(size, 24, place) for size in (6, 1, 6, 45) for place in Place]
+    assert len(translations) == 8
     assert len(builds) == 2

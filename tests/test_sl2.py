@@ -12,11 +12,13 @@ from rrdlab.sl2 import (
     _canonical_from_matrix,
     base_vertex,
     canonical_vertex,
+    code_window,
     locate,
     translate_vertex,
     vertex_neighbors,
 )
-from rrdlab.trees import sphere_vertices
+from rrdlab.spheres import constant_group
+from rrdlab.trees import boundary_cylinders, sphere_vertices
 
 from oracles import (
     RationalFunction,
@@ -24,6 +26,7 @@ from oracles import (
     length_at_place,
     sl2_from_text,
     smith_valuations,
+    translate_form,
     tree_distance,
 )
 
@@ -101,12 +104,13 @@ def test_diagonal_shift_lengths():
 
 
 def test_translate_vertex_is_an_action():
+    # on the scalar oracle, which the program's bulk translation must equal
     for place in (Place.ZERO, Place.INFINITY):
         o = base_vertex(FIELD, place)
         for _ in range(100):
             g, h = random_word(FIELD, 4), random_word(FIELD, 4)
-            assert translate_vertex(g * h, o).key() == translate_vertex(
-                g, translate_vertex(h, o)
+            assert translate_form(g * h, o).key() == translate_form(
+                g, translate_form(h, o)
             ).key()
 
 
@@ -115,10 +119,10 @@ def test_translate_preserves_adjacency():
         o = base_vertex(FIELD, place)
         for _ in range(40):
             g = random_word(FIELD, 4)
-            image = translate_vertex(g, o)
+            image = translate_form(g, o)
             neighbor_keys = {v.key() for v in vertex_neighbors(image)}
             for nb in vertex_neighbors(o):
-                assert translate_vertex(g, nb).key() in neighbor_keys
+                assert translate_form(g, nb).key() in neighbor_keys
 
 
 def test_locate_distance_equals_length():
@@ -209,14 +213,87 @@ def test_canonical_vertex_matches_rational_oracle(request, table_name):
 
 @pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
 def test_translate_vertex_matches_rational_oracle(request, table_name):
+    # every element moves every vertex within 3 of the base, into a registry
+    # that reaches the images
     table = request.getfixturevalue(table_name)
     q, gammas = table.q, sphere_elements(table)
     for place in Place:
-        registry = TreeRegistry(q, place, 3)
+        registry = TreeRegistry(q, place, table.max_length + 3)
         forms = [registry.form_at(v) for d in range(4) for v in sphere_vertices(q + 1, d)]
-        for g in gammas:
-            for form in forms:
-                assert translate_vertex(g, form).key() == oracle_translate(g, form).key()
+        expected = [
+            [registry.locate_form(oracle_translate(g, form)).id for form in forms]
+            for g in gammas
+        ]
+        assert translate_vertex(gammas, forms, registry).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "table_name, depth", [("table4", 4), ("table_q3n2", 2), ("table_q4n2", 2)]
+)
+def test_translate_vertex_matches_scalar_oracle(request, table_name, depth):
+    # the report's calls: every representative and every element of K on the
+    # deepest input cylinders, at both places
+    table = request.getfixturevalue(table_name)
+    q = table.q
+    representatives = [c.representative for n in table.lengths() for c in table.cosets(n)]
+    group = [k for k, _, _ in constant_group(Fq(q))]
+    for place in Place:
+        registry = TreeRegistry(q, place, table.max_length + depth)
+        forms = [registry.form_at(c.base) for c in boundary_cylinders(q + 1, depth)]
+        for elements in (representatives, group):
+            expected = [
+                [registry.locate_form(translate_form(g, form)).id for form in forms]
+                for g in elements
+            ]
+            assert translate_vertex(elements, forms, registry).tolist() == expected
+
+
+def test_translate_vertex_raises_outside_the_registry():
+    shift = SL2Element.diagonal_shift(FIELD, 1)
+    registry = TreeRegistry(2, Place.ZERO, 2)
+    o = base_vertex(FIELD, Place.ZERO)
+    leaves = [registry.form_at(v) for v in sphere_vertices(3, 1)]
+    # a diagonal exponent beyond the radius: shift . o is at distance 2, and
+    # one leaf goes to (3, 0, 0) at distance 3
+    assert translate_vertex([shift], [o], registry).shape == (1, 1)
+    with pytest.raises(ValueError, match="outside registry radius 2"):
+        translate_vertex([shift], leaves, registry)
+    # an off-diagonal entry below the code window: X^-2 at distance 4
+    lower = elementary_lower(LaurentPolynomial.x_power(FIELD, -2))
+    with pytest.raises(ValueError, match="outside registry radius 2"):
+        translate_vertex([SL2Element.identity(FIELD), lower], [o], registry)
+    # a form inside the code window that is not registered: (1, 0, X^-1)
+    image = translate_form(shift, leaves[1])
+    assert image.to_text() == "a=1;b=0;low=-1;coeffs=1"
+    with pytest.raises(ValueError, match="outside registry radius 2"):
+        translate_vertex([shift], [leaves[1]], registry)
+    with pytest.raises(ValueError, match="place"):
+        translate_vertex([shift], [o], TreeRegistry(2, Place.INFINITY, 2))
+
+
+def test_translate_vertex_rejects_a_zero_top_row():
+    zero = LaurentPolynomial.zero(FIELD)
+    one = LaurentPolynomial.one(FIELD)
+    registry = TreeRegistry(2, Place.ZERO, 2)
+    degenerate = SL2Element(zero, zero, one, one, check=False)
+    with pytest.raises(ValueError, match="zero top row"):
+        translate_vertex([degenerate], [base_vertex(FIELD, Place.ZERO)], registry)
+
+
+def test_code_window_holds_every_registered_form():
+    for q, radius in ((2, 8), (3, 5), (4, 3)):
+        low, width = code_window(q, radius)
+        for place in Place:
+            for form in TreeRegistry(q, place, radius)._by_path.values():
+                c = form.off_diag
+                assert 0 <= form.diag_low <= radius and 0 <= form.diag_high <= radius
+                assert c.is_zero() or (low <= c.low and c.top < min(form.diag_high, low + width))
+    # codes are below (radius + 1)^2 q^width, which must fit in int64
+    code_window(2, 35)
+    with pytest.raises(ValueError, match="overflow int64"):
+        code_window(2, 36)
+    with pytest.raises(ValueError, match="overflow int64"):
+        code_window(13, 11)
 
 
 def test_canonical_form_rejects_degenerate_input():
