@@ -111,10 +111,8 @@ def _load_table(q: int, max_length: int, cache_dir: Optional[str]) -> tuple[Sphe
         if os.path.exists(path):
             try:
                 with open(path, "r") as handle:
-                    table = SphereTable.from_json(handle.read())
-                if table.q != q or table.max_length != max_length:
-                    raise ValueError("cache file does not match the request")
-                return table, provenance
+                    text = handle.read()
+                return SphereTable.from_json(text, expected=(q, max_length)), provenance
             except ValueError:
                 pass  # stale, foreign or corrupt cache: fall through and rebuild
     table = enumerate_ball(q, max_length)

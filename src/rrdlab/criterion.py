@@ -28,22 +28,24 @@ cells x cells Gram matrix is formed; only C itself, whose size
 products and orbit-pair index are made by blocks of rows.  One pass
 (``transport_sphere``) serves every compression depth of a sphere: one
 ``sl2.translate_vertex`` call per place moves the deepest input cylinders
-by every representative, as vertex ids, and the shallower images and K's
-action at each depth follow by id arithmetic.  The transports of all
-representatives at one depth and place are one numpy pass over vertex ids:
-an output cylinder's column is the input cylinder whose image is the point
-at that depth's distance on the geodesic from r . o to it.  The
-convolution reads the ball's cosets too: L(g h^-1) depends only on the
-located pairs of g^-1 and h^-1, so its matrix over the ball is E M' E^T
-with M' indexed by the cosets and E^T E = |K| I.
+by every element of K and every representative, as vertex ids, and the
+shallower images and K's action at each depth follow by id arithmetic.
+The transports of all representatives at one depth and place are one numpy
+pass over vertex ids: an output cylinder's column is the input cylinder
+whose image is the point at that depth's distance on the geodesic from
+r . o to it.  The convolution reads the ball's cosets too: L(g h^-1)
+depends only on the located pairs of g^-1 and h^-1, so its matrix over the
+ball is E M' E^T with M' indexed by the cosets and E^T E = |K| I.
 
+Vertex ids (``TreeVertex.id``) are the floating side's only vertex
+coordinate: cylinders of one depth are their positions in label order, and
+common prefixes and distances are read off the ids of a vertex's prefixes.
 Only the transports need tree registries, for the lattice forms of the
 input cylinders and the codes ``translate_vertex`` looks images up among.
 The report builds one pair, at the largest radius a compression needs, and
-shares it and K's action (one ``translate_vertex`` call per place) among
-its spheres.  Vertex ids do not depend on the registry radius, so every
-vertex has the same id as in a standalone call, which builds the same
-objects for itself.
+shares it among its spheres.  Vertex ids do not depend on the registry
+radius, so every vertex has the same id as in a standalone call, which
+builds the same objects for itself.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .spheres import (
     constant_group,
 )
 from .trees import (
-    BoundaryCylinder,
     RadiusBudgetError,
     boundary_cylinders,
     gromov_product,
@@ -98,72 +99,13 @@ def json_threshold(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
-def _registries(q: int, radii: tuple[int, int]) -> Registries:
-    """The place-zero and place-infinity registries of the given radii."""
-    return TreeRegistry(q, Place.ZERO, radii[0]), TreeRegistry(q, Place.INFINITY, radii[1])
-
-
-# Label paths in bulk: the floating side compares thousands of paths at once.
-def label_array(paths: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
-    """Label paths as the rows of an int64 array, padded with -1 to ``width``."""
-    import numpy as np
-
-    out = np.full((len(paths), width), -1, dtype=np.int64)
-    for i, path in enumerate(paths):
-        out[i, : len(path)] = path
-    return out
-
-
-def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Common-prefix length of every row of ``a`` with every row of ``b``,
-    both label arrays of one width; shape (len(a), len(b)).
-
-    A position extends a common prefix while every earlier one matched; the
-    -1 padding never counts, so a prefix stops where a path ends.
-    """
-    import numpy as np
-
-    matching = np.ones((len(a), len(b)), dtype=bool)
-    prefix = np.zeros((len(a), len(b)), dtype=np.int64)
-    for x, y in zip(a.T, b.T):
-        matching &= (x[:, None] == y[None, :]) & (x >= 0)[:, None]
-        prefix += matching
-    return prefix
+def _registries(q: int, radius: int) -> Registries:
+    """The place-zero and place-infinity registries of one radius."""
+    return TreeRegistry(q, Place.ZERO, radius), TreeRegistry(q, Place.INFINITY, radius)
 
 
 # ---------------------------------------------------------------------------
 # cylinder transports
-
-
-def _cylinder_action(
-    elements: Sequence[SL2Element], registry: TreeRegistry, cyls: list[BoundaryCylinder]
-) -> np.ndarray:
-    """perms[e, j] = index of the cylinder that the constant element e moves
-    the j-th one of ``cyls`` (all cylinders of one depth, in order) to, or -1
-    where the image is none of them; one ``translate_vertex`` call.  A
-    constant element fixes the root, so depths match."""
-    import numpy as np
-
-    ids = np.array([c.base.id for c in cyls])
-    images = translate_vertex(elements, [registry.form_at(c.base) for c in cyls], registry)
-    # the ids of one depth are in the order of the cylinders
-    perms = np.minimum(np.searchsorted(ids, images), len(ids) - 1)
-    return np.where(ids[perms] == images, perms, -1)
-
-
-# Each k of K = SL2(F_q) as a permutation of the depth-d input cylinders, at
-# each place: perms[place][index of k in ``constant_group``, leaf].
-KActions = tuple["np.ndarray", "np.ndarray"]
-
-
-def _k_actions(registries: Registries, depth: int) -> KActions:
-    """The action of K on the depth-``depth`` input cylinders at both places.
-    It depends only on the depth and the place, not on the sphere; it is
-    checked to be a permutation where it is used (``_cell_orbits``)."""
-    field = registries[0].field
-    leaves = boundary_cylinders(field.q + 1, depth)
-    group = [k for k, _, _ in constant_group(field)]
-    return tuple(_cylinder_action(group, registry, leaves) for registry in registries)
 
 
 class SphereTransports(NamedTuple):
@@ -171,7 +113,9 @@ class SphereTransports(NamedTuple):
     to ``depth``, at both places, as vertex ids (``TreeVertex.id``).
 
     One ``translate_vertex`` call per place moves the base of every
-    depth-``depth`` input cylinder (a leaf) by every representative r:
+    depth-``depth`` input cylinder (a leaf, in label order) by every element
+    k of K and then every representative r: actions[place][k, leaf] is the
+    position of k . leaf among the leaves (-1 where it is none of them);
     images[place][coset, leaf] is the id of r . leaf, and
     centers[place][coset] that of w = r . o, read off the coset's located
     pair.  r is an isometry, so the image of a shallower base v is the point
@@ -184,10 +128,9 @@ class SphereTransports(NamedTuple):
     n: int
     registries: Registries
     depth: int
-    leaves: list[BoundaryCylinder]
     centers: tuple[np.ndarray, np.ndarray]
     images: tuple[np.ndarray, np.ndarray]
-    actions: KActions
+    actions: tuple[np.ndarray, np.ndarray]
 
     @property
     def cosets(self) -> tuple[Coset, ...]:
@@ -195,48 +138,50 @@ class SphereTransports(NamedTuple):
 
 
 def transport_sphere(
-    table: SphereTable,
-    n: int,
-    depth: int,
-    registries: Registries,
-    actions: KActions | None = None,
+    table: SphereTable, n: int, depth: int, registries: Registries
 ) -> SphereTransports:
-    """Move every representative's leaves of sphere n at both places, one
-    ``translate_vertex`` call per place; the registries must reach radius
-    n + ``depth``.  ``actions`` (from ``_k_actions`` at this depth) are
-    shared by the spheres of one report; without them they are computed
-    here."""
+    """Move every leaf of the depth-``depth`` input cylinders by K and by
+    sphere n's representatives at both places, one ``translate_vertex`` call
+    per place; the registries must reach radius n + ``depth``.  A constant
+    element fixes the root, so K's images of leaves are leaves; one that is
+    not is marked -1 and refused where the action is used
+    (``_cell_orbits``)."""
     import numpy as np
 
-    leaves = boundary_cylinders(table.q + 1, depth)
+    group = [k for k, _, _ in constant_group(registries[0].field)]
     cosets = table.cosets(n)
-    representatives = [coset.representative for coset in cosets]
-    images = tuple(
-        translate_vertex(
-            representatives, [registry.form_at(leaf.base) for leaf in leaves], registry
-        )
-        for registry in registries
-    )
+    elements = group + [coset.representative for coset in cosets]
+    # the ids of one depth are in label order, the order of the leaves
+    leaf_ids = _sphere_ids(table.q + 1, depth)
+    actions, images = [], []
+    for registry in registries:
+        forms = [form for _, form in registry.vertices_at_depths([depth])[depth]]
+        if len(forms) != len(leaf_ids):
+            raise ValueError(f"depth {depth} is outside registry radius {registry.radius}")
+        rows = translate_vertex(elements, forms, registry)
+        moved = rows[: len(group)]
+        positions = np.minimum(np.searchsorted(leaf_ids, moved), len(leaf_ids) - 1)
+        actions.append(np.where(leaf_ids[positions] == moved, positions, -1))
+        images.append(rows[len(group) :])
     centers = tuple(
         np.array([coset.vertex(place_index).id for coset in cosets], dtype=np.int64)
         for place_index in (0, 1)
     )
-    if actions is None:
-        actions = _k_actions(registries, depth)
-    return SphereTransports(table, n, registries, depth, leaves, centers, images, actions)
+    return SphereTransports(table, n, registries, depth, centers, tuple(images), tuple(actions))
 
 
 def _cylinder_ancestors(
-    leaves: list[BoundaryCylinder], depth: int
-) -> tuple[list[int], list[int]]:
-    """For the cylinders of one depth at or above the leaves: the index of
-    each leaf's ancestor among them, and one leaf below each of them."""
-    index = {c.base.path: i for i, c in enumerate(boundary_cylinders(leaves[0].degree, depth))}
-    ancestor = [index[leaf.base.path[:depth]] for leaf in leaves]
-    below: dict[int, int] = {}
-    for j, i in enumerate(ancestor):
-        below.setdefault(i, j)
-    return ancestor, [below[i] for i in range(len(index))]
+    degree: int, leaf_depth: int, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For the cylinders of one depth at or above the leaves, both in label
+    order: the position of each leaf's ancestor among them, and the first
+    leaf below each of them.  Every cylinder of the depth holds one block of
+    consecutive leaves, all of one size."""
+    import numpy as np
+
+    leaves, size = sphere_size(degree, leaf_depth), sphere_size(degree, depth)
+    block = leaves // size
+    return np.arange(leaves) // block, np.arange(size) * block
 
 
 def _sphere_ids(degree: int, depth: int) -> np.ndarray:
@@ -271,6 +216,21 @@ def _prefix_ids(ids: np.ndarray, degree: int, width: int) -> np.ndarray:
     return out
 
 
+def _common_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The common-prefix length of the vertices whose prefix ids
+    (``_prefix_ids``) are the last-axis rows of ``a`` and ``b``, broadcast
+    over the other axes: the number of depths m >= 1 where both hold the
+    same id.  Ids are unique, so equal depth-m prefixes have equal shorter
+    ones, and the -1 past a vertex's depth never counts.  Counted one depth
+    at a time in int16, so no array has more than one entry per pair."""
+    import numpy as np
+
+    common = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), dtype=np.int16)
+    for m in range(1, min(a.shape[-1], b.shape[-1])):
+        common += (a[..., m] == b[..., m]) & (a[..., m] >= 0)
+    return common
+
+
 def _points_at(
     w_ids: np.ndarray, lengths: np.ndarray, targets: np.ndarray, distance: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +245,7 @@ def _points_at(
     """
     import numpy as np
 
-    w = w_ids[:, None, 1:]
-    common = ((w == targets[..., 1 : w_ids.shape[1]]) & (w >= 0)).sum(axis=2)
+    common = _common_prefix(w_ids[:, None], targets)
     lengths = lengths[:, None]
     on_w = np.take_along_axis(w_ids, np.maximum(lengths - distance, 0), axis=1)
     descent = np.maximum(distance + 2 * common - lengths, 0)
@@ -295,7 +254,7 @@ def _points_at(
 
 
 def _transports_at(
-    transports: SphereTransports, place_index: int, depth: int, below: list[int]
+    transports: SphereTransports, place_index: int, depth: int, below: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each representative's transport at one place for the depth-``depth``
     input cylinders, one row per coset: the input column and the cocycle
@@ -348,7 +307,7 @@ def _transports_at(
 
 
 def _cell_orbits(
-    transports: SphereTransports, ancestors: tuple[list[int], list[int]]
+    transports: SphereTransports, ancestors: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """The K-orbit label of every input cell (j, l), flattened as
     j * size + l, of the depth whose ``_cylinder_ancestors`` are given.
@@ -362,7 +321,7 @@ def _cell_orbits(
     """
     import numpy as np
 
-    ancestor, below = np.array(ancestors[0]), np.array(ancestors[1])
+    ancestor, below = ancestors
     size = len(below)
     group = constant_group(transports.registries[0].field)
     # perms[place][k] = k's action on the cylinders of this depth
@@ -592,8 +551,7 @@ def _compression_gram(
     q = table.q
     degree = q + 1
     size = sphere_size(degree, depth)
-    # the cylinders of this depth are listed once, for both places and K's action
-    ancestors = _cylinder_ancestors(transports.leaves, depth)
+    ancestors = _cylinder_ancestors(degree, transports.depth, depth)
     labels = _cell_orbits(transports, ancestors)
     cols0, wts0 = _transports_at(transports, 0, depth, ancestors[1])
     cols1, wts1 = _transports_at(transports, 1, depth, ancestors[1])
@@ -663,7 +621,7 @@ def mean_matrix_2norm(
     check_compression_budget(table.q, depth)
     if transports is None:
         radius = n + depth
-        transports = transport_sphere(table, n, depth, _registries(table.q, (radius, radius)))
+        transports = transport_sphere(table, n, depth, _registries(table.q, radius))
     elif transports.table is not table or transports.n != n or transports.depth < depth:
         raise ValueError(
             f"transports of sphere {transports.n} to depth "
@@ -720,17 +678,21 @@ def coset_convolution_matrix(cosets: Sequence[Coset], n: int) -> np.ndarray:
     The group acts by isometries, so L(g h^-1) is the sum over both places
     of d(g^-1 . o, h^-1 . o), which is read off the cosets of g^-1 and h^-1.
     With E[g, a] = 1 when g^-1 lies in coset a, the element matrix is
-    E M' E^T, and E^T E = |K| I.  The distances |p| + |p'| - 2 prefix(p, p')
-    of the label paths come from ``common_prefix_lengths``.
+    E M' E^T, and E^T E = |K| I.  The distances |w| + |w'| - 2 prefix(w, w')
+    come from the vertices' prefix ids (``_common_prefix``), added up in
+    place in int16.
     """
     import numpy as np
 
-    distances = 0
+    distances = np.zeros((len(cosets), len(cosets)), dtype=np.int16)
     for place_index in (0, 1):
-        paths = [coset.vertex(place_index).path for coset in cosets]
-        depths = np.array([len(p) for p in paths], dtype=np.int64)
-        labels = label_array(paths, max(depths))
-        distances = distances + depths[:, None] + depths - 2 * common_prefix_lengths(labels, labels)
+        vertices = [coset.vertex(place_index) for coset in cosets]
+        ids = np.array([v.id for v in vertices], dtype=np.int64)
+        prefixes = _prefix_ids(ids, vertices[0].degree, max(v.depth for v in vertices))
+        depths = (prefixes >= 0).sum(axis=1) - 1
+        distances += depths[:, None]
+        distances += depths
+        distances -= 2 * _common_prefix(prefixes[:, None], prefixes[None])
     return (distances == n).astype(float)
 
 
@@ -802,8 +764,7 @@ def rrd_report(
     # one registry pair serves every compression: BFS labels do not depend on
     # the radius, so a larger registry gives every vertex the same path
     radius = max(mean_lengths) + depth
-    registries = _registries(q, (radius, radius))
-    actions = _k_actions(registries, depth)
+    registries = _registries(q, radius)
 
     mean_reports = []
     compression_rows = []
@@ -811,7 +772,7 @@ def rrd_report(
     for n in mean_lengths:
         u_n = uniform_bound_value(table, n)
         mean_reports.append(u_n)
-        transports = transport_sphere(table, n, depth, registries, actions)
+        transports = transport_sphere(table, n, depth, registries)
         for k in range(1, depth + 1):
             result = mean_matrix_2norm(table, n, k, transports)
             ok = result.value <= u_n.value_float + CHAIN_SLACK

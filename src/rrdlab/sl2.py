@@ -364,14 +364,6 @@ class TreeRegistry:
                 out[len(path)].append((TreeVertex(self.degree, path), form))
         return out
 
-    def form_at(self, vertex: TreeVertex) -> LatticeVertex:
-        try:
-            return self._by_path[vertex.path]
-        except KeyError:
-            raise ValueError(
-                f"path {vertex.to_text()!r} outside registry radius {self.radius}"
-            ) from None
-
 
 def locate(g: SL2Element, place: Place, registry: TreeRegistry) -> TreeVertex:
     """Tree coordinates of the vertex g moves the base point to."""

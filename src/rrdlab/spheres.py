@@ -333,11 +333,15 @@ class SphereTable:
         return json.dumps(body, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "SphereTable":
+    def from_json(
+        cls, text: str, *, expected: Optional[tuple[int, int]] = None
+    ) -> "SphereTable":
         """Read a table written by ``to_json``.
 
         The header must name this cache major version, the pair-certified
-        provenance and a radius within the pair budget.  The pair scan then
+        provenance, a radius within the pair budget and, when ``expected``
+        is given, that (q, max_length), so a foreign table costs no scan.
+        The pair scan then
         runs once (``_scan``), and the file's buckets must equal the scan's
         cosets expanded by K, text for text and in order, so a table that
         loads is the one ``enumerate_ball`` builds.  Raises ValueError
@@ -356,6 +360,10 @@ class SphereTable:
             raise ValueError("malformed sphere table header")
         if body.get("provenance") != PROVENANCE_PAIRS or body.get("saturated") is not None:
             raise ValueError("sphere table is not pair-certified")
+        if expected is not None and (q, max_length) != expected:
+            raise ValueError(
+                f"sphere table is for (q, max_length) = {(q, max_length)}, not {expected}"
+            )
         try:
             cosets, texts = _scan(q, max_length)
         except RadiusBudgetError as exc:

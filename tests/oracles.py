@@ -17,10 +17,13 @@ matrix over every pair of ball elements from their located inverses.  A
 sphere given as its elements is split into right cosets by text lookup and
 ``locate`` (``right_cosets``), independently of the pair scan's coset list.
 
-It also holds what only the tests use of elements, texts and cylinders: the
-lower elementary matrices, the length at one place, the text parsers (the
-cache loader compares texts and parses nothing), the matrix of a subgroup
-element, and products and refinements of boundary cylinders.
+It also holds what only the tests use of elements, texts, vertices and
+cylinders: the lower elementary matrices, the length at one place, the text
+parsers (the cache loader compares texts and parses nothing), the matrix of
+a subgroup element, the canonical form of a registered vertex
+(``form_at``), label paths as padded label arrays with their common-prefix
+lengths in bulk (the program compares vertex ids instead), and products and
+refinements of boundary cylinders.
 """
 
 from __future__ import annotations
@@ -46,12 +49,7 @@ from rrdlab.algebra import (
 )
 from rrdlab.boundary import HarishChandraValue, cocycle_sqrt, hc_product
 from rrdlab.lamplighter import HElement, generating_set, h_membership
-from rrdlab.criterion import (
-    Registries,
-    _registries,
-    common_prefix_lengths,
-    label_array,
-)
+from rrdlab.criterion import Registries, _registries
 from rrdlab.sl2 import (
     LatticeVertex,
     SL2Element,
@@ -176,6 +174,29 @@ def tree_distance(u: TreeVertex, v: TreeVertex) -> int:
         raise ValueError("vertices of trees of different degree")
     m = _common_prefix_len(u.path, v.path)
     return (len(u.path) - m) + (len(v.path) - m)
+
+
+def label_array(paths: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    """Label paths as the rows of an int64 array, padded with -1 to ``width``."""
+    out = np.full((len(paths), width), -1, dtype=np.int64)
+    for i, path in enumerate(paths):
+        out[i, : len(path)] = path
+    return out
+
+
+def common_prefix_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Common-prefix length of every row of ``a`` with every row of ``b``,
+    both label arrays of one width; shape (len(a), len(b)).
+
+    A position extends a common prefix while every earlier one matched; the
+    -1 padding never counts, so a prefix stops where a path ends.
+    """
+    matching = np.ones((len(a), len(b)), dtype=bool)
+    prefix = np.zeros((len(a), len(b)), dtype=np.int64)
+    for x, y in zip(a.T, b.T):
+        matching &= (x[:, None] == y[None, :]) & (x >= 0)[:, None]
+        prefix += matching
+    return prefix
 
 
 def product_cylinders(degree: int, depths: tuple[int, int]) -> list[ProductCylinder]:
@@ -392,6 +413,15 @@ def translate_form(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
     return _canonical_from_matrix(
         v.place, ga.shift(a) + gb * c, gb.shift(b), gc.shift(a) + gd * c, gd.shift(b)
     )
+
+
+def form_at(registry: TreeRegistry, vertex: TreeVertex) -> LatticeVertex:
+    """The canonical form of a registered vertex, found among the vertices
+    of its depth (``TreeRegistry.vertices_at_depths``)."""
+    for v, form in registry.vertices_at_depths([vertex.depth])[vertex.depth]:
+        if v == vertex:
+            return form
+    raise ValueError(f"path {vertex.to_text()!r} outside registry radius {registry.radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +856,7 @@ def direct_images(
     """The label path of gamma . v for the base v of every cylinder, each
     moved by ``translate_form`` on its own."""
     return [
-        registry.locate_form(translate_form(gamma, registry.form_at(c.base))).path
+        registry.locate_form(translate_form(gamma, form_at(registry, c.base))).path
         for c in cyls
     ]
 
@@ -842,7 +872,10 @@ def koopman_matrix(
     pair = _depth_pair(depths)
     field = gamma.field
     out_pair = (pair[0] + gamma.length_zero, pair[1] + gamma.length_infinity)
-    reg0, reginf = registries or _registries(field.q, out_pair)
+    reg0, reginf = registries or (
+        TreeRegistry(field.q, Place.ZERO, out_pair[0]),
+        TreeRegistry(field.q, Place.INFINITY, out_pair[1]),
+    )
     if reg0.radius < out_pair[0] or reginf.radius < out_pair[1]:
         raise ValueError(
             f"registry radii ({reg0.radius}, {reginf.radius}) below the "
@@ -905,7 +938,10 @@ class MeanOperator:
         self.input_depths = _depth_pair(input_depths)
         self.output_depths = (self.input_depths[0] + n, self.input_depths[1] + n)
         # one registry pair serves every element: lengths are at most n
-        registries = _registries(self.q, self.output_depths)
+        registries = (
+            TreeRegistry(self.q, Place.ZERO, self.output_depths[0]),
+            TreeRegistry(self.q, Place.INFINITY, self.output_depths[1]),
+        )
         inv_size = Fraction(1, len(gammas))
         self._terms = []
         for g in gammas:
@@ -981,7 +1017,7 @@ def mean_transfer_function(gammas: Sequence[SL2Element], n: int) -> StepFunction
     if not gammas:
         raise ValueError(f"sphere {n} is empty")
     q = gammas[0].field.q
-    cosets = right_cosets(gammas, *_registries(q, (n, n)))
+    cosets = right_cosets(gammas, *_registries(q, n))
     cells = boundary_cylinders(q + 1, n)
     acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
     for w0, w1, members in cosets:
@@ -1012,10 +1048,11 @@ def per_element_stack(gammas, place, in_depth, out_depth, registry, q) -> np.nda
     in_cyls = boundary_cylinders(q + 1, in_depth)
     out_cyls = boundary_cylinders(q + 1, out_depth)
     stack = np.zeros((len(gammas), len(out_cyls), len(in_cyls)))
+    in_forms = [form_at(registry, ic.base) for ic in in_cyls]
     for gi, g in enumerate(gammas):
         w = locate(g, place, registry)
-        for j, ic in enumerate(in_cyls):
-            y = registry.locate_form(translate_form(g, registry.form_at(ic.base)))
+        for j, form in enumerate(in_forms):
+            y = registry.locate_form(translate_form(g, form))
             for i, oc in enumerate(out_cyls):
                 z = oc.base
                 if gromov_product(w, y) + gromov_product(y, z) == y.depth + gromov_product(w, z):
@@ -1032,7 +1069,7 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
     gammas = table.sphere(n)
     q = table.q
     out_depth = depth + n
-    registries = _registries(q, (out_depth, out_depth))
+    registries = _registries(q, out_depth)
     P0, P1 = (
         per_element_stack(gammas, place, depth, out_depth, registry, q)
         for place, registry in zip((Place.ZERO, Place.INFINITY), registries)
@@ -1103,7 +1140,7 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
     ]
     size = len(inverses)
     lengths = np.zeros((size, size), dtype=np.int64)
-    registries = _registries(table.q, (ball_radius, ball_radius))
+    registries = _registries(table.q, ball_radius)
     for place, registry in zip((Place.ZERO, Place.INFINITY), registries):
         paths = [locate(h, place, registry).path for h in inverses]
         depths = np.array([len(p) for p in paths], dtype=np.int64)

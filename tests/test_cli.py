@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import rrdlab
-from rrdlab import CACHE_MAJOR_VERSION, cli, lamplighter
+from rrdlab import CACHE_MAJOR_VERSION, cli, lamplighter, spheres
 from rrdlab.algebra import Fq
 from rrdlab.cli import main
 from rrdlab.sl2 import TreeRegistry
@@ -100,6 +100,38 @@ def test_stale_cache_is_rejected_and_rewritten(tmp_path, capsys):
     refreshed = json.loads(path.read_text())
     assert refreshed["cache_major"] == CACHE_MAJOR_VERSION
     assert json.loads(out)["buckets"]
+
+
+def test_foreign_cache_header_is_rejected_before_any_scan(tmp_path, capsys, monkeypatch):
+    # a header naming radius 10 in the q = 2, N = 4 file: the loader refuses
+    # it before the pair scan, which then runs once, for the rebuild
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / f"spheres-q2-n4-v{CACHE_MAJOR_VERSION}.json"
+    header = {
+        "cache_major": CACHE_MAJOR_VERSION,
+        "q": 2,
+        "max_length": 10,
+        "provenance": spheres.PROVENANCE_PAIRS,
+        "saturated": None,
+    }
+    path.write_text(json.dumps(header))
+    scans = []
+    real_scan = spheres._scan
+
+    def recording_scan(q, max_length):
+        scans.append((q, max_length))
+        return real_scan(q, max_length)
+
+    monkeypatch.setattr(spheres, "_scan", recording_scan)
+    argv = ["uniform-bound", "--q", "2", "--max-length", "4", "--n", "2"]
+    code, _ = run(capsys, *argv, "--cache-dir", str(cache))
+    assert code == 0
+    assert scans == [(2, 4)]
+    table = SphereTable.from_json(path.read_text(), expected=(2, 4))
+    assert (table.q, table.max_length) == (2, 4)
+    with pytest.raises(ValueError, match="is for"):
+        SphereTable.from_json(path.read_text(), expected=(2, 2))
 
 
 def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):

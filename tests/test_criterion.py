@@ -15,6 +15,7 @@ from rrdlab.criterion import (
     _compression_gram,
     _cylinder_ancestors,
     _registries,
+    _sphere_ids,
     _transports_at,
     check_compression_budget,
     coset_convolution_matrix,
@@ -33,6 +34,7 @@ from rrdlab.spheres import (
     right_coset,
     sup_xi_on_sphere,
 )
+from rrdlab.trees import boundary_cylinders
 
 from oracles import (
     MeanOperator,
@@ -337,7 +339,14 @@ def test_convolution_matrix_matches_products(request, table_name, full_radius):
 
 @pytest.mark.parametrize(
     "table_name, n, radius",
-    [("table4", 0, 4), ("table4", 2, 2), ("table6", 2, 4), ("table_q3n2", 0, 2)],
+    [
+        ("table4", 0, 4),
+        ("table4", 2, 2),
+        ("table6", 2, 4),
+        ("table_q3n2", 0, 2),
+        ("table_q4n2", 0, 2),
+        ("table_q4n2", 2, 0),
+    ],
 )
 def test_coset_convolution_matches_the_element_matrix(request, table_name, n, radius):
     # E[g, a] = 1 when g^-1 lies in coset a: the element matrix is E M' E^T
@@ -468,7 +477,7 @@ def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
     # the orbit Gram G' is the element Gram O in orbit coordinates, and O has
     # no component outside the K-invariant cells: G' = Q^T O Q, O = Q G' Q^T
     table = request.getfixturevalue(table_name)
-    registries = _registries(table.q, (n + depth, n + depth))
+    registries = _registries(table.q, n + depth)
     gram, labels = _compression_gram(transport_sphere(table, n, depth, registries), depth)
     oracle = gram_per_element(table, n, depth)
     sizes = np.bincount(labels)
@@ -479,35 +488,45 @@ def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
     np.testing.assert_allclose(oracle, basis @ gram @ basis.T, rtol=1e-12, atol=1e-15)
 
 
+# transport_sphere translates the elements of K first, then the representatives
+GROUP_Q2 = [k for k, _, _ in constant_group(Fq(2))]
+
+
 def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
-    real = criterion._cylinder_action
+    # K's rows of the translation shifted by one leaf: every k then sends
+    # its first two leaves to one image
+    real = criterion.translate_vertex
 
-    def repeating(elements, registry, cyls):
-        perms = real(elements, registry, cyls)
-        return np.concatenate([perms[:, :1], perms[:, :-1]], axis=1)
+    def repeating(elements, forms, registry):
+        rows = real(elements, forms, registry)
+        assert list(elements[: len(GROUP_Q2)]) == GROUP_Q2
+        k_rows = rows[: len(GROUP_Q2)]
+        k_rows[:] = np.concatenate([k_rows[:, :1], k_rows[:, :-1]], axis=1)
+        return rows
 
-    monkeypatch.setattr(criterion, "_cylinder_action", repeating)
+    monkeypatch.setattr(criterion, "translate_vertex", repeating)
     with pytest.raises(RuntimeError, match="does not permute"):
         mean_matrix_2norm(table4, 2, 1)
-    # the report computes the action once, on the deepest cylinders
+    # the report translates K on the deepest cylinders of every sphere
     with pytest.raises(RuntimeError, match="does not permute"):
         rrd_report(table4, 4)
 
 
 def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
-    # still a permutation, but one non-identity k has two entries swapped at
-    # place zero, so its perms no longer preserve the orbits K's action has
-    real = criterion._cylinder_action
-    target = constant_group(Fq(2))[1][0]
+    # still a permutation, but one non-identity k has the images of two
+    # leaves swapped at place zero, so it no longer preserves the orbits
+    # K's action has
+    real = criterion.translate_vertex
+    index = 1  # GROUP_Q2[1] = [[0, 1], [1, 1]]
 
-    def swapped(elements, registry, cyls):
-        perms = real(elements, registry, cyls)
+    def swapped(elements, forms, registry):
+        rows = real(elements, forms, registry)
+        assert list(elements[: len(GROUP_Q2)]) == GROUP_Q2
         if registry.place is Place.ZERO:
-            index = elements.index(target)
-            perms[index, [0, 1]] = perms[index, [1, 0]]
-        return perms
+            rows[index, [0, 1]] = rows[index, [1, 0]]
+        return rows
 
-    monkeypatch.setattr(criterion, "_cylinder_action", swapped)
+    monkeypatch.setattr(criterion, "translate_vertex", swapped)
     with pytest.raises(RuntimeError, match="does not preserve the K-orbits"):
         mean_matrix_2norm(table4, 2, 1)
     with pytest.raises(RuntimeError, match="does not preserve the K-orbits"):
@@ -581,16 +600,39 @@ def test_reference_compressions_are_pinned(table4):
 # one transport pass per sphere
 
 
-@pytest.mark.parametrize("table_name, depth", [("table4", 4), ("table_q3n2", 2)])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_leaves_are_positions_in_label_order(q):
+    # a registry lists the vertices of one depth in label order, the order
+    # of their ids, and each cylinder above the leaves holds one block of
+    # consecutive leaves; checked against the label paths and their prefixes
+    degree = q + 1
+    for place in Place:
+        registry = TreeRegistry(q, place, 4)
+        for leaf_depth in range(5):
+            listed = [v for v, _ in registry.vertices_at_depths([leaf_depth])[leaf_depth]]
+            paths = [c.base.path for c in boundary_cylinders(degree, leaf_depth)]
+            assert [v.path for v in listed] == paths
+            assert _sphere_ids(degree, leaf_depth).tolist() == [v.id for v in listed]
+            for depth in range(leaf_depth + 1):
+                upper = [c.base.path for c in boundary_cylinders(degree, depth)]
+                prefixes = [p[:depth] for p in paths]
+                ancestor, below = _cylinder_ancestors(degree, leaf_depth, depth)
+                assert [upper[i] for i in ancestor] == prefixes
+                assert below.tolist() == [prefixes.index(u) for u in upper]
+
+
+@pytest.mark.parametrize(
+    "table_name, depth", [("table4", 4), ("table_q3n2", 2), ("table_q4n2", 2)]
+)
 def test_derived_transports_match_direct_translation(request, table_name, depth):
     # every shallower image is read off the deepest one on the geodesic;
     # translating each depth's cylinder bases on its own gives the same arrays
     table = request.getfixturevalue(table_name)
-    registries = _registries(table.q, (table.max_length + depth,) * 2)
+    registries = _registries(table.q, table.max_length + depth)
     for n in table.lengths():
         transports = transport_sphere(table, n, depth, registries)
         for k in range(depth + 1):
-            _, below = _cylinder_ancestors(transports.leaves, k)
+            _, below = _cylinder_ancestors(table.q + 1, depth, k)
             for place_index in (0, 1):
                 columns, weights = _transports_at(transports, place_index, k, below)
                 direct_columns, direct_weights = coset_transports_direct(
@@ -621,9 +663,9 @@ def test_report_matches_the_standalone_functions_exactly(request, table_name, de
 
 
 def test_reference_report_work_is_pinned(table4, monkeypatch):
-    # one bulk translation per place for the 6 elements of K on the 24
-    # depth-4 cylinders, then one per place for each of the 3 spheres (1, 6
-    # and 45 representatives); one registry pair for the whole report
+    # one bulk translation per place and sphere of the 6 elements of K and
+    # the sphere's 1, 6 or 45 representatives on the 24 depth-4 cylinders;
+    # one registry pair for the whole report
     translations = []
     builds = []
     real_translate = criterion.translate_vertex
@@ -640,6 +682,6 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     monkeypatch.setattr(criterion, "translate_vertex", counting_translate)
     monkeypatch.setattr(TreeRegistry, "__init__", counting_init)
     rrd_report(table4, 4)
-    assert translations == [(size, 24, place) for size in (6, 1, 6, 45) for place in Place]
-    assert len(translations) == 8
+    assert translations == [(size, 24, place) for size in (7, 12, 51) for place in Place]
+    assert len(translations) == 6
     assert len(builds) == 2

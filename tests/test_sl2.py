@@ -23,6 +23,7 @@ from rrdlab.trees import boundary_cylinders, sphere_vertices
 from oracles import (
     RationalFunction,
     elementary_lower,
+    form_at,
     length_at_place,
     sl2_from_text,
     smith_valuations,
@@ -151,13 +152,13 @@ def test_registry_roundtrips_and_bounds():
     # locate_form and form_at invert each other on every registered vertex
     for n in range(5):
         for vertex in sphere_vertices(3, n):
-            form = registry.form_at(vertex)
+            form = form_at(registry, vertex)
             assert registry.locate_form(form) == vertex
     deep = TreeVertex.root(3)
     for _ in range(5):
         deep = deep.child(0)
     with pytest.raises(ValueError):
-        registry.form_at(deep)
+        form_at(registry, deep)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def test_translate_vertex_matches_rational_oracle(request, table_name):
     q, gammas = table.q, sphere_elements(table)
     for place in Place:
         registry = TreeRegistry(q, place, table.max_length + 3)
-        forms = [registry.form_at(v) for d in range(4) for v in sphere_vertices(q + 1, d)]
+        forms = [form_at(registry, v) for d in range(4) for v in sphere_vertices(q + 1, d)]
         expected = [
             [registry.locate_form(oracle_translate(g, form)).id for form in forms]
             for g in gammas
@@ -239,7 +240,7 @@ def test_translate_vertex_matches_scalar_oracle(request, table_name, depth):
     group = [k for k, _, _ in constant_group(Fq(q))]
     for place in Place:
         registry = TreeRegistry(q, place, table.max_length + depth)
-        forms = [registry.form_at(c.base) for c in boundary_cylinders(q + 1, depth)]
+        forms = [form_at(registry, c.base) for c in boundary_cylinders(q + 1, depth)]
         for elements in (representatives, group):
             expected = [
                 [registry.locate_form(translate_form(g, form)).id for form in forms]
@@ -252,7 +253,7 @@ def test_translate_vertex_raises_outside_the_registry():
     shift = SL2Element.diagonal_shift(FIELD, 1)
     registry = TreeRegistry(2, Place.ZERO, 2)
     o = base_vertex(FIELD, Place.ZERO)
-    leaves = [registry.form_at(v) for v in sphere_vertices(3, 1)]
+    leaves = [form_at(registry, v) for v in sphere_vertices(3, 1)]
     # a diagonal exponent beyond the radius: shift . o is at distance 2, and
     # one leaf goes to (3, 0, 0) at distance 3
     assert translate_vertex([shift], [o], registry).shape == (1, 1)

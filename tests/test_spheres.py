@@ -94,7 +94,7 @@ def test_oracle_spheres_split_into_the_tables_cosets(q, max_length):
         }
     assert sorted(buckets) == table.lengths()
     for n, gammas in buckets.items():
-        split = right_cosets(gammas, *_registries(q, (n, n)))
+        split = right_cosets(gammas, *_registries(q, n))
         assert [Coset(gammas[members[0][0]], w0, w1) for w0, w1, members in split] == list(
             table.cosets(n)
         )
