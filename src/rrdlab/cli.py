@@ -152,6 +152,17 @@ def _check_arguments(args: argparse.Namespace) -> None:
         value = getattr(args, name, 0.0)
         if math.isnan(value) or value == -math.inf:
             raise UsageError(f"--{name.replace('_', '-')} must be a number or inf, not {value}")
+    # output files are replaced by a rename, which a directory refuses; a
+    # cache directory that is a file would fail only after the table is built
+    for name in ("out", "csv"):
+        path = getattr(args, name, None)
+        if path and os.path.isdir(path):
+            raise UsageError(f"--{name} must name a file, not the directory {path}")
+    cache_dir = _cache_dir(args) if hasattr(args, "cache_dir") else None
+    if cache_dir and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        raise UsageError(
+            f"the cache directory {cache_dir} (--cache-dir or ${ENV_CACHE_DIR}) is not a directory"
+        )
 
 
 def _cmd_spheres(args: argparse.Namespace) -> int:

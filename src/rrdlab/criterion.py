@@ -40,8 +40,9 @@ ball is E M' E^T with M' indexed by the cosets and E^T E = |K| I.
 Vertex ids (``TreeVertex.id``) are the floating side's only vertex
 coordinate: cylinders of one depth are their positions in label order, and
 common prefixes and distances are read off the ids of a vertex's prefixes.
-Only the transports need tree registries, for the lattice forms of the
-input cylinders and the codes ``translate_vertex`` looks images up among.
+Only the transports need tree registries: label order is read from a
+registry's level of the depth (``TreeRegistry.levels``), with the lattice
+forms of the input cylinders, and images are looked up among its codes.
 The report builds one pair, at the largest radius a compression needs, and
 shares it among its spheres.  Vertex ids do not depend on the registry
 radius, so every vertex has the same id as in a standalone call, which
@@ -142,23 +143,26 @@ def transport_sphere(
 ) -> SphereTransports:
     """Move every leaf of the depth-``depth`` input cylinders by K and by
     sphere n's representatives at both places, one ``translate_vertex`` call
-    per place; the registries must reach radius n + ``depth``.  A constant
-    element fixes the root, so K's images of leaves are leaves; one that is
-    not is marked -1 and refused where the action is used
-    (``_cell_orbits``)."""
+    per place; raises ValueError unless the registries reach radius
+    n + ``depth``.  A constant element fixes the root, so K's images of
+    leaves are leaves; one that is not is marked -1 and refused where the
+    action is used (``_cell_orbits``)."""
     import numpy as np
 
+    for registry in registries:
+        if n + depth > registry.radius:
+            raise ValueError(
+                f"sphere {n} at depth {depth} is outside registry radius {registry.radius}"
+            )
     group = [k for k, _, _ in constant_group(registries[0].field)]
     cosets = table.cosets(n)
     elements = group + [coset.representative for coset in cosets]
-    # the ids of one depth are in label order, the order of the leaves
-    leaf_ids = _sphere_ids(table.q + 1, depth)
     actions, images = [], []
     for registry in registries:
-        forms = [form for _, form in registry.vertices_at_depths([depth])[depth]]
-        if len(forms) != len(leaf_ids):
-            raise ValueError(f"depth {depth} is outside registry radius {registry.radius}")
-        rows = translate_vertex(elements, forms, registry)
+        # a level is in label order, the order of the leaves and of their ids
+        level = registry.levels[depth]
+        leaf_ids = np.array([vertex.id for vertex, _ in level])
+        rows = translate_vertex(elements, [form for _, form in level], registry)
         moved = rows[: len(group)]
         positions = np.minimum(np.searchsorted(leaf_ids, moved), len(leaf_ids) - 1)
         actions.append(np.where(leaf_ids[positions] == moved, positions, -1))
@@ -182,19 +186,6 @@ def _cylinder_ancestors(
     leaves, size = sphere_size(degree, leaf_depth), sphere_size(degree, depth)
     block = leaves // size
     return np.arange(leaves) // block, np.arange(size) * block
-
-
-def _sphere_ids(degree: int, depth: int) -> np.ndarray:
-    """The ids (``TreeVertex.id``) of every vertex at ``depth``, in the
-    lexicographic order of ``boundary_cylinders``: the first label is the
-    sphere index's leading digit, every later one a base-(degree - 1)
-    digit."""
-    import numpy as np
-
-    strides = (degree - 1) ** np.arange(depth - 1, -1, -1)
-    labels = np.arange(sphere_size(degree, depth))[:, None] // strides
-    labels[:, 1:] %= degree - 1
-    return (labels + 1) @ degree ** np.arange(depth - 1, -1, -1)
 
 
 def _prefix_ids(ids: np.ndarray, degree: int, width: int) -> np.ndarray:
@@ -282,7 +273,8 @@ def _transports_at(
     lengths = (w_ids >= 0).sum(axis=1) - 1
     leaf_ids = _prefix_ids(transports.images[place_index][:, below], degree, n + transports.depth)
     image_ids, _ = _points_at(w_ids, lengths, leaf_ids, depth)
-    out_ids = _prefix_ids(_sphere_ids(degree, n + depth), degree, n + depth)
+    out = np.array([vertex.id for vertex, _ in registry.levels[n + depth]])
+    out_ids = _prefix_ids(out, degree, n + depth)
     point_ids, common = _points_at(w_ids, lengths, out_ids[None], depth)
     # look every p(z) up among its own row's images: sorted rows, offset so
     # that the rows follow one another in one sorted key array

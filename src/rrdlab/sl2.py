@@ -11,9 +11,11 @@ reduction stays in the Laurent ring, reading the second diagonal exponent off
 the determinant's valuation and the off-diagonal entry off a truncated X-adic
 series quotient, so no rational function is ever reduced.  (The independent
 length oracle, Smith pivoting over rational functions, is in
-``tests/oracles.py``.)  A breadth-first registry maps canonical forms to
-rooted label paths, giving the bridge from matrix algebra to the tree
-coordinates used by the boundary analysis.
+``tests/oracles.py``.)  A registry expands the tree from the base vertex
+by labels, each vertex's children being its neighbours not registered yet
+in ``vertex_neighbors`` order; it maps canonical forms to rooted label
+paths, giving the bridge from matrix algebra to the tree coordinates used
+by the boundary analysis.
 
 The transports move many vertices by many elements, so ``translate_vertex``
 reduces every (element, form) pair of one place in one numpy pass: dense
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import Fq, LaurentPolynomial, Place, series_quotient
 from .trees import TreeVertex
@@ -194,9 +196,6 @@ class LatticeVertex:
     def field(self) -> Fq:
         return self.off_diag.field
 
-    def key(self) -> tuple[str, int, int, str]:
-        return (self.place.value, self.diag_low, self.diag_high, self.off_diag.to_text())
-
     def to_text(self) -> str:
         return f"a={self.diag_low};b={self.diag_high};{self.off_diag.to_text()}"
 
@@ -283,12 +282,14 @@ def vertex_neighbors(v: LatticeVertex) -> list[LatticeVertex]:
 
 
 class TreeRegistry:
-    """Breadth-first bijection between canonical lattice forms and label paths.
+    """The label expansion of the tree around the standard lattice, to a
+    fixed radius: the base vertex is the root, and each vertex's children
+    are its ``vertex_neighbors`` not registered yet, labelled in that order.
+    ``levels[d]`` lists the (vertex, canonical form) pairs of depth d in
+    label order, so their ids (``TreeVertex.id``) increase along it.
 
-    Built once to a fixed radius around the standard lattice and frozen;
-    lookups after that are safe under concurrent readers.  Child labels are
-    assigned in sorted canonical-key order, so the registry is reproducible
-    byte for byte.
+    Built once and frozen; lookups after that are safe under concurrent
+    readers.
     """
 
     def __init__(self, q: int, place: Place, radius: int):
@@ -299,24 +300,14 @@ class TreeRegistry:
         self.radius = radius
         self.degree = q + 1
         self.field = Fq(q)
-        self._by_key: dict[tuple, TreeVertex] = {}
-        self._by_path: dict[tuple[int, ...], LatticeVertex] = {}
-        self._build()
-
-    def _build(self) -> None:
-        root_form = base_vertex(self.field, self.place)
         root = TreeVertex.root(self.degree)
-        self._by_key[root_form.key()] = root
-        self._by_path[()] = root_form
-        frontier = [(root, root_form)]
-        for _ in range(self.radius):
-            nxt = []
-            for vertex, form in frontier:
-                fresh = []
-                for nb in vertex_neighbors(form):
-                    if nb.key() not in self._by_key:
-                        fresh.append(nb)
-                fresh.sort(key=lambda f: f.key())
+        root_form = base_vertex(self.field, place)
+        self._vertices: dict[LatticeVertex, TreeVertex] = {root_form: root}
+        self.levels: list[list[tuple[TreeVertex, LatticeVertex]]] = [[(root, root_form)]]
+        for _ in range(radius):
+            level = []
+            for vertex, form in self.levels[-1]:
+                fresh = [nb for nb in vertex_neighbors(form) if nb not in self._vertices]
                 expected = self.degree if vertex.is_root() else self.degree - 1
                 if len(fresh) != expected:
                     raise RuntimeError(
@@ -325,10 +316,9 @@ class TreeRegistry:
                     )
                 for label, nb in enumerate(fresh):
                     child = vertex.child(label)
-                    self._by_key[nb.key()] = child
-                    self._by_path[child.path] = nb
-                    nxt.append((child, nb))
-            frontier = nxt
+                    self._vertices[nb] = child
+                    level.append((child, nb))
+            self.levels.append(level)
 
     @cached_property
     def codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -340,29 +330,19 @@ class TreeRegistry:
 
         low, width = code_window(self.q, self.radius)
         pairs = sorted(
-            (_form_code(form, self.radius, low, width), TreeVertex(self.degree, path).id)
-            for path, form in self._by_path.items()
+            (_form_code(form, self.radius, low, width), vertex.id)
+            for level in self.levels
+            for vertex, form in level
         )
         return np.array([c for c, _ in pairs]), np.array([i for _, i in pairs])
 
     def locate_form(self, form: LatticeVertex) -> TreeVertex:
         try:
-            return self._by_key[form.key()]
+            return self._vertices[form]
         except KeyError:
             raise ValueError(
                 f"lattice vertex outside registry radius {self.radius}: {form.to_text()}"
             ) from None
-
-    def vertices_at_depths(
-        self, depths: Iterable[int]
-    ) -> dict[int, list[tuple[TreeVertex, LatticeVertex]]]:
-        """The vertices at each of ``depths`` with their canonical forms, in
-        label order."""
-        out: dict[int, list[tuple[TreeVertex, LatticeVertex]]] = {d: [] for d in depths}
-        for path, form in self._by_path.items():
-            if len(path) in out:
-                out[len(path)].append((TreeVertex(self.degree, path), form))
-        return out
 
 
 def locate(g: SL2Element, place: Place, registry: TreeRegistry) -> TreeVertex:

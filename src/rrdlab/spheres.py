@@ -439,15 +439,11 @@ def trivial_pairs(
     before any registry is built.
     """
     _check_pair_budget(q, max_length)
-    depths = range(0, max_length + 1, 2)
-    vertices = [
-        TreeRegistry(q, place, max_length).vertices_at_depths(depths)
-        for place in (Place.ZERO, Place.INFINITY)
-    ]
-    for d0 in depths:
+    levels = [TreeRegistry(q, place, max_length).levels for place in (Place.ZERO, Place.INFINITY)]
+    for d0 in range(0, max_length + 1, 2):
         for d1 in range(0, max_length - d0 + 1, 2):
-            for zero, zero_form in vertices[0][d0]:
-                for infinity, infinity_form in vertices[1][d1]:
+            for zero, zero_form in levels[0][d0]:
+                for infinity, infinity_form in levels[1][d1]:
                     r = _pair_representative(zero_form, infinity_form)
                     if r is not None:
                         yield d0 + d1, r, zero, infinity

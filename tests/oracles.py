@@ -21,7 +21,8 @@ It also holds what only the tests use of elements, texts, vertices and
 cylinders: the lower elementary matrices, the length at one place, the text
 parsers (the cache loader compares texts and parses nothing), the matrix of
 a subgroup element, the canonical form of a registered vertex
-(``form_at``), label paths as padded label arrays with their common-prefix
+(``form_at``), the registry's labels as first defined, by text-sorted
+breadth-first search (``text_sorted_levels``), label paths as padded label arrays with their common-prefix
 lengths in bulk (the program compares vertex ids instead), and products and
 refinements of boundary cylinders.
 """
@@ -56,8 +57,10 @@ from rrdlab.sl2 import (
     TreeRegistry,
     _canonical_from_matrix,
     _to_uniformizer,
+    base_vertex,
     entry_lengths,
     locate,
+    vertex_neighbors,
 )
 from rrdlab.spheres import Coset, SphereTable, _completions_for_row, constant_group, right_coset
 from rrdlab.trees import (
@@ -417,11 +420,37 @@ def translate_form(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
 
 def form_at(registry: TreeRegistry, vertex: TreeVertex) -> LatticeVertex:
     """The canonical form of a registered vertex, found among the vertices
-    of its depth (``TreeRegistry.vertices_at_depths``)."""
-    for v, form in registry.vertices_at_depths([vertex.depth])[vertex.depth]:
-        if v == vertex:
-            return form
+    of its depth (``TreeRegistry.levels``)."""
+    if vertex.depth <= registry.radius:
+        for v, form in registry.levels[vertex.depth]:
+            if v == vertex:
+                return form
     raise ValueError(f"path {vertex.to_text()!r} outside registry radius {registry.radius}")
+
+
+def text_sorted_levels(
+    q: int, place: Place, radius: int
+) -> list[list[tuple[TreeVertex, LatticeVertex]]]:
+    """The registry's labels as first defined, which vertex ids must keep: a
+    breadth-first search that labels each vertex's unregistered neighbours
+    in the order of their text keys (place, a, b, text of c), listed per
+    depth in label order like ``TreeRegistry.levels``."""
+
+    def key(form: LatticeVertex) -> tuple[str, int, int, str]:
+        return (form.place.value, form.diag_low, form.diag_high, form.off_diag.to_text())
+
+    root, root_form = TreeVertex.root(q + 1), base_vertex(Fq(q), place)
+    seen = {key(root_form)}
+    levels = [[(root, root_form)]]
+    for _ in range(radius):
+        level = []
+        for vertex, form in levels[-1]:
+            fresh = sorted((nb for nb in vertex_neighbors(form) if key(nb) not in seen), key=key)
+            for label, nb in enumerate(fresh):
+                seen.add(key(nb))
+                level.append((vertex.child(label), nb))
+        levels.append(level)
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,36 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert "injected fault" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["xi", "--length-zero", "2", "--length-infinity", "2", "--out", "{dir}"], None),
+        (["lamplighter", "--radius", "2", "--csv", "{dir}"], None),
+        (["spheres", "--max-length", "2", "--cache-dir", "{file}"], None),
+        (["report", "--max-length", "2", "--depth", "1"], "{file}"),
+    ],
+)
+def test_bad_output_paths_are_usage_errors(tmp_path, capsys, monkeypatch, argv, env):
+    # a directory where a file is written, or a file where the cache
+    # directory goes, is refused before any work and leaves both untouched
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "enumerate_ball", refuse)
+    monkeypatch.setattr(cli, "h_ball_growth", refuse)
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("kept\n")
+    if env:
+        monkeypatch.setenv("RRDLAB_CACHE_DIR", env.format(**paths))
+    code, out = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert list(paths["dir"].iterdir()) == []
+    assert paths["file"].read_text() == "kept\n"
+
+
 def test_impossible_radius_is_a_usage_error(capsys):
     code, out = run(capsys, "spheres", "--q", "2", "--max-length", "30")
     assert code == 2

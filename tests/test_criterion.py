@@ -15,7 +15,6 @@ from rrdlab.criterion import (
     _compression_gram,
     _cylinder_ancestors,
     _registries,
-    _sphere_ids,
     _transports_at,
     check_compression_budget,
     coset_convolution_matrix,
@@ -609,16 +608,30 @@ def test_leaves_are_positions_in_label_order(q):
     for place in Place:
         registry = TreeRegistry(q, place, 4)
         for leaf_depth in range(5):
-            listed = [v for v, _ in registry.vertices_at_depths([leaf_depth])[leaf_depth]]
+            listed = [v for v, _ in registry.levels[leaf_depth]]
             paths = [c.base.path for c in boundary_cylinders(degree, leaf_depth)]
             assert [v.path for v in listed] == paths
-            assert _sphere_ids(degree, leaf_depth).tolist() == [v.id for v in listed]
+            ids = [v.id for v in listed]
+            assert ids == sorted(set(ids))
             for depth in range(leaf_depth + 1):
                 upper = [c.base.path for c in boundary_cylinders(degree, depth)]
                 prefixes = [p[:depth] for p in paths]
                 ancestor, below = _cylinder_ancestors(degree, leaf_depth, depth)
                 assert [upper[i] for i in ancestor] == prefixes
                 assert below.tolist() == [prefixes.index(u) for u in upper]
+
+
+def test_transports_need_registries_of_the_sphere_and_depth(table4):
+    # the leaves sit at the input depth and the output cylinders n levels
+    # deeper, so both must lie within the registries' radius at both places
+    registries = _registries(2, 4)
+    transport_sphere(table4, 2, 2, registries)
+    for n, depth in ((0, 5), (2, 3), (4, 1)):
+        with pytest.raises(ValueError, match="outside registry radius 4"):
+            transport_sphere(table4, n, depth, registries)
+    zero = TreeRegistry(2, Place.ZERO, 4)
+    with pytest.raises(ValueError, match="outside registry radius 3"):
+        transport_sphere(table4, 2, 2, (zero, TreeRegistry(2, Place.INFINITY, 3)))
 
 
 @pytest.mark.parametrize(

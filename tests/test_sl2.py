@@ -27,6 +27,7 @@ from oracles import (
     length_at_place,
     sl2_from_text,
     smith_valuations,
+    text_sorted_levels,
     translate_form,
     tree_distance,
 )
@@ -110,9 +111,7 @@ def test_translate_vertex_is_an_action():
         o = base_vertex(FIELD, place)
         for _ in range(100):
             g, h = random_word(FIELD, 4), random_word(FIELD, 4)
-            assert translate_form(g * h, o).key() == translate_form(
-                g, translate_form(h, o)
-            ).key()
+            assert translate_form(g * h, o) == translate_form(g, translate_form(h, o))
 
 
 def test_translate_preserves_adjacency():
@@ -121,9 +120,9 @@ def test_translate_preserves_adjacency():
         for _ in range(40):
             g = random_word(FIELD, 4)
             image = translate_form(g, o)
-            neighbor_keys = {v.key() for v in vertex_neighbors(image)}
+            neighbors = set(vertex_neighbors(image))
             for nb in vertex_neighbors(o):
-                assert translate_form(g, nb).key() in neighbor_keys
+                assert translate_form(g, nb) in neighbors
 
 
 def test_locate_distance_equals_length():
@@ -142,7 +141,7 @@ def test_locate_distance_equals_length():
 def test_canonical_vertex_of_identity_is_base():
     for place in (Place.ZERO, Place.INFINITY):
         e = SL2Element.identity(FIELD)
-        assert canonical_vertex(e, place).key() == base_vertex(FIELD, place).key()
+        assert canonical_vertex(e, place) == base_vertex(FIELD, place)
 
 
 def test_registry_roundtrips_and_bounds():
@@ -159,6 +158,47 @@ def test_registry_roundtrips_and_bounds():
         deep = deep.child(0)
     with pytest.raises(ValueError):
         form_at(registry, deep)
+    with pytest.raises(ValueError, match="negative registry radius"):
+        TreeRegistry(2, Place.ZERO, -1)
+
+
+@pytest.mark.parametrize("q, radius", [(2, 10), (3, 7), (4, 5), (5, 5), (7, 4), (8, 4), (9, 3)])
+def test_levels_keep_the_text_sorted_labels(q, radius):
+    # vertex ids must not change: up to q = 9, fresh neighbours in
+    # vertex_neighbors order are in the order of their text keys
+    for place in Place:
+        assert TreeRegistry(q, place, radius).levels == text_sorted_levels(q, place, radius)
+
+
+@pytest.mark.parametrize("q", [11, 16])
+def test_levels_are_the_label_expansion(q):
+    # beyond q = 9 the text keys sort "10" before "2", so only the structure
+    # is checked: q + 1 children at the root and q below it, each adjacent to
+    # its parent, every form new, and ids increasing along every level (the
+    # transports look leaf ids up by binary search)
+    degree = q + 1
+    for place in Place:
+        levels = TreeRegistry(q, place, 3).levels
+        assert len({form for level in levels for _, form in level}) == sum(map(len, levels))
+        for depth in range(1, 4):
+            assert len(levels[depth]) == degree * q ** (depth - 1)
+            parents = {vertex.id: form for vertex, form in levels[depth - 1]}
+            for vertex, form in levels[depth]:
+                assert parents[(vertex.id - 1) // degree] in vertex_neighbors(form)
+            ids = [vertex.id for vertex, _ in levels[depth]]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+
+
+def test_registry_refuses_a_registered_neighbor(monkeypatch):
+    import rrdlab.sl2
+
+    def repeating(v):
+        out = vertex_neighbors(v)
+        return out + out[:1]
+
+    monkeypatch.setattr(rrdlab.sl2, "vertex_neighbors", repeating)
+    with pytest.raises(RuntimeError, match="registry build inconsistency"):
+        TreeRegistry(2, Place.ZERO, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +249,7 @@ def test_canonical_vertex_matches_rational_oracle(request, table_name):
     for g in sphere_elements(table):
         for place in Place:
             expected = oracle_canonical(place, *uniformizer_entries(g, place))
-            assert canonical_vertex(g, place).key() == expected.key()
+            assert canonical_vertex(g, place) == expected
 
 
 @pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
@@ -285,7 +325,8 @@ def test_code_window_holds_every_registered_form():
     for q, radius in ((2, 8), (3, 5), (4, 3)):
         low, width = code_window(q, radius)
         for place in Place:
-            for form in TreeRegistry(q, place, radius)._by_path.values():
+            levels = TreeRegistry(q, place, radius).levels
+            for form in (form for level in levels for _, form in level):
                 c = form.off_diag
                 assert 0 <= form.diag_low <= radius and 0 <= form.diag_high <= radius
                 assert c.is_zero() or (low <= c.low and c.top < min(form.diag_high, low + width))
