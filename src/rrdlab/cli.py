@@ -5,7 +5,8 @@ indent, trailing newline) to stdout or, with --out, to a file written
 atomically via a same-directory temp file and rename.  Exit status: 0 when
 all checks the command performs pass, 1 when a numeric check or threshold
 fails, 2 on usage errors (bad arguments, or a radius beyond the budget of
-the sphere enumeration, the subgroup ball search or the ball-count BFS), 3
+the sphere enumeration, the subgroup ball search, the ball-count BFS or the
+mean-identity check), 3
 on an internal fault (any other exception).
 
 Sphere tables can be cached: with --cache-dir or RRDLAB_CACHE_DIR set,
@@ -50,7 +51,14 @@ from .spheres import (
     condition_one_certificate,
     enumerate_ball,
 )
-from .trees import ball_count_bfs, ball_count_formula, boundary_cylinders, check_bfs_budget
+from .trees import (
+    BFS_VERTEX_BUDGET,
+    ball_count_bfs,
+    ball_count_formula,
+    boundary_cylinders,
+    check_bfs_budget,
+    sphere_size,
+)
 
 ENV_CACHE_DIR = "RRDLAB_CACHE_DIR"
 
@@ -136,6 +144,15 @@ def _envelope(command: str, config: dict, result: dict, passed: bool) -> dict:
 # subcommands
 
 
+def _blocking_file(directory: str) -> Optional[str]:
+    """The existing file, if any, that ``directory`` or one of its ancestors
+    is, so that the directory cannot be made."""
+    path = os.path.abspath(directory)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return None if os.path.isdir(path) else path
+
+
 def _check_arguments(args: argparse.Namespace) -> None:
     """The preconditions shared by several subcommands, as usage errors."""
     if getattr(args, "q", None) is not None:
@@ -152,16 +169,22 @@ def _check_arguments(args: argparse.Namespace) -> None:
         value = getattr(args, name, 0.0)
         if math.isnan(value) or value == -math.inf:
             raise UsageError(f"--{name.replace('_', '-')} must be a number or inf, not {value}")
-    # output files are replaced by a rename, which a directory refuses; a
-    # cache directory that is a file would fail only after the table is built
+    # output files are replaced by a rename, which a directory refuses, in a
+    # directory made on demand, which an existing file in its place refuses;
+    # both would fail only after the work is done
     for name in ("out", "csv"):
         path = getattr(args, name, None)
         if path and os.path.isdir(path):
             raise UsageError(f"--{name} must name a file, not the directory {path}")
+        blocking = path and _blocking_file(os.path.dirname(path))
+        if blocking:
+            raise UsageError(f"--{name} {path} lies under the file {blocking}")
     cache_dir = _cache_dir(args) if hasattr(args, "cache_dir") else None
-    if cache_dir and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+    blocking = cache_dir and _blocking_file(cache_dir)
+    if blocking:
         raise UsageError(
-            f"the cache directory {cache_dir} (--cache-dir or ${ENV_CACHE_DIR}) is not a directory"
+            f"the cache directory {cache_dir} (--cache-dir or ${ENV_CACHE_DIR}) "
+            f"is or lies under the file {blocking}"
         )
 
 
@@ -222,6 +245,13 @@ def _cmd_mean_identity(args: argparse.Namespace) -> int:
     depth = args.depth if args.depth is not None else args.length
     if depth < args.length:
         raise UsageError("depth must be at least the displacement length")
+    # every cylinder of the depth sums over the sphere of the length
+    work = sphere_size(args.degree, depth) * sphere_size(args.degree, args.length)
+    if work > BFS_VERTEX_BUDGET:
+        raise RadiusBudgetError(
+            f"mean-identity at degree {args.degree}, length {args.length} and depth {depth} "
+            f"needs {work:,} cocycle terms, over the budget of {BFS_VERTEX_BUDGET:,}"
+        )
     one = AlgebraicValue.rational(1, args.degree - 1)
     checked = 0
     worst_ok = True

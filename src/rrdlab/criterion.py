@@ -40,13 +40,10 @@ ball is E M' E^T with M' indexed by the cosets and E^T E = |K| I.
 Vertex ids (``TreeVertex.id``) are the floating side's only vertex
 coordinate: cylinders of one depth are their positions in label order, and
 common prefixes and distances are read off the ids of a vertex's prefixes.
-Only the transports need tree registries: label order is read from a
-registry's level of the depth (``TreeRegistry.levels``), with the lattice
-forms of the input cylinders, and images are looked up among its codes.
-The report builds one pair, at the largest radius a compression needs, and
-shares it among its spheres.  Vertex ids do not depend on the registry
-radius, so every vertex has the same id as in a standalone call, which
-builds the same objects for itself.
+The vertices of one depth come in label order from
+``trees.sphere_vertices``, the input cylinders' lattice forms are read off
+their label paths (``sl2.form_of``), and ``translate_vertex`` gives every
+image's id in closed form, so nothing here needs a tree registry.
 """
 
 from __future__ import annotations
@@ -57,10 +54,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
-from .algebra import AlgebraicValue, Place
+from .algebra import AlgebraicValue, Fq, Place
 from .boundary import hc_product
 from .lamplighter import exponential_certificate, h_ball_growth
-from .sl2 import SL2Element, TreeRegistry, translate_vertex
+from .sl2 import form_of, translate_vertex
 from .spheres import (
     PROVENANCE_PAIRS,
     Coset,
@@ -73,6 +70,7 @@ from .trees import (
     boundary_cylinders,
     gromov_product,
     sphere_size,
+    sphere_vertices,
 )
 
 if TYPE_CHECKING:
@@ -90,19 +88,13 @@ DEFAULT_U_THRESHOLD = 8.0
 CORE_BUDGET = 10_000_000
 # Entries of a compression's row blocks (512 kB of float64 or int64)
 ROW_BLOCK = 1 << 16
-
-Registries = tuple[TreeRegistry, TreeRegistry]
+PLACES = (Place.ZERO, Place.INFINITY)
 
 
 def json_threshold(value: float) -> float | None:
     """A threshold as it is written to JSON, which has no infinity: +inf
     (no bound at all) becomes null.  The command line refuses nan and -inf."""
     return float(value) if math.isfinite(value) else None
-
-
-def _registries(q: int, radius: int) -> Registries:
-    """The place-zero and place-infinity registries of one radius."""
-    return TreeRegistry(q, Place.ZERO, radius), TreeRegistry(q, Place.INFINITY, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +119,6 @@ class SphereTransports(NamedTuple):
 
     table: SphereTable
     n: int
-    registries: Registries
     depth: int
     centers: tuple[np.ndarray, np.ndarray]
     images: tuple[np.ndarray, np.ndarray]
@@ -138,31 +129,23 @@ class SphereTransports(NamedTuple):
         return self.table.cosets(self.n)
 
 
-def transport_sphere(
-    table: SphereTable, n: int, depth: int, registries: Registries
-) -> SphereTransports:
+def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports:
     """Move every leaf of the depth-``depth`` input cylinders by K and by
     sphere n's representatives at both places, one ``translate_vertex`` call
-    per place; raises ValueError unless the registries reach radius
-    n + ``depth``.  A constant element fixes the root, so K's images of
-    leaves are leaves; one that is not is marked -1 and refused where the
-    action is used (``_cell_orbits``)."""
+    per place.  A constant element fixes the root, so K's images of leaves
+    are leaves; one that is not is marked -1 and refused where the action is
+    used (``_cell_orbits``)."""
     import numpy as np
 
-    for registry in registries:
-        if n + depth > registry.radius:
-            raise ValueError(
-                f"sphere {n} at depth {depth} is outside registry radius {registry.radius}"
-            )
-    group = [k for k, _, _ in constant_group(registries[0].field)]
+    group = [k for k, _, _ in constant_group(Fq(table.q))]
     cosets = table.cosets(n)
     elements = group + [coset.representative for coset in cosets]
+    # the leaves in label order, the order of their ids
+    leaves = list(sphere_vertices(table.q + 1, depth))
+    leaf_ids = np.array([leaf.id for leaf in leaves])
     actions, images = [], []
-    for registry in registries:
-        # a level is in label order, the order of the leaves and of their ids
-        level = registry.levels[depth]
-        leaf_ids = np.array([vertex.id for vertex, _ in level])
-        rows = translate_vertex(elements, [form for _, form in level], registry)
+    for place in PLACES:
+        rows = translate_vertex(elements, [form_of(leaf, place) for leaf in leaves])
         moved = rows[: len(group)]
         positions = np.minimum(np.searchsorted(leaf_ids, moved), len(leaf_ids) - 1)
         actions.append(np.where(leaf_ids[positions] == moved, positions, -1))
@@ -171,7 +154,7 @@ def transport_sphere(
         np.array([coset.vertex(place_index).id for coset in cosets], dtype=np.int64)
         for place_index in (0, 1)
     )
-    return SphereTransports(table, n, registries, depth, centers, tuple(images), tuple(actions))
+    return SphereTransports(table, n, depth, centers, tuple(images), tuple(actions))
 
 
 def _cylinder_ancestors(
@@ -266,14 +249,13 @@ def _transports_at(
     import numpy as np
 
     cosets = transports.cosets
-    n = transports.n
-    registry = transports.registries[place_index]
-    degree = registry.q + 1
+    n, q = transports.n, transports.table.q
+    degree = q + 1
     w_ids = _prefix_ids(transports.centers[place_index], degree, n)
     lengths = (w_ids >= 0).sum(axis=1) - 1
     leaf_ids = _prefix_ids(transports.images[place_index][:, below], degree, n + transports.depth)
     image_ids, _ = _points_at(w_ids, lengths, leaf_ids, depth)
-    out = np.array([vertex.id for vertex, _ in registry.levels[n + depth]])
+    out = np.array([vertex.id for vertex in sphere_vertices(degree, n + depth)])
     out_ids = _prefix_ids(out, degree, n + depth)
     point_ids, common = _points_at(w_ids, lengths, out_ids[None], depth)
     # look every p(z) up among its own row's images: sorted rows, offset so
@@ -290,11 +272,11 @@ def _transports_at(
     if not partitions.all():
         raise RuntimeError(
             "transported cylinder images fail to partition the boundary "
-            f"(place {registry.place.value}, element "
+            f"(place {PLACES[place_index].value}, element "
             f"{cosets[int(np.argmin(partitions))].representative.to_text()})"
         )
     top = int(lengths.max())
-    cocycle = np.array([float(registry.q) ** (beta / 2.0) for beta in range(-top, top + 1)])
+    cocycle = np.array([float(q) ** (beta / 2.0) for beta in range(-top, top + 1)])
     return order.ravel()[found], cocycle[2 * common - lengths[:, None] + top]
 
 
@@ -315,7 +297,7 @@ def _cell_orbits(
 
     ancestor, below = ancestors
     size = len(below)
-    group = constant_group(transports.registries[0].field)
+    group = constant_group(Fq(transports.table.q))
     # perms[place][k] = k's action on the cylinders of this depth
     perms = [
         np.where(leaf_perms[:, below] < 0, -1, ancestor[leaf_perms[:, below]])
@@ -328,7 +310,7 @@ def _cell_orbits(
         index, place_index = divmod(int(np.argmax(broken)), 2)
         raise RuntimeError(
             f"{group[index][0].to_text()} does not permute the input cylinders "
-            f"(place {transports.registries[place_index].place.value})"
+            f"(place {PLACES[place_index].value})"
         )
     images = (perms[0][:, :, None] * size + perms[1][:, None, :]).reshape(len(group), -1)
     # the identity is in K, so each cell's smallest image is its orbit's first cell
@@ -612,8 +594,7 @@ def mean_matrix_2norm(
         raise ValueError(f"negative depth {depth}")
     check_compression_budget(table.q, depth)
     if transports is None:
-        radius = n + depth
-        transports = transport_sphere(table, n, depth, _registries(table.q, radius))
+        transports = transport_sphere(table, n, depth)
     elif transports.table is not table or transports.n != n or transports.depth < depth:
         raise ValueError(
             f"transports of sphere {transports.n} to depth "
@@ -736,8 +717,8 @@ def rrd_report(
     identity at n = 0, and the subgroup growth certificate for the failure
     side.  All exact values appear as (a, b, q) triples.  ``u_bound`` is
     the condition-(2) threshold on every U_n.  A depth whose compression
-    core exceeds CORE_BUDGET raises RadiusBudgetError before any registry
-    is built.
+    core exceeds CORE_BUDGET raises RadiusBudgetError before any transport
+    is made.
     """
     q, max_length = table.q, table.max_length
     check_compression_budget(q, depth)
@@ -753,18 +734,13 @@ def rrd_report(
         for n in (0, 2)
         if max_length >= n and table.sphere_size(n) > 0
     }
-    # one registry pair serves every compression: BFS labels do not depend on
-    # the radius, so a larger registry gives every vertex the same path
-    radius = max(mean_lengths) + depth
-    registries = _registries(q, radius)
-
     mean_reports = []
     compression_rows = []
     chain_ok = True
     for n in mean_lengths:
         u_n = uniform_bound_value(table, n)
         mean_reports.append(u_n)
-        transports = transport_sphere(table, n, depth, registries)
+        transports = transport_sphere(table, n, depth)
         for k in range(1, depth + 1):
             result = mean_matrix_2norm(table, n, k, transports)
             ok = result.value <= u_n.value_float + CHAIN_SLACK

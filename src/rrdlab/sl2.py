@@ -11,18 +11,38 @@ reduction stays in the Laurent ring, reading the second diagonal exponent off
 the determinant's valuation and the off-diagonal entry off a truncated X-adic
 series quotient, so no rational function is ever reduced.  (The independent
 length oracle, Smith pivoting over rational functions, is in
-``tests/oracles.py``.)  A registry expands the tree from the base vertex
-by labels, each vertex's children being its neighbours not registered yet
-in ``vertex_neighbors`` order; it maps canonical forms to rooted label
-paths, giving the bridge from matrix algebra to the tree coordinates used
-by the boundary analysis.
+``tests/oracles.py``.)
+
+The tree's labelling is one closed-form bijection between label paths
+(``TreeVertex``) and canonical forms (``vertex_of``, ``form_of``).  The
+neighbours of the form (a, b, c) are the q forms (a, b + 1, c + t X^b), t in
+F_q, then (a + 1, b, X c), each renormalized; labelling every vertex's
+neighbours other than its parent in that order, from the base vertex,
+defines the paths.  The parent of a non-root vertex is its last neighbour,
+except at (a, 0, 0) with a >= 1, where it is the first.  Going down:
+
+- from (0, b, c) the child t is (0, b + 1, c + t X^b), which appends the
+  digit c_b = t;
+- the root's child q is (1, 0, 0), and the child q - 1 of (k, 0, 0) is
+  (k + 1, 0, 0);
+- from (k, 0, c) with k >= 1 a child is (k - 1, 0, X^-1 (c + t)): the new
+  digit enters at X^-1 and the earlier ones move down one exponent; at
+  c = 0, t = 0 is the parent, so the child t - 1 has the digit t.
+
+So with s = max(0, -v(c)) the form (a, b, c) lies at distance a + b + 2s.
+When a + s = 0, c is a polynomial of degree below b and the path is
+c_0 ... c_{b-1}.  Otherwise the path is q, then a + s - 1 labels q - 1, then
+c_{-s} - 1 (c_{-s} is nonzero), c_{-s+1}, ..., c_{b-1}, every label a field
+index.  Read back, the run of q - 1 ends where the digits start, since
+c_{-s} - 1 < q - 1; the run gives a + s, the rest gives b + s, and
+min(a, b) = 0 gives s.  The breadth-first neighbour expansion this must
+equal is the test oracle (``tests/oracles.py``).
 
 The transports move many vertices by many elements, so ``translate_vertex``
 reduces every (element, form) pair of one place in one numpy pass: dense
-coefficient rows, F_q arithmetic by table, and an integer code per canonical
-form, looked up among the codes the registry builds once.  It returns vertex
-ids (``TreeVertex.id``), not forms; the one-vertex reduction it must equal
-is the test oracle.
+coefficient rows, F_q arithmetic by table, and each image's vertex id
+(``TreeVertex.id``) from its form by Horner's rule along the path above; the
+one-vertex reduction it must equal is the test oracle.
 
 Place infinity reuses all place-zero code through the exact substitution
 X -> X^-1, under which the uniformizer becomes X again.
@@ -35,7 +55,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import Fq, LaurentPolynomial, Place, series_quotient
-from .trees import TreeVertex
+from .trees import TreeVertex, sphere_vertices
 
 if TYPE_CHECKING:
     import numpy as np
@@ -200,32 +220,6 @@ class LatticeVertex:
         return f"a={self.diag_low};b={self.diag_high};{self.off_diag.to_text()}"
 
 
-def _canonical_from_triangular(
-    place: Place, a: int, b: int, c: LaurentPolynomial
-) -> LatticeVertex:
-    """Normalize an already-triangular basis [[X^a, 0], [c, X^b]]."""
-    m = min(a, b)
-    a -= m
-    b -= m
-    c = c.shift(-m)
-    # reduce c modulo X^b: keep exponents strictly below b
-    if not c.is_zero() and c.top >= b:
-        keep = [
-            (e, coeff)
-            for e, coeff in zip(range(c.low, c.top + 1), c.raw_coefficients)
-            if e < b
-        ]
-        if keep:
-            low = keep[0][0]
-            out = [0] * (keep[-1][0] - low + 1)
-            for e, coeff in keep:
-                out[e - low] = coeff
-            c = LaurentPolynomial(c.field, low, out)
-        else:
-            c = LaurentPolynomial.zero(c.field)
-    return LatticeVertex(place, a, b, c)
-
-
 def _canonical_from_matrix(
     place: Place,
     A: LaurentPolynomial,
@@ -260,36 +254,53 @@ def canonical_vertex(g: SL2Element, place: Place) -> LatticeVertex:
     return _canonical_from_matrix(place, *(_to_uniformizer(e, place) for e in g.entries()))
 
 
-def base_vertex(field: Fq, place: Place) -> LatticeVertex:
-    return LatticeVertex(place, 0, 0, LaurentPolynomial.zero(field))
+def vertex_of(form: LatticeVertex) -> TreeVertex:
+    """The tree vertex of a canonical form: its label path in closed form
+    (module docstring)."""
+    q, a, b, c = form.field.q, form.diag_low, form.diag_high, form.off_diag
+    s = 0 if c.is_zero() else max(0, -c.low)
+    path = [c.coefficient(e) for e in range(-s, b)]
+    if a + s:
+        if s:
+            path[0] -= 1
+        path = [q] + [q - 1] * (a + s - 1) + path
+    return TreeVertex(q + 1, tuple(path))
 
 
-def vertex_neighbors(v: LatticeVertex) -> list[LatticeVertex]:
-    """The q+1 classes of index-q sublattices: one per residue line.
-
-    q of them come from lines through shifted first basis vectors, the last
-    from scaling the first basis vector by the uniformizer.
-    """
-    field = v.field
-    q = field.q
-    a, b, c = v.diag_low, v.diag_high, v.off_diag
-    out = []
-    for t in range(q):
-        shift_c = c + LaurentPolynomial.x_power(field, b, t) if t else c
-        out.append(_canonical_from_triangular(v.place, a, b + 1, shift_c))
-    out.append(_canonical_from_triangular(v.place, a + 1, b, c.shift(1)))
-    return out
+def form_of(vertex: TreeVertex, place: Place) -> LatticeVertex:
+    """The canonical form at ``place`` of a tree vertex, the inverse of
+    ``vertex_of`` (module docstring)."""
+    field = Fq(vertex.degree - 1)
+    q, path = field.q, vertex.path
+    if not path or path[0] < q:
+        return LatticeVertex(place, 0, len(path), LaurentPolynomial(field, 0, path))
+    run = 1
+    while run < len(path) and path[run] == q - 1:
+        run += 1
+    digits = list(path[run:])
+    if digits:
+        digits[0] += 1
+    # run = a + s, len(digits) = b + s and min(a, b) = 0
+    s = min(run, len(digits))
+    return LatticeVertex(place, run - s, len(digits) - s, LaurentPolynomial(field, -s, digits))
 
 
 class TreeRegistry:
-    """The label expansion of the tree around the standard lattice, to a
-    fixed radius: the base vertex is the root, and each vertex's children
-    are its ``vertex_neighbors`` not registered yet, labelled in that order.
-    ``levels[d]`` lists the (vertex, canonical form) pairs of depth d in
-    label order, so their ids (``TreeVertex.id``) increase along it.
+    """The tree around the standard lattice to a fixed radius, in label
+    order: ``levels[d]`` lists the (vertex, canonical form) pairs of depth d,
+    so their ids (``TreeVertex.id``) increase along it.
 
-    Built once and frozen; lookups after that are safe under concurrent
-    readers.
+    The labels are the neighbour expansion's from the base vertex: a
+    vertex's children are its neighbours other than its parent, in
+    neighbour order, and the parent of a non-root vertex is its last
+    neighbour, except at (a, 0, 0) with a >= 1, where it is the first.  So
+    with s = max(0, -v(c)) the form (a, b, c) has the path c_0 ... c_{b-1}
+    when a + s = 0, and otherwise q, then a + s - 1 labels q - 1, then
+    c_{-s} - 1, c_{-s+1}, ..., c_{b-1} (module docstring).  Each form is
+    read off its vertex's path (``form_of``); the inverse, ``vertex_of``,
+    needs no registry.
+
+    Built once and frozen; safe under concurrent readers.
     """
 
     def __init__(self, q: int, place: Place, radius: int):
@@ -298,89 +309,19 @@ class TreeRegistry:
         self.q = q
         self.place = place
         self.radius = radius
-        self.degree = q + 1
-        self.field = Fq(q)
-        root = TreeVertex.root(self.degree)
-        root_form = base_vertex(self.field, place)
-        self._vertices: dict[LatticeVertex, TreeVertex] = {root_form: root}
-        self.levels: list[list[tuple[TreeVertex, LatticeVertex]]] = [[(root, root_form)]]
-        for _ in range(radius):
-            level = []
-            for vertex, form in self.levels[-1]:
-                fresh = [nb for nb in vertex_neighbors(form) if nb not in self._vertices]
-                expected = self.degree if vertex.is_root() else self.degree - 1
-                if len(fresh) != expected:
-                    raise RuntimeError(
-                        f"registry build inconsistency at {vertex!r}: "
-                        f"{len(fresh)} fresh neighbors, expected {expected}"
-                    )
-                for label, nb in enumerate(fresh):
-                    child = vertex.child(label)
-                    self._vertices[nb] = child
-                    level.append((child, nb))
-            self.levels.append(level)
-
-    @cached_property
-    def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The code of every registered form (``_form_code``), sorted, and the
-        id of its vertex (``TreeVertex.id``), as int64 arrays; built on first
-        use, so only the transports load numpy.  Raises ValueError before any
-        code is built when a code could overflow int64 (``code_window``)."""
-        import numpy as np
-
-        low, width = code_window(self.q, self.radius)
-        pairs = sorted(
-            (_form_code(form, self.radius, low, width), vertex.id)
-            for level in self.levels
-            for vertex, form in level
-        )
-        return np.array([c for c, _ in pairs]), np.array([i for _, i in pairs])
-
-    def locate_form(self, form: LatticeVertex) -> TreeVertex:
-        try:
-            return self._vertices[form]
-        except KeyError:
-            raise ValueError(
-                f"lattice vertex outside registry radius {self.radius}: {form.to_text()}"
-            ) from None
+        self.levels: list[list[tuple[TreeVertex, LatticeVertex]]] = [
+            [(vertex, form_of(vertex, place)) for vertex in sphere_vertices(q + 1, depth)]
+            for depth in range(radius + 1)
+        ]
 
 
-def locate(g: SL2Element, place: Place, registry: TreeRegistry) -> TreeVertex:
+def locate(g: SL2Element, place: Place) -> TreeVertex:
     """Tree coordinates of the vertex g moves the base point to."""
-    if registry.place is not place:
-        raise ValueError(f"registry is for place {registry.place}, not {place}")
-    return registry.locate_form(canonical_vertex(g, place))
+    return vertex_of(canonical_vertex(g, place))
 
 
 # ---------------------------------------------------------------------------
 # lattice canonicalization in bulk
-
-
-def code_window(q: int, radius: int) -> tuple[int, int]:
-    """The exponents [low, low + width) that the off-diagonal entry of a
-    canonical form within ``radius`` of the base vertex can have.
-
-    The form (a, b, c) lies at distance a + b - 2 min(0, v(c)), so within
-    the radius a, b <= radius and c's exponents are at least -(radius // 2)
-    and below b.  A code (``_form_code``) is below (radius + 1)^2 q^width;
-    raises ValueError when that does not fit in int64.
-    """
-    low = -(radius // 2)
-    width = radius - low
-    if (radius + 1) ** 2 * q**width > 2**63:
-        raise ValueError(
-            f"canonical form codes at q = {q} and registry radius {radius} overflow int64"
-        )
-    return low, width
-
-
-def _form_code(form: LatticeVertex, radius: int, low: int, width: int) -> int:
-    """The integer code of a canonical form within ``radius``: (a, b) in base
-    radius + 1, above the coefficients of c over the exponents
-    [low, low + width) in base q (``code_window``)."""
-    q, c = form.field.q, form.off_diag
-    digits = sum(coeff * q ** (e - low) for e, coeff in enumerate(c.raw_coefficients, c.low))
-    return (form.diag_low * (radius + 1) + form.diag_high) * q**width + digits
 
 
 def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -443,12 +384,10 @@ def _window(rows: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return np.where(inside, taken, 0).astype(rows.dtype)
 
 
-def translate_vertex(
-    elements: Sequence[SL2Element], forms: Sequence[LatticeVertex], registry: TreeRegistry
-) -> np.ndarray:
-    """The id (``TreeVertex.id``) of the vertex g . v in ``registry`` for every
-    element g and canonical form v of the registry's place: an int64 array
-    of shape (len(elements), len(forms)), made in one numpy pass.
+def translate_vertex(elements: Sequence[SL2Element], forms: Sequence[LatticeVertex]) -> np.ndarray:
+    """The id (``TreeVertex.id``) of the vertex g . v for every element g and
+    canonical form v, all of one place: an int64 array of shape
+    (len(elements), len(forms)), made in one numpy pass.
 
     This is ``_canonical_from_matrix`` on every image basis at once, with
     polynomials as dense uint8 coefficient rows and F_q arithmetic by table.
@@ -458,21 +397,19 @@ def translate_vertex(
     determinant 1, so the image has determinant X^(a + b) and
     b' = a + b - a'.  With m = min(a', b'), the off-diagonal entry is the
     series C X^-m / (A X^-a') below X^(b' - m), solved term by term over the
-    code window (``code_window``), and the image's code (``_form_code``) is
-    looked up among the registry's (``TreeRegistry.codes``).  Raises
-    ValueError for a zero top row, and for an image outside the registry
-    radius: one whose form leaves the code window, or whose code is not
-    registered.
+    exponents from the images' lowest, -s, up to their largest b' - m, and
+    the image's id follows from its form by Horner's rule along its label
+    path (``vertex_of``).  Raises ValueError for forms of two places, a zero
+    top row, or an id that would overflow int64.
     """
     import numpy as np
 
-    place, q, radius = registry.place, registry.q, registry.radius
-    if any(form.place is not place for form in forms):
-        raise ValueError(f"forms must be at the registry's place {place.value}")
+    places = {form.place for form in forms}
+    if len(places) > 1:
+        raise ValueError("forms must all be at one place")
     if not elements or not forms:
         return np.zeros((len(elements), len(forms)), dtype=np.int64)
-    low, width = code_window(q, radius)
-    codes, ids = registry.codes
+    place, q = forms[0].place, forms[0].field.q
     add, mul, neg, inv = _field_tables(q)
 
     g_low, g = _dense([_to_uniformizer(e, place) for x in elements for e in x.entries()])
@@ -507,11 +444,17 @@ def translate_vertex(
     m = np.minimum(a1, b1)
     diag_low, diag_high = a1 - m, b1 - m
     v_c, has_c = _lowest(lower)
-    outside = (diag_low > radius) | (diag_high > radius) | (has_c & (v_c + lo - m < low))
-    if outside.any():
-        raise _outside(outside, elements, forms, radius)
+    # s = max(0, -v(c)); a c truncated to zero has v(C X^-m) >= b' - m >= 0
+    s = np.where(has_c, np.maximum(0, m - lo - v_c), 0)
+    degree, deepest = q + 1, int((diag_low + diag_high + 2 * s).max())
+    if (degree ** (deepest + 1) - 1) // (degree - 1) > 2**63:
+        raise ValueError(
+            f"vertex ids at depth {deepest} of the degree-{degree} tree overflow int64"
+        )
 
-    # C X^-m = (A X^-a') quotient over the window, term by term
+    # C X^-m = (A X^-a') quotient over the exponents [low, low + width), term by term
+    low = -int(s.max())
+    width = max(1, int(diag_high.max()) - low)
     unit = _window(pivot, a1 - lo, width)
     numerator = _window(lower, low + m - lo, width)
     quotient = np.zeros_like(numerator)
@@ -522,25 +465,11 @@ def translate_vertex(
         for i in range(1, min(t, reach) + 1):
             known = add[known, mul[unit[..., i], quotient[..., t - i]]]
         quotient[..., t] = mul[add[numerator[..., t], neg[known]], inverse]
-    digits = np.where(low + np.arange(width) < diag_high[..., None], quotient, 0)
-    packed = (diag_low * (radius + 1) + diag_high) * q**width + digits.astype(np.int64) @ (
-        q ** np.arange(width)
-    )
-    found = np.minimum(np.searchsorted(codes, packed), len(codes) - 1)
-    missing = codes[found] != packed
-    if missing.any():
-        raise _outside(missing, elements, forms, radius)
-    return ids[found]
-
-
-def _outside(
-    bad: np.ndarray, elements: Sequence[SL2Element], forms: Sequence[LatticeVertex], radius: int
-) -> ValueError:
-    """The error for the first (element, form) pair flagged in ``bad``."""
-    import numpy as np
-
-    e, f = (int(i) for i in np.argwhere(bad)[0])
-    return ValueError(
-        f"lattice vertex outside registry radius {radius}: the image of "
-        f"{forms[f].to_text()} under {elements[e].to_text()}"
-    )
+    # Horner's rule: q, then a' + s - 1 labels q - 1 give the id
+    # (degree + 1) degree^(a' + s - 1) - 1, and each digit from X^-s on one more label
+    run = diag_low + s
+    ids = np.where(run > 0, (degree + 1) * degree ** np.maximum(run - 1, 0) - 1, 0)
+    for t, e in enumerate(range(low, low + width)):
+        label = quotient[..., t].astype(np.int64) + 1 - ((e == -s) & (s > 0))
+        ids = np.where((e >= -s) & (e < diag_high), ids * degree + label, ids)
+    return ids

@@ -18,14 +18,17 @@ from fractions import Fraction
 from typing import Iterator
 
 # Largest number of tree vertices the ball-count BFS may build: degree 3 up
-# to radius 17, degree 4 up to radius 11, degree 5 up to radius 9.
+# to radius 17, degree 4 up to radius 11, degree 5 up to radius 9.  Also the
+# largest number of cocycle terms (cylinders times sphere vertices) of the
+# mean-identity check: degree 3 up to length and depth 8.
 BFS_VERTEX_BUDGET = 500_000
 
 
 class RadiusBudgetError(RuntimeError):
     """The requested radius needs more work than its budget: tree vertices in
-    the ball-count BFS, candidate vertex pairs in the sphere enumeration
-    (``spheres``), ball elements in the subgroup search (``lamplighter``)."""
+    the ball-count BFS, cocycle terms in the mean-identity check (``cli``),
+    candidate vertex pairs in the sphere enumeration (``spheres``), ball
+    elements in the subgroup search (``lamplighter``)."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,11 +20,19 @@ sphere given as its elements is split into right cosets by text lookup and
 It also holds what only the tests use of elements, texts, vertices and
 cylinders: the lower elementary matrices, the length at one place, the text
 parsers (the cache loader compares texts and parses nothing), the matrix of
-a subgroup element, the canonical form of a registered vertex
-(``form_at``), the registry's labels as first defined, by text-sorted
-breadth-first search (``text_sorted_levels``), label paths as padded label arrays with their common-prefix
-lengths in bulk (the program compares vertex ids instead), and products and
-refinements of boundary cylinders.
+a subgroup element, and products and refinements of boundary cylinders.
+Label paths come as padded label arrays with their common-prefix lengths in
+bulk (the program compares vertex ids instead).
+
+The tree's labels are the reference expansion (``Expansion``): a
+breadth-first search from the base vertex that labels each vertex's unseen
+neighbours in ``vertex_neighbors`` order, the program's closed form
+(``sl2.vertex_of``, ``sl2.form_of``) read as a walk.  The same search with
+the neighbours sorted by text keys gives the labels as first defined
+(``text_sorted_levels``).  Beyond any expansion a test can build, a walk
+to the base vertex with Smith-form distances gives the path
+(``walk_to_root``).  Every oracle here locates by one of these, never
+through the closed form.
 """
 
 from __future__ import annotations
@@ -50,17 +58,13 @@ from rrdlab.algebra import (
 )
 from rrdlab.boundary import HarishChandraValue, cocycle_sqrt, hc_product
 from rrdlab.lamplighter import HElement, generating_set, h_membership
-from rrdlab.criterion import Registries, _registries
 from rrdlab.sl2 import (
     LatticeVertex,
     SL2Element,
-    TreeRegistry,
     _canonical_from_matrix,
     _to_uniformizer,
-    base_vertex,
+    canonical_vertex,
     entry_lengths,
-    locate,
-    vertex_neighbors,
 )
 from rrdlab.spheres import Coset, SphereTable, _completions_for_row, constant_group, right_coset
 from rrdlab.trees import (
@@ -418,39 +422,160 @@ def translate_form(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
     )
 
 
-def form_at(registry: TreeRegistry, vertex: TreeVertex) -> LatticeVertex:
-    """The canonical form of a registered vertex, found among the vertices
-    of its depth (``TreeRegistry.levels``)."""
-    if vertex.depth <= registry.radius:
-        for v, form in registry.levels[vertex.depth]:
-            if v == vertex:
-                return form
-    raise ValueError(f"path {vertex.to_text()!r} outside registry radius {registry.radius}")
+def base_vertex(field: Fq, place: Place) -> LatticeVertex:
+    return LatticeVertex(place, 0, 0, LaurentPolynomial.zero(field))
 
 
-def text_sorted_levels(
-    q: int, place: Place, radius: int
-) -> list[list[tuple[TreeVertex, LatticeVertex]]]:
-    """The registry's labels as first defined, which vertex ids must keep: a
-    breadth-first search that labels each vertex's unregistered neighbours
-    in the order of their text keys (place, a, b, text of c), listed per
-    depth in label order like ``TreeRegistry.levels``."""
+def _canonical_from_triangular(
+    place: Place, a: int, b: int, c: LaurentPolynomial
+) -> LatticeVertex:
+    """Normalize an already-triangular basis [[X^a, 0], [c, X^b]]."""
+    m = min(a, b)
+    a -= m
+    b -= m
+    c = c.shift(-m)
+    # reduce c modulo X^b: keep exponents strictly below b
+    if not c.is_zero() and c.top >= b:
+        keep = [
+            (e, coeff)
+            for e, coeff in zip(range(c.low, c.top + 1), c.raw_coefficients)
+            if e < b
+        ]
+        if keep:
+            low = keep[0][0]
+            out = [0] * (keep[-1][0] - low + 1)
+            for e, coeff in keep:
+                out[e - low] = coeff
+            c = LaurentPolynomial(c.field, low, out)
+        else:
+            c = LaurentPolynomial.zero(c.field)
+    return LatticeVertex(place, a, b, c)
 
-    def key(form: LatticeVertex) -> tuple[str, int, int, str]:
-        return (form.place.value, form.diag_low, form.diag_high, form.off_diag.to_text())
 
+def vertex_neighbors(v: LatticeVertex) -> list[LatticeVertex]:
+    """The q+1 classes of index-q sublattices: one per residue line.
+
+    q of them come from lines through shifted first basis vectors, the last
+    from scaling the first basis vector by the uniformizer.
+    """
+    field = v.field
+    q = field.q
+    a, b, c = v.diag_low, v.diag_high, v.off_diag
+    out = []
+    for t in range(q):
+        shift_c = c + LaurentPolynomial.x_power(field, b, t) if t else c
+        out.append(_canonical_from_triangular(v.place, a, b + 1, shift_c))
+    out.append(_canonical_from_triangular(v.place, a + 1, b, c.shift(1)))
+    return out
+
+
+Levels = list[list[tuple[TreeVertex, LatticeVertex]]]
+
+
+def expansion_levels(q: int, place: Place, radius: int, key=None) -> Levels:
+    """Breadth-first search from the base vertex to ``radius``: each
+    vertex's children are its neighbours not seen yet, labelled in
+    ``vertex_neighbors`` order, or in the order of ``key`` when given.
+    Listed per depth in label order, like ``TreeRegistry.levels``."""
     root, root_form = TreeVertex.root(q + 1), base_vertex(Fq(q), place)
-    seen = {key(root_form)}
+    seen = {root_form}
     levels = [[(root, root_form)]]
     for _ in range(radius):
         level = []
         for vertex, form in levels[-1]:
-            fresh = sorted((nb for nb in vertex_neighbors(form) if key(nb) not in seen), key=key)
+            fresh = [nb for nb in vertex_neighbors(form) if nb not in seen]
+            if key is not None:
+                fresh.sort(key=key)
             for label, nb in enumerate(fresh):
-                seen.add(key(nb))
+                seen.add(nb)
                 level.append((vertex.child(label), nb))
         levels.append(level)
     return levels
+
+
+def text_sorted_levels(q: int, place: Place, radius: int) -> Levels:
+    """The labels as first defined, which vertex ids must keep: the
+    expansion with each vertex's unseen neighbours sorted by their text keys
+    (place, a, b, text of c)."""
+    return expansion_levels(
+        q,
+        place,
+        radius,
+        key=lambda form: (form.place.value, form.diag_low, form.diag_high, form.off_diag.to_text()),
+    )
+
+
+class Expansion:
+    """The reference labelling of one tree to a radius: its levels
+    (``expansion_levels``) and each form's vertex by lookup among them."""
+
+    def __init__(self, q: int, place: Place, radius: int):
+        self.q, self.place, self.radius = q, place, radius
+        self.field = Fq(q)
+        self.levels = expansion_levels(q, place, radius)
+        self._vertices = {form: vertex for level in self.levels for vertex, form in level}
+
+    def locate_form(self, form: LatticeVertex) -> TreeVertex:
+        try:
+            return self._vertices[form]
+        except KeyError:
+            raise ValueError(
+                f"lattice vertex outside expansion radius {self.radius}: {form.to_text()}"
+            ) from None
+
+    def locate(self, g: SL2Element) -> TreeVertex:
+        """The vertex g moves the base point to."""
+        return self.locate_form(canonical_vertex(g, self.place))
+
+
+Expansions = tuple[Expansion, Expansion]
+
+
+def expansions(q: int, radius: int) -> Expansions:
+    """The place-zero and place-infinity expansions of one radius."""
+    return Expansion(q, Place.ZERO, radius), Expansion(q, Place.INFINITY, radius)
+
+
+def form_distance(form: LatticeVertex) -> int:
+    """The distance of a canonical form from the base vertex: the gap of the
+    elementary divisors of its basis [[X^a, 0], [c, X^b]]
+    (``smith_valuations``, whose entries are already in the uniformizer
+    variable)."""
+    field = form.field
+    basis = SL2Element(
+        LaurentPolynomial.x_power(field, form.diag_low),
+        LaurentPolynomial.zero(field),
+        form.off_diag,
+        LaurentPolynomial.x_power(field, form.diag_high),
+        check=False,
+    )
+    v1, v2 = smith_valuations(basis, Place.ZERO)
+    return v2 - v1
+
+
+def walk_to_root(form: LatticeVertex) -> TreeVertex:
+    """The vertex of a canonical form at any depth, by walking to the base
+    vertex: the parent is the neighbour one step closer (``form_distance``),
+    and the label is the vertex's position among the parent's neighbours one
+    step farther, the unseen ones of the expansion."""
+    labels = []
+    depth = form_distance(form)
+    for d in range(depth, 0, -1):
+        parent = next(nb for nb in vertex_neighbors(form) if form_distance(nb) == d - 1)
+        children = [nb for nb in vertex_neighbors(parent) if form_distance(nb) == d]
+        labels.append(children.index(form))
+        form = parent
+    return TreeVertex(form.field.q + 1, tuple(reversed(labels)))
+
+
+def form_at(expansion: Expansion, vertex: TreeVertex) -> LatticeVertex:
+    """The canonical form of a vertex within the expansion's radius, found
+    among the vertices of its depth."""
+    if vertex.depth <= expansion.radius:
+        for v, form in expansion.levels[vertex.depth]:
+            if v == vertex:
+                return form
+    raise ValueError(f"path {vertex.to_text()!r} outside expansion radius {expansion.radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -880,12 +1005,12 @@ def _transport_supports(
 
 
 def direct_images(
-    gamma: SL2Element, cyls: list[BoundaryCylinder], registry
+    gamma: SL2Element, cyls: list[BoundaryCylinder], expansion: Expansion
 ) -> list[tuple[int, ...]]:
     """The label path of gamma . v for the base v of every cylinder, each
     moved by ``translate_form`` on its own."""
     return [
-        registry.locate_form(translate_form(gamma, form_at(registry, c.base))).path
+        expansion.locate_form(translate_form(gamma, form_at(expansion, c.base))).path
         for c in cyls
     ]
 
@@ -893,29 +1018,29 @@ def direct_images(
 def koopman_matrix(
     gamma: SL2Element,
     depths: DepthSpec,
-    registries: Optional[Registries] = None,
+    expansion_pair: Optional[Expansions] = None,
 ) -> KoopmanMatrix:
     """Assemble the exact action of ``gamma`` on depth-``depths`` step
-    functions.  Needs registries of radius at least depth + length at each
-    place; omitted registries are built."""
+    functions.  Needs expansions of radius at least depth + length at each
+    place; omitted expansions are built."""
     pair = _depth_pair(depths)
     field = gamma.field
     out_pair = (pair[0] + gamma.length_zero, pair[1] + gamma.length_infinity)
-    reg0, reginf = registries or (
-        TreeRegistry(field.q, Place.ZERO, out_pair[0]),
-        TreeRegistry(field.q, Place.INFINITY, out_pair[1]),
+    zero_tree, infinity_tree = expansion_pair or (
+        Expansion(field.q, Place.ZERO, out_pair[0]),
+        Expansion(field.q, Place.INFINITY, out_pair[1]),
     )
-    if reg0.radius < out_pair[0] or reginf.radius < out_pair[1]:
+    if zero_tree.radius < out_pair[0] or infinity_tree.radius < out_pair[1]:
         raise ValueError(
-            f"registry radii ({reg0.radius}, {reginf.radius}) below the "
+            f"expansion radii ({zero_tree.radius}, {infinity_tree.radius}) below the "
             f"output depths {out_pair}"
         )
     factors = []
     for place, in_depth, out_depth, reg in (
-        (Place.ZERO, pair[0], out_pair[0], reg0),
-        (Place.INFINITY, pair[1], out_pair[1], reginf),
+        (Place.ZERO, pair[0], out_pair[0], zero_tree),
+        (Place.INFINITY, pair[1], out_pair[1], infinity_tree),
     ):
-        w = locate(gamma, place, reg)
+        w = reg.locate(gamma)
         in_cyls = boundary_cylinders(field.q + 1, in_depth)
         out_cyls = boundary_cylinders(field.q + 1, out_depth)
         out_paths = label_array([c.base.path for c in out_cyls], out_depth)
@@ -966,10 +1091,10 @@ class MeanOperator:
         self.q = table.q
         self.input_depths = _depth_pair(input_depths)
         self.output_depths = (self.input_depths[0] + n, self.input_depths[1] + n)
-        # one registry pair serves every element: lengths are at most n
-        registries = (
-            TreeRegistry(self.q, Place.ZERO, self.output_depths[0]),
-            TreeRegistry(self.q, Place.INFINITY, self.output_depths[1]),
+        # one expansion pair serves every element: lengths are at most n
+        pair = (
+            Expansion(self.q, Place.ZERO, self.output_depths[0]),
+            Expansion(self.q, Place.INFINITY, self.output_depths[1]),
         )
         inv_size = Fraction(1, len(gammas))
         self._terms = []
@@ -977,7 +1102,7 @@ class MeanOperator:
             factor = AlgebraicValue.rational(inv_size, self.q)
             if xi_weighted:
                 factor = factor / hc_product(g.length_zero, g.length_infinity, self.q).value
-            self._terms.append((koopman_matrix(g, self.input_depths, registries), factor))
+            self._terms.append((koopman_matrix(g, self.input_depths, pair), factor))
 
     def apply(self, h: StepFunction) -> StepFunction:
         total: Optional[StepFunction] = None
@@ -995,7 +1120,7 @@ SplitCoset = tuple[TreeVertex, TreeVertex, list[tuple[int, SL2Element]]]
 
 
 def right_cosets(
-    gammas: Sequence[SL2Element], reg0: TreeRegistry, reginf: TreeRegistry
+    gammas: Sequence[SL2Element], zero_tree: Expansion, infinity_tree: Expansion
 ) -> list[SplitCoset]:
     """Split a sphere, given as its elements, into right cosets rK of
     K = SL2(F_q), independently of the pair scan.
@@ -1009,7 +1134,7 @@ def right_cosets(
     index = {g.to_text(): gi for gi, g in enumerate(gammas)}
     if len(index) != len(gammas):
         raise RuntimeError("the sphere repeats an element")
-    group = constant_group(reg0.field)
+    group = constant_group(zero_tree.field)
     claimed = [False] * len(gammas)
     cosets = []
     for ri, r in enumerate(gammas):
@@ -1026,7 +1151,7 @@ def right_cosets(
             claimed[gi] = True
             members.append((gi, k))
         members.sort()  # by sphere index, which is unique: r comes first
-        cosets.append((locate(r, Place.ZERO, reg0), locate(r, Place.INFINITY, reginf), members))
+        cosets.append((zero_tree.locate(r), infinity_tree.locate(r), members))
     return cosets
 
 
@@ -1046,7 +1171,7 @@ def mean_transfer_function(gammas: Sequence[SL2Element], n: int) -> StepFunction
     if not gammas:
         raise ValueError(f"sphere {n} is empty")
     q = gammas[0].field.q
-    cosets = right_cosets(gammas, *_registries(q, n))
+    cosets = right_cosets(gammas, *expansions(q, n))
     cells = boundary_cylinders(q + 1, n)
     acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
     for w0, w1, members in cosets:
@@ -1069,7 +1194,7 @@ def mean_transfer_function(gammas: Sequence[SL2Element], n: int) -> StepFunction
 # the compression's Gram matrix, element by element
 
 
-def per_element_stack(gammas, place, in_depth, out_depth, registry, q) -> np.ndarray:
+def per_element_stack(gammas, in_depth, out_depth, expansion, q) -> np.ndarray:
     """Transport every element on its own: locate it, move each input
     cylinder's base vertex and mark the output cylinders whose geodesic from
     the located vertex passes through the image, with weight q^(beta/2).
@@ -1077,11 +1202,11 @@ def per_element_stack(gammas, place, in_depth, out_depth, registry, q) -> np.nda
     in_cyls = boundary_cylinders(q + 1, in_depth)
     out_cyls = boundary_cylinders(q + 1, out_depth)
     stack = np.zeros((len(gammas), len(out_cyls), len(in_cyls)))
-    in_forms = [form_at(registry, ic.base) for ic in in_cyls]
+    in_forms = [form_at(expansion, ic.base) for ic in in_cyls]
     for gi, g in enumerate(gammas):
-        w = locate(g, place, registry)
+        w = expansion.locate(g)
         for j, form in enumerate(in_forms):
-            y = registry.locate_form(translate_form(g, form))
+            y = expansion.locate_form(translate_form(g, form))
             for i, oc in enumerate(out_cyls):
                 z = oc.base
                 if gromov_product(w, y) + gromov_product(y, z) == y.depth + gromov_product(w, z):
@@ -1098,10 +1223,9 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
     gammas = table.sphere(n)
     q = table.q
     out_depth = depth + n
-    registries = _registries(q, out_depth)
     P0, P1 = (
-        per_element_stack(gammas, place, depth, out_depth, registry, q)
-        for place, registry in zip((Place.ZERO, Place.INFINITY), registries)
+        per_element_stack(gammas, depth, out_depth, expansion, q)
+        for expansion in expansions(q, out_depth)
     )
     for gi, g in enumerate(gammas):
         P0[gi] /= len(gammas) * float(hc_product(g.length_zero, g.length_infinity, q).value)
@@ -1124,13 +1248,13 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
 
 
 def coset_transports_direct(
-    cosets: Sequence[Coset], n: int, registry: TreeRegistry, place_index: int, depth: int
+    cosets: Sequence[Coset], n: int, expansion: Expansion, place_index: int, depth: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each representative's transport of sphere n at one place for the
     depth-``depth`` input cylinders, as (columns, weights) like the
     program's, but with every input cylinder base of that depth translated
     on its own instead of read off the deepest images."""
-    q = registry.q
+    q = expansion.q
     in_cyls = boundary_cylinders(q + 1, depth)
     out_depth = n + depth
     out_paths = label_array(
@@ -1139,9 +1263,9 @@ def coset_transports_direct(
     columns, weights = [], []
     for coset in cosets:
         r = coset.representative
-        ys = label_array(direct_images(r, in_cyls, registry), out_depth)
+        ys = label_array(direct_images(r, in_cyls, expansion), out_depth)
         betas, covered = _transport_supports(
-            r, coset.vertex(place_index), ys, out_paths, registry.place
+            r, coset.vertex(place_index), ys, out_paths, expansion.place
         )
         columns.append(covered.argmax(axis=0))
         weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
@@ -1169,9 +1293,8 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
     ]
     size = len(inverses)
     lengths = np.zeros((size, size), dtype=np.int64)
-    registries = _registries(table.q, ball_radius)
-    for place, registry in zip((Place.ZERO, Place.INFINITY), registries):
-        paths = [locate(h, place, registry).path for h in inverses]
+    for expansion in expansions(table.q, ball_radius):
+        paths = [expansion.locate(h).path for h in inverses]
         depths = np.array([len(p) for p in paths], dtype=np.int64)
         labels = label_array(paths, ball_radius)
         lengths += depths[:, None] + depths[None, :] - 2 * common_prefix_lengths(labels, labels)

@@ -49,6 +49,20 @@ def test_mean_identity_and_usage_error(capsys):
     assert code == 2
 
 
+def test_mean_identity_budget_is_a_usage_error_before_any_cylinder(capsys, monkeypatch):
+    # degree 3: 384 cylinders times 384 sphere vertices at length 8 are
+    # within the budget, 1,536 times 1,536 at length 10 are not
+    built = []
+    monkeypatch.setattr(cli, "boundary_cylinders", lambda degree, depth: built.append(depth) or [])
+    code, out = run(capsys, "mean-identity", "--length", "8")
+    assert code == 0 and built == [8]
+    for length in ("10", "40"):
+        code, out = run(capsys, "mean-identity", "--length", length)
+        assert code == 2
+        assert out == ""
+    assert built == [8]
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["not-a-command"])
@@ -471,11 +485,15 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
         (["lamplighter", "--radius", "2", "--csv", "{dir}"], None),
         (["spheres", "--max-length", "2", "--cache-dir", "{file}"], None),
         (["report", "--max-length", "2", "--depth", "1"], "{file}"),
+        (["xi", "--length-zero", "2", "--length-infinity", "2", "--out", "{file}/x.json"], None),
+        (["lamplighter", "--radius", "3", "--csv", "{file}/x.csv"], None),
+        (["spheres", "--max-length", "2", "--cache-dir", "{file}/sub"], None),
     ],
 )
 def test_bad_output_paths_are_usage_errors(tmp_path, capsys, monkeypatch, argv, env):
     # a directory where a file is written, or a file where the cache
-    # directory goes, is refused before any work and leaves both untouched
+    # directory or an output's directory goes, is refused before any work
+    # and leaves both untouched
     def refuse(*args):
         raise AssertionError("work started")
 

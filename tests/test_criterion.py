@@ -14,7 +14,6 @@ from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     _compression_gram,
     _cylinder_ancestors,
-    _registries,
     _transports_at,
     check_compression_budget,
     coset_convolution_matrix,
@@ -24,7 +23,7 @@ from rrdlab.criterion import (
     transport_sphere,
     uniform_bound_value,
 )
-from rrdlab.sl2 import SL2Element, TreeRegistry, locate
+from rrdlab.sl2 import SL2Element, TreeRegistry
 from rrdlab.spheres import (
     RadiusBudgetError,
     SphereTable,
@@ -43,6 +42,7 @@ from oracles import (
     constant,
     convolution_matrix,
     coset_transports_direct,
+    expansions,
     gram_per_element,
     integral,
     koopman_matrix,
@@ -175,12 +175,8 @@ def mean_transfer_bruteforce(table, n):
     per-factor reuse of the main path."""
     gammas = table.sphere(n)
     q = table.q
-    reg0 = TreeRegistry(q, Place.ZERO, n)
-    reginf = TreeRegistry(q, Place.INFINITY, n)
-    located = [
-        (locate(g, Place.ZERO, reg0), locate(g, Place.INFINITY, reginf), g)
-        for g in gammas
-    ]
+    zero_tree, infinity_tree = expansions(q, n)
+    located = [(zero_tree.locate(g), infinity_tree.locate(g), g) for g in gammas]
     inv_size = AlgebraicValue.rational(Fraction(1, len(gammas)), q)
     values = {}
     for cell in product_cylinders(q + 1, (n, n)):
@@ -236,10 +232,8 @@ def test_koopman_identity_is_refinement(table4):
 
 def test_koopman_rejects_shallow_registry(table4):
     g = next(iter(table4.sphere(2)))
-    reg0 = TreeRegistry(2, Place.ZERO, 1)
-    reginf = TreeRegistry(2, Place.INFINITY, 1)
-    with pytest.raises(ValueError):
-        koopman_matrix(g, (1, 1), registries=(reg0, reginf))
+    with pytest.raises(ValueError, match="below the output depths"):
+        koopman_matrix(g, (1, 1), expansions(2, 1))
 
 
 def test_mean_operator_matches_transfer(table4):
@@ -422,7 +416,7 @@ def test_spheres_split_into_constant_cosets(request, table_name):
     assert len(finite) == q**3 - q
     group = constant_group(Fq(q))
     for n in table.lengths():
-        reg0, reginf = TreeRegistry(q, Place.ZERO, n), TreeRegistry(q, Place.INFINITY, n)
+        zero_tree, infinity_tree = expansions(q, n)
         cosets = table.cosets(n)
         texts = [coset.representative.to_text() for coset in cosets]
         assert texts == sorted(texts)
@@ -435,8 +429,8 @@ def test_spheres_split_into_constant_cosets(request, table_name):
                 assert all(e.is_zero() or (e.low == 0 and e.top == 0) for e in k.entries())
                 assert r * k == g and g.to_text() == text
                 assert g.total_length == n
-                assert locate(g, Place.ZERO, reg0) == w0
-                assert locate(g, Place.INFINITY, reginf) == w1
+                assert zero_tree.locate(g) == w0
+                assert infinity_tree.locate(g) == w1
             assert {g for _, _, g in expansion} == {r * k for k in finite}
             members += [text for _, text, _ in expansion]
         assert sorted(members) == [g.to_text() for g in table.sphere(n)]
@@ -476,8 +470,7 @@ def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
     # the orbit Gram G' is the element Gram O in orbit coordinates, and O has
     # no component outside the K-invariant cells: G' = Q^T O Q, O = Q G' Q^T
     table = request.getfixturevalue(table_name)
-    registries = _registries(table.q, n + depth)
-    gram, labels = _compression_gram(transport_sphere(table, n, depth, registries), depth)
+    gram, labels = _compression_gram(transport_sphere(table, n, depth), depth)
     oracle = gram_per_element(table, n, depth)
     sizes = np.bincount(labels)
     basis = np.zeros((len(labels), len(sizes)))
@@ -496,8 +489,8 @@ def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
     # its first two leaves to one image
     real = criterion.translate_vertex
 
-    def repeating(elements, forms, registry):
-        rows = real(elements, forms, registry)
+    def repeating(elements, forms):
+        rows = real(elements, forms)
         assert list(elements[: len(GROUP_Q2)]) == GROUP_Q2
         k_rows = rows[: len(GROUP_Q2)]
         k_rows[:] = np.concatenate([k_rows[:, :1], k_rows[:, :-1]], axis=1)
@@ -518,10 +511,10 @@ def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
     real = criterion.translate_vertex
     index = 1  # GROUP_Q2[1] = [[0, 1], [1, 1]]
 
-    def swapped(elements, forms, registry):
-        rows = real(elements, forms, registry)
+    def swapped(elements, forms):
+        rows = real(elements, forms)
         assert list(elements[: len(GROUP_Q2)]) == GROUP_Q2
-        if registry.place is Place.ZERO:
+        if forms[0].place is Place.ZERO:
             rows[index, [0, 1]] = rows[index, [1, 0]]
         return rows
 
@@ -535,10 +528,10 @@ def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
 def test_compression_budget_is_checked_before_any_transport(table4, monkeypatch):
     # q = 2 at depth 6 has 9,216 input cells: a core of 9,216^2 floats (680 MB)
     def refuse(*args):
-        raise AssertionError("a registry or a transport was built")
+        raise AssertionError("a transport or a translation was made")
 
     monkeypatch.setattr(criterion, "transport_sphere", refuse)
-    monkeypatch.setattr(criterion, "_registries", refuse)
+    monkeypatch.setattr(criterion, "translate_vertex", refuse)
     with pytest.raises(RadiusBudgetError, match="compression depth 6 at q = 2"):
         mean_matrix_2norm(table4, 0, 6)
     with pytest.raises(RadiusBudgetError, match="compression depth 6 at q = 2"):
@@ -621,19 +614,6 @@ def test_leaves_are_positions_in_label_order(q):
                 assert below.tolist() == [prefixes.index(u) for u in upper]
 
 
-def test_transports_need_registries_of_the_sphere_and_depth(table4):
-    # the leaves sit at the input depth and the output cylinders n levels
-    # deeper, so both must lie within the registries' radius at both places
-    registries = _registries(2, 4)
-    transport_sphere(table4, 2, 2, registries)
-    for n, depth in ((0, 5), (2, 3), (4, 1)):
-        with pytest.raises(ValueError, match="outside registry radius 4"):
-            transport_sphere(table4, n, depth, registries)
-    zero = TreeRegistry(2, Place.ZERO, 4)
-    with pytest.raises(ValueError, match="outside registry radius 3"):
-        transport_sphere(table4, 2, 2, (zero, TreeRegistry(2, Place.INFINITY, 3)))
-
-
 @pytest.mark.parametrize(
     "table_name, depth", [("table4", 4), ("table_q3n2", 2), ("table_q4n2", 2)]
 )
@@ -641,15 +621,15 @@ def test_derived_transports_match_direct_translation(request, table_name, depth)
     # every shallower image is read off the deepest one on the geodesic;
     # translating each depth's cylinder bases on its own gives the same arrays
     table = request.getfixturevalue(table_name)
-    registries = _registries(table.q, table.max_length + depth)
+    trees = expansions(table.q, table.max_length + depth)
     for n in table.lengths():
-        transports = transport_sphere(table, n, depth, registries)
+        transports = transport_sphere(table, n, depth)
         for k in range(depth + 1):
             _, below = _cylinder_ancestors(table.q + 1, depth, k)
             for place_index in (0, 1):
                 columns, weights = _transports_at(transports, place_index, k, below)
                 direct_columns, direct_weights = coset_transports_direct(
-                    table.cosets(n), n, registries[place_index], place_index, k
+                    table.cosets(n), n, trees[place_index], place_index, k
                 )
                 assert np.array_equal(columns, direct_columns)
                 assert np.array_equal(weights, direct_weights)
@@ -657,8 +637,8 @@ def test_derived_transports_match_direct_translation(request, table_name, depth)
 
 @pytest.mark.parametrize("table_name, depth", [("table4", 4), ("table_q3n2", 2)])
 def test_report_matches_the_standalone_functions_exactly(request, table_name, depth):
-    # the report shares one registry pair and one transport pass per sphere;
-    # each standalone call builds its own, and they agree to the last bit
+    # the report shares one transport pass per sphere among its depths; each
+    # standalone call makes its own, and they agree to the last bit
     table = request.getfixturevalue(table_name)
     verdict = rrd_report(table, depth=depth)
     u_rows = verdict["condition2"]["rows"]
@@ -678,15 +658,15 @@ def test_report_matches_the_standalone_functions_exactly(request, table_name, de
 def test_reference_report_work_is_pinned(table4, monkeypatch):
     # one bulk translation per place and sphere of the 6 elements of K and
     # the sphere's 1, 6 or 45 representatives on the 24 depth-4 cylinders;
-    # one registry pair for the whole report
+    # no registry: every vertex id is computed in closed form
     translations = []
     builds = []
     real_translate = criterion.translate_vertex
     real_init = TreeRegistry.__init__
 
-    def counting_translate(elements, forms, registry):
-        translations.append((len(elements), len(forms), registry.place))
-        return real_translate(elements, forms, registry)
+    def counting_translate(elements, forms):
+        translations.append((len(elements), len(forms), forms[0].place))
+        return real_translate(elements, forms)
 
     def counting_init(self, *args):
         builds.append(args)
@@ -697,4 +677,4 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     rrd_report(table4, 4)
     assert translations == [(size, 24, place) for size in (7, 12, 51) for place in Place]
     assert len(translations) == 6
-    assert len(builds) == 2
+    assert builds == []

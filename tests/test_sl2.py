@@ -10,26 +10,30 @@ from rrdlab.sl2 import (
     SL2Element,
     TreeRegistry,
     _canonical_from_matrix,
-    base_vertex,
     canonical_vertex,
-    code_window,
     locate,
     translate_vertex,
-    vertex_neighbors,
+    vertex_of,
 )
 from rrdlab.spheres import constant_group
-from rrdlab.trees import boundary_cylinders, sphere_vertices
+from rrdlab.trees import TreeVertex, boundary_cylinders, sphere_vertices
 
 from oracles import (
+    Expansion,
     RationalFunction,
+    base_vertex,
     elementary_lower,
+    expansion_levels,
     form_at,
+    form_distance,
     length_at_place,
     sl2_from_text,
     smith_valuations,
     text_sorted_levels,
     translate_form,
     tree_distance,
+    vertex_neighbors,
+    walk_to_root,
 )
 
 rng = random.Random(0x512)
@@ -126,15 +130,10 @@ def test_translate_preserves_adjacency():
 
 
 def test_locate_distance_equals_length():
-    registries = {
-        place: TreeRegistry(2, place, 8) for place in (Place.ZERO, Place.INFINITY)
-    }
     for _ in range(100):
         g = random_word(FIELD, 4)
-        for place, registry in registries.items():
-            if length_at_place(g, place) > 8:
-                continue
-            w = locate(g, place, registry)
+        for place in Place:
+            w = locate(g, place)
             assert tree_distance(w, w.root(3)) == length_at_place(g, place)
 
 
@@ -145,14 +144,13 @@ def test_canonical_vertex_of_identity_is_base():
 
 
 def test_registry_roundtrips_and_bounds():
-    from rrdlab.trees import TreeVertex, sphere_vertices
-
     registry = TreeRegistry(2, Place.ZERO, 4)
-    # locate_form and form_at invert each other on every registered vertex
+    # vertex_of inverts the form of every listed vertex, and every vertex
+    # within the radius is listed at its depth
     for n in range(5):
         for vertex in sphere_vertices(3, n):
             form = form_at(registry, vertex)
-            assert registry.locate_form(form) == vertex
+            assert vertex_of(form) == vertex
     deep = TreeVertex.root(3)
     for _ in range(5):
         deep = deep.child(0)
@@ -168,6 +166,18 @@ def test_levels_keep_the_text_sorted_labels(q, radius):
     # vertex_neighbors order are in the order of their text keys
     for place in Place:
         assert TreeRegistry(q, place, radius).levels == text_sorted_levels(q, place, radius)
+
+
+@pytest.mark.parametrize(
+    "q, radius",
+    [(2, 10), (3, 7), (4, 5), (5, 4), (7, 4), (8, 3), (9, 3), (11, 3), (13, 3), (16, 3)],
+)
+def test_levels_are_the_reference_expansion(q, radius):
+    # the closed form in both directions against the breadth-first expansion
+    for place in Place:
+        levels = TreeRegistry(q, place, radius).levels
+        assert levels == expansion_levels(q, place, radius)
+        assert all(vertex_of(form) == vertex for level in levels for vertex, form in level)
 
 
 @pytest.mark.parametrize("q", [11, 16])
@@ -187,18 +197,6 @@ def test_levels_are_the_label_expansion(q):
                 assert parents[(vertex.id - 1) // degree] in vertex_neighbors(form)
             ids = [vertex.id for vertex, _ in levels[depth]]
             assert all(a < b for a, b in zip(ids, ids[1:]))
-
-
-def test_registry_refuses_a_registered_neighbor(monkeypatch):
-    import rrdlab.sl2
-
-    def repeating(v):
-        out = vertex_neighbors(v)
-        return out + out[:1]
-
-    monkeypatch.setattr(rrdlab.sl2, "vertex_neighbors", repeating)
-    with pytest.raises(RuntimeError, match="registry build inconsistency"):
-        TreeRegistry(2, Place.ZERO, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +252,18 @@ def test_canonical_vertex_matches_rational_oracle(request, table_name):
 
 @pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
 def test_translate_vertex_matches_rational_oracle(request, table_name):
-    # every element moves every vertex within 3 of the base, into a registry
-    # that reaches the images
+    # every element moves every vertex within 3 of the base; the expansion
+    # reaches the images
     table = request.getfixturevalue(table_name)
     q, gammas = table.q, sphere_elements(table)
     for place in Place:
-        registry = TreeRegistry(q, place, table.max_length + 3)
-        forms = [form_at(registry, v) for d in range(4) for v in sphere_vertices(q + 1, d)]
+        expansion = Expansion(q, place, table.max_length + 3)
+        forms = [form_at(expansion, v) for d in range(4) for v in sphere_vertices(q + 1, d)]
         expected = [
-            [registry.locate_form(oracle_translate(g, form)).id for form in forms]
+            [expansion.locate_form(oracle_translate(g, form)).id for form in forms]
             for g in gammas
         ]
-        assert translate_vertex(gammas, forms, registry).tolist() == expected
+        assert translate_vertex(gammas, forms).tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -279,63 +277,62 @@ def test_translate_vertex_matches_scalar_oracle(request, table_name, depth):
     representatives = [c.representative for n in table.lengths() for c in table.cosets(n)]
     group = [k for k, _, _ in constant_group(Fq(q))]
     for place in Place:
-        registry = TreeRegistry(q, place, table.max_length + depth)
-        forms = [form_at(registry, c.base) for c in boundary_cylinders(q + 1, depth)]
+        expansion = Expansion(q, place, table.max_length + depth)
+        forms = [form_at(expansion, c.base) for c in boundary_cylinders(q + 1, depth)]
         for elements in (representatives, group):
             expected = [
-                [registry.locate_form(translate_form(g, form)).id for form in forms]
+                [expansion.locate_form(translate_form(g, form)).id for form in forms]
                 for g in elements
             ]
-            assert translate_vertex(elements, forms, registry).tolist() == expected
+            assert translate_vertex(elements, forms).tolist() == expected
 
 
 def test_translate_vertex_raises_outside_the_registry():
+    # there is no registry radius any more; forms of two places are refused
     shift = SL2Element.diagonal_shift(FIELD, 1)
-    registry = TreeRegistry(2, Place.ZERO, 2)
-    o = base_vertex(FIELD, Place.ZERO)
-    leaves = [form_at(registry, v) for v in sphere_vertices(3, 1)]
-    # a diagonal exponent beyond the radius: shift . o is at distance 2, and
-    # one leaf goes to (3, 0, 0) at distance 3
-    assert translate_vertex([shift], [o], registry).shape == (1, 1)
-    with pytest.raises(ValueError, match="outside registry radius 2"):
-        translate_vertex([shift], leaves, registry)
-    # an off-diagonal entry below the code window: X^-2 at distance 4
-    lower = elementary_lower(LaurentPolynomial.x_power(FIELD, -2))
-    with pytest.raises(ValueError, match="outside registry radius 2"):
-        translate_vertex([SL2Element.identity(FIELD), lower], [o], registry)
-    # a form inside the code window that is not registered: (1, 0, X^-1)
-    image = translate_form(shift, leaves[1])
-    assert image.to_text() == "a=1;b=0;low=-1;coeffs=1"
-    with pytest.raises(ValueError, match="outside registry radius 2"):
-        translate_vertex([shift], [leaves[1]], registry)
-    with pytest.raises(ValueError, match="place"):
-        translate_vertex([shift], [o], TreeRegistry(2, Place.INFINITY, 2))
+    forms = [base_vertex(FIELD, place) for place in Place]
+    with pytest.raises(ValueError, match="one place"):
+        translate_vertex([shift], forms)
 
 
 def test_translate_vertex_rejects_a_zero_top_row():
     zero = LaurentPolynomial.zero(FIELD)
     one = LaurentPolynomial.one(FIELD)
-    registry = TreeRegistry(2, Place.ZERO, 2)
     degenerate = SL2Element(zero, zero, one, one, check=False)
     with pytest.raises(ValueError, match="zero top row"):
-        translate_vertex([degenerate], [base_vertex(FIELD, Place.ZERO)], registry)
+        translate_vertex([degenerate], [base_vertex(FIELD, Place.ZERO)])
 
 
-def test_code_window_holds_every_registered_form():
-    for q, radius in ((2, 8), (3, 5), (4, 3)):
-        low, width = code_window(q, radius)
-        for place in Place:
-            levels = TreeRegistry(q, place, radius).levels
-            for form in (form for level in levels for _, form in level):
-                c = form.off_diag
-                assert 0 <= form.diag_low <= radius and 0 <= form.diag_high <= radius
-                assert c.is_zero() or (low <= c.low and c.top < min(form.diag_high, low + width))
-    # codes are below (radius + 1)^2 q^width, which must fit in int64
-    code_window(2, 35)
+@pytest.mark.parametrize("q", [2, 3])
+def test_translate_vertex_reaches_beyond_any_registry(q):
+    # images at depth 20 and more, against a walk to the root along
+    # vertex_neighbors with Smith-form distances
+    field = Fq(q)
+    for place, sign in ((Place.ZERO, -1), (Place.INFINITY, 1)):
+        # X^-k is far from integral at zero, X^k at infinity
+        elements = [
+            SL2Element.diagonal_shift(field, 11),
+            elementary_lower(LaurentPolynomial.x_power(field, sign * 11)),
+        ]
+        forms = [form_at(Expansion(q, place, 2), v) for v in sphere_vertices(q + 1, 2)]
+        images = [[translate_form(g, form) for form in forms] for g in elements]
+        assert min(form_distance(image) for row in images for image in row) >= 20
+        expected = [[walk_to_root(image).id for image in row] for row in images]
+        assert translate_vertex(elements, forms).tolist() == expected
+
+
+def test_translate_vertex_refuses_ids_that_overflow_int64():
+    # at q = 2 every id of depth 39 fits in int64, and (40, 0, 0) has the id
+    # 4 3^39 - 1 > 2^63
+    o = base_vertex(FIELD, Place.ZERO)
+    leaves = [form_at(Expansion(2, Place.ZERO, 1), v) for v in sphere_vertices(3, 1)]
+    shift = SL2Element.diagonal_shift(FIELD, 19)
+    images = [translate_form(shift, leaf) for leaf in leaves]
+    assert max(form_distance(image) for image in images) == 39
+    ids = translate_vertex([shift], leaves)[0].tolist()
+    assert ids == [vertex_of(image).id for image in images]
     with pytest.raises(ValueError, match="overflow int64"):
-        code_window(2, 36)
-    with pytest.raises(ValueError, match="overflow int64"):
-        code_window(13, 11)
+        translate_vertex([SL2Element.diagonal_shift(FIELD, 20)], [o])
 
 
 def test_canonical_form_rejects_degenerate_input():

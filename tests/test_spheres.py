@@ -8,7 +8,6 @@ import pytest
 from rrdlab import CACHE_MAJOR_VERSION, spheres
 from rrdlab.algebra import Fq
 from rrdlab.boundary import hc_product
-from rrdlab.criterion import _registries
 from rrdlab.sl2 import SL2Element
 from rrdlab.spheres import (
     Condition1Report,
@@ -24,6 +23,7 @@ from rrdlab.spheres import (
 
 from oracles import (
     bfs_crosscheck,
+    expansions,
     right_cosets,
     sl2_from_text,
     window_polynomials,
@@ -94,7 +94,7 @@ def test_oracle_spheres_split_into_the_tables_cosets(q, max_length):
         }
     assert sorted(buckets) == table.lengths()
     for n, gammas in buckets.items():
-        split = right_cosets(gammas, *_registries(q, n))
+        split = right_cosets(gammas, *expansions(q, n))
         assert [Coset(gammas[members[0][0]], w0, w1) for w0, w1, members in split] == list(
             table.cosets(n)
         )
