@@ -21,10 +21,12 @@ Everything in this module is exact and immutable.  Conventions:
   are decided by exact sign computations on a^2 - q*b^2; no floating point is
   involved.  When q is a perfect square the irrational part is folded into the
   rational part, keeping representations canonical.
+* ``plain`` is the one rule by which results are written to JSON.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
@@ -704,3 +706,20 @@ class AlgebraicValue:
         if self.a == 0:
             return f"{self.b}*sqrt({self.q})"
         return f"{self.a} + {self.b}*sqrt({self.q})"
+
+
+def plain(value):
+    """The JSON form every artifact is written in: a dataclass is the dict of
+    its fields, an ``AlgebraicValue`` its ``as_triple``, a Fraction its text
+    and any other tuple a list, all the way down; anything else is itself.
+    Every field is written, so a record holds nothing that varies between
+    runs, such as a timing: artifacts are byte-identical."""
+    if isinstance(value, AlgebraicValue):
+        return value.as_triple()
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [plain(item) for item in value]
+    return value

@@ -15,7 +15,6 @@ multiplies factor values and is cached per length pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,16 +35,7 @@ def cocycle_sqrt(w: TreeVertex, cylinder: BoundaryCylinder) -> AlgebraicValue:
     return AlgebraicValue.sqrt_q_power(w.degree - 1, beta)
 
 
-@dataclass(frozen=True, slots=True)
-class HarishChandraValue:
-    """An exact spherical-function value together with the lengths it was
-    evaluated at: one length for a single tree, a pair for the product."""
-
-    value: AlgebraicValue
-    lengths: tuple[int, ...]
-
-
-def hc_tree_closed(degree: int, n: int) -> HarishChandraValue:
+def hc_tree_closed(degree: int, n: int) -> AlgebraicValue:
     """Closed-form spherical function of the d-regular tree at displacement n."""
     if degree < 3:
         raise ValueError("degree must be at least 3")
@@ -53,20 +43,17 @@ def hc_tree_closed(degree: int, n: int) -> HarishChandraValue:
         raise ValueError("negative displacement")
     q = degree - 1
     coeff = 1 + Fraction(q - 1, q + 1) * n
-    value = AlgebraicValue.rational(coeff, q) * AlgebraicValue.sqrt_q_power(q, -n)
-    return HarishChandraValue(value, (n,))
+    return AlgebraicValue.rational(coeff, q) * AlgebraicValue.sqrt_q_power(q, -n)
 
 
 @lru_cache(maxsize=None)
-def hc_product(length_zero: int, length_infinity: int, q: int) -> HarishChandraValue:
+def hc_product(length_zero: int, length_infinity: int, q: int) -> AlgebraicValue:
     """Spherical function of the product of the two (q+1)-regular trees.
 
     The boundary measure is the product measure, so the value is the product
     of the factor values; cached per length pair.
     """
-    v0 = hc_tree_closed(q + 1, length_zero).value
-    v1 = hc_tree_closed(q + 1, length_infinity).value
-    return HarishChandraValue(v0 * v1, (length_zero, length_infinity))
+    return hc_tree_closed(q + 1, length_zero) * hc_tree_closed(q + 1, length_infinity)
 
 
 def hc_product_expanded(length_zero: int, length_infinity: int, q: int) -> AlgebraicValue:
@@ -89,8 +76,15 @@ def sphere_average_check(degree: int, n: int, cylinder: BoundaryCylinder) -> Alg
     if cylinder.depth < n:
         raise ValueError("cylinder too shallow for the sphere radius")
     q = degree - 1
-    acc = AlgebraicValue.rational(0, q)
+    # terms with equal Busemann values are equal: add one per value, times
+    # the number of sphere vertices that have it
+    members: dict[int, tuple[TreeVertex, int]] = {}
     for w in sphere_vertices(degree, n):
-        acc = acc + cocycle_sqrt(w, cylinder)
+        beta = busemann(cylinder, w)
+        first, count = members.get(beta, (w, 0))
+        members[beta] = (first, count + 1)
+    acc = AlgebraicValue.rational(0, q)
+    for w, count in members.values():
+        acc = acc + cocycle_sqrt(w, cylinder) * AlgebraicValue.rational(count, q)
     average = acc / AlgebraicValue.rational(sphere_size(degree, n), q)
-    return average / hc_tree_closed(degree, n).value
+    return average / hc_tree_closed(degree, n)

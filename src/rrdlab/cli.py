@@ -5,9 +5,10 @@ indent, trailing newline) to stdout or, with --out, to a file written
 atomically via a same-directory temp file and rename.  Exit status: 0 when
 all checks the command performs pass, 1 when a numeric check or threshold
 fails, 2 on usage errors (bad arguments, or a radius beyond the budget of
-the sphere enumeration, the subgroup ball search, the ball-count BFS or the
-mean-identity check), 3
-on an internal fault (any other exception).
+the sphere enumeration, the subgroup ball search, the ball-count BFS, the
+mean-identity check, the compression core or the convolution matrix), 3 on
+an internal fault (any other exception).  Result records are written by
+``algebra.plain``.
 
 Sphere tables can be cached: with --cache-dir or RRDLAB_CACHE_DIR set,
 tables live in files keyed by (q, max length, cache major version).  A cache
@@ -30,7 +31,7 @@ import traceback
 from typing import Optional
 
 from . import CACHE_MAJOR_VERSION, __version__
-from .algebra import AlgebraicValue, Fq
+from .algebra import AlgebraicValue, Fq, plain
 from .boundary import (
     hc_product,
     hc_product_expanded,
@@ -218,7 +219,7 @@ def _cmd_ball_count(args: argparse.Namespace) -> int:
 def _cmd_xi(args: argparse.Namespace) -> int:
     if args.length_zero < 0 or args.length_infinity < 0:
         raise UsageError("lengths must be nonnegative")
-    closed = hc_product(args.length_zero, args.length_infinity, args.q).value
+    closed = hc_product(args.length_zero, args.length_infinity, args.q)
     expanded = hc_product_expanded(args.length_zero, args.length_infinity, args.q)
     passed = closed == expanded
     payload = _envelope(
@@ -229,7 +230,7 @@ def _cmd_xi(args: argparse.Namespace) -> int:
             "length_infinity": args.length_infinity,
         },
         {
-            "value": closed.as_triple(),
+            "value": plain(closed),
             "value_float": float(closed),
             "expanded_matches": passed,
         },
@@ -279,7 +280,7 @@ def _cmd_condition1(args: argparse.Namespace) -> int:
     payload = _envelope(
         "condition1",
         {"q": args.q, "max_length": args.max_length, "cache": cache},
-        report.to_dict(),
+        plain(report),
         passed,
     )
     _emit(_canonical_json(payload), args.out)
@@ -303,7 +304,7 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
             "threshold": json_threshold(args.threshold),
             "cache": cache,
         },
-        report.to_dict(),
+        plain(report),
         passed,
     )
     _emit(_canonical_json(payload), args.out)
@@ -329,7 +330,7 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
             "radius": args.radius,
             "cache": cache,
         },
-        result.to_dict(),
+        plain(result),
         passed,
     )
     _emit(_canonical_json(payload), args.out)
@@ -341,7 +342,7 @@ def _cmd_lamplighter(args: argparse.Namespace) -> int:
         raise UsageError("radius must be at least 1")
     sizes = h_ball_growth(args.q, args.radius)
     certificate = exponential_certificate(args.q, sizes)
-    passed = certificate.passed
+    passed = certificate.rd_failure_flag
     if args.csv:
         buffer = io.StringIO()
         buffer.write("radius,ball_size,log_growth_rate\n")
@@ -351,7 +352,7 @@ def _cmd_lamplighter(args: argparse.Namespace) -> int:
     payload = _envelope(
         "lamplighter",
         {"q": args.q, "radius": args.radius, "csv": args.csv},
-        certificate.to_dict(),
+        plain(certificate),
         passed,
     )
     _emit(_canonical_json(payload), args.out)

@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
-from .algebra import AlgebraicValue, Fq, Place
+from .algebra import AlgebraicValue, Fq, Place, plain
 from .boundary import hc_product
 from .lamplighter import exponential_certificate, h_ball_growth
 from .sl2 import form_of, translate_vertex
@@ -83,8 +83,10 @@ CHAIN_SLACK = 1e-8
 BASE_IDENTITY_TOL = 1e-6
 MAX_MEAN_LENGTH = 4
 DEFAULT_U_THRESHOLD = 8.0
-# Largest compression core, in float64 entries (80 MB): q = 2 up to depth 5
-# (5.3 million), q = 3 up to depth 3 (1.7 million)
+# Largest dense matrix, in float64 entries (80 MB): a compression's core,
+# q = 2 up to depth 5 (5.3 million) and q = 3 up to depth 3 (1.7 million),
+# and the convolution matrix on a ball's cosets, q = 2 up to radius 8
+# (2.4 million) and q = 3 up to radius 4 (68,121)
 CORE_BUDGET = 10_000_000
 # Entries of a compression's row blocks (512 kB of float64 or int64)
 ROW_BLOCK = 1 << 16
@@ -346,21 +348,11 @@ class MeanReport:
             return threshold == math.inf
         return self.value <= Fraction(threshold)
 
-    def to_dict(self) -> dict:
-        # timings stay out of artifacts: reports must be byte-identical
-        return {
-            "n": self.n,
-            "value": self.value.as_triple(),
-            "value_float": self.value_float,
-            "depths": list(self.depths),
-            "sphere_size": self.sphere_size,
-        }
-
 
 def _spherical_coefficient(l0: int, l1: int, q: int) -> Fraction:
     """c(l0) c(l1) = Xi(l0, l1) q^((l0+l1)/2), read from ``hc_product``:
     the rational factor of the spherical function, c(l) = 1 + l(q-1)/(q+1)."""
-    scaled = hc_product(l0, l1, q).value * AlgebraicValue.sqrt_q_power(q, l0 + l1)
+    scaled = hc_product(l0, l1, q) * AlgebraicValue.sqrt_q_power(q, l0 + l1)
     if not scaled.is_rational():
         raise RuntimeError(f"Xi({l0}, {l1}) q^(({l0}+{l1})/2) is not rational at q = {q}")
     return scaled.a
@@ -426,16 +418,6 @@ class CompressionResult:
     value: float
     iterations: int
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "depths": list(self.depths),
-            "value": self.value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "tolerance": TOLERANCE,
-        }
 
 
 def _seeded_start(length: int) -> np.ndarray:
@@ -532,7 +514,7 @@ def _compression_gram(
     # every depth-k cylinder has the same measure, one over the sphere size
     mu_out = 1.0 / sphere_size(degree, depth + n)
     coeffs = np.array([
-        1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q).value))
+        1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q)))
         for c in cosets
     ])
     cells = size * size
@@ -631,17 +613,6 @@ class ConvolutionResult:
         """The bound stays below |C_n|, the l1 norm of the indicator."""
         return self.value <= self.sphere_size + 1e-9
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ball_radius": self.ball_radius,
-            "value": self.value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "ball_size": self.ball_size,
-            "sphere_size": self.sphere_size,
-        }
-
 
 def coset_convolution_matrix(cosets: Sequence[Coset], n: int) -> np.ndarray:
     """The sphere indicator's convolution on the ball's right cosets: the
@@ -678,6 +649,8 @@ def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> Co
     E M' E^T (``coset_convolution_matrix``), with E / sqrt(|K|) an isometry,
     so its norm is |K| times the norm of M'.  The sphere is inversion
     closed, so M' is symmetric and the iteration runs on its square.
+    Raises RadiusBudgetError before any matrix is built when M' would
+    exceed CORE_BUDGET entries.
     """
     if table.sphere_size(n) == 0:
         raise ValueError(f"sphere {n} is empty")
@@ -687,6 +660,12 @@ def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> Co
             f"table radius {table.max_length}"
         )
     ball = [coset for m in table.lengths() if m <= ball_radius for coset in table.cosets(m)]
+    if len(ball) ** 2 > CORE_BUDGET:
+        raise RadiusBudgetError(
+            f"the convolution on the ball of radius {ball_radius} at q = {table.q} "
+            f"needs a matrix of {len(ball) ** 2:,} entries over its {len(ball):,} "
+            f"cosets, more than {CORE_BUDGET:,}"
+        )
     matrix = coset_convolution_matrix(ball, n)
     eigenvalue, iterations, converged = _power_iteration_symmetric(
         matrix @ matrix, _seeded_start(len(matrix))
@@ -715,10 +694,10 @@ def rrd_report(
     condition-(2) sup norms U_n, the compression 2-norms with their chain
     check against U_n, the convolution lower bounds with the finite-subgroup
     identity at n = 0, and the subgroup growth certificate for the failure
-    side.  All exact values appear as (a, b, q) triples.  ``u_bound`` is
-    the condition-(2) threshold on every U_n.  A depth whose compression
-    core exceeds CORE_BUDGET raises RadiusBudgetError before any transport
-    is made.
+    side, each record written by ``plain`` (exact values as (a, b, q)
+    triples).  ``u_bound`` is the condition-(2) threshold on every U_n.  A
+    depth whose compression core exceeds CORE_BUDGET raises
+    RadiusBudgetError before any transport is made.
     """
     q, max_length = table.q, table.max_length
     check_compression_budget(q, depth)
@@ -745,10 +724,12 @@ def rrd_report(
             result = mean_matrix_2norm(table, n, k, transports)
             ok = result.value <= u_n.value_float + CHAIN_SLACK
             chain_ok = chain_ok and ok
-            row = result.to_dict()
-            row["u_bound_float"] = u_n.value_float
-            row["chain_ok"] = ok
-            compression_rows.append(row)
+            compression_rows.append({
+                **plain(result),
+                "tolerance": TOLERANCE,
+                "u_bound_float": u_n.value_float,
+                "chain_ok": ok,
+            })
     cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
 
     convolution_rows = []
@@ -756,10 +737,8 @@ def rrd_report(
     l1_ok = True
     for n, ball_radius in convolution_radii.items():
         result = convolution_opnorm_lower(table, n, ball_radius)
-        row = result.to_dict()
-        row["l1_ok"] = result.l1_ok
         l1_ok = l1_ok and result.l1_ok
-        convolution_rows.append(row)
+        convolution_rows.append({**plain(result), "l1_ok": result.l1_ok})
         if n == 0:
             expected = float(q**3 - q)
             base_identity = {
@@ -789,10 +768,10 @@ def rrd_report(
             "cache_major": CACHE_MAJOR_VERSION,
             "sphere_provenance": PROVENANCE_PAIRS,
         },
-        "condition1": {**cond1.to_dict(), "pass": cond1.passed},
+        "condition1": {**plain(cond1), "pass": cond1.passed},
         "condition2": {
             "threshold": json_threshold(u_bound),
-            "rows": [r.to_dict() for r in mean_reports],
+            "rows": [plain(r) for r in mean_reports],
             "pass": cond2_pass,
         },
         "compressions": {
@@ -805,7 +784,7 @@ def rrd_report(
             "base_identity": base_identity,
             "pass": convolution_pass,
         },
-        "lamplighter-ref": {**lamp.to_dict(), "pass": lamp.passed},
+        "lamplighter-ref": {**plain(lamp), "pass": lamp.rd_failure_flag},
     }
     verdict["pass"] = all(
         verdict[section]["pass"]

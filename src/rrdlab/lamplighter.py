@@ -24,11 +24,7 @@ from typing import Optional, Sequence
 
 from .algebra import Fq, LaurentPolynomial
 from .sl2 import SL2Element
-from .spheres import RadiusBudgetError
-
-# Largest ball the breadth-first search may hold; the report's radius 10
-# needs 19,110 elements at q = 2 and 316,381 at q = 3.
-ELEMENT_BUDGET = 2_000_000
+from .trees import ELEMENT_BUDGET, RadiusBudgetError
 
 
 @dataclass(frozen=True)
@@ -242,34 +238,7 @@ class GrowthCertificate:
     family_checks: tuple[FamilyCheck, ...]
     certified_rate: float          # 2^(1/3), valid for every n by the word construction
     empirical_rate: float          # max over computed radii of |B(r)|^(1/r)
-
-    @property
-    def rd_failure_flag(self) -> bool:
-        return bool(self.family_checks) and all(f.ok for f in self.family_checks)
-
-    @property
-    def passed(self) -> bool:
-        """The failure flag is raised, so every word-family check held."""
-        return self.rd_failure_flag
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "ball_sizes": list(self.ball_sizes),
-            "family_checks": [
-                {
-                    "n": f.n,
-                    "word_length": f.word_length,
-                    "ball_size": f.ball_size,
-                    "family_size": f.family_size,
-                    "ok": f.ok,
-                }
-                for f in self.family_checks
-            ],
-            "certified_rate": self.certified_rate,
-            "empirical_rate": self.empirical_rate,
-            "rd_failure_flag": self.rd_failure_flag,
-        }
+    rd_failure_flag: bool
 
 
 def exponential_certificate(q: int, ball_sizes: Sequence[int]) -> GrowthCertificate:
@@ -308,6 +277,7 @@ def exponential_certificate(q: int, ball_sizes: Sequence[int]) -> GrowthCertific
         family_checks=tuple(checks),
         certified_rate=2.0 ** (1.0 / 3.0),
         empirical_rate=empirical,
+        rd_failure_flag=bool(checks) and all(f.ok for f in checks),
     )
 
 

@@ -44,10 +44,16 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import CACHE_MAJOR_VERSION, __version__
-from .algebra import Fq, LaurentPolynomial, Place, poly_xgcd
-from .boundary import HarishChandraValue, hc_product
+from .algebra import AlgebraicValue, Fq, LaurentPolynomial, Place, poly_xgcd
+from .boundary import hc_product
 from .sl2 import LatticeVertex, SL2Element, TreeRegistry, canonical_vertex
-from .trees import RadiusBudgetError, TreeVertex, ball_count_formula, sphere_size
+from .trees import (
+    ELEMENT_BUDGET,
+    RadiusBudgetError,
+    TreeVertex,
+    ball_count_formula,
+    sphere_size,
+)
 
 PROVENANCE_PAIRS = "pair-certified"
 POLYNOMIAL_EXPONENT = Fraction(5, 2)
@@ -367,7 +373,7 @@ class SphereTable:
         try:
             cosets, texts = _scan(q, max_length)
         except RadiusBudgetError as exc:
-            raise ValueError(f"sphere table radius {max_length} is beyond the pair budget") from exc
+            raise ValueError(f"sphere table radius {max_length} is beyond the scan's budget") from exc
         if body.get("buckets") != texts:
             raise ValueError(
                 "sphere table buckets are not the pair scan's cosets expanded by "
@@ -379,7 +385,8 @@ class SphereTable:
 def _check_pair_budget(q: int, max_length: int) -> None:
     """Raise RadiusBudgetError when the even-depth vertex pairs with
     d0 + d1 <= max_length, counted from the tree sphere sizes (q+1) q^(d-1),
-    exceed PAIR_BUDGET."""
+    exceed PAIR_BUDGET, or when their expansions by K, q^3 - q elements per
+    pair, would exceed ELEMENT_BUDGET."""
     count = 0
     for total in range(0, max_length + 1, 2):
         count += sum(
@@ -391,6 +398,12 @@ def _check_pair_budget(q: int, max_length: int) -> None:
                 f"radius {max_length} at q = {q} needs more than {PAIR_BUDGET} "
                 f"candidate vertex pairs"
             )
+    elements = count * (q**3 - q)
+    if elements > ELEMENT_BUDGET:
+        raise RadiusBudgetError(
+            f"radius {max_length} at q = {q} has {count:,} candidate vertex pairs, "
+            f"whose cosets may hold {elements:,} elements, more than {ELEMENT_BUDGET:,}"
+        )
 
 
 # An element k of K = SL2(F_q) with its columns (k11, k21) and (k12, k22).
@@ -433,12 +446,9 @@ def trivial_pairs(
     d0 + d1 <= ``max_length`` that is the located pair of a right coset, as
     its length d0 + d1, the representative ``_pair_representative`` reads
     off it, and the two vertices.  Their label paths come from the
-    registries the scan walks, so nothing is located.
-
-    Raises RadiusBudgetError when the candidate pairs exceed PAIR_BUDGET,
-    before any registry is built.
+    registries the scan walks, so nothing is located.  The caller checks
+    the budgets first (``_check_pair_budget``).
     """
-    _check_pair_budget(q, max_length)
     levels = [TreeRegistry(q, place, max_length).levels for place in (Place.ZERO, Place.INFINITY)]
     for d0 in range(0, max_length + 1, 2):
         for d1 in range(0, max_length - d0 + 1, 2):
@@ -453,7 +463,10 @@ def _scan(q: int, max_length: int) -> tuple[dict[int, tuple[Coset, ...]], dict[s
     """The pair scan's right cosets by length, and the sorted texts of their
     members, keyed as in ``to_json``.  Each coset's representative is its
     first member in text order, and a length's cosets are sorted by it.
-    Raises RuntimeError when two cosets share an element."""
+    Raises RadiusBudgetError before K or any registry is built when the scan
+    is over budget (``_check_pair_budget``), and RuntimeError when two
+    cosets share an element."""
+    _check_pair_budget(q, max_length)
     group = constant_group(Fq(q))
     found: dict[int, list[tuple[str, Coset]]] = {}
     texts: dict[str, list[str]] = {}
@@ -478,10 +491,10 @@ def enumerate_ball(q: int, max_length: int) -> SphereTable:
     """Pair-certified enumeration of the length ball of radius ``max_length``:
     the right cosets of the pair scan (``trivial_pairs``).
 
-    Raises RadiusBudgetError when the candidate vertex pairs exceed
-    PAIR_BUDGET (before any registry is built), and RuntimeError when a
-    representative fails its checks or the expansion by K yields an element
-    twice.
+    Raises RadiusBudgetError when the candidate vertex pairs or their
+    cosets' elements are over budget (``_check_pair_budget``, before K or
+    any registry is built), and RuntimeError when a representative fails its
+    checks or the expansion by K yields an element twice.
     """
     if max_length < 0:
         raise ValueError("negative ball radius")
@@ -492,41 +505,34 @@ def enumerate_ball(q: int, max_length: int) -> SphereTable:
     return table
 
 
-def sup_xi_on_sphere(table: SphereTable, n: int) -> HarishChandraValue:
+def sup_xi_on_sphere(table: SphereTable, n: int) -> tuple[AlgebraicValue, tuple[int, int]]:
     """Largest spherical-function value over the length pairs realized on the
-    sphere, decided in exact arithmetic."""
+    sphere, decided in exact arithmetic, with the first length pair (in
+    sorted order) that attains it."""
     pairs = table.realized_length_pairs(n)
     if not pairs:
         raise ValueError(f"sphere {n} is empty")
-    best: Optional[HarishChandraValue] = None
-    for l0, linf in sorted(pairs):
-        hc = hc_product(l0, linf, table.q)
-        if best is None or hc.value > best.value:
-            best = hc
-    assert best is not None
-    return best
+    return max(
+        ((hc_product(l0, linf, table.q), (l0, linf)) for l0, linf in sorted(pairs)),
+        key=itemgetter(0),
+    )
 
 
-def sup_xi_over_splittings(q: int, n: int) -> HarishChandraValue:
+def sup_xi_over_splittings(q: int, n: int) -> AlgebraicValue:
     """Largest spherical value over all even splittings l0 + linf = n,
     realized or not; this is the rigorous-side counterpart."""
-    best: Optional[HarishChandraValue] = None
-    for l0 in range(0, n + 1, 2):
-        hc = hc_product(l0, n - l0, q)
-        if best is None or hc.value > best.value:
-            best = hc
-    assert best is not None
-    return best
+    return max(hc_product(l0, n - l0, q) for l0 in range(0, n + 1, 2))
 
 
 @dataclass(frozen=True)
 class Condition1Row:
     n: int
     sphere_size: int
-    sup_xi: HarishChandraValue
+    sup_xi: AlgebraicValue
+    sup_xi_lengths: tuple[int, int]  # first realized pair attaining sup_xi
     observed: float           # sup_xi * sqrt(|C_n|)
     fiber_bound_size: int     # (|B_n| - |B_{n-1}|) * (q^3 - q)
-    splitting_sup: HarishChandraValue
+    splitting_sup: AlgebraicValue
     rigorous: float           # splitting sup * sqrt(fiber bound)
     observed_ratio: float     # observed / n^exponent
     rigorous_ratio: float
@@ -547,34 +553,10 @@ class Condition1Report:
         exactly on squares: sup_xi^2 * |C_n| <= splitting_sup^2 * fiber bound
         (both sups are positive; the float columns are for display only)."""
         return all(
-            r.sup_xi.value * r.sup_xi.value * r.sphere_size
-            <= r.splitting_sup.value * r.splitting_sup.value * r.fiber_bound_size
+            r.sup_xi * r.sup_xi * r.sphere_size
+            <= r.splitting_sup * r.splitting_sup * r.fiber_bound_size
             for r in self.rows
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "max_length": self.max_length,
-            "exponent": str(self.exponent),
-            "fitted_constant": self.fitted_constant,
-            "rigorous_constant": self.rigorous_constant,
-            "rows": [
-                {
-                    "n": r.n,
-                    "sphere_size": r.sphere_size,
-                    "sup_xi": r.sup_xi.value.as_triple(),
-                    "sup_xi_lengths": list(r.sup_xi.lengths),
-                    "observed": r.observed,
-                    "fiber_bound_size": r.fiber_bound_size,
-                    "splitting_sup": r.splitting_sup.value.as_triple(),
-                    "rigorous": r.rigorous,
-                    "observed_ratio": r.observed_ratio,
-                    "rigorous_ratio": r.rigorous_ratio,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def condition_one_certificate(table: SphereTable) -> Condition1Report:
@@ -592,18 +574,19 @@ def condition_one_certificate(table: SphereTable) -> Condition1Report:
         size = table.sphere_size(n)
         if size == 0:
             continue
-        sup = sup_xi_on_sphere(table, n)
-        observed = float(sup.value) * sqrt(size)
+        sup, sup_lengths = sup_xi_on_sphere(table, n)
+        observed = float(sup) * sqrt(size)
         pair_shell = ball_count_formula(d, n) - ball_count_formula(d, n - 1)
         fiber_bound = pair_shell * unit_order
         split_sup = sup_xi_over_splittings(table.q, n)
-        rigorous = float(split_sup.value) * sqrt(fiber_bound)
+        rigorous = float(split_sup) * sqrt(fiber_bound)
         scale = float(n) ** float(POLYNOMIAL_EXPONENT)
         rows.append(
             Condition1Row(
                 n=n,
                 sphere_size=size,
                 sup_xi=sup,
+                sup_xi_lengths=sup_lengths,
                 observed=observed,
                 fiber_bound_size=fiber_bound,
                 splitting_sup=split_sup,

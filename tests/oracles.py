@@ -56,7 +56,7 @@ from rrdlab.algebra import (
     poly_gcd,
     series_quotient,
 )
-from rrdlab.boundary import HarishChandraValue, cocycle_sqrt, hc_product
+from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.lamplighter import HElement, generating_set, h_membership
 from rrdlab.sl2 import (
     LatticeVertex,
@@ -582,7 +582,7 @@ def form_at(expansion: Expansion, vertex: TreeVertex) -> LatticeVertex:
 # the spherical function by a boundary partition
 
 
-def hc_tree_bruteforce(degree: int, n: int) -> HarishChandraValue:
+def hc_tree_bruteforce(degree: int, n: int) -> AlgebraicValue:
     """Spherical function via the boundary partition along a fixed geodesic.
 
     Fix the leftmost vertex w at distance n.  The boundary splits into the
@@ -597,7 +597,7 @@ def hc_tree_bruteforce(degree: int, n: int) -> HarishChandraValue:
         raise ValueError("negative displacement")
     q = degree - 1
     if n == 0:
-        return HarishChandraValue(AlgebraicValue.rational(1, q), (0,))
+        return AlgebraicValue.rational(1, q)
     w = TreeVertex(degree, (0,) * n)
     total = AlgebraicValue.rational(0, q)
     total_measure = Fraction(0)
@@ -623,7 +623,7 @@ def hc_tree_bruteforce(degree: int, n: int) -> HarishChandraValue:
             raise RuntimeError(f"partition piece count {branch_count} != {expected} at depth {i}")
     if total_measure != 1:
         raise RuntimeError(f"partition measures sum to {total_measure}, not 1")
-    return HarishChandraValue(total, (n,))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1101,7 +1101,7 @@ class MeanOperator:
         for g in gammas:
             factor = AlgebraicValue.rational(inv_size, self.q)
             if xi_weighted:
-                factor = factor / hc_product(g.length_zero, g.length_infinity, self.q).value
+                factor = factor / hc_product(g.length_zero, g.length_infinity, self.q)
             self._terms.append((koopman_matrix(g, self.input_depths, pair), factor))
 
     def apply(self, h: StepFunction) -> StepFunction:
@@ -1175,7 +1175,7 @@ def mean_transfer_function(gammas: Sequence[SL2Element], n: int) -> StepFunction
     cells = boundary_cylinders(q + 1, n)
     acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
     for w0, w1, members in cosets:
-        xi = hc_product(w0.depth, w1.depth, q).value
+        xi = hc_product(w0.depth, w1.depth, q)
         factor = AlgebraicValue.rational(Fraction(len(members), len(gammas)), q) / xi
         vec0 = [factor * cocycle_sqrt(w0, c) for c in cells]
         vec1 = [cocycle_sqrt(w1, c) for c in cells]
@@ -1228,7 +1228,7 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
         for expansion in expansions(q, out_depth)
     )
     for gi, g in enumerate(gammas):
-        P0[gi] /= len(gammas) * float(hc_product(g.length_zero, g.length_infinity, q).value)
+        P0[gi] /= len(gammas) * float(hc_product(g.length_zero, g.length_infinity, q))
     mu_in, mu_out = (1.0 / sphere_size(q + 1, k) for k in (depth, out_depth))
     G, O0, I0 = P0.shape
     _, O1, I1 = P1.shape

@@ -88,8 +88,8 @@ def test_criterion_02_spherical_closed_form():
     started = time.perf_counter()
     for degree in (3, 4, 5):
         for n in range(0, 13):
-            assert hc_tree_closed(degree, n).value == hc_tree_bruteforce(degree, n).value
-    assert hc_tree_closed(3, 2).value == AlgebraicValue.rational(Fraction(5, 6), 2)
+            assert hc_tree_closed(degree, n) == hc_tree_bruteforce(degree, n)
+    assert hc_tree_closed(3, 2) == AlgebraicValue.rational(Fraction(5, 6), 2)
     elapsed = time.perf_counter() - started
     assert elapsed < 5
     _report(2, "closed spherical form equals partition sums, n <= 12", elapsed, 5)
@@ -98,10 +98,10 @@ def test_criterion_02_spherical_closed_form():
 def test_criterion_03_product_formula():
     started = time.perf_counter()
     expected = AlgebraicValue.rational(Fraction(25, 36), 2)
-    five_sixths = hc_tree_closed(3, 2).value
-    assert hc_product(2, 2, 2).value == five_sixths * five_sixths
-    assert hc_product(2, 2, 2).value == hc_product_expanded(2, 2, 2)
-    assert hc_product(2, 2, 2).value == expected
+    five_sixths = hc_tree_closed(3, 2)
+    assert hc_product(2, 2, 2) == five_sixths * five_sixths
+    assert hc_product(2, 2, 2) == hc_product_expanded(2, 2, 2)
+    assert hc_product(2, 2, 2) == expected
     elapsed = time.perf_counter() - started
     _report(3, "product value at (2,2) is exactly 25/36 both ways", elapsed, None)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from rrdlab.algebra import (
     LaurentPolynomial,
     poly_divmod,
     poly_gcd,
+    plain,
     poly_xgcd,
 )
 
@@ -277,6 +279,35 @@ def test_as_triple_and_mixed_base_rejection():
         v + AlgebraicValue.rational(1, 3)
     with pytest.raises(TypeError):
         v * object()
+
+
+def test_plain_writes_a_nested_record_as_its_fields():
+    @dataclasses.dataclass(frozen=True)
+    class Inner:
+        value: AlgebraicValue
+        ratio: Fraction
+
+    @dataclasses.dataclass(frozen=True)
+    class Outer:
+        name: str
+        rows: tuple[Inner, ...]
+        lengths: tuple[int, int]
+        flag: bool
+
+    record = Outer(
+        "x",
+        (Inner(AlgebraicValue(Fraction(3, 2), Fraction(-1, 4), 2), Fraction(5, 2)),),
+        (0, 2),
+        True,
+    )
+    assert plain(record) == {
+        "name": "x",
+        "rows": [{"value": ("3/2", "-1/4", 2), "ratio": "5/2"}],
+        "lengths": [0, 2],
+        "flag": True,
+    }
+    assert plain(AlgebraicValue.rational(1, 3)) == ("1", "0", 3)
+    assert plain(None) is None and plain(0.5) == 0.5
 
 
 def test_algebraic_value_pow():

@@ -36,20 +36,17 @@ def random_vertex(degree: int, depth: int) -> TreeVertex:
 def test_closed_form_matches_bruteforce():
     for degree in (3, 4, 5):
         for n in range(0, 9):
-            closed = hc_tree_closed(degree, n)
-            brute = hc_tree_bruteforce(degree, n)
-            assert closed.value == brute.value
-            assert closed.lengths == (n,)
+            assert hc_tree_closed(degree, n) == hc_tree_bruteforce(degree, n)
 
 
 def test_known_value_degree_three():
-    assert hc_tree_closed(3, 2).value == AlgebraicValue.rational(Fraction(5, 6), 2)
+    assert hc_tree_closed(3, 2) == AlgebraicValue.rational(Fraction(5, 6), 2)
 
 
 def test_spherical_function_decays():
     prev = None
     for n in range(0, 10):
-        v = float(hc_tree_closed(3, n).value)
+        v = float(hc_tree_closed(3, n))
         assert v > 0
         if prev is not None:
             assert v < prev
@@ -61,15 +58,14 @@ def test_product_value_is_product_of_factors():
         for l0 in range(0, 5):
             for linf in range(0, 5):
                 product = hc_product(l0, linf, q)
-                factor = hc_tree_closed(q + 1, l0).value * hc_tree_closed(q + 1, linf).value
-                assert product.value == factor
-                assert product.value == hc_product_expanded(l0, linf, q)
-                assert product.lengths == (l0, linf)
+                factor = hc_tree_closed(q + 1, l0) * hc_tree_closed(q + 1, linf)
+                assert product == factor
+                assert product == hc_product_expanded(l0, linf, q)
 
 
 def test_product_at_two_two():
     expected = AlgebraicValue.rational(Fraction(25, 36), 2)
-    assert hc_product(2, 2, 2).value == expected
+    assert hc_product(2, 2, 2) == expected
     assert hc_product_expanded(2, 2, 2) == expected
 
 

@@ -557,6 +557,25 @@ def test_compression_budget_is_a_usage_error_before_any_table(capsys, monkeypatc
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spheres", "--q", "47", "--max-length", "2"],
+        ["report", "--q", "47", "--max-length", "2", "--depth", "1"],
+    ],
+)
+def test_coset_element_budget_is_a_usage_error_before_any_registry(capsys, monkeypatch, argv):
+    # 4,513 candidate pairs at q = 47 fit the pair budget, but their cosets
+    # would hold 468 million elements
+    def refuse(*args):
+        raise AssertionError("a registry was built")
+
+    monkeypatch.setattr(TreeRegistry, "__init__", refuse)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_lamplighter_budget_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(lamplighter, "ELEMENT_BUDGET", 50)
     code, out = run(capsys, "lamplighter", "--radius", "10")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from rrdlab import criterion
-from rrdlab.algebra import AlgebraicValue, Fq, Place
+from rrdlab.algebra import AlgebraicValue, Fq, Place, plain
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     _compression_gram,
@@ -160,9 +159,7 @@ def test_uniform_bound_needs_a_rational_spherical_coefficient(table4, monkeypatc
     # Xi(l0, l1) q^((l0+l1)/2) is c(l0) c(l1); an irrational one would break
     # the integer sum, so it is refused rather than truncated
     def irrational(l0, l1, q):
-        return dataclasses.replace(
-            hc_product(l0, l1, q), value=AlgebraicValue.sqrt_q_power(q, 1 - l0 - l1)
-        )
+        return AlgebraicValue.sqrt_q_power(q, 1 - l0 - l1)
 
     monkeypatch.setattr(criterion, "hc_product", irrational)
     with pytest.raises(RuntimeError, match="not rational"):
@@ -182,7 +179,7 @@ def mean_transfer_bruteforce(table, n):
     for cell in product_cylinders(q + 1, (n, n)):
         total = AlgebraicValue.rational(0, q)
         for w0, w1, g in located:
-            xi = hc_product(g.length_zero, g.length_infinity, q).value
+            xi = hc_product(g.length_zero, g.length_infinity, q)
             total = total + cocycle_sqrt(w0, cell.zero) * cocycle_sqrt(w1, cell.infinity) / xi
         values[cell] = total * inv_size
     return StepFunction(q + 1, (n, n), values)
@@ -245,7 +242,7 @@ def test_mean_operator_matches_transfer(table4):
 def test_positivity_transport(table4):
     plain = MeanOperator(table4, 2, (1, 0), xi_weighted=False)
     weighted = MeanOperator(table4, 2, (1, 0), xi_weighted=True)
-    sup_xi = sup_xi_on_sphere(table4, 2).value
+    sup_xi, _ = sup_xi_on_sphere(table4, 2)
     for _ in range(3):
         h = StepFunction(
             3, (1, 0), {c: abs(random_value()) for c in product_cylinders(3, (1, 0))}
@@ -542,6 +539,19 @@ def test_compression_budget_is_checked_before_any_transport(table4, monkeypatch)
         check_compression_budget(3, 4)
 
 
+def test_convolution_budget_is_checked_before_any_matrix(table4, monkeypatch):
+    # the ball of radius 2 at q = 2 has 7 cosets, of radius 4 52: 49 and
+    # 2,704 matrix entries
+    def refuse(*args):
+        raise AssertionError("a convolution matrix was built")
+
+    monkeypatch.setattr(criterion, "CORE_BUDGET", 2_703)
+    assert convolution_opnorm_lower(table4, 2, 2).converged
+    monkeypatch.setattr(criterion, "coset_convolution_matrix", refuse)
+    with pytest.raises(RadiusBudgetError, match="2,704 entries over its 52 cosets"):
+        convolution_opnorm_lower(table4, 0, 4)
+
+
 def test_transported_images_must_partition_the_boundary(table4, monkeypatch):
     # one representative's first leaf sent where its second goes: two input
     # cylinders then share an image and another one's output cells are lost
@@ -644,14 +654,14 @@ def test_report_matches_the_standalone_functions_exactly(request, table_name, de
     u_rows = verdict["condition2"]["rows"]
     assert [row["n"] for row in u_rows] == table.lengths()
     for row in u_rows:
-        assert row == uniform_bound_value(table, row["n"]).to_dict()
+        assert row == plain(uniform_bound_value(table, row["n"]))
     rows = verdict["compressions"]["rows"]
     assert len(rows) == len(u_rows) * depth
     for row in rows:
-        standalone = mean_matrix_2norm(table, row["n"], row["depths"][0]).to_dict()
+        standalone = plain(mean_matrix_2norm(table, row["n"], row["depths"][0]))
         assert {key: row[key] for key in standalone} == standalone
     for row in verdict["convolution"]["rows"]:
-        standalone = convolution_opnorm_lower(table, row["n"], row["ball_radius"]).to_dict()
+        standalone = plain(convolution_opnorm_lower(table, row["n"], row["ball_radius"]))
         assert {key: row[key] for key in standalone} == standalone
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rrdlab import CACHE_MAJOR_VERSION, spheres
-from rrdlab.algebra import Fq
+from rrdlab.algebra import Fq, plain
 from rrdlab.boundary import hc_product
 from rrdlab.sl2 import SL2Element
 from rrdlab.spheres import (
@@ -136,6 +136,23 @@ def test_candidate_budget_overflow(monkeypatch):
         enumerate_ball(2, 30)
 
 
+def test_coset_element_budget(monkeypatch):
+    # the scan writes the q^3 - q members of every candidate pair's coset:
+    # q = 13 at N = 2 (365 pairs, 797,160 elements), q = 5 at N = 4 and
+    # q = 4 at N = 6 fit, q = 16 at N = 2 (2,223,600), q = 7 at N = 4 and
+    # q = 5 at N = 6 do not
+    for q, max_length in ((13, 2), (5, 4), (4, 6), (3, 8), (2, 12)):
+        spheres._check_pair_budget(q, max_length)
+    for q, max_length in ((16, 2), (47, 2), (7, 4), (13, 4), (5, 6)):
+        with pytest.raises(RadiusBudgetError, match="elements"):
+            spheres._check_pair_budget(q, max_length)
+    # refused before K (103,776 elements at q = 47) or any registry is built
+    monkeypatch.setattr(spheres, "constant_group", None)
+    monkeypatch.setattr(spheres, "TreeRegistry", None)
+    with pytest.raises(RadiusBudgetError):
+        enumerate_ball(47, 2)
+
+
 def test_realized_length_pairs(table4):
     pairs = table4.realized_length_pairs(4)
     assert pairs == {(0, 4): 72, (2, 2): 126, (4, 0): 72}
@@ -144,13 +161,15 @@ def test_realized_length_pairs(table4):
 
 
 def test_sup_xi_on_sphere(table4):
-    best = sup_xi_on_sphere(table4, 4)
+    best, lengths = sup_xi_on_sphere(table4, 4)
     direct = max(
-        (hc_product(g.length_zero, g.length_infinity, 2).value for g in table4.sphere(4)),
+        (hc_product(g.length_zero, g.length_infinity, 2) for g in table4.sphere(4)),
     )
-    assert best.value == direct
+    assert best == direct
+    assert lengths == (2, 2)
+    assert hc_product(*lengths, 2) == best
     splitting = sup_xi_over_splittings(2, 4)
-    assert splitting.value >= best.value
+    assert splitting >= best
 
 
 def test_condition_one_certificate(table6):
@@ -161,7 +180,7 @@ def test_condition_one_certificate(table6):
         assert row.observed <= row.rigorous + 1e-12
         assert row.fiber_bound_size >= row.sphere_size
     assert report.fitted_constant <= report.rigorous_constant
-    payload = report.to_dict()
+    payload = plain(report)
     assert payload["max_length"] == 6
     assert len(payload["rows"]) == 3
 
@@ -173,11 +192,12 @@ def test_condition_one_pass_is_exact():
     fiber = 10**24
 
     def report(size: int) -> Condition1Report:
-        observed = float(sup.value) * fiber**0.5
+        observed = float(sup) * fiber**0.5
         row = Condition1Row(
             n=4,
             sphere_size=size,
             sup_xi=sup,
+            sup_xi_lengths=(2, 2),
             observed=observed,
             fiber_bound_size=fiber,
             splitting_sup=sup,
@@ -187,7 +207,7 @@ def test_condition_one_pass_is_exact():
         )
         return Condition1Report(2, 4, Fraction(5, 2), (row,), observed, observed)
 
-    assert float(sup.value) * float(fiber + 1) ** 0.5 == float(sup.value) * fiber**0.5
+    assert float(sup) * float(fiber + 1) ** 0.5 == float(sup) * fiber**0.5
     assert report(fiber).passed
     assert not report(fiber + 1).passed
 
