@@ -5,7 +5,7 @@ indent, trailing newline) to stdout or, with --out, to a file written
 atomically via a same-directory temp file and rename.  Exit status: 0 when
 all checks the command performs pass, 1 when a numeric check or threshold
 fails, 2 on usage errors (bad arguments, or a radius beyond the budget of
-the sphere enumeration, the subgroup ball search, the ball-count BFS, the
+the sphere enumeration, the subgroup ball count, the ball-count BFS, the
 mean-identity check, the compression core or the convolution matrix), 3 on
 an internal fault (any other exception).  Result records are written by
 ``algebra.plain``.
@@ -40,6 +40,7 @@ from .boundary import (
 from .criterion import (
     DEFAULT_U_THRESHOLD,
     check_compression_budget,
+    check_convolution_budget,
     convolution_opnorm_lower,
     json_threshold,
     rrd_report,
@@ -318,6 +319,7 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
         raise UsageError(
             "ball radius plus sphere length must stay within the table radius"
         )
+    check_convolution_budget(args.q, args.radius)
     table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
     result = convolution_opnorm_lower(table, args.n, args.radius)
     passed = result.l1_ok

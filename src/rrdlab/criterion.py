@@ -62,6 +62,7 @@ from .spheres import (
     PROVENANCE_PAIRS,
     Coset,
     SphereTable,
+    candidate_pair_counts,
     condition_one_certificate,
     constant_group,
 )
@@ -476,6 +477,20 @@ def check_compression_budget(q: int, depth: int) -> None:
             f"compression depth {depth} at q = {q} needs a core of {entries} "
             f"entries, more than {CORE_BUDGET}"
         )
+
+
+def check_convolution_budget(q: int, ball_radius: int) -> None:
+    """Raise RadiusBudgetError, before any table is built, when the
+    convolution on the ball of radius ``ball_radius`` may need more than
+    CORE_BUDGET entries: the ball has at most as many cosets as candidate
+    vertex pairs (``candidate_pair_counts``)."""
+    for pairs in candidate_pair_counts(q, ball_radius):
+        if pairs**2 > CORE_BUDGET:
+            raise RadiusBudgetError(
+                f"the ball of radius {ball_radius} at q = {q} has {pairs:,} or more "
+                f"candidate vertex pairs, so its convolution may need a matrix of "
+                f"{pairs**2:,} entries, more than {CORE_BUDGET:,}"
+            )
 
 
 def _compression_gram(

@@ -3,21 +3,22 @@ set, and the exponential word-growth certificate.
 
 Elements [[X^n, P], [0, X^-n]] are written (n, P).  The group is amenable
 but grows exponentially in the word metric of its four-letter generating
-set, which a breadth-first search certifies at desk scale; the certified
+set, which the exact ball sizes certify at desk scale; the certified
 asymptotic rate 2^(1/3) comes from an explicit family of 2^(n+1) products of
 length at most 3n+1, which the certificate checks word by word.
 
-The search runs in the coordinates (n, R) with R = X^n P.  There H is a
-lamplighter: right multiplication by diag(X^m, X^-m) moves the lamplighter,
-(n, R) -> (n + m, R), and right multiplication by E12(c X^e) changes one
-lamp, (n, R) -> (n, R + c X^(2n+e)), so each ball element is a pair of
-integers, packed into one, and no Laurent arithmetic runs.  The group law
-on (n, P) and the breadth-first search over it are the test oracle
-(``tests/oracles.py``).
+In the coordinates (n, R) with R = X^n P, H is a lamplighter group over Z
+with two lamps per site: a shift letter moves the lamplighter and a
+monomial letter changes one lamp at its site.  The ball sizes are counted
+from the lamplighter's word-length formula, so no element is visited and
+no Laurent arithmetic runs.  The group law on (n, P) and the breadth-first
+search over it are the test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -142,59 +143,99 @@ def _letter_actions(q: int) -> tuple[list[int], list[tuple[int, list[int]]]]:
     return shifts, sorted(monomials.items())
 
 
+def _lamp_costs(field: Fq, coefficients: Sequence[int]) -> list[int]:
+    """The cost of every digit one lamp can show: its distance from 0 in the
+    Cayley graph of (F_q, +) on the letters' ``coefficients``, through
+    ``Fq.add`` on indices.  Digits out of reach have no cost; at q = 4, 8
+    and 9 only the prime field is reached."""
+    cost = {0: 0}
+    frontier = [0]
+    while frontier:
+        reached = []
+        for d in frontier:
+            for c in coefficients:
+                e = field.add(d, c)
+                if e not in cost:
+                    cost[e] = cost[d] + 1
+                    reached.append(e)
+        frontier = reached
+    return list(cost.values())
+
+
 def h_ball_growth(q: int, radius: int) -> list[int]:
-    """Exact BFS ball sizes |B(r)| for r = 0..radius in the word metric of the
-    generating set.
+    """Exact ball sizes |B(r)| for r = 0..radius in the word metric of the
+    generating set, counted from the lamplighter length formula (Parry,
+    *Growth series of some wreath products*, Trans. AMS 331, 1992) without
+    visiting any element.
 
-    The search runs on the coordinates (n, R), R = X^n P, which determine
-    (n, P).  Right multiplication by diag(X^m, X^-m) gives
-    [[X^(n+m), P X^-m], [0, X^-(n+m)]], so (n, R) -> (n + m, R); by
-    E12(c X^e) it gives [[X^n, P + c X^(n+e)], [0, X^-n]], so
-    (n, R) -> (n, R + c X^(2n+e)).  A shift moves n only, and a monomial
-    letter changes the one coefficient of R at X^(2n+e).
+    In the coordinates (n, R), R = X^n P, which determine (n, P), right
+    multiplication by diag(X^m, X^-m) gives [[X^(n+m), P X^-m], [0, X^-(n+m)]],
+    so (n, R) -> (n + m, R); by E12(c X^e) it gives
+    [[X^n, P + c X^(n+e)], [0, X^-n]], so (n, R) -> (n, R + c X^(2n+e)).
+    With shifts m = +1, -1 and exponents e in {0, 1}, H is a lamplighter over
+    Z: the lamplighter stands at site n, site k holds the two lamps at
+    X^(2k) and X^(2k+1), and each letter moves the lamplighter by one or
+    changes one lamp at its site.  A word is a walk from site 0 to site n
+    that changes every lamp where it stands, so it visits every lit site,
+    and the lamps add up independently of the order.  The word length of
+    (n, R) is therefore the sum of its lamp costs (``_lamp_costs``) plus the
+    shortest walk from 0 to n covering the hull [lo, hi] of the lit sites,
+    0 and n: (hi - lo) + min(-lo + hi - n, hi + n - lo) = 2 (hi - lo) - |n|.
 
-    Within the radius |n| <= reach = radius * max |m|, so each element is one
-    integer: R in base q, its coefficient of X^(2n+e) as the digit at position
-    2(n + reach) + e - e_min (never negative), times the width 2 reach + 1,
-    plus n + reach.  A monomial letter rewrites one digit through the table
-    of ``Fq.add`` on indices, which keeps q = 4, 8 and 9 exact.
+    Let m = |n| and let g be the number of hull sites outside the m + 1
+    sites from 0 to n; the walk takes 2g + m letters.  The g sites split
+    into s on the far side of min(0, n) and g - s beyond max(0, n), s = 0..g,
+    and an end of the hull outside [min(0, n), max(0, n)] is lit.  So the
+    hull's m + 1 + g sites hold one lit end and m + g free sites when g > 0
+    and s is 0 or g, two lit ends and m + g - 1 free sites for the g - 1
+    other s, and m + 1 free sites when g = 0; every site outside the hull
+    is dark.  The sphere of radius r sums, over m (twice for m > 0, once
+    for n and once for -n) and g with 2g + m <= r, the lamp settings of
+    those sites of total cost r - 2g - m.
 
-    Raises RadiusBudgetError when the ball outgrows ELEMENT_BUDGET."""
+    Raises RadiusBudgetError at the first r <= radius with |B(r)| over
+    ELEMENT_BUDGET, and RuntimeError when the letters are not the shifts by
+    +1 and -1 and monomials at exponents 0 and 1."""
     field = Fq(q)
     shifts, monomials = _letter_actions(q)
-    reach = radius * max(map(abs, shifts), default=0)
-    width = 2 * reach + 1
-    exponents = [e for e, _ in monomials] or [0]
-    e_min = min(exponents)
-    units = [width * q**p for p in range(4 * reach + max(exponents) - e_min + 1)]
-    # per exponent: its digit position past the slot 2(n + reach), and for
-    # each current digit d the steps field.add(d, c) - d of its coefficients c
-    lamps = [
-        (e - e_min, [[field.add(d, c) - d for c in coeffs] for d in range(q)])
-        for e, coeffs in monomials
-    ]
-    visited = {reach}
-    frontier = [reach]
+    if sorted(shifts) != [-1, 1]:
+        raise RuntimeError(f"shift letters by {shifts}, not by +1 and -1")
+    if any(e not in (0, 1) for e, _ in monomials):
+        raise RuntimeError(
+            f"monomial letters at exponents {[e for e, _ in monomials]}, not within 0 and 1"
+        )
+    # how many settings of one site's lamps cost each number of letters
+    lamps = [_lamp_costs(field, coefficients) for _, coefficients in monomials]
+    site = [0] * (1 + sum(map(max, lamps)))
+    for costs in itertools.product(*lamps):
+        site[sum(costs)] += 1
+
+    @functools.cache
+    def settings(lit: int, free: int, cost: int) -> int:
+        """Settings of ``lit`` lit sites and ``free`` free ones at a total
+        lamp cost of ``cost`` letters."""
+        if cost < 0:
+            return 0
+        if lit:
+            return sum(site[j] * settings(lit - 1, free, cost - j) for j in range(1, len(site)))
+        if free:
+            return sum(site[j] * settings(0, free - 1, cost - j) for j in range(len(site)))
+        return int(cost == 0)
+
     sizes = [1]
-    for _ in range(radius):
-        nxt = []
-        for key in frontier:
-            slot = 2 * (key % width)
-            neighbours = [key + m for m in shifts]
-            for offset, steps in lamps:
-                unit = units[slot + offset]
-                neighbours += [key + step * unit for step in steps[key // unit % q]]
-            for g in neighbours:
-                if g not in visited:
-                    visited.add(g)
-                    nxt.append(g)
-                    if len(visited) > ELEMENT_BUDGET:
-                        raise RadiusBudgetError(
-                            f"radius {radius} at q = {q} needs more than "
-                            f"{ELEMENT_BUDGET} ball elements"
-                        )
-        frontier = nxt
-        sizes.append(len(visited))
+    for r in range(1, radius + 1):
+        sphere = 0
+        for m in range(r + 1):
+            count = settings(0, m + 1, r - m)
+            for g in range(1, (r - m) // 2 + 1):
+                cost = r - 2 * g - m
+                count += 2 * settings(1, m + g, cost) + (g - 1) * settings(2, m + g - 1, cost)
+            sphere += count if m == 0 else 2 * count
+        sizes.append(sizes[-1] + sphere)
+        if sizes[-1] > ELEMENT_BUDGET:
+            raise RadiusBudgetError(
+                f"radius {radius} at q = {q} needs more than {ELEMENT_BUDGET} ball elements"
+            )
     return sizes
 
 

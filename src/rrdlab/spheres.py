@@ -382,17 +382,25 @@ class SphereTable:
         return cls(q, max_length, cosets)
 
 
-def _check_pair_budget(q: int, max_length: int) -> None:
-    """Raise RadiusBudgetError when the even-depth vertex pairs with
-    d0 + d1 <= max_length, counted from the tree sphere sizes (q+1) q^(d-1),
-    exceed PAIR_BUDGET, or when their expansions by K, q^3 - q elements per
-    pair, would exceed ELEMENT_BUDGET."""
+def candidate_pair_counts(q: int, max_length: int) -> Iterator[int]:
+    """For each even total up to ``max_length``, the number of even-depth
+    vertex pairs with d0 + d1 <= total, counted from the tree sphere sizes
+    (q+1) q^(d-1).  Each right coset of length at most the total maps to one
+    of them."""
     count = 0
     for total in range(0, max_length + 1, 2):
         count += sum(
             sphere_size(q + 1, d0) * sphere_size(q + 1, total - d0)
             for d0 in range(0, total + 1, 2)
         )
+        yield count
+
+
+def _check_pair_budget(q: int, max_length: int) -> None:
+    """Raise RadiusBudgetError when the candidate vertex pairs of the scan
+    (``candidate_pair_counts``) exceed PAIR_BUDGET, or when their expansions
+    by K, q^3 - q elements per pair, would exceed ELEMENT_BUDGET."""
+    for count in candidate_pair_counts(q, max_length):
         if count > PAIR_BUDGET:
             raise RadiusBudgetError(
                 f"radius {max_length} at q = {q} needs more than {PAIR_BUDGET} "

@@ -22,9 +22,9 @@ from typing import Iterator
 # largest number of cocycle terms (cylinders times sphere vertices) of the
 # mean-identity check: degree 3 up to length and depth 8.
 BFS_VERTEX_BUDGET = 500_000
-# Largest number of group elements a search may hold: the ball of the
-# subgroup search (the report's radius 10 needs 19,110 elements at q = 2 and
-# 316,381 at q = 3), and the candidate vertex pairs of the sphere scan times
+# Largest number of group elements a count or a search may reach: the ball
+# of the subgroup count (the report's radius 10 has 19,110 elements at q = 2
+# and 316,381 at q = 3), and the candidate vertex pairs of the sphere scan times
 # the q^3 - q members of a coset (q = 2 up to N = 12, q = 3 up to N = 8,
 # q = 4 up to N = 6, q = 5 up to N = 4, q <= 13 at N = 2).
 ELEMENT_BUDGET = 2_000_000
@@ -34,7 +34,7 @@ class RadiusBudgetError(RuntimeError):
     """The requested radius needs more work than its budget: tree vertices in
     the ball-count BFS, cocycle terms in the mean-identity check (``cli``),
     candidate vertex pairs and their cosets' elements in the sphere
-    enumeration (``spheres``), ball elements in the subgroup search
+    enumeration (``spheres``), ball elements in the subgroup count
     (``lamplighter``), dense matrix entries in the compressions and the
     convolution (``criterion``)."""
 

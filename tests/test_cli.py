@@ -557,6 +557,31 @@ def test_compression_budget_is_a_usage_error_before_any_table(capsys, monkeypatc
     assert out == ""
 
 
+def test_convolution_budget_is_a_usage_error_before_any_table(capsys, monkeypatch):
+    # by radius 10 the q = 2 ball has 15,361 candidate vertex pairs, whose
+    # square is over CORE_BUDGET, so the q2n12 table is never built
+    def refuse(*args):
+        raise AssertionError("a table was built or read")
+
+    monkeypatch.setattr(cli, "enumerate_ball", refuse)
+    monkeypatch.setattr(cli, "_load_table", refuse)
+    code, out = run(capsys, "opnorm", "--q", "2", "--max-length", "12", "--n", "0", "--radius", "12")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("q, radius", [(2, 8), (5, 4)])
+def test_convolution_budget_admits_its_edge_cases(capsys, q, radius):
+    # 3,073 candidate vertex pairs at q = 2, radius 8 and 2,461 at q = 5,
+    # radius 4: their squares fit CORE_BUDGET
+    code, out = run(
+        capsys, "opnorm", "--q", str(q), "--max-length", str(radius), "--n", "0",
+        "--radius", str(radius),
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["ball_radius"] == radius
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -581,6 +606,14 @@ def test_lamplighter_budget_is_a_usage_error(capsys, monkeypatch):
     code, out = run(capsys, "lamplighter", "--radius", "10")
     assert code == 2
     assert out == ""
+
+
+def test_lamplighter_radius_beyond_the_budget_is_a_usage_error(capsys):
+    code = main(["lamplighter", "--q", "2", "--radius", "40"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "rrdlab: radius 40 at q = 2 needs more than 2000000 ball elements\n"
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,11 @@ def test_ball_growth_pinned_sizes():
     assert h_ball_growth(2, 13)[-1] == 203_857
     # the report's radius 10 at q = 3, named in the ELEMENT_BUDGET comment
     assert h_ball_growth(3, 10)[-1] == 316_381
+    # the breadth-first search's sizes beyond ORACLE_RADII
+    assert h_ball_growth(5, 8)[-1] == 84_025
+    assert h_ball_growth(7, 6)[-1] == 7_917
+    assert h_ball_growth(8, 8)[-1] == 3_789
+    assert h_ball_growth(9, 7)[-1] == 11_975
 
 
 def test_ball_growth_budget(monkeypatch):
@@ -140,9 +145,18 @@ def test_ball_growth_rejects_other_letters(monkeypatch):
         LaurentPolynomial.one(FIELD)
     )
     binomial = SL2Element.elementary_upper(LaurentPolynomial(FIELD, 0, (1, 1)))
-    for extra in (mixed, binomial):
+    # the length formula also needs shifts by +1 and -1 and lamps at
+    # exponents 0 and 1
+    long_shift = SL2Element.diagonal_shift(FIELD, 2)
+    far_lamp = SL2Element.elementary_upper(LaurentPolynomial.x_power(FIELD, 2))
+    for extra, message in (
+        (mixed, "neither a shift nor a monomial"),
+        (binomial, "neither a shift nor a monomial"),
+        (long_shift, "not by \\+1 and -1"),
+        (far_lamp, "not within 0 and 1"),
+    ):
         monkeypatch.setattr(lamplighter, "generating_set", lambda q, extra=extra: letters + [extra])
-        with pytest.raises(RuntimeError, match="neither a shift nor a monomial"):
+        with pytest.raises(RuntimeError, match=message):
             h_ball_growth(2, 2)
 
 
