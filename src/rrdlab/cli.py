@@ -105,11 +105,15 @@ def _sphere_cache_path(cache_dir: str, q: int, max_length: int) -> str:
     return os.path.join(cache_dir, name)
 
 
-def _load_table(q: int, max_length: int, cache_dir: Optional[str]) -> tuple[SphereTable, dict]:
+def _load_table(
+    q: int, max_length: int, cache_dir: Optional[str]
+) -> tuple[SphereTable, dict, Optional[str]]:
     """Fetch the sphere table, through the cache when one is configured.
 
-    Returns the table plus a provenance record naming the cache file in play
-    by its file name, not its directory.  The record carries only run-stable
+    Returns the table, a provenance record naming the cache file in play by
+    its file name, not its directory, and the table's JSON text when this
+    call built the table and wrote it to the cache (None otherwise), so the
+    caller need not serialize it again.  The record carries only run-stable
     facts (no location, no hit flag, no timings), so reports stay
     byte-identical between cold and warm runs and between cache directories.
     """
@@ -122,13 +126,15 @@ def _load_table(q: int, max_length: int, cache_dir: Optional[str]) -> tuple[Sphe
             try:
                 with open(path, "r") as handle:
                     text = handle.read()
-                return SphereTable.from_json(text, expected=(q, max_length)), provenance
+                return SphereTable.from_json(text, expected=(q, max_length)), provenance, None
             except ValueError:
                 pass  # stale, foreign or corrupt cache: fall through and rebuild
     table = enumerate_ball(q, max_length)
+    written = None
     if path:
-        _atomic_write(path, table.to_json())
-    return table, provenance
+        written = table.to_json()
+        _atomic_write(path, written)
+    return table, provenance, written
 
 
 def _envelope(command: str, config: dict, result: dict, passed: bool) -> dict:
@@ -188,11 +194,16 @@ def _check_arguments(args: argparse.Namespace) -> None:
             f"the cache directory {cache_dir} (--cache-dir or ${ENV_CACHE_DIR}) "
             f"is or lies under the file {blocking}"
         )
+    # the cache file is read by open and replaced by a rename, which a
+    # directory in its place refuses
+    cache_path = cache_dir and _sphere_cache_path(cache_dir, args.q, args.max_length)
+    if cache_path and os.path.isdir(cache_path):
+        raise UsageError(f"the cache file {cache_path} is a directory")
 
 
 def _cmd_spheres(args: argparse.Namespace) -> int:
-    table, _ = _load_table(args.q, args.max_length, _cache_dir(args))
-    _emit(table.to_json(), args.out)
+    table, _, written = _load_table(args.q, args.max_length, _cache_dir(args))
+    _emit(written or table.to_json(), args.out)
     return 0
 
 
@@ -275,7 +286,7 @@ def _cmd_mean_identity(args: argparse.Namespace) -> int:
 def _cmd_condition1(args: argparse.Namespace) -> int:
     if args.max_length < 2:
         raise UsageError("condition 1 needs a table radius of at least 2")
-    table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, cache, _ = _load_table(args.q, args.max_length, _cache_dir(args))
     report = condition_one_certificate(table)
     passed = report.passed
     payload = _envelope(
@@ -293,7 +304,7 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
         raise UsageError("the sphere length must be even and nonnegative")
     if args.n > args.max_length:
         raise UsageError("sphere length exceeds the table radius")
-    table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, cache, _ = _load_table(args.q, args.max_length, _cache_dir(args))
     report = uniform_bound_value(table, args.n)
     passed = report.at_most(args.threshold)
     payload = _envelope(
@@ -320,7 +331,7 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
             "ball radius plus sphere length must stay within the table radius"
         )
     check_convolution_budget(args.q, args.radius)
-    table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, cache, _ = _load_table(args.q, args.max_length, _cache_dir(args))
     result = convolution_opnorm_lower(table, args.n, args.radius)
     passed = result.l1_ok
     payload = _envelope(
@@ -367,7 +378,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise UsageError("the compression depth must be at least 1")
     check_compression_budget(args.q, args.depth)
-    table, cache = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, cache, _ = _load_table(args.q, args.max_length, _cache_dir(args))
     verdict = rrd_report(table, depth=args.depth, u_bound=args.u_threshold)
     verdict["config"]["cache"] = cache
     _emit(_canonical_json(verdict), args.out)

@@ -18,9 +18,11 @@ A table is this coset list: for each length, the cosets with their located
 pairs, as the scan walked them, and as representative the member whose text
 comes first.  The criterion reads nothing else.  The elements are the
 expansion by the q^3 - q elements of K (``constant_group`` and
-``right_coset``), made on demand for ``sphere`` and ``to_json``; the scan
-raises when two cosets share an element.  The cache loader runs the scan
-once and requires the file to be its expansion, text for text.
+``right_coset``), which the scan makes once per coset: it reads the
+representative and the duplicate check off the member texts and keeps them,
+sorted, for ``to_json``.  The scan raises when two cosets share an element.
+The cache loader runs the scan once and requires the file to be its
+expansion, text for text.
 
 The tests cross-check the tables against two independent enumerations in
 ``tests/oracles.py``: a breadth-first word search over an elementary
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import sqrt
@@ -278,34 +280,21 @@ class Coset(NamedTuple):
 class SphereTable:
     """The length ball as the pair scan's right cosets, bucketed by total
     length: each bucket lists its sphere's cosets sorted by representative.
-    The elements are the cosets' expansions by K, made on demand
-    (``sphere``).  Immutable after construction and safe for concurrent
-    readers.
+    ``texts`` holds the elements as the scan wrote them, the cosets'
+    expansions by K in text order, keyed by length as ``to_json`` writes
+    them; it is left out of equality and repr.  Immutable after
+    construction and safe for concurrent readers.
     """
 
     q: int
     max_length: int
     buckets: dict[int, tuple[Coset, ...]]
+    texts: dict[str, list[str]] = field(compare=False, repr=False)
 
     def cosets(self, n: int) -> tuple[Coset, ...]:
         if n < 0 or n > self.max_length:
             raise ValueError(f"sphere index {n} outside [0, {self.max_length}]")
         return self.buckets.get(n, ())
-
-    def _members(self, n: int) -> list[tuple[str, SL2Element]]:
-        """The elements of sphere n with their texts, in text order."""
-        group = constant_group(Fq(self.q))
-        return sorted(
-            (
-                (text, g)
-                for coset in self.cosets(n)
-                for _, text, g in right_coset(coset.representative, group)
-            ),
-            key=itemgetter(0),
-        )
-
-    def sphere(self, n: int) -> tuple[SL2Element, ...]:
-        return tuple(g for _, g in self._members(n))
 
     def sphere_size(self, n: int) -> int:
         return len(self.cosets(n)) * (self.q**3 - self.q)
@@ -332,9 +321,7 @@ class SphereTable:
             "tool_version": __version__,
             "cache_major": CACHE_MAJOR_VERSION,
             "saturated": None,
-            "buckets": {
-                str(n): [text for text, _ in self._members(n)] for n in self.lengths()
-            },
+            "buckets": self.texts,
         }
         return json.dumps(body, indent=2, sort_keys=True)
 
@@ -379,7 +366,7 @@ class SphereTable:
                 "sphere table buckets are not the pair scan's cosets expanded by "
                 f"SL2(F_{q}), in text order"
             )
-        return cls(q, max_length, cosets)
+        return cls(q, max_length, cosets, texts)
 
 
 def candidate_pair_counts(q: int, max_length: int) -> Iterator[int]:
@@ -506,7 +493,7 @@ def enumerate_ball(q: int, max_length: int) -> SphereTable:
     """
     if max_length < 0:
         raise ValueError("negative ball radius")
-    table = SphereTable(q, max_length, _scan(q, max_length)[0])
+    table = SphereTable(q, max_length, *_scan(q, max_length))
     base = table.sphere_size(0)
     if base != q**3 - q:
         raise RuntimeError(f"length-0 sphere has {base} elements, expected q^3 - q = {q**3 - q}")

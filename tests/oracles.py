@@ -16,6 +16,9 @@ translations and a geodesic test per pair of cylinders, and the convolution
 matrix over every pair of ball elements from their located inverses.  A
 sphere given as its elements is split into right cosets by text lookup and
 ``locate`` (``right_cosets``), independently of the pair scan's coset list.
+A table's spheres are listed by expanding its cosets again
+(``sphere_members``), and its cosets are counted by depth pair in closed
+form (``coset_count_formula``).
 
 It also holds what only the tests use of elements, texts, vertices and
 cylinders: the lower elementary matrices, the length at one place, the text
@@ -744,6 +747,42 @@ def window_scan(q: int, max_length: int) -> dict[int, list[str]]:
 
 
 # ---------------------------------------------------------------------------
+# spheres as a table's cosets: members by expansion, counts in closed form
+
+
+def sphere_members(table: SphereTable, n: int) -> tuple[SL2Element, ...]:
+    """The elements of sphere n in text order: every coset of the table
+    expanded again by K = SL2(F_q) (``right_coset``), from its representative
+    alone, without the member texts the pair scan kept."""
+    group = constant_group(Fq(table.q))
+    members = sorted(
+        (
+            (text, g)
+            for coset in table.cosets(n)
+            for _, text, g in right_coset(coset.representative, group)
+        ),
+        key=lambda member: member[0],
+    )
+    return tuple(g for _, g in members)
+
+
+def coset_count_formula(q: int, l0: int, l1: int) -> int:
+    """N(l0, l1), the number of right cosets of K = SL2(F_q) whose located
+    pair has the even depths (l0, l1): 1 at (0, 0), (q^2 - 1) q^(l - 2) when
+    one depth l is 0, and (q^2 - 1)(q + 1) q^(l0 + l1 - 3) when both are at
+    least 2, plus (q + 1) q^(l0 - 2) on the diagonal l0 = l1.  Checked
+    against the pair scan only; no proof is written down."""
+    if l0 == l1 == 0:
+        return 1
+    if l0 == 0 or l1 == 0:
+        return (q * q - 1) * q ** (l0 + l1 - 2)
+    count = (q * q - 1) * (q + 1) * q ** (l0 + l1 - 3)
+    if l0 == l1:
+        count += (q + 1) * q ** (l0 - 2)
+    return count
+
+
+# ---------------------------------------------------------------------------
 # the upper-triangular subgroup H by its group law on (n, P)
 
 
@@ -1084,7 +1123,7 @@ class MeanOperator:
         input_depths: DepthSpec,
         xi_weighted: bool = True,
     ):
-        gammas = table.sphere(n)
+        gammas = sphere_members(table, n)
         if not gammas:
             raise ValueError(f"sphere {n} is empty")
         self.n = n
@@ -1220,7 +1259,7 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
     weighted mean over sphere n, summed over every pair of sphere elements
     (g, h): sum (P0_g^T D0 P0_h) (x) (P1_g^T D1 P1_h) with P_g = the
     element's own transport divided by |C_n| Xi(g) at place zero."""
-    gammas = table.sphere(n)
+    gammas = sphere_members(table, n)
     q = table.q
     out_depth = depth + n
     P0, P1 = (
@@ -1289,7 +1328,7 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
         g.inverse()
         for length in table.lengths()
         if length <= ball_radius
-        for g in table.sphere(length)
+        for g in sphere_members(table, length)
     ]
     size = len(inverses)
     lengths = np.zeros((size, size), dtype=np.int64)

@@ -47,6 +47,7 @@ from oracles import (
     length_at_place,
     product_cylinders,
     smith_valuations,
+    sphere_members,
 )
 
 FIELD = Fq(2)
@@ -127,7 +128,7 @@ def test_criterion_05_sphere_enumeration(table6):
     assert saturated
     assert sorted(bfs) == table6.lengths()
     for n in table6.lengths():
-        assert {g.to_text() for g in table6.sphere(n)} == {g.to_text() for g in bfs[n]}
+        assert {g.to_text() for g in sphere_members(table6, n)} == {g.to_text() for g in bfs[n]}
     elapsed = time.perf_counter() - started
     assert elapsed < 300
     _report(5, "pair enumeration equals BFS bucket-by-bucket at N = 6", elapsed, 300)
@@ -176,7 +177,7 @@ def test_criterion_07_uniform_bound_and_chain(table4):
 def test_criterion_08_koopman_unitarity(table4):
     started = time.perf_counter()
     rng = random.Random(0xACC8)
-    gammas = [g for n in table4.lengths() for g in table4.sphere(n)]
+    gammas = [g for n in table4.lengths() for g in sphere_members(table4, n)]
     sample = rng.sample(gammas, 20)
     cells = product_cylinders(3, (1, 1))
 

@@ -101,6 +101,60 @@ def test_spheres_atomic_out_and_cache(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_cold_spheres_expands_each_coset_once(tmp_path, capsys, monkeypatch):
+    # the q = 2, N = 4 ball has 1 + 6 + 45 = 52 right cosets: the scan
+    # expands each once and its texts are serialized once, for the cache
+    # file and stdout alike; a warm run scans once more and serializes once
+    calls = {"right_coset": 0, "to_json": 0}
+    real_coset, real_to_json = spheres.right_coset, SphereTable.to_json
+
+    def counting_coset(r, group):
+        calls["right_coset"] += 1
+        return real_coset(r, group)
+
+    def counting_to_json(table):
+        calls["to_json"] += 1
+        return real_to_json(table)
+
+    monkeypatch.setattr(spheres, "right_coset", counting_coset)
+    monkeypatch.setattr(SphereTable, "to_json", counting_to_json)
+    cache = tmp_path / "cache"
+    argv = ["spheres", "--q", "2", "--max-length", "4", "--cache-dir", str(cache)]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert calls == {"right_coset": 52, "to_json": 1}
+    path = cache / f"spheres-q2-n4-v{CACHE_MAJOR_VERSION}.json"
+    assert path.read_bytes() == out.encode()
+    code, warm = run(capsys, *argv)
+    assert code == 0 and warm == out
+    assert calls == {"right_coset": 104, "to_json": 2}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spheres", "--q", "2", "--max-length", "4"],
+        ["uniform-bound", "--q", "2", "--max-length", "4", "--n", "2"],
+    ],
+)
+def test_cache_file_that_is_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the file would be opened, then replaced by a rename; both refuse a
+    # directory, so it is refused before any work and left as it is
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_load_table", refuse)
+    monkeypatch.setattr(cli, "enumerate_ball", refuse)
+    path = tmp_path / f"spheres-q2-n4-v{CACHE_MAJOR_VERSION}.json"
+    path.mkdir()
+    code = main([*argv, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "is a directory" in captured.err
+    assert path.is_dir() and list(path.iterdir()) == []
+
+
 def test_stale_cache_is_rejected_and_rewritten(tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()

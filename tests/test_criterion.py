@@ -54,6 +54,7 @@ from oracles import (
     product_cylinders,
     refine,
     scale,
+    sphere_members,
     value_at,
 )
 
@@ -102,7 +103,7 @@ def test_step_function_add_scale_and_validation():
 
 def test_transfer_integral_is_one(table4):
     for n in (0, 2):
-        transfer = mean_transfer_function(table4.sphere(n), n)
+        transfer = mean_transfer_function(sphere_members(table4, n), n)
         assert integral(transfer) == ONE
         assert transfer.depths == (n, n)
 
@@ -137,7 +138,7 @@ def test_uniform_bound_matches_step_function_oracle(request, table_name, n):
     # rationals, and the integer path must give the same triple
     table = request.getfixturevalue(table_name)
     report = uniform_bound_value(table, n)
-    oracle = mean_transfer_function(table.sphere(n), n).sup_norm()
+    oracle = mean_transfer_function(sphere_members(table, n), n).sup_norm()
     assert report.value.as_triple() == oracle.as_triple()
     assert report.value_float == float(oracle)
     assert report.depths == (n, n)
@@ -170,7 +171,7 @@ def mean_transfer_bruteforce(table, n):
     """Independent evaluation path: per product cell, sum the cocycle
     products of every sphere element directly, without the per-coset and
     per-factor reuse of the main path."""
-    gammas = table.sphere(n)
+    gammas = sphere_members(table, n)
     q = table.q
     zero_tree, infinity_tree = expansions(q, n)
     located = [(zero_tree.locate(g), infinity_tree.locate(g), g) for g in gammas]
@@ -188,7 +189,7 @@ def mean_transfer_bruteforce(table, n):
 def test_transfer_matches_bruteforce(table4, table_q3n2):
     for table, lengths in ((table4, (0, 2, 4)), (table_q3n2, (0, 2))):
         for n in lengths:
-            fast = mean_transfer_function(table.sphere(n), n)
+            fast = mean_transfer_function(sphere_members(table, n), n)
             slow = mean_transfer_bruteforce(table, n)
             assert pointwise_equal(fast, slow)
 
@@ -197,12 +198,12 @@ def test_transfer_independent_of_enumeration_order(table4):
     # the same sphere reached by word BFS instead of the pair enumeration
     other, _ = bfs_crosscheck(2, 2, word_radius=4)
     assert pointwise_equal(
-        mean_transfer_function(table4.sphere(2), 2), mean_transfer_function(other[2], 2)
+        mean_transfer_function(sphere_members(table4, 2), 2), mean_transfer_function(other[2], 2)
     )
 
 
 def test_koopman_unitarity_exact(table4):
-    gammas = [g for n in table4.lengths() for g in table4.sphere(n)]
+    gammas = [g for n in table4.lengths() for g in sphere_members(table4, n)]
     for g in rng.sample(gammas, 10):
         matrix = koopman_matrix(g, (1, 1))
         for _ in range(3):
@@ -211,7 +212,7 @@ def test_koopman_unitarity_exact(table4):
 
 
 def test_koopman_inverse_composition(table4):
-    for g in rng.sample(list(table4.sphere(2)), 4):
+    for g in rng.sample(list(sphere_members(table4, 2)), 4):
         matrix = koopman_matrix(g, (1, 1))
         h = random_step((1, 1))
         out = matrix.apply(h)
@@ -220,7 +221,7 @@ def test_koopman_inverse_composition(table4):
 
 
 def test_koopman_identity_is_refinement(table4):
-    identity = [g for g in table4.sphere(0) if g == SL2Element.identity(Fq(2))]
+    identity = [g for g in sphere_members(table4, 0) if g == SL2Element.identity(Fq(2))]
     assert len(identity) == 1
     matrix = koopman_matrix(identity[0], (1, 2))
     h = random_step((1, 2))
@@ -228,7 +229,7 @@ def test_koopman_identity_is_refinement(table4):
 
 
 def test_koopman_rejects_shallow_registry(table4):
-    g = next(iter(table4.sphere(2)))
+    g = next(iter(sphere_members(table4, 2)))
     with pytest.raises(ValueError, match="below the output depths"):
         koopman_matrix(g, (1, 1), expansions(2, 1))
 
@@ -236,7 +237,7 @@ def test_koopman_rejects_shallow_registry(table4):
 def test_mean_operator_matches_transfer(table4):
     operator = MeanOperator(table4, 2, 0)
     image = operator.apply(constant(3, ONE, 0))
-    assert pointwise_equal(image, mean_transfer_function(table4.sphere(2), 2))
+    assert pointwise_equal(image, mean_transfer_function(sphere_members(table4, 2), 2))
 
 
 def test_positivity_transport(table4):
@@ -306,7 +307,7 @@ def test_convolution_matrix_matches_products(request, table_name, full_radius):
     top = table.max_length
 
     def ball(radius):
-        return [g for m in table.lengths() if m <= radius for g in table.sphere(m)]
+        return [g for m in table.lengths() if m <= radius for g in sphere_members(table, m)]
 
     full = product_lengths(ball(full_radius), range(len(ball(full_radius))))
     sampled = {}
@@ -343,7 +344,8 @@ def test_coset_convolution_matches_the_element_matrix(request, table_name, n, ra
     # and E^T E = |K| I, so its norm is |K| times that of M'
     table = request.getfixturevalue(table_name)
     lengths = [m for m in table.lengths() if m <= radius]
-    index = {g.to_text(): i for i, g in enumerate(g for m in lengths for g in table.sphere(m))}
+    elements = (g for m in lengths for g in sphere_members(table, m))
+    index = {g.to_text(): i for i, g in enumerate(elements)}
     ball = [coset for m in lengths for coset in table.cosets(m)]
     group = constant_group(Fq(table.q))
     expansion = np.zeros((len(index), len(ball)))
@@ -409,7 +411,7 @@ def test_condition_two_compares_exact_values():
 def test_spheres_split_into_constant_cosets(request, table_name):
     table = request.getfixturevalue(table_name)
     q = table.q
-    finite = set(table.sphere(0))
+    finite = set(sphere_members(table, 0))
     assert len(finite) == q**3 - q
     group = constant_group(Fq(q))
     for n in table.lengths():
@@ -430,7 +432,7 @@ def test_spheres_split_into_constant_cosets(request, table_name):
                 assert infinity_tree.locate(g) == w1
             assert {g for _, _, g in expansion} == {r * k for k in finite}
             members += [text for _, text, _ in expansion]
-        assert sorted(members) == [g.to_text() for g in table.sphere(n)]
+        assert sorted(members) == [g.to_text() for g in sphere_members(table, n)]
         assert len(set(members)) == len(members) == table.sphere_size(n)
 
 

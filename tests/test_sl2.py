@@ -29,6 +29,7 @@ from oracles import (
     length_at_place,
     sl2_from_text,
     smith_valuations,
+    sphere_members,
     text_sorted_levels,
     translate_form,
     tree_distance,
@@ -238,7 +239,7 @@ def oracle_translate(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
 
 
 def sphere_elements(table):
-    return [g for n in table.lengths() for g in table.sphere(n)]
+    return [g for n in table.lengths() for g in sphere_members(table, n)]
 
 
 @pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])

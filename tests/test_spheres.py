@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from rrdlab import CACHE_MAJOR_VERSION, spheres
+from rrdlab import CACHE_MAJOR_VERSION, __version__, spheres
 from rrdlab.algebra import Fq, plain
 from rrdlab.boundary import hc_product
 from rrdlab.sl2 import SL2Element
@@ -23,9 +24,11 @@ from rrdlab.spheres import (
 
 from oracles import (
     bfs_crosscheck,
+    coset_count_formula,
     expansions,
     right_cosets,
     sl2_from_text,
+    sphere_members,
     window_polynomials,
     window_scan,
 )
@@ -40,7 +43,7 @@ def test_window_polynomial_count():
 
 def test_identity_sphere_size(table4):
     assert table4.sphere_size(0) == 2**3 - 2
-    for g in table4.sphere(0):
+    for g in sphere_members(table4, 0):
         assert g.total_length == 0
 
 
@@ -57,7 +60,7 @@ def test_odd_spheres_empty(table4):
 def test_bucket_lengths_and_uniqueness(table4):
     seen = set()
     for n in table4.lengths():
-        for g in table4.sphere(n):
+        for g in sphere_members(table4, n):
             assert g.total_length == n
             text = g.to_text()
             assert text not in seen
@@ -74,7 +77,7 @@ def test_enumeration_matches_bfs(table4):
     by_bfs, _ = bfs_crosscheck(2, 4, word_radius=6)
     assert sorted(by_bfs) == table4.lengths()
     for n in table4.lengths():
-        assert set(g.to_text() for g in table4.sphere(n)) == set(
+        assert set(g.to_text() for g in sphere_members(table4, n)) == set(
             g.to_text() for g in by_bfs[n]
         )
 
@@ -125,6 +128,49 @@ def test_json_roundtrip_and_version_gate(table4):
         SphereTable.from_json(json.dumps(body))
 
 
+@pytest.mark.parametrize("table_name", ["table4", "table6", "table_q3n2", "table_q4n2"])
+def test_json_is_the_expansion_of_the_cosets(request, table_name):
+    # the texts the scan kept, as written by to_json, are every coset
+    # expanded again by K, and so are those of the table the file loads to
+    table = request.getfixturevalue(table_name)
+    body = {
+        "q": table.q,
+        "max_length": table.max_length,
+        "provenance": spheres.PROVENANCE_PAIRS,
+        "tool_version": __version__,
+        "cache_major": CACHE_MAJOR_VERSION,
+        "saturated": None,
+        "buckets": {
+            str(n): [g.to_text() for g in sphere_members(table, n)] for n in table.lengths()
+        },
+    }
+    expected = json.dumps(body, indent=2, sort_keys=True)
+    assert table.to_json() == expected
+    clone = SphereTable.from_json(expected)
+    assert clone == table
+    assert clone.to_json() == expected
+    assert "texts" not in repr(table)
+
+
+@pytest.mark.parametrize("table_name", ["table4", "table6", "table8", "table_q3n2", "table_q4n2"])
+def test_coset_counts_match_the_closed_form(request, table_name):
+    # every even depth pair (l0, l1) with l0 + l1 <= N is the located pair
+    # of N(l0, l1) cosets
+    table = request.getfixturevalue(table_name)
+    counts = Counter(
+        (coset.zero.depth, coset.infinity.depth)
+        for n in table.lengths()
+        for coset in table.cosets(n)
+    )
+    even = range(0, table.max_length + 1, 2)
+    assert counts == {
+        (l0, l1): coset_count_formula(table.q, l0, l1)
+        for l0 in even
+        for l1 in even
+        if l0 + l1 <= table.max_length
+    }
+
+
 def test_candidate_budget_overflow(monkeypatch):
     # q = 2 fits the pair budget up to N = 12 (73,729 pairs), not at N = 14
     spheres._check_pair_budget(2, 12)
@@ -163,7 +209,7 @@ def test_realized_length_pairs(table4):
 def test_sup_xi_on_sphere(table4):
     best, lengths = sup_xi_on_sphere(table4, 4)
     direct = max(
-        (hc_product(g.length_zero, g.length_infinity, 2) for g in table4.sphere(4)),
+        (hc_product(g.length_zero, g.length_infinity, 2) for g in sphere_members(table4, 4)),
     )
     assert best == direct
     assert lengths == (2, 2)
