@@ -10,12 +10,12 @@ mean-identity check, the compression core or the convolution matrix), 3 on
 an internal fault (any other exception).  Result records are written by
 ``algebra.plain``.
 
-Sphere tables can be cached: with --cache-dir or RRDLAB_CACHE_DIR set,
-tables live in files keyed by (q, max length, cache major version).  A cache
-file whose header does not match the request, the current major version or
-the pair-certified provenance, or whose buckets are not the pair scan's
-cosets expanded by SL2(F_q) text for text (``SphereTable.from_json``), is
-recomputed and rewritten, never silently reused.
+With --cache-dir, every command that reads a sphere table also keeps a copy
+of it in that directory, in a file keyed by (q, max length, cache major
+version) that holds exactly what ``spheres`` prints.  The table itself is
+always built by the pair scan; the file is never read back, only compared
+byte for byte and replaced when it differs, so a warm cache file is left
+untouched.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ from .trees import (
     sphere_size,
 )
 
-ENV_CACHE_DIR = "RRDLAB_CACHE_DIR"
-
-
 class UsageError(Exception):
     """Bad arguments or preconditions: exit status 2."""
 
@@ -78,6 +75,10 @@ def _atomic_write(path: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rrdlab-", suffix=".tmp")
     try:
+        # mkstemp makes the file owner-only; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -94,47 +95,44 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cache_dir(args: argparse.Namespace) -> Optional[str]:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get(ENV_CACHE_DIR) or None
-
-
 def _sphere_cache_path(cache_dir: str, q: int, max_length: int) -> str:
     name = f"spheres-q{q}-n{max_length}-v{CACHE_MAJOR_VERSION}.json"
     return os.path.join(cache_dir, name)
 
 
+def _holds(path: str, data: bytes) -> bool:
+    """Whether the file at ``path`` holds exactly ``data``; it is read only
+    when its size matches."""
+    try:
+        if os.path.getsize(path) != len(data):
+            return False
+        with open(path, "rb") as handle:
+            return handle.read() == data
+    except OSError:
+        return False
+
+
 def _load_table(
     q: int, max_length: int, cache_dir: Optional[str]
 ) -> tuple[SphereTable, dict, Optional[str]]:
-    """Fetch the sphere table, through the cache when one is configured.
+    """Build the sphere table, and copy it to the cache when one is configured.
 
-    Returns the table, a provenance record naming the cache file in play by
-    its file name, not its directory, and the table's JSON text when this
-    call built the table and wrote it to the cache (None otherwise), so the
-    caller need not serialize it again.  The record carries only run-stable
-    facts (no location, no hit flag, no timings), so reports stay
-    byte-identical between cold and warm runs and between cache directories.
+    Returns the table, a provenance record naming the cache file by its file
+    name, not its directory, and the table's JSON text when a cache is
+    configured (None otherwise), so the caller need not serialize it again.
+    The cache file is replaced unless it already holds these bytes, so a
+    warm file keeps its mtime.  The record carries only run-stable facts (no
+    location, no hit flag, no timings), so reports stay byte-identical
+    between cold and warm runs and between cache directories.
     """
-    provenance: dict = {"path": None}
-    path = None
-    if cache_dir:
-        path = _sphere_cache_path(cache_dir, q, max_length)
-        provenance["path"] = os.path.basename(path)
-        if os.path.exists(path):
-            try:
-                with open(path, "r") as handle:
-                    text = handle.read()
-                return SphereTable.from_json(text, expected=(q, max_length)), provenance, None
-            except ValueError:
-                pass  # stale, foreign or corrupt cache: fall through and rebuild
     table = enumerate_ball(q, max_length)
-    written = None
-    if path:
-        written = table.to_json()
-        _atomic_write(path, written)
-    return table, provenance, written
+    if not cache_dir:
+        return table, {"path": None}, None
+    path = _sphere_cache_path(cache_dir, q, max_length)
+    text = table.to_json()
+    if not _holds(path, text.encode()):
+        _atomic_write(path, text)
+    return table, {"path": os.path.basename(path)}, text
 
 
 def _envelope(command: str, config: dict, result: dict, passed: bool) -> dict:
@@ -159,6 +157,12 @@ def _blocking_file(directory: str) -> Optional[str]:
     while not os.path.exists(path):
         path = os.path.dirname(path)
     return None if os.path.isdir(path) else path
+
+
+def _within(path: str, ancestor: str) -> bool:
+    """Whether ``path`` is ``ancestor`` or lies under it."""
+    path, ancestor = os.path.abspath(path), os.path.abspath(ancestor)
+    return os.path.commonpath([path, ancestor]) == ancestor
 
 
 def _check_arguments(args: argparse.Namespace) -> None:
@@ -187,22 +191,26 @@ def _check_arguments(args: argparse.Namespace) -> None:
         blocking = path and _blocking_file(os.path.dirname(path))
         if blocking:
             raise UsageError(f"--{name} {path} lies under the file {blocking}")
-    cache_dir = _cache_dir(args) if hasattr(args, "cache_dir") else None
-    blocking = cache_dir and _blocking_file(cache_dir)
+    cache_dir = getattr(args, "cache_dir", None)
+    if not cache_dir:
+        return
+    blocking = _blocking_file(cache_dir)
     if blocking:
-        raise UsageError(
-            f"the cache directory {cache_dir} (--cache-dir or ${ENV_CACHE_DIR}) "
-            f"is or lies under the file {blocking}"
-        )
-    # the cache file is read by open and replaced by a rename, which a
-    # directory in its place refuses
-    cache_path = cache_dir and _sphere_cache_path(cache_dir, args.q, args.max_length)
-    if cache_path and os.path.isdir(cache_path):
+        raise UsageError(f"the cache directory {cache_dir} is or lies under the file {blocking}")
+    # the cache file is replaced by a rename, which a directory in its place
+    # refuses
+    cache_path = _sphere_cache_path(cache_dir, args.q, args.max_length)
+    if os.path.isdir(cache_path):
         raise UsageError(f"the cache file {cache_path} is a directory")
+    # the cache file is written before the output, which would then find the
+    # cache directory where it goes or where its directory goes, or replace
+    # the cache file with another document
+    if args.out and (_within(cache_dir, args.out) or _within(args.out, cache_path)):
+        raise UsageError(f"--out {args.out} collides with the cache file {cache_path}")
 
 
 def _cmd_spheres(args: argparse.Namespace) -> int:
-    table, _, written = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, _, written = _load_table(args.q, args.max_length, args.cache_dir)
     _emit(written or table.to_json(), args.out)
     return 0
 
@@ -286,7 +294,7 @@ def _cmd_mean_identity(args: argparse.Namespace) -> int:
 def _cmd_condition1(args: argparse.Namespace) -> int:
     if args.max_length < 2:
         raise UsageError("condition 1 needs a table radius of at least 2")
-    table, cache, _ = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     report = condition_one_certificate(table)
     passed = report.passed
     payload = _envelope(
@@ -304,7 +312,7 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
         raise UsageError("the sphere length must be even and nonnegative")
     if args.n > args.max_length:
         raise UsageError("sphere length exceeds the table radius")
-    table, cache, _ = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     report = uniform_bound_value(table, args.n)
     passed = report.at_most(args.threshold)
     payload = _envelope(
@@ -331,7 +339,7 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
             "ball radius plus sphere length must stay within the table radius"
         )
     check_convolution_budget(args.q, args.radius)
-    table, cache, _ = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     result = convolution_opnorm_lower(table, args.n, args.radius)
     passed = result.l1_ok
     payload = _envelope(
@@ -378,7 +386,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise UsageError("the compression depth must be at least 1")
     check_compression_budget(args.q, args.depth)
-    table, cache, _ = _load_table(args.q, args.max_length, _cache_dir(args))
+    table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     verdict = rrd_report(table, depth=args.depth, u_bound=args.u_threshold)
     verdict["config"]["cache"] = cache
     _emit(_canonical_json(verdict), args.out)
@@ -407,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-length", type=int, required=True, help="table radius (even lengths)"
     )
     cached.add_argument(
-        "--cache-dir", help=f"sphere table cache (or ${ENV_CACHE_DIR})"
+        "--cache-dir", help="also write the sphere table here (kept when unchanged)"
     )
 
     p = sub.add_parser(

@@ -21,7 +21,8 @@ expansion by the q^3 - q elements of K (``constant_group`` and
 ``right_coset``), which the scan makes once per coset: it reads the
 representative and the duplicate check off the member texts and keeps them,
 sorted, for ``to_json``.  The scan raises when two cosets share an element.
-The cache loader runs the scan once and requires the file to be its
+``from_json`` reads a written table back for the tests and the benchmark's
+check of a cold build: it runs the scan once and requires the text to be its
 expansion, text for text.
 
 The tests cross-check the tables against two independent enumerations in
@@ -326,16 +327,13 @@ class SphereTable:
         return json.dumps(body, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(
-        cls, text: str, *, expected: Optional[tuple[int, int]] = None
-    ) -> "SphereTable":
-        """Read a table written by ``to_json``.
+    def from_json(cls, text: str) -> "SphereTable":
+        """Read a table written by ``to_json``; the tests and the benchmark's
+        check of a cold build read ``spheres`` output with it.
 
         The header must name this cache major version, the pair-certified
-        provenance, a radius within the pair budget and, when ``expected``
-        is given, that (q, max_length), so a foreign table costs no scan.
-        The pair scan then
-        runs once (``_scan``), and the file's buckets must equal the scan's
+        provenance and a radius within the pair budget.  The pair scan then
+        runs once (``_scan``), and the text's buckets must equal the scan's
         cosets expanded by K, text for text and in order, so a table that
         loads is the one ``enumerate_ball`` builds.  Raises ValueError
         otherwise.
@@ -353,10 +351,6 @@ class SphereTable:
             raise ValueError("malformed sphere table header")
         if body.get("provenance") != PROVENANCE_PAIRS or body.get("saturated") is not None:
             raise ValueError("sphere table is not pair-certified")
-        if expected is not None and (q, max_length) != expected:
-            raise ValueError(
-                f"sphere table is for (q, max_length) = {(q, max_length)}, not {expected}"
-            )
         try:
             cosets, texts = _scan(q, max_length)
         except RadiusBudgetError as exc:

@@ -22,7 +22,7 @@ form (``coset_count_formula``).
 
 It also holds what only the tests use of elements, texts, vertices and
 cylinders: the lower elementary matrices, the length at one place, the text
-parsers (the cache loader compares texts and parses nothing), the matrix of
+parsers (`SphereTable.from_json` compares texts and parses nothing), the matrix of
 a subgroup element, and products and refinements of boundary cylinders.
 Label paths come as padded label arrays with their common-prefix lengths in
 bulk (the program compares vertex ids instead).
@@ -55,8 +55,6 @@ from rrdlab.algebra import (
     Fq,
     LaurentPolynomial,
     Place,
-    poly_divmod,
-    poly_gcd,
     series_quotient,
 )
 from rrdlab.boundary import cocycle_sqrt, hc_product
@@ -250,12 +248,13 @@ def _shadow_cylinders(u: TreeVertex, v: TreeVertex, depth: int) -> list[Boundary
 
 
 class RationalFunction:
-    """Element of F_q(X) as a reduced fraction with canonical normalization.
+    """Element of F_q(X) as a fraction num/den with a normalized denominator.
 
     Invariants: den is a polynomial in X with den(0) != 0 and monic leading
-    coefficient; gcd of den with the polynomial part of num is 1.  num carries
-    the whole X-power content, so v_zero(self) = v_zero(num) - 0 and two equal
-    fractions have identical components.
+    coefficient.  num carries the whole X-power content, so v_zero(self) =
+    v_zero(num).  Fractions are not reduced by a gcd: nothing read off them
+    (valuation, series prefix, zero test) needs it, and equality compares
+    cross products.
     """
 
     __slots__ = ("num", "den")
@@ -273,18 +272,12 @@ class RationalFunction:
         # move all X-power content of the denominator into the numerator
         num = num.shift(-den.low)
         den = den.shift(-den.low)
-        num_low = num.low
-        num_poly = num.shift(-num_low)
-        g = poly_gcd(num_poly, den)
-        if not g.is_one():
-            num_poly, _ = poly_divmod(num_poly, g)
-            den, _ = poly_divmod(den, g)
         lead = den.leading_coefficient()
         if lead != 1:
             inv = field.inv(lead)
-            num_poly = num_poly.scale(inv)
+            num = num.scale(inv)
             den = den.scale(inv)
-        self.num = num_poly.shift(num_low)
+        self.num = num
         self.den = den
 
     @classmethod
@@ -358,11 +351,11 @@ class RationalFunction:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (RationalFunction, LaurentPolynomial)):
             other = self._coerce(other)
-            return self.num == other.num and self.den == other.den
+            return self.num * other.den == other.num * self.den
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    # equal fractions need not have equal parts, so they have no hash
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         if self.den.is_one():

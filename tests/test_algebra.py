@@ -207,7 +207,7 @@ def test_rational_function_canonical_and_arithmetic():
         assert r.den.low == 0
         assert r.den.coefficient(0) != 0 or r.den.is_one()
         assert r.den.leading_coefficient() == 1
-        # equality of cross products pins the reduction
+        # equality of cross products pins the normalization
         assert r.num * den == num * r.den
         s = RationalFunction(den, LaurentPolynomial.one(field))
         assert (r * s).num == num or (r * s) == RationalFunction(num, LaurentPolynomial.one(field))

@@ -138,8 +138,8 @@ def test_cold_spheres_expands_each_coset_once(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_cache_file_that_is_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
-    # the file would be opened, then replaced by a rename; both refuse a
-    # directory, so it is refused before any work and left as it is
+    # the file would be replaced by a rename, which a directory refuses, so
+    # it is refused before any work and left as it is
     def refuse(*args):
         raise AssertionError("work started")
 
@@ -171,8 +171,8 @@ def test_stale_cache_is_rejected_and_rewritten(tmp_path, capsys):
 
 
 def test_foreign_cache_header_is_rejected_before_any_scan(tmp_path, capsys, monkeypatch):
-    # a header naming radius 10 in the q = 2, N = 4 file: the loader refuses
-    # it before the pair scan, which then runs once, for the rebuild
+    # a header naming radius 10 in the q = 2, N = 4 file is never scanned
+    # for: the pair scan runs once, for the table that replaces the file
     cache = tmp_path / "cache"
     cache.mkdir()
     path = cache / f"spheres-q2-n4-v{CACHE_MAJOR_VERSION}.json"
@@ -196,18 +196,67 @@ def test_foreign_cache_header_is_rejected_before_any_scan(tmp_path, capsys, monk
     code, _ = run(capsys, *argv, "--cache-dir", str(cache))
     assert code == 0
     assert scans == [(2, 4)]
-    table = SphereTable.from_json(path.read_text(), expected=(2, 4))
+    table = SphereTable.from_json(path.read_text())
     assert (table.q, table.max_length) == (2, 4)
-    with pytest.raises(ValueError, match="is for"):
-        SphereTable.from_json(path.read_text(), expected=(2, 2))
 
 
-def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("RRDLAB_CACHE_DIR", str(cache))
-    code, _ = run(capsys, "condition1", "--max-length", "2")
+def test_reformatted_cache_is_replaced(tmp_path, capsys):
+    # the right buckets in compact JSON are not the bytes `spheres` writes
+    code, out = run(capsys, "spheres", "--q", "2", "--max-length", "4")
     assert code == 0
-    assert any(cache.iterdir())
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / f"spheres-q2-n4-v{CACHE_MAJOR_VERSION}.json"
+    path.write_text(json.dumps(json.loads(out)))
+    argv = ["uniform-bound", "--q", "2", "--max-length", "4", "--n", "2"]
+    code, _ = run(capsys, *argv, "--cache-dir", str(cache))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spheres"],
+        ["report", "--depth", "1"],
+        ["uniform-bound", "--n", "2"],
+        ["opnorm", "--n", "0", "--radius", "2"],
+        ["condition1"],
+    ],
+)
+def test_warm_cache_is_neither_read_nor_rewritten(tmp_path, capsys, monkeypatch, argv):
+    argv = [*argv, "--q", "2", "--max-length", "2", "--cache-dir", str(tmp_path)]
+    code, cold = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / f"spheres-q2-n2-v{CACHE_MAJOR_VERSION}.json"
+    written, mtime = path.read_bytes(), path.stat().st_mtime_ns
+
+    def refuse(cls, text):
+        raise AssertionError("the cache file was loaded")
+
+    monkeypatch.setattr(SphereTable, "from_json", classmethod(refuse))
+    code, warm = run(capsys, *argv)
+    assert code == 0 and warm == cold
+    assert path.read_bytes() == written
+    assert path.stat().st_mtime_ns == mtime
+
+
+def test_outputs_get_the_mode_of_the_umask(tmp_path, capsys):
+    # as open() would make them, not owner-only
+    previous = os.umask(0o022)
+    try:
+        code, _ = run(
+            capsys, "lamplighter", "--radius", "3", "--out", str(tmp_path / "x.json"),
+            "--csv", str(tmp_path / "g.csv"),
+        )
+        assert code == 0
+        code, _ = run(capsys, "spheres", "--max-length", "2", "--cache-dir", str(tmp_path / "cache"))
+        assert code == 0
+    finally:
+        os.umask(previous)
+    written = [tmp_path / "x.json", tmp_path / "g.csv", *(tmp_path / "cache").iterdir()]
+    assert len(written) == 3
+    assert [path.stat().st_mode & 0o777 for path in written] == [0o644] * 3
 
 
 def test_uniform_bound_threshold_failure(capsys):
@@ -382,8 +431,8 @@ def test_report_reference_configuration(tmp_path, capsys):
 
 IDENTITY_TEXT = "low=0;coeffs=1|low=0;coeffs=|low=0;coeffs=|low=0;coeffs=1"
 
-# Each corruption of a valid q = 2, N = 2 cache body that the loader must
-# reject: a wrong shape, or contents no enumeration can produce.
+# Each corruption of a valid q = 2, N = 2 cache body that a command must
+# replace: a wrong shape, or contents no enumeration can produce.
 CORRUPTIONS = {
     "not-an-object": lambda body: [1, 2],
     "q-not-an-integer": lambda body: {**body, "q": "2"},
@@ -533,7 +582,7 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv, cache_dir",
     [
         (["xi", "--length-zero", "2", "--length-infinity", "2", "--out", "{dir}"], None),
         (["lamplighter", "--radius", "2", "--csv", "{dir}"], None),
@@ -542,12 +591,24 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
         (["xi", "--length-zero", "2", "--length-infinity", "2", "--out", "{file}/x.json"], None),
         (["lamplighter", "--radius", "3", "--csv", "{file}/x.csv"], None),
         (["spheres", "--max-length", "2", "--cache-dir", "{file}/sub"], None),
+        (["report", "--q", "2", "--max-length", "2", "--depth", "1", "--out", "{dir}/C"], "{dir}/C"),
+        (
+            ["condition1", "--q", "2", "--max-length", "2", "--out",
+             f"{{dir}}/spheres-q2-n2-v{CACHE_MAJOR_VERSION}.json/x.json"],
+            "{dir}",
+        ),
+        (
+            ["condition1", "--q", "2", "--max-length", "2", "--out",
+             f"{{dir}}/spheres-q2-n2-v{CACHE_MAJOR_VERSION}.json"],
+            "{dir}",
+        ),
     ],
 )
-def test_bad_output_paths_are_usage_errors(tmp_path, capsys, monkeypatch, argv, env):
-    # a directory where a file is written, or a file where the cache
-    # directory or an output's directory goes, is refused before any work
-    # and leaves both untouched
+def test_bad_output_paths_are_usage_errors(tmp_path, capsys, monkeypatch, argv, cache_dir):
+    # a directory where a file is written, a file where the cache directory
+    # or an output's directory goes, or an output at the cache directory, at
+    # the cache file or under it, is refused before any work and leaves both
+    # untouched
     def refuse(*args):
         raise AssertionError("work started")
 
@@ -556,8 +617,8 @@ def test_bad_output_paths_are_usage_errors(tmp_path, capsys, monkeypatch, argv, 
     paths = {"dir": tmp_path / "dir", "file": tmp_path / "file"}
     paths["dir"].mkdir()
     paths["file"].write_text("kept\n")
-    if env:
-        monkeypatch.setenv("RRDLAB_CACHE_DIR", env.format(**paths))
+    if cache_dir:
+        argv = [*argv, "--cache-dir", cache_dir]
     code, out = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert out == ""
@@ -682,7 +743,7 @@ def test_lamplighter_radius_beyond_the_budget_is_a_usage_error(capsys):
 def test_exact_commands_do_not_import_numpy(argv):
     # numpy serves only the floating side; a fresh interpreter shows what a
     # command loads
-    env = {key: value for key, value in os.environ.items() if key != cli.ENV_CACHE_DIR}
+    env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(rrdlab.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (

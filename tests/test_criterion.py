@@ -438,7 +438,7 @@ def test_spheres_split_into_constant_cosets(request, table_name):
 
 def test_certificate_locates_no_sphere_element(table4, monkeypatch):
     # every located pair comes from the pair scan's registry walk; the
-    # report, the standalone sections and the cache loader call no locate
+    # report and the standalone sections call no locate
     def refuse(*args):
         raise AssertionError("locate was called")
 

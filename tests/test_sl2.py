@@ -181,25 +181,6 @@ def test_levels_are_the_reference_expansion(q, radius):
         assert all(vertex_of(form) == vertex for level in levels for vertex, form in level)
 
 
-@pytest.mark.parametrize("q", [11, 16])
-def test_levels_are_the_label_expansion(q):
-    # beyond q = 9 the text keys sort "10" before "2", so only the structure
-    # is checked: q + 1 children at the root and q below it, each adjacent to
-    # its parent, every form new, and ids increasing along every level (the
-    # transports look leaf ids up by binary search)
-    degree = q + 1
-    for place in Place:
-        levels = TreeRegistry(q, place, 3).levels
-        assert len({form for level in levels for _, form in level}) == sum(map(len, levels))
-        for depth in range(1, 4):
-            assert len(levels[depth]) == degree * q ** (depth - 1)
-            parents = {vertex.id: form for vertex, form in levels[depth - 1]}
-            for vertex, form in levels[depth]:
-                assert parents[(vertex.id - 1) // degree] in vertex_neighbors(form)
-            ids = [vertex.id for vertex, _ in levels[depth]]
-            assert all(a < b for a, b in zip(ids, ids[1:]))
-
-
 # ---------------------------------------------------------------------------
 # gcd-free canonical forms against column reduction over rational functions
 
