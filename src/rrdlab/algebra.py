@@ -284,13 +284,6 @@ class LaurentPolynomial:
             raise ValueError("the zero polynomial has no top exponent")
         return self.low + len(self._coeffs) - 1
 
-    @property
-    def span(self) -> int:
-        """top - low for nonzero polynomials (the Euclidean size in the Laurent ring)."""
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no span")
-        return len(self._coeffs) - 1
-
     def coefficient(self, exponent: int) -> int:
         i = exponent - self.low
         if 0 <= i < len(self._coeffs):
@@ -618,10 +611,8 @@ class AlgebraicValue:
             return NotImplemented
         norm = other.a * other.a - self.q * other.b * other.b
         if norm == 0:
-            if other.a == 0 and other.b == 0:
-                raise ZeroDivisionError("division by zero AlgebraicValue")
-            # q non-square makes norm zero impossible for nonzero values;
-            # square q is folded to b == 0 in the constructor.
+            # only zero has norm zero: q non-square makes it impossible for
+            # nonzero values, and square q is folded to b == 0 in the constructor
             raise ZeroDivisionError("division by zero AlgebraicValue")
         conj = AlgebraicValue(other.a, -other.b, self.q)
         prod = self * conj

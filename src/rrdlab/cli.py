@@ -1,8 +1,10 @@
 """Command line front end.
 
 Every subcommand emits one canonical JSON document (sorted keys, two-space
-indent, trailing newline) to stdout or, with --out, to a file written
-atomically via a same-directory temp file and rename.  Exit status: 0 when
+indent) to stdout or, with --out, to a file written atomically via a
+same-directory temp file and rename.  Envelopes and the verdict end with a
+newline; the sphere table that ``spheres`` prints, and every cache file,
+ends with its closing brace.  Exit status: 0 when
 all checks the command performs pass, 1 when a numeric check or threshold
 fails, 2 on usage errors (bad arguments, or a radius beyond the budget of
 the sphere enumeration, the subgroup ball count, the ball-count BFS, the

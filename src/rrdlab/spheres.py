@@ -9,10 +9,11 @@ lattices glue with F_q[X, X^-1]^2 on the projective line is trivial, that is
 when h^0(E(-1)) = 0 (Grothendieck splitting; Serre, *Trees*, ch. II; in
 twin-tree terms v0 and v1 are opposite).  The enumeration therefore takes
 every pair of even-depth vertices with d0 + d1 <= N from the two tree
-registries, decides triviality by one F_q linear system whose solutions are
-the global sections of E, and reads a representative off the two sections
-when the pair is trivial.  Each representative is checked to have
-determinant 1 and to locate back to its pair at both places.
+registries, decides triviality by one rank test (E has degree 0, so it is
+trivial exactly when its section rows plus the two fiber rows at X = 0 have
+full column rank), and reads a representative off the same elimination.
+Each representative is checked to have determinant 1 and to locate back to
+its pair at both places.
 
 A table is this coset list: for each length, the cosets with their located
 pairs, as the scan walked them, and as representative the member whose text
@@ -41,7 +42,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from math import sqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -152,38 +152,42 @@ def _completions_for_row(
         yield (m, o) if pivot_is_first else (o, m)
 
 
-def _nullspace(field: Fq, rows: list[list[int]], width: int) -> list[list[int]]:
-    """A basis of {x in F_q^width : row . x = 0 for every row}, by reduction
-    to row echelon form with every pivot column cleared in the other rows."""
+def _fiber_solutions(
+    field: Fq, rows: list[list[int]], width: int
+) -> Optional[tuple[list[int], list[int]]]:
+    """Gauss-Jordan elimination over F_q of ``rows``, each ``width``
+    coefficients and two right-hand sides.  Each row adds at most one pivot,
+    so it stops with None once the rows left cannot give every column a
+    pivot (the homogeneous system then has a nonzero solution).  Otherwise
+    it returns the two solutions, or raises RuntimeError when a row reduces
+    to zero coefficients with a nonzero right-hand side."""
     add, mul, neg = field.add, field.mul, field.neg
     pivots: list[tuple[int, list[int]]] = []
-    for row in rows:
+    inconsistent = False
+    for done, row in enumerate(rows, 1):
         for col, prow in pivots:
             c = row[col]
             if c:
                 c = neg(c)
                 row = [add(x, mul(c, y)) for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x), None)
+        lead = next((j for j in range(width) if row[j]), None)
         if lead is None:
-            continue
-        inv = field.inv(row[lead])
-        row = [mul(inv, x) for x in row]
-        for i, (col, prow) in enumerate(pivots):
-            c = prow[lead]
-            if c:
-                c = neg(c)
-                pivots[i] = (col, [add(x, mul(c, y)) for x, y in zip(prow, row)])
-        pivots.append((lead, row))
-    pivot_columns = {col for col, _ in pivots}
-    basis = []
-    for free in range(width):
-        if free not in pivot_columns:
-            x = [0] * width
-            x[free] = 1
-            for col, prow in pivots:
-                x[col] = neg(prow[free])
-            basis.append(x)
-    return basis
+            inconsistent = inconsistent or any(row[width:])
+        else:
+            inv = field.inv(row[lead])
+            row = [mul(inv, x) for x in row]
+            for i, (col, prow) in enumerate(pivots):
+                c = prow[lead]
+                if c:
+                    c = neg(c)
+                    pivots[i] = (col, [add(x, mul(c, y)) for x, y in zip(prow, row)])
+            pivots.append((lead, row))
+        if len(pivots) + len(rows) - done < width:
+            return None
+    if inconsistent:
+        raise RuntimeError("a full-rank pair system has inconsistent fiber values")
+    pivots.sort()
+    return [prow[width] for _, prow in pivots], [prow[width + 1] for _, prow in pivots]
 
 
 def _pair_representative(zero: LatticeVertex, inf: LatticeVertex) -> Optional[SL2Element]:
@@ -199,9 +203,11 @@ def _pair_representative(zero: LatticeVertex, inf: LatticeVertex) -> Optional[SL
     [a0 - s0, s1 - a1], and the two conditions on v2 bound its window.  The
     sections of E(-1) are those whose two coordinates in the fiber at X = 0,
     the coefficients of X^(a0 - s0) in v1 and of X^s0 in X^a0 v2 - c0 v1,
-    vanish.  E is trivial exactly when E(-1) has no section, i.e. when E has
-    two sections and they span the fiber at 0; they are then the columns of
-    a representative whose determinant is a nonzero constant.
+    vanish.  Both depths are even, so E has degree 0 and is trivial exactly
+    when E(-1) has no section: when the section rows and the two fiber rows
+    have full column rank (``_fiber_solutions``).  The solutions for the
+    fiber values (1, 0) and (0, 1) are then the columns of a representative
+    whose determinant is a constant, its value 1 in the fiber.
     """
     field = zero.field
     neg = field.neg
@@ -210,54 +216,45 @@ def _pair_representative(zero: LatticeVertex, inf: LatticeVertex) -> Optional[SL
     c1 = inf.off_diag.substitute_inverse()
     s0, s1 = (a0 + b0) // 2, (a1 + b1) // 2
     lo1, hi1 = a0 - s0, s1 - a1
-    n1 = max(hi1 - lo1 + 1, 0)
+    n1 = hi1 - lo1 + 1
+    if n1 <= 0:
+        return None
     lo2, hi2 = s0 - a0, a1 - s1
     low_eq, top_eq = s0 - 1, -s1 + 1
-    if n1:
-        if not c0.is_zero():
-            lo2 = min(lo2, c0.low + lo1 - a0)
-            low_eq = min(low_eq, c0.low + lo1)
-        if not c1.is_zero():
-            hi2 = max(hi2, c1.top + hi1 + a1)
-            top_eq = max(top_eq, c1.top + hi1)
+    if not c0.is_zero():
+        lo2 = min(lo2, c0.low + lo1 - a0)
+        low_eq = min(low_eq, c0.low + lo1)
+    if not c1.is_zero():
+        hi2 = max(hi2, c1.top + hi1 + a1)
+        top_eq = max(top_eq, c1.top + hi1)
     n2 = max(hi2 - lo2 + 1, 0)
     low_eq = min(low_eq, a0 + lo2)
     top_eq = max(top_eq, hi2 - a1)
     width = n1 + n2
 
     def row(e: int, shift: int, c: LaurentPolynomial) -> list[int]:
-        """Coefficients of X^e in X^shift v2 - c v1 over the unknowns."""
-        out = [neg(c.coefficient(e - lo1 - i)) for i in range(n1)] + [0] * n2
+        """Coefficients of X^e in X^shift v2 - c v1, and zero right-hand sides."""
+        out = [neg(c.coefficient(e - lo1 - i)) for i in range(n1)] + [0] * (n2 + 2)
         j = e - shift - lo2
         if 0 <= j < n2:
             out[n1 + j] = 1
         return out
 
-    rows = [row(e, a0, c0) for e in range(low_eq, s0)]
+    # the fiber rows go first, so that a nontrivial pair stops early
+    rows = [[1] + [0] * (width - 1) + [1, 0], row(s0, a0, c0)[:-1] + [1]]
+    rows += [row(e, a0, c0) for e in range(low_eq, s0)]
     rows += [row(e, -a1, c1) for e in range(-s1 + 1, top_eq + 1)]
-    sections = _nullspace(field, rows, width)
-    if len(sections) != 2 or n1 == 0:
+    solutions = _fiber_solutions(field, rows, width)
+    if solutions is None:
         return None
-    # the two sections span the fiber at 0 when their coordinates there,
-    # (x[0], fiber . x), form an invertible 2 x 2 matrix
-    fiber = row(s0, a0, c0)
-    (p0, p1), (r0, r1) = (
-        (x[0], reduce(field.add, map(field.mul, fiber, x), 0)) for x in sections
+    (a, c), (b, d) = (
+        (LaurentPolynomial(field, lo1, x[:n1]), LaurentPolynomial(field, lo2, x[n1:]))
+        for x in solutions
     )
-    if field.mul(p0, r1) == field.mul(r0, p1):
-        return None
-    first, second = (
-        (
-            LaurentPolynomial(field, lo1, x[:n1]),
-            LaurentPolynomial(field, lo2, x[n1:]),
-        )
-        for x in sections
-    )
-    det = first[0] * second[1] - second[0] * first[1]
-    if det.is_zero() or not det.is_monomial() or det.low != 0:
+    det = a * d - b * c
+    if not det.is_one():
         raise RuntimeError(f"sections of a trivial pair have determinant {det!r}")
-    unit = field.inv(det.leading_coefficient())
-    g = SL2Element(first[0].scale(unit), second[0], first[1].scale(unit), second[1])
+    g = SL2Element(a, b, c, d, check=False)
     if canonical_vertex(g, Place.ZERO) != zero or canonical_vertex(g, Place.INFINITY) != inf:
         raise RuntimeError(f"{g.to_text()} does not locate back to its vertex pair")
     return g

@@ -18,7 +18,11 @@ sphere given as its elements is split into right cosets by text lookup and
 ``locate`` (``right_cosets``), independently of the pair scan's coset list.
 A table's spheres are listed by expanding its cosets again
 (``sphere_members``), and its cosets are counted by depth pair in closed
-form (``coset_count_formula``).
+form (``coset_count_formula``).  The pair scan's decision for one vertex
+pair is recomputed from a nullspace basis of the pair's section system, a
+2 x 2 fiber test and a determinant rescale
+(``pair_representative_by_nullspace``), where the program runs one
+elimination with the fiber values as right-hand sides.
 
 It also holds what only the tests use of elements, texts, vertices and
 cylinders: the lower elementary matrices, the length at one place, the text
@@ -46,7 +50,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from functools import reduce
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -648,6 +653,28 @@ def elementary_generators(q: int) -> list[SL2Element]:
     return gens
 
 
+def _right_multiplier(s: SL2Element) -> Callable[[SL2Element], SL2Element]:
+    """g -> g s for a letter s of ``elementary_generators``, as a column
+    operation: E12(t) replaces the second column (b, d) by (a t + b, c t + d),
+    E21(t) the first column (a, c) by (a + b t, c + d t), and
+    diag(X^k, X^-k) shifts the columns by k and -k.  Each offset t is a
+    monomial x X^e, so a product by t is a scale and a shift."""
+    if s.b.is_zero() and s.c.is_zero():
+        k = s.a.low
+        return lambda g: SL2Element(
+            g.a.shift(k), g.b.shift(-k), g.c.shift(k), g.d.shift(-k), check=False
+        )
+    if s.b.is_zero():
+        e, x = s.c.low, s.c.leading_coefficient()
+        return lambda g: SL2Element(
+            g.a + g.b.scale(x).shift(e), g.b, g.c + g.d.scale(x).shift(e), g.d, check=False
+        )
+    e, x = s.b.low, s.b.leading_coefficient()
+    return lambda g: SL2Element(
+        g.a, g.a.scale(x).shift(e) + g.b, g.c, g.c.scale(x).shift(e) + g.d, check=False
+    )
+
+
 def bfs_crosscheck(
     q: int,
     max_length: int,
@@ -662,7 +689,7 @@ def bfs_crosscheck(
     returned flag records whether the per-bucket counts were stable across
     the last two radii; only then is the cross-check meaningful.
     """
-    gens = elementary_generators(q)
+    letters = [_right_multiplier(s) for s in elementary_generators(q)]
     field = Fq(q)
     identity = SL2Element.identity(field)
     visited: dict[str, SL2Element] = {identity.to_text(): identity}
@@ -673,8 +700,8 @@ def bfs_crosscheck(
     for _ in range(word_radius):
         nxt = []
         for g in frontier:
-            for s in gens:
-                h = g * s
+            for right_multiply in letters:
+                h = right_multiply(g)
                 text = h.to_text()
                 if text in visited:
                     continue
@@ -773,6 +800,123 @@ def coset_count_formula(q: int, l0: int, l1: int) -> int:
     if l0 == l1:
         count += (q + 1) * q ** (l0 - 2)
     return count
+
+
+# ---------------------------------------------------------------------------
+# the pair scan's decision by a nullspace basis
+
+
+def nullspace(field: Fq, rows: list[list[int]], width: int) -> list[list[int]]:
+    """A basis of {x in F_q^width : row . x = 0 for every row}, by reduction
+    to row echelon form with every pivot column cleared in the other rows."""
+    add, mul, neg = field.add, field.mul, field.neg
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        for col, prow in pivots:
+            c = row[col]
+            if c:
+                c = neg(c)
+                row = [add(x, mul(c, y)) for x, y in zip(row, prow)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = field.inv(row[lead])
+        row = [mul(inv, x) for x in row]
+        for i, (col, prow) in enumerate(pivots):
+            c = prow[lead]
+            if c:
+                c = neg(c)
+                pivots[i] = (col, [add(x, mul(c, y)) for x, y in zip(prow, row)])
+        pivots.append((lead, row))
+    pivot_columns = {col for col, _ in pivots}
+    basis = []
+    for free in range(width):
+        if free not in pivot_columns:
+            x = [0] * width
+            x[free] = 1
+            for col, prow in pivots:
+                x[col] = neg(prow[free])
+            basis.append(x)
+    return basis
+
+
+def pair_representative_by_nullspace(zero: LatticeVertex, inf: LatticeVertex) -> Optional[SL2Element]:
+    """The reference for ``spheres._pair_representative``: an element g with
+    g.o_0 = ``zero`` and g.o_inf = ``inf``, or None when the pair bounds a
+    nontrivial bundle, read off a nullspace basis of the section system with
+    a 2 x 2 fiber test and a determinant rescale.
+
+    With canonical forms (a_i, b_i, c_i), s_i = (a_i + b_i)/2 and Y = X^-1,
+    the lattices g O^2 must be X^-s0 L_0 and Y^-s1 L_1 (determinant 1), so
+    with c_1 written back in X a global section (v1, v2) of E satisfies
+    v_X(v1) >= a0 - s0,
+    v_X(X^a0 v2 - c0 v1) >= s0, top(v1) <= s1 - a1 and
+    top(X^-a1 v2 - c1 v1) <= -s1.  The first coordinate lies in the window
+    [a0 - s0, s1 - a1], and the two conditions on v2 bound its window.  The
+    sections of E(-1) are those whose two coordinates in the fiber at X = 0,
+    the coefficients of X^(a0 - s0) in v1 and of X^s0 in X^a0 v2 - c0 v1,
+    vanish.  E is trivial exactly when E(-1) has no section, i.e. when E has
+    two sections and they span the fiber at 0; they are then the columns of
+    a representative whose determinant is a nonzero constant.
+    """
+    field = zero.field
+    neg = field.neg
+    a0, b0, c0 = zero.diag_low, zero.diag_high, zero.off_diag
+    a1, b1 = inf.diag_low, inf.diag_high
+    c1 = inf.off_diag.substitute_inverse()
+    s0, s1 = (a0 + b0) // 2, (a1 + b1) // 2
+    lo1, hi1 = a0 - s0, s1 - a1
+    n1 = max(hi1 - lo1 + 1, 0)
+    lo2, hi2 = s0 - a0, a1 - s1
+    low_eq, top_eq = s0 - 1, -s1 + 1
+    if n1:
+        if not c0.is_zero():
+            lo2 = min(lo2, c0.low + lo1 - a0)
+            low_eq = min(low_eq, c0.low + lo1)
+        if not c1.is_zero():
+            hi2 = max(hi2, c1.top + hi1 + a1)
+            top_eq = max(top_eq, c1.top + hi1)
+    n2 = max(hi2 - lo2 + 1, 0)
+    low_eq = min(low_eq, a0 + lo2)
+    top_eq = max(top_eq, hi2 - a1)
+    width = n1 + n2
+
+    def row(e: int, shift: int, c: LaurentPolynomial) -> list[int]:
+        """Coefficients of X^e in X^shift v2 - c v1 over the unknowns."""
+        out = [neg(c.coefficient(e - lo1 - i)) for i in range(n1)] + [0] * n2
+        j = e - shift - lo2
+        if 0 <= j < n2:
+            out[n1 + j] = 1
+        return out
+
+    rows = [row(e, a0, c0) for e in range(low_eq, s0)]
+    rows += [row(e, -a1, c1) for e in range(-s1 + 1, top_eq + 1)]
+    sections = nullspace(field, rows, width)
+    if len(sections) != 2 or n1 == 0:
+        return None
+    # the two sections span the fiber at 0 when their coordinates there,
+    # (x[0], fiber . x), form an invertible 2 x 2 matrix
+    fiber = row(s0, a0, c0)
+    (p0, p1), (r0, r1) = (
+        (x[0], reduce(field.add, map(field.mul, fiber, x), 0)) for x in sections
+    )
+    if field.mul(p0, r1) == field.mul(r0, p1):
+        return None
+    first, second = (
+        (
+            LaurentPolynomial(field, lo1, x[:n1]),
+            LaurentPolynomial(field, lo2, x[n1:]),
+        )
+        for x in sections
+    )
+    det = first[0] * second[1] - second[0] * first[1]
+    if det.is_zero() or not det.is_monomial() or det.low != 0:
+        raise RuntimeError(f"sections of a trivial pair have determinant {det!r}")
+    unit = field.inv(det.leading_coefficient())
+    g = SL2Element(first[0].scale(unit), second[0], first[1].scale(unit), second[1])
+    if canonical_vertex(g, Place.ZERO) != zero or canonical_vertex(g, Place.INFINITY) != inf:
+        raise RuntimeError(f"{g.to_text()} does not locate back to its vertex pair")
+    return g
 
 
 # ---------------------------------------------------------------------------

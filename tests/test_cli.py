@@ -551,6 +551,15 @@ def test_spheres_output_is_pinned(capsys, q, max_length):
     assert hashlib.sha256(out.encode()).hexdigest() == SPHERES_SHA256[q, max_length]
 
 
+def test_only_envelopes_end_with_a_newline(capsys):
+    # a sphere table ends with its closing brace, as every cache file does;
+    # an envelope (and the verdict) ends with one newline
+    code, out = run(capsys, "spheres", "--q", "2", "--max-length", "2")
+    assert code == 0 and out.endswith("\n}")
+    code, out = run(capsys, "xi", "--length-zero", "2", "--length-infinity", "2")
+    assert code == 0 and out.endswith("}\n") and not out.endswith("\n\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

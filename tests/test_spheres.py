@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from rrdlab import CACHE_MAJOR_VERSION, __version__, spheres
-from rrdlab.algebra import Fq, plain
+from rrdlab.algebra import Fq, Place, plain
 from rrdlab.boundary import hc_product
-from rrdlab.sl2 import SL2Element
+from rrdlab.sl2 import SL2Element, TreeRegistry
 from rrdlab.spheres import (
     Condition1Report,
     Condition1Row,
@@ -26,6 +26,7 @@ from oracles import (
     bfs_crosscheck,
     coset_count_formula,
     expansions,
+    pair_representative_by_nullspace,
     right_cosets,
     sl2_from_text,
     sphere_members,
@@ -269,3 +270,68 @@ def test_duplicate_element_is_an_error(monkeypatch):
     monkeypatch.setattr(spheres, "_pair_representative", repeating)
     with pytest.raises(RuntimeError, match="twice"):
         enumerate_ball(2, 2)
+
+
+@pytest.mark.parametrize("q, max_length", [(2, 8), (3, 4), (4, 2), (8, 2), (9, 2)])
+def test_pair_representative_matches_the_nullspace_oracle(q, max_length):
+    # on every candidate pair the elimination and the nullspace basis agree
+    # on triviality, and their representatives lie in one right coset: the
+    # quotient old^-1 new is constant
+    levels = [
+        TreeRegistry(q, place, max_length).levels for place in (Place.ZERO, Place.INFINITY)
+    ]
+    pairs = trivial = 0
+    for d0 in range(0, max_length + 1, 2):
+        for d1 in range(0, max_length - d0 + 1, 2):
+            for _, zero in levels[0][d0]:
+                for _, infinity in levels[1][d1]:
+                    pairs += 1
+                    new = spheres._pair_representative(zero, infinity)
+                    old = pair_representative_by_nullspace(zero, infinity)
+                    assert (new is None) == (old is None)
+                    if new is not None:
+                        trivial += 1
+                        quotient = old.inverse() * new
+                        assert all(
+                            e.is_zero() or e.low == e.top == 0 for e in quotient.entries()
+                        )
+    assert pairs == list(spheres.candidate_pair_counts(q, max_length))[-1]
+    assert trivial == sum(
+        coset_count_formula(q, d0, d1)
+        for d0 in range(0, max_length + 1, 2)
+        for d1 in range(0, max_length - d0 + 1, 2)
+    )
+
+
+def test_fiber_solutions_decides_by_rank():
+    field = Fq(3)
+    # x0 = 1 | 0 and x1 + x2 = 0 | 1 leave x2 free: no pivot for column 2
+    assert spheres._fiber_solutions(field, [[1, 0, 0, 1, 0], [0, 1, 1, 0, 1]], 3) is None
+    # full rank: x = (1, 2) for the first right-hand side, (0, 1) for the second
+    rows = [[1, 0, 1, 0], [1, 1, 0, 1]]
+    assert spheres._fiber_solutions(field, rows, 2) == ([1, 2], [0, 1])
+    # a third row x0 + x1 = 0 | 0 contradicts the first two
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        spheres._fiber_solutions(field, rows + [[1, 1, 0, 0]], 2)
+
+
+def test_representative_must_locate_back(monkeypatch):
+    other = spheres.canonical_vertex(SL2Element.diagonal_shift(Fq(2), 1), Place.ZERO)
+    monkeypatch.setattr(spheres, "canonical_vertex", lambda g, place: other)
+    with pytest.raises(RuntimeError, match="does not locate back"):
+        enumerate_ball(2, 2)
+
+
+def test_representative_must_have_determinant_one(monkeypatch):
+    solve = spheres._fiber_solutions
+
+    def doubled(field, rows, width):
+        solutions = solve(field, rows, width)
+        if solutions is None:
+            return None
+        first, second = solutions
+        return [field.add(x, x) for x in first], second
+
+    monkeypatch.setattr(spheres, "_fiber_solutions", doubled)
+    with pytest.raises(RuntimeError, match="determinant"):
+        enumerate_ball(3, 2)
