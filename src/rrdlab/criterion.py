@@ -22,14 +22,18 @@ r k acts as r after k permutes the input cylinders, so its Gram matrix is
 |K|^2 P_K C P_K, with C a sum over pairs of representatives and P_K the
 projection onto the functions constant on the K-orbits of the input cells.
 The power iteration runs on |K|^2 Q^T C Q, with Q the normalised orbit
-indicators (one row per orbit), so no cells x cells operator for K and no
-cells x cells Gram matrix is formed; only C itself, whose size
-``check_compression_budget`` bounds before anything is built, and whose
-products and orbit-pair index are made by blocks of rows.  One pass
-(``transport_sphere``) serves every compression depth of a sphere: one
-``sl2.translate_vertex`` call per place moves the deepest input cylinders
-by every element of K and every representative, as vertex ids, and the
-shallower images and K's action at each depth follow by id arithmetic.
+indicators (one row per orbit), and Q^T C Q is unchanged when K moves
+both representatives of a pair on the left, so it is summed with one
+representative per double coset K r K.  No cells x cells float array is
+formed: each pair-block product is added into the orbit pairs by blocks
+of rows, through an orbit-pair index whose size ``check_compression_budget``
+bounds before anything is built.  One pass (``transport_sphere``) serves
+every compression depth of a sphere: one ``sl2.translate_vertex`` call per
+place moves the deepest input cylinders and the cosets' located vertices by
+every element of K and every representative, as vertex ids; the shallower
+images and K's action at each depth follow by id arithmetic, and K's
+action on the cosets, the double cosets, by looking the moved located
+pairs up.
 The transports of all representatives at one depth and place are one numpy
 pass over vertex ids: an output cylinder's column is the input cylinder
 whose image is the point at that depth's distance on the geodesic from
@@ -84,12 +88,14 @@ CHAIN_SLACK = 1e-8
 BASE_IDENTITY_TOL = 1e-6
 MAX_MEAN_LENGTH = 4
 DEFAULT_U_THRESHOLD = 8.0
-# Largest dense matrix, in float64 entries (80 MB): a compression's core,
-# q = 2 up to depth 5 (5.3 million) and q = 3 up to depth 3 (1.7 million),
-# and the convolution matrix on a ball's cosets, q = 2 up to radius 8
-# (2.4 million) and q = 3 up to radius 4 (68,121)
+# Largest dense matrix, in entries: a compression's orbit-pair index, one
+# integer per pair of input cells, which bounds its work per double coset
+# too, q = 2 up to depth 5 (5.3 million) and q = 3 up to depth 3 (1.7
+# million); and the convolution matrix on a ball's cosets, in float64 (80
+# MB), q = 2 up to radius 8 (2.4 million) and q = 3 up to radius 4 (68,121)
 CORE_BUDGET = 10_000_000
-# Entries of a compression's row blocks (512 kB of float64 or int64)
+# Entries of a compression's row blocks, the largest float array it keeps
+# besides its pair blocks (512 kB of float64)
 ROW_BLOCK = 1 << 16
 PLACES = (Place.ZERO, Place.INFINITY)
 
@@ -106,18 +112,24 @@ def json_threshold(value: float) -> float | None:
 
 class SphereTransports(NamedTuple):
     """The representatives' transports of sphere n for every input depth up
-    to ``depth``, at both places, as vertex ids (``TreeVertex.id``).
+    to ``depth``, at both places, as vertex ids (``TreeVertex.id``), and K's
+    left action on the sphere's cosets.
 
     One ``translate_vertex`` call per place moves the base of every
-    depth-``depth`` input cylinder (a leaf, in label order) by every element
-    k of K and then every representative r: actions[place][k, leaf] is the
-    position of k . leaf among the leaves (-1 where it is none of them);
-    images[place][coset, leaf] is the id of r . leaf, and
-    centers[place][coset] that of w = r . o, read off the coset's located
-    pair.  r is an isometry, so the image of a shallower base v is the point
-    at distance d(o, v) from w on the geodesic [w, r . leaf], for any leaf
-    below v (``_points_at``); likewise k fixes the root, so K's action at a
-    shallower depth is its action on the leaves truncated.
+    depth-``depth`` input cylinder (a leaf, in label order) and every
+    coset's located vertex by every element k of K and then every
+    representative r: actions[place][k, leaf] is the position of k . leaf
+    among the leaves (-1 where it is none of them); images[place][coset,
+    leaf] is the id of r . leaf, and centers[place][coset] that of w = r . o,
+    read off the coset's located pair.  r is an isometry, so the image of a
+    shallower base v is the point at distance d(o, v) from w on the geodesic
+    [w, r . leaf], for any leaf below v (``_points_at``); likewise k fixes
+    the root, so K's action at a shallower depth is its action on the leaves
+    truncated.  A right coset is determined by its located pair, since K is
+    the stabiliser of (o_0, o_inf), so k r K is the coset whose located pair
+    is k . (w0, w1): coset_action[k, coset] is its position among the
+    sphere's cosets (-1 where k . (w0, w1) is none of their pairs), read by
+    ``_double_cosets``.
     """
 
     table: SphereTable
@@ -126,6 +138,7 @@ class SphereTransports(NamedTuple):
     centers: tuple[np.ndarray, np.ndarray]
     images: tuple[np.ndarray, np.ndarray]
     actions: tuple[np.ndarray, np.ndarray]
+    coset_action: np.ndarray
 
     @property
     def cosets(self) -> tuple[Coset, ...]:
@@ -133,11 +146,13 @@ class SphereTransports(NamedTuple):
 
 
 def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports:
-    """Move every leaf of the depth-``depth`` input cylinders by K and by
-    sphere n's representatives at both places, one ``translate_vertex`` call
-    per place.  A constant element fixes the root, so K's images of leaves
-    are leaves; one that is not is marked -1 and refused where the action is
-    used (``_cell_orbits``)."""
+    """Move every leaf of the depth-``depth`` input cylinders and every
+    located vertex of sphere n by K and by the sphere's representatives at
+    both places, one ``translate_vertex`` call per place.  A constant
+    element fixes the root, so K's images of leaves are leaves, and it keeps
+    both tree lengths, so its images of located pairs are located pairs of
+    the same sphere; an image that is not is marked -1 and refused where the
+    action is used (``_cell_orbits``, ``_double_cosets``)."""
     import numpy as np
 
     group = [k for k, _, _ in constant_group(Fq(table.q))]
@@ -146,18 +161,65 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
     # the leaves in label order, the order of their ids
     leaves = list(sphere_vertices(table.q + 1, depth))
     leaf_ids = np.array([leaf.id for leaf in leaves])
-    actions, images = [], []
-    for place in PLACES:
-        rows = translate_vertex(elements, [form_of(leaf, place) for leaf in leaves])
-        moved = rows[: len(group)]
-        positions = np.minimum(np.searchsorted(leaf_ids, moved), len(leaf_ids) - 1)
-        actions.append(np.where(leaf_ids[positions] == moved, positions, -1))
-        images.append(rows[len(group) :])
-    centers = tuple(
-        np.array([coset.vertex(place_index).id for coset in cosets], dtype=np.int64)
-        for place_index in (0, 1)
+    centers, images, actions, moved = [], [], [], []
+    for place_index, place in enumerate(PLACES):
+        located = [coset.vertex(place_index) for coset in cosets]
+        rows = translate_vertex(elements, [form_of(v, place) for v in leaves + located])
+        k_rows = rows[: len(group), : len(leaves)]
+        positions = np.minimum(np.searchsorted(leaf_ids, k_rows), len(leaf_ids) - 1)
+        actions.append(np.where(leaf_ids[positions] == k_rows, positions, -1))
+        images.append(rows[len(group) :, : len(leaves)])
+        centers.append(np.array([v.id for v in located], dtype=np.int64))
+        moved.append(rows[: len(group), len(leaves) :])
+    coset_action = _coset_action(centers, moved)
+    return SphereTransports(
+        table, n, depth, tuple(centers), tuple(images), tuple(actions), coset_action
     )
-    return SphereTransports(table, n, depth, centers, tuple(images), tuple(actions))
+
+
+def _coset_action(centers: Sequence[np.ndarray], moved: Sequence[np.ndarray]) -> np.ndarray:
+    """The position of every moved located pair (moved[0][k, c],
+    moved[1][k, c]) among the located pairs (centers[0], centers[1]) of one
+    sphere's cosets, -1 where it is none of them."""
+    import numpy as np
+
+    position = {pair: index for index, pair in enumerate(zip(*(c.tolist() for c in centers)))}
+    return np.array(
+        [
+            [position.get(pair, -1) for pair in zip(row0, row1)]
+            for row0, row1 in zip(*(m.tolist() for m in moved))
+        ],
+        dtype=np.int64,
+    ).reshape(moved[0].shape)
+
+
+def _double_cosets(table: SphereTable, n: int, coset_action: np.ndarray) -> np.ndarray:
+    """The double coset K r K of every coset rK of sphere n, as the position
+    of its first coset in table order, from K's left action on the cosets
+    (``SphereTransports.coset_action``).  K fixes both base points and keeps
+    both lengths, so each k r K is a coset of the same sphere; a k that moves
+    a located pair off the sphere, or whose action does not preserve the
+    labels, is not the group action and is refused.  Both are checked in
+    the order of K."""
+    import numpy as np
+
+    group = constant_group(Fq(table.q))
+    lost = coset_action < 0
+    if lost.any():
+        index, coset = divmod(int(np.argmax(lost)), coset_action.shape[1])
+        raise RuntimeError(
+            f"{group[index][0].to_text()} moves the located pair of "
+            f"{table.cosets(n)[coset].representative.to_text()} off sphere {n}"
+        )
+    # the identity is in K, so each coset's smallest image is its double coset's first coset
+    labels = coset_action.min(axis=0)
+    moved = np.any(labels[coset_action] != labels, axis=1)
+    if moved.any():
+        raise RuntimeError(
+            f"{group[int(np.argmax(moved))][0].to_text()} does not preserve the "
+            f"double cosets of sphere {n}"
+        )
+    return labels
 
 
 def _cylinder_ancestors(
@@ -470,7 +532,8 @@ def _pair_blocks(columns: np.ndarray, weights: np.ndarray, r: int, size: int) ->
 
 def check_compression_budget(q: int, depth: int) -> None:
     """Raise RadiusBudgetError when a depth-``depth`` compression's core,
-    one float per pair of input cells, would exceed CORE_BUDGET entries."""
+    its orbit-pair index of one integer per pair of input cells, would
+    exceed CORE_BUDGET entries."""
     entries = sphere_size(q + 1, depth) ** 4
     if entries > CORE_BUDGET:
         raise RadiusBudgetError(
@@ -498,8 +561,8 @@ def _compression_gram(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The whitened Gram matrix of the depth-``depth`` compression of the
     weighted mean over the transported sphere, on the K-orbits of the input
-    cells, built from the coset representatives; and the orbit label of
-    every input cell (``_cell_orbits``).
+    cells, built from one representative per double coset K r K; and the
+    orbit label of every input cell (``_cell_orbits``).
 
     A member g = r k of the coset rK has g . x = r . (k . x) and g . o = r . o,
     so its transport at each place is r's with the input columns permuted by
@@ -507,14 +570,28 @@ def _compression_gram(
     c_r = 1/(|C_n| Xi(r)) and P_K the average of the permutations
     Pi_k (x) Pi'_k: the orthogonal projection Q Q^T onto the K-invariant
     functions, Q's columns the normalised orbit indicators.  The Gram matrix
-    |K|^2 P_K C P_K, with C = sum_{r,s} c_r c_s (A_r^T D0 A_s) (x) (B_r^T D1 B_s)
-    and D0, D1 the output cylinder measures, has the nonzero spectrum of
-    |K|^2 Q^T C Q, which is returned.  The pair (s, r) gives the transpose of
-    the pair (r, s), so C = H + H^T with H summed over s >= r (the s = r term
-    halved), one representative r at a time to keep memory flat, and H is
-    added into its orbit pairs.  The core is the only cells x cells array:
-    the products added into it and its orbit-pair index are made one block
-    of ROW_BLOCK entries at a time.
+    |K|^2 P_K C P_K, with C the sum of f(r, s) = c_r c_s (A_r^T D0 A_s) (x)
+    (B_r^T D1 B_s) over all pairs of representatives and D0, D1 the output
+    cylinder measures, has the nonzero spectrum of |K|^2 Q^T C Q, which is
+    returned.
+
+    Two symmetries shrink the sum.  The pair (s, r) gives the transpose of
+    the pair (r, s).  And Q^T f(kr, ks) Q = Q^T f(r, s) Q for every k in K,
+    where kr stands for the representative of the coset k r K: that
+    representative is k r k' for some k' in K, so A_{kr} = P_k A_r Pi_{k'}
+    with P_k the permutation k makes of the output cylinders, which keeps
+    their measure (P_k^T D0 P_k = D0), and c_{kr} = c_r; the orbit
+    indicators absorb the input permutations Pi_{k'} (x) Pi'_{k'}, whichever
+    representative the table holds.  So the sum over the |D / K| cosets r of
+    a double coset D of sum_s f(r, s) is |D / K| sum_s f(r_D, s), r_D the
+    first coset of D in table order, and Q^T C Q = Q^T (H + H^T) Q with
+    H = sum_D |D / K| sum_{s : D(s) >= D} f(r_D, s), the terms with s in D
+    itself halved, the double cosets ordered by their first cosets
+    (``_double_cosets``).  The cosets are sorted by double coset, each one's
+    in table order, so the s of each term are one run from r_D to the end.
+    H is added into its orbit pairs one block of ROW_BLOCK entries of one
+    pair-block product at a time, by one bincount over a per-depth orbit-pair
+    index; no cells x cells float array is formed.
     """
     import numpy as np
 
@@ -524,37 +601,37 @@ def _compression_gram(
     size = sphere_size(degree, depth)
     ancestors = _cylinder_ancestors(degree, transports.depth, depth)
     labels = _cell_orbits(transports, ancestors)
-    cols0, wts0 = _transports_at(transports, 0, depth, ancestors[1])
-    cols1, wts1 = _transports_at(transports, 1, depth, ancestors[1])
+    doubles = _double_cosets(table, n, transports.coset_action)
+    order = np.argsort(doubles, kind="stable")
+    _, counts = np.unique(doubles, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    cols0, wts0 = (a[order] for a in _transports_at(transports, 0, depth, ancestors[1]))
+    cols1, wts1 = (a[order] for a in _transports_at(transports, 1, depth, ancestors[1]))
     # every depth-k cylinder has the same measure, one over the sphere size
     mu_out = 1.0 / sphere_size(degree, depth + n)
     coeffs = np.array([
         1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q)))
         for c in cosets
-    ])
+    ])[order]
     cells = size * size
+    orbits = int(labels.max()) + 1
+    # a pair-block product's entry ((i, j), (k, l)), with (i, j) from place
+    # zero's blocks and (k, l) from place infinity's, is H's entry for the
+    # input cells (i, k) and (j, l): it adds into their orbit pair
+    pairs = labels.reshape(size, size).astype(np.min_scalar_type(orbits * orbits - 1))
+    index = (pairs[:, None, :, None] * orbits + pairs[None, :, None, :]).reshape(cells, cells)
     rows = max(1, ROW_BLOCK // cells)
     blocks = [slice(start, start + rows) for start in range(0, cells, rows)]
-    # core[(i, j), (k, l)] = H[(i, k), (j, l)], the pair blocks' layout
-    core = np.zeros((cells, cells))
-    for r in range(len(cosets)):
-        left = _pair_blocks(cols0, wts0, r, size)
-        right = _pair_blocks(cols1, wts1, r, size)
-        scales = (mu_out * mu_out * coeffs[r]) * coeffs[r:]
-        scales[0] /= 2.0
+    half = np.zeros(orbits * orbits)
+    for start, count in zip(starts.tolist(), counts.tolist()):
+        left = _pair_blocks(cols0, wts0, start, size)
+        right = _pair_blocks(cols1, wts1, start, size)
+        scales = (mu_out * mu_out * count * coeffs[start]) * coeffs[start:]
+        scales[:count] /= 2.0
         weighted = scales[:, None] * right
         for block in blocks:
-            core[block] += left[:, block].T @ weighted
-    orbits = int(labels.max()) + 1
-    pairs = labels.reshape(size, size)
-    half = np.zeros(orbits * orbits)
-    # core row (i, j), column (k, l) adds into the orbit pair
-    # (pairs[i, k], pairs[j, l]); np.add.at adds in element order, as one
-    # bincount over the whole core would
-    for block in blocks:
-        i, j = np.divmod(np.arange(cells)[block], size)
-        index = pairs[i][:, :, None] * orbits + pairs[j][:, None, :]
-        np.add.at(half, index.reshape(len(i), cells), core[block])
+            product = left[:, block].T @ weighted
+            half += np.bincount(index[block].ravel(), product.ravel(), minlength=half.size)
     half = half.reshape(orbits, orbits)
     # whiten by the input measure 1 / size so plain power iteration sees the
     # weighted norm, and take |K|^2 from the average
@@ -570,18 +647,23 @@ def mean_matrix_2norm(
     step functions, with measure-weighted 2-norms on both sides.
 
     The Gram matrix of the compression is built once (in floating point),
-    on the K-orbits of the input cells, from the coset representatives'
-    transports and the action of K on the input cylinders
-    (``_compression_gram``), and the top eigenvalue is found by power
-    iteration on that symmetric matrix; the square root is the reported
-    bound.  The iteration starts from the orbit projection Q^T v of the
-    seeded vector v over the input cells, so every iterate is the one on the
-    cells' Gram matrix Q G Q^T from v, written in orbit coordinates.  Any
+    on the K-orbits of the input cells, from the transports of one coset
+    representative per double coset K r K against every representative
+    after it, the action of K on the input cylinders and its action on the
+    sphere's cosets (``_compression_gram``), and the top eigenvalue is
+    found by power iteration on that symmetric matrix; the square root is
+    the reported bound.  The iteration starts from the orbit projection
+    Q^T v of the seeded vector v over the input cells, so every iterate is
+    the one on the cells' Gram matrix Q G Q^T from v, written in orbit
+    coordinates.  Any
     iterate is a valid lower bound for the true compression norm, converged
     or not.  ``transports`` are sphere n's (``transport_sphere``) at this
     depth or deeper; without them they are made here.  Raises
     RadiusBudgetError before any transport is made when the compression's
-    core exceeds CORE_BUDGET (``check_compression_budget``).
+    core exceeds CORE_BUDGET (``check_compression_budget``), and
+    RuntimeError when K's translations are not its action on the input
+    cylinders (``_cell_orbits``) or on the sphere's cosets
+    (``_double_cosets``).
     """
     import numpy as np
 

@@ -28,3 +28,8 @@ def table_q3n2() -> SphereTable:
 @pytest.fixture(scope="session")
 def table_q4n2() -> SphereTable:
     return enumerate_ball(4, 2)
+
+
+@pytest.fixture(scope="session")
+def table_q3n4() -> SphereTable:
+    return enumerate_ball(3, 4)

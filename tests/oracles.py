@@ -11,14 +11,16 @@ by breadth-first search over its group law on (n, P), the mean by exact
 Koopman matrices applied cell by cell, the mean's value on 1 as a step
 function of a + b sqrt(q) values (cocycle square roots over the spherical
 function), the compression's Gram matrix from every element's own
-transport, each representative's transport at every depth from its own
+transport and from every pair of coset representatives (the program sums
+one representative per double coset), each representative's transport at every depth from its own
 translations and a geodesic test per pair of cylinders, and the convolution
 matrix over every pair of ball elements from their located inverses.  A
 sphere given as its elements is split into right cosets by text lookup and
 ``locate`` (``right_cosets``), independently of the pair scan's coset list.
 A table's spheres are listed by expanding its cosets again
-(``sphere_members``), and its cosets are counted by depth pair in closed
-form (``coset_count_formula``).  The pair scan's decision for one vertex
+(``sphere_members``), their double cosets K r K are found by
+left-multiplying those members by K (``double_cosets_by_members``), and its
+cosets are counted by depth pair in closed form (``coset_count_formula``).  The pair scan's decision for one vertex
 pair is recomputed from a nullspace basis of the pair's section system, a
 2 x 2 fiber test and a determinant rescale
 (``pair_representative_by_nullspace``), where the program runs one
@@ -63,6 +65,14 @@ from rrdlab.algebra import (
     series_quotient,
 )
 from rrdlab.boundary import cocycle_sqrt, hc_product
+from rrdlab.criterion import (
+    ROW_BLOCK,
+    SphereTransports,
+    _cell_orbits,
+    _cylinder_ancestors,
+    _pair_blocks,
+    _transports_at,
+)
 from rrdlab.lamplighter import HElement, generating_set, h_membership
 from rrdlab.sl2 import (
     LatticeVertex,
@@ -786,6 +796,26 @@ def sphere_members(table: SphereTable, n: int) -> tuple[SL2Element, ...]:
     return tuple(g for _, g in members)
 
 
+def double_cosets_by_members(table: SphereTable, n: int) -> set[frozenset[int]]:
+    """Sphere n's double cosets K r K, each as the set of positions of its
+    right cosets in the table: every member g of the sphere
+    (``sphere_members``) is left-multiplied by each k in K, and k g belongs
+    to the coset whose expansion by K holds its text, so the cosets reached
+    from the members of one coset are those of its double coset."""
+    group = constant_group(Fq(table.q))
+    owner = {
+        text: index
+        for index, coset in enumerate(table.cosets(n))
+        for _, text, _ in right_coset(coset.representative, group)
+    }
+    reached: dict[int, set[int]] = {}
+    for g in sphere_members(table, n):
+        reached.setdefault(owner[g.to_text()], set()).update(
+            owner[(k * g).to_text()] for k, _, _ in group
+        )
+    return {frozenset(cosets) for cosets in reached.values()}
+
+
 def coset_count_formula(q: int, l0: int, l1: int) -> int:
     """N(l0, l1), the number of right cosets of K = SL2(F_q) whose located
     pair has the even depths (l0, l1): 1 at (0, 0), (q^2 - 1) q^(l - 2) when
@@ -1367,7 +1397,7 @@ def mean_transfer_function(gammas: Sequence[SL2Element], n: int) -> StepFunction
 
 
 # ---------------------------------------------------------------------------
-# the compression's Gram matrix, element by element
+# the compression's Gram matrix, element by element and pair by pair
 
 
 def per_element_stack(gammas, in_depth, out_depth, expansion, q) -> np.ndarray:
@@ -1421,6 +1451,55 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
     scale = math.sqrt(mu_in * mu_in)
     sym = gram / (scale * scale)
     return (sym + sym.T) / 2.0
+
+
+def compression_gram_all_pairs(
+    transports: SphereTransports, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The program's whitened orbit Gram matrix of the depth-``depth``
+    compression (``criterion._compression_gram``) and the orbit label of
+    every input cell, summed over every pair of coset representatives
+    (r, s) with s >= r instead of one representative per double coset:
+    C = H + H^T with H = sum_r sum_{s >= r} f(r, s), the s = r term halved,
+    accumulated into a cells x cells core and added into the orbit pairs by
+    ``np.add.at`` in element order."""
+    table, n, cosets = transports.table, transports.n, transports.cosets
+    q = table.q
+    degree = q + 1
+    size = sphere_size(degree, depth)
+    ancestors = _cylinder_ancestors(degree, transports.depth, depth)
+    labels = _cell_orbits(transports, ancestors)
+    cols0, wts0 = _transports_at(transports, 0, depth, ancestors[1])
+    cols1, wts1 = _transports_at(transports, 1, depth, ancestors[1])
+    mu_out = 1.0 / sphere_size(degree, depth + n)
+    coeffs = np.array([
+        1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q)))
+        for c in cosets
+    ])
+    cells = size * size
+    rows = max(1, ROW_BLOCK // cells)
+    blocks = [slice(start, start + rows) for start in range(0, cells, rows)]
+    # core[(i, j), (k, l)] = H[(i, k), (j, l)], the pair blocks' layout
+    core = np.zeros((cells, cells))
+    for r in range(len(cosets)):
+        left = _pair_blocks(cols0, wts0, r, size)
+        right = _pair_blocks(cols1, wts1, r, size)
+        scales = (mu_out * mu_out * coeffs[r]) * coeffs[r:]
+        scales[0] /= 2.0
+        weighted = scales[:, None] * right
+        for block in blocks:
+            core[block] += left[:, block].T @ weighted
+    orbits = int(labels.max()) + 1
+    pairs = labels.reshape(size, size)
+    half = np.zeros(orbits * orbits)
+    for block in blocks:
+        i, j = np.divmod(np.arange(cells)[block], size)
+        index = pairs[i][:, :, None] * orbits + pairs[j][:, None, :]
+        np.add.at(half, index.reshape(len(i), cells), core[block])
+    half = half.reshape(orbits, orbits)
+    root = np.sqrt(np.bincount(labels))
+    scale = float(((q**3 - q) * size) ** 2)
+    return scale * (half + half.T) / (root[:, None] * root), labels
 
 
 def coset_transports_direct(

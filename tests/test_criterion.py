@@ -11,8 +11,13 @@ from rrdlab import criterion
 from rrdlab.algebra import AlgebraicValue, Fq, Place, plain
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
+    PLACES,
     _compression_gram,
+    _coset_action,
     _cylinder_ancestors,
+    _double_cosets,
+    _power_iteration_symmetric,
+    _seeded_start,
     _transports_at,
     check_compression_budget,
     coset_convolution_matrix,
@@ -22,7 +27,7 @@ from rrdlab.criterion import (
     transport_sphere,
     uniform_bound_value,
 )
-from rrdlab.sl2 import SL2Element, TreeRegistry
+from rrdlab.sl2 import SL2Element, TreeRegistry, form_of, translate_vertex
 from rrdlab.spheres import (
     RadiusBudgetError,
     SphereTable,
@@ -38,9 +43,11 @@ from oracles import (
     StepFunction,
     add,
     bfs_crosscheck,
+    compression_gram_all_pairs,
     constant,
     convolution_matrix,
     coset_transports_direct,
+    double_cosets_by_members,
     expansions,
     gram_per_element,
     integral,
@@ -151,9 +158,8 @@ def test_uniform_bound_pin_q2_n6(table6):
     assert uniform_bound_value(table6, 6).value.as_triple() == ("3727/3150", "0", 2)
 
 
-def test_uniform_bound_pin_q3_n4():
-    table = enumerate_ball(3, 4)
-    assert uniform_bound_value(table, 4).value.as_triple() == ("279/244", "0", 3)
+def test_uniform_bound_pin_q3_n4(table_q3n4):
+    assert uniform_bound_value(table_q3n4, 4).value.as_triple() == ("279/244", "0", 3)
 
 
 def test_uniform_bound_needs_a_rational_spherical_coefficient(table4, monkeypatch):
@@ -479,6 +485,65 @@ def test_coset_gram_matches_per_element_gram(request, table_name, n, depth):
     np.testing.assert_allclose(oracle, basis @ gram @ basis.T, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "table_name, lengths, depths",
+    [
+        ("table4", (0, 2, 4), (1, 2, 3, 4)),
+        ("table_q3n2", (0, 2), (1, 2)),
+        ("table_q4n2", (0, 2), (1, 2)),
+        ("table_q3n4", (4,), (1, 2)),
+    ],
+)
+def test_double_coset_gram_matches_all_pairs(request, table_name, lengths, depths):
+    # one representative per double coset K r K gives the orbit Gram of the
+    # sum over every pair of representatives, and the same power iteration
+    table = request.getfixturevalue(table_name)
+    for n in lengths:
+        transports = transport_sphere(table, n, max(depths))
+        for depth in depths:
+            gram, labels = _compression_gram(transports, depth)
+            oracle, oracle_labels = compression_gram_all_pairs(transports, depth)
+            assert np.array_equal(labels, oracle_labels)
+            np.testing.assert_allclose(gram, oracle, rtol=1e-13, atol=0)
+            start = np.bincount(labels, _seeded_start(len(labels))) / np.sqrt(np.bincount(labels))
+            eigenvalue, iterations, converged = _power_iteration_symmetric(oracle, start)
+            result = mean_matrix_2norm(table, n, depth, transports)
+            assert (result.iterations, result.converged) == (iterations, converged)
+            assert result.value == pytest.approx(np.sqrt(eigenvalue), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize(
+    "table_name, n, count",
+    [
+        ("table6", 0, 1),
+        ("table6", 2, 2),
+        ("table6", 4, 10),
+        ("table6", 6, 46),
+        ("table8", 8, 224),
+        ("table_q3n4", 0, 1),
+        ("table_q3n4", 2, 4),
+        ("table_q3n4", 4, 31),
+    ],
+)
+def test_double_cosets_match_the_member_oracle(request, table_name, n, count):
+    # K's action on the located pairs, translated by K alone: transport_sphere
+    # translates them by every representative too, (|K| + R) x (leaves + R)
+    table = request.getfixturevalue(table_name)
+    cosets = table.cosets(n)
+    group = [k for k, _, _ in constant_group(Fq(table.q))]
+    centers = [np.array([c.vertex(i).id for c in cosets]) for i in (0, 1)]
+    moved = [
+        translate_vertex(group, [form_of(c.vertex(i), place) for c in cosets])
+        for i, place in enumerate(PLACES)
+    ]
+    labels = _double_cosets(table, n, _coset_action(centers, moved))
+    blocks = {frozenset(np.flatnonzero(labels == label).tolist()) for label in labels}
+    assert len(blocks) == count
+    assert blocks == double_cosets_by_members(table, n)
+    # each double coset is labelled by its first coset
+    assert all(labels[min(block)] == min(block) for block in blocks)
+
+
 # transport_sphere translates the elements of K first, then the representatives
 GROUP_Q2 = [k for k, _, _ in constant_group(Fq(2))]
 
@@ -522,6 +587,41 @@ def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
         mean_matrix_2norm(table4, 2, 1)
     with pytest.raises(RuntimeError, match="does not preserve the K-orbits"):
         rrd_report(table4, 4)
+
+
+def test_located_pairs_must_stay_on_the_sphere(table4, monkeypatch):
+    # one k sends the last coset's located vertex at infinity to the image
+    # of a leaf, which is no located vertex of the sphere: the depths of a
+    # sphere's located pairs are even and add up to n
+    real = criterion.translate_vertex
+
+    def leaving(elements, forms):
+        rows = real(elements, forms)
+        assert list(elements[: len(GROUP_Q2)]) == GROUP_Q2
+        if forms[0].place is Place.INFINITY:
+            rows[1, -1] = rows[1, 0]
+        return rows
+
+    monkeypatch.setattr(criterion, "translate_vertex", leaving)
+    with pytest.raises(RuntimeError, match="off sphere 2"):
+        mean_matrix_2norm(table4, 2, 1)
+    with pytest.raises(RuntimeError, match="off sphere 0"):
+        rrd_report(table4, 4)
+
+
+def test_coset_action_must_be_the_group_action(table4, monkeypatch):
+    # one k sends the first coset of sphere 2 into the other double coset
+    real = criterion.transport_sphere
+
+    def merging(*args):
+        transports = real(*args)
+        action = transports.coset_action
+        action[1, 0] = next(c for c in range(action.shape[1]) if c not in action[:, 0])
+        return transports
+
+    monkeypatch.setattr(criterion, "transport_sphere", merging)
+    with pytest.raises(RuntimeError, match="does not preserve the double cosets of sphere 2"):
+        mean_matrix_2norm(table4, 2, 1)
 
 
 def test_compression_budget_is_checked_before_any_transport(table4, monkeypatch):
@@ -669,8 +769,9 @@ def test_report_matches_the_standalone_functions_exactly(request, table_name, de
 
 def test_reference_report_work_is_pinned(table4, monkeypatch):
     # one bulk translation per place and sphere of the 6 elements of K and
-    # the sphere's 1, 6 or 45 representatives on the 24 depth-4 cylinders;
-    # no registry: every vertex id is computed in closed form
+    # the sphere's 1, 6 or 45 representatives on the 24 depth-4 cylinders
+    # and the sphere's 1, 6 or 45 located vertices; no registry: every
+    # vertex id is computed in closed form
     translations = []
     builds = []
     real_translate = criterion.translate_vertex
@@ -687,6 +788,8 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     monkeypatch.setattr(criterion, "translate_vertex", counting_translate)
     monkeypatch.setattr(TreeRegistry, "__init__", counting_init)
     rrd_report(table4, 4)
-    assert translations == [(size, 24, place) for size in (7, 12, 51) for place in Place]
+    assert translations == [
+        (6 + cosets, 24 + cosets, place) for cosets in (1, 6, 45) for place in Place
+    ]
     assert len(translations) == 6
     assert builds == []
