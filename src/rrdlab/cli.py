@@ -486,6 +486,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # numpy's OpenBLAS reads this when numpy is first imported, which no
+    # rrdlab module does at import time.  By default its worker threads spin
+    # for 2^28 clock cycles after each threaded call before they sleep, a
+    # second core burnt beside a report's small products; at 2^4 they sleep
+    # at once and still share the convolution's large square.  The caller's
+    # own setting, and the thread count, are left as they are.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

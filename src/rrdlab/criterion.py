@@ -28,9 +28,10 @@ representative per double coset K r K.  No cells x cells float array is
 formed: each pair-block product is added into the orbit pairs by blocks
 of rows, through an orbit-pair index whose size ``check_compression_budget``
 bounds before anything is built.  One pass (``transport_sphere``) serves
-every compression depth of a sphere: one ``sl2.translate_vertex`` call per
-place moves the deepest input cylinders and the cosets' located vertices by
-every element of K and every representative, as vertex ids; the shallower
+every compression depth of a sphere: at each place, one
+``sl2.translate_vertex`` call moves the deepest input cylinders and the
+cosets' located vertices by every element of K, and one moves the deepest
+input cylinders by every representative, as vertex ids; the shallower
 images and K's action at each depth follow by id arithmetic, and K's
 action on the cosets, the double cosets, by looking the moved located
 pairs up.
@@ -115,11 +116,12 @@ class SphereTransports(NamedTuple):
     to ``depth``, at both places, as vertex ids (``TreeVertex.id``), and K's
     left action on the sphere's cosets.
 
-    One ``translate_vertex`` call per place moves the base of every
+    Two ``translate_vertex`` calls per place: one moves the base of every
     depth-``depth`` input cylinder (a leaf, in label order) and every
-    coset's located vertex by every element k of K and then every
-    representative r: actions[place][k, leaf] is the position of k . leaf
-    among the leaves (-1 where it is none of them); images[place][coset,
+    coset's located vertex by every element k of K, the other moves the
+    leaves alone by every representative r (the located vertices' images
+    under r are never read).  actions[place][k, leaf] is the position of
+    k . leaf among the leaves (-1 where it is none of them); images[place][coset,
     leaf] is the id of r . leaf, and centers[place][coset] that of w = r . o,
     read off the coset's located pair.  r is an isometry, so the image of a
     shallower base v is the point at distance d(o, v) from w on the geodesic
@@ -147,8 +149,9 @@ class SphereTransports(NamedTuple):
 
 def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports:
     """Move every leaf of the depth-``depth`` input cylinders and every
-    located vertex of sphere n by K and by the sphere's representatives at
-    both places, one ``translate_vertex`` call per place.  A constant
+    located vertex of sphere n by K, and every leaf by the sphere's
+    representatives, at both places: two ``translate_vertex`` calls per
+    place, (|K|, leaves + cosets) and (cosets, leaves).  A constant
     element fixes the root, so K's images of leaves are leaves, and it keeps
     both tree lengths, so its images of located pairs are located pairs of
     the same sphere; an image that is not is marked -1 and refused where the
@@ -157,20 +160,21 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
 
     group = [k for k, _, _ in constant_group(Fq(table.q))]
     cosets = table.cosets(n)
-    elements = group + [coset.representative for coset in cosets]
+    representatives = [coset.representative for coset in cosets]
     # the leaves in label order, the order of their ids
     leaves = list(sphere_vertices(table.q + 1, depth))
     leaf_ids = np.array([leaf.id for leaf in leaves])
     centers, images, actions, moved = [], [], [], []
     for place_index, place in enumerate(PLACES):
         located = [coset.vertex(place_index) for coset in cosets]
-        rows = translate_vertex(elements, [form_of(v, place) for v in leaves + located])
-        k_rows = rows[: len(group), : len(leaves)]
+        leaf_forms = [form_of(v, place) for v in leaves]
+        rows = translate_vertex(group, leaf_forms + [form_of(v, place) for v in located])
+        k_rows = rows[:, : len(leaves)]
         positions = np.minimum(np.searchsorted(leaf_ids, k_rows), len(leaf_ids) - 1)
         actions.append(np.where(leaf_ids[positions] == k_rows, positions, -1))
-        images.append(rows[len(group) :, : len(leaves)])
+        moved.append(rows[:, len(leaves) :])
+        images.append(translate_vertex(representatives, leaf_forms))
         centers.append(np.array([v.id for v in located], dtype=np.int64))
-        moved.append(rows[: len(group), len(leaves) :])
     coset_action = _coset_action(centers, moved)
     return SphereTransports(
         table, n, depth, tuple(centers), tuple(images), tuple(actions), coset_action

@@ -19,7 +19,8 @@ sphere given as its elements is split into right cosets by text lookup and
 ``locate`` (``right_cosets``), independently of the pair scan's coset list.
 A table's spheres are listed by expanding its cosets again
 (``sphere_members``), their double cosets K r K are found by
-left-multiplying those members by K (``double_cosets_by_members``), and its
+left-multiplying each coset's representative by K and looking the products
+up among those members (``double_cosets_by_members``), and its
 cosets are counted by depth pair in closed form (``coset_count_formula``).  The pair scan's decision for one vertex
 pair is recomputed from a nullspace basis of the pair's section system, a
 2 x 2 fiber test and a determinant rescale
@@ -798,22 +799,22 @@ def sphere_members(table: SphereTable, n: int) -> tuple[SL2Element, ...]:
 
 def double_cosets_by_members(table: SphereTable, n: int) -> set[frozenset[int]]:
     """Sphere n's double cosets K r K, each as the set of positions of its
-    right cosets in the table: every member g of the sphere
-    (``sphere_members``) is left-multiplied by each k in K, and k g belongs
-    to the coset whose expansion by K holds its text, so the cosets reached
-    from the members of one coset are those of its double coset."""
+    right cosets in the table: each coset's representative r is
+    left-multiplied by every k in K, and k r belongs to the coset whose
+    expansion by K (its members) holds its text.  K r K is the union of the
+    cosets k r K, so the cosets reached from r are those of its double
+    coset."""
     group = constant_group(Fq(table.q))
+    cosets = table.cosets(n)
     owner = {
         text: index
-        for index, coset in enumerate(table.cosets(n))
+        for index, coset in enumerate(cosets)
         for _, text, _ in right_coset(coset.representative, group)
     }
-    reached: dict[int, set[int]] = {}
-    for g in sphere_members(table, n):
-        reached.setdefault(owner[g.to_text()], set()).update(
-            owner[(k * g).to_text()] for k, _, _ in group
-        )
-    return {frozenset(cosets) for cosets in reached.values()}
+    return {
+        frozenset(owner[(k * coset.representative).to_text()] for k, _, _ in group)
+        for coset in cosets
+    }
 
 
 def coset_count_formula(q: int, l0: int, l1: int) -> int:

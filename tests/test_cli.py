@@ -765,3 +765,38 @@ def test_exact_commands_do_not_import_numpy(argv):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert done.stderr.split() == ["0", "False"]
+
+
+def _pthreads_openblas() -> bool:
+    import numpy
+
+    # numpy before 1.25 keeps no build configuration; the test is skipped there
+    config = getattr(numpy.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name")) and "OPENMP" not in str(
+        blas.get("openblas configuration")
+    )
+
+
+@pytest.mark.skipif(not _pthreads_openblas(), reason="numpy's BLAS is not a pthreads OpenBLAS")
+def test_idle_blas_workers_do_not_spin():
+    # after a floating command, numpy's OpenBLAS workers sleep instead of
+    # spinning: the process spends no CPU time while its main thread sleeps
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rrdlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    script = (
+        "import sys, time\n"
+        "from rrdlab import cli\n"
+        'code = cli.main(["opnorm", "--q", "2", "--max-length", "2", "--n", "0", "--radius", "2"])\n'
+        "start = time.process_time()\n"
+        "time.sleep(0.3)\n"
+        "print(code, time.process_time() - start, file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    code, idle = done.stderr.split()
+    assert code == "0"
+    assert float(idle) < 0.01
