@@ -9,9 +9,13 @@ one common denominator.  Floating side: power iteration on measure-weighted
 compressions (always a lower bound, so the exact sup norms must dominate
 them) and convolution-operator lower bounds on group balls; numpy is
 imported by the floating-side functions themselves, so the exact side never
-loads it.  The mean as an exact step function of ``AlgebraicValue``s, the
-exact Koopman matrices and the operator form of the mean, which check both
-sides, live with the tests (``tests/oracles.py``).
+loads it.  Both power iterations run on entrywise nonnegative positive
+semidefinite operators and start from the positive uniform unit vector,
+which by Perron-Frobenius reaches the largest eigenvalue, so no start is
+drawn at random.  The mean as an exact step function of
+``AlgebraicValue``s, the exact Koopman matrices and the operator form of
+the mean, which check both sides, live with the tests
+(``tests/oracles.py``).
 
 Both sides read a sphere as the table's list of right cosets rK of
 K = SL2(F_q) (``SphereTable.cosets``): the pair scan's representatives with
@@ -56,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Fq, Place, plain
@@ -82,7 +86,6 @@ from .trees import (
 if TYPE_CHECKING:
     import numpy as np
 
-POWER_ITERATION_SEED = 0x5EED
 TOLERANCE = 1e-10
 MAX_ITERS = 10_000
 CHAIN_SLACK = 1e-8
@@ -92,8 +95,9 @@ DEFAULT_U_THRESHOLD = 8.0
 # Largest dense matrix, in entries: a compression's orbit-pair index, one
 # integer per pair of input cells, which bounds its work per double coset
 # too, q = 2 up to depth 5 (5.3 million) and q = 3 up to depth 3 (1.7
-# million); and the convolution matrix on a ball's cosets, in float64 (80
-# MB), q = 2 up to radius 8 (2.4 million) and q = 3 up to radius 4 (68,121)
+# million); and the convolution matrix on a ball's cosets, the one float64
+# array of that size it holds (80 MB; its square is never formed), q = 2 up
+# to radius 8 (2.4 million) and q = 3 up to radius 4 (68,121)
 CORE_BUDGET = 10_000_000
 # Entries of a compression's row blocks, the largest float array it keeps
 # besides its pair blocks (512 kB of float64)
@@ -487,33 +491,29 @@ class CompressionResult:
     converged: bool
 
 
-def _seeded_start(length: int) -> np.ndarray:
-    """The power iteration's start: a seeded standard normal unit vector."""
-    import numpy as np
-
-    v = np.random.default_rng(POWER_ITERATION_SEED).standard_normal(length)
-    v /= np.linalg.norm(v)
-    return v
-
-
 def _power_iteration_symmetric(
-    matrix: np.ndarray, start: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray
 ) -> tuple[float, int, bool]:
-    """Largest eigenvalue of a symmetric positive-semidefinite matrix by
-    power iteration from ``start``, a nonzero vector of any norm; returns
-    (eigenvalue, iterations, converged).  One product per iteration: the
-    image that gives the Rayleigh estimate is the next iteration's image."""
+    """Largest eigenvalue of a symmetric positive-semidefinite operator A,
+    given as ``apply`` (v -> A v), by power iteration from ``start``, a
+    nonzero vector of any norm; returns (eigenvalue, iterations, converged).
+    One application per iteration: the image that gives the Rayleigh
+    estimate is the next iteration's image.  Every estimate is a Rayleigh
+    quotient, so a lower bound for the eigenvalue, converged or not; when A
+    is entrywise nonnegative and ``start`` is positive, the start is not
+    orthogonal to A's nonnegative Perron eigenvector, so the iteration
+    reaches the largest eigenvalue."""
     import numpy as np
 
     v = start
     previous = 0.0
-    w = matrix @ v
+    w = apply(v)
     for iteration in range(1, MAX_ITERS + 1):
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0, iteration, True
         v = w / norm
-        w = matrix @ v
+        w = apply(v)
         estimate = float(v @ w)
         if abs(estimate - previous) <= TOLERANCE * max(1.0, abs(estimate)):
             return estimate, iteration, True
@@ -657,17 +657,19 @@ def mean_matrix_2norm(
     sphere's cosets (``_compression_gram``), and the top eigenvalue is
     found by power iteration on that symmetric matrix; the square root is
     the reported bound.  The iteration starts from the orbit projection
-    Q^T v of the seeded vector v over the input cells, so every iterate is
-    the one on the cells' Gram matrix Q G Q^T from v, written in orbit
-    coordinates.  Any
-    iterate is a valid lower bound for the true compression norm, converged
-    or not.  ``transports`` are sphere n's (``transport_sphere``) at this
-    depth or deeper; without them they are made here.  Raises
-    RadiusBudgetError before any transport is made when the compression's
-    core exceeds CORE_BUDGET (``check_compression_budget``), and
-    RuntimeError when K's translations are not its action on the input
-    cylinders (``_cell_orbits``) or on the sphere's cosets
-    (``_double_cosets``).
+    Q^T u = sqrt(orbit size / cells) of the uniform unit vector u over the
+    input cells, so every iterate is the one on the cells' Gram matrix
+    Q G Q^T from u, written in orbit coordinates.  The orbit Gram matrix is
+    entrywise nonnegative and positive semidefinite and the start is
+    positive, so by Perron-Frobenius the iteration reaches its largest
+    eigenvalue with no random start.  Any iterate is a valid lower bound
+    for the true compression norm, converged or not.  ``transports`` are
+    sphere n's (``transport_sphere``) at this depth or deeper; without them
+    they are made here.  Raises RadiusBudgetError before any transport is
+    made when the compression's core exceeds CORE_BUDGET
+    (``check_compression_budget``), and RuntimeError when K's translations
+    are not its action on the input cylinders (``_cell_orbits``) or on the
+    sphere's cosets (``_double_cosets``).
     """
     import numpy as np
 
@@ -684,8 +686,8 @@ def mean_matrix_2norm(
             f"{transports.depth} do not serve sphere {n} at depth {depth}"
         )
     gram, labels = _compression_gram(transports, depth)
-    start = np.bincount(labels, _seeded_start(len(labels))) / np.sqrt(np.bincount(labels))
-    eigenvalue, iterations, converged = _power_iteration_symmetric(gram, start)
+    start = np.sqrt(np.bincount(labels) / len(labels))
+    eigenvalue, iterations, converged = _power_iteration_symmetric(lambda v: gram @ v, start)
     return CompressionResult(
         n=n,
         depths=(depth, depth),
@@ -749,10 +751,17 @@ def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> Co
     The ball is a union of right cosets and the element matrix is
     E M' E^T (``coset_convolution_matrix``), with E / sqrt(|K|) an isometry,
     so its norm is |K| times the norm of M'.  The sphere is inversion
-    closed, so M' is symmetric and the iteration runs on its square.
-    Raises RadiusBudgetError before any matrix is built when M' would
-    exceed CORE_BUDGET entries.
+    closed, so M' is symmetric and the iteration runs on its square M'^2,
+    applied as two products M' (M' v), so M'^2 is never formed.  M'^2 is
+    entrywise nonnegative (M' is 0/1) and positive semidefinite, and the
+    start is the positive uniform unit vector, so by Perron-Frobenius it is
+    not orthogonal to the top eigenvector and the iteration reaches the
+    largest eigenvalue, with no random start; every Rayleigh quotient on
+    the way is a lower bound.  Raises RadiusBudgetError before any matrix
+    is built when M' would exceed CORE_BUDGET entries.
     """
+    import numpy as np
+
     if table.sphere_size(n) == 0:
         raise ValueError(f"sphere {n} is empty")
     if ball_radius + n > table.max_length:
@@ -769,7 +778,7 @@ def convolution_opnorm_lower(table: SphereTable, n: int, ball_radius: int) -> Co
         )
     matrix = coset_convolution_matrix(ball, n)
     eigenvalue, iterations, converged = _power_iteration_symmetric(
-        matrix @ matrix, _seeded_start(len(matrix))
+        lambda v: matrix @ (matrix @ v), np.full(len(ball), 1.0 / math.sqrt(len(ball)))
     )
     return ConvolutionResult(
         n=n,

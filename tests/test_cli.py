@@ -767,6 +767,31 @@ def test_exact_commands_do_not_import_numpy(argv):
     assert done.stderr.split() == ["0", "False"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--max-length", "2", "--depth", "1"],
+        ["opnorm", "--max-length", "2", "--n", "0", "--radius", "2"],
+    ],
+)
+def test_floating_commands_do_not_import_numpy_random(argv):
+    # both power iterations start from the positive uniform vector, so no
+    # command draws a random start
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rrdlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from rrdlab import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stderr.split() == ["0", "True", "False"]
+
+
 def _pthreads_openblas() -> bool:
     import numpy
 

@@ -15,7 +15,6 @@ from rrdlab.criterion import (
     _cylinder_ancestors,
     _double_cosets,
     _power_iteration_symmetric,
-    _seeded_start,
     _transports_at,
     check_compression_budget,
     coset_convolution_matrix,
@@ -359,6 +358,7 @@ def test_coset_convolution_matches_the_element_matrix(request, table_name, n, ra
     order = table.q**3 - table.q
     assert np.array_equal(expansion.T @ expansion, order * np.eye(len(ball)))
     cosetwise = coset_convolution_matrix(ball, n)
+    assert (cosetwise >= 0).all()
     element = convolution_matrix(table, n, radius)
     assert np.array_equal(expansion @ cosetwise @ expansion.T, element)
     norm = np.linalg.norm(element, 2)
@@ -366,6 +366,12 @@ def test_coset_convolution_matches_the_element_matrix(request, table_name, n, ra
     result = convolution_opnorm_lower(table, n, radius)
     assert result.value == pytest.approx(norm, rel=1e-10, abs=0)
     assert result.ball_size == len(index)
+    # two products per step iterate as the formed square does
+    square = cosetwise @ cosetwise
+    start = np.full(len(ball), 1.0 / np.sqrt(len(ball)))
+    eigenvalue, iterations, _ = _power_iteration_symmetric(lambda v: square @ v, start)
+    assert result.iterations == iterations
+    assert result.value == pytest.approx(order * np.sqrt(eigenvalue), rel=1e-12, abs=0)
 
 
 def test_convolution_requires_room(table4):
@@ -503,8 +509,12 @@ def test_double_coset_gram_matches_all_pairs(request, table_name, lengths, depth
             oracle, oracle_labels = compression_gram_all_pairs(transports, depth)
             assert np.array_equal(labels, oracle_labels)
             np.testing.assert_allclose(gram, oracle, rtol=1e-13, atol=0)
-            start = np.bincount(labels, _seeded_start(len(labels))) / np.sqrt(np.bincount(labels))
-            eigenvalue, iterations, converged = _power_iteration_symmetric(oracle, start)
+            # the Perron start: a nonnegative Gram and a positive start
+            start = np.sqrt(np.bincount(labels) / len(labels))
+            assert (gram >= 0).all() and (start > 0).all()
+            eigenvalue, iterations, converged = _power_iteration_symmetric(
+                lambda v: oracle @ v, start
+            )
             result = mean_matrix_2norm(table, n, depth, transports)
             assert (result.iterations, result.converged) == (iterations, converged)
             assert result.value == pytest.approx(np.sqrt(eigenvalue), rel=1e-13, abs=0)
@@ -665,14 +675,14 @@ REFERENCE_COMPRESSIONS = [
     (2, 1.0),
     (2, 1.0),
     (2, 1.0),
-    (10, 1.0099504938353545),
-    (13, 1.0203952057688563),
-    (17, 1.02045500111281),
-    (24, 1.021755790080048),
-    (6, 1.005223899587966),
-    (8, 1.0057172818553999),
-    (7, 1.009501445413372),
-    (11, 1.0105132422225855),
+    (2, 1.0099504938362076),
+    (9, 1.0203952057685173),
+    (13, 1.0204550011135338),
+    (19, 1.0217557900721155),
+    (4, 1.00522389958794),
+    (5, 1.0057172818553797),
+    (7, 1.009501445413304),
+    (9, 1.0105132422231928),
 ]
 
 
