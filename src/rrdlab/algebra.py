@@ -218,9 +218,6 @@ class Fq:
     def __repr__(self) -> str:
         return f"Fq({self.q})"
 
-    def __reduce__(self):
-        return (Fq, (self.q,))
-
 
 class LaurentPolynomial:
     """Element of F_q[X, X^-1] in canonical (low exponent, coefficient run) form.
@@ -362,18 +359,6 @@ class LaurentPolynomial:
                     if y:
                         out[i + j] = add(out[i + j], mul(x, y))
         return LaurentPolynomial(field, self.low + other.low, out)
-
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers of a Laurent polynomial")
-        out = LaurentPolynomial.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by X^k."""
@@ -623,18 +608,6 @@ class AlgebraicValue:
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def __pow__(self, n: int) -> "AlgebraicValue":
-        if n < 0:
-            return (AlgebraicValue(1, 0, self.q) / self) ** (-n)
-        out = AlgebraicValue(1, 0, self.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""

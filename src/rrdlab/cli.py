@@ -490,7 +490,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     # rrdlab module does at import time.  By default its worker threads spin
     # for 2^28 clock cycles after each threaded call before they sleep, a
     # second core burnt beside a report's small products; at 2^4 they sleep
-    # at once and still share the convolution's large square.  The caller's
+    # at once and still share the convolution's large matrix-vector
+    # products, two per power-iteration step.  The caller's
     # own setting, and the thread count, are left as they are.
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     parser = _build_parser()

@@ -36,9 +36,10 @@ every compression depth of a sphere: at each place, one
 ``sl2.translate_vertex`` call moves the deepest input cylinders and the
 cosets' located vertices by every element of K, and one moves the deepest
 input cylinders by every representative, as vertex ids; the shallower
-images and K's action at each depth follow by id arithmetic, and K's
-action on the cosets, the double cosets, by looking the moved located
-pairs up.
+images and K's action at each depth follow by id arithmetic, and the
+double cosets, once per sphere, by looking the moved located pairs up.
+One orbit rule (``_orbit_labels``) labels both the K-orbits of the input
+cells and the double cosets.
 The transports of all representatives at one depth and place are one numpy
 pass over vertex ids: an output cylinder's column is the input cylinder
 whose image is the point at that depth's distance on the geodesic from
@@ -66,7 +67,7 @@ from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Fq, Place, plain
 from .boundary import hc_product
 from .lamplighter import exponential_certificate, h_ball_growth
-from .sl2 import form_of, translate_vertex
+from .sl2 import SL2Element, form_of, translate_vertex
 from .spheres import (
     PROVENANCE_PAIRS,
     Coset,
@@ -117,8 +118,8 @@ def json_threshold(value: float) -> float | None:
 
 class SphereTransports(NamedTuple):
     """The representatives' transports of sphere n for every input depth up
-    to ``depth``, at both places, as vertex ids (``TreeVertex.id``), and K's
-    left action on the sphere's cosets.
+    to ``depth``, at both places, as vertex ids (``TreeVertex.id``), and the
+    sphere's double cosets.
 
     Two ``translate_vertex`` calls per place: one moves the base of every
     depth-``depth`` input cylinder (a leaf, in label order) and every
@@ -131,11 +132,8 @@ class SphereTransports(NamedTuple):
     shallower base v is the point at distance d(o, v) from w on the geodesic
     [w, r . leaf], for any leaf below v (``_points_at``); likewise k fixes
     the root, so K's action at a shallower depth is its action on the leaves
-    truncated.  A right coset is determined by its located pair, since K is
-    the stabiliser of (o_0, o_inf), so k r K is the coset whose located pair
-    is k . (w0, w1): coset_action[k, coset] is its position among the
-    sphere's cosets (-1 where k . (w0, w1) is none of their pairs), read by
-    ``_double_cosets``.
+    truncated.  doubles[coset] is the position in table order of the first
+    coset of its double coset K r K (``transport_sphere``).
     """
 
     table: SphereTable
@@ -144,7 +142,7 @@ class SphereTransports(NamedTuple):
     centers: tuple[np.ndarray, np.ndarray]
     images: tuple[np.ndarray, np.ndarray]
     actions: tuple[np.ndarray, np.ndarray]
-    coset_action: np.ndarray
+    doubles: np.ndarray
 
     @property
     def cosets(self) -> tuple[Coset, ...]:
@@ -156,14 +154,24 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
     located vertex of sphere n by K, and every leaf by the sphere's
     representatives, at both places: two ``translate_vertex`` calls per
     place, (|K|, leaves + cosets) and (cosets, leaves).  A constant
-    element fixes the root, so K's images of leaves are leaves, and it keeps
-    both tree lengths, so its images of located pairs are located pairs of
-    the same sphere; an image that is not is marked -1 and refused where the
-    action is used (``_cell_orbits``, ``_double_cosets``)."""
+    element fixes the root, so K's images of leaves are leaves; one that is
+    not is marked -1 and refused by ``_cell_orbits``.  It also keeps both
+    tree lengths, and a right coset is determined by its located pair (K is
+    the stabiliser of (o_0, o_inf)), so k r K is the coset of sphere n whose
+    located pair is k . (w0, w1): the first k, in the order of K, that moves
+    a pair off the sphere is refused, and the double cosets are the orbits
+    of this action (``_orbit_labels``).  An empty sphere, a negative depth
+    and a core over CORE_BUDGET (``check_compression_budget``) are refused
+    before any translation."""
     import numpy as np
 
-    group = [k for k, _, _ in constant_group(Fq(table.q))]
     cosets = table.cosets(n)
+    if not cosets:
+        raise ValueError(f"sphere {n} is empty")
+    if depth < 0:
+        raise ValueError(f"negative depth {depth}")
+    check_compression_budget(table.q, depth)
+    group = [k for k, _, _ in constant_group(Fq(table.q))]
     representatives = [coset.representative for coset in cosets]
     # the leaves in label order, the order of their ids
     leaves = list(sphere_vertices(table.q + 1, depth))
@@ -176,57 +184,41 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
         k_rows = rows[:, : len(leaves)]
         positions = np.minimum(np.searchsorted(leaf_ids, k_rows), len(leaf_ids) - 1)
         actions.append(np.where(leaf_ids[positions] == k_rows, positions, -1))
-        moved.append(rows[:, len(leaves) :])
+        moved.append(rows[:, len(leaves) :].tolist())
         images.append(translate_vertex(representatives, leaf_forms))
         centers.append(np.array([v.id for v in located], dtype=np.int64))
-    coset_action = _coset_action(centers, moved)
+    # K's action on the cosets: the position of every moved located pair
+    position = {pair: index for index, pair in enumerate(zip(*(c.tolist() for c in centers)))}
+    coset_images = np.array(
+        [[position.get(pair, -1) for pair in zip(row0, row1)] for row0, row1 in zip(*moved)],
+        dtype=np.int64,
+    )
+    lost = coset_images < 0
+    if lost.any():
+        index, coset = divmod(int(np.argmax(lost)), len(cosets))
+        raise RuntimeError(
+            f"{group[index].to_text()} moves the located pair of "
+            f"{representatives[coset].to_text()} off sphere {n}"
+        )
+    doubles = _orbit_labels(group, coset_images, f"the double cosets of sphere {n}")
     return SphereTransports(
-        table, n, depth, tuple(centers), tuple(images), tuple(actions), coset_action
+        table, n, depth, tuple(centers), tuple(images), tuple(actions), doubles
     )
 
 
-def _coset_action(centers: Sequence[np.ndarray], moved: Sequence[np.ndarray]) -> np.ndarray:
-    """The position of every moved located pair (moved[0][k, c],
-    moved[1][k, c]) among the located pairs (centers[0], centers[1]) of one
-    sphere's cosets, -1 where it is none of them."""
+def _orbit_labels(group: Sequence[SL2Element], images: np.ndarray, what: str) -> np.ndarray:
+    """The K-orbit label of every item, from K's action given as
+    images[k, item], the position of k . item: its smallest image, which is
+    the first item of its orbit, since the identity is in K.  A labelling
+    that some k does not preserve means the images are not the group
+    action, whose orbits the labels read; the first such k in the order of
+    K is refused."""
     import numpy as np
 
-    position = {pair: index for index, pair in enumerate(zip(*(c.tolist() for c in centers)))}
-    return np.array(
-        [
-            [position.get(pair, -1) for pair in zip(row0, row1)]
-            for row0, row1 in zip(*(m.tolist() for m in moved))
-        ],
-        dtype=np.int64,
-    ).reshape(moved[0].shape)
-
-
-def _double_cosets(table: SphereTable, n: int, coset_action: np.ndarray) -> np.ndarray:
-    """The double coset K r K of every coset rK of sphere n, as the position
-    of its first coset in table order, from K's left action on the cosets
-    (``SphereTransports.coset_action``).  K fixes both base points and keeps
-    both lengths, so each k r K is a coset of the same sphere; a k that moves
-    a located pair off the sphere, or whose action does not preserve the
-    labels, is not the group action and is refused.  Both are checked in
-    the order of K."""
-    import numpy as np
-
-    group = constant_group(Fq(table.q))
-    lost = coset_action < 0
-    if lost.any():
-        index, coset = divmod(int(np.argmax(lost)), coset_action.shape[1])
-        raise RuntimeError(
-            f"{group[index][0].to_text()} moves the located pair of "
-            f"{table.cosets(n)[coset].representative.to_text()} off sphere {n}"
-        )
-    # the identity is in K, so each coset's smallest image is its double coset's first coset
-    labels = coset_action.min(axis=0)
-    moved = np.any(labels[coset_action] != labels, axis=1)
+    labels = images.min(axis=0)
+    moved = np.any(labels[images] != labels, axis=1)
     if moved.any():
-        raise RuntimeError(
-            f"{group[int(np.argmax(moved))][0].to_text()} does not preserve the "
-            f"double cosets of sphere {n}"
-        )
+        raise RuntimeError(f"{group[int(np.argmax(moved))].to_text()} does not preserve {what}")
     return labels
 
 
@@ -362,15 +354,15 @@ def _cell_orbits(
 
     k moves cell (j, l) to (perm0_k[j], perm1_k[l]), each perm the leaf
     action truncated.  One that is no permutation would silently drop and
-    double input cylinders; a labelling that some k does not preserve means
-    the perms are not the group action, whose orbits the label reads.  Both
-    are checked at every depth, in the order of K and then of the places.
+    double input cylinders, and is refused at every depth, in the order of
+    K and then of the places, before the orbits are labelled
+    (``_orbit_labels``).
     """
     import numpy as np
 
     ancestor, below = ancestors
     size = len(below)
-    group = constant_group(Fq(transports.table.q))
+    group = [k for k, _, _ in constant_group(Fq(transports.table.q))]
     # perms[place][k] = k's action on the cylinders of this depth
     perms = [
         np.where(leaf_perms[:, below] < 0, -1, ancestor[leaf_perms[:, below]])
@@ -382,19 +374,12 @@ def _cell_orbits(
     if broken.any():
         index, place_index = divmod(int(np.argmax(broken)), 2)
         raise RuntimeError(
-            f"{group[index][0].to_text()} does not permute the input cylinders "
+            f"{group[index].to_text()} does not permute the input cylinders "
             f"(place {PLACES[place_index].value})"
         )
     images = (perms[0][:, :, None] * size + perms[1][:, None, :]).reshape(len(group), -1)
-    # the identity is in K, so each cell's smallest image is its orbit's first cell
-    _, labels = np.unique(images.min(axis=0), return_inverse=True)
-    moved = np.any(labels[images] != labels, axis=1)
-    if moved.any():
-        raise RuntimeError(
-            f"{group[int(np.argmax(moved))][0].to_text()} does not preserve the "
-            "K-orbits of the input cells"
-        )
-    return labels
+    labels = _orbit_labels(group, images, "the K-orbits of the input cells")
+    return np.unique(labels, return_inverse=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +576,9 @@ def _compression_gram(
     first coset of D in table order, and Q^T C Q = Q^T (H + H^T) Q with
     H = sum_D |D / K| sum_{s : D(s) >= D} f(r_D, s), the terms with s in D
     itself halved, the double cosets ordered by their first cosets
-    (``_double_cosets``).  The cosets are sorted by double coset, each one's
-    in table order, so the s of each term are one run from r_D to the end.
+    (``SphereTransports.doubles``).  The cosets are sorted by double coset,
+    each one's in table order, so the s of each term are one run from r_D to
+    the end.
     H is added into its orbit pairs one block of ROW_BLOCK entries of one
     pair-block product at a time, by one bincount over a per-depth orbit-pair
     index; no cells x cells float array is formed.
@@ -605,9 +591,8 @@ def _compression_gram(
     size = sphere_size(degree, depth)
     ancestors = _cylinder_ancestors(degree, transports.depth, depth)
     labels = _cell_orbits(transports, ancestors)
-    doubles = _double_cosets(table, n, transports.coset_action)
-    order = np.argsort(doubles, kind="stable")
-    _, counts = np.unique(doubles, return_counts=True)
+    order = np.argsort(transports.doubles, kind="stable")
+    _, counts = np.unique(transports.doubles, return_counts=True)
     starts = np.cumsum(counts) - counts
     cols0, wts0 = (a[order] for a in _transports_at(transports, 0, depth, ancestors[1]))
     cols1, wts1 = (a[order] for a in _transports_at(transports, 1, depth, ancestors[1]))
@@ -644,52 +629,42 @@ def _compression_gram(
     return scale * (half + half.T) / (root[:, None] * root), labels
 
 
-def mean_matrix_2norm(
-    table: SphereTable, n: int, depth: int, transports: SphereTransports | None = None
-) -> CompressionResult:
-    """Largest singular value of the weighted mean compressed to the depth-K
-    step functions, with measure-weighted 2-norms on both sides.
+def mean_matrix_2norm(transports: SphereTransports, depth: int) -> CompressionResult:
+    """Largest singular value of the weighted mean over the transported
+    sphere compressed to the depth-``depth`` step functions, with
+    measure-weighted 2-norms on both sides.
 
     The Gram matrix of the compression is built once (in floating point),
     on the K-orbits of the input cells, from the transports of one coset
     representative per double coset K r K against every representative
-    after it, the action of K on the input cylinders and its action on the
-    sphere's cosets (``_compression_gram``), and the top eigenvalue is
-    found by power iteration on that symmetric matrix; the square root is
-    the reported bound.  The iteration starts from the orbit projection
+    after it and the action of K on the input cylinders
+    (``_compression_gram``), and the top eigenvalue is found by power
+    iteration on that symmetric matrix; the square root is the reported
+    bound.  The iteration starts from the orbit projection
     Q^T u = sqrt(orbit size / cells) of the uniform unit vector u over the
     input cells, so every iterate is the one on the cells' Gram matrix
     Q G Q^T from u, written in orbit coordinates.  The orbit Gram matrix is
     entrywise nonnegative and positive semidefinite and the start is
     positive, so by Perron-Frobenius the iteration reaches its largest
     eigenvalue with no random start.  Any iterate is a valid lower bound
-    for the true compression norm, converged or not.  ``transports`` are
-    sphere n's (``transport_sphere``) at this depth or deeper; without them
-    they are made here.  Raises RadiusBudgetError before any transport is
-    made when the compression's core exceeds CORE_BUDGET
-    (``check_compression_budget``), and RuntimeError when K's translations
-    are not its action on the input cylinders (``_cell_orbits``) or on the
-    sphere's cosets (``_double_cosets``).
+    for the true compression norm, converged or not.  ``transports``
+    (``transport_sphere``) name the table and the sphere, and ``depth``
+    must lie in 0 .. transports.depth, else ValueError.  Raises
+    RuntimeError when K's translations are not its action on the input
+    cylinders (``_cell_orbits``).
     """
     import numpy as np
 
-    if not table.cosets(n):
-        raise ValueError(f"sphere {n} is empty")
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
-    check_compression_budget(table.q, depth)
-    if transports is None:
-        transports = transport_sphere(table, n, depth)
-    elif transports.table is not table or transports.n != n or transports.depth < depth:
+    if not 0 <= depth <= transports.depth:
         raise ValueError(
-            f"transports of sphere {transports.n} to depth "
-            f"{transports.depth} do not serve sphere {n} at depth {depth}"
+            f"depth {depth} is outside 0 .. {transports.depth}, the depths of the "
+            f"transports of sphere {transports.n}"
         )
     gram, labels = _compression_gram(transports, depth)
     start = np.sqrt(np.bincount(labels) / len(labels))
     eigenvalue, iterations, converged = _power_iteration_symmetric(lambda v: gram @ v, start)
     return CompressionResult(
-        n=n,
+        n=transports.n,
         depths=(depth, depth),
         value=math.sqrt(max(eigenvalue, 0.0)),
         iterations=iterations,
@@ -831,7 +806,7 @@ def rrd_report(
         mean_reports.append(u_n)
         transports = transport_sphere(table, n, depth)
         for k in range(1, depth + 1):
-            result = mean_matrix_2norm(table, n, k, transports)
+            result = mean_matrix_2norm(transports, k)
             ok = result.value <= u_n.value_float + CHAIN_SLACK
             chain_ok = chain_ok and ok
             compression_rows.append({

@@ -1,5 +1,5 @@
-"""SL2 over the Laurent-polynomial ring, tree lengths at the two places, and
-lattice-class vertex coordinates for the associated (q+1)-regular trees.
+"""SL2 over the Laurent-polynomial ring and lattice-class vertex coordinates
+for the associated (q+1)-regular trees.
 
 A group element acts on the local field at each place; the vertex it moves the
 base point to is the homothety class of the lattice spanned by its columns.
@@ -9,9 +9,10 @@ homothety-normalized so the smaller diagonal valuation is 0), which is
 injective on classes and idempotent.  Canonical forms are gcd-free: column
 reduction stays in the Laurent ring, reading the second diagonal exponent off
 the determinant's valuation and the off-diagonal entry off a truncated X-adic
-series quotient, so no rational function is ever reduced.  (The independent
-length oracle, Smith pivoting over rational functions, is in
-``tests/oracles.py``.)
+series quotient, so no rational function is ever reduced.  An element's tree
+length at a place is the depth of the vertex it moves the base point to; the
+min-valuation rule and the Smith pivoting over rational functions that check
+it are in ``tests/oracles.py``.
 
 The tree's labelling is one closed-form bijection between label paths
 (``TreeVertex``) and canonical forms (``vertex_of``, ``form_of``).  The
@@ -51,7 +52,6 @@ X -> X^-1, under which the uniformizer becomes X again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import Fq, LaurentPolynomial, Place, series_quotient
@@ -61,36 +61,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def entry_lengths(
-    a: LaurentPolynomial, b: LaurentPolynomial, c: LaurentPolynomial, d: LaurentPolynomial
-) -> tuple[int, int]:
-    """Tree lengths (l0, linf) of the determinant-1 matrix [[a, b], [c, d]].
-
-    At each place the length is -2 times the minimum entry valuation, which
-    agrees with the elementary-divisor gap for determinant-1 matrices (the
-    Smith computation in ``tests/oracles.py`` is the independent oracle).  The
-    minimum is at most 0 at both places because the determinant is 1, so
-    starting the scan from 0 changes nothing on the group.
-    """
-    low = top = 0
-    for e in (a, b, c, d):
-        if not e.is_zero():
-            if e.low < low:
-                low = e.low
-            if e.top > top:
-                top = e.top
-    return -2 * low, 2 * top
-
-
 class SL2Element:
     """A determinant-1 matrix [[a, b], [c, d]] of Laurent polynomials.
 
-    Immutable; the two tree lengths are computed lazily and cached.  The
-    determinant is verified at construction (pass check=False only when the
-    construction guarantees it algebraically).
+    Immutable.  The determinant is verified at construction (pass
+    check=False only when the construction guarantees it algebraically).
     """
 
-    __slots__ = ("a", "b", "c", "d", "field", "__dict__")
+    __slots__ = ("a", "b", "c", "d", "field")
 
     def __init__(
         self,
@@ -153,21 +131,6 @@ class SL2Element:
 
     def entries(self) -> tuple[LaurentPolynomial, LaurentPolynomial, LaurentPolynomial, LaurentPolynomial]:
         return (self.a, self.b, self.c, self.d)
-
-    # lengths ------------------------------------------------------------------
-
-    @cached_property
-    def length_zero(self) -> int:
-        return entry_lengths(self.a, self.b, self.c, self.d)[0]
-
-    @cached_property
-    def length_infinity(self) -> int:
-        return entry_lengths(self.a, self.b, self.c, self.d)[1]
-
-    @cached_property
-    def total_length(self) -> int:
-        """L = L_zero + L_infinity, the radial variable of the group."""
-        return self.length_zero + self.length_infinity
 
     # serialization --------------------------------------------------------------
 

@@ -28,7 +28,9 @@ pair is recomputed from a nullspace basis of the pair's section system, a
 elimination with the fiber values as right-hand sides.
 
 It also holds what only the tests use of elements, texts, vertices and
-cylinders: the lower elementary matrices, the length at one place, the text
+cylinders: the lower elementary matrices, the tree lengths by the
+min-valuation rule (``element_lengths``, checked against Smith pivoting;
+the program reads its lengths off the located depths), the text
 parsers (`SphereTable.from_json` compares texts and parses nothing), the matrix of
 a subgroup element, and products and refinements of boundary cylinders.
 Label paths come as padded label arrays with their common-prefix lengths in
@@ -81,7 +83,6 @@ from rrdlab.sl2 import (
     _canonical_from_matrix,
     _to_uniformizer,
     canonical_vertex,
-    entry_lengths,
 )
 from rrdlab.spheres import Coset, SphereTable, _completions_for_row, constant_group, right_coset
 from rrdlab.trees import (
@@ -106,7 +107,7 @@ def elementary_lower(s: LaurentPolynomial) -> SL2Element:
 
 def length_at_place(g: SL2Element, place: Place) -> int:
     """Tree displacement length of the base vertex at the given place."""
-    return g.length_zero if place is Place.ZERO else g.length_infinity
+    return element_lengths(g)[0 if place is Place.ZERO else 1]
 
 
 LAURENT_TEXT = re.compile(r"^low=(-?\d+);coeffs=((?:\d+(?:,\d+)*)?)$")
@@ -379,6 +380,17 @@ class RationalFunction:
         return f"({self.num!r})/({self.den!r})"
 
 
+def element_lengths(g: SL2Element) -> tuple[int, int]:
+    """Tree lengths (l0, linf) of g, -2 times the minimum entry valuation at
+    each place, which agrees with the elementary-divisor gap for
+    determinant-1 matrices (``smith_valuations`` is the independent
+    check).  The minimum is at most 0 at both places because the
+    determinant is 1, so starting the scan from 0 changes nothing on the
+    group."""
+    nonzero = [e for e in g.entries() if not e.is_zero()]
+    return -2 * min([0] + [e.low for e in nonzero]), 2 * max([0] + [e.top for e in nonzero])
+
+
 def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     """Sorted elementary-divisor valuations of g over the local ring at place.
 
@@ -386,7 +398,7 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     minimum-valuation entry is swapped to the corner, its row and column are
     cleared with quotients (which lie in the valuation ring), and the
     remaining entry supplies the second divisor.  Independent of the
-    min-valuation rule of ``entry_lengths``.
+    min-valuation rule of ``element_lengths``.
     """
     entries = [
         [RationalFunction.from_laurent(_to_uniformizer(e, place)) for e in row]
@@ -716,13 +728,13 @@ def bfs_crosscheck(
                 text = h.to_text()
                 if text in visited:
                     continue
-                if h.total_length > limit:
+                if sum(element_lengths(h)) > limit:
                     continue
                 visited[text] = h
                 nxt.append(h)
         frontier = nxt
         counts: Counter = Counter(
-            g.total_length for g in visited.values() if g.total_length <= max_length
+            length for g in visited.values() if (length := sum(element_lengths(g))) <= max_length
         )
         saturated = previous_counts is not None and counts == previous_counts
         previous_counts = counts
@@ -730,8 +742,9 @@ def bfs_crosscheck(
             break
     raw_buckets: dict[int, list[SL2Element]] = {}
     for g in visited.values():
-        if g.total_length <= max_length:
-            raw_buckets.setdefault(g.total_length, []).append(g)
+        length = sum(element_lengths(g))
+        if length <= max_length:
+            raw_buckets.setdefault(length, []).append(g)
     buckets = {
         n: tuple(sorted(elems, key=lambda g: g.to_text()))
         for n, elems in sorted(raw_buckets.items())
@@ -771,9 +784,9 @@ def window_scan(q: int, max_length: int) -> dict[int, list[str]]:
             if a.is_zero() and b.is_zero():
                 continue
             for c, d in _completions_for_row(a, b, half):
-                l0, linf = entry_lengths(a, b, c, d)
-                if l0 + linf <= max_length:
-                    buckets.setdefault(l0 + linf, []).append(SL2Element(a, b, c, d).to_text())
+                length = sum(element_lengths(SL2Element(a, b, c, d, check=False)))
+                if length <= max_length:
+                    buckets.setdefault(length, []).append(SL2Element(a, b, c, d).to_text())
     return {n: sorted(texts) for n, texts in sorted(buckets.items())}
 
 
@@ -1232,7 +1245,8 @@ def koopman_matrix(
     place; omitted expansions are built."""
     pair = _depth_pair(depths)
     field = gamma.field
-    out_pair = (pair[0] + gamma.length_zero, pair[1] + gamma.length_infinity)
+    lengths = element_lengths(gamma)
+    out_pair = (pair[0] + lengths[0], pair[1] + lengths[1])
     zero_tree, infinity_tree = expansion_pair or (
         Expansion(field.q, Place.ZERO, out_pair[0]),
         Expansion(field.q, Place.INFINITY, out_pair[1]),
@@ -1308,7 +1322,7 @@ class MeanOperator:
         for g in gammas:
             factor = AlgebraicValue.rational(inv_size, self.q)
             if xi_weighted:
-                factor = factor / hc_product(g.length_zero, g.length_infinity, self.q)
+                factor = factor / hc_product(*element_lengths(g), self.q)
             self._terms.append((koopman_matrix(g, self.input_depths, pair), factor))
 
     def apply(self, h: StepFunction) -> StepFunction:
@@ -1435,7 +1449,7 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
         for expansion in expansions(q, out_depth)
     )
     for gi, g in enumerate(gammas):
-        P0[gi] /= len(gammas) * float(hc_product(g.length_zero, g.length_infinity, q))
+        P0[gi] /= len(gammas) * float(hc_product(*element_lengths(g), q))
     mu_in, mu_out = (1.0 / sphere_size(q + 1, k) for k in (depth, out_depth))
     G, O0, I0 = P0.shape
     _, O1, I1 = P1.shape

@@ -308,12 +308,3 @@ def test_plain_writes_a_nested_record_as_its_fields():
     }
     assert plain(AlgebraicValue.rational(1, 3)) == ("1", "0", 3)
     assert plain(None) is None and plain(0.5) == 0.5
-
-
-def test_algebraic_value_pow():
-    v = AlgebraicValue(Fraction(1, 2), Fraction(1, 3), 2)
-    acc = AlgebraicValue.rational(1, 2)
-    for n in range(6):
-        assert v**n == acc
-        acc = acc * v
-    assert v**-2 == AlgebraicValue.rational(1, 2) / (v * v)

@@ -11,9 +11,9 @@ from rrdlab import criterion
 from rrdlab.algebra import AlgebraicValue, Fq, Place, plain
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
+    PLACES,
     _compression_gram,
     _cylinder_ancestors,
-    _double_cosets,
     _power_iteration_symmetric,
     _transports_at,
     check_compression_budget,
@@ -33,7 +33,7 @@ from rrdlab.spheres import (
     right_coset,
     sup_xi_on_sphere,
 )
-from rrdlab.trees import boundary_cylinders
+from rrdlab.trees import boundary_cylinders, sphere_size
 
 from oracles import (
     MeanOperator,
@@ -45,6 +45,7 @@ from oracles import (
     convolution_matrix,
     coset_transports_direct,
     double_cosets_by_members,
+    element_lengths,
     expansions,
     gram_per_element,
     integral,
@@ -183,7 +184,7 @@ def mean_transfer_bruteforce(table, n):
     for cell in product_cylinders(q + 1, (n, n)):
         total = AlgebraicValue.rational(0, q)
         for w0, w1, g in located:
-            xi = hc_product(g.length_zero, g.length_infinity, q)
+            xi = hc_product(*element_lengths(g), q)
             total = total + cocycle_sqrt(w0, cell.zero) * cocycle_sqrt(w1, cell.infinity) / xi
         values[cell] = total * inv_size
     return StepFunction(q + 1, (n, n), values)
@@ -258,7 +259,7 @@ def test_positivity_transport(table4):
 
 
 def test_compression_identity_sphere(table4):
-    result = mean_matrix_2norm(table4, 0, 2)
+    result = mean_matrix_2norm(transport_sphere(table4, 0, 2), 2)
     assert result.value == pytest.approx(1.0, abs=1e-9)
     assert result.converged
 
@@ -267,7 +268,7 @@ def test_compression_chain_and_monotonicity(table4):
     bound = uniform_bound_value(table4, 2).value_float
     previous = 0.0
     for depth in (1, 2):
-        result = mean_matrix_2norm(table4, 2, depth)
+        result = mean_matrix_2norm(transport_sphere(table4, 2, depth), depth)
         assert result.value <= bound + 1e-8
         assert result.value >= previous - 1e-8
         previous = result.value
@@ -295,7 +296,7 @@ def product_lengths(ball, rows):
         for j, h_inv in enumerate(inverses):
             length = known.get((j, i))
             if length is None:
-                length = known[i, j] = (ball[i] * h_inv).total_length
+                length = known[i, j] = sum(element_lengths(ball[i] * h_inv))
             out[r, j] = length
     return out
 
@@ -437,7 +438,7 @@ def test_spheres_split_into_constant_cosets(request, table_name):
             for k, text, g in expansion:
                 assert all(e.is_zero() or (e.low == 0 and e.top == 0) for e in k.entries())
                 assert r * k == g and g.to_text() == text
-                assert g.total_length == n
+                assert sum(element_lengths(g)) == n
                 assert zero_tree.locate(g) == w0
                 assert infinity_tree.locate(g) == w1
             assert {g for _, _, g in expansion} == {r * k for k in finite}
@@ -457,7 +458,7 @@ def test_certificate_locates_no_sphere_element(table4, monkeypatch):
             monkeypatch.setattr(module, "locate", refuse)
     assert rrd_report(table4, 2)["pass"] is True
     uniform_bound_value(table4, 4)
-    mean_matrix_2norm(table4, 4, 1)
+    mean_matrix_2norm(transport_sphere(table4, 4, 1), 1)
     convolution_opnorm_lower(table4, 2, 2)
     assert SphereTable.from_json(table4.to_json()) == table4
 
@@ -515,7 +516,7 @@ def test_double_coset_gram_matches_all_pairs(request, table_name, lengths, depth
             eigenvalue, iterations, converged = _power_iteration_symmetric(
                 lambda v: oracle @ v, start
             )
-            result = mean_matrix_2norm(table, n, depth, transports)
+            result = mean_matrix_2norm(transports, depth)
             assert (result.iterations, result.converged) == (iterations, converged)
             assert result.value == pytest.approx(np.sqrt(eigenvalue), rel=1e-13, abs=0)
 
@@ -535,7 +536,7 @@ def test_double_coset_gram_matches_all_pairs(request, table_name, lengths, depth
 )
 def test_double_cosets_match_the_member_oracle(request, table_name, n, count):
     table = request.getfixturevalue(table_name)
-    labels = _double_cosets(table, n, transport_sphere(table, n, 1).coset_action)
+    labels = transport_sphere(table, n, 1).doubles
     blocks = {frozenset(np.flatnonzero(labels == label).tolist()) for label in labels}
     assert len(blocks) == count
     assert blocks == double_cosets_by_members(table, n)
@@ -549,20 +550,26 @@ GROUP_Q2 = [k for k, _, _ in constant_group(Fq(2))]
 
 
 def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
-    # K's rows of the translation shifted by one leaf: every k then sends
-    # its first two leaves to one image
+    # K's leaf columns of the translation shifted by one leaf: every k then
+    # sends its first two leaves to one image; the located vertices keep theirs
     real = criterion.translate_vertex
 
-    def repeating(elements, forms):
-        rows = real(elements, forms)
-        if list(elements) == GROUP_Q2:
-            rows[:] = np.concatenate([rows[:, :1], rows[:, :-1]], axis=1)
-        return rows
+    def repeating(depth):
+        leaves = sphere_size(3, depth)
 
-    monkeypatch.setattr(criterion, "translate_vertex", repeating)
+        def translate(elements, forms):
+            rows = real(elements, forms)
+            if list(elements) == GROUP_Q2:
+                rows[:, :leaves] = np.concatenate([rows[:, :1], rows[:, : leaves - 1]], axis=1)
+            return rows
+
+        return translate
+
+    monkeypatch.setattr(criterion, "translate_vertex", repeating(1))
     with pytest.raises(RuntimeError, match="does not permute"):
-        mean_matrix_2norm(table4, 2, 1)
+        mean_matrix_2norm(transport_sphere(table4, 2, 1), 1)
     # the report translates K on the deepest cylinders of every sphere
+    monkeypatch.setattr(criterion, "translate_vertex", repeating(4))
     with pytest.raises(RuntimeError, match="does not permute"):
         rrd_report(table4, 4)
 
@@ -582,7 +589,7 @@ def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
 
     monkeypatch.setattr(criterion, "translate_vertex", swapped)
     with pytest.raises(RuntimeError, match="does not preserve the K-orbits"):
-        mean_matrix_2norm(table4, 2, 1)
+        mean_matrix_2norm(transport_sphere(table4, 2, 1), 1)
     with pytest.raises(RuntimeError, match="does not preserve the K-orbits"):
         rrd_report(table4, 4)
 
@@ -601,24 +608,29 @@ def test_located_pairs_must_stay_on_the_sphere(table4, monkeypatch):
 
     monkeypatch.setattr(criterion, "translate_vertex", leaving)
     with pytest.raises(RuntimeError, match="off sphere 2"):
-        mean_matrix_2norm(table4, 2, 1)
+        mean_matrix_2norm(transport_sphere(table4, 2, 1), 1)
     with pytest.raises(RuntimeError, match="off sphere 0"):
         rrd_report(table4, 4)
 
 
 def test_coset_action_must_be_the_group_action(table4, monkeypatch):
-    # one k sends the first coset of sphere 2 into the other double coset
-    real = criterion.transport_sphere
+    # k = GROUP_Q2[1] sends the located pair of sphere 2's first coset, at
+    # both places, to that of a coset in the other double coset
+    doubles = transport_sphere(table4, 2, 1).doubles
+    cosets = table4.cosets(2)
+    other = cosets[next(c for c in range(len(cosets)) if doubles[c] != doubles[0])]
+    real = criterion.translate_vertex
 
-    def merging(*args):
-        transports = real(*args)
-        action = transports.coset_action
-        action[1, 0] = next(c for c in range(action.shape[1]) if c not in action[:, 0])
-        return transports
+    def merging(elements, forms):
+        rows = real(elements, forms)
+        if list(elements) == GROUP_Q2:
+            place_index = PLACES.index(forms[0].place)
+            rows[1, len(forms) - len(cosets)] = other.vertex(place_index).id
+        return rows
 
-    monkeypatch.setattr(criterion, "transport_sphere", merging)
+    monkeypatch.setattr(criterion, "translate_vertex", merging)
     with pytest.raises(RuntimeError, match="does not preserve the double cosets of sphere 2"):
-        mean_matrix_2norm(table4, 2, 1)
+        mean_matrix_2norm(transport_sphere(table4, 2, 1), 1)
 
 
 def test_compression_budget_is_checked_before_any_transport(table4, monkeypatch):
@@ -629,13 +641,24 @@ def test_compression_budget_is_checked_before_any_transport(table4, monkeypatch)
     monkeypatch.setattr(criterion, "transport_sphere", refuse)
     monkeypatch.setattr(criterion, "translate_vertex", refuse)
     with pytest.raises(RadiusBudgetError, match="compression depth 6 at q = 2"):
-        mean_matrix_2norm(table4, 0, 6)
+        transport_sphere(table4, 0, 6)
     with pytest.raises(RadiusBudgetError, match="compression depth 6 at q = 2"):
         rrd_report(table4, 6)
     check_compression_budget(2, 5)
     check_compression_budget(3, 3)
     with pytest.raises(RadiusBudgetError):
         check_compression_budget(3, 4)
+
+
+def test_transports_refuse_what_they_cannot_serve(table4):
+    with pytest.raises(ValueError, match="sphere 1 is empty"):
+        transport_sphere(table4, 1, 1)
+    with pytest.raises(ValueError, match="negative depth -1"):
+        transport_sphere(table4, 0, -1)
+    transports = transport_sphere(table4, 2, 1)
+    for depth in (-1, 2):
+        with pytest.raises(ValueError, match="outside 0 .. 1"):
+            mean_matrix_2norm(transports, depth)
 
 
 def test_convolution_budget_is_checked_before_any_matrix(table4, monkeypatch):
@@ -664,7 +687,7 @@ def test_transported_images_must_partition_the_boundary(table4, monkeypatch):
 
     monkeypatch.setattr(criterion, "transport_sphere", colliding)
     with pytest.raises(RuntimeError, match="fail to partition"):
-        mean_matrix_2norm(table4, 2, 1)
+        mean_matrix_2norm(criterion.transport_sphere(table4, 2, 1), 1)
     with pytest.raises(RuntimeError, match="fail to partition"):
         rrd_report(table4, 4)
 
@@ -757,7 +780,8 @@ def test_report_matches_the_standalone_functions_exactly(request, table_name, de
     rows = verdict["compressions"]["rows"]
     assert len(rows) == len(u_rows) * depth
     for row in rows:
-        standalone = plain(mean_matrix_2norm(table, row["n"], row["depths"][0]))
+        depth = row["depths"][0]
+        standalone = plain(mean_matrix_2norm(transport_sphere(table, row["n"], depth), depth))
         assert {key: row[key] for key in standalone} == standalone
     for row in verdict["convolution"]["rows"]:
         standalone = plain(convolution_opnorm_lower(table, row["n"], row["ball_radius"]))
@@ -768,11 +792,14 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     # two bulk translations per place and sphere: the 6 elements of K on
     # the 24 depth-4 cylinders and the sphere's 1, 6 or 45 located vertices,
     # then the sphere's 1, 6 or 45 representatives on the 24 cylinders; no
-    # registry: every vertex id is computed in closed form
+    # registry: every vertex id is computed in closed form.  The double
+    # cosets are labelled once per sphere, the cell orbits once per depth
     translations = []
     builds = []
+    labelled = []
     real_translate = criterion.translate_vertex
     real_init = TreeRegistry.__init__
+    real_labels = criterion._orbit_labels
 
     def counting_translate(elements, forms):
         translations.append((len(elements), len(forms), forms[0].place))
@@ -782,8 +809,13 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
         builds.append(args)
         real_init(self, *args)
 
+    def counting_labels(group, images, what):
+        labelled.append(what)
+        return real_labels(group, images, what)
+
     monkeypatch.setattr(criterion, "translate_vertex", counting_translate)
     monkeypatch.setattr(TreeRegistry, "__init__", counting_init)
+    monkeypatch.setattr(criterion, "_orbit_labels", counting_labels)
     rrd_report(table4, 4)
     assert translations == [
         call
@@ -793,3 +825,8 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     ]
     assert len(translations) == 12
     assert builds == []
+    assert [what for what in labelled if "double cosets" in what] == [
+        f"the double cosets of sphere {n}" for n in (0, 2, 4)
+    ]
+    assert labelled.count("the K-orbits of the input cells") == 12
+    assert len(labelled) == 15

@@ -25,6 +25,7 @@ from rrdlab.spheres import (
 from oracles import (
     bfs_crosscheck,
     coset_count_formula,
+    element_lengths,
     expansions,
     pair_representative_by_nullspace,
     right_cosets,
@@ -45,7 +46,7 @@ def test_window_polynomial_count():
 def test_identity_sphere_size(table4):
     assert table4.sphere_size(0) == 2**3 - 2
     for g in sphere_members(table4, 0):
-        assert g.total_length == 0
+        assert sum(element_lengths(g)) == 0
 
 
 def test_identity_sphere_size_q3():
@@ -62,7 +63,7 @@ def test_bucket_lengths_and_uniqueness(table4):
     seen = set()
     for n in table4.lengths():
         for g in sphere_members(table4, n):
-            assert g.total_length == n
+            assert sum(element_lengths(g)) == n
             text = g.to_text()
             assert text not in seen
             seen.add(text)
@@ -210,7 +211,7 @@ def test_realized_length_pairs(table4):
 def test_sup_xi_on_sphere(table4):
     best, lengths = sup_xi_on_sphere(table4, 4)
     direct = max(
-        (hc_product(g.length_zero, g.length_infinity, 2) for g in sphere_members(table4, 4)),
+        (hc_product(*element_lengths(g), 2) for g in sphere_members(table4, 4)),
     )
     assert best == direct
     assert lengths == (2, 2)
