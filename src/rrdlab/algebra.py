@@ -87,7 +87,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 class Fq:
     """Descriptor of the finite field F_q, q = p^e with e <= 4.
 
-    Holds the modulus (for e > 1) plus exp/log tables over a fixed generator,
+    Holds the modulus (for e > 1) plus exp/log tables over its first generator,
     so multiplication and inversion are table lookups.  Instances are cached
     per q and are safe to share between threads after construction.
     """
@@ -148,41 +148,24 @@ class Fq:
         return self._from_digits(prod[:e])
 
     def _build_log_tables(self) -> None:
-        q = self.q
-        order = q - 1
-        factors = set()
-        n = order
-        for f in _SMALL_PRIMES + (53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
-            while n % f == 0:
-                factors.add(f)
-                n //= f
-        if n > 1:
-            factors.add(n)
-        gen = None
-        for cand in range(2, q):
-            ok = True
-            for f in factors:
-                acc = 1
-                for _ in range(order // f):
-                    acc = self._raw_mul(acc, cand)
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = cand
+        """exp/log tables over the field's first generator: the first index
+        whose powers, walked until they return to 1, number q - 1; that walk
+        is the exp table."""
+        order = self.q - 1
+        for candidate in range(2, self.q):
+            walk = [1]
+            power = candidate
+            while power != 1:
+                walk.append(power)
+                power = self._raw_mul(power, candidate)
+            if len(walk) == order:
                 break
-        if gen is None:  # pragma: no cover - impossible for a field
+        else:  # pragma: no cover - impossible for a field
             raise RuntimeError("no generator found")
-        exp = [1] * (2 * order)
-        log = [0] * q
-        acc = 1
-        for k in range(order):
-            exp[k] = acc
-            exp[k + order] = acc
-            log[acc] = k
-            acc = self._raw_mul(acc, gen)
-        self._exp = exp
-        self._log = log
+        self._exp = walk + walk
+        self._log = [0] * self.q
+        for k, power in enumerate(walk):
+            self._log[power] = k
 
     # raw-index arithmetic -------------------------------------------------
 

@@ -137,15 +137,18 @@ def _load_table(
     return table, {"path": os.path.basename(path)}, text
 
 
-def _envelope(command: str, config: dict, result: dict, passed: bool) -> dict:
-    return {
-        "command": command,
+def _finish(args: argparse.Namespace, config: dict, result: dict, passed: bool) -> int:
+    """Write the subcommand's envelope and return its exit status."""
+    envelope = {
+        "command": args.command,
         "tool_version": __version__,
         "cache_major": CACHE_MAJOR_VERSION,
         "config": config,
         "result": result,
         "pass": passed,
     }
+    _emit(_canonical_json(envelope), args.out)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +231,12 @@ def _cmd_ball_count(args: argparse.Namespace) -> int:
         ok = formula == bfs
         passed = passed and ok
         rows.append({"n": n, "formula": formula, "bfs": bfs, "match": ok})
-    payload = _envelope(
-        "ball-count",
+    return _finish(
+        args,
         {"degree": args.degree, "radius": args.radius},
         {"rows": rows},
         passed,
     )
-    _emit(_canonical_json(payload), args.out)
-    return 0 if passed else 1
 
 
 def _cmd_xi(args: argparse.Namespace) -> int:
@@ -244,8 +245,8 @@ def _cmd_xi(args: argparse.Namespace) -> int:
     closed = hc_product(args.length_zero, args.length_infinity, args.q)
     expanded = hc_product_expanded(args.length_zero, args.length_infinity, args.q)
     passed = closed == expanded
-    payload = _envelope(
-        "xi",
+    return _finish(
+        args,
         {
             "q": args.q,
             "length_zero": args.length_zero,
@@ -258,8 +259,6 @@ def _cmd_xi(args: argparse.Namespace) -> int:
         },
         passed,
     )
-    _emit(_canonical_json(payload), args.out)
-    return 0 if passed else 1
 
 
 def _cmd_mean_identity(args: argparse.Namespace) -> int:
@@ -283,14 +282,12 @@ def _cmd_mean_identity(args: argparse.Namespace) -> int:
         checked += 1
         if ratio != one:
             worst_ok = False
-    payload = _envelope(
-        "mean-identity",
+    return _finish(
+        args,
         {"degree": args.degree, "length": args.length, "depth": depth},
         {"cylinders_checked": checked, "all_ratios_one": worst_ok},
         worst_ok,
     )
-    _emit(_canonical_json(payload), args.out)
-    return 0 if worst_ok else 1
 
 
 def _cmd_condition1(args: argparse.Namespace) -> int:
@@ -299,14 +296,12 @@ def _cmd_condition1(args: argparse.Namespace) -> int:
     table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     report = condition_one_certificate(table)
     passed = report.passed
-    payload = _envelope(
-        "condition1",
+    return _finish(
+        args,
         {"q": args.q, "max_length": args.max_length, "cache": cache},
         plain(report),
         passed,
     )
-    _emit(_canonical_json(payload), args.out)
-    return 0 if passed else 1
 
 
 def _cmd_uniform_bound(args: argparse.Namespace) -> int:
@@ -317,8 +312,8 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
     table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     report = uniform_bound_value(table, args.n)
     passed = report.at_most(args.threshold)
-    payload = _envelope(
-        "uniform-bound",
+    return _finish(
+        args,
         {
             "q": args.q,
             "max_length": args.max_length,
@@ -329,8 +324,6 @@ def _cmd_uniform_bound(args: argparse.Namespace) -> int:
         plain(report),
         passed,
     )
-    _emit(_canonical_json(payload), args.out)
-    return 0 if passed else 1
 
 
 def _cmd_opnorm(args: argparse.Namespace) -> int:
@@ -344,8 +337,8 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
     table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     result = convolution_opnorm_lower(table, args.n, args.radius)
     passed = result.l1_ok
-    payload = _envelope(
-        "opnorm",
+    return _finish(
+        args,
         {
             "q": args.q,
             "max_length": args.max_length,
@@ -356,8 +349,6 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
         plain(result),
         passed,
     )
-    _emit(_canonical_json(payload), args.out)
-    return 0 if passed else 1
 
 
 def _cmd_lamplighter(args: argparse.Namespace) -> int:
@@ -372,14 +363,12 @@ def _cmd_lamplighter(args: argparse.Namespace) -> int:
         for radius, size, rate in growth_csv_rows(sizes):
             buffer.write(f"{radius},{size},{rate}\n")
         _atomic_write(args.csv, buffer.getvalue())
-    payload = _envelope(
-        "lamplighter",
+    return _finish(
+        args,
         {"q": args.q, "radius": args.radius, "csv": args.csv},
         plain(certificate),
         passed,
     )
-    _emit(_canonical_json(payload), args.out)
-    return 0 if passed else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

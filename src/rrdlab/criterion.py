@@ -35,9 +35,10 @@ bounds before anything is built.  One pass (``transport_sphere``) serves
 every compression depth of a sphere: at each place, one
 ``sl2.translate_vertex`` call moves the deepest input cylinders and the
 cosets' located vertices by every element of K, and one moves the deepest
-input cylinders by every representative, as vertex ids; the shallower
-images and K's action at each depth follow by id arithmetic, and the
-double cosets, once per sphere, by looking the moved located pairs up.
+input cylinders by every representative, as vertex ids; the leaves are in
+label order, so the shallower images and K's action at each depth are
+strides of the leaves' columns, and the double cosets follow, once per
+sphere, by looking the moved located pairs up.
 One orbit rule (``_orbit_labels``) labels both the K-orbits of the input
 cells and the double cosets.
 The transports of all representatives at one depth and place are one numpy
@@ -123,22 +124,28 @@ class SphereTransports(NamedTuple):
 
     Two ``translate_vertex`` calls per place: one moves the base of every
     depth-``depth`` input cylinder (a leaf, in label order) and every
-    coset's located vertex by every element k of K, the other moves the
-    leaves alone by every representative r (the located vertices' images
-    under r are never read).  actions[place][k, leaf] is the position of
-    k . leaf among the leaves (-1 where it is none of them); images[place][coset,
-    leaf] is the id of r . leaf, and centers[place][coset] that of w = r . o,
-    read off the coset's located pair.  r is an isometry, so the image of a
-    shallower base v is the point at distance d(o, v) from w on the geodesic
-    [w, r . leaf], for any leaf below v (``_points_at``); likewise k fixes
-    the root, so K's action at a shallower depth is its action on the leaves
-    truncated.  doubles[coset] is the position in table order of the first
-    coset of its double coset K r K (``transport_sphere``).
+    coset's located vertex by every element k of K, listed in ``group``, the
+    other moves the leaves alone by every representative r (the located
+    vertices' images under r are never read).  actions[place][k, leaf] is
+    the position of k . leaf among the leaves (-1 where it is none of them);
+    images[place][coset, leaf] is the id of r . leaf, and
+    centers[place][coset] that of w = r . o, read off the coset's located
+    pair.  r is an isometry, so the image of a shallower base v is the
+    point at distance d(o, v) from w on the geodesic [w, r . leaf], for any
+    leaf below v (``_points_at``); likewise k fixes the root, so K's action
+    at a shallower depth is its action on the leaves truncated.  The leaves
+    are in label order, so each depth-k cylinder is one contiguous block of
+    ``block = sphere_size(q + 1, depth) // sphere_size(q + 1, k)`` leaves,
+    the i-th starting at leaf ``block * i``: both are read off the columns
+    ``[:, ::block]``, and a leaf's position floor-divided by ``block`` is
+    its depth-k cylinder's.  doubles[coset] is the position in table order
+    of the first coset of its double coset K r K (``transport_sphere``).
     """
 
     table: SphereTable
     n: int
     depth: int
+    group: list[SL2Element]
     centers: tuple[np.ndarray, np.ndarray]
     images: tuple[np.ndarray, np.ndarray]
     actions: tuple[np.ndarray, np.ndarray]
@@ -202,7 +209,7 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
         )
     doubles = _orbit_labels(group, coset_images, f"the double cosets of sphere {n}")
     return SphereTransports(
-        table, n, depth, tuple(centers), tuple(images), tuple(actions), doubles
+        table, n, depth, group, tuple(centers), tuple(images), tuple(actions), doubles
     )
 
 
@@ -220,20 +227,6 @@ def _orbit_labels(group: Sequence[SL2Element], images: np.ndarray, what: str) ->
     if moved.any():
         raise RuntimeError(f"{group[int(np.argmax(moved))].to_text()} does not preserve {what}")
     return labels
-
-
-def _cylinder_ancestors(
-    degree: int, leaf_depth: int, depth: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """For the cylinders of one depth at or above the leaves, both in label
-    order: the position of each leaf's ancestor among them, and the first
-    leaf below each of them.  Every cylinder of the depth holds one block of
-    consecutive leaves, all of one size."""
-    import numpy as np
-
-    leaves, size = sphere_size(degree, leaf_depth), sphere_size(degree, depth)
-    block = leaves // size
-    return np.arange(leaves) // block, np.arange(size) * block
 
 
 def _prefix_ids(ids: np.ndarray, degree: int, width: int) -> np.ndarray:
@@ -293,17 +286,16 @@ def _points_at(
 
 
 def _transports_at(
-    transports: SphereTransports, place_index: int, depth: int, below: np.ndarray
+    transports: SphereTransports, place_index: int, depth: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each representative's transport at one place for the depth-``depth``
     input cylinders, one row per coset: the input column and the cocycle
     weight q^(beta/2) of every output cylinder z (depth n + ``depth``).
-    ``below`` names one leaf under each input cylinder
-    (``_cylinder_ancestors``).
 
     Every coset is done in one pass.  With w = r . o, the image y_j of input
     cylinder j is the point at distance ``depth`` from w on [w, r . leaf]
-    for the leaf below it, and z's column is the j with y_j = p(z), the
+    for the first leaf below it (a stride of the leaves, see
+    ``SphereTransports``), and z's column is the j with y_j = p(z), the
     point at that distance on [w, z]; z's weight is q^(c - |w|/2), c the
     common prefix of w and z.  The images must partition the boundary:
     every y_j lies at distance ``depth`` from w, so that holds when the y_j
@@ -318,7 +310,9 @@ def _transports_at(
     degree = q + 1
     w_ids = _prefix_ids(transports.centers[place_index], degree, n)
     lengths = (w_ids >= 0).sum(axis=1) - 1
-    leaf_ids = _prefix_ids(transports.images[place_index][:, below], degree, n + transports.depth)
+    # the first leaf of every depth-``depth`` cylinder, one block of leaves
+    block = sphere_size(degree, transports.depth) // sphere_size(degree, depth)
+    leaf_ids = _prefix_ids(transports.images[place_index][:, ::block], degree, n + transports.depth)
     image_ids, _ = _points_at(w_ids, lengths, leaf_ids, depth)
     out = np.array([vertex.id for vertex in sphere_vertices(degree, n + depth)])
     out_ids = _prefix_ids(out, degree, n + depth)
@@ -345,29 +339,26 @@ def _transports_at(
     return order.ravel()[found], cocycle[2 * common - lengths[:, None] + top]
 
 
-def _cell_orbits(
-    transports: SphereTransports, ancestors: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """The K-orbit label of every input cell (j, l), flattened as
-    j * size + l, of the depth whose ``_cylinder_ancestors`` are given.
-    Orbits are numbered in the order of their first cells.
+def _cell_orbits(transports: SphereTransports, depth: int) -> np.ndarray:
+    """The K-orbit label of every input cell (j, l) of depth ``depth``,
+    flattened as j * size + l.  Orbits are numbered in the order of their
+    first cells.
 
     k moves cell (j, l) to (perm0_k[j], perm1_k[l]), each perm the leaf
-    action truncated.  One that is no permutation would silently drop and
-    double input cylinders, and is refused at every depth, in the order of
-    K and then of the places, before the orbits are labelled
-    (``_orbit_labels``).
+    action at the first leaf of every cylinder, floor-divided by the block
+    size (``SphereTransports``), which keeps the -1 of a leaf sent off the
+    leaves.  One that is no permutation would silently drop and double input
+    cylinders, and is refused at every depth, in the order of K and then of
+    the places, before the orbits are labelled (``_orbit_labels``).
     """
     import numpy as np
 
-    ancestor, below = ancestors
-    size = len(below)
-    group = [k for k, _, _ in constant_group(Fq(transports.table.q))]
+    degree = transports.table.q + 1
+    size = sphere_size(degree, depth)
+    block = sphere_size(degree, transports.depth) // size
+    group = transports.group
     # perms[place][k] = k's action on the cylinders of this depth
-    perms = [
-        np.where(leaf_perms[:, below] < 0, -1, ancestor[leaf_perms[:, below]])
-        for leaf_perms in transports.actions
-    ]
+    perms = [actions[:, ::block] // block for actions in transports.actions]
     broken = np.stack(
         [np.any(np.sort(perm, axis=1) != np.arange(size), axis=1) for perm in perms], axis=1
     )
@@ -589,13 +580,12 @@ def _compression_gram(
     q = table.q
     degree = q + 1
     size = sphere_size(degree, depth)
-    ancestors = _cylinder_ancestors(degree, transports.depth, depth)
-    labels = _cell_orbits(transports, ancestors)
+    labels = _cell_orbits(transports, depth)
     order = np.argsort(transports.doubles, kind="stable")
     _, counts = np.unique(transports.doubles, return_counts=True)
     starts = np.cumsum(counts) - counts
-    cols0, wts0 = (a[order] for a in _transports_at(transports, 0, depth, ancestors[1]))
-    cols1, wts1 = (a[order] for a in _transports_at(transports, 1, depth, ancestors[1]))
+    cols0, wts0 = (a[order] for a in _transports_at(transports, 0, depth))
+    cols1, wts1 = (a[order] for a in _transports_at(transports, 1, depth))
     # every depth-k cylinder has the same measure, one over the sphere size
     mu_out = 1.0 / sphere_size(degree, depth + n)
     coeffs = np.array([

@@ -154,8 +154,6 @@ class BoundaryCylinder:
 def boundary_cylinders(degree: int, depth: int) -> list[BoundaryCylinder]:
     """All depth-``depth`` cylinders in lexicographic order (the whole boundary
     for depth 0)."""
-    if depth == 0:
-        return [BoundaryCylinder(TreeVertex.root(degree))]
     return [BoundaryCylinder(v) for v in sphere_vertices(degree, depth)]
 
 

@@ -72,7 +72,6 @@ from rrdlab.criterion import (
     ROW_BLOCK,
     SphereTransports,
     _cell_orbits,
-    _cylinder_ancestors,
     _pair_blocks,
     _transports_at,
 )
@@ -1482,10 +1481,9 @@ def compression_gram_all_pairs(
     q = table.q
     degree = q + 1
     size = sphere_size(degree, depth)
-    ancestors = _cylinder_ancestors(degree, transports.depth, depth)
-    labels = _cell_orbits(transports, ancestors)
-    cols0, wts0 = _transports_at(transports, 0, depth, ancestors[1])
-    cols1, wts1 = _transports_at(transports, 1, depth, ancestors[1])
+    labels = _cell_orbits(transports, depth)
+    cols0, wts0 = _transports_at(transports, 0, depth)
+    cols1, wts1 = _transports_at(transports, 1, depth)
     mu_out = 1.0 / sphere_size(degree, depth + n)
     coeffs = np.array([
         1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q)))

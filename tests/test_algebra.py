@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from rrdlab.algebra import (
     AlgebraicValue,
     Fq,
     LaurentPolynomial,
+    _IRREDUCIBLE_MODULI,
     poly_divmod,
     poly_gcd,
     plain,
@@ -25,6 +27,39 @@ def random_poly(field: Fq, span: int = 5) -> LaurentPolynomial:
     low = rng.randint(-4, 4)
     coeffs = [rng.randrange(field.q) for _ in range(rng.randint(0, span))]
     return LaurentPolynomial(field, low, coeffs)
+
+
+def _remainder(dividend: tuple[int, ...], divisor: tuple[int, ...], p: int) -> list[int]:
+    """The remainder of ``dividend`` by the monic ``divisor`` over F_p, both
+    little-endian coefficient tuples."""
+    rest = list(dividend)
+    for shift in range(len(rest) - len(divisor), -1, -1):
+        lead = rest[shift + len(divisor) - 1]
+        for j, c in enumerate(divisor):
+            rest[shift + j] = (rest[shift + j] - lead * c) % p
+    return rest
+
+
+def test_frozen_moduli_are_irreducible_and_fields_multiply_by_them():
+    # a modulus of degree e with no monic divisor of degree 1 to e/2 over
+    # F_p is irreducible; each field's exp table then walks its q - 1 nonzero
+    # elements, and table multiplication is the modulus's, on every pair up
+    # to q = 125 and on a seeded sample above
+    sample = random.Random(0x0F0)
+    for (p, e), modulus in _IRREDUCIBLE_MODULI.items():
+        assert len(modulus) == e + 1 and modulus[-1] == 1
+        for degree in range(1, e // 2 + 1):
+            for low in itertools.product(range(p), repeat=degree):
+                assert any(_remainder(modulus, low + (1,), p)), (p, e, low)
+        field = Fq(p**e)
+        q = field.q
+        assert sorted(field._exp[: q - 1]) == list(range(1, q))
+        if q <= 125:
+            pairs = itertools.product(range(q), repeat=2)
+        else:
+            pairs = [(sample.randrange(q), sample.randrange(q)) for _ in range(2_000)]
+        for a, b in pairs:
+            assert field.mul(a, b) == field._raw_mul(a, b), (q, a, b)
 
 
 def test_field_axioms_exhaustive():

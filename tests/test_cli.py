@@ -561,6 +561,27 @@ def test_only_envelopes_end_with_a_newline(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, passed",
+    [
+        (["ball-count", "--radius", "4"], True),
+        (["xi", "--length-zero", "2", "--length-infinity", "2"], True),
+        (["mean-identity", "--length", "2"], True),
+        (["condition1", "--max-length", "2"], True),
+        (["uniform-bound", "--max-length", "2", "--n", "2"], True),
+        (["uniform-bound", "--max-length", "4", "--n", "4", "--threshold", "1.0"], False),
+        (["opnorm", "--max-length", "2", "--n", "0", "--radius", "2"], True),
+        (["lamplighter", "--radius", "4"], True),
+    ],
+)
+def test_envelopes_name_their_command_and_exit_by_their_verdict(capsys, argv, passed):
+    code, out = run(capsys, *argv)
+    envelope = json.loads(out)
+    assert envelope["command"] == argv[0]
+    assert envelope["pass"] is passed
+    assert code == (0 if passed else 1)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spheres", "--q", "6", "--max-length", "2"],

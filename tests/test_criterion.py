@@ -13,7 +13,6 @@ from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     PLACES,
     _compression_gram,
-    _cylinder_ancestors,
     _power_iteration_symmetric,
     _transports_at,
     check_compression_budget,
@@ -741,9 +740,9 @@ def test_leaves_are_positions_in_label_order(q):
             for depth in range(leaf_depth + 1):
                 upper = [c.base.path for c in boundary_cylinders(degree, depth)]
                 prefixes = [p[:depth] for p in paths]
-                ancestor, below = _cylinder_ancestors(degree, leaf_depth, depth)
-                assert [upper[i] for i in ancestor] == prefixes
-                assert below.tolist() == [prefixes.index(u) for u in upper]
+                block = sphere_size(degree, leaf_depth) // sphere_size(degree, depth)
+                assert [upper[i // block] for i in range(len(paths))] == prefixes
+                assert prefixes[::block] == upper
 
 
 @pytest.mark.parametrize(
@@ -757,9 +756,8 @@ def test_derived_transports_match_direct_translation(request, table_name, depth)
     for n in table.lengths():
         transports = transport_sphere(table, n, depth)
         for k in range(depth + 1):
-            _, below = _cylinder_ancestors(table.q + 1, depth, k)
             for place_index in (0, 1):
-                columns, weights = _transports_at(transports, place_index, k, below)
+                columns, weights = _transports_at(transports, place_index, k)
                 direct_columns, direct_weights = coset_transports_direct(
                     table.cosets(n), n, trees[place_index], place_index, k
                 )
@@ -793,13 +791,16 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     # the 24 depth-4 cylinders and the sphere's 1, 6 or 45 located vertices,
     # then the sphere's 1, 6 or 45 representatives on the 24 cylinders; no
     # registry: every vertex id is computed in closed form.  The double
-    # cosets are labelled once per sphere, the cell orbits once per depth
+    # cosets are labelled once per sphere, the cell orbits once per depth,
+    # and K is built once per sphere, which every depth reads
     translations = []
     builds = []
     labelled = []
+    groups = []
     real_translate = criterion.translate_vertex
     real_init = TreeRegistry.__init__
     real_labels = criterion._orbit_labels
+    real_group = criterion.constant_group
 
     def counting_translate(elements, forms):
         translations.append((len(elements), len(forms), forms[0].place))
@@ -813,9 +814,14 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
         labelled.append(what)
         return real_labels(group, images, what)
 
+    def counting_group(field):
+        groups.append(field.q)
+        return real_group(field)
+
     monkeypatch.setattr(criterion, "translate_vertex", counting_translate)
     monkeypatch.setattr(TreeRegistry, "__init__", counting_init)
     monkeypatch.setattr(criterion, "_orbit_labels", counting_labels)
+    monkeypatch.setattr(criterion, "constant_group", counting_group)
     rrd_report(table4, 4)
     assert translations == [
         call
@@ -830,3 +836,4 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     ]
     assert labelled.count("the K-orbits of the input cells") == 12
     assert len(labelled) == 15
+    assert groups == [2, 2, 2]
