@@ -28,25 +28,27 @@ projection onto the functions constant on the K-orbits of the input cells.
 The power iteration runs on |K|^2 Q^T C Q, with Q the normalised orbit
 indicators (one row per orbit), and Q^T C Q is unchanged when K moves
 both representatives of a pair on the left, so it is summed with one
-representative per double coset K r K.  No cells x cells float array is
-formed: each pair-block product is added into the orbit pairs by blocks
-of rows, through an orbit-pair index whose size ``check_compression_budget``
-bounds before anything is built.  One pass (``transport_sphere``) serves
-every compression depth of a sphere: at each place, one
-``sl2.translate_vertex`` call moves the deepest input cylinders and the
-cosets' located vertices by every element of K, and one moves the deepest
-input cylinders by every representative, as vertex ids; the leaves are in
-label order, so the shallower images and K's action at each depth are
-strides of the leaves' columns, and the double cosets follow, once per
+representative per double coset K r K.  No cells x cells array is
+formed: each pair-block product is added into the orbit pairs one input
+cylinder of place zero at a time, through keys of size^3 entries shared
+by every such block, and ``check_compression_budget`` bounds the work per
+double coset before anything is built.  One pass
+(``transport_sphere``) serves every compression depth of a sphere: at each
+place, one ``sl2.translate_vertex`` call moves the deepest input cylinders
+and the cosets' located vertices by every element of K, and one moves the
+deepest input cylinders by every representative, as vertex ids; the leaves
+are in label order, so the shallower images and K's action at each depth
+are strides of the leaves' columns, and the double cosets follow, once per
 sphere, by looking the moved located pairs up.
 One orbit rule (``_orbit_labels``) labels both the K-orbits of the input
 cells and the double cosets.
-The transports of all representatives at one depth and place are one numpy
-pass over vertex ids: an output cylinder's column is the input cylinder
-whose image is the point at that depth's distance on the geodesic from
-r . o to it.  The convolution reads the ball's cosets too: L(g h^-1)
-depends only on the located pairs of g^-1 and h^-1, so its matrix over the
-ball is E M' E^T with M' indexed by the cosets and E^T E = |K| I.
+The transports of the representatives at one depth and place are one numpy
+pass over vertex ids per chunk of ROW_BLOCK cosets: an output cylinder's
+column is the input cylinder whose image is the point at that depth's
+distance on the geodesic from r . o to it.  The convolution reads the
+ball's cosets too: L(g h^-1) depends only on the located pairs of g^-1 and
+h^-1, so its matrix over the ball is E M' E^T with M' indexed by the cosets
+and E^T E = |K| I.
 
 Vertex ids (``TreeVertex.id``) are the floating side's only vertex
 coordinate: cylinders of one depth are their positions in label order, and
@@ -94,16 +96,17 @@ CHAIN_SLACK = 1e-8
 BASE_IDENTITY_TOL = 1e-6
 MAX_MEAN_LENGTH = 4
 DEFAULT_U_THRESHOLD = 8.0
-# Largest dense matrix, in entries: a compression's orbit-pair index, one
-# integer per pair of input cells, which bounds its work per double coset
-# too, q = 2 up to depth 5 (5.3 million) and q = 3 up to depth 3 (1.7
-# million); and the convolution matrix on a ball's cosets, the one float64
-# array of that size it holds (80 MB; its square is never formed), q = 2 up
-# to radius 8 (2.4 million) and q = 3 up to radius 4 (68,121)
+# Largest dense matrix, in entries: a compression's core, one product
+# entry per pair of input cells, which bounds its work per double coset
+# (the core itself is never formed), q = 2 up to depth 5 (5.3 million) and
+# q = 3 up to depth 3 (1.7 million); and the convolution matrix on a ball's
+# cosets, the one float64 array of that size it holds (80 MB; its square is
+# never formed), q = 2 up to radius 8 (2.4 million) and q = 3 up to radius
+# 4 (68,121)
 CORE_BUDGET = 10_000_000
-# Entries of a compression's row blocks, the largest float array it keeps
-# besides its pair blocks (512 kB of float64)
-ROW_BLOCK = 1 << 16
+# Cosets per chunk of a compression's transports and pair blocks, so that
+# no working array beside the arrays they return spans every coset
+ROW_BLOCK = 32
 PLACES = (Place.ZERO, Place.INFINITY)
 
 
@@ -287,12 +290,16 @@ def _points_at(
 
 def _transports_at(
     transports: SphereTransports, place_index: int, depth: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each representative's transport at one place for the depth-``depth``
     input cylinders, one row per coset: the input column and the cocycle
-    weight q^(beta/2) of every output cylinder z (depth n + ``depth``).
+    weight q^(beta/2) of every output cylinder z (depth n + ``depth``), the
+    weight given as its position in the returned ``cocycle`` table of
+    q^(beta/2) for beta = -top .. top, top the longest |w| below.
 
-    Every coset is done in one pass.  With w = r . o, the image y_j of input
+    The cosets are done ROW_BLOCK at a time, in table order, each chunk in
+    one pass, so no working array spans every coset; each coset's row is
+    independent of the others.  With w = r . o, the image y_j of input
     cylinder j is the point at distance ``depth`` from w on [w, r . leaf]
     for the first leaf below it (a stride of the leaves, see
     ``SphereTransports``), and z's column is the j with y_j = p(z), the
@@ -300,43 +307,54 @@ def _transports_at(
     common prefix of w and z.  The images must partition the boundary:
     every y_j lies at distance ``depth`` from w, so that holds when the y_j
     are distinct and every p(z) is one of them, which is checked for every
-    coset, place and depth.  A transport matrix has exactly one nonzero
-    entry per output row, so these two (R, #out cells) arrays hold it.
+    coset, place and depth, the first failing coset in table order named.
+    A transport matrix has exactly one nonzero entry per output row, so
+    two (R, #out cells) arrays hold it, both in the narrowest unsigned
+    dtype.
     """
     import numpy as np
 
     cosets = transports.cosets
     n, q = transports.n, transports.table.q
     degree = q + 1
+    size = sphere_size(degree, depth)
     w_ids = _prefix_ids(transports.centers[place_index], degree, n)
     lengths = (w_ids >= 0).sum(axis=1) - 1
     # the first leaf of every depth-``depth`` cylinder, one block of leaves
-    block = sphere_size(degree, transports.depth) // sphere_size(degree, depth)
-    leaf_ids = _prefix_ids(transports.images[place_index][:, ::block], degree, n + transports.depth)
-    image_ids, _ = _points_at(w_ids, lengths, leaf_ids, depth)
+    block = sphere_size(degree, transports.depth) // size
     out = np.array([vertex.id for vertex in sphere_vertices(degree, n + depth)])
     out_ids = _prefix_ids(out, degree, n + depth)
-    point_ids, common = _points_at(w_ids, lengths, out_ids[None], depth)
-    # look every p(z) up among its own row's images: sorted rows, offset so
-    # that the rows follow one another in one sorted key array
-    order = np.argsort(image_ids, axis=1)
-    ranked = np.take_along_axis(image_ids, order, axis=1)
-    offsets = (max(ranked.max(), point_ids.max()) + 1) * np.arange(len(cosets))[:, None]
-    keys = (ranked + offsets).ravel()
-    queries = point_ids + offsets
-    found = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
-    partitions = np.all(ranked[:, 1:] != ranked[:, :-1], axis=1) & np.all(
-        keys[found] == queries, axis=1
-    )
-    if not partitions.all():
-        raise RuntimeError(
-            "transported cylinder images fail to partition the boundary "
-            f"(place {PLACES[place_index].value}, element "
-            f"{cosets[int(np.argmin(partitions))].representative.to_text()})"
-        )
     top = int(lengths.max())
     cocycle = np.array([float(q) ** (beta / 2.0) for beta in range(-top, top + 1)])
-    return order.ravel()[found], cocycle[2 * common - lengths[:, None] + top]
+    columns = np.empty((len(cosets), len(out)), dtype=np.min_scalar_type(size - 1))
+    weights = np.empty((len(cosets), len(out)), dtype=np.min_scalar_type(2 * top))
+    for first in range(0, len(cosets), ROW_BLOCK):
+        chunk = slice(first, first + ROW_BLOCK)
+        leaf_ids = _prefix_ids(
+            transports.images[place_index][chunk, ::block], degree, n + transports.depth
+        )
+        image_ids, _ = _points_at(w_ids[chunk], lengths[chunk], leaf_ids, depth)
+        point_ids, common = _points_at(w_ids[chunk], lengths[chunk], out_ids[None], depth)
+        # look every p(z) up among its own row's images: sorted rows, offset
+        # so that the rows follow one another in one sorted key array
+        order = np.argsort(image_ids, axis=1)
+        ranked = np.take_along_axis(image_ids, order, axis=1)
+        offsets = (max(ranked.max(), point_ids.max()) + 1) * np.arange(len(ranked))[:, None]
+        keys = (ranked + offsets).ravel()
+        queries = point_ids + offsets
+        found = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+        partitions = np.all(ranked[:, 1:] != ranked[:, :-1], axis=1) & np.all(
+            keys[found] == queries, axis=1
+        )
+        if not partitions.all():
+            raise RuntimeError(
+                "transported cylinder images fail to partition the boundary "
+                f"(place {PLACES[place_index].value}, element "
+                f"{cosets[first + int(np.argmin(partitions))].representative.to_text()})"
+            )
+        columns[chunk] = order.ravel()[found]
+        weights[chunk] = 2 * common - lengths[chunk, None] + top
+    return columns, weights, cocycle
 
 
 def _cell_orbits(transports: SphereTransports, depth: int) -> np.ndarray:
@@ -497,23 +515,36 @@ def _power_iteration_symmetric(
     return previous, MAX_ITERS, False
 
 
-def _pair_blocks(columns: np.ndarray, weights: np.ndarray, r: int, size: int) -> np.ndarray:
+def _pair_blocks(
+    columns: np.ndarray, weights: np.ndarray, cocycle: np.ndarray, r: int, size: int
+) -> np.ndarray:
     """Row s - r holds the block A_r^T A_s (size x size, flattened) of the
-    representatives' transports at one place, for every s >= r, as one
-    bincount."""
+    representatives' transports at one place (``_transports_at``), for
+    every s >= r: one bincount per ROW_BLOCK of the s, so the index and
+    weight products span one chunk of cosets, not all of them."""
     import numpy as np
 
-    count = len(columns) - r
-    index = (np.arange(count)[:, None] * size + columns[r]) * size + columns[r:]
-    return np.bincount(
-        index.ravel(), (weights[r] * weights[r:]).ravel(), minlength=count * size * size
-    ).reshape(count, size * size)
+    count, cells = len(columns) - r, size * size
+    lead = columns[r] * np.intp(size)
+    lead_weights = cocycle[weights[r]]
+    blocks = np.empty((count, cells))
+    for first in range(0, count, ROW_BLOCK):
+        chunk = slice(r + first, r + first + ROW_BLOCK)
+        rows = len(columns[chunk])
+        index = np.arange(0, rows * cells, cells)[:, None] + lead
+        index += columns[chunk]
+        products = np.take(cocycle, weights[chunk])
+        products *= lead_weights
+        blocks[first : first + rows] = np.bincount(
+            index.ravel(), products.ravel(), minlength=rows * cells
+        ).reshape(rows, cells)
+    return blocks
 
 
 def check_compression_budget(q: int, depth: int) -> None:
     """Raise RadiusBudgetError when a depth-``depth`` compression's core,
-    its orbit-pair index of one integer per pair of input cells, would
-    exceed CORE_BUDGET entries."""
+    one product entry per pair of input cells, the work it does per double
+    coset, would exceed CORE_BUDGET entries."""
     entries = sphere_size(q + 1, depth) ** 4
     if entries > CORE_BUDGET:
         raise RadiusBudgetError(
@@ -570,9 +601,11 @@ def _compression_gram(
     (``SphereTransports.doubles``).  The cosets are sorted by double coset,
     each one's in table order, so the s of each term are one run from r_D to
     the end.
-    H is added into its orbit pairs one block of ROW_BLOCK entries of one
-    pair-block product at a time, by one bincount over a per-depth orbit-pair
-    index; no cells x cells float array is formed.
+    H is added into its orbit pairs one block of a pair-block product at a
+    time, the rows (i, j) of one place-zero cylinder i: a bincount over the
+    keys (k, orbit of (j, l)), which are the same for every i, then a
+    scatter of its rows k into the orbit of (i, k); no cells x cells array
+    is formed.
     """
     import numpy as np
 
@@ -584,34 +617,35 @@ def _compression_gram(
     order = np.argsort(transports.doubles, kind="stable")
     _, counts = np.unique(transports.doubles, return_counts=True)
     starts = np.cumsum(counts) - counts
-    cols0, wts0 = (a[order] for a in _transports_at(transports, 0, depth))
-    cols1, wts1 = (a[order] for a in _transports_at(transports, 1, depth))
+    transported = []
+    for place_index in (0, 1):
+        columns, weights, cocycle = _transports_at(transports, place_index, depth)
+        transported.append((columns[order], weights[order], cocycle))
     # every depth-k cylinder has the same measure, one over the sphere size
     mu_out = 1.0 / sphere_size(degree, depth + n)
     coeffs = np.array([
         1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q)))
         for c in cosets
     ])[order]
-    cells = size * size
     orbits = int(labels.max()) + 1
     # a pair-block product's entry ((i, j), (k, l)), with (i, j) from place
     # zero's blocks and (k, l) from place infinity's, is H's entry for the
-    # input cells (i, k) and (j, l): it adds into their orbit pair
-    pairs = labels.reshape(size, size).astype(np.min_scalar_type(orbits * orbits - 1))
-    index = (pairs[:, None, :, None] * orbits + pairs[None, :, None, :]).reshape(cells, cells)
-    rows = max(1, ROW_BLOCK // cells)
-    blocks = [slice(start, start + rows) for start in range(0, cells, rows)]
-    half = np.zeros(orbits * orbits)
+    # input cells (i, k) and (j, l): it adds into their orbit pair.  Within
+    # the rows of one i, an entry's key (k, orbit of (j, l)) does not depend
+    # on i, so one key array of size^3 entries serves every block
+    pairs = labels.reshape(size, size)
+    keys = (np.arange(size)[None, :, None] * orbits + pairs[:, None, :]).ravel()
+    half = np.zeros((orbits, orbits))
     for start, count in zip(starts.tolist(), counts.tolist()):
-        left = _pair_blocks(cols0, wts0, start, size)
-        right = _pair_blocks(cols1, wts1, start, size)
+        left = _pair_blocks(*transported[0], start, size)
+        weighted = _pair_blocks(*transported[1], start, size)
         scales = (mu_out * mu_out * count * coeffs[start]) * coeffs[start:]
         scales[:count] /= 2.0
-        weighted = scales[:, None] * right
-        for block in blocks:
-            product = left[:, block].T @ weighted
-            half += np.bincount(index[block].ravel(), product.ravel(), minlength=half.size)
-    half = half.reshape(orbits, orbits)
+        weighted *= scales[:, None]
+        for i in range(size):
+            product = left[:, i * size : (i + 1) * size].T @ weighted
+            sums = np.bincount(keys, product.ravel(), minlength=size * orbits)
+            np.add.at(half, pairs[i], sums.reshape(size, orbits))
     # whiten by the input measure 1 / size so plain power iteration sees the
     # weighted norm, and take |K|^2 from the average
     root = np.sqrt(np.bincount(labels))

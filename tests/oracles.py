@@ -1482,21 +1482,20 @@ def compression_gram_all_pairs(
     degree = q + 1
     size = sphere_size(degree, depth)
     labels = _cell_orbits(transports, depth)
-    cols0, wts0 = _transports_at(transports, 0, depth)
-    cols1, wts1 = _transports_at(transports, 1, depth)
+    place0 = _transports_at(transports, 0, depth)
+    place1 = _transports_at(transports, 1, depth)
     mu_out = 1.0 / sphere_size(degree, depth + n)
     coeffs = np.array([
         1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q)))
         for c in cosets
     ])
     cells = size * size
-    rows = max(1, ROW_BLOCK // cells)
-    blocks = [slice(start, start + rows) for start in range(0, cells, rows)]
+    blocks = [slice(start, start + ROW_BLOCK) for start in range(0, cells, ROW_BLOCK)]
     # core[(i, j), (k, l)] = H[(i, k), (j, l)], the pair blocks' layout
     core = np.zeros((cells, cells))
     for r in range(len(cosets)):
-        left = _pair_blocks(cols0, wts0, r, size)
-        right = _pair_blocks(cols1, wts1, r, size)
+        left = _pair_blocks(*place0, r, size)
+        right = _pair_blocks(*place1, r, size)
         scales = (mu_out * mu_out * coeffs[r]) * coeffs[r:]
         scales[0] /= 2.0
         weighted = scales[:, None] * right

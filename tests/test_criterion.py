@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -521,6 +523,56 @@ def test_double_coset_gram_matches_all_pairs(request, table_name, lengths, depth
 
 
 @pytest.mark.parametrize(
+    "table_name, n, depths", [("table4", 4, (1, 2, 3, 4)), ("table_q3n4", 4, (2,))]
+)
+def test_coset_chunks_do_not_change_the_gram(request, monkeypatch, table_name, n, depths):
+    # the transports and pair blocks are built one chunk of cosets at a time
+    # and every coset's row on its own, so one coset per chunk and every
+    # coset in one chunk give the default's orbit Gram exactly
+    table = request.getfixturevalue(table_name)
+    transports = transport_sphere(table, n, max(depths))
+    assert len(transports.cosets) > criterion.ROW_BLOCK
+    defaults = {depth: _compression_gram(transports, depth) for depth in depths}
+    for chunk in (1, len(transports.cosets)):
+        monkeypatch.setattr(criterion, "ROW_BLOCK", chunk)
+        for depth, (default, default_labels) in defaults.items():
+            gram, labels = _compression_gram(transports, depth)
+            assert np.array_equal(labels, default_labels)
+            assert np.array_equal(gram, default)
+
+
+@pytest.mark.parametrize("table_name, n, depth", [("table4", 4, 4), ("table_q3n4", 4, 2)])
+def test_coset_chunks_do_not_change_the_transports(request, monkeypatch, table_name, n, depth):
+    # every coset's transport row is computed on its own, so one coset per
+    # chunk gives the default's arrays exactly
+    table = request.getfixturevalue(table_name)
+    transports = transport_sphere(table, n, depth)
+    assert len(transports.cosets) > criterion.ROW_BLOCK
+    cases = [(place_index, k) for place_index in (0, 1) for k in range(depth + 1)]
+    defaults = [_transports_at(transports, place_index, k) for place_index, k in cases]
+    monkeypatch.setattr(criterion, "ROW_BLOCK", 1)
+    for (place_index, k), default in zip(cases, defaults):
+        transported = _transports_at(transports, place_index, k)
+        assert transported[0].dtype == transported[1].dtype == np.uint8
+        assert all(np.array_equal(a, b) for a, b in zip(transported, default))
+
+
+@pytest.mark.parametrize("depth, limit_mb", [(4, 2.0), (5, 10.0)])
+def test_compression_memory_is_bounded(table4, depth, limit_mb):
+    # no array of one entry per pair of input cells (48^4 at depth 5) and no
+    # working array over every coset: the traced peak of one compression,
+    # its transports built before tracing starts, stays under a fixed bound
+    transports = transport_sphere(table4, 4, depth)
+    tracemalloc.start()
+    try:
+        mean_matrix_2norm(transports, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
+
+
+@pytest.mark.parametrize(
     "table_name, n, count",
     [
         ("table6", 0, 1),
@@ -691,6 +743,20 @@ def test_transported_images_must_partition_the_boundary(table4, monkeypatch):
         rrd_report(table4, 4)
 
 
+def test_the_first_coset_that_fails_to_partition_is_named(table4):
+    # two representatives past the first chunk of cosets each send their
+    # first leaf where their second goes: the first of them in table order
+    # is named, whichever chunk it falls in
+    transports = transport_sphere(table4, 4, 2)
+    assert criterion.ROW_BLOCK <= 40 < 44 < len(transports.cosets)
+    for row in (40, 44):
+        images = transports.images[1][row]
+        images[0] = images[1]
+    named = transports.cosets[40].representative.to_text()
+    with pytest.raises(RuntimeError, match=f"fail to partition .*{re.escape(named)}"):
+        mean_matrix_2norm(transports, 2)
+
+
 # (iterations, value) of the 12 compression rows of the reference report
 REFERENCE_COMPRESSIONS = [
     (2, 1.0),
@@ -757,12 +823,12 @@ def test_derived_transports_match_direct_translation(request, table_name, depth)
         transports = transport_sphere(table, n, depth)
         for k in range(depth + 1):
             for place_index in (0, 1):
-                columns, weights = _transports_at(transports, place_index, k)
+                columns, weights, cocycle = _transports_at(transports, place_index, k)
                 direct_columns, direct_weights = coset_transports_direct(
                     table.cosets(n), n, trees[place_index], place_index, k
                 )
                 assert np.array_equal(columns, direct_columns)
-                assert np.array_equal(weights, direct_weights)
+                assert np.array_equal(cocycle[weights], direct_weights)
 
 
 @pytest.mark.parametrize("table_name, depth", [("table4", 4), ("table_q3n2", 2)])
