@@ -10,7 +10,14 @@ fails, 2 on usage errors (bad arguments, or a radius beyond the budget of
 the sphere enumeration, the subgroup ball count, the ball-count BFS, the
 mean-identity check, the compression core or the convolution matrix), 3 on
 an internal fault (any other exception).  Result records are written by
-``algebra.plain``.
+``algebra.plain``.  An envelope's config is its parsed arguments but the
+command, --out and --cache-dir, so an option is echoed without being named
+twice.
+
+Every file a command writes (--out, --csv and the cache file) is checked
+before any work: none may be a directory, lie under an existing file, or be,
+hold or lie under another of the command's outputs, symbolic links
+resolved.
 
 With --cache-dir, every command that reads a sphere table also keeps a copy
 of it in that directory, in a file keyed by (q, max length, cache major
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -137,8 +145,23 @@ def _load_table(
     return table, {"path": os.path.basename(path)}, text
 
 
-def _finish(args: argparse.Namespace, config: dict, result: dict, passed: bool) -> int:
-    """Write the subcommand's envelope and return its exit status."""
+def _finish(
+    args: argparse.Namespace, result: dict, passed: bool, cache: Optional[dict] = None
+) -> int:
+    """Write the subcommand's envelope and return its exit status.
+
+    The config is every parsed argument but the command, --out and
+    --cache-dir, with the threshold as JSON writes it, and the cache record
+    of a command that loaded a table."""
+    config = {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "handler", "out", "cache_dir")
+    }
+    if "threshold" in config:
+        config["threshold"] = json_threshold(args.threshold)
+    if cache is not None:
+        config["cache"] = cache
     envelope = {
         "command": args.command,
         "tool_version": __version__,
@@ -165,8 +188,9 @@ def _blocking_file(directory: str) -> Optional[str]:
 
 
 def _within(path: str, ancestor: str) -> bool:
-    """Whether ``path`` is ``ancestor`` or lies under it."""
-    path, ancestor = os.path.abspath(path), os.path.abspath(ancestor)
+    """Whether ``path`` is ``ancestor`` or lies under it, once symbolic
+    links are resolved."""
+    path, ancestor = os.path.realpath(path), os.path.realpath(ancestor)
     return os.path.commonpath([path, ancestor]) == ancestor
 
 
@@ -186,32 +210,29 @@ def _check_arguments(args: argparse.Namespace) -> None:
         value = getattr(args, name, 0.0)
         if math.isnan(value) or value == -math.inf:
             raise UsageError(f"--{name.replace('_', '-')} must be a number or inf, not {value}")
-    # output files are replaced by a rename, which a directory refuses, in a
+    # every output is replaced by a rename, which a directory refuses, in a
     # directory made on demand, which an existing file in its place refuses;
-    # both would fail only after the work is done
-    for name in ("out", "csv"):
-        path = getattr(args, name, None)
-        if path and os.path.isdir(path):
-            raise UsageError(f"--{name} must name a file, not the directory {path}")
-        blocking = path and _blocking_file(os.path.dirname(path))
+    # an output at, above or under another would find a directory where its
+    # file goes or replace the other's document.  All of these would fail,
+    # or lose a file, only after the work is done
+    outputs = {f"--{name}": getattr(args, name, None) for name in ("out", "csv")}
+    if getattr(args, "cache_dir", None):
+        outputs["the cache file"] = _sphere_cache_path(args.cache_dir, args.q, args.max_length)
+    outputs = {label: path for label, path in outputs.items() if path}
+    for label, path in outputs.items():
+        if os.path.isdir(path):
+            raise UsageError(f"{label} {path} is a directory")
+        blocking = _blocking_file(os.path.dirname(path))
         if blocking:
-            raise UsageError(f"--{name} {path} lies under the file {blocking}")
-    cache_dir = getattr(args, "cache_dir", None)
-    if not cache_dir:
-        return
-    blocking = _blocking_file(cache_dir)
-    if blocking:
-        raise UsageError(f"the cache directory {cache_dir} is or lies under the file {blocking}")
-    # the cache file is replaced by a rename, which a directory in its place
-    # refuses
-    cache_path = _sphere_cache_path(cache_dir, args.q, args.max_length)
-    if os.path.isdir(cache_path):
-        raise UsageError(f"the cache file {cache_path} is a directory")
-    # the cache file is written before the output, which would then find the
-    # cache directory where it goes or where its directory goes, or replace
-    # the cache file with another document
-    if args.out and (_within(cache_dir, args.out) or _within(args.out, cache_path)):
-        raise UsageError(f"--out {args.out} collides with the cache file {cache_path}")
+            raise UsageError(f"{label} {path} lies under the file {blocking}")
+    for (label, path), (other, other_path) in itertools.combinations(outputs.items(), 2):
+        if _within(path, other_path) or _within(other_path, path):
+            raise UsageError(f"{label} {path} collides with {other} {other_path}")
+    if getattr(args, "degree", 3) < 3:
+        raise UsageError("degree must be at least 3")
+    n = getattr(args, "n", 0)
+    if n < 0 or n % 2:
+        raise UsageError("the sphere length must be even and nonnegative")
 
 
 def _cmd_spheres(args: argparse.Namespace) -> int:
@@ -221,8 +242,6 @@ def _cmd_spheres(args: argparse.Namespace) -> int:
 
 
 def _cmd_ball_count(args: argparse.Namespace) -> int:
-    if args.degree < 3:
-        raise UsageError("degree must be at least 3")
     check_bfs_budget(args.degree, args.radius)
     rows = []
     passed = True
@@ -231,12 +250,7 @@ def _cmd_ball_count(args: argparse.Namespace) -> int:
         ok = formula == bfs
         passed = passed and ok
         rows.append({"n": n, "formula": formula, "bfs": bfs, "match": ok})
-    return _finish(
-        args,
-        {"degree": args.degree, "radius": args.radius},
-        {"rows": rows},
-        passed,
-    )
+    return _finish(args, {"rows": rows}, passed)
 
 
 def _cmd_xi(args: argparse.Namespace) -> int:
@@ -248,11 +262,6 @@ def _cmd_xi(args: argparse.Namespace) -> int:
     return _finish(
         args,
         {
-            "q": args.q,
-            "length_zero": args.length_zero,
-            "length_infinity": args.length_infinity,
-        },
-        {
             "value": plain(closed),
             "value_float": float(closed),
             "expanded_matches": passed,
@@ -262,9 +271,10 @@ def _cmd_xi(args: argparse.Namespace) -> int:
 
 
 def _cmd_mean_identity(args: argparse.Namespace) -> int:
-    if args.degree < 3:
-        raise UsageError("degree must be at least 3")
-    depth = args.depth if args.depth is not None else args.length
+    # the envelope echoes the depth checked, not the default's None
+    if args.depth is None:
+        args.depth = args.length
+    depth = args.depth
     if depth < args.length:
         raise UsageError("depth must be at least the displacement length")
     # every cylinder of the depth sums over the sphere of the length
@@ -282,12 +292,7 @@ def _cmd_mean_identity(args: argparse.Namespace) -> int:
         checked += 1
         if ratio != one:
             worst_ok = False
-    return _finish(
-        args,
-        {"degree": args.degree, "length": args.length, "depth": depth},
-        {"cylinders_checked": checked, "all_ratios_one": worst_ok},
-        worst_ok,
-    )
+    return _finish(args, {"cylinders_checked": checked, "all_ratios_one": worst_ok}, worst_ok)
 
 
 def _cmd_condition1(args: argparse.Namespace) -> int:
@@ -295,40 +300,18 @@ def _cmd_condition1(args: argparse.Namespace) -> int:
         raise UsageError("condition 1 needs a table radius of at least 2")
     table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     report = condition_one_certificate(table)
-    passed = report.passed
-    return _finish(
-        args,
-        {"q": args.q, "max_length": args.max_length, "cache": cache},
-        plain(report),
-        passed,
-    )
+    return _finish(args, plain(report), report.passed, cache)
 
 
 def _cmd_uniform_bound(args: argparse.Namespace) -> int:
-    if args.n < 0 or args.n % 2:
-        raise UsageError("the sphere length must be even and nonnegative")
     if args.n > args.max_length:
         raise UsageError("sphere length exceeds the table radius")
     table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     report = uniform_bound_value(table, args.n)
-    passed = report.at_most(args.threshold)
-    return _finish(
-        args,
-        {
-            "q": args.q,
-            "max_length": args.max_length,
-            "n": args.n,
-            "threshold": json_threshold(args.threshold),
-            "cache": cache,
-        },
-        plain(report),
-        passed,
-    )
+    return _finish(args, plain(report), report.at_most(args.threshold), cache)
 
 
 def _cmd_opnorm(args: argparse.Namespace) -> int:
-    if args.n < 0 or args.n % 2:
-        raise UsageError("the sphere length must be even and nonnegative")
     if args.radius + args.n > args.max_length:
         raise UsageError(
             "ball radius plus sphere length must stay within the table radius"
@@ -336,19 +319,7 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
     check_convolution_budget(args.q, args.radius)
     table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     result = convolution_opnorm_lower(table, args.n, args.radius)
-    passed = result.l1_ok
-    return _finish(
-        args,
-        {
-            "q": args.q,
-            "max_length": args.max_length,
-            "n": args.n,
-            "radius": args.radius,
-            "cache": cache,
-        },
-        plain(result),
-        passed,
-    )
+    return _finish(args, plain(result), result.l1_ok, cache)
 
 
 def _cmd_lamplighter(args: argparse.Namespace) -> int:
@@ -363,12 +334,7 @@ def _cmd_lamplighter(args: argparse.Namespace) -> int:
         for radius, size, rate in growth_csv_rows(sizes):
             buffer.write(f"{radius},{size},{rate}\n")
         _atomic_write(args.csv, buffer.getvalue())
-    return _finish(
-        args,
-        {"q": args.q, "radius": args.radius, "csv": args.csv},
-        plain(certificate),
-        passed,
-    )
+    return _finish(args, plain(certificate), passed)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

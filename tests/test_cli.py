@@ -560,6 +560,27 @@ def test_only_envelopes_end_with_a_newline(capsys):
     assert code == 0 and out.endswith("}\n") and not out.endswith("\n\n")
 
 
+NO_CACHE = {"path": None}
+# every parsed option, defaults and the resolved mean-identity depth included,
+# but --out and --cache-dir; a command that loads a table adds its cache record
+ENVELOPE_CONFIGS = {
+    "ball-count --radius 4": {"degree": 3, "radius": 4},
+    "xi --length-zero 2 --length-infinity 2": {"q": 2, "length_zero": 2, "length_infinity": 2},
+    "mean-identity --length 2": {"degree": 3, "length": 2, "depth": 2},
+    "condition1 --max-length 2": {"q": 2, "max_length": 2, "cache": NO_CACHE},
+    "uniform-bound --max-length 2 --n 2": {
+        "q": 2, "max_length": 2, "n": 2, "threshold": 8.0, "cache": NO_CACHE,
+    },
+    "uniform-bound --max-length 4 --n 4 --threshold 1.0": {
+        "q": 2, "max_length": 4, "n": 4, "threshold": 1.0, "cache": NO_CACHE,
+    },
+    "opnorm --max-length 2 --n 0 --radius 2": {
+        "q": 2, "max_length": 2, "n": 0, "radius": 2, "cache": NO_CACHE,
+    },
+    "lamplighter --radius 4": {"q": 2, "radius": 4, "csv": None},
+}
+
+
 @pytest.mark.parametrize(
     "argv, passed",
     [
@@ -577,8 +598,121 @@ def test_envelopes_name_their_command_and_exit_by_their_verdict(capsys, argv, pa
     code, out = run(capsys, *argv)
     envelope = json.loads(out)
     assert envelope["command"] == argv[0]
+    assert envelope["config"] == ENVELOPE_CONFIGS[" ".join(argv)]
     assert envelope["pass"] is passed
     assert code == (0 if passed else 1)
+
+
+# Four envelopes pinned byte for byte: keys, defaults, number formats and
+# the closing newline.
+PINNED_ENVELOPES = {
+    "ball-count --degree 3 --radius 1": """\
+{
+  "cache_major": 1,
+  "command": "ball-count",
+  "config": {
+    "degree": 3,
+    "radius": 1
+  },
+  "pass": true,
+  "result": {
+    "rows": [
+      {
+        "bfs": 1,
+        "formula": 1,
+        "match": true,
+        "n": 0
+      },
+      {
+        "bfs": 7,
+        "formula": 7,
+        "match": true,
+        "n": 1
+      }
+    ]
+  },
+  "tool_version": "0.1.0"
+}
+""",
+    "xi --q 2 --length-zero 2 --length-infinity 0": """\
+{
+  "cache_major": 1,
+  "command": "xi",
+  "config": {
+    "length_infinity": 0,
+    "length_zero": 2,
+    "q": 2
+  },
+  "pass": true,
+  "result": {
+    "expanded_matches": true,
+    "value": [
+      "5/6",
+      "0",
+      2
+    ],
+    "value_float": 0.8333333333333334
+  },
+  "tool_version": "0.1.0"
+}
+""",
+    "mean-identity --degree 3 --length 1": """\
+{
+  "cache_major": 1,
+  "command": "mean-identity",
+  "config": {
+    "degree": 3,
+    "depth": 1,
+    "length": 1
+  },
+  "pass": true,
+  "result": {
+    "all_ratios_one": true,
+    "cylinders_checked": 3
+  },
+  "tool_version": "0.1.0"
+}
+""",
+    "lamplighter --q 2 --radius 1": """\
+{
+  "cache_major": 1,
+  "command": "lamplighter",
+  "config": {
+    "csv": null,
+    "q": 2,
+    "radius": 1
+  },
+  "pass": true,
+  "result": {
+    "ball_sizes": [
+      1,
+      5
+    ],
+    "certified_rate": 1.2599210498948732,
+    "empirical_rate": 5.0,
+    "family_checks": [
+      {
+        "ball_size": 5,
+        "family_size": 2,
+        "n": 0,
+        "ok": true,
+        "word_length": 1
+      }
+    ],
+    "q": 2,
+    "rd_failure_flag": true
+  },
+  "tool_version": "0.1.0"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_ENVELOPES))
+def test_envelope_bytes_are_pinned(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert out == PINNED_ENVELOPES[command]
 
 
 @pytest.mark.parametrize(
@@ -592,6 +726,10 @@ def test_envelopes_name_their_command_and_exit_by_their_verdict(capsys, argv, pa
         ["mean-identity", "--length", "-2"],
         ["report", "--max-length", "2", "--depth", "0"],
         ["condition1", "--max-length", "0"],
+        ["ball-count", "--degree", "2"],
+        ["mean-identity", "--degree", "2", "--length", "2"],
+        ["uniform-bound", "--max-length", "4", "--n", "3"],
+        ["opnorm", "--max-length", "4", "--n", "1", "--radius", "2"],
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
@@ -632,12 +770,15 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
              f"{{dir}}/spheres-q2-n2-v{CACHE_MAJOR_VERSION}.json"],
             "{dir}",
         ),
+        (["lamplighter", "--radius", "3", "--csv", "{dir}/x.json", "--out", "{dir}/x.json"], None),
+        (["lamplighter", "--radius", "3", "--csv", "{dir}/sub", "--out", "{dir}/sub/y.json"], None),
+        (["lamplighter", "--radius", "3", "--csv", "{dir}/sub/y.csv", "--out", "{dir}/sub"], None),
     ],
 )
 def test_bad_output_paths_are_usage_errors(tmp_path, capsys, monkeypatch, argv, cache_dir):
     # a directory where a file is written, a file where the cache directory
-    # or an output's directory goes, or an output at the cache directory, at
-    # the cache file or under it, is refused before any work and leaves both
+    # or an output's directory goes, or an output at, above or under another
+    # (the cache file or the CSV) is refused before any work and leaves both
     # untouched
     def refuse(*args):
         raise AssertionError("work started")
@@ -655,6 +796,18 @@ def test_bad_output_paths_are_usage_errors(tmp_path, capsys, monkeypatch, argv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
     assert list(paths["dir"].iterdir()) == []
     assert paths["file"].read_text() == "kept\n"
+
+
+def test_outputs_that_are_one_file_through_a_link_collide(tmp_path, capsys):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to("real")
+    code, out = run(
+        capsys, "lamplighter", "--radius", "3",
+        "--csv", str(tmp_path / "link" / "x.json"), "--out", str(tmp_path / "real" / "x.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert list((tmp_path / "real").iterdir()) == []
 
 
 def test_impossible_radius_is_a_usage_error(capsys):
