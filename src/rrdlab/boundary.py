@@ -7,9 +7,10 @@ spherical function is the sphere average of q^(beta/2); its closed form is
 
     (1 + n*(q-1)/(q+1)) * q^(-n/2)
 
-for displacement n.  The tests check it against a brute-force integral of
-q^(beta/2) over the partition of the boundary by branch depth along a fixed
-geodesic (``tests/oracles.py``).  The product function for the two places
+for displacement n, with the rational factor c(n) = 1 + n(q-1)/(q+1) given
+by ``spherical_coefficient``.  The tests check it against a brute-force
+integral of q^(beta/2) over the partition of the boundary by branch depth
+along a fixed geodesic (``tests/oracles.py``).  The product function for the two places
 multiplies factor values and is cached per length pair.
 """
 
@@ -35,6 +36,12 @@ def cocycle_sqrt(w: TreeVertex, cylinder: BoundaryCylinder) -> AlgebraicValue:
     return AlgebraicValue.sqrt_q_power(w.degree - 1, beta)
 
 
+def spherical_coefficient(q: int, n: int) -> Fraction:
+    """c(n) = 1 + n(q-1)/(q+1), the rational factor of the spherical
+    function of the (q+1)-regular tree at displacement n."""
+    return 1 + Fraction(q - 1, q + 1) * n
+
+
 def hc_tree_closed(degree: int, n: int) -> AlgebraicValue:
     """Closed-form spherical function of the d-regular tree at displacement n."""
     if degree < 3:
@@ -42,8 +49,7 @@ def hc_tree_closed(degree: int, n: int) -> AlgebraicValue:
     if n < 0:
         raise ValueError("negative displacement")
     q = degree - 1
-    coeff = 1 + Fraction(q - 1, q + 1) * n
-    return AlgebraicValue.rational(coeff, q) * AlgebraicValue.sqrt_q_power(q, -n)
+    return AlgebraicValue.rational(spherical_coefficient(q, n), q) * AlgebraicValue.sqrt_q_power(q, -n)
 
 
 @lru_cache(maxsize=None)

@@ -33,13 +33,15 @@ formed: each pair-block product is added into the orbit pairs one input
 cylinder of place zero at a time, through keys of size^3 entries shared
 by every such block, and ``check_compression_budget`` bounds the work per
 double coset before anything is built.  One pass
-(``transport_sphere``) serves every compression depth of a sphere: at each
-place, one ``sl2.translate_vertex`` call moves the deepest input cylinders
-and the cosets' located vertices by every element of K, and one moves the
-deepest input cylinders by every representative, as vertex ids; the leaves
-are in label order, so the shallower images and K's action at each depth
-are strides of the leaves' columns, and the double cosets follow, once per
-sphere, by looking the moved located pairs up.
+(``transport_sphere``) serves every compression depth of a sphere: one
+``sl2.translate_vertex`` call moves the deepest input cylinders and the
+cosets' located vertices at both places by every element of K, at place
+zero only (K's entries are constants, which X -> X^-1 fixes, so K acts
+alike on both trees), and one call per place moves the deepest input
+cylinders by every representative, as vertex ids; the leaves are in label
+order, so the shallower images and K's action at each depth are strides of
+the leaves' columns, and the double cosets follow, once per sphere, by
+looking the moved located pairs up.
 One orbit rule (``_orbit_labels``) labels both the K-orbits of the input
 cells and the double cosets.
 The transports of the representatives at one depth and place are one numpy
@@ -68,7 +70,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Fq, Place, plain
-from .boundary import hc_product
+from .boundary import hc_product, spherical_coefficient
 from .lamplighter import exponential_certificate, h_ball_growth
 from .sl2 import SL2Element, form_of, translate_vertex
 from .spheres import (
@@ -125,12 +127,14 @@ class SphereTransports(NamedTuple):
     to ``depth``, at both places, as vertex ids (``TreeVertex.id``), and the
     sphere's double cosets.
 
-    Two ``translate_vertex`` calls per place: one moves the base of every
-    depth-``depth`` input cylinder (a leaf, in label order) and every
-    coset's located vertex by every element k of K, listed in ``group``, the
-    other moves the leaves alone by every representative r (the located
-    vertices' images under r are never read).  actions[place][k, leaf] is
-    the position of k . leaf among the leaves (-1 where it is none of them);
+    Three ``translate_vertex`` calls: one, at place zero, moves the base of
+    every depth-``depth`` input cylinder (a leaf, in label order) and every
+    coset's located vertex at both places by every element k of K, listed
+    in ``group``; K's entries are constants, which X -> X^-1 fixes, so that
+    is its action on both trees.  The other two, one per place, move the
+    leaves alone by every representative r (the located vertices' images
+    under r are never read).  actions[k, leaf] is the position of k . leaf
+    among the leaves (-1 where it is none of them), at either place;
     images[place][coset, leaf] is the id of r . leaf, and
     centers[place][coset] that of w = r . o, read off the coset's located
     pair.  r is an isometry, so the image of a shallower base v is the
@@ -151,7 +155,7 @@ class SphereTransports(NamedTuple):
     group: list[SL2Element]
     centers: tuple[np.ndarray, np.ndarray]
     images: tuple[np.ndarray, np.ndarray]
-    actions: tuple[np.ndarray, np.ndarray]
+    actions: np.ndarray
     doubles: np.ndarray
 
     @property
@@ -161,16 +165,17 @@ class SphereTransports(NamedTuple):
 
 def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports:
     """Move every leaf of the depth-``depth`` input cylinders and every
-    located vertex of sphere n by K, and every leaf by the sphere's
-    representatives, at both places: two ``translate_vertex`` calls per
-    place, (|K|, leaves + cosets) and (cosets, leaves).  A constant
-    element fixes the root, so K's images of leaves are leaves; one that is
-    not is marked -1 and refused by ``_cell_orbits``.  It also keeps both
-    tree lengths, and a right coset is determined by its located pair (K is
-    the stabiliser of (o_0, o_inf)), so k r K is the coset of sphere n whose
-    located pair is k . (w0, w1): the first k, in the order of K, that moves
-    a pair off the sphere is refused, and the double cosets are the orbits
-    of this action (``_orbit_labels``).  An empty sphere, a negative depth
+    located vertex of sphere n by K, once, at place zero, and every leaf by
+    the sphere's representatives at both places: three ``translate_vertex``
+    calls, (|K|, leaves + 2 cosets) at place zero and (cosets, leaves) at
+    each place.  A constant element fixes the root, so K's images of leaves
+    are leaves; one that is not is marked -1 and refused by
+    ``_cell_orbits``.  It also keeps both tree lengths, and a right coset is
+    determined by its located pair (K is the stabiliser of (o_0, o_inf)), so
+    k r K is the coset of sphere n whose located pair is k . (w0, w1): the
+    first k, in the order of K, that moves a pair off the sphere is
+    refused, and the double cosets are the orbits of this action
+    (``_orbit_labels``).  An empty sphere, a negative depth
     and a core over CORE_BUDGET (``check_compression_budget``) are refused
     before any translation."""
     import numpy as np
@@ -186,21 +191,19 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
     # the leaves in label order, the order of their ids
     leaves = list(sphere_vertices(table.q + 1, depth))
     leaf_ids = np.array([leaf.id for leaf in leaves])
-    centers, images, actions, moved = [], [], [], []
-    for place_index, place in enumerate(PLACES):
-        located = [coset.vertex(place_index) for coset in cosets]
-        leaf_forms = [form_of(v, place) for v in leaves]
-        rows = translate_vertex(group, leaf_forms + [form_of(v, place) for v in located])
-        k_rows = rows[:, : len(leaves)]
-        positions = np.minimum(np.searchsorted(leaf_ids, k_rows), len(leaf_ids) - 1)
-        actions.append(np.where(leaf_ids[positions] == k_rows, positions, -1))
-        moved.append(rows[:, len(leaves) :].tolist())
-        images.append(translate_vertex(representatives, leaf_forms))
-        centers.append(np.array([v.id for v in located], dtype=np.int64))
+    leaf_forms = [form_of(v) for v in leaves]
+    located = [coset.vertex(place_index) for place_index in (0, 1) for coset in cosets]
+    rows = translate_vertex(group, leaf_forms + [form_of(v) for v in located], Place.ZERO)
+    k_rows = rows[:, : len(leaves)]
+    positions = np.minimum(np.searchsorted(leaf_ids, k_rows), len(leaf_ids) - 1)
+    actions = np.where(leaf_ids[positions] == k_rows, positions, -1)
+    images = tuple(translate_vertex(representatives, leaf_forms, place) for place in PLACES)
+    centers = np.array([v.id for v in located], dtype=np.int64).reshape(2, len(cosets))
     # K's action on the cosets: the position of every moved located pair
-    position = {pair: index for index, pair in enumerate(zip(*(c.tolist() for c in centers)))}
+    position = {pair: index for index, pair in enumerate(zip(*centers.tolist()))}
+    moved = rows[:, len(leaves) :].reshape(len(group), 2, len(cosets)).tolist()
     coset_images = np.array(
-        [[position.get(pair, -1) for pair in zip(row0, row1)] for row0, row1 in zip(*moved)],
+        [[position.get(pair, -1) for pair in zip(row0, row1)] for row0, row1 in moved],
         dtype=np.int64,
     )
     lost = coset_images < 0
@@ -211,9 +214,7 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
             f"{representatives[coset].to_text()} off sphere {n}"
         )
     doubles = _orbit_labels(group, coset_images, f"the double cosets of sphere {n}")
-    return SphereTransports(
-        table, n, depth, group, tuple(centers), tuple(images), tuple(actions), doubles
-    )
+    return SphereTransports(table, n, depth, group, tuple(centers), images, actions, doubles)
 
 
 def _orbit_labels(group: Sequence[SL2Element], images: np.ndarray, what: str) -> np.ndarray:
@@ -362,12 +363,12 @@ def _cell_orbits(transports: SphereTransports, depth: int) -> np.ndarray:
     flattened as j * size + l.  Orbits are numbered in the order of their
     first cells.
 
-    k moves cell (j, l) to (perm0_k[j], perm1_k[l]), each perm the leaf
-    action at the first leaf of every cylinder, floor-divided by the block
-    size (``SphereTransports``), which keeps the -1 of a leaf sent off the
-    leaves.  One that is no permutation would silently drop and double input
-    cylinders, and is refused at every depth, in the order of K and then of
-    the places, before the orbits are labelled (``_orbit_labels``).
+    k moves cell (j, l) to (perm_k[j], perm_k[l]), perm the leaf action at
+    the first leaf of every cylinder, floor-divided by the block size
+    (``SphereTransports``), which keeps the -1 of a leaf sent off the
+    leaves; K acts alike on both trees.  One that is no permutation would
+    silently drop and double input cylinders, and is refused at every depth,
+    in the order of K, before the orbits are labelled (``_orbit_labels``).
     """
     import numpy as np
 
@@ -375,18 +376,14 @@ def _cell_orbits(transports: SphereTransports, depth: int) -> np.ndarray:
     size = sphere_size(degree, depth)
     block = sphere_size(degree, transports.depth) // size
     group = transports.group
-    # perms[place][k] = k's action on the cylinders of this depth
-    perms = [actions[:, ::block] // block for actions in transports.actions]
-    broken = np.stack(
-        [np.any(np.sort(perm, axis=1) != np.arange(size), axis=1) for perm in perms], axis=1
-    )
+    # perm[k] = k's action on the cylinders of this depth
+    perm = transports.actions[:, ::block] // block
+    broken = np.any(np.sort(perm, axis=1) != np.arange(size), axis=1)
     if broken.any():
-        index, place_index = divmod(int(np.argmax(broken)), 2)
         raise RuntimeError(
-            f"{group[index].to_text()} does not permute the input cylinders "
-            f"(place {PLACES[place_index].value})"
+            f"{group[int(np.argmax(broken))].to_text()} does not permute the input cylinders"
         )
-    images = (perms[0][:, :, None] * size + perms[1][:, None, :]).reshape(len(group), -1)
+    images = (perm[:, :, None] * size + perm[:, None, :]).reshape(len(group), -1)
     labels = _orbit_labels(group, images, "the K-orbits of the input cells")
     return np.unique(labels, return_inverse=True)[1]
 
@@ -414,15 +411,6 @@ class MeanReport:
         return self.value <= Fraction(threshold)
 
 
-def _spherical_coefficient(l0: int, l1: int, q: int) -> Fraction:
-    """c(l0) c(l1) = Xi(l0, l1) q^((l0+l1)/2), read from ``hc_product``:
-    the rational factor of the spherical function, c(l) = 1 + l(q-1)/(q+1)."""
-    scaled = hc_product(l0, l1, q) * AlgebraicValue.sqrt_q_power(q, l0 + l1)
-    if not scaled.is_rational():
-        raise RuntimeError(f"Xi({l0}, {l1}) q^(({l0}+{l1})/2) is not rational at q = {q}")
-    return scaled.a
-
-
 def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
     """U_n, the sup over the depth-(n, n) product cells of the normalized,
     spherical-function-weighted mean over sphere n applied to 1.
@@ -430,11 +418,11 @@ def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
     A member of the right coset rK contributes q^(beta0/2) q^(beta1/2) / Xi
     at a cell (x, y), read from r's located pair (w0, w1) of tree lengths
     (l0, l1): beta = 2 gp - l with gp the Gromov product of w and the cell,
-    and Xi = c(l0) c(l1) q^(-(l0+l1)/2), so the term is the positive
-    rational q^(gp0+gp1) / (c(l0) c(l1)).  Each coset's weight
-    1 / (#cosets c(l0) c(l1)) is written as an integer over one common
-    denominator, so every cell value is an integer sum over the cosets and
-    U_n is the largest of them over that denominator.  The integral of the
+    and Xi = c(l0) c(l1) q^(-(l0+l1)/2) (``spherical_coefficient``), so the
+    term is the positive rational q^(gp0+gp1) / (c(l0) c(l1)).  Each
+    coset's weight 1 / (#cosets c(l0) c(l1)) is written as an integer over
+    one common denominator, so every cell value is an integer sum over the
+    cosets and U_n is the largest of them over that denominator.  The integral of the
     mean over the boundary is exactly 1 (the sphere-average identity); the
     tests check that on the step-function form of the mean.
     """
@@ -443,7 +431,8 @@ def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
     if not cosets:
         raise ValueError(f"sphere {n} is empty")
     weights = [
-        Fraction(1, len(cosets)) / _spherical_coefficient(c.zero.depth, c.infinity.depth, q)
+        Fraction(1, len(cosets))
+        / (spherical_coefficient(q, c.zero.depth) * spherical_coefficient(q, c.infinity.depth))
         for c in cosets
     ]
     denominator = math.lcm(*(w.denominator for w in weights))

@@ -40,13 +40,19 @@ min(a, b) = 0 gives s.  The breadth-first neighbour expansion this must
 equal is the test oracle (``tests/oracles.py``).
 
 The transports move many vertices by many elements, so ``translate_vertex``
-reduces every (element, form) pair of one place in one numpy pass: dense
-coefficient rows, F_q arithmetic by table, and each image's vertex id
-(``TreeVertex.id``) from its form by Horner's rule along the path above; the
-one-vertex reduction it must equal is the test oracle.
+reduces every (element, form) pair in one numpy pass: dense coefficient
+rows, F_q arithmetic by table, and each image's vertex id (``TreeVertex.id``)
+from its form by Horner's rule along the path above; the one-vertex
+reduction it must equal is the test oracle.
 
-Place infinity reuses all place-zero code through the exact substitution
-X -> X^-1, under which the uniformizer becomes X again.
+A canonical form names no place: (a, b, c) is a vertex of either tree, read
+in the uniformizer variable of the place it is used at, X at zero and X^-1
+at infinity.  The place enters only where an element acts
+(``canonical_vertex``, ``locate`` and ``translate_vertex``), and place
+infinity is place zero after the exact substitution X -> X^-1 of the
+element's entries, under which the uniformizer becomes X again.  That
+substitution fixes constants, so an element of SL2(F_q) acts alike on the
+forms of both places.
 """
 
 from __future__ import annotations
@@ -167,10 +173,9 @@ def _to_uniformizer(entry: LaurentPolynomial, place: Place) -> LaurentPolynomial
 @dataclass(frozen=True, slots=True)
 class LatticeVertex:
     """Canonical form of a lattice class: basis [[X^a, 0], [c, X^b]] in the
-    uniformizer variable of ``place``, with min(a, b) = 0 and the exponents of
-    c strictly below b."""
+    uniformizer variable of whichever place it is read at, with
+    min(a, b) = 0 and the exponents of c strictly below b."""
 
-    place: Place
     diag_low: int
     diag_high: int
     off_diag: LaurentPolynomial
@@ -184,7 +189,6 @@ class LatticeVertex:
 
 
 def _canonical_from_matrix(
-    place: Place,
     A: LaurentPolynomial,
     B: LaurentPolynomial,
     C: LaurentPolynomial,
@@ -209,12 +213,12 @@ def _canonical_from_matrix(
     b = det.low - a
     m = min(a, b)
     c = series_quotient(C.shift(-m), A.shift(-a), b - m)
-    return LatticeVertex(place, a - m, b - m, c)
+    return LatticeVertex(a - m, b - m, c)
 
 
 def canonical_vertex(g: SL2Element, place: Place) -> LatticeVertex:
     """Canonical form of the lattice spanned by the columns of g at the place."""
-    return _canonical_from_matrix(place, *(_to_uniformizer(e, place) for e in g.entries()))
+    return _canonical_from_matrix(*(_to_uniformizer(e, place) for e in g.entries()))
 
 
 def vertex_of(form: LatticeVertex) -> TreeVertex:
@@ -230,13 +234,13 @@ def vertex_of(form: LatticeVertex) -> TreeVertex:
     return TreeVertex(q + 1, tuple(path))
 
 
-def form_of(vertex: TreeVertex, place: Place) -> LatticeVertex:
-    """The canonical form at ``place`` of a tree vertex, the inverse of
-    ``vertex_of`` (module docstring)."""
+def form_of(vertex: TreeVertex) -> LatticeVertex:
+    """The canonical form of a tree vertex, the inverse of ``vertex_of``
+    (module docstring)."""
     field = Fq(vertex.degree - 1)
     q, path = field.q, vertex.path
     if not path or path[0] < q:
-        return LatticeVertex(place, 0, len(path), LaurentPolynomial(field, 0, path))
+        return LatticeVertex(0, len(path), LaurentPolynomial(field, 0, path))
     run = 1
     while run < len(path) and path[run] == q - 1:
         run += 1
@@ -245,13 +249,14 @@ def form_of(vertex: TreeVertex, place: Place) -> LatticeVertex:
         digits[0] += 1
     # run = a + s, len(digits) = b + s and min(a, b) = 0
     s = min(run, len(digits))
-    return LatticeVertex(place, run - s, len(digits) - s, LaurentPolynomial(field, -s, digits))
+    return LatticeVertex(run - s, len(digits) - s, LaurentPolynomial(field, -s, digits))
 
 
 class TreeRegistry:
     """The tree around the standard lattice to a fixed radius, in label
     order: ``levels[d]`` lists the (vertex, canonical form) pairs of depth d,
-    so their ids (``TreeVertex.id``) increase along it.
+    so their ids (``TreeVertex.id``) increase along it.  Forms name no
+    place, so one registry lists the vertices of both trees.
 
     The labels are the neighbour expansion's from the base vertex: a
     vertex's children are its neighbours other than its parent, in
@@ -266,14 +271,13 @@ class TreeRegistry:
     Built once and frozen; safe under concurrent readers.
     """
 
-    def __init__(self, q: int, place: Place, radius: int):
+    def __init__(self, q: int, radius: int):
         if radius < 0:
             raise ValueError("negative registry radius")
         self.q = q
-        self.place = place
         self.radius = radius
         self.levels: list[list[tuple[TreeVertex, LatticeVertex]]] = [
-            [(vertex, form_of(vertex, place)) for vertex in sphere_vertices(q + 1, depth)]
+            [(vertex, form_of(vertex)) for vertex in sphere_vertices(q + 1, depth)]
             for depth in range(radius + 1)
         ]
 
@@ -347,9 +351,11 @@ def _window(rows: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return np.where(inside, taken, 0).astype(rows.dtype)
 
 
-def translate_vertex(elements: Sequence[SL2Element], forms: Sequence[LatticeVertex]) -> np.ndarray:
-    """The id (``TreeVertex.id``) of the vertex g . v for every element g and
-    canonical form v, all of one place: an int64 array of shape
+def translate_vertex(
+    elements: Sequence[SL2Element], forms: Sequence[LatticeVertex], place: Place
+) -> np.ndarray:
+    """The id (``TreeVertex.id``) of the vertex g . v at ``place`` for every
+    element g and canonical form v: an int64 array of shape
     (len(elements), len(forms)), made in one numpy pass.
 
     This is ``_canonical_from_matrix`` on every image basis at once, with
@@ -362,17 +368,14 @@ def translate_vertex(elements: Sequence[SL2Element], forms: Sequence[LatticeVert
     series C X^-m / (A X^-a') below X^(b' - m), solved term by term over the
     exponents from the images' lowest, -s, up to their largest b' - m, and
     the image's id follows from its form by Horner's rule along its label
-    path (``vertex_of``).  Raises ValueError for forms of two places, a zero
-    top row, or an id that would overflow int64.
+    path (``vertex_of``).  Raises ValueError for a zero top row or an id
+    that would overflow int64.
     """
     import numpy as np
 
-    places = {form.place for form in forms}
-    if len(places) > 1:
-        raise ValueError("forms must all be at one place")
     if not elements or not forms:
         return np.zeros((len(elements), len(forms)), dtype=np.int64)
-    place, q = forms[0].place, forms[0].field.q
+    q = forms[0].field.q
     add, mul, neg, inv = _field_tables(q)
 
     g_low, g = _dense([_to_uniformizer(e, place) for x in elements for e in x.entries()])

@@ -8,8 +8,9 @@ located pair of some coset exactly when the rank-2 bundle E that the two
 lattices glue with F_q[X, X^-1]^2 on the projective line is trivial, that is
 when h^0(E(-1)) = 0 (Grothendieck splitting; Serre, *Trees*, ch. II; in
 twin-tree terms v0 and v1 are opposite).  The enumeration therefore takes
-every pair of even-depth vertices with d0 + d1 <= N from the two tree
-registries, decides triviality by one rank test (E has degree 0, so it is
+every pair of even-depth vertices with d0 + d1 <= N from one tree registry
+(a canonical form names no place, so it lists the vertices of both trees),
+decides triviality by one rank test (E has degree 0, so it is
 trivial exactly when its section rows plus the two fiber rows at X = 0 have
 full column rank), and reads a representative off the same elimination.
 Each representative is checked to have determinant 1 and to locate back to
@@ -431,15 +432,16 @@ def trivial_pairs(
     """The pair scan: every even-depth vertex pair (v0, v1) with
     d0 + d1 <= ``max_length`` that is the located pair of a right coset, as
     its length d0 + d1, the representative ``_pair_representative`` reads
-    off it, and the two vertices.  Their label paths come from the
-    registries the scan walks, so nothing is located.  The caller checks
-    the budgets first (``_check_pair_budget``).
+    off it, and the two vertices.  Both vertices and their label paths come
+    from the one registry the scan walks, whose forms serve either place,
+    so nothing is located.  The caller checks the budgets first
+    (``_check_pair_budget``).
     """
-    levels = [TreeRegistry(q, place, max_length).levels for place in (Place.ZERO, Place.INFINITY)]
+    levels = TreeRegistry(q, max_length).levels
     for d0 in range(0, max_length + 1, 2):
         for d1 in range(0, max_length - d0 + 1, 2):
-            for zero, zero_form in levels[0][d0]:
-                for infinity, infinity_form in levels[1][d1]:
+            for zero, zero_form in levels[d0]:
+                for infinity, infinity_form in levels[d1]:
                     r = _pair_representative(zero_form, infinity_form)
                     if r is not None:
                         yield d0 + d1, r, zero, infinity

@@ -432,26 +432,24 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     return (v1, v2) if v1 <= v2 else (v2, v1)
 
 
-def translate_form(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
-    """Canonical form of g . v, one vertex at a time: g times the basis
-    [[X^a, 0], [c, X^b]] in Laurent arithmetic, then
+def translate_form(g: SL2Element, v: LatticeVertex, place: Place) -> LatticeVertex:
+    """Canonical form of g . v at ``place``, one vertex at a time: g times
+    the basis [[X^a, 0], [c, X^b]] in Laurent arithmetic, then
     ``_canonical_from_matrix`` with the determinant computed.  The oracle of
     the program's ``translate_vertex``, which reduces every (element, form)
     pair at once."""
-    ga, gb, gc, gd = (_to_uniformizer(e, v.place) for e in g.entries())
+    ga, gb, gc, gd = (_to_uniformizer(e, place) for e in g.entries())
     a, b, c = v.diag_low, v.diag_high, v.off_diag
     return _canonical_from_matrix(
-        v.place, ga.shift(a) + gb * c, gb.shift(b), gc.shift(a) + gd * c, gd.shift(b)
+        ga.shift(a) + gb * c, gb.shift(b), gc.shift(a) + gd * c, gd.shift(b)
     )
 
 
-def base_vertex(field: Fq, place: Place) -> LatticeVertex:
-    return LatticeVertex(place, 0, 0, LaurentPolynomial.zero(field))
+def base_vertex(field: Fq) -> LatticeVertex:
+    return LatticeVertex(0, 0, LaurentPolynomial.zero(field))
 
 
-def _canonical_from_triangular(
-    place: Place, a: int, b: int, c: LaurentPolynomial
-) -> LatticeVertex:
+def _canonical_from_triangular(a: int, b: int, c: LaurentPolynomial) -> LatticeVertex:
     """Normalize an already-triangular basis [[X^a, 0], [c, X^b]]."""
     m = min(a, b)
     a -= m
@@ -472,7 +470,7 @@ def _canonical_from_triangular(
             c = LaurentPolynomial(c.field, low, out)
         else:
             c = LaurentPolynomial.zero(c.field)
-    return LatticeVertex(place, a, b, c)
+    return LatticeVertex(a, b, c)
 
 
 def vertex_neighbors(v: LatticeVertex) -> list[LatticeVertex]:
@@ -487,20 +485,20 @@ def vertex_neighbors(v: LatticeVertex) -> list[LatticeVertex]:
     out = []
     for t in range(q):
         shift_c = c + LaurentPolynomial.x_power(field, b, t) if t else c
-        out.append(_canonical_from_triangular(v.place, a, b + 1, shift_c))
-    out.append(_canonical_from_triangular(v.place, a + 1, b, c.shift(1)))
+        out.append(_canonical_from_triangular(a, b + 1, shift_c))
+    out.append(_canonical_from_triangular(a + 1, b, c.shift(1)))
     return out
 
 
 Levels = list[list[tuple[TreeVertex, LatticeVertex]]]
 
 
-def expansion_levels(q: int, place: Place, radius: int, key=None) -> Levels:
+def expansion_levels(q: int, radius: int, key=None) -> Levels:
     """Breadth-first search from the base vertex to ``radius``: each
     vertex's children are its neighbours not seen yet, labelled in
     ``vertex_neighbors`` order, or in the order of ``key`` when given.
     Listed per depth in label order, like ``TreeRegistry.levels``."""
-    root, root_form = TreeVertex.root(q + 1), base_vertex(Fq(q), place)
+    root, root_form = TreeVertex.root(q + 1), base_vertex(Fq(q))
     seen = {root_form}
     levels = [[(root, root_form)]]
     for _ in range(radius):
@@ -516,26 +514,24 @@ def expansion_levels(q: int, place: Place, radius: int, key=None) -> Levels:
     return levels
 
 
-def text_sorted_levels(q: int, place: Place, radius: int) -> Levels:
+def text_sorted_levels(q: int, radius: int) -> Levels:
     """The labels as first defined, which vertex ids must keep: the
     expansion with each vertex's unseen neighbours sorted by their text keys
-    (place, a, b, text of c)."""
+    (a, b, text of c)."""
     return expansion_levels(
-        q,
-        place,
-        radius,
-        key=lambda form: (form.place.value, form.diag_low, form.diag_high, form.off_diag.to_text()),
+        q, radius, key=lambda form: (form.diag_low, form.diag_high, form.off_diag.to_text())
     )
 
 
 class Expansion:
-    """The reference labelling of one tree to a radius: its levels
-    (``expansion_levels``) and each form's vertex by lookup among them."""
+    """The reference labelling of one place's tree to a radius: its levels
+    (``expansion_levels``, the same at both places), each form's vertex by
+    lookup among them, and the place, at which ``locate`` reads elements."""
 
     def __init__(self, q: int, place: Place, radius: int):
         self.q, self.place, self.radius = q, place, radius
         self.field = Fq(q)
-        self.levels = expansion_levels(q, place, radius)
+        self.levels = expansion_levels(q, radius)
         self._vertices = {form: vertex for level in self.levels for vertex, form in level}
 
     def locate_form(self, form: LatticeVertex) -> TreeVertex:
@@ -1228,8 +1224,9 @@ def direct_images(
 ) -> list[tuple[int, ...]]:
     """The label path of gamma . v for the base v of every cylinder, each
     moved by ``translate_form`` on its own."""
+    place = expansion.place
     return [
-        expansion.locate_form(translate_form(gamma, form_at(expansion, c.base))).path
+        expansion.locate_form(translate_form(gamma, form_at(expansion, c.base), place)).path
         for c in cyls
     ]
 
@@ -1426,7 +1423,7 @@ def per_element_stack(gammas, in_depth, out_depth, expansion, q) -> np.ndarray:
     for gi, g in enumerate(gammas):
         w = expansion.locate(g)
         for j, form in enumerate(in_forms):
-            y = expansion.locate_form(translate_form(g, form))
+            y = expansion.locate_form(translate_form(g, form, expansion.place))
             for i, oc in enumerate(out_cyls):
                 z = oc.base
                 if gromov_product(w, y) + gromov_product(y, z) == y.depth + gromov_product(w, z):

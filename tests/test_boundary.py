@@ -12,6 +12,7 @@ from rrdlab.boundary import (
     hc_product_expanded,
     hc_tree_closed,
     sphere_average_check,
+    spherical_coefficient,
 )
 from rrdlab.trees import (
     BoundaryCylinder,
@@ -61,6 +62,18 @@ def test_product_value_is_product_of_factors():
                 factor = hc_tree_closed(q + 1, l0) * hc_tree_closed(q + 1, linf)
                 assert product == factor
                 assert product == hc_product_expanded(l0, linf, q)
+
+
+def test_spherical_coefficient_is_the_rational_factor_of_hc_product():
+    # U_n weighs each coset by 1 / (c(l0) c(l1)), the compressions by
+    # 1 / Xi(l0, l1): both must be one spherical function
+    for q in (2, 3, 4, 9):
+        for l0 in range(0, 9, 2):
+            for l1 in range(0, 9 - l0, 2):
+                c = spherical_coefficient(q, l0) * spherical_coefficient(q, l1)
+                assert isinstance(c, Fraction)
+                scaled = AlgebraicValue.rational(c, q) * AlgebraicValue.sqrt_q_power(q, -l0 - l1)
+                assert scaled == hc_product(l0, l1, q)
 
 
 def test_product_at_two_two():

@@ -13,7 +13,6 @@ from rrdlab import criterion
 from rrdlab.algebra import AlgebraicValue, Fq, Place, plain
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
-    PLACES,
     _compression_gram,
     _power_iteration_symmetric,
     _transports_at,
@@ -159,17 +158,6 @@ def test_uniform_bound_pin_q2_n6(table6):
 
 def test_uniform_bound_pin_q3_n4(table_q3n4):
     assert uniform_bound_value(table_q3n4, 4).value.as_triple() == ("279/244", "0", 3)
-
-
-def test_uniform_bound_needs_a_rational_spherical_coefficient(table4, monkeypatch):
-    # Xi(l0, l1) q^((l0+l1)/2) is c(l0) c(l1); an irrational one would break
-    # the integer sum, so it is refused rather than truncated
-    def irrational(l0, l1, q):
-        return AlgebraicValue.sqrt_q_power(q, 1 - l0 - l1)
-
-    monkeypatch.setattr(criterion, "hc_product", irrational)
-    with pytest.raises(RuntimeError, match="not rational"):
-        uniform_bound_value(table4, 2)
 
 
 def mean_transfer_bruteforce(table, n):
@@ -595,8 +583,9 @@ def test_double_cosets_match_the_member_oracle(request, table_name, n, count):
     assert all(labels[min(block)] == min(block) for block in blocks)
 
 
-# transport_sphere translates by the elements of K in one call per place and
-# by the representatives in another; the patches below act on K's call only
+# transport_sphere translates by the elements of K in one call, at place
+# zero, and by the representatives in one call per place; the patches below
+# act on K's call only
 GROUP_Q2 = [k for k, _, _ in constant_group(Fq(2))]
 
 
@@ -608,9 +597,9 @@ def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
     def repeating(depth):
         leaves = sphere_size(3, depth)
 
-        def translate(elements, forms):
-            rows = real(elements, forms)
-            if list(elements) == GROUP_Q2:
+        def translate(elements, forms, place):
+            rows = real(elements, forms, place)
+            if list(elements) == GROUP_Q2 and place is Place.ZERO:
                 rows[:, :leaves] = np.concatenate([rows[:, :1], rows[:, : leaves - 1]], axis=1)
             return rows
 
@@ -627,14 +616,13 @@ def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
 
 def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
     # still a permutation, but one non-identity k has the images of two
-    # leaves swapped at place zero, so it no longer preserves the orbits
-    # K's action has
+    # leaves swapped, so it no longer preserves the orbits K's action has
     real = criterion.translate_vertex
     index = 1  # GROUP_Q2[1] = [[0, 1], [1, 1]]
 
-    def swapped(elements, forms):
-        rows = real(elements, forms)
-        if list(elements) == GROUP_Q2 and forms[0].place is Place.ZERO:
+    def swapped(elements, forms, place):
+        rows = real(elements, forms, place)
+        if list(elements) == GROUP_Q2 and place is Place.ZERO:
             rows[index, [0, 1]] = rows[index, [1, 0]]
         return rows
 
@@ -651,9 +639,9 @@ def test_located_pairs_must_stay_on_the_sphere(table4, monkeypatch):
     # sphere's located pairs are even and add up to n
     real = criterion.translate_vertex
 
-    def leaving(elements, forms):
-        rows = real(elements, forms)
-        if list(elements) == GROUP_Q2 and forms[0].place is Place.INFINITY:
+    def leaving(elements, forms, place):
+        rows = real(elements, forms, place)
+        if list(elements) == GROUP_Q2 and place is Place.ZERO:
             rows[1, -1] = rows[1, 0]
         return rows
 
@@ -672,11 +660,12 @@ def test_coset_action_must_be_the_group_action(table4, monkeypatch):
     other = cosets[next(c for c in range(len(cosets)) if doubles[c] != doubles[0])]
     real = criterion.translate_vertex
 
-    def merging(elements, forms):
-        rows = real(elements, forms)
-        if list(elements) == GROUP_Q2:
-            place_index = PLACES.index(forms[0].place)
-            rows[1, len(forms) - len(cosets)] = other.vertex(place_index).id
+    def merging(elements, forms, place):
+        rows = real(elements, forms, place)
+        if list(elements) == GROUP_Q2 and place is Place.ZERO:
+            # the located vertices follow the leaves, place zero's first
+            first = len(forms) - 2 * len(cosets)
+            rows[1, [first, first + len(cosets)]] = [other.zero.id, other.infinity.id]
         return rows
 
     monkeypatch.setattr(criterion, "translate_vertex", merging)
@@ -795,20 +784,19 @@ def test_leaves_are_positions_in_label_order(q):
     # of their ids, and each cylinder above the leaves holds one block of
     # consecutive leaves; checked against the label paths and their prefixes
     degree = q + 1
-    for place in Place:
-        registry = TreeRegistry(q, place, 4)
-        for leaf_depth in range(5):
-            listed = [v for v, _ in registry.levels[leaf_depth]]
-            paths = [c.base.path for c in boundary_cylinders(degree, leaf_depth)]
-            assert [v.path for v in listed] == paths
-            ids = [v.id for v in listed]
-            assert ids == sorted(set(ids))
-            for depth in range(leaf_depth + 1):
-                upper = [c.base.path for c in boundary_cylinders(degree, depth)]
-                prefixes = [p[:depth] for p in paths]
-                block = sphere_size(degree, leaf_depth) // sphere_size(degree, depth)
-                assert [upper[i // block] for i in range(len(paths))] == prefixes
-                assert prefixes[::block] == upper
+    registry = TreeRegistry(q, 4)
+    for leaf_depth in range(5):
+        listed = [v for v, _ in registry.levels[leaf_depth]]
+        paths = [c.base.path for c in boundary_cylinders(degree, leaf_depth)]
+        assert [v.path for v in listed] == paths
+        ids = [v.id for v in listed]
+        assert ids == sorted(set(ids))
+        for depth in range(leaf_depth + 1):
+            upper = [c.base.path for c in boundary_cylinders(degree, depth)]
+            prefixes = [p[:depth] for p in paths]
+            block = sphere_size(degree, leaf_depth) // sphere_size(degree, depth)
+            assert [upper[i // block] for i in range(len(paths))] == prefixes
+            assert prefixes[::block] == upper
 
 
 @pytest.mark.parametrize(
@@ -853,12 +841,13 @@ def test_report_matches_the_standalone_functions_exactly(request, table_name, de
 
 
 def test_reference_report_work_is_pinned(table4, monkeypatch):
-    # two bulk translations per place and sphere: the 6 elements of K on
-    # the 24 depth-4 cylinders and the sphere's 1, 6 or 45 located vertices,
-    # then the sphere's 1, 6 or 45 representatives on the 24 cylinders; no
-    # registry: every vertex id is computed in closed form.  The double
-    # cosets are labelled once per sphere, the cell orbits once per depth,
-    # and K is built once per sphere, which every depth reads
+    # three bulk translations per sphere: the 6 elements of K at place zero
+    # on the 24 depth-4 cylinders and the sphere's 1, 6 or 45 located
+    # vertices at both places, then the sphere's 1, 6 or 45 representatives
+    # on the 24 cylinders at each place; no registry: every vertex id is
+    # computed in closed form.  The double cosets are labelled once per
+    # sphere, the cell orbits once per depth, and K is built once per
+    # sphere, which every depth reads
     translations = []
     builds = []
     labelled = []
@@ -868,9 +857,9 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     real_labels = criterion._orbit_labels
     real_group = criterion.constant_group
 
-    def counting_translate(elements, forms):
-        translations.append((len(elements), len(forms), forms[0].place))
-        return real_translate(elements, forms)
+    def counting_translate(elements, forms, place):
+        translations.append((len(elements), len(forms), place))
+        return real_translate(elements, forms, place)
 
     def counting_init(self, *args):
         builds.append(args)
@@ -892,10 +881,13 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     assert translations == [
         call
         for cosets in (1, 6, 45)
-        for place in Place
-        for call in ((6, 24 + cosets, place), (cosets, 24, place))
+        for call in (
+            (6, 24 + 2 * cosets, Place.ZERO),
+            (cosets, 24, Place.ZERO),
+            (cosets, 24, Place.INFINITY),
+        )
     ]
-    assert len(translations) == 12
+    assert len(translations) == 9
     assert builds == []
     assert [what for what in labelled if "double cosets" in what] == [
         f"the double cosets of sphere {n}" for n in (0, 2, 4)

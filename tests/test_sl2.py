@@ -11,6 +11,7 @@ from rrdlab.sl2 import (
     TreeRegistry,
     _canonical_from_matrix,
     canonical_vertex,
+    form_of,
     locate,
     translate_vertex,
     vertex_of,
@@ -112,22 +113,24 @@ def test_diagonal_shift_lengths():
 
 def test_translate_vertex_is_an_action():
     # on the scalar oracle, which the program's bulk translation must equal
+    o = base_vertex(FIELD)
     for place in (Place.ZERO, Place.INFINITY):
-        o = base_vertex(FIELD, place)
         for _ in range(100):
             g, h = random_word(FIELD, 4), random_word(FIELD, 4)
-            assert translate_form(g * h, o) == translate_form(g, translate_form(h, o))
+            assert translate_form(g * h, o, place) == translate_form(
+                g, translate_form(h, o, place), place
+            )
 
 
 def test_translate_preserves_adjacency():
+    o = base_vertex(FIELD)
     for place in (Place.ZERO, Place.INFINITY):
-        o = base_vertex(FIELD, place)
         for _ in range(40):
             g = random_word(FIELD, 4)
-            image = translate_form(g, o)
+            image = translate_form(g, o, place)
             neighbors = set(vertex_neighbors(image))
             for nb in vertex_neighbors(o):
-                assert translate_form(g, nb) in neighbors
+                assert translate_form(g, nb, place) in neighbors
 
 
 def test_locate_distance_equals_length():
@@ -141,11 +144,11 @@ def test_locate_distance_equals_length():
 def test_canonical_vertex_of_identity_is_base():
     for place in (Place.ZERO, Place.INFINITY):
         e = SL2Element.identity(FIELD)
-        assert canonical_vertex(e, place) == base_vertex(FIELD, place)
+        assert canonical_vertex(e, place) == base_vertex(FIELD)
 
 
 def test_registry_roundtrips_and_bounds():
-    registry = TreeRegistry(2, Place.ZERO, 4)
+    registry = TreeRegistry(2, 4)
     # vertex_of inverts the form of every listed vertex, and every vertex
     # within the radius is listed at its depth
     for n in range(5):
@@ -158,15 +161,14 @@ def test_registry_roundtrips_and_bounds():
     with pytest.raises(ValueError):
         form_at(registry, deep)
     with pytest.raises(ValueError, match="negative registry radius"):
-        TreeRegistry(2, Place.ZERO, -1)
+        TreeRegistry(2, -1)
 
 
 @pytest.mark.parametrize("q, radius", [(2, 10), (3, 7), (4, 5), (5, 5), (7, 4), (8, 4), (9, 3)])
 def test_levels_keep_the_text_sorted_labels(q, radius):
     # vertex ids must not change: up to q = 9, fresh neighbours in
     # vertex_neighbors order are in the order of their text keys
-    for place in Place:
-        assert TreeRegistry(q, place, radius).levels == text_sorted_levels(q, place, radius)
+    assert TreeRegistry(q, radius).levels == text_sorted_levels(q, radius)
 
 
 @pytest.mark.parametrize(
@@ -175,17 +177,16 @@ def test_levels_keep_the_text_sorted_labels(q, radius):
 )
 def test_levels_are_the_reference_expansion(q, radius):
     # the closed form in both directions against the breadth-first expansion
-    for place in Place:
-        levels = TreeRegistry(q, place, radius).levels
-        assert levels == expansion_levels(q, place, radius)
-        assert all(vertex_of(form) == vertex for level in levels for vertex, form in level)
+    levels = TreeRegistry(q, radius).levels
+    assert levels == expansion_levels(q, radius)
+    assert all(vertex_of(form) == vertex for level in levels for vertex, form in level)
 
 
 # ---------------------------------------------------------------------------
 # gcd-free canonical forms against column reduction over rational functions
 
 
-def oracle_canonical(place: Place, A, B, C, D) -> LatticeVertex:
+def oracle_canonical(A, B, C, D) -> LatticeVertex:
     """Column-reduce [[A, B], [C, D]] (uniformizer variable) over F_q(X):
     clear B with the field quotient B/A, read b off the reduced corner and
     expand the rescaled first column as a series."""
@@ -203,20 +204,20 @@ def oracle_canonical(place: Place, A, B, C, D) -> LatticeVertex:
     b = D.valuation()
     m = min(a, b)
     c = C * RationalFunction.from_laurent(LaurentPolynomial.x_power(field, -m))
-    return LatticeVertex(place, a - m, b - m, c.series_prefix(b - m))
+    return LatticeVertex(a - m, b - m, c.series_prefix(b - m))
 
 
 def uniformizer_entries(g: SL2Element, place: Place) -> tuple:
     return tuple(e if place is Place.ZERO else e.substitute_inverse() for e in g.entries())
 
 
-def oracle_translate(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
-    ga, gb, gc, gd = uniformizer_entries(g, v.place)
+def oracle_translate(g: SL2Element, v: LatticeVertex, place: Place) -> LatticeVertex:
+    ga, gb, gc, gd = uniformizer_entries(g, place)
     field = v.field
     x_a = LaurentPolynomial.x_power(field, v.diag_low)
     x_b = LaurentPolynomial.x_power(field, v.diag_high)
     c = v.off_diag
-    return oracle_canonical(v.place, ga * x_a + gb * c, gb * x_b, gc * x_a + gd * c, gd * x_b)
+    return oracle_canonical(ga * x_a + gb * c, gb * x_b, gc * x_a + gd * c, gd * x_b)
 
 
 def sphere_elements(table):
@@ -228,7 +229,7 @@ def test_canonical_vertex_matches_rational_oracle(request, table_name):
     table = request.getfixturevalue(table_name)
     for g in sphere_elements(table):
         for place in Place:
-            expected = oracle_canonical(place, *uniformizer_entries(g, place))
+            expected = oracle_canonical(*uniformizer_entries(g, place))
             assert canonical_vertex(g, place) == expected
 
 
@@ -242,10 +243,10 @@ def test_translate_vertex_matches_rational_oracle(request, table_name):
         expansion = Expansion(q, place, table.max_length + 3)
         forms = [form_at(expansion, v) for d in range(4) for v in sphere_vertices(q + 1, d)]
         expected = [
-            [expansion.locate_form(oracle_translate(g, form)).id for form in forms]
+            [expansion.locate_form(oracle_translate(g, form, place)).id for form in forms]
             for g in gammas
         ]
-        assert translate_vertex(gammas, forms).tolist() == expected
+        assert translate_vertex(gammas, forms, place).tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -263,18 +264,32 @@ def test_translate_vertex_matches_scalar_oracle(request, table_name, depth):
         forms = [form_at(expansion, c.base) for c in boundary_cylinders(q + 1, depth)]
         for elements in (representatives, group):
             expected = [
-                [expansion.locate_form(translate_form(g, form)).id for form in forms]
+                [expansion.locate_form(translate_form(g, form, place)).id for form in forms]
                 for g in elements
             ]
-            assert translate_vertex(elements, forms).tolist() == expected
+            assert translate_vertex(elements, forms, place).tolist() == expected
 
 
-def test_translate_vertex_raises_outside_the_registry():
-    # there is no registry radius any more; forms of two places are refused
-    shift = SL2Element.diagonal_shift(FIELD, 1)
-    forms = [base_vertex(FIELD, place) for place in Place]
-    with pytest.raises(ValueError, match="one place"):
-        translate_vertex([shift], forms)
+@pytest.mark.parametrize(
+    "q, table_name",
+    [(2, "table4"), (3, "table_q3n4"), (4, "table_q4n2"), (8, None), (9, None)],
+)
+def test_constant_group_acts_alike_at_both_places(request, q, table_name):
+    # X -> X^-1 fixes K's constant entries, so the report translates K at
+    # place zero only: on the leaves it moves and on the located vertices
+    # of both places, K's images are the same at infinity
+    group = [k for k, _, _ in constant_group(Fq(q))]
+    forms = [form_of(v) for d in range(4 if q < 4 else 3) for v in sphere_vertices(q + 1, d)]
+    if table_name is not None:
+        table = request.getfixturevalue(table_name)
+        forms += [
+            form_of(coset.vertex(place_index))
+            for n in table.lengths()
+            for coset in table.cosets(n)
+            for place_index in (0, 1)
+        ]
+    zero = translate_vertex(group, forms, Place.ZERO)
+    assert zero.tolist() == translate_vertex(group, forms, Place.INFINITY).tolist()
 
 
 def test_translate_vertex_rejects_a_zero_top_row():
@@ -282,7 +297,7 @@ def test_translate_vertex_rejects_a_zero_top_row():
     one = LaurentPolynomial.one(FIELD)
     degenerate = SL2Element(zero, zero, one, one, check=False)
     with pytest.raises(ValueError, match="zero top row"):
-        translate_vertex([degenerate], [base_vertex(FIELD, Place.ZERO)])
+        translate_vertex([degenerate], [base_vertex(FIELD)], Place.ZERO)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -297,34 +312,33 @@ def test_translate_vertex_reaches_beyond_any_registry(q):
             elementary_lower(LaurentPolynomial.x_power(field, sign * 11)),
         ]
         forms = [form_at(Expansion(q, place, 2), v) for v in sphere_vertices(q + 1, 2)]
-        images = [[translate_form(g, form) for form in forms] for g in elements]
+        images = [[translate_form(g, form, place) for form in forms] for g in elements]
         assert min(form_distance(image) for row in images for image in row) >= 20
         expected = [[walk_to_root(image).id for image in row] for row in images]
-        assert translate_vertex(elements, forms).tolist() == expected
+        assert translate_vertex(elements, forms, place).tolist() == expected
 
 
 def test_translate_vertex_refuses_ids_that_overflow_int64():
     # at q = 2 every id of depth 39 fits in int64, and (40, 0, 0) has the id
     # 4 3^39 - 1 > 2^63
-    o = base_vertex(FIELD, Place.ZERO)
+    o = base_vertex(FIELD)
     leaves = [form_at(Expansion(2, Place.ZERO, 1), v) for v in sphere_vertices(3, 1)]
     shift = SL2Element.diagonal_shift(FIELD, 19)
-    images = [translate_form(shift, leaf) for leaf in leaves]
+    images = [translate_form(shift, leaf, Place.ZERO) for leaf in leaves]
     assert max(form_distance(image) for image in images) == 39
-    ids = translate_vertex([shift], leaves)[0].tolist()
+    ids = translate_vertex([shift], leaves, Place.ZERO)[0].tolist()
     assert ids == [vertex_of(image).id for image in images]
     with pytest.raises(ValueError, match="overflow int64"):
-        translate_vertex([SL2Element.diagonal_shift(FIELD, 20)], [o])
+        translate_vertex([SL2Element.diagonal_shift(FIELD, 20)], [o], Place.ZERO)
 
 
 def test_canonical_form_rejects_degenerate_input():
     zero = LaurentPolynomial.zero(FIELD)
     one = LaurentPolynomial.one(FIELD)
     x = LaurentPolynomial.x_power(FIELD, 1)
-    for place in Place:
-        with pytest.raises(ValueError, match="zero top row"):
-            _canonical_from_matrix(place, zero, zero, one, x)
-        with pytest.raises(ValueError, match="not invertible"):
-            _canonical_from_matrix(place, one, x, one, x)
-        with pytest.raises(ValueError, match="zero top row"):
-            oracle_canonical(place, zero, zero, one, x)
+    with pytest.raises(ValueError, match="zero top row"):
+        _canonical_from_matrix(zero, zero, one, x)
+    with pytest.raises(ValueError, match="not invertible"):
+        _canonical_from_matrix(one, x, one, x)
+    with pytest.raises(ValueError, match="zero top row"):
+        oracle_canonical(zero, zero, one, x)

@@ -201,6 +201,25 @@ def test_coset_element_budget(monkeypatch):
         enumerate_ball(47, 2)
 
 
+def test_scan_builds_one_registry(monkeypatch):
+    # a canonical form names no place: the scan reads both vertices of every
+    # pair from one registry of radius max_length, and so does a table's read
+    builds = []
+    real_init = TreeRegistry.__init__
+
+    def counting_init(self, q, radius):
+        builds.append((q, radius))
+        real_init(self, q, radius)
+
+    monkeypatch.setattr(TreeRegistry, "__init__", counting_init)
+    table = enumerate_ball(2, 4)
+    assert builds == [(2, 4)]
+    enumerate_ball(3, 2)
+    assert builds == [(2, 4), (3, 2)]
+    SphereTable.from_json(table.to_json())
+    assert builds == [(2, 4), (3, 2), (2, 4)]
+
+
 def test_realized_length_pairs(table4):
     pairs = table4.realized_length_pairs(4)
     assert pairs == {(0, 4): 72, (2, 2): 126, (4, 0): 72}
@@ -278,14 +297,12 @@ def test_pair_representative_matches_the_nullspace_oracle(q, max_length):
     # on every candidate pair the elimination and the nullspace basis agree
     # on triviality, and their representatives lie in one right coset: the
     # quotient old^-1 new is constant
-    levels = [
-        TreeRegistry(q, place, max_length).levels for place in (Place.ZERO, Place.INFINITY)
-    ]
+    levels = TreeRegistry(q, max_length).levels
     pairs = trivial = 0
     for d0 in range(0, max_length + 1, 2):
         for d1 in range(0, max_length - d0 + 1, 2):
-            for _, zero in levels[0][d0]:
-                for _, infinity in levels[1][d1]:
+            for _, zero in levels[d0]:
+                for _, infinity in levels[d1]:
                     pairs += 1
                     new = spheres._pair_representative(zero, infinity)
                     old = pair_representative_by_nullspace(zero, infinity)
