@@ -27,17 +27,9 @@ Everything in this module is exact and immutable.  Conventions:
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
-from enum import Enum
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
-
-
-class Place(Enum):
-    """The two places of F_q(X) used throughout: X = 0 and X = infinity."""
-
-    ZERO = "zero"
-    INFINITY = "infinity"
 
 
 # Frozen irreducible moduli for extension fields, little-endian with leading 1.

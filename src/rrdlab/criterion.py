@@ -35,13 +35,14 @@ by every such block, and ``check_compression_budget`` bounds the work per
 double coset before anything is built.  One pass
 (``transport_sphere``) serves every compression depth of a sphere: one
 ``sl2.translate_vertex`` call moves the deepest input cylinders and the
-cosets' located vertices at both places by every element of K, at place
-zero only (K's entries are constants, which X -> X^-1 fixes, so K acts
-alike on both trees), and one call per place moves the deepest input
-cylinders by every representative, as vertex ids; the leaves are in label
-order, so the shallower images and K's action at each depth are strides of
-the leaves' columns, and the double cosets follow, once per sphere, by
-looking the moved located pairs up.
+cosets' located vertices at both places by every element of K (K's entries
+are constants, which sigma: X -> X^-1 fixes, so K acts alike on both
+trees), and two more move the deepest input cylinders, one by the
+representatives and one by their sigma-images
+(``SL2Element.substitute_inverse``, which read the tree at infinity), as
+vertex ids; the leaves are in label order, so the shallower images and K's
+action at each depth are strides of the leaves' columns, and the double
+cosets follow, once per sphere, by looking the moved located pairs up.
 One orbit rule (``_orbit_labels``) labels both the K-orbits of the input
 cells and the double cosets.
 The transports of the representatives at one depth and place are one numpy
@@ -69,7 +70,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
-from .algebra import AlgebraicValue, Fq, Place, plain
+from .algebra import AlgebraicValue, Fq, plain
 from .boundary import hc_product, spherical_coefficient
 from .lamplighter import exponential_certificate, h_ball_growth
 from .sl2 import SL2Element, form_of, translate_vertex
@@ -109,7 +110,6 @@ CORE_BUDGET = 10_000_000
 # Cosets per chunk of a compression's transports and pair blocks, so that
 # no working array beside the arrays they return spans every coset
 ROW_BLOCK = 32
-PLACES = (Place.ZERO, Place.INFINITY)
 
 
 def json_threshold(value: float) -> float | None:
@@ -127,20 +127,22 @@ class SphereTransports(NamedTuple):
     to ``depth``, at both places, as vertex ids (``TreeVertex.id``), and the
     sphere's double cosets.
 
-    Three ``translate_vertex`` calls: one, at place zero, moves the base of
-    every depth-``depth`` input cylinder (a leaf, in label order) and every
+    Three ``translate_vertex`` calls: one moves the base of every
+    depth-``depth`` input cylinder (a leaf, in label order) and every
     coset's located vertex at both places by every element k of K, listed
-    in ``group``; K's entries are constants, which X -> X^-1 fixes, so that
-    is its action on both trees.  The other two, one per place, move the
-    leaves alone by every representative r (the located vertices' images
-    under r are never read).  actions[k, leaf] is the position of k . leaf
-    among the leaves (-1 where it is none of them), at either place;
-    images[place][coset, leaf] is the id of r . leaf, and
+    in ``group``; K's entries are constants, which sigma: X -> X^-1 fixes,
+    so that is its action on both trees.  The other two, one for the
+    representatives r and one for their sigma-images, which act on the tree
+    at zero as r acts on the tree at infinity, move the leaves alone (the
+    located vertices' images under r are never read).  actions[k, leaf] is
+    the position of k . leaf among the leaves (-1 where it is none of them),
+    at either place; images[place][coset, leaf] is the id of r . leaf, and
     centers[place][coset] that of w = r . o, read off the coset's located
-    pair.  r is an isometry, so the image of a shallower base v is the
-    point at distance d(o, v) from w on the geodesic [w, r . leaf], for any
-    leaf below v (``_points_at``); likewise k fixes the root, so K's action
-    at a shallower depth is its action on the leaves truncated.  The leaves
+    pair, place 0 being zero and 1 infinity.  r is an isometry, so the
+    image of a shallower base v is the point at distance d(o, v) from w on
+    the geodesic [w, r . leaf], for any leaf below v (``_points_at``);
+    likewise k fixes the root, so K's action at a shallower depth is its
+    action on the leaves truncated.  The leaves
     are in label order, so each depth-k cylinder is one contiguous block of
     ``block = sphere_size(q + 1, depth) // sphere_size(q + 1, k)`` leaves,
     the i-th starting at leaf ``block * i``: both are read off the columns
@@ -165,17 +167,17 @@ class SphereTransports(NamedTuple):
 
 def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports:
     """Move every leaf of the depth-``depth`` input cylinders and every
-    located vertex of sphere n by K, once, at place zero, and every leaf by
-    the sphere's representatives at both places: three ``translate_vertex``
-    calls, (|K|, leaves + 2 cosets) at place zero and (cosets, leaves) at
-    each place.  A constant element fixes the root, so K's images of leaves
-    are leaves; one that is not is marked -1 and refused by
-    ``_cell_orbits``.  It also keeps both tree lengths, and a right coset is
-    determined by its located pair (K is the stabiliser of (o_0, o_inf)), so
-    k r K is the coset of sphere n whose located pair is k . (w0, w1): the
-    first k, in the order of K, that moves a pair off the sphere is
-    refused, and the double cosets are the orbits of this action
-    (``_orbit_labels``).  An empty sphere, a negative depth
+    located vertex of sphere n by K, once, and every leaf by the sphere's
+    representatives at both places: three ``translate_vertex`` calls,
+    (|K|, leaves + 2 cosets), then (cosets, leaves) one for the
+    representatives and one for their sigma-images.  A constant element
+    fixes the root, so K's images of leaves are leaves; one that is not is
+    marked -1 and refused by ``_cell_orbits``.  It also keeps both tree
+    lengths, and a right coset is determined by its located pair (K is the
+    stabiliser of (o_0, o_inf)), so k r K is the coset of sphere n whose
+    located pair is k . (w0, w1): the first k, in the order of K, that moves
+    a pair off the sphere is refused, and the double cosets are the orbits
+    of this action (``_orbit_labels``).  An empty sphere, a negative depth
     and a core over CORE_BUDGET (``check_compression_budget``) are refused
     before any translation."""
     import numpy as np
@@ -193,11 +195,12 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
     leaf_ids = np.array([leaf.id for leaf in leaves])
     leaf_forms = [form_of(v) for v in leaves]
     located = [coset.vertex(place_index) for place_index in (0, 1) for coset in cosets]
-    rows = translate_vertex(group, leaf_forms + [form_of(v) for v in located], Place.ZERO)
+    rows = translate_vertex(group, leaf_forms + [form_of(v) for v in located])
     k_rows = rows[:, : len(leaves)]
     positions = np.minimum(np.searchsorted(leaf_ids, k_rows), len(leaf_ids) - 1)
     actions = np.where(leaf_ids[positions] == k_rows, positions, -1)
-    images = tuple(translate_vertex(representatives, leaf_forms, place) for place in PLACES)
+    mirrored = [r.substitute_inverse() for r in representatives]
+    images = tuple(translate_vertex(x, leaf_forms) for x in (representatives, mirrored))
     centers = np.array([v.id for v in located], dtype=np.int64).reshape(2, len(cosets))
     # K's action on the cosets: the position of every moved located pair
     position = {pair: index for index, pair in enumerate(zip(*centers.tolist()))}
@@ -350,7 +353,7 @@ def _transports_at(
         if not partitions.all():
             raise RuntimeError(
                 "transported cylinder images fail to partition the boundary "
-                f"(place {PLACES[place_index].value}, element "
+                f"(place {('zero', 'infinity')[place_index]}, element "
                 f"{cosets[first + int(np.argmin(partitions))].representative.to_text()})"
             )
         columns[chunk] = order.ravel()[found]

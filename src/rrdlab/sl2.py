@@ -47,12 +47,13 @@ reduction it must equal is the test oracle.
 
 A canonical form names no place: (a, b, c) is a vertex of either tree, read
 in the uniformizer variable of the place it is used at, X at zero and X^-1
-at infinity.  The place enters only where an element acts
-(``canonical_vertex``, ``locate`` and ``translate_vertex``), and place
-infinity is place zero after the exact substitution X -> X^-1 of the
-element's entries, under which the uniformizer becomes X again.  That
-substitution fixes constants, so an element of SL2(F_q) acts alike on the
-forms of both places.
+at infinity.  Elements act at place zero only (``canonical_vertex``,
+``locate`` and ``translate_vertex``).  The tree at infinity is read through
+sigma: X -> X^-1 (``SL2Element.substitute_inverse``), an automorphism of the
+group that swaps the two places, under which the uniformizer X^-1 becomes X:
+g acts on the tree at infinity as sigma(g) acts on the tree at zero, so a
+caller reads g at infinity by passing sigma(g).  sigma fixes constants, so an
+element of SL2(F_q) acts alike on both trees.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .algebra import Fq, LaurentPolynomial, Place, series_quotient
+from .algebra import Fq, LaurentPolynomial, series_quotient
 from .trees import TreeVertex, sphere_vertices
 
 if TYPE_CHECKING:
@@ -135,6 +136,15 @@ class SL2Element:
     def inverse(self) -> "SL2Element":
         return SL2Element(self.d, -self.b, -self.c, self.a, check=False)
 
+    def substitute_inverse(self) -> "SL2Element":
+        """sigma(g): X -> X^-1 in every entry.  sigma is an involution
+        (sigma(sigma(g)) = g) and an automorphism of the group
+        (sigma(gh) = sigma(g) sigma(h)) that fixes every element of
+        SL2(F_q) and swaps the places zero and infinity, so g acts on the
+        tree at infinity as sigma(g) acts on the tree at zero.  It keeps the
+        determinant 1, so nothing is checked."""
+        return SL2Element(*(e.substitute_inverse() for e in self.entries()), check=False)
+
     def entries(self) -> tuple[LaurentPolynomial, LaurentPolynomial, LaurentPolynomial, LaurentPolynomial]:
         return (self.a, self.b, self.c, self.d)
 
@@ -159,15 +169,6 @@ class SL2Element:
 
     def __repr__(self) -> str:
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
-
-
-def _to_uniformizer(entry: LaurentPolynomial, place: Place) -> LaurentPolynomial:
-    """Rewrite an entry in the local uniformizer variable of the place.
-
-    At place zero the uniformizer is X itself; at place infinity substitute
-    X -> X^-1, after which the place-zero code applies verbatim.
-    """
-    return entry if place is Place.ZERO else entry.substitute_inverse()
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,9 +217,10 @@ def _canonical_from_matrix(
     return LatticeVertex(a - m, b - m, c)
 
 
-def canonical_vertex(g: SL2Element, place: Place) -> LatticeVertex:
-    """Canonical form of the lattice spanned by the columns of g at the place."""
-    return _canonical_from_matrix(*(_to_uniformizer(e, place) for e in g.entries()))
+def canonical_vertex(g: SL2Element) -> LatticeVertex:
+    """Canonical form of the lattice spanned by the columns of g at place
+    zero; g's form at infinity is ``canonical_vertex(g.substitute_inverse())``."""
+    return _canonical_from_matrix(*g.entries())
 
 
 def vertex_of(form: LatticeVertex) -> TreeVertex:
@@ -282,9 +284,11 @@ class TreeRegistry:
         ]
 
 
-def locate(g: SL2Element, place: Place) -> TreeVertex:
-    """Tree coordinates of the vertex g moves the base point to."""
-    return vertex_of(canonical_vertex(g, place))
+def locate(g: SL2Element) -> TreeVertex:
+    """Tree coordinates of the vertex g moves the base point to in the tree
+    at zero; ``locate(g.substitute_inverse())`` is g's in the tree at
+    infinity."""
+    return vertex_of(canonical_vertex(g))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +356,13 @@ def _window(rows: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
 
 
 def translate_vertex(
-    elements: Sequence[SL2Element], forms: Sequence[LatticeVertex], place: Place
+    elements: Sequence[SL2Element], forms: Sequence[LatticeVertex]
 ) -> np.ndarray:
-    """The id (``TreeVertex.id``) of the vertex g . v at ``place`` for every
-    element g and canonical form v: an int64 array of shape
-    (len(elements), len(forms)), made in one numpy pass.
+    """The id (``TreeVertex.id``) of the vertex g . v in the tree at zero
+    for every element g and canonical form v: an int64 array of shape
+    (len(elements), len(forms)), made in one numpy pass.  The images in the
+    tree at infinity are those of the elements' sigma-images
+    (``SL2Element.substitute_inverse``).
 
     This is ``_canonical_from_matrix`` on every image basis at once, with
     polynomials as dense uint8 coefficient rows and F_q arithmetic by table.
@@ -378,7 +384,7 @@ def translate_vertex(
     q = forms[0].field.q
     add, mul, neg, inv = _field_tables(q)
 
-    g_low, g = _dense([_to_uniformizer(e, place) for x in elements for e in x.entries()])
+    g_low, g = _dense([e for x in elements for e in x.entries()])
     g = g.reshape(len(elements), 4, -1)
     c_low, c = _dense([form.off_diag for form in forms])
     a = np.array([form.diag_low for form in forms])

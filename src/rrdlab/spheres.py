@@ -14,7 +14,8 @@ decides triviality by one rank test (E has degree 0, so it is
 trivial exactly when its section rows plus the two fiber rows at X = 0 have
 full column rank), and reads a representative off the same elimination.
 Each representative is checked to have determinant 1 and to locate back to
-its pair at both places.
+its pair at both places, at infinity through its sigma-image
+(``SL2Element.substitute_inverse``).
 
 A table is this coset list: for each length, the cosets with their located
 pairs, as the scan walked them, and as representative the member whose text
@@ -48,7 +49,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import CACHE_MAJOR_VERSION, __version__
-from .algebra import AlgebraicValue, Fq, LaurentPolynomial, Place, poly_xgcd
+from .algebra import AlgebraicValue, Fq, LaurentPolynomial, poly_xgcd
 from .boundary import hc_product
 from .sl2 import LatticeVertex, SL2Element, TreeRegistry, canonical_vertex
 from .trees import (
@@ -256,7 +257,7 @@ def _pair_representative(zero: LatticeVertex, inf: LatticeVertex) -> Optional[SL
     if not det.is_one():
         raise RuntimeError(f"sections of a trivial pair have determinant {det!r}")
     g = SL2Element(a, b, c, d, check=False)
-    if canonical_vertex(g, Place.ZERO) != zero or canonical_vertex(g, Place.INFINITY) != inf:
+    if canonical_vertex(g) != zero or canonical_vertex(g.substitute_inverse()) != inf:
         raise RuntimeError(f"{g.to_text()} does not locate back to its vertex pair")
     return g
 

@@ -64,10 +64,9 @@ from rrdlab.algebra import (
     AlgebraicValue,
     Fq,
     LaurentPolynomial,
-    Place,
     series_quotient,
 )
-from rrdlab.boundary import cocycle_sqrt, hc_product
+from rrdlab.boundary import cocycle_sqrt, hc_product, spherical_coefficient
 from rrdlab.criterion import (
     ROW_BLOCK,
     SphereTransports,
@@ -80,7 +79,6 @@ from rrdlab.sl2 import (
     LatticeVertex,
     SL2Element,
     _canonical_from_matrix,
-    _to_uniformizer,
     canonical_vertex,
 )
 from rrdlab.spheres import Coset, SphereTable, _completions_for_row, constant_group, right_coset
@@ -104,9 +102,10 @@ def elementary_lower(s: LaurentPolynomial) -> SL2Element:
     return SL2Element(one, LaurentPolynomial.zero(s.field), s, one, check=False)
 
 
-def length_at_place(g: SL2Element, place: Place) -> int:
-    """Tree displacement length of the base vertex at the given place."""
-    return element_lengths(g)[0 if place is Place.ZERO else 1]
+def length_at_place(g: SL2Element) -> int:
+    """Tree displacement length of the base vertex at place zero; g's at
+    infinity is that of ``g.substitute_inverse()``."""
+    return element_lengths(g)[0]
 
 
 LAURENT_TEXT = re.compile(r"^low=(-?\d+);coeffs=((?:\d+(?:,\d+)*)?)$")
@@ -390,8 +389,9 @@ def element_lengths(g: SL2Element) -> tuple[int, int]:
     return -2 * min([0] + [e.low for e in nonzero]), 2 * max([0] + [e.top for e in nonzero])
 
 
-def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
-    """Sorted elementary-divisor valuations of g over the local ring at place.
+def smith_valuations(g: SL2Element) -> tuple[int, int]:
+    """Sorted elementary-divisor valuations of g over the local ring at place
+    zero (at infinity, those of ``g.substitute_inverse()``).
 
     Genuine valuation-guided pivoting over the rational function field: the
     minimum-valuation entry is swapped to the corner, its row and column are
@@ -400,7 +400,7 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     min-valuation rule of ``element_lengths``.
     """
     entries = [
-        [RationalFunction.from_laurent(_to_uniformizer(e, place)) for e in row]
+        [RationalFunction.from_laurent(e) for e in row]
         for row in ((g.a, g.b), (g.c, g.d))
     ]
     nonzero = [
@@ -432,13 +432,13 @@ def smith_valuations(g: SL2Element, place: Place) -> tuple[int, int]:
     return (v1, v2) if v1 <= v2 else (v2, v1)
 
 
-def translate_form(g: SL2Element, v: LatticeVertex, place: Place) -> LatticeVertex:
-    """Canonical form of g . v at ``place``, one vertex at a time: g times
+def translate_form(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
+    """Canonical form of g . v in the tree at zero, one vertex at a time: g times
     the basis [[X^a, 0], [c, X^b]] in Laurent arithmetic, then
     ``_canonical_from_matrix`` with the determinant computed.  The oracle of
     the program's ``translate_vertex``, which reduces every (element, form)
     pair at once."""
-    ga, gb, gc, gd = (_to_uniformizer(e, place) for e in g.entries())
+    ga, gb, gc, gd = g.entries()
     a, b, c = v.diag_low, v.diag_high, v.off_diag
     return _canonical_from_matrix(
         ga.shift(a) + gb * c, gb.shift(b), gc.shift(a) + gd * c, gd.shift(b)
@@ -524,12 +524,14 @@ def text_sorted_levels(q: int, radius: int) -> Levels:
 
 
 class Expansion:
-    """The reference labelling of one place's tree to a radius: its levels
-    (``expansion_levels``, the same at both places), each form's vertex by
-    lookup among them, and the place, at which ``locate`` reads elements."""
+    """The reference labelling of the tree to a radius: its levels
+    (``expansion_levels``), each form's vertex by lookup among them, and
+    ``locate``, which reads elements at place zero.  Forms name no place, so
+    one expansion serves both trees: g's vertex at infinity is
+    ``locate(g.substitute_inverse())``."""
 
-    def __init__(self, q: int, place: Place, radius: int):
-        self.q, self.place, self.radius = q, place, radius
+    def __init__(self, q: int, radius: int):
+        self.q, self.radius = q, radius
         self.field = Fq(q)
         self.levels = expansion_levels(q, radius)
         self._vertices = {form: vertex for level in self.levels for vertex, form in level}
@@ -544,15 +546,7 @@ class Expansion:
 
     def locate(self, g: SL2Element) -> TreeVertex:
         """The vertex g moves the base point to."""
-        return self.locate_form(canonical_vertex(g, self.place))
-
-
-Expansions = tuple[Expansion, Expansion]
-
-
-def expansions(q: int, radius: int) -> Expansions:
-    """The place-zero and place-infinity expansions of one radius."""
-    return Expansion(q, Place.ZERO, radius), Expansion(q, Place.INFINITY, radius)
+        return self.locate_form(canonical_vertex(g))
 
 
 def form_distance(form: LatticeVertex) -> int:
@@ -568,7 +562,7 @@ def form_distance(form: LatticeVertex) -> int:
         LaurentPolynomial.x_power(field, form.diag_high),
         check=False,
     )
-    v1, v2 = smith_valuations(basis, Place.ZERO)
+    v1, v2 = smith_valuations(basis)
     return v2 - v1
 
 
@@ -953,7 +947,7 @@ def pair_representative_by_nullspace(zero: LatticeVertex, inf: LatticeVertex) ->
         raise RuntimeError(f"sections of a trivial pair have determinant {det!r}")
     unit = field.inv(det.leading_coefficient())
     g = SL2Element(first[0].scale(unit), second[0], first[1].scale(unit), second[1])
-    if canonical_vertex(g, Place.ZERO) != zero or canonical_vertex(g, Place.INFINITY) != inf:
+    if canonical_vertex(g) != zero or canonical_vertex(g.substitute_inverse()) != inf:
         raise RuntimeError(f"{g.to_text()} does not locate back to its vertex pair")
     return g
 
@@ -1187,11 +1181,7 @@ class KoopmanMatrix:
 
 
 def _transport_supports(
-    gamma: SL2Element,
-    w: TreeVertex,
-    ys: np.ndarray,
-    out_paths: np.ndarray,
-    place: Place,
+    gamma: SL2Element, w: TreeVertex, ys: np.ndarray, out_paths: np.ndarray, place: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transport data for one boundary factor by a geodesic test per pair:
     the Busemann value beta at w = gamma . o of every output cylinder (its
@@ -1202,7 +1192,7 @@ def _transport_supports(
     cylinder bases and ``out_paths`` those of every output cylinder (one
     depth), both label arrays of one width.  The images must cover every
     output cylinder exactly once; that is checked with the program's
-    message.
+    message, which names ``place`` ("zero" or "infinity").
     """
     width = out_paths.shape[1]
     w_row = label_array([w.path], width)
@@ -1214,7 +1204,7 @@ def _transport_supports(
     if np.any(covered.sum(axis=0) != 1):
         raise RuntimeError(
             "transported cylinder images fail to partition the boundary "
-            f"(place {place.value}, element {gamma.to_text()})"
+            f"(place {place}, element {gamma.to_text()})"
         )
     return 2 * wz - w.depth, covered
 
@@ -1222,11 +1212,10 @@ def _transport_supports(
 def direct_images(
     gamma: SL2Element, cyls: list[BoundaryCylinder], expansion: Expansion
 ) -> list[tuple[int, ...]]:
-    """The label path of gamma . v for the base v of every cylinder, each
-    moved by ``translate_form`` on its own."""
-    place = expansion.place
+    """The label path of gamma . v in the tree at zero for the base v of
+    every cylinder, each moved by ``translate_form`` on its own."""
     return [
-        expansion.locate_form(translate_form(gamma, form_at(expansion, c.base), place)).path
+        expansion.locate_form(translate_form(gamma, form_at(expansion, c.base))).path
         for c in cyls
     ]
 
@@ -1234,34 +1223,29 @@ def direct_images(
 def koopman_matrix(
     gamma: SL2Element,
     depths: DepthSpec,
-    expansion_pair: Optional[Expansions] = None,
+    expansion: Optional[Expansion] = None,
 ) -> KoopmanMatrix:
     """Assemble the exact action of ``gamma`` on depth-``depths`` step
-    functions.  Needs expansions of radius at least depth + length at each
-    place; omitted expansions are built."""
+    functions.  Needs an expansion of radius at least depth + length at
+    both places, which serves the tree at infinity through
+    ``gamma.substitute_inverse()``; an omitted expansion is built."""
     pair = _depth_pair(depths)
     field = gamma.field
     lengths = element_lengths(gamma)
     out_pair = (pair[0] + lengths[0], pair[1] + lengths[1])
-    zero_tree, infinity_tree = expansion_pair or (
-        Expansion(field.q, Place.ZERO, out_pair[0]),
-        Expansion(field.q, Place.INFINITY, out_pair[1]),
-    )
-    if zero_tree.radius < out_pair[0] or infinity_tree.radius < out_pair[1]:
-        raise ValueError(
-            f"expansion radii ({zero_tree.radius}, {infinity_tree.radius}) below the "
-            f"output depths {out_pair}"
-        )
+    expansion = expansion or Expansion(field.q, max(out_pair))
+    if expansion.radius < max(out_pair):
+        raise ValueError(f"expansion radius {expansion.radius} below the output depths {out_pair}")
     factors = []
-    for place, in_depth, out_depth, reg in (
-        (Place.ZERO, pair[0], out_pair[0], zero_tree),
-        (Place.INFINITY, pair[1], out_pair[1], infinity_tree),
+    for place, element, in_depth, out_depth in (
+        ("zero", gamma, pair[0], out_pair[0]),
+        ("infinity", gamma.substitute_inverse(), pair[1], out_pair[1]),
     ):
-        w = reg.locate(gamma)
+        w = expansion.locate(element)
         in_cyls = boundary_cylinders(field.q + 1, in_depth)
         out_cyls = boundary_cylinders(field.q + 1, out_depth)
         out_paths = label_array([c.base.path for c in out_cyls], out_depth)
-        ys = label_array(direct_images(gamma, in_cyls, reg), out_depth)
+        ys = label_array(direct_images(element, in_cyls, expansion), out_depth)
         betas, covered = _transport_supports(gamma, w, ys, out_paths, place)
         factors.append((
             in_cyls,
@@ -1308,18 +1292,15 @@ class MeanOperator:
         self.q = table.q
         self.input_depths = _depth_pair(input_depths)
         self.output_depths = (self.input_depths[0] + n, self.input_depths[1] + n)
-        # one expansion pair serves every element: lengths are at most n
-        pair = (
-            Expansion(self.q, Place.ZERO, self.output_depths[0]),
-            Expansion(self.q, Place.INFINITY, self.output_depths[1]),
-        )
+        # one expansion serves every element at both places: lengths are at most n
+        expansion = Expansion(self.q, max(self.output_depths))
         inv_size = Fraction(1, len(gammas))
         self._terms = []
         for g in gammas:
             factor = AlgebraicValue.rational(inv_size, self.q)
             if xi_weighted:
                 factor = factor / hc_product(*element_lengths(g), self.q)
-            self._terms.append((koopman_matrix(g, self.input_depths, pair), factor))
+            self._terms.append((koopman_matrix(g, self.input_depths, expansion), factor))
 
     def apply(self, h: StepFunction) -> StepFunction:
         total: Optional[StepFunction] = None
@@ -1336,9 +1317,7 @@ class MeanOperator:
 SplitCoset = tuple[TreeVertex, TreeVertex, list[tuple[int, SL2Element]]]
 
 
-def right_cosets(
-    gammas: Sequence[SL2Element], zero_tree: Expansion, infinity_tree: Expansion
-) -> list[SplitCoset]:
+def right_cosets(gammas: Sequence[SL2Element], expansion: Expansion) -> list[SplitCoset]:
     """Split a sphere, given as its elements, into right cosets rK of
     K = SL2(F_q), independently of the pair scan.
 
@@ -1346,12 +1325,13 @@ def right_cosets(
     coset rK, whose members r k come from ``right_coset`` and are looked up
     by text.  Each must be on the sphere and unclaimed, and no element may
     repeat, so the sphere is checked to be a union of whole cosets.  The
-    stabilizer of the base-vertex pair is K, so only r is located.
+    stabilizer of the base-vertex pair is K, so only r is located, at
+    infinity through its sigma-image ``r.substitute_inverse()``.
     """
     index = {g.to_text(): gi for gi, g in enumerate(gammas)}
     if len(index) != len(gammas):
         raise RuntimeError("the sphere repeats an element")
-    group = constant_group(zero_tree.field)
+    group = constant_group(expansion.field)
     claimed = [False] * len(gammas)
     cosets = []
     for ri, r in enumerate(gammas):
@@ -1368,7 +1348,7 @@ def right_cosets(
             claimed[gi] = True
             members.append((gi, k))
         members.sort()  # by sphere index, which is unique: r comes first
-        cosets.append((zero_tree.locate(r), infinity_tree.locate(r), members))
+        cosets.append((expansion.locate(r), expansion.locate(r.substitute_inverse()), members))
     return cosets
 
 
@@ -1388,7 +1368,7 @@ def mean_transfer_function(gammas: Sequence[SL2Element], n: int) -> StepFunction
     if not gammas:
         raise ValueError(f"sphere {n} is empty")
     q = gammas[0].field.q
-    cosets = right_cosets(gammas, *expansions(q, n))
+    cosets = right_cosets(gammas, Expansion(q, n))
     cells = boundary_cylinders(q + 1, n)
     acc = [[AlgebraicValue.rational(0, q) for _ in cells] for _ in cells]
     for w0, w1, members in cosets:
@@ -1407,12 +1387,41 @@ def mean_transfer_function(gammas: Sequence[SL2Element], n: int) -> StepFunction
     return StepFunction(q + 1, (n, n), values)
 
 
+def cell_values(table: SphereTable, n: int) -> tuple[np.ndarray, int]:
+    """The mean over sphere n applied to 1 at every depth-(n, n) product
+    cell (x, y), in cell order, as the integers V[x, y] over one common
+    denominator, which it returns too: V is the sum over the cosets of
+    scale q^(gp(w0, x) + gp(w1, y)), with the scales and the denominator of
+    ``uniform_bound_value``.  The scale depends only on the depth pair
+    (l0, l1), so each depth pair's sum of q-power products is one int64
+    matrix product, and the scaled sums are added exactly in Python
+    integers (an object array).  The Gromov products are common prefixes of
+    label paths."""
+    q, cosets = table.q, table.cosets(n)
+    weights = {
+        (c.zero.depth, c.infinity.depth): Fraction(1, len(cosets))
+        / (spherical_coefficient(q, c.zero.depth) * spherical_coefficient(q, c.infinity.depth))
+        for c in cosets
+    }
+    denominator = math.lcm(*(w.denominator for w in weights.values()))
+    cells = label_array([c.base.path for c in boundary_cylinders(q + 1, n)], n)
+    values = np.zeros((len(cells), len(cells)), dtype=object)
+    for depths, weight in weights.items():
+        pairs = [c for c in cosets if (c.zero.depth, c.infinity.depth) == depths]
+        located = [label_array([c.vertex(i).path for c in pairs], n) for i in (0, 1)]
+        zero, infinity = (q ** common_prefix_lengths(v, cells) for v in located)
+        scale = weight.numerator * (denominator // weight.denominator)
+        values += scale * (zero.T @ infinity).astype(object)
+    return values, denominator
+
+
 # ---------------------------------------------------------------------------
 # the compression's Gram matrix, element by element and pair by pair
 
 
 def per_element_stack(gammas, in_depth, out_depth, expansion, q) -> np.ndarray:
-    """Transport every element on its own: locate it, move each input
+    """Transport every element on its own in the tree at zero (pass the
+    sigma-images for the tree at infinity): locate it, move each input
     cylinder's base vertex and mark the output cylinders whose geodesic from
     the located vertex passes through the image, with weight q^(beta/2).
     Shape (len(gammas), #out cells, #in cells)."""
@@ -1423,7 +1432,7 @@ def per_element_stack(gammas, in_depth, out_depth, expansion, q) -> np.ndarray:
     for gi, g in enumerate(gammas):
         w = expansion.locate(g)
         for j, form in enumerate(in_forms):
-            y = expansion.locate_form(translate_form(g, form, expansion.place))
+            y = expansion.locate_form(translate_form(g, form))
             for i, oc in enumerate(out_cyls):
                 z = oc.base
                 if gromov_product(w, y) + gromov_product(y, z) == y.depth + gromov_product(w, z):
@@ -1440,9 +1449,10 @@ def gram_per_element(table: SphereTable, n: int, depth: int) -> np.ndarray:
     gammas = sphere_members(table, n)
     q = table.q
     out_depth = depth + n
+    expansion = Expansion(q, out_depth)
     P0, P1 = (
-        per_element_stack(gammas, depth, out_depth, expansion, q)
-        for expansion in expansions(q, out_depth)
+        per_element_stack(elements, depth, out_depth, expansion, q)
+        for elements in (gammas, [g.substitute_inverse() for g in gammas])
     )
     for gi, g in enumerate(gammas):
         P0[gi] /= len(gammas) * float(hc_product(*element_lengths(g), q))
@@ -1517,7 +1527,8 @@ def coset_transports_direct(
     """Each representative's transport of sphere n at one place for the
     depth-``depth`` input cylinders, as (columns, weights) like the
     program's, but with every input cylinder base of that depth translated
-    on its own instead of read off the deepest images."""
+    on its own instead of read off the deepest images, at infinity through
+    the representative's sigma-image."""
     q = expansion.q
     in_cyls = boundary_cylinders(q + 1, depth)
     out_depth = n + depth
@@ -1527,9 +1538,10 @@ def coset_transports_direct(
     columns, weights = [], []
     for coset in cosets:
         r = coset.representative
-        ys = label_array(direct_images(r, in_cyls, expansion), out_depth)
+        element = r.substitute_inverse() if place_index else r
+        ys = label_array(direct_images(element, in_cyls, expansion), out_depth)
         betas, covered = _transport_supports(
-            r, coset.vertex(place_index), ys, out_paths, expansion.place
+            r, coset.vertex(place_index), ys, out_paths, ("zero", "infinity")[place_index]
         )
         columns.append(covered.argmax(axis=0))
         weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
@@ -1546,8 +1558,9 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
 
     The group acts by isometries, so L(g h^-1) is the sum over both places of
     the tree distance d(g^-1 . o, h^-1 . o).  Each inverse is located once
-    per place, and the distances |p| + |p'| - 2 prefix(p, p') of the label
-    paths come from ``common_prefix_lengths``.
+    per place, at infinity through its sigma-image, and the distances
+    |p| + |p'| - 2 prefix(p, p') of the label paths come from
+    ``common_prefix_lengths``.
     """
     inverses = [
         g.inverse()
@@ -1557,8 +1570,9 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
     ]
     size = len(inverses)
     lengths = np.zeros((size, size), dtype=np.int64)
-    for expansion in expansions(table.q, ball_radius):
-        paths = [expansion.locate(h).path for h in inverses]
+    expansion = Expansion(table.q, ball_radius)
+    for elements in (inverses, [h.substitute_inverse() for h in inverses]):
+        paths = [expansion.locate(h).path for h in elements]
         depths = np.array([len(p) for p in paths], dtype=np.int64)
         labels = label_array(paths, ball_radius)
         lengths += depths[:, None] + depths[None, :] - 2 * common_prefix_lengths(labels, labels)

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from rrdlab.algebra import AlgebraicValue, Fq, LaurentPolynomial, Place
+from rrdlab.algebra import AlgebraicValue, Fq, LaurentPolynomial
 from rrdlab.boundary import (
     hc_product,
     hc_product_expanded,
@@ -248,19 +248,23 @@ def test_criterion_11_length_oracle():
     rng = random.Random(0xACCB)
     words = [_random_word(rng) for _ in range(10_000)]
     for g in words:
-        for place in (Place.ZERO, Place.INFINITY):
-            v1, v2 = smith_valuations(g, place)
-            assert length_at_place(g, place) == v2 - v1
+        # the tree at infinity through sigma, against v_inf = -top
+        for x, length in zip((g, g.substitute_inverse()), element_lengths(g)):
+            v1, v2 = smith_valuations(x)
+            assert length_at_place(x) == length == v2 - v1
     identity = SL2Element.identity(FIELD)
     assert element_lengths(identity) == (0, 0)
     for _ in range(10_000):
         g, h = rng.choice(words), rng.choice(words)
-        product = g * h
-        for place in (Place.ZERO, Place.INFINITY):
-            lg = length_at_place(g, place)
+        pairs = ((g, h), (g.substitute_inverse(), h.substitute_inverse()))
+        # i = 1: the lengths at infinity, through sigma and as v_inf = -top
+        for i, (x, y) in enumerate(pairs):
+            lg = length_at_place(x)
+            assert lg == element_lengths(g)[i]
             assert lg >= 0 and lg % 2 == 0
-            assert lg == length_at_place(g.inverse(), place)
-            assert length_at_place(product, place) <= lg + length_at_place(h, place)
+            assert lg == length_at_place(x.inverse()) == element_lengths(g.inverse())[i]
+            assert length_at_place(x * y) == element_lengths(g * h)[i]
+            assert length_at_place(x * y) <= lg + length_at_place(y)
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     _report(11, "Smith oracle and length axioms on 10^4 random words", elapsed, 60)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rrdlab import criterion
-from rrdlab.algebra import AlgebraicValue, Fq, Place, plain
+from rrdlab.algebra import AlgebraicValue, Fq, plain
 from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     _compression_gram,
@@ -36,17 +36,18 @@ from rrdlab.spheres import (
 from rrdlab.trees import boundary_cylinders, sphere_size
 
 from oracles import (
+    Expansion,
     MeanOperator,
     StepFunction,
     add,
     bfs_crosscheck,
+    cell_values,
     compression_gram_all_pairs,
     constant,
     convolution_matrix,
     coset_transports_direct,
     double_cosets_by_members,
     element_lengths,
-    expansions,
     gram_per_element,
     integral,
     koopman_matrix,
@@ -160,14 +161,36 @@ def test_uniform_bound_pin_q3_n4(table_q3n4):
     assert uniform_bound_value(table_q3n4, 4).value.as_triple() == ("279/244", "0", 3)
 
 
+@pytest.mark.parametrize(
+    "table_name, n",
+    [
+        ("table6", 2),
+        ("table6", 4),
+        ("table6", 6),
+        ("table_q3n4", 2),
+        ("table_q3n4", 4),
+        ("table_q4n2", 2),
+    ],
+)
+def test_mean_is_sigma_symmetric_exactly(request, table_name, n):
+    # sigma swaps the located pair of every coset within the sphere and the
+    # weight is symmetric in (l0, l1), so the cell values V_n are symmetric
+    # in the two trees, exactly; their largest over the denominator is U_n
+    table = request.getfixturevalue(table_name)
+    values, denominator = cell_values(table, n)
+    assert (values == values.T).all()
+    best = AlgebraicValue.rational(Fraction(int(values.max()), denominator), table.q)
+    assert uniform_bound_value(table, n).value.as_triple() == best.as_triple()
+
+
 def mean_transfer_bruteforce(table, n):
     """Independent evaluation path: per product cell, sum the cocycle
     products of every sphere element directly, without the per-coset and
     per-factor reuse of the main path."""
     gammas = sphere_members(table, n)
     q = table.q
-    zero_tree, infinity_tree = expansions(q, n)
-    located = [(zero_tree.locate(g), infinity_tree.locate(g), g) for g in gammas]
+    tree = Expansion(q, n)
+    located = [(tree.locate(g), tree.locate(g.substitute_inverse()), g) for g in gammas]
     inv_size = AlgebraicValue.rational(Fraction(1, len(gammas)), q)
     values = {}
     for cell in product_cylinders(q + 1, (n, n)):
@@ -224,7 +247,7 @@ def test_koopman_identity_is_refinement(table4):
 def test_koopman_rejects_shallow_registry(table4):
     g = next(iter(sphere_members(table4, 2)))
     with pytest.raises(ValueError, match="below the output depths"):
-        koopman_matrix(g, (1, 1), expansions(2, 1))
+        koopman_matrix(g, (1, 1), Expansion(2, 1))
 
 
 def test_mean_operator_matches_transfer(table4):
@@ -415,7 +438,7 @@ def test_spheres_split_into_constant_cosets(request, table_name):
     assert len(finite) == q**3 - q
     group = constant_group(Fq(q))
     for n in table.lengths():
-        zero_tree, infinity_tree = expansions(q, n)
+        tree = Expansion(q, n)
         cosets = table.cosets(n)
         texts = [coset.representative.to_text() for coset in cosets]
         assert texts == sorted(texts)
@@ -428,8 +451,8 @@ def test_spheres_split_into_constant_cosets(request, table_name):
                 assert all(e.is_zero() or (e.low == 0 and e.top == 0) for e in k.entries())
                 assert r * k == g and g.to_text() == text
                 assert sum(element_lengths(g)) == n
-                assert zero_tree.locate(g) == w0
-                assert infinity_tree.locate(g) == w1
+                assert tree.locate(g) == w0
+                assert tree.locate(g.substitute_inverse()) == w1
             assert {g for _, _, g in expansion} == {r * k for k in finite}
             members += [text for _, text, _ in expansion]
         assert sorted(members) == [g.to_text() for g in sphere_members(table, n)]
@@ -583,9 +606,9 @@ def test_double_cosets_match_the_member_oracle(request, table_name, n, count):
     assert all(labels[min(block)] == min(block) for block in blocks)
 
 
-# transport_sphere translates by the elements of K in one call, at place
-# zero, and by the representatives in one call per place; the patches below
-# act on K's call only
+# transport_sphere translates by the elements of K in one call, then by the
+# representatives and by their sigma-images; the patches below act on K's
+# call only
 GROUP_Q2 = [k for k, _, _ in constant_group(Fq(2))]
 
 
@@ -597,9 +620,9 @@ def test_cylinder_action_must_be_a_permutation(table4, monkeypatch):
     def repeating(depth):
         leaves = sphere_size(3, depth)
 
-        def translate(elements, forms, place):
-            rows = real(elements, forms, place)
-            if list(elements) == GROUP_Q2 and place is Place.ZERO:
+        def translate(elements, forms):
+            rows = real(elements, forms)
+            if list(elements) == GROUP_Q2:
                 rows[:, :leaves] = np.concatenate([rows[:, :1], rows[:, : leaves - 1]], axis=1)
             return rows
 
@@ -620,9 +643,9 @@ def test_cylinder_action_must_be_the_group_action(table4, monkeypatch):
     real = criterion.translate_vertex
     index = 1  # GROUP_Q2[1] = [[0, 1], [1, 1]]
 
-    def swapped(elements, forms, place):
-        rows = real(elements, forms, place)
-        if list(elements) == GROUP_Q2 and place is Place.ZERO:
+    def swapped(elements, forms):
+        rows = real(elements, forms)
+        if list(elements) == GROUP_Q2:
             rows[index, [0, 1]] = rows[index, [1, 0]]
         return rows
 
@@ -639,9 +662,9 @@ def test_located_pairs_must_stay_on_the_sphere(table4, monkeypatch):
     # sphere's located pairs are even and add up to n
     real = criterion.translate_vertex
 
-    def leaving(elements, forms, place):
-        rows = real(elements, forms, place)
-        if list(elements) == GROUP_Q2 and place is Place.ZERO:
+    def leaving(elements, forms):
+        rows = real(elements, forms)
+        if list(elements) == GROUP_Q2:
             rows[1, -1] = rows[1, 0]
         return rows
 
@@ -660,9 +683,9 @@ def test_coset_action_must_be_the_group_action(table4, monkeypatch):
     other = cosets[next(c for c in range(len(cosets)) if doubles[c] != doubles[0])]
     real = criterion.translate_vertex
 
-    def merging(elements, forms, place):
-        rows = real(elements, forms, place)
-        if list(elements) == GROUP_Q2 and place is Place.ZERO:
+    def merging(elements, forms):
+        rows = real(elements, forms)
+        if list(elements) == GROUP_Q2:
             # the located vertices follow the leaves, place zero's first
             first = len(forms) - 2 * len(cosets)
             rows[1, [first, first + len(cosets)]] = [other.zero.id, other.infinity.id]
@@ -806,14 +829,14 @@ def test_derived_transports_match_direct_translation(request, table_name, depth)
     # every shallower image is read off the deepest one on the geodesic;
     # translating each depth's cylinder bases on its own gives the same arrays
     table = request.getfixturevalue(table_name)
-    trees = expansions(table.q, table.max_length + depth)
+    tree = Expansion(table.q, table.max_length + depth)
     for n in table.lengths():
         transports = transport_sphere(table, n, depth)
         for k in range(depth + 1):
             for place_index in (0, 1):
                 columns, weights, cocycle = _transports_at(transports, place_index, k)
                 direct_columns, direct_weights = coset_transports_direct(
-                    table.cosets(n), n, trees[place_index], place_index, k
+                    table.cosets(n), n, tree, place_index, k
                 )
                 assert np.array_equal(columns, direct_columns)
                 assert np.array_equal(cocycle[weights], direct_weights)
@@ -841,10 +864,10 @@ def test_report_matches_the_standalone_functions_exactly(request, table_name, de
 
 
 def test_reference_report_work_is_pinned(table4, monkeypatch):
-    # three bulk translations per sphere: the 6 elements of K at place zero
-    # on the 24 depth-4 cylinders and the sphere's 1, 6 or 45 located
-    # vertices at both places, then the sphere's 1, 6 or 45 representatives
-    # on the 24 cylinders at each place; no registry: every vertex id is
+    # three bulk translations per sphere: the 6 elements of K on the 24
+    # depth-4 cylinders and the sphere's 1, 6 or 45 located vertices at both
+    # places, then the sphere's 1, 6 or 45 representatives on the 24
+    # cylinders, then their sigma-images; no registry: every vertex id is
     # computed in closed form.  The double cosets are labelled once per
     # sphere, the cell orbits once per depth, and K is built once per
     # sphere, which every depth reads
@@ -857,9 +880,9 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     real_labels = criterion._orbit_labels
     real_group = criterion.constant_group
 
-    def counting_translate(elements, forms, place):
-        translations.append((len(elements), len(forms), place))
-        return real_translate(elements, forms, place)
+    def counting_translate(elements, forms):
+        translations.append((list(elements), len(forms)))
+        return real_translate(elements, forms)
 
     def counting_init(self, *args):
         builds.append(args)
@@ -878,16 +901,14 @@ def test_reference_report_work_is_pinned(table4, monkeypatch):
     monkeypatch.setattr(criterion, "_orbit_labels", counting_labels)
     monkeypatch.setattr(criterion, "constant_group", counting_group)
     rrd_report(table4, 4)
-    assert translations == [
-        call
-        for cosets in (1, 6, 45)
-        for call in (
-            (6, 24 + 2 * cosets, Place.ZERO),
-            (cosets, 24, Place.ZERO),
-            (cosets, 24, Place.INFINITY),
-        )
+    assert [(len(elements), forms) for elements, forms in translations] == [
+        call for cosets in (1, 6, 45) for call in ((6, 24 + 2 * cosets), (cosets, 24), (cosets, 24))
     ]
     assert len(translations) == 9
+    for first in (0, 3, 6):
+        (group, _), (representatives, _), (mirrored, _) = translations[first : first + 3]
+        assert group == GROUP_Q2
+        assert mirrored == [r.substitute_inverse() for r in representatives]
     assert builds == []
     assert [what for what in labelled if "double cosets" in what] == [
         f"the double cosets of sphere {n}" for n in (0, 2, 4)

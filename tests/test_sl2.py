@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rrdlab.algebra import Fq, LaurentPolynomial, Place
+from rrdlab.algebra import Fq, LaurentPolynomial
 from rrdlab.sl2 import (
     LatticeVertex,
     SL2Element,
@@ -85,11 +85,12 @@ def test_text_roundtrip():
 def test_lengths_match_smith_valuations():
     for _ in range(300):
         g = random_word(FIELD)
-        for place in (Place.ZERO, Place.INFINITY):
-            v1, v2 = smith_valuations(g, place)
+        # the tree at infinity through sigma
+        for element, length in zip((g, g.substitute_inverse()), element_lengths(g)):
+            v1, v2 = smith_valuations(element)
             assert v1 + v2 == 0
             assert v1 <= v2
-            assert length_at_place(g, place) == v2 - v1
+            assert length_at_place(element) == length == v2 - v1
 
 
 def test_length_axioms_random_triples():
@@ -97,11 +98,15 @@ def test_length_axioms_random_triples():
     assert element_lengths(e) == (0, 0)
     for _ in range(300):
         g, h = random_word(FIELD), random_word(FIELD)
-        for place in (Place.ZERO, Place.INFINITY):
-            lg = length_at_place(g, place)
+        pairs = ((g, h), (g.substitute_inverse(), h.substitute_inverse()))
+        # i = 1: the lengths at infinity, through sigma and as v_inf = -top
+        for i, (x, y) in enumerate(pairs):
+            lg = length_at_place(x)
+            assert lg == element_lengths(g)[i]
             assert lg >= 0 and lg % 2 == 0
-            assert lg == length_at_place(g.inverse(), place)
-            assert length_at_place(g * h, place) <= lg + length_at_place(h, place)
+            assert lg == length_at_place(x.inverse()) == element_lengths(g.inverse())[i]
+            assert length_at_place(x * y) == element_lengths(g * h)[i]
+            assert length_at_place(x * y) <= lg + length_at_place(y)
         assert sum(element_lengths(g * h)) <= sum(element_lengths(g)) + sum(element_lengths(h))
 
 
@@ -112,39 +117,37 @@ def test_diagonal_shift_lengths():
 
 
 def test_translate_vertex_is_an_action():
-    # on the scalar oracle, which the program's bulk translation must equal
+    # on the scalar oracle, which the program's bulk translation must equal,
+    # in the tree at zero and through sigma in the tree at infinity
     o = base_vertex(FIELD)
-    for place in (Place.ZERO, Place.INFINITY):
-        for _ in range(100):
-            g, h = random_word(FIELD, 4), random_word(FIELD, 4)
-            assert translate_form(g * h, o, place) == translate_form(
-                g, translate_form(h, o, place), place
-            )
+    for _ in range(100):
+        g, h = random_word(FIELD, 4), random_word(FIELD, 4)
+        for x, y in ((g, h), (g.substitute_inverse(), h.substitute_inverse())):
+            assert translate_form(x * y, o) == translate_form(x, translate_form(y, o))
 
 
 def test_translate_preserves_adjacency():
     o = base_vertex(FIELD)
-    for place in (Place.ZERO, Place.INFINITY):
-        for _ in range(40):
-            g = random_word(FIELD, 4)
-            image = translate_form(g, o, place)
-            neighbors = set(vertex_neighbors(image))
+    for _ in range(40):
+        g = random_word(FIELD, 4)
+        for x in (g, g.substitute_inverse()):
+            neighbors = set(vertex_neighbors(translate_form(x, o)))
             for nb in vertex_neighbors(o):
-                assert translate_form(g, nb, place) in neighbors
+                assert translate_form(x, nb) in neighbors
 
 
 def test_locate_distance_equals_length():
     for _ in range(100):
         g = random_word(FIELD, 4)
-        for place in Place:
-            w = locate(g, place)
-            assert tree_distance(w, w.root(3)) == length_at_place(g, place)
+        for x in (g, g.substitute_inverse()):
+            w = locate(x)
+            assert tree_distance(w, w.root(3)) == length_at_place(x)
 
 
 def test_canonical_vertex_of_identity_is_base():
-    for place in (Place.ZERO, Place.INFINITY):
-        e = SL2Element.identity(FIELD)
-        assert canonical_vertex(e, place) == base_vertex(FIELD)
+    e = SL2Element.identity(FIELD)
+    assert e.substitute_inverse() == e
+    assert canonical_vertex(e) == base_vertex(FIELD)
 
 
 def test_registry_roundtrips_and_bounds():
@@ -207,12 +210,8 @@ def oracle_canonical(A, B, C, D) -> LatticeVertex:
     return LatticeVertex(a - m, b - m, c.series_prefix(b - m))
 
 
-def uniformizer_entries(g: SL2Element, place: Place) -> tuple:
-    return tuple(e if place is Place.ZERO else e.substitute_inverse() for e in g.entries())
-
-
-def oracle_translate(g: SL2Element, v: LatticeVertex, place: Place) -> LatticeVertex:
-    ga, gb, gc, gd = uniformizer_entries(g, place)
+def oracle_translate(g: SL2Element, v: LatticeVertex) -> LatticeVertex:
+    ga, gb, gc, gd = g.entries()
     field = v.field
     x_a = LaurentPolynomial.x_power(field, v.diag_low)
     x_b = LaurentPolynomial.x_power(field, v.diag_high)
@@ -228,9 +227,8 @@ def sphere_elements(table):
 def test_canonical_vertex_matches_rational_oracle(request, table_name):
     table = request.getfixturevalue(table_name)
     for g in sphere_elements(table):
-        for place in Place:
-            expected = oracle_canonical(*uniformizer_entries(g, place))
-            assert canonical_vertex(g, place) == expected
+        for x in (g, g.substitute_inverse()):
+            assert canonical_vertex(x) == oracle_canonical(*x.entries())
 
 
 @pytest.mark.parametrize("table_name", ["table4", "table_q3n2"])
@@ -239,35 +237,33 @@ def test_translate_vertex_matches_rational_oracle(request, table_name):
     # reaches the images
     table = request.getfixturevalue(table_name)
     q, gammas = table.q, sphere_elements(table)
-    for place in Place:
-        expansion = Expansion(q, place, table.max_length + 3)
-        forms = [form_at(expansion, v) for d in range(4) for v in sphere_vertices(q + 1, d)]
+    expansion = Expansion(q, table.max_length + 3)
+    forms = [form_at(expansion, v) for d in range(4) for v in sphere_vertices(q + 1, d)]
+    for elements in (gammas, [g.substitute_inverse() for g in gammas]):
         expected = [
-            [expansion.locate_form(oracle_translate(g, form, place)).id for form in forms]
-            for g in gammas
+            [expansion.locate_form(oracle_translate(g, form)).id for form in forms]
+            for g in elements
         ]
-        assert translate_vertex(gammas, forms, place).tolist() == expected
+        assert translate_vertex(elements, forms).tolist() == expected
 
 
 @pytest.mark.parametrize(
     "table_name, depth", [("table4", 4), ("table_q3n2", 2), ("table_q4n2", 2)]
 )
 def test_translate_vertex_matches_scalar_oracle(request, table_name, depth):
-    # the report's calls: every representative and every element of K on the
-    # deepest input cylinders, at both places
+    # the report's calls: every element of K, every representative and
+    # every representative's sigma-image on the deepest input cylinders
     table = request.getfixturevalue(table_name)
     q = table.q
     representatives = [c.representative for n in table.lengths() for c in table.cosets(n)]
     group = [k for k, _, _ in constant_group(Fq(q))]
-    for place in Place:
-        expansion = Expansion(q, place, table.max_length + depth)
-        forms = [form_at(expansion, c.base) for c in boundary_cylinders(q + 1, depth)]
-        for elements in (representatives, group):
-            expected = [
-                [expansion.locate_form(translate_form(g, form, place)).id for form in forms]
-                for g in elements
-            ]
-            assert translate_vertex(elements, forms, place).tolist() == expected
+    expansion = Expansion(q, table.max_length + depth)
+    forms = [form_at(expansion, c.base) for c in boundary_cylinders(q + 1, depth)]
+    for elements in (representatives, [r.substitute_inverse() for r in representatives], group):
+        expected = [
+            [expansion.locate_form(translate_form(g, form)).id for form in forms] for g in elements
+        ]
+        assert translate_vertex(elements, forms).tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -275,21 +271,41 @@ def test_translate_vertex_matches_scalar_oracle(request, table_name, depth):
     [(2, "table4"), (3, "table_q3n4"), (4, "table_q4n2"), (8, None), (9, None)],
 )
 def test_constant_group_acts_alike_at_both_places(request, q, table_name):
-    # X -> X^-1 fixes K's constant entries, so the report translates K at
-    # place zero only: on the leaves it moves and on the located vertices
-    # of both places, K's images are the same at infinity
+    # sigma fixes K's constant entries, so K acts on the tree at infinity as
+    # on the tree at zero and the report translates K once: k r has the
+    # located vertex k . w1 at infinity, read off sigma(k r) = k sigma(r)
     group = [k for k, _, _ in constant_group(Fq(q))]
-    forms = [form_of(v) for d in range(4 if q < 4 else 3) for v in sphere_vertices(q + 1, d)]
+    assert [k.substitute_inverse() for k in group] == group
     if table_name is not None:
         table = request.getfixturevalue(table_name)
-        forms += [
-            form_of(coset.vertex(place_index))
-            for n in table.lengths()
-            for coset in table.cosets(n)
-            for place_index in (0, 1)
+        cosets = [coset for n in table.lengths() for coset in table.cosets(n)]
+        moved = translate_vertex(group, [form_of(coset.infinity) for coset in cosets])
+        assert moved.tolist() == [
+            [locate((k * coset.representative).substitute_inverse()).id for coset in cosets]
+            for k in group
         ]
-    zero = translate_vertex(group, forms, Place.ZERO)
-    assert zero.tolist() == translate_vertex(group, forms, Place.INFINITY).tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_sigma_is_an_involutive_automorphism(q):
+    field = Fq(q)
+    group = [k for k, _, _ in constant_group(field)]
+    words = [random_word(field, 4) for _ in range(40)] + rng.sample(group, 4)
+    for g in words:
+        assert g.substitute_inverse().substitute_inverse() == g
+        for h in words[:10]:
+            assert (g * h).substitute_inverse() == g.substitute_inverse() * h.substitute_inverse()
+
+
+@pytest.mark.parametrize("table_name", ["table8", "table_q3n4", "table_q4n2"])
+def test_spheres_are_sigma_closed(request, table_name):
+    # sigma maps the coset rK of located pair (w0, w1) to sigma(r)K, of
+    # located pair (w1, w0), and keeps the length: every sphere's pairs are
+    # closed under the swap
+    table = request.getfixturevalue(table_name)
+    for n in table.lengths():
+        pairs = {(coset.zero.path, coset.infinity.path) for coset in table.cosets(n)}
+        assert pairs == {(w1, w0) for w0, w1 in pairs}
 
 
 def test_translate_vertex_rejects_a_zero_top_row():
@@ -297,7 +313,7 @@ def test_translate_vertex_rejects_a_zero_top_row():
     one = LaurentPolynomial.one(FIELD)
     degenerate = SL2Element(zero, zero, one, one, check=False)
     with pytest.raises(ValueError, match="zero top row"):
-        translate_vertex([degenerate], [base_vertex(FIELD)], Place.ZERO)
+        translate_vertex([degenerate], [base_vertex(FIELD)])
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -305,31 +321,33 @@ def test_translate_vertex_reaches_beyond_any_registry(q):
     # images at depth 20 and more, against a walk to the root along
     # vertex_neighbors with Smith-form distances
     field = Fq(q)
-    for place, sign in ((Place.ZERO, -1), (Place.INFINITY, 1)):
-        # X^-k is far from integral at zero, X^k at infinity
+    forms = [form_at(Expansion(q, 2), v) for v in sphere_vertices(q + 1, 2)]
+    for sign in (-1, 1):
+        # X^-k is far from integral at zero, X^k at infinity, read through sigma
         elements = [
             SL2Element.diagonal_shift(field, 11),
             elementary_lower(LaurentPolynomial.x_power(field, sign * 11)),
         ]
-        forms = [form_at(Expansion(q, place, 2), v) for v in sphere_vertices(q + 1, 2)]
-        images = [[translate_form(g, form, place) for form in forms] for g in elements]
+        if sign > 0:
+            elements = [g.substitute_inverse() for g in elements]
+        images = [[translate_form(g, form) for form in forms] for g in elements]
         assert min(form_distance(image) for row in images for image in row) >= 20
         expected = [[walk_to_root(image).id for image in row] for row in images]
-        assert translate_vertex(elements, forms, place).tolist() == expected
+        assert translate_vertex(elements, forms).tolist() == expected
 
 
 def test_translate_vertex_refuses_ids_that_overflow_int64():
     # at q = 2 every id of depth 39 fits in int64, and (40, 0, 0) has the id
     # 4 3^39 - 1 > 2^63
     o = base_vertex(FIELD)
-    leaves = [form_at(Expansion(2, Place.ZERO, 1), v) for v in sphere_vertices(3, 1)]
+    leaves = [form_at(Expansion(2, 1), v) for v in sphere_vertices(3, 1)]
     shift = SL2Element.diagonal_shift(FIELD, 19)
-    images = [translate_form(shift, leaf, Place.ZERO) for leaf in leaves]
+    images = [translate_form(shift, leaf) for leaf in leaves]
     assert max(form_distance(image) for image in images) == 39
-    ids = translate_vertex([shift], leaves, Place.ZERO)[0].tolist()
+    ids = translate_vertex([shift], leaves)[0].tolist()
     assert ids == [vertex_of(image).id for image in images]
     with pytest.raises(ValueError, match="overflow int64"):
-        translate_vertex([SL2Element.diagonal_shift(FIELD, 20)], [o], Place.ZERO)
+        translate_vertex([SL2Element.diagonal_shift(FIELD, 20)], [o])
 
 
 def test_canonical_form_rejects_degenerate_input():

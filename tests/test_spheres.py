@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rrdlab import CACHE_MAJOR_VERSION, __version__, spheres
-from rrdlab.algebra import Fq, Place, plain
+from rrdlab.algebra import Fq, plain
 from rrdlab.boundary import hc_product
 from rrdlab.sl2 import SL2Element, TreeRegistry
 from rrdlab.spheres import (
@@ -23,10 +23,10 @@ from rrdlab.spheres import (
 )
 
 from oracles import (
+    Expansion,
     bfs_crosscheck,
     coset_count_formula,
     element_lengths,
-    expansions,
     pair_representative_by_nullspace,
     right_cosets,
     sl2_from_text,
@@ -99,7 +99,7 @@ def test_oracle_spheres_split_into_the_tables_cosets(q, max_length):
         }
     assert sorted(buckets) == table.lengths()
     for n, gammas in buckets.items():
-        split = right_cosets(gammas, *expansions(q, n))
+        split = right_cosets(gammas, Expansion(q, n))
         assert [Coset(gammas[members[0][0]], w0, w1) for w0, w1, members in split] == list(
             table.cosets(n)
         )
@@ -334,8 +334,8 @@ def test_fiber_solutions_decides_by_rank():
 
 
 def test_representative_must_locate_back(monkeypatch):
-    other = spheres.canonical_vertex(SL2Element.diagonal_shift(Fq(2), 1), Place.ZERO)
-    monkeypatch.setattr(spheres, "canonical_vertex", lambda g, place: other)
+    other = spheres.canonical_vertex(SL2Element.diagonal_shift(Fq(2), 1))
+    monkeypatch.setattr(spheres, "canonical_vertex", lambda g: other)
     with pytest.raises(RuntimeError, match="does not locate back"):
         enumerate_ball(2, 2)
 
