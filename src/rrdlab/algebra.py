@@ -26,7 +26,6 @@ Everything in this module is exact and immutable.  Conventions:
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
@@ -648,17 +647,18 @@ class AlgebraicValue:
 
 
 def plain(value):
-    """The JSON form every artifact is written in: a dataclass is the dict of
-    its fields, an ``AlgebraicValue`` its ``as_triple``, a Fraction its text
-    and any other tuple a list, all the way down; anything else is itself.
-    Every field is written, so a record holds nothing that varies between
-    runs, such as a timing: artifacts are byte-identical."""
+    """The JSON form every artifact is written in: a record (a NamedTuple,
+    a tuple with ``_fields``) is the dict of its fields, an
+    ``AlgebraicValue`` its ``as_triple``, a Fraction its text and any other
+    tuple a list, all the way down; anything else is itself.  Every field
+    is written, so a record holds nothing that varies between runs, such as
+    a timing: artifacts are byte-identical."""
     if isinstance(value, AlgebraicValue):
         return value.as_triple()
     if isinstance(value, Fraction):
         return str(value)
-    if is_dataclass(value):
-        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_fields"):
+        return {name: plain(item) for name, item in zip(value._fields, value)}
     if isinstance(value, tuple):
         return [plain(item) for item in value]
     return value

@@ -56,16 +56,16 @@ and E^T E = |K| I.
 Vertex ids (``TreeVertex.id``) are the floating side's only vertex
 coordinate: cylinders of one depth are their positions in label order, and
 common prefixes and distances are read off the ids of a vertex's prefixes.
-The vertices of one depth come in label order from
-``trees.sphere_vertices``, the input cylinders' lattice forms are read off
-their label paths (``sl2.form_of``), and ``translate_vertex`` gives every
-image's id in closed form, so nothing here needs a tree registry.
+The ids of one depth are built in label order from their digits
+(``_sphere_ids``), the input cylinders' lattice forms are read off the
+label paths of ``trees.sphere_vertices`` (``sl2.form_of``), and
+``translate_vertex`` gives every image's id in closed form, so nothing here
+needs a tree registry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -192,7 +192,7 @@ def transport_sphere(table: SphereTable, n: int, depth: int) -> SphereTransports
     representatives = [coset.representative for coset in cosets]
     # the leaves in label order, the order of their ids
     leaves = list(sphere_vertices(table.q + 1, depth))
-    leaf_ids = np.array([leaf.id for leaf in leaves])
+    leaf_ids = _sphere_ids(table.q + 1, depth)
     leaf_forms = [form_of(v) for v in leaves]
     located = [coset.vertex(place_index) for place_index in (0, 1) for coset in cosets]
     rows = translate_vertex(group, leaf_forms + [form_of(v) for v in located])
@@ -234,6 +234,20 @@ def _orbit_labels(group: Sequence[SL2Element], images: np.ndarray, what: str) ->
     if moved.any():
         raise RuntimeError(f"{group[int(np.argmax(moved))].to_text()} does not preserve {what}")
     return labels
+
+
+def _sphere_ids(degree: int, depth: int) -> np.ndarray:
+    """The ids (``TreeVertex.id``) of the depth-``depth`` vertices in label
+    order, the order of ``trees.sphere_vertices``: a path's bijective
+    base-degree digits are its labels plus one, the first in 1..degree and
+    every later one in 1..degree - 1."""
+    import numpy as np
+
+    ids = np.zeros(1, dtype=np.int64)
+    for position in range(depth):
+        digits = np.arange(1, degree if position else degree + 1, dtype=np.int64)
+        ids = (ids[:, None] * degree + digits).ravel()
+    return ids
 
 
 def _prefix_ids(ids: np.ndarray, degree: int, width: int) -> np.ndarray:
@@ -326,7 +340,7 @@ def _transports_at(
     lengths = (w_ids >= 0).sum(axis=1) - 1
     # the first leaf of every depth-``depth`` cylinder, one block of leaves
     block = sphere_size(degree, transports.depth) // size
-    out = np.array([vertex.id for vertex in sphere_vertices(degree, n + depth)])
+    out = _sphere_ids(degree, n + depth)
     out_ids = _prefix_ids(out, degree, n + depth)
     top = int(lengths.max())
     cocycle = np.array([float(q) ** (beta / 2.0) for beta in range(-top, top + 1)])
@@ -395,8 +409,7 @@ def _cell_orbits(transports: SphereTransports, depth: int) -> np.ndarray:
 # normalized means, exact side
 
 
-@dataclass(frozen=True)
-class MeanReport:
+class MeanReport(NamedTuple):
     """The sup norm U_n of the transfer function: an exact upper bound for
     the 2-norm of the normalized mean, the condition-(2) witness at n."""
 
@@ -465,8 +478,7 @@ def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
 # floating spectral estimates
 
 
-@dataclass(frozen=True)
-class CompressionResult:
+class CompressionResult(NamedTuple):
     """Largest singular value of the mean compressed to a depth-K subspace:
     a floating lower bound for the mean's 2-norm, dominated by U_n."""
 
@@ -692,8 +704,7 @@ def mean_matrix_2norm(transports: SphereTransports, depth: int) -> CompressionRe
 # convolution on the group ball
 
 
-@dataclass(frozen=True)
-class ConvolutionResult:
+class ConvolutionResult(NamedTuple):
     n: int
     ball_radius: int
     value: float

@@ -20,16 +20,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Fq, LaurentPolynomial
 from .sl2 import SL2Element
 from .trees import ELEMENT_BUDGET, RadiusBudgetError
 
 
-@dataclass(frozen=True)
-class HElement:
+class HElement(NamedTuple):
     """An upper-triangular element (n, P) standing for [[X^n, P], [0, X^-n]]."""
 
     n: int
@@ -258,8 +256,7 @@ def word_family_holds(q: int, n: int) -> bool:
     return len(products) == 2 ** (n + 1)
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
+class FamilyCheck(NamedTuple):
     n: int
     word_length: int      # 3n + 1
     ball_size: int
@@ -267,8 +264,7 @@ class FamilyCheck:
     ok: bool              # the words check out and |B(3n+1)| >= 2^(n+1)
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
+class GrowthCertificate(NamedTuple):
     """Exponential-growth witness: the certified asymptotic rate from the
     2^(n+1) family of length-(3n+1) products, plus the observed per-radius
     log-rates.  The RD-failure flag is raised when the family checks ran and

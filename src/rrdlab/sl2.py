@@ -58,8 +58,7 @@ element of SL2(F_q) acts alike on both trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .algebra import Fq, LaurentPolynomial, series_quotient
 from .trees import TreeVertex, sphere_vertices
@@ -171,11 +170,12 @@ class SL2Element:
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeVertex:
+class LatticeVertex(NamedTuple):
     """Canonical form of a lattice class: basis [[X^a, 0], [c, X^b]] in the
     uniformizer variable of whichever place it is read at, with
-    min(a, b) = 0 and the exponents of c strictly below b."""
+    min(a, b) = 0 and the exponents of c strictly below b.  The record
+    checks nothing itself: ``_canonical_from_matrix``, which refuses a
+    singular matrix, and ``form_of`` make it in that form."""
 
     diag_low: int
     diag_high: int

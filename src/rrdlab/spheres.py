@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 from operator import itemgetter
@@ -276,20 +275,23 @@ class Coset(NamedTuple):
         return self.infinity if place_index else self.zero
 
 
-@dataclass(frozen=True)
-class SphereTable:
+class SphereTable(NamedTuple):
     """The length ball as the pair scan's right cosets, bucketed by total
     length: each bucket lists its sphere's cosets sorted by representative.
     ``texts`` holds the elements as the scan wrote them, the cosets'
     expansions by K in text order, keyed by length as ``to_json`` writes
-    them; it is left out of equality and repr.  Immutable after
-    construction and safe for concurrent readers.
+    them; it is left out of the repr.  Equal tables have equal texts, since
+    both are the scan's.  Immutable after construction and safe for
+    concurrent readers.
     """
 
     q: int
     max_length: int
     buckets: dict[int, tuple[Coset, ...]]
-    texts: dict[str, list[str]] = field(compare=False, repr=False)
+    texts: dict[str, list[str]]
+
+    def __repr__(self) -> str:
+        return f"SphereTable(q={self.q!r}, max_length={self.max_length!r}, buckets={self.buckets!r})"
 
     def cosets(self, n: int) -> tuple[Coset, ...]:
         if n < 0 or n > self.max_length:
@@ -513,8 +515,7 @@ def sup_xi_over_splittings(q: int, n: int) -> AlgebraicValue:
     return max(hc_product(l0, n - l0, q) for l0 in range(0, n + 1, 2))
 
 
-@dataclass(frozen=True)
-class Condition1Row:
+class Condition1Row(NamedTuple):
     n: int
     sphere_size: int
     sup_xi: AlgebraicValue
@@ -527,8 +528,7 @@ class Condition1Row:
     rigorous_ratio: float
 
 
-@dataclass(frozen=True)
-class Condition1Report:
+class Condition1Report(NamedTuple):
     q: int
     max_length: int
     exponent: Fraction

@@ -13,9 +13,8 @@ in a tree are plain common-prefix lengths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # Largest number of tree vertices the ball-count BFS may build: degree 3 up
 # to radius 17, degree 4 up to radius 11, degree 5 up to radius 9.  Also the
@@ -39,21 +38,26 @@ class RadiusBudgetError(RuntimeError):
     convolution (``criterion``)."""
 
 
-@dataclass(frozen=True, slots=True)
-class TreeVertex:
-    """A vertex of the d-regular rooted tree, addressed by its label path."""
-
+class _TreeVertexFields(NamedTuple):
     degree: int
     path: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        d = self.degree
-        if d < 3:
+
+class TreeVertex(_TreeVertexFields):
+    """A vertex of the d-regular rooted tree, addressed by its label path.
+    Every construction checks the degree and the labels; ``_make`` and
+    ``_replace`` would skip the check, so no vertex is built through them."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, path: tuple[int, ...]) -> "TreeVertex":
+        if degree < 3:
             raise ValueError("tree degree must be at least 3")
-        for i, label in enumerate(self.path):
-            bound = d if i == 0 else d - 1
+        for i, label in enumerate(path):
+            bound = degree if i == 0 else degree - 1
             if not 0 <= label < bound:
                 raise ValueError(f"label {label} at position {i} out of range({bound})")
+        return super().__new__(cls, degree, path)
 
     @classmethod
     def root(cls, degree: int) -> "TreeVertex":
@@ -121,8 +125,7 @@ def sphere_size(degree: int, n: int) -> int:
     return degree * (degree - 1) ** (n - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryCylinder:
+class BoundaryCylinder(NamedTuple):
     """Ends through ``base`` in the direction away from the root.
 
     Depth 0 (base = root) is the whole boundary.  The visibility measure of a

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -317,13 +317,11 @@ def test_as_triple_and_mixed_base_rejection():
 
 
 def test_plain_writes_a_nested_record_as_its_fields():
-    @dataclasses.dataclass(frozen=True)
-    class Inner:
+    class Inner(NamedTuple):
         value: AlgebraicValue
         ratio: Fraction
 
-    @dataclasses.dataclass(frozen=True)
-    class Outer:
+    class Outer(NamedTuple):
         name: str
         rows: tuple[Inner, ...]
         lengths: tuple[int, int]

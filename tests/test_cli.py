@@ -705,6 +705,84 @@ PINNED_ENVELOPES = {
   "tool_version": "0.1.0"
 }
 """,
+    "uniform-bound --max-length 2 --n 2": """\
+{
+  "cache_major": 1,
+  "command": "uniform-bound",
+  "config": {
+    "cache": {
+      "path": null
+    },
+    "max_length": 2,
+    "n": 2,
+    "q": 2,
+    "threshold": 8.0
+  },
+  "pass": true,
+  "result": {
+    "depths": [
+      2,
+      2
+    ],
+    "n": 2,
+    "sphere_size": 36,
+    "value": [
+      "6/5",
+      "0",
+      2
+    ],
+    "value_float": 1.2
+  },
+  "tool_version": "0.1.0"
+}
+""",
+    "condition1 --max-length 2": """\
+{
+  "cache_major": 1,
+  "command": "condition1",
+  "config": {
+    "cache": {
+      "path": null
+    },
+    "max_length": 2,
+    "q": 2
+  },
+  "pass": true,
+  "result": {
+    "exponent": "5/2",
+    "fitted_constant": 0.8838834764831843,
+    "max_length": 2,
+    "q": 2,
+    "rigorous_constant": 1.653594569415369,
+    "rows": [
+      {
+        "fiber_bound_size": 126,
+        "n": 2,
+        "observed": 5.0,
+        "observed_ratio": 0.8838834764831843,
+        "rigorous": 9.354143466934854,
+        "rigorous_ratio": 1.653594569415369,
+        "sphere_size": 36,
+        "splitting_sup": [
+          "5/6",
+          "0",
+          2
+        ],
+        "sup_xi": [
+          "5/6",
+          "0",
+          2
+        ],
+        "sup_xi_lengths": [
+          0,
+          2
+        ]
+      }
+    ]
+  },
+  "tool_version": "0.1.0"
+}
+""",
 }
 
 
@@ -924,8 +1002,8 @@ def test_lamplighter_radius_beyond_the_budget_is_a_usage_error(capsys):
     ],
 )
 def test_exact_commands_do_not_import_numpy(argv):
-    # numpy serves only the floating side; a fresh interpreter shows what a
-    # command loads
+    # numpy serves only the floating side, and no command loads dataclasses;
+    # a fresh interpreter shows what a command loads
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(rrdlab.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -933,12 +1011,12 @@ def test_exact_commands_do_not_import_numpy(argv):
         "import sys\n"
         "from rrdlab import cli\n"
         f"code = cli.main({argv!r})\n"
-        "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "print(code, 'numpy' in sys.modules, 'dataclasses' in sys.modules, file=sys.stderr)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stderr.split() == ["0", "False"]
+    assert done.stderr.split() == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize(
@@ -958,12 +1036,13 @@ def test_floating_commands_do_not_import_numpy_random(argv):
         "import sys\n"
         "from rrdlab import cli\n"
         f"code = cli.main({argv!r})\n"
-        "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+        "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules,\n"
+        "      'dataclasses' in sys.modules, file=sys.stderr)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stderr.split() == ["0", "True", "False"]
+    assert done.stderr.split() == ["0", "True", "False", "False"]
 
 
 def _pthreads_openblas() -> bool:

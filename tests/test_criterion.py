@@ -15,6 +15,7 @@ from rrdlab.boundary import cocycle_sqrt, hc_product
 from rrdlab.criterion import (
     _compression_gram,
     _power_iteration_symmetric,
+    _sphere_ids,
     _transports_at,
     check_compression_budget,
     coset_convolution_matrix,
@@ -33,7 +34,7 @@ from rrdlab.spheres import (
     right_coset,
     sup_xi_on_sphere,
 )
-from rrdlab.trees import boundary_cylinders, sphere_size
+from rrdlab.trees import boundary_cylinders, sphere_size, sphere_vertices
 
 from oracles import (
     Expansion,
@@ -550,6 +551,14 @@ def test_coset_chunks_do_not_change_the_gram(request, monkeypatch, table_name, n
             gram, labels = _compression_gram(transports, depth)
             assert np.array_equal(labels, default_labels)
             assert np.array_equal(gram, default)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_sphere_ids_are_the_vertex_ids_in_label_order(q):
+    for depth in range(8):
+        ids = _sphere_ids(q + 1, depth)
+        expected = [vertex.id for vertex in sphere_vertices(q + 1, depth)]
+        assert ids.dtype == np.int64 and ids.tolist() == expected
 
 
 @pytest.mark.parametrize("table_name, n, depth", [("table4", 4, 4), ("table_q3n4", 4, 2)])
