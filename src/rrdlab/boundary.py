@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import AlgebraicValue
-from .trees import BoundaryCylinder, TreeVertex, busemann, sphere_size, sphere_vertices
+from .trees import BoundaryCylinder, TreeVertex, busemann
 
 
 def cocycle_sqrt(w: TreeVertex, cylinder: BoundaryCylinder) -> AlgebraicValue:
@@ -28,7 +28,9 @@ def cocycle_sqrt(w: TreeVertex, cylinder: BoundaryCylinder) -> AlgebraicValue:
 
     ``w`` is the translate of the base vertex whose cocycle is being
     evaluated; the cylinder must be deep enough for constancy (see
-    ``busemann``).  Exact: irrational precisely when beta is odd.
+    ``busemann``).  Exact: irrational precisely when beta is odd.  The
+    program calls it nowhere; it stays only as a target of
+    ``perfbench/tracer.py``, and the tests' oracles use it.
     """
     if cylinder.degree != w.degree:
         raise ValueError("cylinder and vertex from trees of different degree")
@@ -60,37 +62,3 @@ def hc_product(length_zero: int, length_infinity: int, q: int) -> AlgebraicValue
     of the factor values; cached per length pair.
     """
     return hc_tree_closed(q + 1, length_zero) * hc_tree_closed(q + 1, length_infinity)
-
-
-def hc_product_expanded(length_zero: int, length_infinity: int, q: int) -> AlgebraicValue:
-    """The same value written out: (1 + r*L + r^2*l0*linf) * q^(-L/2), with
-    r = (q-1)/(q+1) and L the total length.  Used to cross-check hc_product."""
-    r = Fraction(q - 1, q + 1)
-    total = length_zero + length_infinity
-    coeff = 1 + r * total + r * r * length_zero * length_infinity
-    return AlgebraicValue.rational(coeff, q) * AlgebraicValue.sqrt_q_power(q, -total)
-
-
-def sphere_average_check(degree: int, n: int, cylinder: BoundaryCylinder) -> AlgebraicValue:
-    """Exact ratio (sphere average of the cocycle square root) / (closed form).
-
-    The identity says this is 1 for every cylinder of depth >= n; computing
-    the ratio rather than asserting keeps the op usable as an oracle.
-    """
-    if cylinder.degree != degree:
-        raise ValueError("cylinder degree mismatch")
-    if cylinder.depth < n:
-        raise ValueError("cylinder too shallow for the sphere radius")
-    q = degree - 1
-    # terms with equal Busemann values are equal: add one per value, times
-    # the number of sphere vertices that have it
-    members: dict[int, tuple[TreeVertex, int]] = {}
-    for w in sphere_vertices(degree, n):
-        beta = busemann(cylinder, w)
-        first, count = members.get(beta, (w, 0))
-        members[beta] = (first, count + 1)
-    acc = AlgebraicValue.rational(0, q)
-    for w, count in members.values():
-        acc = acc + cocycle_sqrt(w, cylinder) * AlgebraicValue.rational(count, q)
-    average = acc / AlgebraicValue.rational(sphere_size(degree, n), q)
-    return average / hc_tree_closed(degree, n)

@@ -7,12 +7,11 @@ newline; the sphere table that ``spheres`` prints, and every cache file,
 ends with its closing brace.  Exit status: 0 when
 all checks the command performs pass, 1 when a numeric check or threshold
 fails, 2 on usage errors (bad arguments, or a radius beyond the budget of
-the sphere enumeration, the subgroup ball count, the ball-count BFS, the
-mean-identity check, the compression core or the convolution matrix), 3 on
-an internal fault (any other exception).  Result records are written by
-``algebra.plain``.  An envelope's config is its parsed arguments but the
-command, --out and --cache-dir, so an option is echoed without being named
-twice.
+the sphere enumeration, the subgroup ball count, the compression core or the
+convolution matrix), 3 on an internal fault (any other exception).  Result
+records are written by ``algebra.plain``.  An envelope's config is its
+parsed arguments but the command, --out and --cache-dir, so an option is
+echoed without being named twice.
 
 Every file a command writes (--out, --csv and the cache file) is checked
 before any work: none may be a directory, lie under an existing file, or be,
@@ -41,12 +40,7 @@ import traceback
 from typing import Optional
 
 from . import CACHE_MAJOR_VERSION, __version__
-from .algebra import AlgebraicValue, Fq, plain
-from .boundary import (
-    hc_product,
-    hc_product_expanded,
-    sphere_average_check,
-)
+from .algebra import Fq, plain
 from .criterion import (
     DEFAULT_U_THRESHOLD,
     check_compression_budget,
@@ -62,14 +56,6 @@ from .spheres import (
     SphereTable,
     condition_one_certificate,
     enumerate_ball,
-)
-from .trees import (
-    BFS_VERTEX_BUDGET,
-    ball_count_bfs,
-    ball_count_formula,
-    boundary_cylinders,
-    check_bfs_budget,
-    sphere_size,
 )
 
 class UsageError(Exception):
@@ -201,7 +187,7 @@ def _check_arguments(args: argparse.Namespace) -> None:
             Fq(args.q)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    for name in ("max_length", "radius", "length"):
+    for name in ("max_length", "radius"):
         if getattr(args, name, 0) < 0:
             raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
     # a nan threshold decides nothing and a -inf one fails every value; JSON
@@ -228,8 +214,6 @@ def _check_arguments(args: argparse.Namespace) -> None:
     for (label, path), (other, other_path) in itertools.combinations(outputs.items(), 2):
         if _within(path, other_path) or _within(other_path, path):
             raise UsageError(f"{label} {path} collides with {other} {other_path}")
-    if getattr(args, "degree", 3) < 3:
-        raise UsageError("degree must be at least 3")
     n = getattr(args, "n", 0)
     if n < 0 or n % 2:
         raise UsageError("the sphere length must be even and nonnegative")
@@ -239,60 +223,6 @@ def _cmd_spheres(args: argparse.Namespace) -> int:
     table, _, written = _load_table(args.q, args.max_length, args.cache_dir)
     _emit(written or table.to_json(), args.out)
     return 0
-
-
-def _cmd_ball_count(args: argparse.Namespace) -> int:
-    check_bfs_budget(args.degree, args.radius)
-    rows = []
-    passed = True
-    for n, bfs in enumerate(ball_count_bfs(args.degree, args.radius)):
-        formula = ball_count_formula(args.degree, n)
-        ok = formula == bfs
-        passed = passed and ok
-        rows.append({"n": n, "formula": formula, "bfs": bfs, "match": ok})
-    return _finish(args, {"rows": rows}, passed)
-
-
-def _cmd_xi(args: argparse.Namespace) -> int:
-    if args.length_zero < 0 or args.length_infinity < 0:
-        raise UsageError("lengths must be nonnegative")
-    closed = hc_product(args.length_zero, args.length_infinity, args.q)
-    expanded = hc_product_expanded(args.length_zero, args.length_infinity, args.q)
-    passed = closed == expanded
-    return _finish(
-        args,
-        {
-            "value": plain(closed),
-            "value_float": float(closed),
-            "expanded_matches": passed,
-        },
-        passed,
-    )
-
-
-def _cmd_mean_identity(args: argparse.Namespace) -> int:
-    # the envelope echoes the depth checked, not the default's None
-    if args.depth is None:
-        args.depth = args.length
-    depth = args.depth
-    if depth < args.length:
-        raise UsageError("depth must be at least the displacement length")
-    # every cylinder of the depth sums over the sphere of the length
-    work = sphere_size(args.degree, depth) * sphere_size(args.degree, args.length)
-    if work > BFS_VERTEX_BUDGET:
-        raise RadiusBudgetError(
-            f"mean-identity at degree {args.degree}, length {args.length} and depth {depth} "
-            f"needs {work:,} cocycle terms, over the budget of {BFS_VERTEX_BUDGET:,}"
-        )
-    one = AlgebraicValue.rational(1, args.degree - 1)
-    checked = 0
-    worst_ok = True
-    for cylinder in boundary_cylinders(args.degree, depth):
-        ratio = sphere_average_check(args.degree, args.length, cylinder)
-        checked += 1
-        if ratio != one:
-            worst_ok = False
-    return _finish(args, {"cylinders_checked": checked, "all_ratios_one": worst_ok}, worst_ok)
 
 
 def _cmd_condition1(args: argparse.Namespace) -> int:
@@ -379,29 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "spheres", parents=[common, cached], help="enumerate length spheres"
     )
     p.set_defaults(handler=_cmd_spheres)
-
-    p = sub.add_parser(
-        "ball-count", parents=[common], help="pair-ball counts, formula vs BFS"
-    )
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--radius", type=int, default=8)
-    p.set_defaults(handler=_cmd_ball_count)
-
-    p = sub.add_parser("xi", parents=[common], help="exact spherical-function value")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--length-zero", type=int, required=True)
-    p.add_argument("--length-infinity", type=int, required=True)
-    p.set_defaults(handler=_cmd_xi)
-
-    p = sub.add_parser(
-        "mean-identity",
-        parents=[common],
-        help="sphere average of the cocycle square root equals the spherical value",
-    )
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.set_defaults(handler=_cmd_mean_identity)
 
     p = sub.add_parser(
         "condition1", parents=[common, cached], help="polynomial sphere-norm bound"

@@ -84,7 +84,6 @@ from .spheres import (
 )
 from .trees import (
     RadiusBudgetError,
-    boundary_cylinders,
     gromov_product,
     sphere_size,
     sphere_vertices,
@@ -452,7 +451,7 @@ def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
         for c in cosets
     ]
     denominator = math.lcm(*(w.denominator for w in weights))
-    cells = [c.base for c in boundary_cylinders(q + 1, n)]
+    cells = list(sphere_vertices(q + 1, n))
     powers = [q**k for k in range(n + 1)]
     acc = [[0] * len(cells) for _ in cells]
     for coset, weight in zip(cosets, weights):

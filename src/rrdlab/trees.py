@@ -16,11 +16,6 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-# Largest number of tree vertices the ball-count BFS may build: degree 3 up
-# to radius 17, degree 4 up to radius 11, degree 5 up to radius 9.  Also the
-# largest number of cocycle terms (cylinders times sphere vertices) of the
-# mean-identity check: degree 3 up to length and depth 8.
-BFS_VERTEX_BUDGET = 500_000
 # Largest number of group elements a count or a search may reach: the ball
 # of the subgroup count (the report's radius 10 has 19,110 elements at q = 2
 # and 316,381 at q = 3), and the candidate vertex pairs of the sphere scan times
@@ -30,12 +25,11 @@ ELEMENT_BUDGET = 2_000_000
 
 
 class RadiusBudgetError(RuntimeError):
-    """The requested radius needs more work than its budget: tree vertices in
-    the ball-count BFS, cocycle terms in the mean-identity check (``cli``),
-    candidate vertex pairs and their cosets' elements in the sphere
-    enumeration (``spheres``), ball elements in the subgroup count
-    (``lamplighter``), dense matrix entries in the compressions and the
-    convolution (``criterion``)."""
+    """The requested radius needs more work than its budget: candidate vertex
+    pairs and their cosets' elements in the sphere enumeration
+    (``spheres``), ball elements in the subgroup count (``lamplighter``),
+    dense matrix entries in the compressions and the convolution
+    (``criterion``)."""
 
 
 class _TreeVertexFields(NamedTuple):
@@ -130,7 +124,8 @@ class BoundaryCylinder(NamedTuple):
 
     Depth 0 (base = root) is the whole boundary.  The visibility measure of a
     depth-k cylinder, k >= 1, is 1/(d*(d-1)^(k-1)); the whole boundary has
-    measure 1.
+    measure 1.  The program builds none; the class stays only as the type of
+    the tracer target ``boundary_cylinders`` and of the tests' oracles.
     """
 
     base: TreeVertex
@@ -156,7 +151,8 @@ class BoundaryCylinder(NamedTuple):
 
 def boundary_cylinders(degree: int, depth: int) -> list[BoundaryCylinder]:
     """All depth-``depth`` cylinders in lexicographic order (the whole boundary
-    for depth 0)."""
+    for depth 0).  The program calls it nowhere; it stays only as a target of
+    ``perfbench/tracer.py``, and the tests use it."""
     return [BoundaryCylinder(v) for v in sphere_vertices(degree, depth)]
 
 
@@ -165,6 +161,8 @@ def busemann(cylinder: BoundaryCylinder, w: TreeVertex) -> int:
 
     Needs depth(cylinder) >= d(root, w): below that the value genuinely varies
     over the cylinder, so the call is an error rather than an approximation.
+    The program calls it only from ``boundary.cocycle_sqrt``, which stays
+    only as a tracer target.
     """
     if cylinder.degree != w.degree:
         raise ValueError("cylinder and vertex from trees of different degree")
@@ -195,46 +193,3 @@ def ball_count_formula(degree: int, n: int) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"ball count formula not integral at d={d}, n={n}: {value}")
     return int(value)
-
-
-def check_bfs_budget(degree: int, n: int) -> None:
-    """Raise RadiusBudgetError when the tree ball of radius n, summed from
-    ``sphere_size``, has more than BFS_VERTEX_BUDGET vertices."""
-    total = 0
-    for k in range(n + 1):
-        total += sphere_size(degree, k)
-        if total > BFS_VERTEX_BUDGET:
-            raise RadiusBudgetError(
-                f"radius {n} at degree {degree} needs more than {BFS_VERTEX_BUDGET} "
-                "tree vertices in the ball-count BFS"
-            )
-
-
-def ball_count_bfs(degree: int, n: int) -> list[int]:
-    """Pair-ball counts for every radius 0..n by one exhaustive breadth-first
-    enumeration of one tree.
-
-    Counts actual vertices s_0, ..., s_n per sphere by expanding label paths
-    once, then the count at radius m sums s_i * s_j over i + j <= m.
-    Independent of the closed form; used as its oracle.  Raises
-    RadiusBudgetError before building any vertex when the ball is over
-    budget (``check_bfs_budget``).
-    """
-    if n < 0:
-        raise ValueError("negative radius")
-    check_bfs_budget(degree, n)
-    counts = []
-    frontier = [TreeVertex.root(degree)]
-    counts.append(len(frontier))
-    for depth in range(1, n + 1):
-        nxt = []
-        for v in frontier:
-            labels = range(degree) if v.is_root() else range(degree - 1)
-            for lab in labels:
-                nxt.append(v.child(lab))
-        counts.append(len(nxt))
-        frontier = nxt
-    return [
-        sum(counts[i] * counts[j] for i in range(m + 1) for j in range(m + 1 - i))
-        for m in range(n + 1)
-    ]

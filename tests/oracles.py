@@ -2,10 +2,13 @@
 
 None of this is on the certificate's path.  Each piece recomputes something
 the program computes, by a route that shares as little as possible with it:
-tree distances and shadows by plain prefix arithmetic, lengths by Smith
-pivoting over rational functions, the action on lattice classes one vertex
-at a time in Laurent arithmetic (``translate_form``), the spherical
-function by a boundary partition, spheres by breadth-first word search and
+tree distances and shadows by plain prefix arithmetic, the pair-ball count
+by breadth-first search (``ball_count_bfs``, under its own vertex budget),
+lengths by Smith pivoting over rational functions, the action on lattice
+classes one vertex at a time in Laurent arithmetic (``translate_form``), the
+spherical function by a boundary partition, written out in closed form for
+the product (``hc_product_expanded``) and as the sphere average of the
+cocycle square root on a cylinder (``sphere_average_check``), spheres by breadth-first word search and
 by a scan of first rows inside the coefficient window, the subgroup's balls
 by breadth-first search over its group law on (n, P), the mean by exact
 Koopman matrices applied cell by cell, the mean's value on 1 as a step
@@ -66,7 +69,7 @@ from rrdlab.algebra import (
     LaurentPolynomial,
     series_quotient,
 )
-from rrdlab.boundary import cocycle_sqrt, hc_product, spherical_coefficient
+from rrdlab.boundary import cocycle_sqrt, hc_product, hc_tree_closed, spherical_coefficient
 from rrdlab.criterion import (
     ROW_BLOCK,
     SphereTransports,
@@ -84,9 +87,11 @@ from rrdlab.sl2 import (
 from rrdlab.spheres import Coset, SphereTable, _completions_for_row, constant_group, right_coset
 from rrdlab.trees import (
     BoundaryCylinder,
+    RadiusBudgetError,
     TreeVertex,
     _common_prefix_len,
     boundary_cylinders,
+    busemann,
     gromov_product,
     sphere_size,
     sphere_vertices,
@@ -256,6 +261,57 @@ def _shadow_cylinders(u: TreeVertex, v: TreeVertex, depth: int) -> list[Boundary
         if du_v + tree_distance(v, y) == tree_distance(u, y):
             out.append(BoundaryCylinder(y))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the pair-ball count by breadth-first search
+
+# Largest number of tree vertices the ball-count BFS may build: degree 3 up
+# to radius 17, degree 4 up to radius 11, degree 5 up to radius 9.
+BFS_VERTEX_BUDGET = 500_000
+
+
+def check_bfs_budget(degree: int, n: int) -> None:
+    """Raise RadiusBudgetError when the tree ball of radius n, summed from
+    ``sphere_size``, has more than BFS_VERTEX_BUDGET vertices."""
+    total = 0
+    for k in range(n + 1):
+        total += sphere_size(degree, k)
+        if total > BFS_VERTEX_BUDGET:
+            raise RadiusBudgetError(
+                f"radius {n} at degree {degree} needs more than {BFS_VERTEX_BUDGET} "
+                "tree vertices in the ball-count BFS"
+            )
+
+
+def ball_count_bfs(degree: int, n: int) -> list[int]:
+    """Pair-ball counts for every radius 0..n by one exhaustive breadth-first
+    enumeration of one tree.
+
+    Counts actual vertices s_0, ..., s_n per sphere by expanding label paths
+    once, then the count at radius m sums s_i * s_j over i + j <= m.
+    Independent of the closed form ``trees.ball_count_formula``; used as its
+    oracle.  Raises RadiusBudgetError before building any vertex when the
+    ball is over budget (``check_bfs_budget``).
+    """
+    if n < 0:
+        raise ValueError("negative radius")
+    check_bfs_budget(degree, n)
+    counts = []
+    frontier = [TreeVertex.root(degree)]
+    counts.append(len(frontier))
+    for depth in range(1, n + 1):
+        nxt = []
+        for v in frontier:
+            labels = range(degree) if v.is_root() else range(degree - 1)
+            for lab in labels:
+                nxt.append(v.child(lab))
+        counts.append(len(nxt))
+        frontier = nxt
+    return [
+        sum(counts[i] * counts[j] for i in range(m + 1) for j in range(m + 1 - i))
+        for m in range(n + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +693,41 @@ def hc_tree_bruteforce(degree: int, n: int) -> AlgebraicValue:
     if total_measure != 1:
         raise RuntimeError(f"partition measures sum to {total_measure}, not 1")
     return total
+
+
+def hc_product_expanded(length_zero: int, length_infinity: int, q: int) -> AlgebraicValue:
+    """The product spherical function written out: (1 + r*L + r^2*l0*linf) *
+    q^(-L/2), with r = (q-1)/(q+1) and L the total length.  Used to
+    cross-check ``boundary.hc_product``."""
+    r = Fraction(q - 1, q + 1)
+    total = length_zero + length_infinity
+    coeff = 1 + r * total + r * r * length_zero * length_infinity
+    return AlgebraicValue.rational(coeff, q) * AlgebraicValue.sqrt_q_power(q, -total)
+
+
+def sphere_average_check(degree: int, n: int, cylinder: BoundaryCylinder) -> AlgebraicValue:
+    """Exact ratio (sphere average of the cocycle square root) / (closed form).
+
+    The identity says this is 1 for every cylinder of depth >= n; computing
+    the ratio rather than asserting keeps the op usable as an oracle.
+    """
+    if cylinder.degree != degree:
+        raise ValueError("cylinder degree mismatch")
+    if cylinder.depth < n:
+        raise ValueError("cylinder too shallow for the sphere radius")
+    q = degree - 1
+    # terms with equal Busemann values are equal: add one per value, times
+    # the number of sphere vertices that have it
+    members: dict[int, tuple[TreeVertex, int]] = {}
+    for w in sphere_vertices(degree, n):
+        beta = busemann(cylinder, w)
+        first, count = members.get(beta, (w, 0))
+        members[beta] = (first, count + 1)
+    acc = AlgebraicValue.rational(0, q)
+    for w, count in members.values():
+        acc = acc + cocycle_sqrt(w, cylinder) * AlgebraicValue.rational(count, q)
+    average = acc / AlgebraicValue.rational(sphere_size(degree, n), q)
+    return average / hc_tree_closed(degree, n)
 
 
 # ---------------------------------------------------------------------------

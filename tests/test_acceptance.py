@@ -14,12 +14,7 @@ import time
 from fractions import Fraction
 
 from rrdlab.algebra import AlgebraicValue, Fq, LaurentPolynomial
-from rrdlab.boundary import (
-    hc_product,
-    hc_product_expanded,
-    hc_tree_closed,
-    sphere_average_check,
-)
+from rrdlab.boundary import hc_product, hc_tree_closed
 from rrdlab.criterion import (
     convolution_opnorm_lower,
     mean_matrix_2norm,
@@ -36,19 +31,22 @@ from rrdlab.lamplighter import (
 )
 from rrdlab.sl2 import SL2Element
 from rrdlab.spheres import condition_one_certificate
-from rrdlab.trees import ball_count_bfs, ball_count_formula, boundary_cylinders
+from rrdlab.trees import ball_count_formula, boundary_cylinders
 
 from oracles import (
     StepFunction,
+    ball_count_bfs,
     bfs_crosscheck,
     element_lengths,
     elementary_lower,
+    hc_product_expanded,
     hc_tree_bruteforce,
     koopman_matrix,
     l2_norm_squared,
     length_at_place,
     product_cylinders,
     smith_valuations,
+    sphere_average_check,
     sphere_members,
 )
 

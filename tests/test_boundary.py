@@ -9,9 +9,7 @@ from rrdlab.algebra import AlgebraicValue
 from rrdlab.boundary import (
     cocycle_sqrt,
     hc_product,
-    hc_product_expanded,
     hc_tree_closed,
-    sphere_average_check,
     spherical_coefficient,
 )
 from rrdlab.trees import (
@@ -21,7 +19,7 @@ from rrdlab.trees import (
     busemann,
 )
 
-from oracles import hc_tree_bruteforce
+from oracles import hc_product_expanded, hc_tree_bruteforce, sphere_average_check
 
 rng = random.Random(0xB0DA)
 

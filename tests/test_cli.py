@@ -25,48 +25,14 @@ def run(capsys, *argv: str) -> tuple[int, str]:
     return code, captured.out
 
 
-def test_xi_known_value(capsys):
-    code, out = run(capsys, "xi", "--length-zero", "2", "--length-infinity", "2")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["result"]["value"] == ["25/36", "0", 2]
-    assert payload["pass"] is True
-
-
-def test_ball_count(capsys):
-    code, out = run(capsys, "ball-count", "--degree", "3", "--radius", "5")
-    assert code == 0
-    rows = json.loads(out)["result"]["rows"]
-    assert rows[3]["formula"] == 88
-    assert all(r["match"] for r in rows)
-
-
-def test_mean_identity_and_usage_error(capsys):
-    code, out = run(capsys, "mean-identity", "--length", "2")
-    assert code == 0
-    assert json.loads(out)["result"]["all_ratios_one"] is True
-    code, _ = run(capsys, "mean-identity", "--length", "3", "--depth", "1")
-    assert code == 2
-
-
-def test_mean_identity_budget_is_a_usage_error_before_any_cylinder(capsys, monkeypatch):
-    # degree 3: 384 cylinders times 384 sphere vertices at length 8 are
-    # within the budget, 1,536 times 1,536 at length 10 are not
-    built = []
-    monkeypatch.setattr(cli, "boundary_cylinders", lambda degree, depth: built.append(depth) or [])
-    code, out = run(capsys, "mean-identity", "--length", "8")
-    assert code == 0 and built == [8]
-    for length in ("10", "40"):
-        code, out = run(capsys, "mean-identity", "--length", length)
-        assert code == 2
-        assert out == ""
-    assert built == [8]
-
-
 def test_unknown_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["not-a-command"])
-    assert excinfo.value.code == 2
+    # ball-count, xi and mean-identity are not commands: the tests check
+    # their tree identities on the oracles' functions
+    for command in ("not-a-command", "ball-count", "xi", "mean-identity"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_spheres_atomic_out_and_cache(tmp_path, capsys):
@@ -556,17 +522,19 @@ def test_only_envelopes_end_with_a_newline(capsys):
     # an envelope (and the verdict) ends with one newline
     code, out = run(capsys, "spheres", "--q", "2", "--max-length", "2")
     assert code == 0 and out.endswith("\n}")
-    code, out = run(capsys, "xi", "--length-zero", "2", "--length-infinity", "2")
+    code, out = run(capsys, "lamplighter", "--radius", "1")
     assert code == 0 and out.endswith("}\n") and not out.endswith("\n\n")
 
 
 NO_CACHE = {"path": None}
-# every parsed option, defaults and the resolved mean-identity depth included,
-# but --out and --cache-dir; a command that loads a table adds its cache record
+# every parsed option, defaults included, but --out and --cache-dir; a
+# command that loads a table adds its cache record
 ENVELOPE_CONFIGS = {
-    "ball-count --radius 4": {"degree": 3, "radius": 4},
-    "xi --length-zero 2 --length-infinity 2": {"q": 2, "length_zero": 2, "length_infinity": 2},
-    "mean-identity --length 2": {"degree": 3, "length": 2, "depth": 2},
+    "condition1 --q 3 --max-length 2": {"q": 3, "max_length": 2, "cache": NO_CACHE},
+    "uniform-bound --q 3 --max-length 2 --n 2": {
+        "q": 3, "max_length": 2, "n": 2, "threshold": 8.0, "cache": NO_CACHE,
+    },
+    "lamplighter --q 3 --radius 3": {"q": 3, "radius": 3, "csv": None},
     "condition1 --max-length 2": {"q": 2, "max_length": 2, "cache": NO_CACHE},
     "uniform-bound --max-length 2 --n 2": {
         "q": 2, "max_length": 2, "n": 2, "threshold": 8.0, "cache": NO_CACHE,
@@ -584,9 +552,9 @@ ENVELOPE_CONFIGS = {
 @pytest.mark.parametrize(
     "argv, passed",
     [
-        (["ball-count", "--radius", "4"], True),
-        (["xi", "--length-zero", "2", "--length-infinity", "2"], True),
-        (["mean-identity", "--length", "2"], True),
+        (["condition1", "--q", "3", "--max-length", "2"], True),
+        (["uniform-bound", "--q", "3", "--max-length", "2", "--n", "2"], True),
+        (["lamplighter", "--q", "3", "--radius", "3"], True),
         (["condition1", "--max-length", "2"], True),
         (["uniform-bound", "--max-length", "2", "--n", "2"], True),
         (["uniform-bound", "--max-length", "4", "--n", "4", "--threshold", "1.0"], False),
@@ -603,76 +571,9 @@ def test_envelopes_name_their_command_and_exit_by_their_verdict(capsys, argv, pa
     assert code == (0 if passed else 1)
 
 
-# Four envelopes pinned byte for byte: keys, defaults, number formats and
+# Three envelopes pinned byte for byte: keys, defaults, number formats and
 # the closing newline.
 PINNED_ENVELOPES = {
-    "ball-count --degree 3 --radius 1": """\
-{
-  "cache_major": 1,
-  "command": "ball-count",
-  "config": {
-    "degree": 3,
-    "radius": 1
-  },
-  "pass": true,
-  "result": {
-    "rows": [
-      {
-        "bfs": 1,
-        "formula": 1,
-        "match": true,
-        "n": 0
-      },
-      {
-        "bfs": 7,
-        "formula": 7,
-        "match": true,
-        "n": 1
-      }
-    ]
-  },
-  "tool_version": "0.1.0"
-}
-""",
-    "xi --q 2 --length-zero 2 --length-infinity 0": """\
-{
-  "cache_major": 1,
-  "command": "xi",
-  "config": {
-    "length_infinity": 0,
-    "length_zero": 2,
-    "q": 2
-  },
-  "pass": true,
-  "result": {
-    "expanded_matches": true,
-    "value": [
-      "5/6",
-      "0",
-      2
-    ],
-    "value_float": 0.8333333333333334
-  },
-  "tool_version": "0.1.0"
-}
-""",
-    "mean-identity --degree 3 --length 1": """\
-{
-  "cache_major": 1,
-  "command": "mean-identity",
-  "config": {
-    "degree": 3,
-    "depth": 1,
-    "length": 1
-  },
-  "pass": true,
-  "result": {
-    "all_ratios_one": true,
-    "cylinders_checked": 3
-  },
-  "tool_version": "0.1.0"
-}
-""",
     "lamplighter --q 2 --radius 1": """\
 {
   "cache_major": 1,
@@ -800,12 +701,12 @@ def test_envelope_bytes_are_pinned(capsys, command):
         ["lamplighter", "--q", "6", "--radius", "2"],
         ["spheres", "--max-length", "-2"],
         ["opnorm", "--max-length", "2", "--n", "0", "--radius", "-1"],
-        ["ball-count", "--radius", "-1"],
-        ["mean-identity", "--length", "-2"],
+        ["lamplighter", "--radius", "-1"],
+        ["uniform-bound", "--max-length", "4", "--n", "-2"],
         ["report", "--max-length", "2", "--depth", "0"],
         ["condition1", "--max-length", "0"],
-        ["ball-count", "--degree", "2"],
-        ["mean-identity", "--degree", "2", "--length", "2"],
+        ["uniform-bound", "--max-length", "2", "--n", "4"],
+        ["opnorm", "--max-length", "2", "--n", "2", "--radius", "2"],
         ["uniform-bound", "--max-length", "4", "--n", "3"],
         ["opnorm", "--max-length", "4", "--n", "1", "--radius", "2"],
     ],
@@ -830,11 +731,11 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, cache_dir",
     [
-        (["xi", "--length-zero", "2", "--length-infinity", "2", "--out", "{dir}"], None),
+        (["lamplighter", "--radius", "2", "--out", "{dir}"], None),
         (["lamplighter", "--radius", "2", "--csv", "{dir}"], None),
         (["spheres", "--max-length", "2", "--cache-dir", "{file}"], None),
         (["report", "--max-length", "2", "--depth", "1"], "{file}"),
-        (["xi", "--length-zero", "2", "--length-infinity", "2", "--out", "{file}/x.json"], None),
+        (["lamplighter", "--radius", "2", "--out", "{file}/x.json"], None),
         (["lamplighter", "--radius", "3", "--csv", "{file}/x.csv"], None),
         (["spheres", "--max-length", "2", "--cache-dir", "{file}/sub"], None),
         (["report", "--q", "2", "--max-length", "2", "--depth", "1", "--out", "{dir}/C"], "{dir}/C"),
@@ -892,33 +793,6 @@ def test_impossible_radius_is_a_usage_error(capsys):
     code, out = run(capsys, "spheres", "--q", "2", "--max-length", "30")
     assert code == 2
     assert out == ""
-
-
-def test_ball_count_budget_is_a_usage_error_before_any_bfs(capsys, monkeypatch):
-    started = []
-    monkeypatch.setattr(cli, "ball_count_bfs", lambda degree, n: started.append(n))
-    code, out = run(capsys, "ball-count", "--degree", "3", "--radius", "18")
-    assert code == 2
-    assert out == ""
-    assert started == []
-
-
-def test_ball_count_makes_one_bfs(capsys, monkeypatch):
-    # every row reads the sphere counts of one walk up to the radius
-    radii = []
-    real = cli.ball_count_bfs
-
-    def counting(degree, n):
-        radii.append(n)
-        return real(degree, n)
-
-    monkeypatch.setattr(cli, "ball_count_bfs", counting)
-    code, out = run(capsys, "ball-count", "--degree", "3", "--radius", "15")
-    assert code == 0
-    assert radii == [15]
-    rows = json.loads(out)["result"]["rows"]
-    assert [row["n"] for row in rows] == list(range(16))
-    assert all(row["match"] and row["bfs"] == row["formula"] for row in rows)
 
 
 def test_compression_budget_is_a_usage_error_before_any_table(capsys, monkeypatch):

@@ -6,11 +6,9 @@ from fractions import Fraction
 import pytest
 
 from rrdlab.trees import (
-    BFS_VERTEX_BUDGET,
     BoundaryCylinder,
     RadiusBudgetError,
     TreeVertex,
-    ball_count_bfs,
     ball_count_formula,
     boundary_cylinders,
     busemann,
@@ -20,6 +18,8 @@ from rrdlab.trees import (
 )
 
 from oracles import (
+    BFS_VERTEX_BUDGET,
+    ball_count_bfs,
     contains,
     end_image_set,
     product_cylinders,
