@@ -249,7 +249,7 @@ def _cmd_opnorm(args: argparse.Namespace) -> int:
     check_convolution_budget(args.q, args.radius)
     table, cache, _ = _load_table(args.q, args.max_length, args.cache_dir)
     result = convolution_opnorm_lower(table, args.n, args.radius)
-    return _finish(args, plain(result), result.l1_ok, cache)
+    return _finish(args, plain(result), result.passed, cache)
 
 
 def _cmd_lamplighter(args: argparse.Namespace) -> int:

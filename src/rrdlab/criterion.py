@@ -704,6 +704,12 @@ def mean_matrix_2norm(transports: SphereTransports, depth: int) -> CompressionRe
 
 
 class ConvolutionResult(NamedTuple):
+    """A power-iteration lower bound for the convolution norm of the
+    indicator of sphere n on the ball of radius ``ball_radius``, and the
+    rules it must meet (``passed``): it stays below the indicator's l1 norm
+    |C_n| (``l1_ok``), and at n = 0, where the sphere is the finite subgroup
+    K, it equals |K| = q^3 - q (``identity_ok``)."""
+
     n: int
     ball_radius: int
     value: float
@@ -716,6 +722,16 @@ class ConvolutionResult(NamedTuple):
     def l1_ok(self) -> bool:
         """The bound stays below |C_n|, the l1 norm of the indicator."""
         return self.value <= self.sphere_size + 1e-9
+
+    @property
+    def identity_ok(self) -> bool:
+        """At n = 0, the norm of the indicator of K is |K| = |C_0| to within
+        BASE_IDENTITY_TOL; no rule at any other n."""
+        return self.n != 0 or abs(self.value - self.sphere_size) <= BASE_IDENTITY_TOL
+
+    @property
+    def passed(self) -> bool:
+        return self.l1_ok and self.identity_ok
 
 
 def coset_convolution_matrix(cosets: Sequence[Coset], n: int) -> np.ndarray:
@@ -804,65 +820,71 @@ def rrd_report(
     Sections: the condition-(1) polynomial bound per sphere, the exact
     condition-(2) sup norms U_n, the compression 2-norms with their chain
     check against U_n, the convolution lower bounds with the finite-subgroup
-    identity at n = 0, and the subgroup growth certificate for the failure
-    side, each record written by ``plain`` (exact values as (a, b, q)
-    triples).  ``u_bound`` is the condition-(2) threshold on every U_n.  A
-    depth whose compression core exceeds CORE_BUDGET raises
-    RadiusBudgetError before any transport is made.
+    identity at n = 0 (``ConvolutionResult.identity_ok``), and the subgroup
+    growth certificate for the failure side, each record written by
+    ``plain`` (exact values as (a, b, q) triples).  Each section's ``pass``
+    is read off the records or rows it writes, and the verdict's ``pass``
+    is the conjunction of the five.  ``u_bound`` is the condition-(2)
+    threshold on every U_n.  A depth whose compression core exceeds
+    CORE_BUDGET raises RadiusBudgetError before any transport is made.
     """
     q, max_length = table.q, table.max_length
     check_compression_budget(q, depth)
     cond1 = condition_one_certificate(table)
 
-    mean_lengths = [
-        n
+    mean_reports = [
+        uniform_bound_value(table, n)
         for n in range(0, min(max_length, MAX_MEAN_LENGTH) + 1, 2)
         if table.sphere_size(n) > 0
     ]
-    convolution_radii = {
-        n: min(4, max_length - n)
-        for n in (0, 2)
-        if max_length >= n and table.sphere_size(n) > 0
-    }
-    mean_reports = []
     compression_rows = []
-    chain_ok = True
-    for n in mean_lengths:
-        u_n = uniform_bound_value(table, n)
-        mean_reports.append(u_n)
-        transports = transport_sphere(table, n, depth)
+    for u_n in mean_reports:
+        transports = transport_sphere(table, u_n.n, depth)
         for k in range(1, depth + 1):
             result = mean_matrix_2norm(transports, k)
-            ok = result.value <= u_n.value_float + CHAIN_SLACK
-            chain_ok = chain_ok and ok
             compression_rows.append({
                 **plain(result),
                 "tolerance": TOLERANCE,
                 "u_bound_float": u_n.value_float,
-                "chain_ok": ok,
+                "chain_ok": result.value <= u_n.value_float + CHAIN_SLACK,
             })
-    cond2_pass = all(r.at_most(u_bound) for r in mean_reports)
 
-    convolution_rows = []
-    base_identity = None
-    l1_ok = True
-    for n, ball_radius in convolution_radii.items():
-        result = convolution_opnorm_lower(table, n, ball_radius)
-        l1_ok = l1_ok and result.l1_ok
-        convolution_rows.append({**plain(result), "l1_ok": result.l1_ok})
-        if n == 0:
-            expected = float(q**3 - q)
-            base_identity = {
-                "expected": expected,
-                "value": result.value,
-                "pass": abs(result.value - expected) <= BASE_IDENTITY_TOL,
-            }
-    convolution_pass = l1_ok and (base_identity is None or base_identity["pass"])
+    convolutions = [
+        convolution_opnorm_lower(table, n, min(4, max_length - n))
+        for n in (0, 2)
+        if max_length >= n and table.sphere_size(n) > 0
+    ]
+    base_identity = next(
+        (
+            {"expected": float(c.sphere_size), "value": c.value, "pass": c.identity_ok}
+            for c in convolutions
+            if c.n == 0
+        ),
+        None,
+    )
 
-    growth = h_ball_growth(q, 10)
-    lamp = exponential_certificate(q, growth)
+    lamp = exponential_certificate(q, h_ball_growth(q, 10))
 
-    verdict = {
+    sections = {
+        "condition1": {**plain(cond1), "pass": cond1.passed},
+        "condition2": {
+            "threshold": json_threshold(u_bound),
+            "rows": [plain(r) for r in mean_reports],
+            "pass": all(r.at_most(u_bound) for r in mean_reports),
+        },
+        "compressions": {
+            "chain_slack": CHAIN_SLACK,
+            "rows": compression_rows,
+            "pass": all(row["chain_ok"] for row in compression_rows),
+        },
+        "convolution": {
+            "rows": [{**plain(c), "l1_ok": c.l1_ok} for c in convolutions],
+            "base_identity": base_identity,
+            "pass": all(c.passed for c in convolutions),
+        },
+        "lamplighter-ref": {**plain(lamp), "pass": lamp.rd_failure_flag},
+    }
+    return {
         "config": {
             "q": q,
             "max_length": max_length,
@@ -879,32 +901,6 @@ def rrd_report(
             "cache_major": CACHE_MAJOR_VERSION,
             "sphere_provenance": PROVENANCE_PAIRS,
         },
-        "condition1": {**plain(cond1), "pass": cond1.passed},
-        "condition2": {
-            "threshold": json_threshold(u_bound),
-            "rows": [plain(r) for r in mean_reports],
-            "pass": cond2_pass,
-        },
-        "compressions": {
-            "chain_slack": CHAIN_SLACK,
-            "rows": compression_rows,
-            "pass": chain_ok,
-        },
-        "convolution": {
-            "rows": convolution_rows,
-            "base_identity": base_identity,
-            "pass": convolution_pass,
-        },
-        "lamplighter-ref": {**plain(lamp), "pass": lamp.rd_failure_flag},
+        **sections,
+        "pass": all(section["pass"] for section in sections.values()),
     }
-    verdict["pass"] = all(
-        verdict[section]["pass"]
-        for section in (
-            "condition1",
-            "condition2",
-            "compressions",
-            "convolution",
-            "lamplighter-ref",
-        )
-    )
-    return verdict

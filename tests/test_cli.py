@@ -3,13 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import pytest
 
 import rrdlab
-from rrdlab import CACHE_MAJOR_VERSION, cli, lamplighter, spheres
+from rrdlab import CACHE_MAJOR_VERSION, cli, criterion, lamplighter, spheres
 from rrdlab.algebra import Fq
 from rrdlab.cli import main
 from rrdlab.sl2 import TreeRegistry
@@ -333,6 +334,17 @@ def test_opnorm_preconditions(capsys):
     assert json.loads(out)["result"]["value"] == pytest.approx(6.0, abs=1e-6)
 
 
+def test_opnorm_at_length_zero_checks_the_subgroup_identity(capsys, monkeypatch):
+    # a bound of 3.0 at n = 0 stays below |C_0| = 6, so it passes l1_ok, but
+    # it is not |K| = 6, which the length-0 rule requires
+    monkeypatch.setattr(criterion, "_power_iteration_symmetric", lambda apply, start: (0.25, 1, True))
+    code, out = run(capsys, "opnorm", "--max-length", "2", "--n", "0", "--radius", "2")
+    envelope = json.loads(out)
+    assert envelope["result"]["value"] == 3.0
+    assert envelope["pass"] is False
+    assert code == 1
+
+
 def test_lamplighter_with_csv(tmp_path, capsys):
     csv_path = tmp_path / "growth.csv"
     code, out = run(
@@ -393,6 +405,93 @@ def test_report_reference_configuration(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_bytes() == first
+
+
+SECTIONS = ("condition1", "condition2", "compressions", "convolution", "lamplighter-ref")
+
+
+def _fail_lamplighter(q, sizes):
+    return lamplighter.exponential_certificate(q, sizes)._replace(rd_failure_flag=False)
+
+
+# One broken rule per section: the record property, method or constant the
+# section's pass is read from
+SECTION_BREAKS = {
+    "condition1": (spheres.Condition1Report, "passed", property(lambda self: False)),
+    "condition2": (criterion.MeanReport, "at_most", lambda self, threshold: False),
+    "compressions": (criterion, "CHAIN_SLACK", -1.0),
+    "convolution": (criterion.ConvolutionResult, "passed", property(lambda self: False)),
+    "lamplighter-ref": (criterion, "exponential_certificate", _fail_lamplighter),
+}
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_a_failing_section_fails_the_verdict(capsys, monkeypatch, section):
+    monkeypatch.setattr(*SECTION_BREAKS[section])
+    code, out = run(capsys, "report", "--max-length", "2", "--depth", "1")
+    verdict = json.loads(out)
+    assert {name: verdict[name]["pass"] for name in SECTIONS} == {
+        name: name != section for name in SECTIONS
+    }
+    assert verdict["pass"] is False
+    assert code == 1
+
+
+# The report at q = 2, N = 4, depth 2 with every value that BLAS sums taken
+# out (the compression rows', the convolution rows' and the base identity's),
+# as the sha256 of its canonical JSON, and those values as the auto-detected
+# kernel gave them on x86-64
+KERNEL_FREE_SHA256 = "4aa965249a87b66e69beda29ac4acbdddd3dca456b9bd01f54fe9f1dfad1cafd"
+BLAS_SUMMED_VALUES = [
+    1.0,
+    1.0,
+    1.0099504938362078,
+    1.0203952057685173,
+    1.0052238995879401,
+    1.00571728185538,
+    6.0,
+    14.696938456699067,
+    6.0,
+]
+
+
+def _blas_summed_values(verdict: dict) -> list[float]:
+    """Take every value that BLAS sums out of the verdict, in order."""
+    rows = verdict["compressions"]["rows"] + verdict["convolution"]["rows"]
+    return [row.pop("value") for row in rows + [verdict["convolution"]["base_identity"]]]
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the SSE-only OpenBLAS kernels are x86-64 kernels",
+)
+def test_report_fields_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS sums in a kernel-dependent order, which moves the last bits
+    # of the power iterations' values; every other field is exact.  The
+    # kernel is chosen in the child only, from the auto-detected one and two
+    # SSE-only kernels that every x86-64 CPU runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rrdlab.__file__)))
+    argv = ["report", "--q", "2", "--max-length", "4", "--depth", "2"]
+    verdicts = []
+    for kernel in (None, "Nehalem", "Prescott"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        done = subprocess.run(
+            [sys.executable, "-m", "rrdlab.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        verdict = json.loads(done.stdout)
+        assert _blas_summed_values(verdict) == pytest.approx(BLAS_SUMMED_VALUES, rel=1e-12, abs=0)
+        verdicts.append(verdict)
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+    digest = hashlib.sha256(cli._canonical_json(verdicts[0]).encode()).hexdigest()
+    assert digest == KERNEL_FREE_SHA256
 
 
 IDENTITY_TEXT = "low=0;coeffs=1|low=0;coeffs=|low=0;coeffs=|low=0;coeffs=1"

@@ -393,6 +393,25 @@ def test_convolution_requires_room(table4):
         convolution_opnorm_lower(table4, 2, 4)
 
 
+def test_identity_ok_is_the_length_zero_rule():
+    # |K| = 6 at q = 2: n = 0 must meet it to within BASE_IDENTITY_TOL, and
+    # no other n has a rule; above |C_0| = 6 the l1 rule fails first
+    tol = criterion.BASE_IDENTITY_TOL
+
+    def result(n: int, value: float) -> criterion.ConvolutionResult:
+        return criterion.ConvolutionResult(n, 2, value, 1, True, 42, 6 if n == 0 else 36)
+
+    for value in (6.0, 6.0 + 0.9 * tol, 6.0 - 0.9 * tol):
+        assert result(0, value).identity_ok
+    assert result(0, 6.0).passed and result(0, 6.0 - 0.9 * tol).passed
+    assert not result(0, 6.0 + 0.9 * tol).passed
+    for value in (6.0 + 1.1 * tol, 6.0 - 1.1 * tol, 3.0):
+        assert not result(0, value).identity_ok and not result(0, value).passed
+    assert result(0, 3.0).l1_ok
+    assert result(2, 3.0).identity_ok and result(2, 3.0).passed
+    assert result(2, 40.0).identity_ok and not result(2, 40.0).passed
+
+
 def test_report_structure_and_determinism(table4):
     first = rrd_report(table4, depth=1)
     second = rrd_report(table4, depth=1)
