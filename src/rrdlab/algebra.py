@@ -492,7 +492,7 @@ class AlgebraicValue:
     Supports ring arithmetic, division, and exact comparisons.  The sign is
     decided by comparing a^2 against q*b^2 in exact rational arithmetic.  For
     perfect-square q the value is folded to purely rational form, so equality
-    and hashing see a canonical representation in every case.
+    sees a canonical representation in every case.  Values are unhashable.
     """
 
     __slots__ = ("a", "b", "q")
@@ -547,9 +547,6 @@ class AlgebraicValue:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "AlgebraicValue":
-        return (-self) + other
-
     def __mul__(self, other) -> "AlgebraicValue":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -577,12 +574,6 @@ class AlgebraicValue:
         prod = self * conj
         return AlgebraicValue(prod.a / norm, prod.b / norm, self.q)
 
-    def __rtruediv__(self, other) -> "AlgebraicValue":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
         a, b = self.a, self.b
@@ -602,9 +593,6 @@ class AlgebraicValue:
             return 1 if lhs > rhs else -1
         return 1 if rhs > lhs else -1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __abs__(self) -> "AlgebraicValue":
         return -self if self.sign() < 0 else self
 
@@ -617,9 +605,6 @@ class AlgebraicValue:
             return self.a == other.a and self.b == other.b
         return NotImplemented
 
-    def __lt__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() < 0
-
     def __le__(self, other) -> bool:
         return (self - self._coerce(other)).sign() <= 0
 
@@ -628,11 +613,6 @@ class AlgebraicValue:
 
     def __ge__(self, other) -> bool:
         return (self - self._coerce(other)).sign() >= 0
-
-    def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.q))
 
     def as_triple(self) -> tuple[str, str, int]:
         """(a, b, q) with exact fractions as strings, for JSON artifacts."""

@@ -20,13 +20,18 @@ the mean, which check both sides, live with the tests
 Both sides read a sphere as the table's list of right cosets rK of
 K = SL2(F_q) (``SphereTable.cosets``): the pair scan's representatives with
 their located pairs (r . o_0, r . o_inf), which every member of rK shares,
-so nothing is located here.  Exact U_n weighs each coset by
-1 / #cosets.  A compression transports only the representatives: a member
-r k acts as r after k permutes the input cylinders, so its Gram matrix is
-|K|^2 P_K C P_K, with C a sum over pairs of representatives and P_K the
-projection onto the functions constant on the K-orbits of the input cells.
-The power iteration runs on |K|^2 Q^T C Q, with Q the normalised orbit
-indicators (one row per orbit), and Q^T C Q is unchanged when K moves
+so nothing is located here.  Both sides weigh the coset rK by the same
+Fraction w_r = 1 / (#cosets c(l0) c(l1)) (``coset_weights``), with (l0, l1)
+the tree lengths of its located pair, and a transport carries the integer
+exponent c of q^c, c the common prefix of w = r . o and an output cylinder:
+the member weight 1 / (|C_n| Xi) times the two cocycle weights q^(beta/2) is
+w_r q^(c0 + c1) / |K|.  A compression transports only the representatives:
+a member r k acts as r after k permutes the input cylinders, so its Gram
+matrix is P_K C P_K, with C a sum over pairs of representatives in those
+weights (the 1 / |K| of each factor cancels the |K| of the average over K)
+and P_K the projection onto the functions constant on the K-orbits of the
+input cells.  The power iteration runs on Q^T C Q, with Q the normalised
+orbit indicators (one row per orbit), and Q^T C Q is unchanged when K moves
 both representatives of a pair on the left, so it is summed with one
 representative per double coset K r K.  No cells x cells array is
 formed: each pair-block product is added into the orbit pairs one input
@@ -71,7 +76,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import CACHE_MAJOR_VERSION, __version__
 from .algebra import AlgebraicValue, Fq, plain
-from .boundary import hc_product, spherical_coefficient
+from .boundary import spherical_coefficient
 from .lamplighter import exponential_certificate, h_ball_growth
 from .sl2 import SL2Element, form_of, translate_vertex
 from .spheres import (
@@ -137,9 +142,11 @@ class SphereTransports(NamedTuple):
     the position of k . leaf among the leaves (-1 where it is none of them),
     at either place; images[place][coset, leaf] is the id of r . leaf, and
     centers[place][coset] that of w = r . o, read off the coset's located
-    pair, place 0 being zero and 1 infinity.  r is an isometry, so the
-    image of a shallower base v is the point at distance d(o, v) from w on
-    the geodesic [w, r . leaf], for any leaf below v (``_points_at``);
+    pair, place 0 being zero and 1 infinity; w's common prefix with an
+    output cylinder is the transport's weight exponent (``_transports_at``).
+    r is an isometry, so the image of a shallower base v is the point at
+    distance d(o, v) from w on the geodesic [w, r . leaf], for any leaf
+    below v (``_points_at``);
     likewise k fixes the root, so K's action at a shallower depth is its
     action on the leaves truncated.  The leaves
     are in label order, so each depth-k cylinder is one contiguous block of
@@ -307,12 +314,14 @@ def _points_at(
 
 def _transports_at(
     transports: SphereTransports, place_index: int, depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each representative's transport at one place for the depth-``depth``
-    input cylinders, one row per coset: the input column and the cocycle
-    weight q^(beta/2) of every output cylinder z (depth n + ``depth``), the
-    weight given as its position in the returned ``cocycle`` table of
-    q^(beta/2) for beta = -top .. top, top the longest |w| below.
+    input cylinders, one row per coset: the input column and the weight
+    exponent of every output cylinder z (depth n + ``depth``), the common
+    prefix c of w = r . o and z, in 0 .. n.  z's cocycle weight is
+    q^(beta/2) = q^c q^(-|w|/2); the q^(-|w|/2) of both places belongs to
+    the coset, and with its 1 / Xi it makes w_r / |K| (``coset_weights``),
+    so c is U_n's Gromov product gp of w with the depth-n cell that holds z.
 
     The cosets are done ROW_BLOCK at a time, in table order, each chunk in
     one pass, so no working array spans every coset; each coset's row is
@@ -320,8 +329,7 @@ def _transports_at(
     cylinder j is the point at distance ``depth`` from w on [w, r . leaf]
     for the first leaf below it (a stride of the leaves, see
     ``SphereTransports``), and z's column is the j with y_j = p(z), the
-    point at that distance on [w, z]; z's weight is q^(c - |w|/2), c the
-    common prefix of w and z.  The images must partition the boundary:
+    point at that distance on [w, z].  The images must partition the boundary:
     every y_j lies at distance ``depth`` from w, so that holds when the y_j
     are distinct and every p(z) is one of them, which is checked for every
     coset, place and depth, the first failing coset in table order named.
@@ -341,10 +349,8 @@ def _transports_at(
     block = sphere_size(degree, transports.depth) // size
     out = _sphere_ids(degree, n + depth)
     out_ids = _prefix_ids(out, degree, n + depth)
-    top = int(lengths.max())
-    cocycle = np.array([float(q) ** (beta / 2.0) for beta in range(-top, top + 1)])
     columns = np.empty((len(cosets), len(out)), dtype=np.min_scalar_type(size - 1))
-    weights = np.empty((len(cosets), len(out)), dtype=np.min_scalar_type(2 * top))
+    weights = np.empty((len(cosets), len(out)), dtype=np.min_scalar_type(n))
     for first in range(0, len(cosets), ROW_BLOCK):
         chunk = slice(first, first + ROW_BLOCK)
         leaf_ids = _prefix_ids(
@@ -370,8 +376,8 @@ def _transports_at(
                 f"{cosets[first + int(np.argmin(partitions))].representative.to_text()})"
             )
         columns[chunk] = order.ravel()[found]
-        weights[chunk] = 2 * common - lengths[chunk, None] + top
-    return columns, weights, cocycle
+        weights[chunk] = common
+    return columns, weights
 
 
 def _cell_orbits(transports: SphereTransports, depth: int) -> np.ndarray:
@@ -426,6 +432,19 @@ class MeanReport(NamedTuple):
         return self.value <= Fraction(threshold)
 
 
+def coset_weights(cosets: Sequence[Coset], q: int) -> list[Fraction]:
+    """The weight of each coset rK in the normalized mean, as a Fraction:
+    1 / (#cosets c(l0) c(l1)), (l0, l1) the tree lengths of its located
+    pair (``spherical_coefficient``).  Its |K| members each enter with
+    1 / (|C_n| Xi), and Xi's q^(-(l0+l1)/2) goes with the cocycle weights
+    into the integer powers q^(gp0+gp1)."""
+    return [
+        Fraction(1, len(cosets))
+        / (spherical_coefficient(q, c.zero.depth) * spherical_coefficient(q, c.infinity.depth))
+        for c in cosets
+    ]
+
+
 def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
     """U_n, the sup over the depth-(n, n) product cells of the normalized,
     spherical-function-weighted mean over sphere n applied to 1.
@@ -435,8 +454,8 @@ def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
     (l0, l1): beta = 2 gp - l with gp the Gromov product of w and the cell,
     and Xi = c(l0) c(l1) q^(-(l0+l1)/2) (``spherical_coefficient``), so the
     term is the positive rational q^(gp0+gp1) / (c(l0) c(l1)).  Each
-    coset's weight 1 / (#cosets c(l0) c(l1)) is written as an integer over
-    one common denominator, so every cell value is an integer sum over the
+    coset's weight (``coset_weights``) is written as an integer over one
+    common denominator, so every cell value is an integer sum over the
     cosets and U_n is the largest of them over that denominator.  The integral of the
     mean over the boundary is exactly 1 (the sphere-average identity); the
     tests check that on the step-function form of the mean.
@@ -445,11 +464,7 @@ def uniform_bound_value(table: SphereTable, n: int) -> MeanReport:
     cosets = table.cosets(n)
     if not cosets:
         raise ValueError(f"sphere {n} is empty")
-    weights = [
-        Fraction(1, len(cosets))
-        / (spherical_coefficient(q, c.zero.depth) * spherical_coefficient(q, c.infinity.depth))
-        for c in cosets
-    ]
+    weights = coset_weights(cosets, q)
     denominator = math.lcm(*(w.denominator for w in weights))
     cells = list(sphere_vertices(q + 1, n))
     powers = [q**k for k in range(n + 1)]
@@ -519,24 +534,25 @@ def _power_iteration_symmetric(
 
 
 def _pair_blocks(
-    columns: np.ndarray, weights: np.ndarray, cocycle: np.ndarray, r: int, size: int
+    columns: np.ndarray, weights: np.ndarray, powers: np.ndarray, r: int, size: int
 ) -> np.ndarray:
     """Row s - r holds the block A_r^T A_s (size x size, flattened) of the
-    representatives' transports at one place (``_transports_at``), for
-    every s >= r: one bincount per ROW_BLOCK of the s, so the index and
-    weight products span one chunk of cosets, not all of them."""
+    representatives' transports at one place (``_transports_at``), their
+    weight exponents read in ``powers``, the floats q^c: for every s >= r,
+    one bincount per ROW_BLOCK of the s, so the index and weight products
+    span one chunk of cosets, not all of them."""
     import numpy as np
 
     count, cells = len(columns) - r, size * size
     lead = columns[r] * np.intp(size)
-    lead_weights = cocycle[weights[r]]
+    lead_weights = powers[weights[r]]
     blocks = np.empty((count, cells))
     for first in range(0, count, ROW_BLOCK):
         chunk = slice(r + first, r + first + ROW_BLOCK)
         rows = len(columns[chunk])
         index = np.arange(0, rows * cells, cells)[:, None] + lead
         index += columns[chunk]
-        products = np.take(cocycle, weights[chunk])
+        products = np.take(powers, weights[chunk])
         products *= lead_weights
         blocks[first : first + rows] = np.bincount(
             index.ravel(), products.ravel(), minlength=rows * cells
@@ -580,21 +596,24 @@ def _compression_gram(
 
     A member g = r k of the coset rK has g . x = r . (k . x) and g . o = r . o,
     so its transport at each place is r's with the input columns permuted by
-    k, and the mean factors as M = (sum_r c_r A_r (x) B_r) |K| P_K with
-    c_r = 1/(|C_n| Xi(r)) and P_K the average of the permutations
-    Pi_k (x) Pi'_k: the orthogonal projection Q Q^T onto the K-invariant
-    functions, Q's columns the normalised orbit indicators.  The Gram matrix
-    |K|^2 P_K C P_K, with C the sum of f(r, s) = c_r c_s (A_r^T D0 A_s) (x)
-    (B_r^T D1 B_s) over all pairs of representatives and D0, D1 the output
-    cylinder measures, has the nonzero spectrum of |K|^2 Q^T C Q, which is
-    returned.
+    k.  Write A_r and B_r for r's transports at zero and infinity with the
+    weights q^c of ``_transports_at``: a cocycle weight q^(beta/2) is
+    q^c q^(-|w|/2), and the member weight 1/(|C_n| Xi(r)) times the
+    q^(-|w|/2) of both places is w_r / |K| (``coset_weights``).  So the mean
+    factors as M = (sum_r w_r A_r (x) B_r) P_K with P_K the average of the
+    permutations Pi_k (x) Pi'_k: the orthogonal projection Q Q^T onto the
+    K-invariant functions, Q's columns the normalised orbit indicators.  The
+    Gram matrix P_K C P_K, with C the sum of f(r, s) = w_r w_s
+    (A_r^T D0 A_s) (x) (B_r^T D1 B_s) over all pairs of representatives and
+    D0, D1 the output cylinder measures, has the nonzero spectrum of
+    Q^T C Q, which is returned.
 
     Two symmetries shrink the sum.  The pair (s, r) gives the transpose of
     the pair (r, s).  And Q^T f(kr, ks) Q = Q^T f(r, s) Q for every k in K,
     where kr stands for the representative of the coset k r K: that
     representative is k r k' for some k' in K, so A_{kr} = P_k A_r Pi_{k'}
     with P_k the permutation k makes of the output cylinders, which keeps
-    their measure (P_k^T D0 P_k = D0), and c_{kr} = c_r; the orbit
+    their measure (P_k^T D0 P_k = D0), and w_{kr} = w_r; the orbit
     indicators absorb the input permutations Pi_{k'} (x) Pi'_{k'}, whichever
     representative the table holds.  So the sum over the |D / K| cosets r of
     a double coset D of sum_s f(r, s) is |D / K| sum_s f(r_D, s), r_D the
@@ -620,16 +639,14 @@ def _compression_gram(
     order = np.argsort(transports.doubles, kind="stable")
     _, counts = np.unique(transports.doubles, return_counts=True)
     starts = np.cumsum(counts) - counts
+    powers = float(q) ** np.arange(n + 1)
     transported = []
     for place_index in (0, 1):
-        columns, weights, cocycle = _transports_at(transports, place_index, depth)
-        transported.append((columns[order], weights[order], cocycle))
+        columns, weights = _transports_at(transports, place_index, depth)
+        transported.append((columns[order], weights[order], powers))
     # every depth-k cylinder has the same measure, one over the sphere size
     mu_out = 1.0 / sphere_size(degree, depth + n)
-    coeffs = np.array([
-        1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q)))
-        for c in cosets
-    ])[order]
+    coeffs = np.array([float(w) for w in coset_weights(cosets, q)])[order]
     orbits = int(labels.max()) + 1
     # a pair-block product's entry ((i, j), (k, l)), with (i, j) from place
     # zero's blocks and (k, l) from place infinity's, is H's entry for the
@@ -650,10 +667,9 @@ def _compression_gram(
             sums = np.bincount(keys, product.ravel(), minlength=size * orbits)
             np.add.at(half, pairs[i], sums.reshape(size, orbits))
     # whiten by the input measure 1 / size so plain power iteration sees the
-    # weighted norm, and take |K|^2 from the average
+    # weighted norm
     root = np.sqrt(np.bincount(labels))
-    scale = float(((q**3 - q) * size) ** 2)
-    return scale * (half + half.T) / (root[:, None] * root), labels
+    return float(size * size) * (half + half.T) / (root[:, None] * root), labels
 
 
 def mean_matrix_2norm(transports: SphereTransports, depth: int) -> CompressionResult:
@@ -820,7 +836,8 @@ def rrd_report(
     Sections: the condition-(1) polynomial bound per sphere, the exact
     condition-(2) sup norms U_n, the compression 2-norms with their chain
     check against U_n, the convolution lower bounds with the finite-subgroup
-    identity at n = 0 (``ConvolutionResult.identity_ok``), and the subgroup
+    identity at n = 0 (the n = 0 row's ``ConvolutionResult.passed``, so it
+    never passes beside a failing row), and the subgroup
     growth certificate for the failure side, each record written by
     ``plain`` (exact values as (a, b, q) triples).  Each section's ``pass``
     is read off the records or rows it writes, and the verdict's ``pass``
@@ -856,7 +873,7 @@ def rrd_report(
     ]
     base_identity = next(
         (
-            {"expected": float(c.sphere_size), "value": c.value, "pass": c.identity_ok}
+            {"expected": float(c.sphere_size), "value": c.value, "pass": c.passed}
             for c in convolutions
             if c.n == 0
         ),

@@ -132,9 +132,6 @@ class SL2Element:
             check=False,
         )
 
-    def inverse(self) -> "SL2Element":
-        return SL2Element(self.d, -self.b, -self.c, self.a, check=False)
-
     def substitute_inverse(self) -> "SL2Element":
         """sigma(g): X -> X^-1 in every entry.  sigma is an involution
         (sigma(sigma(g)) = g) and an automorphism of the group
@@ -184,9 +181,6 @@ class LatticeVertex(NamedTuple):
     @property
     def field(self) -> Fq:
         return self.off_diag.field
-
-    def to_text(self) -> str:
-        return f"a={self.diag_low};b={self.diag_high};{self.off_diag.to_text()}"
 
 
 def _canonical_from_matrix(

@@ -61,9 +61,6 @@ class TreeVertex(_TreeVertexFields):
     def depth(self) -> int:
         return len(self.path)
 
-    def is_root(self) -> bool:
-        return not self.path
-
     @property
     def id(self) -> int:
         """The path a_1 .. a_m as the bijective base-degree numeral
@@ -74,9 +71,6 @@ class TreeVertex(_TreeVertexFields):
         for label in self.path:
             out = out * self.degree + label + 1
         return out
-
-    def child(self, label: int) -> "TreeVertex":
-        return TreeVertex(self.degree, self.path + (label,))
 
     def to_text(self) -> str:
         return "/".join(str(p) for p in self.path)

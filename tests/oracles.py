@@ -31,7 +31,8 @@ pair is recomputed from a nullspace basis of the pair's section system, a
 elimination with the fiber values as right-hand sides.
 
 It also holds what only the tests use of elements, texts, vertices and
-cylinders: the lower elementary matrices, the tree lengths by the
+cylinders: the lower elementary matrices, an element's inverse, a
+vertex's children, the tree lengths by the
 min-valuation rule (``element_lengths``, checked against Smith pivoting;
 the program reads its lengths off the located depths), the text
 parsers (`SphereTable.from_json` compares texts and parses nothing), the matrix of
@@ -105,6 +106,11 @@ def elementary_lower(s: LaurentPolynomial) -> SL2Element:
     """E21(s) = [[1, 0], [s, 1]]."""
     one = LaurentPolynomial.one(s.field)
     return SL2Element(one, LaurentPolynomial.zero(s.field), s, one, check=False)
+
+
+def inverse(g: SL2Element) -> SL2Element:
+    """g^-1 = [[d, -b], [-c, a]], of determinant 1 with g."""
+    return SL2Element(g.d, -g.b, -g.c, g.a, check=False)
 
 
 def length_at_place(g: SL2Element) -> int:
@@ -188,6 +194,10 @@ def vertex_parent(v: TreeVertex) -> TreeVertex:
     if not v.path:
         raise ValueError("the root has no parent")
     return TreeVertex(v.degree, v.path[:-1])
+
+
+def child(v: TreeVertex, label: int) -> TreeVertex:
+    return TreeVertex(v.degree, v.path + (label,))
 
 
 def vertex_from_text(degree: int, text: str) -> TreeVertex:
@@ -303,9 +313,9 @@ def ball_count_bfs(degree: int, n: int) -> list[int]:
     for depth in range(1, n + 1):
         nxt = []
         for v in frontier:
-            labels = range(degree) if v.is_root() else range(degree - 1)
+            labels = range(degree - 1) if v.path else range(degree)
             for lab in labels:
-                nxt.append(v.child(lab))
+                nxt.append(child(v, lab))
         counts.append(len(nxt))
         frontier = nxt
     return [
@@ -565,7 +575,7 @@ def expansion_levels(q: int, radius: int, key=None) -> Levels:
                 fresh.sort(key=key)
             for label, nb in enumerate(fresh):
                 seen.add(nb)
-                level.append((vertex.child(label), nb))
+                level.append((child(vertex, label), nb))
         levels.append(level)
     return levels
 
@@ -1582,9 +1592,16 @@ def compression_gram_all_pairs(
     labels = _cell_orbits(transports, depth)
     place0 = _transports_at(transports, 0, depth)
     place1 = _transports_at(transports, 1, depth)
+    powers = float(q) ** np.arange(n + 1)
     mu_out = 1.0 / sphere_size(degree, depth + n)
+    # U_n's weight 1 / (#cosets c(l0) c(l1)) of every coset
     coeffs = np.array([
-        1.0 / (table.sphere_size(n) * float(hc_product(c.zero.depth, c.infinity.depth, q)))
+        1.0
+        / float(
+            len(cosets)
+            * spherical_coefficient(q, c.zero.depth)
+            * spherical_coefficient(q, c.infinity.depth)
+        )
         for c in cosets
     ])
     cells = size * size
@@ -1592,8 +1609,8 @@ def compression_gram_all_pairs(
     # core[(i, j), (k, l)] = H[(i, k), (j, l)], the pair blocks' layout
     core = np.zeros((cells, cells))
     for r in range(len(cosets)):
-        left = _pair_blocks(*place0, r, size)
-        right = _pair_blocks(*place1, r, size)
+        left = _pair_blocks(*place0, powers, r, size)
+        right = _pair_blocks(*place1, powers, r, size)
         scales = (mu_out * mu_out * coeffs[r]) * coeffs[r:]
         scales[0] /= 2.0
         weighted = scales[:, None] * right
@@ -1608,7 +1625,7 @@ def compression_gram_all_pairs(
         np.add.at(half, index.reshape(len(i), cells), core[block])
     half = half.reshape(orbits, orbits)
     root = np.sqrt(np.bincount(labels))
-    scale = float(((q**3 - q) * size) ** 2)
+    scale = float(size**2)
     return scale * (half + half.T) / (root[:, None] * root), labels
 
 
@@ -1619,7 +1636,9 @@ def coset_transports_direct(
     depth-``depth`` input cylinders, as (columns, weights) like the
     program's, but with every input cylinder base of that depth translated
     on its own instead of read off the deepest images, at infinity through
-    the representative's sigma-image."""
+    the representative's sigma-image.  A weight is the exponent
+    (beta + |w|) / 2 of q in the cocycle weight q^(beta/2) times |w|'s
+    q^(|w|/2), w = r . o."""
     q = expansion.q
     in_cyls = boundary_cylinders(q + 1, depth)
     out_depth = n + depth
@@ -1635,7 +1654,7 @@ def coset_transports_direct(
             r, coset.vertex(place_index), ys, out_paths, ("zero", "infinity")[place_index]
         )
         columns.append(covered.argmax(axis=0))
-        weights.append([float(q) ** (beta / 2.0) for beta in betas.tolist()])
+        weights.append((betas + coset.vertex(place_index).depth) // 2)
     return np.array(columns), np.array(weights)
 
 
@@ -1654,7 +1673,7 @@ def convolution_matrix(table: SphereTable, n: int, ball_radius: int) -> np.ndarr
     ``common_prefix_lengths``.
     """
     inverses = [
-        g.inverse()
+        inverse(g)
         for length in table.lengths()
         if length <= ball_radius
         for g in sphere_members(table, length)

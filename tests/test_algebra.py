@@ -303,7 +303,7 @@ def test_sqrt_q_power_laws():
 
 def test_square_q_folds_to_rational():
     v = AlgebraicValue.sqrt_q_power(4, 1)
-    assert v.is_rational()
+    assert v.b == 0
     assert v == AlgebraicValue.rational(2, 4)
 
 

@@ -19,7 +19,7 @@ from rrdlab.trees import (
     busemann,
 )
 
-from oracles import hc_product_expanded, hc_tree_bruteforce, sphere_average_check
+from oracles import child, hc_product_expanded, hc_tree_bruteforce, sphere_average_check
 
 rng = random.Random(0xB0DA)
 
@@ -28,7 +28,7 @@ def random_vertex(degree: int, depth: int) -> TreeVertex:
     v = TreeVertex.root(degree)
     for i in range(depth):
         width = degree if i == 0 else degree - 1
-        v = v.child(rng.randrange(width))
+        v = child(v, rng.randrange(width))
     return v
 
 
@@ -116,6 +116,6 @@ def test_sphere_average_identity_small():
 
 
 def test_sphere_average_requires_depth():
-    cylinder = BoundaryCylinder(TreeVertex.root(3).child(0))
+    cylinder = BoundaryCylinder(child(TreeVertex.root(3), 0))
     with pytest.raises(ValueError):
         sphere_average_check(3, 2, cylinder)

@@ -437,6 +437,29 @@ def test_a_failing_section_fails_the_verdict(capsys, monkeypatch, section):
     assert code == 1
 
 
+def test_the_base_identity_fails_with_its_row(capsys, monkeypatch):
+    # |K| + 5e-7 at q = 2 meets the identity's BASE_IDENTITY_TOL but not the
+    # row's l1 rule (|C_0| + 1e-9): the base identity reads the n = 0 row's
+    # whole rule, so it fails beside the failing row
+    real = criterion.convolution_opnorm_lower
+
+    def above_the_sphere(table, n, ball_radius):
+        result = real(table, n, ball_radius)
+        return result._replace(value=result.sphere_size + 5e-7) if n == 0 else result
+
+    monkeypatch.setattr(criterion, "convolution_opnorm_lower", above_the_sphere)
+    code, out = run(capsys, "report", "--max-length", "2", "--depth", "1")
+    verdict = json.loads(out)
+    convolution = verdict["convolution"]
+    row = convolution["rows"][0]
+    assert row["n"] == 0 and row["value"] == 6.0 + 5e-7
+    assert convolution["base_identity"]["pass"] is False
+    assert row["l1_ok"] is False
+    assert convolution["pass"] is False
+    assert verdict["pass"] is False
+    assert code == 1
+
+
 # The report at q = 2, N = 4, depth 2 with every value that BLAS sums taken
 # out (the compression rows', the convolution rows' and the base identity's),
 # as the sha256 of its canonical JSON, and those values as the auto-detected
@@ -808,6 +831,8 @@ def test_envelope_bytes_are_pinned(capsys, command):
         ["opnorm", "--max-length", "2", "--n", "2", "--radius", "2"],
         ["uniform-bound", "--max-length", "4", "--n", "3"],
         ["opnorm", "--max-length", "4", "--n", "1", "--radius", "2"],
+        ["lamplighter", "--radius", "0"],
+        ["report", "--max-length", "0", "--depth", "1"],
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
@@ -825,6 +850,25 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "injected fault" in captured.err
+
+
+def test_a_failed_replace_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    # the output is written to a temporary file beside it and renamed over
+    # it; when the rename fails, the temporary file goes and the old output
+    # stays as it was
+    def refuse(source, target):
+        raise OSError("injected rename failure")
+
+    out = tmp_path / "F"
+    out.write_text("kept\n")
+    monkeypatch.setattr(os, "replace", refuse)
+    code = main(["uniform-bound", "--max-length", "2", "--n", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "injected rename failure" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 import sys
@@ -19,6 +20,7 @@ from rrdlab.criterion import (
     _transports_at,
     check_compression_budget,
     coset_convolution_matrix,
+    coset_weights,
     convolution_opnorm_lower,
     mean_matrix_2norm,
     rrd_report,
@@ -51,6 +53,7 @@ from oracles import (
     element_lengths,
     gram_per_element,
     integral,
+    inverse,
     koopman_matrix,
     l1_norm,
     mean_transfer_function,
@@ -233,7 +236,7 @@ def test_koopman_inverse_composition(table4):
         matrix = koopman_matrix(g, (1, 1))
         h = random_step((1, 1))
         out = matrix.apply(h)
-        back = koopman_matrix(g.inverse(), out.depths).apply(out)
+        back = koopman_matrix(inverse(g), out.depths).apply(out)
         assert pointwise_equal(back, refine(h, back.depths))
 
 
@@ -287,6 +290,26 @@ def test_compression_chain_and_monotonicity(table4):
         previous = result.value
 
 
+def test_unconverged_compressions_are_lower_bounds(monkeypatch):
+    # one power iteration stops before the tolerance is met: its Rayleigh
+    # quotient is written as an unconverged row, still at most the top
+    # eigenvalue (to within the float rounding of the two products, which
+    # put the n = 2 row one ulp above the converged one), so the chain holds
+    table = enumerate_ball(2, 2)
+    converged = rrd_report(table, depth=1)["compressions"]["rows"]
+    monkeypatch.setattr(criterion, "MAX_ITERS", 1)
+    verdict = rrd_report(table, depth=1)
+    rows = verdict["compressions"]["rows"]
+    assert [row["n"] for row in rows] == [row["n"] for row in converged] == [0, 2]
+    for row, reference in zip(rows, converged):
+        assert row["converged"] is False and row["iterations"] == 1
+        assert reference["converged"] is True
+        assert row["value"] <= reference["value"] * (1 + 1e-12)
+        assert row["chain_ok"] is True
+    assert verdict["config"]["thresholds"]["max_iters"] == 1
+    assert verdict["pass"] is True
+
+
 def test_convolution_identity_and_monotonicity(table4):
     for radius in (0, 2, 4):
         result = convolution_opnorm_lower(table4, 0, radius)
@@ -302,7 +325,7 @@ def test_convolution_identity_and_monotonicity(table4):
 def product_lengths(ball, rows):
     """L(g h^-1) from the Laurent product, for g in the given rows of the
     ball and every h; L(h g^-1) = L(g h^-1), so each pair is multiplied once."""
-    inverses = [h.inverse() for h in ball]
+    inverses = [inverse(h) for h in ball]
     known = {}
     out = np.zeros((len(rows), len(ball)), dtype=np.int64)
     for r, i in enumerate(rows):
@@ -368,7 +391,7 @@ def test_coset_convolution_matches_the_element_matrix(request, table_name, n, ra
     expansion = np.zeros((len(index), len(ball)))
     for a, coset in enumerate(ball):
         for _, _, g in right_coset(coset.representative, group):
-            expansion[index[g.inverse().to_text()], a] = 1.0
+            expansion[index[inverse(g).to_text()], a] = 1.0
     order = table.q**3 - table.q
     assert np.array_equal(expansion.T @ expansion, order * np.eye(len(ball)))
     cosetwise = coset_convolution_matrix(ball, n)
@@ -862,12 +885,47 @@ def test_derived_transports_match_direct_translation(request, table_name, depth)
         transports = transport_sphere(table, n, depth)
         for k in range(depth + 1):
             for place_index in (0, 1):
-                columns, weights, cocycle = _transports_at(transports, place_index, k)
+                columns, weights = _transports_at(transports, place_index, k)
                 direct_columns, direct_weights = coset_transports_direct(
                     table.cosets(n), n, tree, place_index, k
                 )
                 assert np.array_equal(columns, direct_columns)
-                assert np.array_equal(cocycle[weights], direct_weights)
+                assert np.array_equal(weights, direct_weights)
+
+
+@pytest.mark.parametrize(
+    "table_name, n, expected",
+    [
+        ("table4", 2, Fraction(6, 5)),
+        ("table4", 4, Fraction(1062, 875)),
+        ("table_q3n4", 2, Fraction(9, 8)),
+        ("table_q3n4", 4, Fraction(279, 244)),
+        ("table_q4n2", 2, Fraction(12, 11)),
+    ],
+)
+def test_transports_carry_the_uniform_bound(request, table_name, n, expected):
+    # at input depth 0 the output cylinders are the depth-n cells, and a
+    # transport's weight exponent at each place is the Gromov product of the
+    # coset's located vertex with the cell: summed in the cosets' weights,
+    # q^(c0 + c1) is M_n 1 at the cell (x, y), whose largest value is U_n
+    table = request.getfixturevalue(table_name)
+    q, cosets = table.q, table.cosets(n)
+    transports = transport_sphere(table, n, 0)
+    (columns0, zero), (columns1, infinity) = (
+        _transports_at(transports, place_index, 0) for place_index in (0, 1)
+    )
+    assert not columns0.any() and not columns1.any()
+    assert zero.shape == infinity.shape == (len(cosets), len(list(sphere_vertices(q + 1, n))))
+    weights = coset_weights(cosets, q)
+    denominator = math.lcm(*(w.denominator for w in weights))
+    scales = [w.numerator * (denominator // w.denominator) for w in weights]
+    left = np.array(
+        [[scale * q ** int(c) for c in row] for scale, row in zip(scales, zero)], dtype=object
+    )
+    right = np.array([[q ** int(c) for c in row] for row in infinity], dtype=object)
+    best = Fraction(int((left.T @ right).max()), denominator)
+    assert best == expected
+    assert uniform_bound_value(table, n).value == best
 
 
 @pytest.mark.parametrize("table_name, depth", [("table4", 4), ("table_q3n2", 2)])

@@ -20,6 +20,7 @@ from rrdlab.trees import (
 from oracles import (
     BFS_VERTEX_BUDGET,
     ball_count_bfs,
+    child,
     contains,
     end_image_set,
     product_cylinders,
@@ -36,14 +37,14 @@ def random_vertex(degree: int, max_depth: int = 6) -> TreeVertex:
     v = TreeVertex.root(degree)
     for i in range(rng.randint(0, max_depth)):
         width = degree if i == 0 else degree - 1
-        v = v.child(rng.randrange(width))
+        v = child(v, rng.randrange(width))
     return v
 
 
 def test_vertex_paths_and_text_roundtrip():
     root = TreeVertex.root(3)
-    assert root.is_root() and root.depth == 0
-    v = root.child(2).child(0).child(1)
+    assert not root.path and root.depth == 0
+    v = child(child(child(root, 2), 0), 1)
     assert v.depth == 3
     assert vertex_parent(vertex_parent(vertex_parent(v))) == root
     assert vertex_from_text(3, v.to_text()) == v
